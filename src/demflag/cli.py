@@ -215,9 +215,9 @@ def cache_read(cdir: str, key: str) -> Optional[str]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             entry = json.load(fh)
-        except json.JSONDecodeError:
-            return None       # corrupt entry: treat as a miss
-    out = entry.get("output")
+        except (ValueError, RecursionError):
+            return None       # not UTF-8, not JSON or absurdly nested: a miss
+    out = entry.get("output") if isinstance(entry, dict) else None
     return out if isinstance(out, str) else None
 
 

@@ -62,7 +62,8 @@ def solve_extremal(ad: AffineDatum,
     target = ad.embed_classical(w0lam, grade=lab.grade)
     target = Weight((target.h[0] + lab.level,) + target.h[1:], target.d)
     lam, word = make_dominant(ad, target)
-    assert ad.level(lam) == lab.level
+    if ad.level(lam) != lab.level:
+        raise AssertionError("chamber reduction changed the level")
     return lam, word
 
 

@@ -9,6 +9,14 @@ characters (top weight with coefficient one, everything else strictly
 below) makes the outcome independent of how ties between incomparable
 maxima are broken.
 
+The leading weight is the first support weight in ``tie_break`` order
+(lexicographically largest or smallest) that no other support weight
+dominates.  Height is positive on every simple root, so ``mu < nu`` forces
+``height(mu) < height(nu)``: testing a candidate only against weights of
+greater height misses no weight above it, and the choice (hence the piece
+order) is exactly that of testing every pair.  Each leading weight's piece
+is computed once per decomposition and reused at later grades.
+
 The graded character of a local Weyl module is assembled as follows.  In
 simply-laced type it is a single level-one Demazure character.  Otherwise
 the short-root subsystem carries a level-one Demazure character of its own
@@ -35,7 +43,7 @@ from .characters import (FormalCharacter, GradedClassicalCharacter,
                          shift_grade)
 from .demazure import DemazureLabel, demazure_character
 from .root_data import (AffineDatum, RootDatum, Weight, affinize,
-                        dominance_leq, eta_lambda, short_subdatum)
+                        eta_lambda, short_subdatum)
 
 
 @dataclass(frozen=True)
@@ -78,15 +86,18 @@ class DominantLWeight:
         return total
 
 
-def _maximal_weights(datum: RootDatum,
-                     weights: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    out = []
-    for h in weights:
-        w = Weight(h, 0)
-        if not any(h != o and dominance_leq(datum, w, Weight(o, 0))
-                   for o in weights):
-            out.append(h)
-    return out
+def _leading_weight(rd: RootDatum, support: set[tuple[int, ...]],
+                    tie_break: str) -> tuple[int, ...]:
+    """First weight in ``tie_break`` order that no other one dominates."""
+    height = {h: rd.height(h) for h in support}
+
+    def below(h, o):
+        coords = rd.root_coordinates([b - a for a, b in zip(h, o)])
+        return coords is not None and all(x >= 0 for x in coords)
+
+    return next(h for h in sorted(support, reverse=tie_break == "max")
+                if not any(height[o] > height[h] and below(h, o)
+                           for o in support))
 
 
 def greedy_decompose(ad: AffineDatum, g: GradedClassicalCharacter,
@@ -104,12 +115,12 @@ def greedy_decompose(ad: AffineDatum, g: GradedClassicalCharacter,
     if not check_w_invariance_per_grade(rd, g):
         raise errors.NonDominantLeading(
             "character is not Weyl invariant grade by grade")
-    pick = max if tie_break == "max" else min
     residue = g
     pieces: list[tuple[Weight, int, int]] = []
+    computed: dict[tuple[int, ...], GradedClassicalCharacter] = {}
     while len(residue) > 0:
-        support = sorted({h for h, _ in residue._terms})
-        lead_h = pick(_maximal_weights(rd, support))
+        lead_h = _leading_weight(rd, {h for h, _ in residue._terms},
+                                 tie_break)
         lead = Weight(lead_h, 0)
         if not rd.is_dominant(lead):
             raise errors.NonDominantLeading(
@@ -119,8 +130,10 @@ def greedy_decompose(ad: AffineDatum, g: GradedClassicalCharacter,
         if coeff < 0:
             raise errors.NegativeMultiplicity(
                 f"piece ({lead_h}, {grade}) has coefficient {coeff}")
-        piece = demazure_character(ad, DemazureLabel(level, lead, 0))
-        residue = residue - shift_grade(piece, grade).scale(coeff)
+        if lead_h not in computed:
+            computed[lead_h] = demazure_character(
+                ad, DemazureLabel(level, lead, 0))
+        residue = residue - shift_grade(computed[lead_h], grade).scale(coeff)
         pieces.append((lead, grade, coeff))
     return FlagDecomposition(level=level, pieces=tuple(pieces))
 
@@ -176,8 +189,10 @@ def weyl_dim_product_check(rd: RootDatum,
     for i in rd.indices:
         mult = rd.value(lam, i)
         if mult:
-            product *= graded_weyl_character(
-                rd, rd.fundamental_weight(i))[0].mass() ** mult
+            omega = rd.fundamental_weight(i)
+            m = (mass if omega == lam
+                 else graded_weyl_character(rd, omega)[0].mass())
+            product *= m ** mult
     return mass == product, (mass, product)
 
 

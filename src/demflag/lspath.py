@@ -83,10 +83,9 @@ class LSPath:
                 merged[-1] = (tuple(x / total for x in disp), total)
             else:
                 merged.append((tuple(Fraction(x) for x in v), Fraction(t)))
-        out = cls(tuple(merged))
-        assert sum((t for _, t in merged), Fraction(0)) == 1, \
-            "durations must sum to one"
-        return out
+        if sum((t for _, t in merged), Fraction(0)) != 1:
+            raise AssertionError("durations must sum to one")
+        return cls(tuple(merged))
 
     def weight(self) -> Weight:
         """Integral endpoint of the path."""
@@ -273,7 +272,8 @@ def joseph_highest(ad: AffineDatum, mu: Weight, lam: Weight,
         pi = concat_paths(mu_path, b)
         if all(min(_vertex_values(ad, pi, i)) == 0 for i in ad.indices):
             nu = mu + b.weight()
-            assert ad.is_dominant(nu), "highest term must be dominant"
+            if not ad.is_dominant(nu):
+                raise AssertionError("highest term must be dominant")
             out.append((b, nu))
     return out
 

@@ -18,7 +18,9 @@ Conventions, fixed once and used everywhere downstream:
   the last letter acts first, matching the composition order of Demazure
   operators.
 
-Everything is integer or ``fractions.Fraction`` arithmetic; no floats.
+Arithmetic is integer, with no floats.  ``fractions.Fraction`` appears only
+in the symmetrizer and in the one-time inverse of the Cartan matrix, kept as
+the integer matrix ``den * C^-1``; root coordinates and heights read off it.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from . import errors
-from ._linalg import solve_unique
 
 # Inclusive rank ranges of the finite series supported here.
 _SERIES_RANKS = {
@@ -142,14 +144,9 @@ def _symmetrizer(cartan: Sequence[Sequence[int]]) -> list[int]:
                 todo.append(j)
     if any(x is None for x in d):
         raise ValueError("Dynkin diagram is not connected")
-    lcm = 1
-    for x in d:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in d]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
+    den = lcm(*(x.denominator for x in d))
+    g = gcd(*(int(x * den) for x in d))
+    ints = [int(x * den) // g for x in d]
     for i in range(n):
         for j in range(n):
             if ints[i] * cartan[i][j] != ints[j] * cartan[j][i]:
@@ -176,6 +173,26 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     pos = [b for b in roots if all(x >= 0 for x in b)]
     pos.sort(key=lambda b: (sum(b), b))
     return pos
+
+
+def _integer_inverse(cartan: Sequence[Sequence[int]]) -> tuple[tuple, int]:
+    """``(den * C^-1, den)`` with ``den`` the least common denominator.
+
+    Gauss-Jordan with no row swaps: a finite-type Cartan matrix has positive
+    leading principal minors, so no pivot is ever zero.
+    """
+    n = len(cartan)
+    aug = [[Fraction(x) for x in row] + [Fraction(i == k) for k in range(n)]
+           for i, row in enumerate(cartan)]
+    for c in range(n):
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for k in range(n):
+            f = aug[k][c]
+            if k != c and f:
+                aug[k] = [a - f * b for a, b in zip(aug[k], aug[c])]
+    inv = [row[n:] for row in aug]
+    den = lcm(*(x.denominator for row in inv for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in inv), den
 
 
 @dataclass(frozen=True)
@@ -240,6 +257,39 @@ class RootDatum:
     def is_dominant(self, mu: Weight) -> bool:
         return all(x >= 0 for x in mu.h)
 
+    # -- simple-root coordinates -------------------------------------------
+
+    @cached_property
+    def _inverse(self) -> tuple[tuple, int]:
+        # On first use, not at build time: building data is on the start-up
+        # path, and most requests never ask for root coordinates.
+        return _integer_inverse(self.cartan)
+
+    @cached_property
+    def _height_vector(self) -> tuple[int, ...]:
+        # Column sums of den * C^-1, that is den * rho-check on the h basis.
+        return tuple(sum(col) for col in zip(*self._inverse[0]))
+
+    def root_coordinates(self, h: Sequence[int]) -> tuple[int, ...] | None:
+        """Simple-root coordinates of the weight with coroot values ``h``,
+        or None when they are not integers (``h`` is off the root lattice)."""
+        adj, den = self._inverse
+        out = []
+        for row in adj:
+            x, r = divmod(sum(a * v for a, v in zip(row, h)), den)
+            if r:
+                return None
+            out.append(x)
+        return tuple(out)
+
+    def height(self, h: Sequence[int]) -> int:
+        """Sum of the simple-root coordinates of ``h``, times ``den``.
+
+        ``den`` is the common denominator of ``C^-1``, so the value is an
+        integer.  It is linear and positive on simple roots: ``mu < nu`` in
+        the dominance order implies ``height(mu) < height(nu)``."""
+        return sum(a * v for a, v in zip(self._height_vector, h))
+
     def is_short_node(self, i: int) -> bool:
         return i in self.short_nodes
 
@@ -254,11 +304,10 @@ class RootDatum:
         n = self.rank
         q = sum(beta[i] * beta[j] * self.symmetrizer[i] * self.cartan[i][j]
                 for i in range(n) for j in range(n))
-        coeffs = [Fraction(2 * self.symmetrizer[j] * beta[j], q)
-                  for j in range(n)]
-        if any(x.denominator != 1 for x in coeffs):
+        nums = [2 * self.symmetrizer[j] * beta[j] for j in range(n)]
+        if any(x % q for x in nums):
             raise ValueError("coroot coefficients must be integral")
-        return tuple(int(x) for x in coeffs)
+        return tuple(x // q for x in nums)
 
     def pair_coroot(self, mu: Weight, beta: Sequence[int]) -> int:
         return sum(c * v for c, v in zip(self.coroot(beta), mu.h))
@@ -428,17 +477,17 @@ def affinize(rd: RootDatum) -> AffineDatum:
     # alpha_0 + theta = delta in coroot values and grade.
     for i in range(n + 1):
         for j in range(n + 1):
-            if i == j:
-                assert cartan[i][j] == 2
-            else:
-                assert cartan[i][j] <= 0
-                assert (cartan[i][j] == 0) == (cartan[j][i] == 0)
-    for i in ad.indices:
-        assert ad.level(ad.simple_root(i)) == 0
+            a, b = cartan[i][j], cartan[j][i]
+            bad = a != 2 if i == j else a > 0 or (a == 0) != (b == 0)
+            if bad:
+                raise AssertionError("not a generalized Cartan matrix")
+    if any(ad.level(ad.simple_root(i)) for i in ad.indices):
+        raise AssertionError("simple roots must have level zero")
     total = ad.simple_root(0)
     for i in range(1, n + 1):
         total = total + rd.marks[i - 1] * ad.simple_root(i)
-    assert total == ad.delta
+    if total != ad.delta:
+        raise AssertionError("alpha_0 + theta must equal delta")
     return ad
 
 
@@ -488,18 +537,25 @@ def make_dominant(datum: Datum, mu: Weight,
 
 
 def dominance_leq(datum: Datum, mu: Weight, lam: Weight) -> bool:
-    """True iff ``lam - mu`` is a nonnegative integer sum of simple roots."""
+    """True iff ``lam - mu`` is a nonnegative integer sum of simple roots.
+
+    On an affine datum only ``alpha_0`` carries ``delta``, so its
+    coefficient is the grade of the difference.  Taking that multiple of
+    ``alpha_0`` off leaves a finite problem on nodes ``1..n``; node ``0``
+    then agrees exactly when the difference has level zero, as every
+    simple root does.
+    """
     diff = lam - mu
-    cols = [datum.simple_root(i) for i in datum.indices]
-    rows = [[alpha.h[k] for alpha in cols] for k in range(len(diff.h))]
-    rhs = list(diff.h)
     if isinstance(datum, AffineDatum):
-        rows.append([alpha.d for alpha in cols])
-        rhs.append(diff.d)
-    sol = solve_unique(rows, rhs)
-    if sol is None:
-        return False
-    return all(x.denominator == 1 and x >= 0 for x in sol)
+        c0 = diff.d
+        if c0 < 0 or datum.level(diff) != 0:
+            return False
+        rd = datum.finite
+        coords = rd.root_coordinates(
+            [v + c0 * t for v, t in zip(diff.h[1:], rd.theta_h)])
+    else:
+        coords = datum.root_coordinates(diff.h)
+    return coords is not None and all(x >= 0 for x in coords)
 
 
 # -- short-root subsystem ---------------------------------------------------
@@ -522,29 +578,6 @@ class ShortEmbedding:
     def restrict(self, mu: Weight) -> Weight:
         """Restriction of a parent weight to the short coroots."""
         return Weight(tuple(mu.h[self.parent.pos(i)] for i in self.nodes), 0)
-
-    def section(self, mu: Weight) -> tuple[Fraction, ...]:
-        """Rational section on parent coroot values, root by root.
-
-        Sends each subdatum simple root to the matching parent simple root
-        and extends linearly; the image of a lattice weight may have
-        fractional parent coordinates.
-        """
-        coords = _root_coordinates(self.subdatum, mu)
-        n = self.parent.rank
-        out = [Fraction(0)] * n
-        for c, node in zip(coords, self.nodes):
-            alpha = self.parent.simple_root(node)
-            out = [a + c * v for a, v in zip(out, alpha.h)]
-        return tuple(out)
-
-
-def _root_coordinates(rd: RootDatum, mu: Weight) -> list[Fraction]:
-    cols = [rd.simple_root(i) for i in rd.indices]
-    rows = [[alpha.h[k] for alpha in cols] for k in range(rd.rank)]
-    sol = solve_unique(rows, list(mu.h))
-    assert sol is not None
-    return sol
 
 
 def short_subdatum(rd: RootDatum) -> ShortEmbedding:
@@ -570,14 +603,11 @@ def eta_lambda(se: ShortEmbedding, lam: Weight, mu: Weight) -> Weight:
     from ``lam``.  The result is again an integral parent weight.
     """
     diff = se.restrict(lam) - mu
-    sub = se.subdatum
-    cols = [sub.simple_root(i) for i in sub.indices]
-    rows = [[alpha.h[k] for alpha in cols] for k in range(sub.rank)]
-    sol = solve_unique(rows, list(diff.h))
-    if sol is None or any(x.denominator != 1 or x < 0 for x in sol):
+    coords = se.subdatum.root_coordinates(diff.h)
+    if coords is None or any(x < 0 for x in coords):
         raise errors.NotBelow(
             "weight is not below the restriction in the subsystem")
     out = lam
-    for c, node in zip(sol, se.nodes):
-        out = out - int(c) * se.parent.simple_root(node)
+    for c, node in zip(coords, se.nodes):
+        out = out - c * se.parent.simple_root(node)
     return out

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from demflag import cli
 
 NC = ["--no-cache"]
@@ -249,6 +251,27 @@ def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path):
     assert rc == 0
     assert again == cold
     assert json.loads(entry.read_text())["output"] == cold
+
+
+@pytest.mark.parametrize("payload", [
+    b"\xff\xfe not utf-8 \x80",       # undecodable bytes
+    b"[1, 2]",                         # valid JSON, but not an object
+    b'{"output": 7}',                  # an object without string output
+    b"[" * 100_000,                    # nested past the parser's depth
+], ids=["non-utf8", "json-list", "non-string-output", "deep-nesting"])
+def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, payload):
+    argv = ["flag", "--type", "C2", "--lambda", "2,0"]
+    rc, uncached, _ = run(capsys, argv + NC)
+    assert rc == 0
+    cdir = tmp_path / "cache"
+    cdir.mkdir()
+    key = cli.cache_key("flag", {"type": "C2", "lambda": [2, 0]}, "json")
+    (cdir / f"{key}.json").write_bytes(payload)
+    rc, out, err = run(capsys, argv + ["--cache-dir", str(cdir)])
+    assert rc == 0, err
+    assert out == uncached
+    assert json.loads((cdir / f"{key}.json").read_text())["output"] \
+        == uncached
 
 
 def test_format_changes_the_cache_key(capsys, tmp_path):

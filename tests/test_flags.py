@@ -81,6 +81,52 @@ def test_greedy_tie_break_independence():
         assert reassemble(A2_AFF, lo) == g
 
 
+# ---- piece order ----
+#
+# The rendered flag lists pieces in peeling order, and the cache stores
+# rendered bytes, so the order itself is pinned here, not just the multiset.
+
+
+def _ordered(fd):
+    return [(w.h, g, c) for w, g, c in fd.pieces]
+
+
+def test_level_flag_piece_order_is_pinned():
+    A3 = datum_from_label("A3")
+    assert _ordered(level_flag(A2_AFF, 1, 2, A2.weight([4, 4]))) == [
+        ((4, 4), 0, 1), ((5, 2), 2, 1), ((5, 2), 3, 1), ((6, 0), 4, 1),
+        ((2, 5), 2, 1), ((2, 5), 3, 1), ((3, 3), 5, 1), ((3, 3), 6, 2),
+        ((3, 3), 7, 1), ((4, 1), 7, 1), ((4, 1), 8, 1), ((4, 1), 9, 1),
+        ((0, 6), 4, 1), ((1, 4), 7, 1), ((1, 4), 8, 1), ((1, 4), 9, 1),
+        ((2, 2), 8, 1), ((2, 2), 9, 2), ((2, 2), 10, 3), ((2, 2), 11, 2),
+        ((2, 2), 12, 1), ((3, 0), 11, 1), ((3, 0), 12, 1), ((3, 0), 13, 1),
+        ((0, 3), 11, 1), ((0, 3), 12, 1), ((0, 3), 13, 1), ((1, 1), 15, 1),
+        ((0, 0), 16, 1)]
+    assert _ordered(level_flag(affinize(A3), 1, 2, A3.weight([2, 1, 2]))) \
+        == [((2, 1, 2), 0, 1), ((2, 2, 0), 1, 1), ((3, 0, 1), 2, 1),
+            ((0, 2, 2), 1, 1), ((1, 0, 3), 2, 1), ((0, 3, 0), 2, 1),
+            ((1, 1, 1), 4, 1), ((2, 0, 0), 4, 1), ((2, 0, 0), 5, 1),
+            ((0, 0, 2), 4, 1), ((0, 0, 2), 5, 1), ((0, 1, 0), 6, 1)]
+
+
+def test_min_tie_break_piece_order_is_pinned():
+    g = demazure_character(A2_AFF, DemazureLabel(1, A2.weight([2, 2])))
+    assert _ordered(greedy_decompose(A2_AFF, g, 2, tie_break="min")) == [
+        ((2, 2), 0, 1), ((0, 3), 1, 1), ((3, 0), 1, 1), ((1, 1), 3, 1),
+        ((0, 0), 4, 1)]
+
+
+def test_weyl_flag_piece_order_is_pinned():
+    C3 = datum_from_label("C3")
+    table = [(C2, (1, 1), [((1, 1), 0, 1)]),
+             (G2, (1, 1), [((1, 1), 0, 1)]),
+             (G2, (2, 2), [((2, 2), 0, 1), ((0, 3), 1, 1)]),
+             (C3, (1, 1, 1), [((1, 1, 1), 0, 1), ((0, 0, 2), 1, 1)])]
+    for rd, h, pieces in table:
+        assert _ordered(graded_weyl_character(rd, rd.weight(h))[1]) \
+            == pieces, (rd.label, h)
+
+
 # ---- level-raising flags ----
 
 

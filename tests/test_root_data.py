@@ -1,10 +1,12 @@
 """Tables, reflections, chamber reduction, and the short-root subsystem."""
 
+import itertools
 import random
 
 import pytest
 
 from demflag import (
+    Weight,
     affinize,
     apply_word,
     build_finite_datum,
@@ -319,6 +321,64 @@ def test_dominance_affine():
     assert dominance_leq(ad, below, lam0 + ad.delta)
 
 
+def _combination(datum, coeffs):
+    total = Weight((0,) * len(datum.indices))
+    for c, i in zip(coeffs, datum.indices):
+        total = total + c * datum.simple_root(i)
+    return total
+
+
+# Oracle for the integer solve: every difference sum c_i alpha_i with
+# |c_i| <= 2 is tested, and the answer must be membership in the set of
+# such sums with all c_i >= 0, enumerated from the simple roots alone.  The
+# offsets lie off the root lattice (A2 and B3 have weights outside it; an
+# affine fundamental weight has nonzero level), so nothing is above zero.
+@pytest.mark.parametrize("label, affine, offsets", [
+    ("A2", False, [(1, 0), (0, 1)]),
+    ("B3", False, [(0, 0, 1)]),
+    ("G2", False, []),
+    ("F4", False, []),
+    ("A1", True, [(1, 0)]),
+    ("C2", True, [(1, 0, 0)]),
+])
+def test_dominance_matches_enumeration(label, affine, offsets):
+    rd = datum_from_label(label)
+    datum = affinize(rd) if affine else rd
+    box = list(itertools.product(range(-2, 3), repeat=len(datum.indices)))
+    cone = {_combination(datum, c) for c in box if min(c) >= 0}
+    rng = random.Random(label)
+    bases = [Weight(tuple(rng.randint(-3, 3) for _ in datum.indices),
+                    rng.randint(-2, 2) if affine else 0) for _ in range(2)]
+    for coeffs in box:
+        diff = _combination(datum, coeffs)
+        if not affine:
+            assert rd.root_coordinates(diff.h) == coeffs
+        for mu in bases:
+            assert dominance_leq(datum, mu, mu + diff) == (diff in cone), \
+                (label, coeffs)
+            for off in offsets:
+                assert not dominance_leq(datum, mu, mu + diff + Weight(off))
+                if not affine:
+                    assert rd.root_coordinates((diff + Weight(off)).h) is None
+
+
+def test_height_increases_along_dominance():
+    rng = random.Random(5)
+    for label in ("A2", "B3", "C3", "D4", "G2", "F4", "E6"):
+        rd = datum_from_label(label)
+        unit = rd.height(rd.simple_root(1).h)
+        assert unit > 0
+        assert all(rd.height(rd.simple_root(i).h) == unit for i in rd.indices)
+        for _ in range(100):
+            mu = rd.weight([rng.randint(-4, 4) for _ in rd.indices])
+            coeffs = [rng.randint(0, 2) for _ in rd.indices]
+            nu = mu + _combination(rd, coeffs)
+            assert rd.height(nu.h) - rd.height(mu.h) == unit * sum(coeffs)
+            other = rd.weight([rng.randint(-4, 4) for _ in rd.indices])
+            if other != mu and dominance_leq(rd, mu, other):
+                assert rd.height(mu.h) < rd.height(other.h), (label, mu)
+
+
 # ---- short-root subsystem ----
 
 
@@ -338,16 +398,6 @@ def test_short_restrict():
     se = short_subdatum(C2)
     assert se.restrict(C2.weight([2, 0])) == se.subdatum.weight([2])
     assert se.restrict(C2.weight([0, 1])) == se.subdatum.weight([0])
-
-
-def test_short_section_restricts_back():
-    for label in ("C2", "B3", "F4", "C4"):
-        se = short_subdatum(datum_from_label(label))
-        for i in se.subdatum.indices:
-            mu = se.subdatum.fundamental_weight(i)
-            sec = se.section(mu)
-            back = tuple(sec[se.parent.pos(k)] for k in se.nodes)
-            assert back == mu.h, (label, i)
 
 
 def test_eta_lambda_examples():
