@@ -20,6 +20,7 @@ restrict each weight to the finite coroots and read the grade off the
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from . import errors
@@ -100,24 +101,55 @@ class FormalCharacter:
         return f"FormalCharacter({self.datum.label}: {inner or '0'})"
 
 
+def _flat_root(datum: Datum, i: int) -> tuple[int, ...]:
+    alpha = datum.simple_root(i)
+    return alpha.h + (alpha.d,)
+
+
+def _ladder(terms: dict[tuple[int, ...], int], p: int,
+            alpha: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """One Demazure operator on flat weights ``h + (d,)``.
+
+    ``p`` is the node's position in ``h`` and ``alpha`` its simple root,
+    flattened the same way.  Zero coefficients are dropped, so the result
+    holds exactly the terms of the matching ``FormalCharacter``.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for mu, c in terms.items():
+        n = mu[p]
+        if n >= 0:
+            out[mu] = get(mu, 0) + c
+            for _ in range(n):
+                mu = tuple(map(sub, mu, alpha))
+                out[mu] = get(mu, 0) + c
+        elif n <= -2:
+            for _ in range(-1 - n):
+                mu = tuple(map(add, mu, alpha))
+                out[mu] = get(mu, 0) - c
+        # n == -1 contributes nothing.
+    return {w: c for w, c in out.items() if c}
+
+
+def _flat_terms(datum: Datum,
+                terms: Mapping[Weight, int]) -> dict[tuple[int, ...], int]:
+    rank = len(datum.indices)
+    if any(len(w.h) != rank for w in terms):
+        raise ValueError(f"weight rank does not match {datum.label}")
+    return {w.h + (w.d,): c for w, c in terms.items()}
+
+
+def _from_flat(datum: Datum,
+               terms: dict[tuple[int, ...], int]) -> FormalCharacter:
+    return FormalCharacter(datum, {Weight(w[:-1], w[-1]): c
+                                   for w, c in terms.items()})
+
+
 def demazure_step(datum: Datum, i: int, f: FormalCharacter) -> FormalCharacter:
     """One Demazure operator applied to a character, term by term."""
-    alpha = datum.simple_root(i)
-    out: dict[Weight, int] = {}
-
-    def bump(w: Weight, c: int) -> None:
-        out[w] = out.get(w, 0) + c
-
-    for mu, c in f._terms.items():
-        n = datum.value(mu, i)
-        if n >= 0:
-            for k in range(n + 1):
-                bump(mu - k * alpha, c)
-        elif n <= -2:
-            for k in range(1, -n):
-                bump(mu + k * alpha, -c)
-        # n == -1 contributes nothing.
-    return FormalCharacter(datum, out)
+    terms = _ladder(_flat_terms(datum, f._terms), datum.pos(i),
+                    _flat_root(datum, i))
+    return _from_flat(datum, terms)
 
 
 def demazure_word_char(datum: Datum, word: Sequence[int],
@@ -127,10 +159,10 @@ def demazure_word_char(datum: Datum, word: Sequence[int],
     The last letter acts first, matching ``apply_word``.  For a reduced word
     this is the Demazure character of the corresponding extremal weight.
     """
-    f = FormalCharacter.monomial(datum, seed)
+    terms = _flat_terms(datum, {seed: 1})
     for i in reversed(word):
-        f = demazure_step(datum, i, f)
-    return f
+        terms = _ladder(terms, datum.pos(i), _flat_root(datum, i))
+    return _from_flat(datum, terms)
 
 
 def weyl_character_finite(rd: RootDatum, lam: Weight) -> FormalCharacter:

@@ -17,7 +17,7 @@ per-user cache path; ``--no-cache`` skips both lookup and write.  Cache
 writes go through a temporary file and an atomic rename.
 
 Exit codes: 0 success, 2 invalid request, 3 mathematical domain error,
-4 cache input/output failure.
+4 cache input/output failure (the result is still printed).
 """
 
 from __future__ import annotations
@@ -148,21 +148,12 @@ def render_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def parse_json(text: str):
-    return json.loads(text)
-
-
 def render_csv_raw(cols: list[str], rows: list[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def parse_csv(text: str) -> tuple[list[str], list[list[str]]]:
-    reader = list(csv.reader(io.StringIO(text)))
-    return reader[0], reader[1:]
 
 
 def render_table_raw(cols: list[str], rows: list[list[str]]) -> str:
@@ -172,12 +163,6 @@ def render_table_raw(cols: list[str], rows: list[list[str]]) -> str:
     for r in [cols] + rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
     return "\n".join(lines) + "\n"
-
-
-def parse_table(text: str) -> tuple[list[str], list[list[str]]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    cols = lines[0].split()
-    return cols, [ln.split() for ln in lines[1:]]
 
 
 def render(obj, tables: list[Table], fmt: str) -> str:
@@ -493,6 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of each error family; a cache failure (exit 4) is reported
+# after the result is printed, so it never reaches this map.
+_EXIT_CODES = {errors.InputError: 2, ValueError: 2, errors.DomainError: 3}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -500,41 +490,35 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        params, run = _HANDLERS[args.command](args)
-    except errors.InputError as e:
+        return _serve(args)
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except errors.DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES.items()
+                    if isinstance(e, kind))
 
+
+def _serve(args) -> int:
+    """Validate, answer from the cache or compute, print; the exit code.
+
+    A cache that cannot be read counts as a miss and one that cannot be
+    written loses only the entry: either way the result is printed, and
+    the exit code is 4.
+    """
+    params, run = _HANDLERS[args.command](args)
     cdir = resolve_cache_dir(args.cache_dir)
     key = cache_key(args.command, params, args.format)
+    status = 0
     if not args.no_cache:
         try:
             cached = cache_read(cdir, key)
         except OSError as e:
             print(f"cache error: {e}", file=sys.stderr)
-            return 4
+            cached, status = None, 4
         if cached is not None:
             sys.stdout.write(cached)
             return 0
 
-    try:
-        obj, tables = run()
-    except errors.InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except errors.DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-
+    obj, tables = run()
     text = render(obj, tables, args.format)
     sys.stdout.write(text)
     if not args.no_cache:
@@ -542,8 +526,8 @@ def main(argv=None) -> int:
             cache_write(cdir, key, text)
         except OSError as e:
             print(f"cache error: {e}", file=sys.stderr)
-            return 4
-    return 0
+            status = 4
+    return status
 
 
 def entrypoint() -> None:

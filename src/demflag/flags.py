@@ -198,8 +198,14 @@ def weyl_dim_product_check(rd: RootDatum,
 
 def local_weyl_character(rd: RootDatum,
                          varpi: DominantLWeight) -> FormalCharacter:
-    """Ungraded character of the tensor product over the labelled summands."""
+    """Ungraded character of the tensor product over the labelled summands.
+
+    Summands of equal weight share one factor character, computed once.
+    """
+    factors: dict[tuple[int, ...], FormalCharacter] = {}
     out = FormalCharacter.monomial(rd, rd.zero_weight)
     for w, _ in varpi.factors:
-        out = out * forget_grading(graded_weyl_character(rd, w)[0])
+        if w.h not in factors:
+            factors[w.h] = forget_grading(graded_weyl_character(rd, w)[0])
+        out = out * factors[w.h]
     return out

@@ -206,7 +206,6 @@ class RootDatum:
     positive_roots: tuple[tuple[int, ...], ...]
     theta_coords: tuple[int, ...]            # highest root on simple roots
     theta_h: tuple[int, ...]                 # theta(h_i) in node order
-    marks: tuple[int, ...]                   # theta_coords, kept by name
     comarks: tuple[int, ...]                 # h_theta on the h_i basis
     w0_word: tuple[int, ...]
     short_nodes: tuple[int, ...]             # empty iff simply laced
@@ -290,15 +289,6 @@ class RootDatum:
         the dominance order implies ``height(mu) < height(nu)``."""
         return sum(a * v for a, v in zip(self._height_vector, h))
 
-    def is_short_node(self, i: int) -> bool:
-        return i in self.short_nodes
-
-    def root_lacing(self, i: int) -> int:
-        """Squared-length ratio of a long root to ``alpha_i``."""
-        return self.symmetrizer[max(range(self.rank),
-                                    key=self.symmetrizer.__getitem__)] \
-            // self.symmetrizer[self.pos(i)]
-
     def coroot(self, beta: Sequence[int]) -> tuple[int, ...]:
         """Coefficients of ``h_beta`` on the ``h_i`` basis."""
         n = self.rank
@@ -308,9 +298,6 @@ class RootDatum:
         if any(x % q for x in nums):
             raise ValueError("coroot coefficients must be integral")
         return tuple(x // q for x in nums)
-
-    def pair_coroot(self, mu: Weight, beta: Sequence[int]) -> int:
-        return sum(c * v for c, v in zip(self.coroot(beta), mu.h))
 
 
 @dataclass(frozen=True)
@@ -375,9 +362,6 @@ class AffineDatum:
         h0 = -sum(a * v for a, v in zip(self.finite.comarks, lam.h))
         return Weight((h0,) + lam.h, grade)
 
-    def classical_part(self, mu: Weight) -> Weight:
-        return Weight(mu.h[1:], 0)
-
 
 Datum = Union[RootDatum, AffineDatum]
 
@@ -434,7 +418,6 @@ def build_finite_datum(series: str, rank: int) -> RootDatum:
         positive_roots=tuple(pos),
         theta_coords=theta,
         theta_h=theta_h,
-        marks=theta,
         comarks=tuple(comarks),
         w0_word=tuple(word),
         short_nodes=short,
@@ -465,7 +448,7 @@ def affinize(rd: RootDatum) -> AffineDatum:
         cartan[0][i] = -sum(rd.comarks[k] * rd.cartan[k][i - 1]
                             for k in range(n))            # alpha_i(h_0)
     dual_marks = (1,) + rd.comarks
-    marks = (1,) + rd.marks
+    marks = (1,) + rd.theta_coords
 
     ad = AffineDatum(
         finite=rd,
@@ -485,7 +468,7 @@ def affinize(rd: RootDatum) -> AffineDatum:
         raise AssertionError("simple roots must have level zero")
     total = ad.simple_root(0)
     for i in range(1, n + 1):
-        total = total + rd.marks[i - 1] * ad.simple_root(i)
+        total = total + rd.theta_coords[i - 1] * ad.simple_root(i)
     if total != ad.delta:
         raise AssertionError("alpha_0 + theta must equal delta")
     return ad

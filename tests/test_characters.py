@@ -19,6 +19,7 @@ from demflag import (
     shift_grade,
     weyl_character_finite,
 )
+from test_root_data import all_datums
 
 A1 = datum_from_label("A1")
 A2 = datum_from_label("A2")
@@ -69,6 +70,17 @@ def test_step_idempotent():
             i = rng.choice(ad.indices)
             once = demazure_step(ad, i, f)
             assert demazure_step(ad, i, once) == once
+
+
+def test_seed_rank_must_match_datum():
+    # The value at node 1 is -1, so a ladder would drop the term and
+    # return zero before any arithmetic could notice the missing node.
+    with pytest.raises(ValueError):
+        demazure_word_char(A2_AFF, (1,), A1_AFF.weight([0, -1]))
+    with pytest.raises(ValueError):
+        demazure_word_char(A1_AFF, (), A2_AFF.weight([1, 0, 0]))
+    with pytest.raises(ValueError):
+        demazure_step(A2_AFF, 1, mono(A1_AFF, [0, -1]))
 
 
 def test_word_char_examples():
@@ -149,10 +161,20 @@ def test_weyl_finite_known_dimensions():
 
 
 def test_weyl_finite_matches_dimension_formula():
+    """Weyl's dimension formula (Humphreys, GTM 9, section 24.3) as an
+    oracle that shares no code with the ladder: every supported type at
+    rho up to rank 3 and at each fundamental weight of dimension <= 1000."""
     cases = [(A1, (m,)) for m in range(5)]
     cases += [(A2, h) for h in ((1, 0), (2, 0), (1, 1), (2, 1), (2, 2))]
     cases += [(C2, h) for h in ((1, 0), (0, 1), (1, 1), (2, 1))]
     cases += [(G2, h) for h in ((1, 0), (0, 1), (1, 1))]
+    datums = list(all_datums())
+    for rd in datums:
+        if rd.rank <= 3:
+            cases.append((rd, rd.rho.h))
+        cases += [(rd, w.h) for w in map(rd.fundamental_weight, rd.indices)
+                  if weyl_dim(rd, w) <= 1000]
+    assert {rd.label for rd, _ in cases} == {rd.label for rd in datums}
     for rd, h in cases:
         lam = rd.weight(h)
         f = weyl_character_finite(rd, lam)

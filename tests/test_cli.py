@@ -1,5 +1,7 @@
 """End-to-end command line behavior: outputs, errors, formats, caching."""
 
+import csv
+import io
 import json
 import os
 
@@ -14,6 +16,16 @@ def run(capsys, argv):
     rc = cli.main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def parse_csv(text):
+    reader = list(csv.reader(io.StringIO(text)))
+    return reader[0], reader[1:]
+
+
+def parse_table(text):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    return lines[0].split(), [ln.split() for ln in lines[1:]]
 
 
 def run_json(capsys, argv):
@@ -139,14 +151,14 @@ def test_table_output(capsys):
 def test_round_trips(capsys):
     argv = ["weyl-char", "--type", "C2", "--lambda", "1,1"]
     _, as_json, _ = run(capsys, argv + NC)
-    assert cli.render_json(cli.parse_json(as_json)) == as_json
+    assert cli.render_json(json.loads(as_json)) == as_json
 
     _, as_csv, _ = run(capsys, argv + ["--format", "csv"] + NC)
-    cols, rows = cli.parse_csv(as_csv)
+    cols, rows = parse_csv(as_csv)
     assert cli.render_csv_raw(cols, rows) == as_csv
 
     _, as_table, _ = run(capsys, argv + ["--format", "table"] + NC)
-    cols, rows = cli.parse_table(as_table)
+    cols, rows = parse_table(as_table)
     assert cli.render_table_raw(cols, rows) == as_table
 
 
@@ -154,7 +166,7 @@ def test_formats_agree_on_cells(capsys):
     argv = ["flag", "--type", "C2", "--lambda", "2,0"]
     _, as_csv, _ = run(capsys, argv + ["--format", "csv"] + NC)
     _, as_table, _ = run(capsys, argv + ["--format", "table"] + NC)
-    assert cli.parse_csv(as_csv) == cli.parse_table(as_table)
+    assert parse_csv(as_csv) == parse_table(as_table)
 
 
 # ---- request errors (exit 2) ----
@@ -213,6 +225,17 @@ def test_cache_write_failure_exits_4_after_output(capsys, tmp_path):
                                 str(blocker)])
     assert rc == 4
     assert json.loads(out)["dim"] == 2
+    assert err.startswith("cache error:")
+
+
+def test_cache_read_failure_exits_4_after_output(capsys, tmp_path):
+    argv = ["flag", "--type", "C2", "--lambda", "2,0"]
+    _, uncached, _ = run(capsys, argv + NC)
+    key = cli.cache_key("flag", {"type": "C2", "lambda": [2, 0]}, "json")
+    (tmp_path / f"{key}.json").mkdir()       # the entry cannot be opened
+    rc, out, err = run(capsys, argv + ["--cache-dir", str(tmp_path)])
+    assert rc == 4
+    assert out == uncached
     assert err.startswith("cache error:")
 
 

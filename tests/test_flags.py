@@ -14,6 +14,7 @@ from demflag import (
     datum_from_label,
     demazure_character,
     errors,
+    flags,
     forget_grading,
     graded_weyl_character,
     greedy_decompose,
@@ -239,6 +240,22 @@ def test_local_weyl_two_factors():
     assert f == single * single
     assert f.coefficient(A1.weight([2])) == 1
     assert f.coefficient(A1.zero_weight) == 2
+
+
+def test_local_weyl_computes_each_factor_weight_once(monkeypatch):
+    calls = []
+
+    def counted(rd, lam):
+        calls.append(lam)
+        return graded_weyl_character(rd, lam)
+
+    monkeypatch.setattr(flags, "graded_weyl_character", counted)
+    om = A1.weight([1])
+    f = local_weyl_character(
+        A1, DominantLWeight(((om, "a"), (om, "b"), (om, "c"))))
+    assert calls == [om]
+    assert [(w.h, c) for w, c in f.terms()] \
+        == [((-3,), 1), ((-1,), 3), ((1,), 3), ((3,), 1)]
 
 
 def test_local_weyl_empty_product():
