@@ -14,8 +14,10 @@ from demflag import (DemazureLabel, affinize, crystal_character,
 A1 = datum_from_label("A1")
 ad = affinize(A1)
 
-# A path is a list of rational direction segments; the straight path to a
-# dominant weight is the highest element of its crystal.
+# A path is a sequence of segments (direction v, duration t).  It is stored
+# on integers: a common denominator n and, per segment, the scaled duration
+# n*t and displacement n*t*v; `segments` gives the rational form back.  The
+# straight path to a dominant weight is the highest element of its crystal.
 Lam = ad.fundamental_weight(1)
 pi = straight_path(ad, Lam)
 print("highest path:", pi.segments, "weight:", pi.weight())

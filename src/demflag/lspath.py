@@ -3,15 +3,27 @@
 A path is a finite sequence of segments, each a rational direction vector
 together with a positive rational duration; durations sum to one.  The
 direction vector lists the values on the coroots in node order followed by
-the value on the scaling element.  Paths compare equal after canonical
-form: zero-duration segments are dropped and consecutive segments with
-positively proportional directions are merged, so equality means equality
-of traced polylines.
+the value on the scaling element.
+
+Paths are stored on integers scaled by one common denominator ``n``: a
+segment of duration ``t`` and direction ``v`` is the step ``(T, E)`` with
+``T = n t`` and the displacement ``E = n t v``, both integral, so the
+durations ``T`` sum to ``n``.  The form is canonical: steps with ``T = 0``
+are dropped, neighbours whose displacements are positively proportional
+are merged by adding them, and ``n``, every ``T`` and every ``E`` are
+divided by their joint gcd.  Every denominator that makes all of them
+integral is a multiple of the least one, so the form is unique and
+equality of paths means equality of traced polylines.  ``LSPath.make``
+takes rational segments and ``LSPath.segments`` gives them back; the
+operators below never leave the integers.
 
 Root operators follow the usual recipe.  For node ``i`` let ``h(t)`` be the
 pairing of the running point with ``h_i``; it is piecewise linear, so its
 minimum ``m`` over ``[0, 1]`` is attained at a segment endpoint and all
-searches below happen at endpoints with exact rational splits.
+searches below happen at endpoints.  Values at endpoints are kept scaled
+by ``n``; a step cut at the fraction ``a/b`` of its duration is cut after
+the whole path is scaled by ``b``, and the result is put back into
+canonical form.
 
 * ``f_i`` is defined iff ``h(1) - m >= 1``.  It reflects the stretch
   between the last time ``h = m`` and the first later time ``h = m + 1``
@@ -21,7 +33,8 @@ searches below happen at endpoints with exact rational splits.
   last time ``h = m + 1`` before the first minimum and that first minimum;
   the endpoint rises by ``alpha_i``.
 
-The string statistics are ``eps = -m`` and ``phi = h(1) - m``.
+A reflected step is ``E - E[i] alpha_i``.  The string statistics are
+``eps = -m`` and ``phi = h(1) - m``.
 
 Generating all ``f``-strings along a reduced word, last letter first,
 starting from the straight dominant path, yields the path realization of a
@@ -30,165 +43,178 @@ This provides a check of the operator-ladder characters by a construction
 that shares no code with them.
 
 Concatenation squeezes both factors to half duration at double speed,
-first factor first, so endpoint weights add.  For a dominant weight ``mu``,
-the concatenations ``straight(mu) * b`` whose pairings with every coroot
-stay nonnegative single out the highest-weight terms of a tensor
-decomposition; their endpoint weights are the dominant weights
-``mu + wt(b)``.
+first factor first, so each displacement is kept, only the scale changes,
+and endpoint weights add.  For a dominant weight ``mu``, the
+concatenations ``straight(mu) * b`` whose pairings with every coroot stay
+nonnegative single out the highest-weight terms of a tensor decomposition;
+their endpoint weights are the dominant weights ``mu + wt(b)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd, lcm
+from operator import add
 from typing import Optional, Sequence
 
 from . import errors
 from .characters import FormalCharacter
 from .root_data import AffineDatum, Weight
 
-Vec = tuple[Fraction, ...]
-Segment = tuple[Vec, Fraction]
+Vec = tuple[int, ...]
+Step = tuple[int, Vec]                        # (n t, n t v)
+Segment = tuple[tuple[Fraction, ...], Fraction]
 
 
-def _pos_ratio(u: Vec, v: Vec) -> Optional[Fraction]:
-    """Return c > 0 with ``v == c * u``, or None."""
-    base = next((k for k, x in enumerate(u) if x != 0), None)
-    if base is None:
-        return Fraction(1) if all(x == 0 for x in v) else None
-    c = Fraction(v[base]) / u[base]
-    if c <= 0:
-        return None
-    if all(x * c == y for x, y in zip(u, v)):
-        return c
-    return None
+def _positively_proportional(u: Vec, v: Vec) -> bool:
+    """True iff ``v == c * u`` for some ``c > 0``; zero matches only zero."""
+    for a, b in zip(u, v):
+        if a:
+            return a * b > 0 and all(x * b == y * a for x, y in zip(u, v))
+        if b:
+            return False
+    return True
+
+
+def _canonical(n: int, steps: Sequence[Step]) -> "LSPath":
+    merged: list[Step] = []
+    for t, e in steps:
+        if t == 0:
+            continue
+        if merged and _positively_proportional(merged[-1][1], e):
+            t0, e0 = merged[-1]
+            merged[-1] = (t0 + t, tuple(map(add, e0, e)))
+        else:
+            merged.append((t, e))
+    g = gcd(n, *(t for t, _ in merged), *(x for _, e in merged for x in e))
+    if g > 1:
+        n //= g
+        merged = [(t // g, tuple(x // g for x in e)) for t, e in merged]
+    return LSPath(n, tuple(merged))
 
 
 @dataclass(frozen=True)
 class LSPath:
-    """Canonical-form rational path on ``[0, 1]``."""
+    """Canonical-form path on ``[0, 1]``, scaled by the denominator ``n``."""
 
-    segments: tuple[Segment, ...]
+    n: int
+    steps: tuple[Step, ...]
 
     @classmethod
     def make(cls, segments: Sequence[Segment]) -> "LSPath":
-        merged: list[Segment] = []
-        for v, t in segments:
-            if t == 0:
-                continue
-            if merged and _pos_ratio(merged[-1][0], v) is not None:
-                u, s = merged[-1]
-                total = s + t
-                disp = tuple(s * a + t * b for a, b in zip(u, v))
-                merged[-1] = (tuple(x / total for x in disp), total)
-            else:
-                merged.append((tuple(Fraction(x) for x in v), Fraction(t)))
-        if sum((t for _, t in merged), Fraction(0)) != 1:
+        """The path through rational ``(direction, duration)`` segments."""
+        segs = [(tuple(Fraction(x) for x in v), Fraction(t))
+                for v, t in segments]
+        if sum(t for _, t in segs) != 1:
             raise AssertionError("durations must sum to one")
-        return cls(tuple(merged))
+        n = lcm(*(t.denominator for _, t in segs),
+                *((t * x).denominator for v, t in segs for x in v))
+        return _canonical(n, [(int(n * t), tuple(int(n * t * x) for x in v))
+                              for v, t in segs])
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        """The rational ``(direction, duration)`` segments, read-only."""
+        return tuple((tuple(Fraction(x, t) for x in e), Fraction(t, self.n))
+                     for t, e in self.steps)
 
     def weight(self) -> Weight:
         """Integral endpoint of the path."""
-        n = len(self.segments[0][0])
-        acc = [Fraction(0)] * n
-        for v, t in self.segments:
-            acc = [a + t * x for a, x in zip(acc, v)]
-        if any(x.denominator != 1 for x in acc):
+        n = self.n
+        total = [sum(col) for col in zip(*(e for _, e in self.steps))]
+        if any(x % n for x in total):
             raise ValueError("path endpoint is not an integral weight")
-        ints = [int(x) for x in acc]
+        ints = [x // n for x in total]
         return Weight(tuple(ints[:-1]), ints[-1])
 
-    def sort_key(self) -> tuple:
-        return self.segments
+
+def _heights(pi: LSPath, p: int) -> list[int]:
+    """``n`` times the pairing at the step endpoints, start included."""
+    return list(accumulate((e[p] for _, e in pi.steps), initial=0))
 
 
-def _weight_vec(mu: Weight) -> Vec:
-    return tuple(Fraction(x) for x in mu.h) + (Fraction(mu.d),)
+def _reflect(alpha: Vec, p: int, t: int, e: Vec) -> Step:
+    c = e[p]
+    return t, tuple(x - c * a for x, a in zip(e, alpha))
 
 
-def _alpha_vec(ad: AffineDatum, i: int) -> Vec:
-    return _weight_vec(ad.simple_root(i))
-
-
-def _reflect_vec(ad: AffineDatum, i: int, v: Vec) -> Vec:
-    value = v[ad.pos(i)]
-    if value == 0:
-        return v
-    alpha = _alpha_vec(ad, i)
-    return tuple(x - value * a for x, a in zip(v, alpha))
-
-
-def _vertex_values(ad: AffineDatum, pi: LSPath, i: int) -> list[Fraction]:
-    """Pairing with ``h_i`` at the segment endpoints, start included."""
-    p = ad.pos(i)
-    vals = [Fraction(0)]
-    acc = Fraction(0)
-    for v, t in pi.segments:
-        acc += t * v[p]
-        vals.append(acc)
-    return vals
+def _scaled(steps: Sequence[Step], b: int) -> list[Step]:
+    if b == 1:
+        return list(steps)
+    return [(t * b, tuple(x * b for x in e)) for t, e in steps]
 
 
 def straight_path(ad: AffineDatum, lam: Weight) -> LSPath:
     """The straight path to a dominant weight."""
     if not ad.is_dominant(lam):
         raise errors.NotDominant(f"{lam.h} is not dominant for {ad.label}")
-    return LSPath.make([(_weight_vec(lam), Fraction(1))])
+    return _canonical(1, [(1, lam.h + (lam.d,))])
 
 
 def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
     """Lowering operator for node ``i``; None when undefined."""
-    segs = pi.segments
-    hs = _vertex_values(ad, pi, i)
+    p = ad.pos(i)
+    n, steps = pi.n, pi.steps
+    hs = _heights(pi, p)
     m = min(hs)
-    if hs[-1] - m < 1:
+    if hs[-1] - m < n:
         return None
-    k0 = max(k for k, v in enumerate(hs) if v == m)
+    k0 = len(hs) - 1 - hs[::-1].index(m)
     k = k0
-    while hs[k + 1] < m + 1:
+    while hs[k + 1] < m + n:
         k += 1
-    dir_k, dur_k = segs[k]
-    x = (m + 1 - hs[k]) / (hs[k + 1] - hs[k])
-    head = list(segs[:k0])
-    middle = [(_reflect_vec(ad, i, v), t) for v, t in segs[k0:k]]
-    middle.append((_reflect_vec(ad, i, dir_k), x * dur_k))
-    tail: list[Segment] = []
-    if x != 1:
-        tail.append((dir_k, (1 - x) * dur_k))
-    tail.extend(segs[k + 1:])
-    return LSPath.make(head + middle + tail)
+    # Step k is cut at the fraction a/b of its duration.
+    a, b = m + n - hs[k], hs[k + 1] - hs[k]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    alpha = ad.flat_roots[p]
+    t, e = steps[k]
+    out = _scaled(steps[:k0], b)
+    out += [_reflect(alpha, p, *s) for s in _scaled(steps[k0:k], b)]
+    out.append(_reflect(alpha, p, t * a, tuple(x * a for x in e)))
+    if a != b:
+        out.append((t * (b - a), tuple(x * (b - a) for x in e)))
+    out += _scaled(steps[k + 1:], b)
+    return _canonical(n * b, out)
 
 
 def root_op_e(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
     """Raising operator for node ``i``; None when undefined."""
-    segs = pi.segments
-    hs = _vertex_values(ad, pi, i)
+    p = ad.pos(i)
+    n, steps = pi.n, pi.steps
+    hs = _heights(pi, p)
     m = min(hs)
-    if m > -1:
+    if m > -n:
         return None
-    k1 = min(k for k, v in enumerate(hs) if v == m)
+    k1 = hs.index(m)
     k = k1 - 1
-    while hs[k] < m + 1:
+    while hs[k] < m + n:
         k -= 1
-    dir_k, dur_k = segs[k]
-    x = (hs[k] - (m + 1)) / (hs[k] - hs[k + 1])
-    head = list(segs[:k])
-    if x != 0:
-        head.append((dir_k, x * dur_k))
-    middle = [(_reflect_vec(ad, i, dir_k), (1 - x) * dur_k)]
-    middle.extend((_reflect_vec(ad, i, v), t) for v, t in segs[k + 1:k1])
-    tail = list(segs[k1:])
-    return LSPath.make(head + middle + tail)
+    # Step k is cut at the fraction a/b of its duration.
+    a, b = hs[k] - m - n, hs[k] - hs[k + 1]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    alpha = ad.flat_roots[p]
+    t, e = steps[k]
+    out = _scaled(steps[:k], b)
+    if a:
+        out.append((t * a, tuple(x * a for x in e)))
+    out.append(_reflect(alpha, p, t * (b - a), tuple(x * (b - a) for x in e)))
+    out += [_reflect(alpha, p, *s) for s in _scaled(steps[k + 1:k1], b)]
+    out += _scaled(steps[k1:], b)
+    return _canonical(n * b, out)
 
 
 def eps_phi(ad: AffineDatum, i: int, pi: LSPath) -> tuple[int, int]:
     """String statistics ``(eps, phi)``; both are nonnegative integers."""
-    hs = _vertex_values(ad, pi, i)
-    m = min(hs)
-    if m.denominator != 1 or hs[-1].denominator != 1:
+    hs = _heights(pi, ad.pos(i))
+    m, n = min(hs), pi.n
+    if m % n or hs[-1] % n:
         raise errors.NonIntegralMin(
             f"pairing with h_{i} attains non-integral extremum")
-    return -int(m), int(hs[-1] - m)
+    return -m // n, (hs[-1] - m) // n
 
 
 @dataclass(frozen=True)
@@ -206,8 +232,22 @@ class PathSet:
     def __iter__(self):
         return iter(self.paths)
 
-    def __contains__(self, pi: LSPath) -> bool:
-        return pi in set(self.paths)
+
+def _sorted(paths: set[LSPath]) -> tuple[LSPath, ...]:
+    """Paths in the order of their segments: directions, then durations.
+
+    Directions ``E / T`` are compared at the lcm of every ``T`` in the set
+    and durations ``T / n`` at the lcm of every ``n``, so the integer key
+    orders exactly as the rational segments do.
+    """
+    lt = lcm(*(t for pi in paths for t, _ in pi.steps))
+    ln = lcm(*(pi.n for pi in paths))
+
+    def key(pi: LSPath) -> tuple:
+        s = ln // pi.n
+        return tuple((tuple(x * (lt // t) for x in e), t * s)
+                     for t, e in pi.steps)
+    return tuple(sorted(paths, key=key))
 
 
 def generate_demazure_set(ad: AffineDatum, lam: Weight,
@@ -217,13 +257,13 @@ def generate_demazure_set(ad: AffineDatum, lam: Weight,
     for i in reversed(tuple(word)):
         grown: set[LSPath] = set()
         for p in paths:
+            # A string can stop at a member: grown is closed under f_i.
             cur: Optional[LSPath] = p
-            while cur is not None:
+            while cur is not None and cur not in grown:
                 grown.add(cur)
                 cur = root_op_f(ad, i, cur)
         paths = grown
-    ordered = tuple(sorted(paths, key=LSPath.sort_key))
-    return PathSet(ad, lam, tuple(word), ordered)
+    return PathSet(ad, lam, tuple(word), _sorted(paths))
 
 
 def crystal_character(ps: PathSet) -> FormalCharacter:
@@ -242,10 +282,10 @@ def concat_paths(p1: LSPath, p2: LSPath) -> LSPath:
     traced polyline is the first path followed by the translated second one
     and endpoint weights add.
     """
-    half = Fraction(1, 2)
-    segs = [(tuple(2 * x for x in v), t * half) for v, t in p1.segments]
-    segs += [(tuple(2 * x for x in v), t * half) for v, t in p2.segments]
-    return LSPath.make(segs)
+    half = lcm(p1.n, p2.n)
+    steps = [(t * (half // pi.n), tuple(x * (2 * half // pi.n) for x in e))
+             for pi in (p1, p2) for t, e in pi.steps]
+    return _canonical(2 * half, steps)
 
 
 def tensor_highest_by_counts(ad: AffineDatum, mu: Weight, b: LSPath) -> bool:
@@ -270,7 +310,7 @@ def joseph_highest(ad: AffineDatum, mu: Weight, lam: Weight,
     out: list[tuple[LSPath, Weight]] = []
     for b in ps.paths:
         pi = concat_paths(mu_path, b)
-        if all(min(_vertex_values(ad, pi, i)) == 0 for i in ad.indices):
+        if all(min(_heights(pi, ad.pos(i))) == 0 for i in ad.indices):
             nu = mu + b.weight()
             if not ad.is_dominant(nu):
                 raise AssertionError("highest term must be dominant")

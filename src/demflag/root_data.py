@@ -307,7 +307,6 @@ class AffineDatum:
     finite: RootDatum
     cartan: tuple[tuple[int, ...], ...]      # over nodes 0..rank
     dual_marks: tuple[int, ...]              # level functional, node order
-    marks: tuple[int, ...]                   # delta on the simple roots
 
     @property
     def label(self) -> str:
@@ -348,6 +347,11 @@ class AffineDatum:
         p = self.pos(i)
         col = tuple(self.cartan[k][p] for k in range(self.rank + 1))
         return Weight(col, 1 if i == 0 else 0)
+
+    @cached_property
+    def flat_roots(self) -> tuple[tuple[int, ...], ...]:
+        """Each simple root as the flat vector ``h + (d,)``, in node order."""
+        return tuple(a.h + (a.d,) for a in map(self.simple_root, self.indices))
 
     def is_dominant(self, mu: Weight) -> bool:
         return all(x >= 0 for x in mu.h)
@@ -447,14 +451,10 @@ def affinize(rd: RootDatum) -> AffineDatum:
         cartan[i][0] = -rd.theta_h[i - 1]                 # alpha_0(h_i)
         cartan[0][i] = -sum(rd.comarks[k] * rd.cartan[k][i - 1]
                             for k in range(n))            # alpha_i(h_0)
-    dual_marks = (1,) + rd.comarks
-    marks = (1,) + rd.theta_coords
-
     ad = AffineDatum(
         finite=rd,
         cartan=tuple(tuple(row) for row in cartan),
-        dual_marks=dual_marks,
-        marks=marks,
+        dual_marks=(1,) + rd.comarks,
     )
     # Structural checks: generalized-Cartan shape, roots of level zero, and
     # alpha_0 + theta = delta in coroot values and grade.
@@ -479,10 +479,15 @@ def affinize(rd: RootDatum) -> AffineDatum:
 
 def reflect_weight(datum: Datum, i: int, mu: Weight) -> Weight:
     """Simple reflection ``s_i(mu) = mu - mu(h_i) alpha_i``."""
-    v = datum.value(mu, i)
+    p = datum.pos(i)
+    v = mu.h[p]
     if v == 0:
         return mu
-    return mu - v * datum.simple_root(i)
+    # Column p of the Cartan matrix is alpha_i; only the affine alpha_0
+    # carries delta (a finite datum has no node 0).
+    h = tuple(a - v * row[p] for a, row in zip(mu.h, datum.cartan,
+                                                strict=True))
+    return Weight(h, mu.d - v if i == 0 else mu.d)
 
 
 def apply_word(datum: Datum, word: Sequence[int], mu: Weight) -> Weight:

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: outputs, errors, formats, caching."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -118,6 +119,25 @@ def test_joseph(capsys):
         {"nu": {"h": [0, 2], "d": 0}},
         {"nu": {"h": [2, 0], "d": 1}},
     ]
+
+
+# sha256 of the exact stdout.  The highest terms come in path-set order,
+# which the benchmark digests do not pin: they sort the terms.
+@pytest.mark.parametrize("argv, sha256", [
+    (["--type", "A2", "--mu", "1,0,0", "--lambda", "0,1,1",
+      "--sigma", "1,0,2,0,1"],
+     "d1bf202be9edc5111d78d1bc57069bfd87146c8087a0480b40a82839008d600b"),
+    (["--type", "C2", "--mu", "1,0,0", "--lambda", "0,1,0",
+      "--sigma", "2,1,0,2,1"],
+     "b84bb4b4f25de4bf2a35147bf03207e327fcbe2c0afb1b6bbd014d9dfa86ace3"),
+    (["--type", "G2", "--mu", "1,0,0", "--lambda", "1,1,0",
+      "--sigma", "0,1,2,0,1"],
+     "cc2bb1f07b3ce055dda6038b0451cd5793b52064b152885147a3b4746051ea7b"),
+], ids=["A2", "C2", "G2"])
+def test_joseph_json_bytes(capsys, argv, sha256):
+    rc, out, err = run(capsys, ["joseph", *argv, "--format", "json"] + NC)
+    assert rc == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 def test_dim_check(capsys):

@@ -27,6 +27,8 @@ from demflag import (
 
 A1_AFF = affinize(datum_from_label("A1"))
 A2_AFF = affinize(datum_from_label("A2"))
+C2_AFF = affinize(datum_from_label("C2"))
+G2_AFF = affinize(datum_from_label("G2"))
 
 
 def is_reduced(ad, word):
@@ -149,12 +151,35 @@ def test_canonical_form_merges_and_drops():
     assert len(scaled.segments) == 1
     assert scaled.segments[0] == ((Fraction(0), Fraction(5, 3), Fraction(0)),
                                   Fraction(1))
+    assert (scaled.n, scaled.steps) == (3, ((3, (0, 5, 0)),))
+
+    # Merging 1/3 and 2/3 of one direction leaves a common factor 3.
+    thirds = LSPath.make([(v, Fraction(1, 3)), (v, Fraction(2, 3))])
+    assert (thirds.n, thirds.steps) == (1, ((1, (0, 1, 0)),))
+    assert thirds == whole
+
+    still = tuple(Fraction(0) for _ in v)
+    paused = LSPath.make([(v, Fraction(1, 2)), (still, Fraction(1, 2))])
+    assert len(paused.segments) == 2
 
     dropped = LSPath.make([(v, Fraction(0)), (v, Fraction(1))])
     assert dropped == whole
 
     with pytest.raises(AssertionError):
         LSPath.make([(v, Fraction(1, 2))])
+
+
+def test_split_segments_rebuild_the_same_path():
+    lam = G2_AFF.fundamental_weight(2)
+    ps = generate_demazure_set(G2_AFF, lam, (0, 2, 1, 2))
+    assert any(pi.n > 1 for pi in ps)
+    for pi in ps:
+        assert LSPath.make(pi.segments) == pi
+        pieces = [(v, t * part) for v, t in pi.segments
+                  for part in (Fraction(1, 3), Fraction(0), Fraction(2, 3))]
+        rebuilt = LSPath.make(pieces)
+        assert rebuilt == pi and hash(rebuilt) == hash(pi)
+        assert rebuilt.segments == pi.segments
 
 
 # ---- Demazure sets and characters ----
@@ -191,12 +216,20 @@ def test_crystal_character_equals_operator_ladders_rank1():
 
 
 def test_crystal_character_equals_operator_ladders_rank2():
-    words = list(reduced_words(A2_AFF, 4))
-    for i in A2_AFF.indices:
-        lam = A2_AFF.fundamental_weight(i)
-        for word in words:
-            ps = generate_demazure_set(A2_AFF, lam, word)
-            assert crystal_character(ps) == demazure_word_char(A2_AFF, word, lam)
+    """Every fundamental weight and reduced word up to length 4 on affine
+    A2, C2 and G2; lowering then raising returns every member."""
+    for ad in (A2_AFF, C2_AFF, G2_AFF):
+        words = list(reduced_words(ad, 4))
+        for i in ad.indices:
+            lam = ad.fundamental_weight(i)
+            for word in words:
+                ps = generate_demazure_set(ad, lam, word)
+                assert crystal_character(ps) == demazure_word_char(ad, word,
+                                                                   lam)
+                for pi in ps:
+                    for j in ad.indices:
+                        down = root_op_f(ad, j, pi)
+                        assert down is None or root_op_e(ad, j, down) == pi
 
 
 # ---- concatenation and highest terms ----
@@ -259,3 +292,24 @@ def test_f_edge_lines():
     assert f_edge_lines(ps) == "0 1 1\n"
     single = generate_demazure_set(A1_AFF, lam1, ())
     assert f_edge_lines(single) == ""
+
+
+# Edge lists number paths by their place in the set's order, so these pin
+# the order of three sets with non-integral breakpoints.
+EDGE_CASES = [
+    (A2_AFF, (0, 1, 0), (1, 0, 2, 1),
+     "0 0 1\n0 1 4\n1 1 3\n3 1 5\n4 0 3\n6 1 7\n7 0 2\n7 2 8\n8 0 0\n"),
+    (C2_AFF, (0, 1, 0), (2, 1, 0, 1),
+     "0 1 2\n0 2 1\n2 2 4\n3 1 6\n4 2 5\n6 0 0\n6 2 7\n7 0 1\n"),
+    (G2_AFF, (0, 0, 1), (0, 2, 1, 2),
+     "0 0 3\n1 0 4\n1 2 2\n2 0 5\n5 0 6\n7 1 8\n8 1 9\n10 1 7\n"
+     "11 2 15\n12 0 7\n12 1 13\n13 0 8\n13 1 14\n13 2 16\n14 0 9\n"
+     "14 2 17\n15 0 10\n15 1 12\n16 0 0\n17 0 1\n17 2 18\n18 0 2\n"),
+]
+
+
+@pytest.mark.parametrize("ad, h, word, expected", EDGE_CASES,
+                         ids=["A2", "C2", "G2"])
+def test_f_edge_lines_pin_set_order(ad, h, word, expected):
+    ps = generate_demazure_set(ad, ad.weight(h), word)
+    assert f_edge_lines(ps) == expected

@@ -179,7 +179,7 @@ def test_affine_cartan_a1():
     ad = affinize(A1)
     assert ad.cartan == ((2, -2), (-2, 2))
     assert ad.label == "A1~"
-    assert ad.dual_marks == (1, 1) and ad.marks == (1, 1)
+    assert ad.dual_marks == (1, 1)
 
 
 def test_affine_cartan_a2():
