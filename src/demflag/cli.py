@@ -10,8 +10,9 @@ leading ``section`` column), ``table`` (same rows, aligned).  Empty cells
 print as ``-``.  All record orders are deterministic, so output for a given
 request is byte-stable.
 
-Results are cached under a content address built from the package version,
-the subcommand, the canonicalized parameters, and the format.  The cache
+Results are cached under a content address built from a digest of the
+package's source files, the subcommand, the canonicalized parameters, and
+the format, so any change to the code gets fresh entries.  The cache
 directory comes from ``--cache-dir``, else ``DEMAZURE_CACHE_DIR``, else a
 per-user cache path; ``--no-cache`` skips both lookup and write.  Cache
 writes go through a temporary file and an atomic rename.
@@ -32,10 +33,9 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from . import __version__, errors
+from . import errors
 from .characters import (FormalCharacter, GradedClassicalCharacter,
                          demazure_word_char, weyl_character_finite)
 from .demazure import DemazureLabel, demazure_character, demazure_dim
@@ -47,8 +47,7 @@ from .root_data import AffineDatum, RootDatum, affinize, datum_from_label
 _LABEL_OK = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 
-@dataclass
-class Table:
+class Table(NamedTuple):
     name: str
     columns: list[str]
     rows: list[list]
@@ -188,8 +187,19 @@ def resolve_cache_dir(explicit: Optional[str]) -> str:
     return os.path.join(base, "demflag")
 
 
+def _source_digest() -> str:
+    """sha256 over the package's ``*.py`` files, in sorted name order."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(here) if f.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as fh:
+            h.update(name.encode("utf-8") + b"\0" + fh.read() + b"\0")
+    return h.hexdigest()
+
+
 def cache_key(command: str, params: dict, fmt: str) -> str:
-    blob = json.dumps([__version__, command, params, fmt], sort_keys=True)
+    blob = json.dumps([_source_digest(), command, params, fmt],
+                      sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

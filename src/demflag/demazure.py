@@ -20,7 +20,7 @@ throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import errors
 from .characters import (GradedClassicalCharacter, demazure_word_char,
@@ -28,8 +28,7 @@ from .characters import (GradedClassicalCharacter, demazure_word_char,
 from .root_data import AffineDatum, Weight, apply_word, make_dominant
 
 
-@dataclass(frozen=True)
-class DemazureLabel:
+class DemazureLabel(NamedTuple):
     """Label (level, classical highest weight, grade offset)."""
 
     level: int

@@ -35,7 +35,7 @@ the product over fundamental weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import errors
 from .characters import (FormalCharacter, GradedClassicalCharacter,
@@ -46,8 +46,7 @@ from .root_data import (AffineDatum, RootDatum, Weight, affinize,
                         eta_lambda, short_subdatum)
 
 
-@dataclass(frozen=True)
-class FlagDecomposition:
+class FlagDecomposition(NamedTuple):
     """Pieces ``(classical weight, grade, multiplicity)`` at one level."""
 
     level: int
@@ -68,16 +67,16 @@ class FlagDecomposition:
         return sorted(out)
 
 
-@dataclass(frozen=True)
 class DominantLWeight:
     """Dominant weight split as labelled summands; labels must differ."""
 
-    factors: tuple[tuple[Weight, str], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        labels = [a for _, a in self.factors]
+    def __init__(self, factors: tuple[tuple[Weight, str], ...]) -> None:
+        labels = [a for _, a in factors]
         if len(set(labels)) != len(labels):
             raise ValueError("summand labels must be pairwise distinct")
+        self.factors = factors
 
     def weight(self, rd: RootDatum) -> Weight:
         total = rd.zero_weight

@@ -14,8 +14,9 @@ are merged by adding them, and ``n``, every ``T`` and every ``E`` are
 divided by their joint gcd.  Every denominator that makes all of them
 integral is a multiple of the least one, so the form is unique and
 equality of paths means equality of traced polylines.  ``LSPath.make``
-takes rational segments and ``LSPath.segments`` gives them back; the
-operators below never leave the integers.
+takes rational segments and ``LSPath.segments`` gives them back; they are
+the only code that imports ``fractions``, and the operators below never
+leave the integers.
 
 Root operators follow the usual recipe.  For node ``i`` let ``h(t)`` be the
 pairing of the running point with ``h_i``; it is piecewise linear, so its
@@ -47,17 +48,19 @@ first factor first, so each displacement is kept, only the scale changes,
 and endpoint weights add.  For a dominant weight ``mu``, the
 concatenations ``straight(mu) * b`` whose pairings with every coroot stay
 nonnegative single out the highest-weight terms of a tensor decomposition;
-their endpoint weights are the dominant weights ``mu + wt(b)``.
+their endpoint weights are the dominant weights ``mu + wt(b)``.  The
+pairing of such a concatenation with ``h_i`` rises from 0 to ``mu(h_i)``
+and then follows ``b`` shifted by ``mu(h_i)``, so it stays nonnegative
+exactly when ``mu(h_i) + min h_i(b) >= 0``; the concatenation itself is
+never built for the test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from operator import add
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import errors
 from .characters import FormalCharacter
@@ -65,7 +68,7 @@ from .root_data import AffineDatum, Weight
 
 Vec = tuple[int, ...]
 Step = tuple[int, Vec]                        # (n t, n t v)
-Segment = tuple[tuple[Fraction, ...], Fraction]
+Segment = "tuple[tuple[Fraction, ...], Fraction]"     # (direction, duration)
 
 
 def _positively_proportional(u: Vec, v: Vec) -> bool:
@@ -95,8 +98,7 @@ def _canonical(n: int, steps: Sequence[Step]) -> "LSPath":
     return LSPath(n, tuple(merged))
 
 
-@dataclass(frozen=True)
-class LSPath:
+class LSPath(NamedTuple):
     """Canonical-form path on ``[0, 1]``, scaled by the denominator ``n``."""
 
     n: int
@@ -105,6 +107,7 @@ class LSPath:
     @classmethod
     def make(cls, segments: Sequence[Segment]) -> "LSPath":
         """The path through rational ``(direction, duration)`` segments."""
+        from fractions import Fraction
         segs = [(tuple(Fraction(x) for x in v), Fraction(t))
                 for v, t in segments]
         if sum(t for _, t in segs) != 1:
@@ -117,6 +120,7 @@ class LSPath:
     @property
     def segments(self) -> tuple[Segment, ...]:
         """The rational ``(direction, duration)`` segments, read-only."""
+        from fractions import Fraction
         return tuple((tuple(Fraction(x, t) for x in e), Fraction(t, self.n))
                      for t, e in self.steps)
 
@@ -217,14 +221,17 @@ def eps_phi(ad: AffineDatum, i: int, pi: LSPath) -> tuple[int, int]:
     return -m // n, (hs[-1] - m) // n
 
 
-@dataclass(frozen=True)
 class PathSet:
     """Deduplicated, deterministically ordered set of generated paths."""
 
-    datum: AffineDatum
-    highest: Weight
-    word: tuple[int, ...]
-    paths: tuple[LSPath, ...]
+    __slots__ = ("datum", "highest", "word", "paths")
+
+    def __init__(self, datum: AffineDatum, highest: Weight,
+                 word: tuple[int, ...], paths: tuple[LSPath, ...]) -> None:
+        self.datum = datum
+        self.highest = highest
+        self.word = word
+        self.paths = paths
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -297,20 +304,19 @@ def joseph_highest(ad: AffineDatum, mu: Weight, lam: Weight,
                    word: Sequence[int]) -> list[tuple[LSPath, Weight]]:
     """Highest-weight terms of ``straight(mu)`` concatenated with a crystal.
 
-    Generates the path crystal of ``(lam, word)``, prepends the straight
-    path to ``mu`` to every member, and keeps those concatenations whose
-    pairing with every coroot never goes negative.  Returns the surviving
-    crystal members with the dominant weights ``mu + wt(b)``, in the path
-    set's deterministic order.
+    Generates the path crystal of ``(lam, word)`` and keeps the members
+    ``b`` for which the straight path to ``mu`` followed by ``b`` pairs
+    nonnegatively with every coroot, that is ``mu(h_i) + min h_i(b) >= 0``
+    for every node.  Returns the surviving crystal members with the
+    dominant weights ``mu + wt(b)``, in the path set's deterministic order.
     """
     if not ad.is_dominant(mu):
         raise errors.NotDominant(f"{mu.h} is not dominant for {ad.label}")
     ps = generate_demazure_set(ad, lam, word)
-    mu_path = straight_path(ad, mu)
     out: list[tuple[LSPath, Weight]] = []
     for b in ps.paths:
-        pi = concat_paths(mu_path, b)
-        if all(min(_heights(pi, ad.pos(i))) == 0 for i in ad.indices):
+        if all(ad.value(mu, i) * b.n + min(_heights(b, ad.pos(i))) >= 0
+               for i in ad.indices):
             nu = mu + b.weight()
             if not ad.is_dominant(nu):
                 raise AssertionError("highest term must be dominant")

@@ -18,19 +18,23 @@ Conventions, fixed once and used everywhere downstream:
   the last letter acts first, matching the composition order of Demazure
   operators.
 
-Arithmetic is integer, with no floats.  ``fractions.Fraction`` appears only
-in the symmetrizer and in the one-time inverse of the Cartan matrix, kept as
-the integer matrix ``den * C^-1``; root coordinates and heights read off it.
+Arithmetic is integer throughout, with no floats and no fractions.  The
+inverse of the Cartan matrix is kept as the integer matrix ``den * C^-1``
+with ``den`` its least common denominator, computed once per datum by
+fraction-free elimination; root coordinates and heights read off it.
+
+Each datum is built once per type: ``build_finite_datum``, ``affinize`` and
+``short_subdatum`` return the same object for the same type, so equal data
+are identical and hash by identity.  The data are immutable; assigning to a
+field raises ``AttributeError``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from functools import cache, cached_property
+from math import gcd
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from . import errors
 
@@ -56,8 +60,7 @@ _EXPECTED_POSITIVE = {
 }
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """Integer weight: coroot values ``h`` in node order plus grade ``d``."""
 
     h: tuple[int, ...]
@@ -77,6 +80,16 @@ class Weight:
 
     def __rmul__(self, c: int) -> "Weight":
         return Weight(tuple(c * a for a in self.h), c * self.d)
+
+    # Without these two, the tuple base would repeat a weight (``w * 2``)
+    # and concatenate one onto a tuple (``(1,) + w``); scalars multiply
+    # from the left only, and weights add only to weights.
+    def __mul__(self, other):
+        return NotImplemented
+
+    def __radd__(self, other):
+        raise TypeError(f"unsupported operand type(s) for +: "
+                        f"'{type(other).__name__}' and 'Weight'")
 
     def sort_key(self) -> tuple:
         return (self.h, self.d)
@@ -133,20 +146,24 @@ def _build_cartan(series: str, rank: int) -> list[list[int]]:
 def _symmetrizer(cartan: Sequence[Sequence[int]]) -> list[int]:
     """Minimal positive integers d with ``d_i c_ij = d_j c_ji``."""
     n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
+    d = [0] * n
+    d[0] = 1
     todo = [0]
     while todo:
         i = todo.pop()
         for j in range(n):
-            if j != i and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+            if j != i and cartan[i][j] != 0 and not d[j]:
+                # d_j = d_i c_ij / c_ji: first scale every value set so far
+                # by the least factor that makes the division exact.
+                num, den = d[i] * cartan[i][j], cartan[j][i]
+                s = abs(den) // gcd(num, den)
+                d = [x * s for x in d]
+                d[j] = num * s // den
                 todo.append(j)
-    if any(x is None for x in d):
+    if not all(d):
         raise ValueError("Dynkin diagram is not connected")
-    den = lcm(*(x.denominator for x in d))
-    g = gcd(*(int(x * den) for x in d))
-    ints = [int(x * den) // g for x in d]
+    g = gcd(*d)
+    ints = [x // g for x in d]
     for i in range(n):
         for j in range(n):
             if ints[i] * cartan[i][j] != ints[j] * cartan[j][i]:
@@ -178,25 +195,55 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 def _integer_inverse(cartan: Sequence[Sequence[int]]) -> tuple[tuple, int]:
     """``(den * C^-1, den)`` with ``den`` the least common denominator.
 
-    Gauss-Jordan with no row swaps: a finite-type Cartan matrix has positive
-    leading principal minors, so no pivot is ever zero.
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on ``[C | I]``:
+    every division is exact, and it ends at ``[det C * I | adj C]``.  No
+    row swaps are needed: a finite-type Cartan matrix has positive leading
+    principal minors, so no pivot is ever zero.  Dividing ``det C`` and
+    ``adj C`` by their joint gcd leaves the least common denominator.
     """
     n = len(cartan)
-    aug = [[Fraction(x) for x in row] + [Fraction(i == k) for k in range(n)]
+    aug = [list(row) + [int(i == k) for k in range(n)]
            for i, row in enumerate(cartan)]
+    prev = 1
     for c in range(n):
-        aug[c] = [x / aug[c][c] for x in aug[c]]
+        piv = aug[c]
+        p = piv[c]
         for k in range(n):
-            f = aug[k][c]
-            if k != c and f:
-                aug[k] = [a - f * b for a, b in zip(aug[k], aug[c])]
-    inv = [row[n:] for row in aug]
-    den = lcm(*(x.denominator for row in inv for x in row))
-    return tuple(tuple(int(x * den) for x in row) for row in inv), den
+            if k != c:
+                f = aug[k][c]
+                aug[k] = [(p * a - f * b) // prev
+                          for a, b in zip(aug[k], piv)]
+        prev = p
+    det = prev
+    g = gcd(det, *(x for row in aug for x in row[n:]))
+    return tuple(tuple(x // g for x in row[n:]) for row in aug), det // g
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class _FrozenDatum:
+    """Root-datum base: the fields annotated on the class, given by keyword.
+
+    Fields are set once, by ``__init__``; assigning or deleting one raises
+    ``AttributeError``.  ``cached_property`` writes the instance ``__dict__``
+    directly, so cached values still work.
+    """
+
+    def __init__(self, **fields) -> None:
+        if fields.keys() != self.__annotations__.keys():
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{', '.join(self.__annotations__)}")
+        vars(self).update(fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self.label}>"
+
+
+class RootDatum(_FrozenDatum):
     """Finite root datum over Bourbaki nodes ``1..rank``."""
 
     series: str
@@ -300,8 +347,7 @@ class RootDatum:
         return tuple(x // q for x in nums)
 
 
-@dataclass(frozen=True)
-class AffineDatum:
+class AffineDatum(_FrozenDatum):
     """Untwisted affinization of a finite root datum; node set ``0..rank``."""
 
     finite: RootDatum
@@ -371,13 +417,19 @@ Datum = Union[RootDatum, AffineDatum]
 
 
 def build_finite_datum(series: str, rank: int) -> RootDatum:
-    """Construct the finite root datum for a Cartan-Killing label."""
+    """The finite root datum for a Cartan-Killing label, built once."""
     if series not in _SERIES_RANKS:
         raise errors.UnknownType(f"unknown series {series!r}")
     lo, hi = _SERIES_RANKS[series]
     if not (isinstance(rank, int) and lo <= rank <= hi):
         raise errors.UnknownType(f"rank {rank} invalid for series {series}")
+    return _finite_datum(series, int(rank))
 
+
+@cache
+def _finite_datum(series: str, rank: int) -> RootDatum:
+    # Keyed on validated positional arguments, the rank as a plain int, so
+    # there is one object per type (``True`` gives A1, not "ATrue").
     cartan = _build_cartan(series, rank)
     sym = _symmetrizer(cartan)
     pos = _positive_roots(cartan)
@@ -440,6 +492,7 @@ def datum_from_label(label: str) -> RootDatum:
     return build_finite_datum(m.group(1), int(m.group(2)))
 
 
+@cache
 def affinize(rd: RootDatum) -> AffineDatum:
     """Untwisted affinization with ``alpha_0 = delta - theta``."""
     n = rd.rank
@@ -549,8 +602,7 @@ def dominance_leq(datum: Datum, mu: Weight, lam: Weight) -> bool:
 # -- short-root subsystem ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShortEmbedding:
+class ShortEmbedding(NamedTuple):
     """Short-root subsystem of a non-simply-laced datum.
 
     ``nodes[k]`` is the parent node carried by subdatum node ``k + 1``.  The
@@ -568,6 +620,7 @@ class ShortEmbedding:
         return Weight(tuple(mu.h[self.parent.pos(i)] for i in self.nodes), 0)
 
 
+@cache
 def short_subdatum(rd: RootDatum) -> ShortEmbedding:
     """Subsystem spanned by the short simple roots; type A by inspection."""
     if not rd.short_nodes:

@@ -5,12 +5,16 @@ import hashlib
 import io
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
 from demflag import cli
 
 NC = ["--no-cache"]
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 def run(capsys, argv):
@@ -323,6 +327,39 @@ def test_format_changes_the_cache_key(capsys, tmp_path):
     run(capsys, base)
     run(capsys, base + ["--format", "csv"])
     assert len(list(tmp_path.iterdir())) == 2
+
+
+def _python(pythonpath, code, *flags):
+    env = dict(os.environ, PYTHONPATH=str(pythonpath))
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_source_edit_changes_the_cache_key(tmp_path):
+    # The key digests the package source, so a changed program never
+    # serves entries an older one wrote, even at the same version.
+    copy = tmp_path / "src"
+    shutil.copytree(os.path.join(SRC, "demflag"), copy / "demflag",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    edited = copy / "demflag" / "flags.py"
+    edited.write_text(edited.read_text() + "# one more comment\n")
+    argv = ["flag", "--type", "C2", "--lambda", "2,0",
+            "--cache-dir", str(tmp_path / "cache")]
+    code = f"from demflag import cli; cli.main({argv!r})"
+    original = _python(SRC, code)
+    assert _python(copy, code) == original
+    assert len(list((tmp_path / "cache").iterdir())) == 2
+    assert _python(SRC, code) == original
+    assert len(list((tmp_path / "cache").iterdir())) == 2
+
+
+def test_import_loads_no_dataclasses_or_fractions():
+    code = "import sys, demflag.cli; print(*sorted(sys.modules))"
+    loaded = set(_python(SRC, code, "-S").split())
+    assert "demflag.cli" in loaded
+    assert not loaded & {"dataclasses", "fractions", "inspect", "decimal"}
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):

@@ -267,7 +267,8 @@ def test_joseph_highest_examples():
 
 
 def test_count_criterion_matches_concatenation_test():
-    """eps-count highest-term test agrees with the pairing-minimum test."""
+    """eps-count highest-term test agrees with the pairing-minimum test,
+    and both with the concatenation ``straight(mu) * b`` built in full."""
     rng = random.Random(61)
     cases = [(A1_AFF, (1, 0), 1, (1, 0)), (A1_AFF, (0, 1), 0, (0, 1, 0)),
              (A2_AFF, (1, 0, 0), 0, (2, 1, 0)), (A2_AFF, (0, 0, 1), 0, (1, 2))]
@@ -280,7 +281,11 @@ def test_count_criterion_matches_concatenation_test():
                 mu = ad.fundamental_weight(0)
             by_min = {b for b, _ in joseph_highest(ad, mu, lam, word)}
             by_count = {b for b in ps if tensor_highest_by_counts(ad, mu, b)}
-            assert by_min == by_count
+            mu_path = straight_path(ad, mu)
+            by_concat = {b for b in ps if all(
+                eps_phi(ad, i, concat_paths(mu_path, b))[0] == 0
+                for i in ad.indices)}
+            assert by_min == by_count == by_concat
 
 
 # ---- edge export ----

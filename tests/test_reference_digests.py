@@ -4,9 +4,10 @@
 request's output.  The ``ladder`` family (without its E8 rungs, which take
 seconds), the ``flags`` family and the ``paths`` family are issued again
 here through the benchmark's own request code, and every digest must match.
-The digests sort what they cover, so the order of each ``paths`` path set is
-checked on its own, against the order of the rational segments.  Nothing
-under ``perfbench/`` is written.
+The ``cli`` family runs in-process through ``cli.main``, each request first
+as a cache miss and then as a hit.  The digests sort what they cover, so the
+order of each ``paths`` path set is checked on its own, against the order of
+the rational segments.  Nothing under ``perfbench/`` is written.
 """
 
 import json
@@ -15,14 +16,14 @@ import sys
 
 import pytest
 
-from demflag import generate_demazure_set
+from demflag import cli, generate_demazure_set
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 sys.path.insert(0, PERFBENCH)
 
 import workloads  # noqa: E402
-from worker import CANONICAL, Library, digest  # noqa: E402
+from worker import CANONICAL, Library, _cli_content, digest  # noqa: E402
 
 with open(os.path.join(PERFBENCH, "reference.json"), encoding="utf-8") as _fh:
     REFERENCE = json.load(_fh)
@@ -53,3 +54,22 @@ def test_path_sets_come_in_segment_order():
         h, grade, word = req[-3:]       # both request kinds end this way
         ps = generate_demazure_set(ad, ad.weight(h, grade), word)
         assert list(ps.paths) == sorted(ps.paths, key=lambda p: p.segments)
+
+
+def test_cli_outputs_match_reference_digests(capsys, tmp_path):
+    requests = workloads.family("cli")
+    cache = str(tmp_path / "cache")
+    expected = REFERENCE["cli"]
+    wrong = []
+    for req in requests:
+        argv = req[1].split()
+        fmt = (argv[argv.index("--format") + 1] if "--format" in argv
+               else "json")
+        for kind in ("miss", "hit"):
+            code = cli.main(argv + ["--cache-dir", cache])
+            out = capsys.readouterr().out
+            if (code != req[2] or digest([code, _cli_content(out, fmt)])
+                    != expected[workloads.request_id(req)]):
+                wrong.append((kind, req[1]))
+    assert wrong == []
+    assert len(os.listdir(cache)) == sum(r[2] == 0 for r in requests)

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -18,6 +20,7 @@ from demflag import (
     reflect_weight,
     short_subdatum,
 )
+from demflag.root_data import _integer_inverse, _symmetrizer
 
 A1 = datum_from_label("A1")
 A2 = datum_from_label("A2")
@@ -74,6 +77,79 @@ def test_symmetrizers():
     assert datum_from_label("B3").symmetrizer == (2, 2, 1)
     assert datum_from_label("C3").symmetrizer == (1, 1, 2)
     assert datum_from_label("F4").symmetrizer == (2, 2, 1, 1)
+
+
+def _fraction_symmetrizer(cartan):
+    # Reference: d_j = d_i c_ij / c_ji along the diagram, on Fractions.
+    n = len(cartan)
+    d = [Fraction(1)] + [None] * (n - 1)
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if j != i and cartan[i][j] and d[j] is None:
+                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                todo.append(j)
+    den = lcm(*(x.denominator for x in d))
+    ints = [int(x * den) for x in d]
+    return [x // gcd(*ints) for x in ints]
+
+
+def _fraction_inverse(cartan):
+    # Reference: Gauss-Jordan on Fractions, then the least common
+    # denominator of the entries.
+    n = len(cartan)
+    aug = [[Fraction(x) for x in row] + [Fraction(i == k) for k in range(n)]
+           for i, row in enumerate(cartan)]
+    for c in range(n):
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for k in range(n):
+            if k != c and aug[k][c]:
+                f = aug[k][c]
+                aug[k] = [a - f * b for a, b in zip(aug[k], aug[c])]
+    inv = [row[n:] for row in aug]
+    den = lcm(*(x.denominator for row in inv for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in inv), den
+
+
+def test_integer_symmetrizer_and_inverse_match_fractions():
+    count = 0
+    for rd in all_datums():
+        assert _symmetrizer(rd.cartan) == _fraction_symmetrizer(rd.cartan)
+        assert _integer_inverse(rd.cartan) == _fraction_inverse(rd.cartan)
+        count += 1
+    assert count == 32
+
+
+def test_weight_arithmetic_never_falls_back_to_tuples():
+    w = A2.weight([1, -2], 3)
+    assert 2 * w == A2.weight([2, -4], 6)
+    assert w + w == A2.weight([2, -4], 6)
+    with pytest.raises(TypeError):
+        w * 2
+    with pytest.raises(TypeError):
+        (1,) + w
+    with pytest.raises(TypeError):
+        sum([w, w])
+
+
+def test_data_are_immutable():
+    ad = affinize(C2)
+    with pytest.raises(AttributeError):
+        C2.rank = 3
+    with pytest.raises(AttributeError):
+        ad.cartan = ()
+    with pytest.raises(AttributeError):
+        del C2.series
+    assert C2.rank == 2 and ad.cartan[0][0] == 2
+
+
+def test_one_datum_per_type():
+    assert datum_from_label("C2") is datum_from_label("C2")
+    assert build_finite_datum(series="C", rank=2) is C2
+    assert affinize(C2) is affinize(datum_from_label("C2"))
+    assert short_subdatum(C2) is short_subdatum(C2)
+    assert short_subdatum(C2).subdatum is A1
 
 
 def test_short_nodes_and_lacing():
