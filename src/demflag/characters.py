@@ -16,6 +16,10 @@ A graded classical character records a finite-type character together with
 an integer grade on every term.  It is the shadow of an affine character:
 restrict each weight to the finite coroots and read the grade off the
 ``d`` value.
+
+Characters are immutable: arithmetic returns new ones, and assigning or
+deleting an attribute raises ``AttributeError``.  The module memos in
+``demazure`` and ``flags`` hand the same object to every caller.
 """
 
 from __future__ import annotations
@@ -27,14 +31,27 @@ from . import errors
 from .root_data import AffineDatum, Datum, RootDatum, Weight, reflect_weight
 
 
-class FormalCharacter:
+class _Immutable:
+    """Fields set once, by ``__init__``; the term dict is never mutated."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class FormalCharacter(_Immutable):
     """Finite map ``Weight -> nonzero int`` over one datum."""
 
     __slots__ = ("datum", "_terms")
 
     def __init__(self, datum: Datum, terms: Mapping[Weight, int]):
-        self.datum = datum
-        self._terms = {w: c for w, c in terms.items() if c != 0}
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "_terms",
+                           {w: c for w, c in terms.items() if c != 0})
 
     @classmethod
     def zero(cls, datum: Datum) -> "FormalCharacter":
@@ -152,6 +169,15 @@ def demazure_step(datum: Datum, i: int, f: FormalCharacter) -> FormalCharacter:
     return _from_flat(datum, terms)
 
 
+def word_ladder(datum: Datum, word: Sequence[int],
+                seed: Weight) -> dict[tuple[int, ...], int]:
+    """``demazure_word_char`` on flat weights ``h + (d,)``."""
+    terms = _flat_terms(datum, {seed: 1})
+    for i in reversed(word):
+        terms = _ladder(terms, datum.pos(i), _flat_root(datum, i))
+    return terms
+
+
 def demazure_word_char(datum: Datum, word: Sequence[int],
                        seed: Weight) -> FormalCharacter:
     """Composite Demazure operator along a word, applied to ``e^seed``.
@@ -159,10 +185,7 @@ def demazure_word_char(datum: Datum, word: Sequence[int],
     The last letter acts first, matching ``apply_word``.  For a reduced word
     this is the Demazure character of the corresponding extremal weight.
     """
-    terms = _flat_terms(datum, {seed: 1})
-    for i in reversed(word):
-        terms = _ladder(terms, datum.pos(i), _flat_root(datum, i))
-    return _from_flat(datum, terms)
+    return _from_flat(datum, word_ladder(datum, word, seed))
 
 
 def weyl_character_finite(rd: RootDatum, lam: Weight) -> FormalCharacter:
@@ -172,15 +195,16 @@ def weyl_character_finite(rd: RootDatum, lam: Weight) -> FormalCharacter:
     return demazure_word_char(rd, rd.w0_word, lam)
 
 
-class GradedClassicalCharacter:
+class GradedClassicalCharacter(_Immutable):
     """Finite map ``(classical weight, grade) -> nonzero int``."""
 
     __slots__ = ("datum", "_terms")
 
     def __init__(self, datum: RootDatum,
                  terms: Mapping[tuple[tuple[int, ...], int], int]):
-        self.datum = datum
-        self._terms = {k: c for k, c in terms.items() if c != 0}
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "_terms",
+                           {k: c for k, c in terms.items() if c != 0})
 
     @classmethod
     def zero(cls, datum: RootDatum) -> "GradedClassicalCharacter":
@@ -254,10 +278,22 @@ def project_graded_classical(ad: AffineDatum,
     """
     if f.datum.label != ad.label:
         raise ValueError("character does not live on the given affine datum")
+    return project_flat(ad, _flat_terms(ad, f._terms))
+
+
+def project_flat(ad: AffineDatum,
+                 terms: dict[tuple[int, ...], int]) -> GradedClassicalCharacter:
+    """``project_graded_classical`` on flat affine weights ``h + (d,)``."""
     out: dict[tuple[tuple[int, ...], int], int] = {}
-    for w, c in f._terms.items():
-        key = (w.h[1:], w.d)
-        out[key] = out.get(key, 0) + c
+    get = out.get
+    # One tuple per classical weight, shared by all its grades, so that
+    # memoised characters stay small.
+    classical: dict[tuple[int, ...], tuple[int, ...]] = {}
+    share = classical.setdefault
+    for w, c in terms.items():
+        h = w[1:-1]
+        key = (share(h, h), w[-1])
+        out[key] = get(key, 0) + c
     return GradedClassicalCharacter(ad.finite, out)
 
 

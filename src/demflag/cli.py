@@ -33,6 +33,7 @@ import re
 import sys
 import tempfile
 import time
+from functools import cache
 from typing import Callable, NamedTuple, Optional
 
 from . import errors
@@ -187,8 +188,12 @@ def resolve_cache_dir(explicit: Optional[str]) -> str:
     return os.path.join(base, "demflag")
 
 
+@cache
 def _source_digest() -> str:
-    """sha256 over the package's ``*.py`` files, in sorted name order."""
+    """sha256 over the package's ``*.py`` files, in sorted name order.
+
+    Taken once per process, and only by a request that uses the cache.
+    """
     here = os.path.dirname(os.path.abspath(__file__))
     h = hashlib.sha256()
     for name in sorted(f for f in os.listdir(here) if f.endswith(".py")):
@@ -515,10 +520,10 @@ def _serve(args) -> int:
     the exit code is 4.
     """
     params, run = _HANDLERS[args.command](args)
-    cdir = resolve_cache_dir(args.cache_dir)
-    key = cache_key(args.command, params, args.format)
     status = 0
     if not args.no_cache:
+        cdir = resolve_cache_dir(args.cache_dir)
+        key = cache_key(args.command, params, args.format)
         try:
             cached = cache_read(cdir, key)
         except OSError as e:

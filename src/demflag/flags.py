@@ -14,8 +14,9 @@ The leading weight is the first support weight in ``tie_break`` order
 dominates.  Height is positive on every simple root, so ``mu < nu`` forces
 ``height(mu) < height(nu)``: testing a candidate only against weights of
 greater height misses no weight above it, and the choice (hence the piece
-order) is exactly that of testing every pair.  Each leading weight's piece
-is computed once per decomposition and reused at later grades.
+order) is exactly that of testing every pair.  Pieces come from the
+memo of ``demazure_character``, so a leading weight that recurs at a later
+grade, or in a later decomposition, is not computed again.
 
 The graded character of a local Weyl module is assembled as follows.  In
 simply-laced type it is a single level-one Demazure character.  Otherwise
@@ -24,7 +25,8 @@ simply-laced affinization, which decomposes at target level equal to the
 lacing number; each piece lifts through the short subsystem back to the
 parent, where it names a level-one Demazure character with the same grade
 shift and multiplicity.  The sum is the graded Weyl character, and the list
-of lifted pieces is its flag.
+of lifted pieces is its flag.  The last ``MEMO_SIZE`` graded Weyl
+characters are kept with their flags, like Demazure characters.
 
 Characters of local Weyl modules multiply: the module for a sum of
 dominant weights attached to pairwise distinct labels is the tensor
@@ -35,13 +37,14 @@ the product over fundamental weights.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import errors
 from .characters import (FormalCharacter, GradedClassicalCharacter,
                          check_w_invariance_per_grade, forget_grading,
                          shift_grade)
-from .demazure import DemazureLabel, demazure_character
+from .demazure import MEMO_SIZE, DemazureLabel, demazure_character
 from .root_data import (AffineDatum, RootDatum, Weight, affinize,
                         eta_lambda, short_subdatum)
 
@@ -116,7 +119,6 @@ def greedy_decompose(ad: AffineDatum, g: GradedClassicalCharacter,
             "character is not Weyl invariant grade by grade")
     residue = g
     pieces: list[tuple[Weight, int, int]] = []
-    computed: dict[tuple[int, ...], GradedClassicalCharacter] = {}
     while len(residue) > 0:
         lead_h = _leading_weight(rd, {h for h, _ in residue._terms},
                                  tie_break)
@@ -129,10 +131,8 @@ def greedy_decompose(ad: AffineDatum, g: GradedClassicalCharacter,
         if coeff < 0:
             raise errors.NegativeMultiplicity(
                 f"piece ({lead_h}, {grade}) has coefficient {coeff}")
-        if lead_h not in computed:
-            computed[lead_h] = demazure_character(
-                ad, DemazureLabel(level, lead, 0))
-        residue = residue - shift_grade(computed[lead_h], grade).scale(coeff)
+        piece = demazure_character(ad, DemazureLabel(level, lead, 0))
+        residue = residue - shift_grade(piece, grade).scale(coeff)
         pieces.append((lead, grade, coeff))
     return FlagDecomposition(level=level, pieces=tuple(pieces))
 
@@ -156,9 +156,21 @@ def level_flag(ad: AffineDatum, level: int, to_level: int,
 def graded_weyl_character(
         rd: RootDatum,
         lam: Weight) -> tuple[GradedClassicalCharacter, FlagDecomposition]:
-    """Graded character of the local Weyl module and its level-one flag."""
+    """Graded character of the local Weyl module and its level-one flag.
+
+    Memoised like ``demazure_character``: a repeated weight returns the
+    same pair.
+    """
     if not rd.is_dominant(lam):
         raise errors.NotDominant(f"{lam.h} is not dominant for {rd.label}")
+    return _graded_weyl(rd, lam.d, *lam.h)
+
+
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
+def _graded_weyl(
+        rd: RootDatum, d: int,
+        *h: int) -> tuple[GradedClassicalCharacter, FlagDecomposition]:
+    lam = Weight(h, d)
     ad = affinize(rd)
     if not rd.short_nodes:
         char = demazure_character(ad, DemazureLabel(1, lam, 0))
@@ -189,9 +201,7 @@ def weyl_dim_product_check(rd: RootDatum,
         mult = rd.value(lam, i)
         if mult:
             omega = rd.fundamental_weight(i)
-            m = (mass if omega == lam
-                 else graded_weyl_character(rd, omega)[0].mass())
-            product *= m ** mult
+            product *= graded_weyl_character(rd, omega)[0].mass() ** mult
     return mass == product, (mass, product)
 
 

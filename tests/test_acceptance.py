@@ -73,6 +73,9 @@ def test_a1_rank_one_dimensions():
 
 
 def test_a2_simply_laced_triviality():
+    """In simply-laced type W(lambda) is D(1, lambda): Fourier-Littelmann,
+    Adv. Math. 211 (2007)."""
+
     def body():
         for a in range(5):
             for b in range(5 - a):
@@ -90,6 +93,9 @@ def test_a2_simply_laced_triviality():
 
 
 def test_a3_short_root_flags():
+    """Level-one flags lifted from the short-root subsystem: Naoi, Adv.
+    Math. 229 (2012)."""
+
     def body():
         cases = [(C2, h) for h in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
         cases += [(G2, (1, 0)), (G2, (2, 0))]

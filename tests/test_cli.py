@@ -355,6 +355,18 @@ def test_source_edit_changes_the_cache_key(tmp_path):
     assert len(list((tmp_path / "cache").iterdir())) == 2
 
 
+def test_no_cache_request_takes_no_source_digest(capsys, monkeypatch):
+    argv = ["weyl-char", "--type", "G2", "--lambda", "1,1"] + NC
+    expected = run(capsys, argv)
+
+    def refuse():
+        raise AssertionError("the source digest was taken")
+
+    monkeypatch.setattr(cli, "_source_digest", refuse)
+    assert run(capsys, argv) == expected
+    assert expected[0] == 0
+
+
 def test_import_loads_no_dataclasses_or_fractions():
     code = "import sys, demflag.cli; print(*sorted(sys.modules))"
     loaded = set(_python(SRC, code, "-S").split())

@@ -6,14 +6,17 @@ import pytest
 
 from demflag import (
     DemazureLabel,
+    Weight,
     affinize,
     apply_word,
     check_w_invariance_per_grade,
     datum_from_label,
+    demazure,
     demazure_character,
     demazure_dim,
     dominance_leq,
     errors,
+    forget_grading,
     shift_grade,
     solve_extremal,
 )
@@ -152,3 +155,89 @@ def test_character_structure_random_labels():
             assert dominance_leq(rd, w, lam), (ad.label, level, lam.h, w.h)
         lam_grades = [gr for gr in g.grades() if g.coefficient(lam, gr)]
         assert lam_grades == [m]
+
+
+# ---- the per-process memo ----
+
+
+def _outcome(call):
+    """A call's result, or the type of the exception it raised."""
+    try:
+        return call()
+    except Exception as e:
+        return type(e)
+
+
+def test_memo_hit_returns_the_same_object():
+    demazure._character.cache_clear()
+    g = demazure_character(C2_AFF, DemazureLabel(2, C2.weight([1, 1]), 1))
+    again = demazure_character(C2_AFF, DemazureLabel(2, C2.weight([1, 1]), 1))
+    assert again is g
+    assert demazure._character.cache_info().hits == 1
+
+
+def test_arithmetic_leaves_the_memo_entry_alone():
+    lab = DemazureLabel(1, A2.weight([2, 1]))
+    g = demazure_character(A2_AFF, lab)
+    for f in (g - g, -g, g.scale(3), shift_grade(g, 2)):
+        assert f is not g
+    hit = demazure_character(A2_AFF, lab)
+    demazure._character.cache_clear()
+    assert hit == demazure_character(A2_AFF, lab)
+
+
+def test_characters_are_immutable():
+    g = demazure_character(A1_AFF, DemazureLabel(1, A1.weight([2])))
+    f = forget_grading(g)
+    for obj in (g, f):
+        for name in ("datum", "_terms", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    assert dict(g.terms()) == {((2,), 0): 1, ((0,), 0): 1,
+                               ((-2,), 0): 1, ((0,), 1): 1}
+
+
+def test_list_coordinates_share_the_tuple_entry():
+    demazure._character.cache_clear()
+    g = demazure_character(A2_AFF, DemazureLabel(1, Weight((1, 0), 0)))
+    assert demazure_character(A2_AFF, DemazureLabel(1, Weight([1, 0]))) is g
+    assert demazure._character.cache_info().currsize == 1
+
+
+def test_float_labels_never_share_an_integer_entry():
+    # Floats are not part of the contract; whatever a float level or grade
+    # gives, it gives whether or not the integer label is memoised.
+    cases = [(A1_AFF, DemazureLabel(level, A1.weight([2]), grade))
+             for level, grade in ((1.0, 0), (2.0, 0), (1, 1.0))]
+    for ad, lab in cases:
+        demazure._character.cache_clear()
+        fresh = _outcome(lambda: demazure_character(ad, lab))
+        demazure_character(ad, lab._replace(level=int(lab.level),
+                                            grade=int(lab.grade)))
+        assert _outcome(lambda: demazure_character(ad, lab)) == fresh
+    demazure._character.cache_clear()
+    demazure_character(A1_AFF, DemazureLabel(1, A1.weight([2]), 1.0))
+    g = demazure_character(A1_AFF, DemazureLabel(1, A1.weight([2]), 1))
+    assert all(type(gr) is int for gr in g.grades())
+
+
+def test_bad_labels_raise_on_every_call():
+    demazure._character.cache_clear()
+    for _ in range(3):
+        with pytest.raises(errors.ZeroLevel):
+            demazure_character(A1_AFF, DemazureLabel(0, A1.weight([1])))
+        with pytest.raises(errors.NotDominant):
+            demazure_character(A1_AFF, DemazureLabel(1, A1.weight([-1])))
+        with pytest.raises(ValueError):
+            demazure_character(A2_AFF, DemazureLabel(1, A1.weight([1])))
+    assert demazure._character.cache_info().currsize == 0
+
+
+def test_memo_stays_within_its_bound():
+    demazure._character.cache_clear()
+    for grade in range(demazure.MEMO_SIZE + 8):
+        demazure_dim(A1_AFF, DemazureLabel(1, A1.weight([grade % 3]), grade))
+        assert demazure._character.cache_info().currsize \
+            == min(grade + 1, demazure.MEMO_SIZE)

@@ -1,5 +1,6 @@
 """Greedy flag decomposition, graded Weyl characters, and product laws."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from demflag import (
     DominantLWeight,
     FormalCharacter,
     GradedClassicalCharacter,
+    Weight,
     affinize,
     check_w_invariance_per_grade,
     datum_from_label,
@@ -23,6 +25,7 @@ from demflag import (
     shift_grade,
     weyl_dim_product_check,
 )
+from demflag.demazure import MEMO_SIZE
 
 A1 = datum_from_label("A1")
 A2 = datum_from_label("A2")
@@ -164,6 +167,8 @@ def test_level_flag_guards():
 
 
 def test_weyl_character_simply_laced():
+    """One-piece flag, W(lambda) = D(1, lambda): Fourier-Littelmann, Adv.
+    Math. 211 (2007)."""
     g, fd = graded_weyl_character(A1, A1.weight([2]))
     assert dict(g.terms()) == {((2,), 0): 1, ((0,), 0): 1,
                                ((-2,), 0): 1, ((0,), 1): 1}
@@ -180,6 +185,8 @@ def test_weyl_character_rejects_nondominant():
 
 
 def test_weyl_character_short_lift_c2():
+    """Flag lifted from the short-root subsystem: Naoi, Adv. Math. 229
+    (2012)."""
     lam = C2.weight([2, 0])
     g, fd = graded_weyl_character(C2, lam)
     assert fd.pieces == ((C2.weight([2, 0]), 0, 1), (C2.weight([0, 1]), 1, 1))
@@ -190,12 +197,51 @@ def test_weyl_character_short_lift_c2():
 
 
 def test_weyl_character_short_lift_g2():
+    """Short-root lift as for C2 (Naoi 2012)."""
     lam = G2.weight([2, 0])
     g, fd = graded_weyl_character(G2, lam)
     assert fd.pieces == ((G2.weight([2, 0]), 0, 1), (G2.weight([0, 1]), 1, 1))
     assert g.mass() == 49
     assert g.coefficient(lam, 0) == 1
     assert check_w_invariance_per_grade(G2, g)
+
+
+def _gaussian_binomial(m, k):
+    """Coefficients of [m, k]_q, lowest degree first; [] outside 0..m."""
+    if k < 0 or k > m:
+        return []
+    if k in (0, m):
+        return [1]
+    # q-Pascal rule: [m, k] = [m-1, k-1] + q^k [m-1, k].
+    low, high = _gaussian_binomial(m - 1, k - 1), _gaussian_binomial(m - 1, k)
+    out = [0] * max(len(low), k + len(high))
+    for j, c in enumerate(low):
+        out[j] += c
+    for j, c in enumerate(high):
+        out[k + j] += c
+    return out
+
+
+def test_sl2_graded_weyl_characters_match_the_closed_form():
+    """Grade j of W(m) holds V(m - 2k) with multiplicity the q^j
+    coefficient of [m, k]_q - [m, k-1]_q: Chari-Loktev, Adv. Math. 207
+    (2006), for sl_2 also Chari-Pressley, Represent. Theory 5 (2001)."""
+    for m in range(13):
+        g, _ = graded_weyl_character(A1, A1.weight([m]))
+        weights = {}
+        for ((n,), j), c in g.terms():
+            weights[n, j] = c
+        # An sl_2 character holds V(n) as often as e^n exceeds e^(n+2).
+        got = {(n, j): c - weights.get((n + 2, j), 0)
+               for (n, j), c in weights.items() if n >= 0}
+        expected = {}
+        for k in range(m // 2 + 1):
+            top, below = _gaussian_binomial(m, k), _gaussian_binomial(m, k - 1)
+            below += [0] * (len(top) - len(below))
+            for j, (a, b) in enumerate(zip(top, below)):
+                expected[m - 2 * k, j] = a - b
+        assert {key: c for key, c in got.items() if c} \
+            == {key: c for key, c in expected.items() if c}, m
 
 
 def test_weyl_character_long_weights_single_piece():
@@ -292,3 +338,66 @@ def test_dominant_lweight_total():
     varpi = DominantLWeight(((C2.weight([1, 0]), "a"),
                              (C2.weight([0, 1]), "b")))
     assert varpi.weight(C2) == C2.weight([1, 1])
+
+
+# ---- the per-process memo ----
+
+
+def test_weyl_memo_hit_returns_the_same_pair():
+    flags._graded_weyl.cache_clear()
+    pair = graded_weyl_character(G2, G2.weight([1, 1]))
+    assert graded_weyl_character(G2, G2.weight([1, 1])) is pair
+    assert flags._graded_weyl.cache_info().hits == 1
+
+
+def test_arithmetic_leaves_the_weyl_memo_entry_alone():
+    g, fd = graded_weyl_character(C2, C2.weight([2, 0]))
+    for f in (g - g, -g, g.scale(2), shift_grade(g, 1)):
+        assert f is not g
+    with pytest.raises(AttributeError):
+        g.datum = A1
+    with pytest.raises(AttributeError):
+        fd.pieces = ()
+    hit = graded_weyl_character(C2, C2.weight([2, 0]))
+    flags._graded_weyl.cache_clear()
+    assert hit == graded_weyl_character(C2, C2.weight([2, 0]))
+
+
+def test_weyl_list_coordinates_share_the_tuple_entry():
+    flags._graded_weyl.cache_clear()
+    pair = graded_weyl_character(A2, Weight((1, 0), 0))
+    assert graded_weyl_character(A2, Weight([1, 0])) is pair
+    assert pair[1].pieces == ((A2.weight([1, 0]), 0, 1),)
+
+
+def test_nondominant_weyl_weight_raises_on_every_call():
+    flags._graded_weyl.cache_clear()
+    for _ in range(3):
+        with pytest.raises(errors.NotDominant):
+            graded_weyl_character(C2, C2.weight([-1, 0]))
+        with pytest.raises(ValueError):
+            graded_weyl_character(A2, A1.weight([1]))
+    assert flags._graded_weyl.cache_info().currsize == 0
+
+
+def _small_weights():
+    """Distinct (datum, dominant weight) pairs, each cheap to compute."""
+    for series, ranks in (("A", range(1, 9)), ("B", range(2, 9)),
+                          ("C", range(2, 9)), ("D", range(4, 9))):
+        for n in ranks:
+            rd = datum_from_label(f"{series}{n}")
+            yield rd, rd.zero_weight
+    for rd in (A1, A2, C2, G2, datum_from_label("A3")):
+        for h in itertools.product(range(3), repeat=len(rd.indices)):
+            if any(h):
+                yield rd, rd.weight(h)
+
+
+def test_weyl_memo_stays_within_its_bound():
+    flags._graded_weyl.cache_clear()
+    pairs = list(_small_weights())
+    assert len(pairs) > MEMO_SIZE
+    for k, (rd, lam) in enumerate(pairs):
+        graded_weyl_character(rd, lam)
+        assert flags._graded_weyl.cache_info().currsize \
+            == min(k + 1, MEMO_SIZE)

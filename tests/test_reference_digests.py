@@ -3,9 +3,9 @@
 ``perfbench/reference.json`` holds the canonical digest of every benchmark
 request's output.  The ``ladder`` family (without its E8 rungs, which take
 seconds), the ``flags`` family and the ``paths`` family are issued again
-here through the benchmark's own request code, and every digest must match.
-The ``cli`` family runs in-process through ``cli.main``, each request first
-as a cache miss and then as a hit.  The digests sort what they cover, so the
+here through the benchmark's own request code, each request twice in a row,
+and every digest must match both times.  The ``cli`` family runs in-process
+through ``cli.main``, each request first as a cache miss and then as a hit.  The digests sort what they cover, so the
 order of each ``paths`` path set is checked on its own, against the order of
 the rational segments.  Nothing under ``perfbench/`` is written.
 """
@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from demflag import cli, generate_demazure_set
+from demflag import cli, demazure, flags, generate_demazure_set
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -35,11 +35,16 @@ def _requests(workload):
 
 @pytest.mark.parametrize("workload", ["ladder", "flags", "paths"])
 def test_outputs_match_reference_digests(workload):
+    # Each request twice, as the benchmark re-issues them: the second
+    # answer comes from the memos, so a changed or stale entry shows.
+    demazure._character.cache_clear()
+    flags._graded_weyl.cache_clear()
     requests = _requests(workload)
     library = Library(workloads.labels(requests))
     library.build()
     expected = REFERENCE[workload]
-    wrong = [workloads.request_id(r) for r in requests
+    wrong = [(kind, workloads.request_id(r)) for r in requests
+             for kind in ("first", "again")
              if digest(CANONICAL[r[0]](library.call(r)))
              != expected[workloads.request_id(r)]]
     assert wrong == []
