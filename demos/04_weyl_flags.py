@@ -42,4 +42,4 @@ print()
 # Labelled summands tensor; the ungraded character is the product.
 om = A1.weight([1])
 f = local_weyl_character(A1, DominantLWeight(((om, "a"), (om, "b"))))
-print("two labelled copies of w:", {w.h: c for w, c in f.terms()})
+print("two labelled copies of w:", {h: c for (h, _), c in f.terms()})

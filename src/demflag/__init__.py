@@ -19,9 +19,8 @@ and plain tables.
 """
 
 from . import errors
-from .characters import (FormalCharacter, GradedClassicalCharacter,
-                         check_w_invariance_per_grade, demazure_step,
-                         demazure_word_char, forget_grading,
+from .characters import (Character, check_w_invariance_per_grade,
+                         demazure_step, demazure_word_char, forget_grading,
                          project_graded_classical, shift_grade,
                          weyl_character_finite)
 from .demazure import (DemazureLabel, demazure_character, demazure_dim,
@@ -41,15 +40,15 @@ from .root_data import (AffineDatum, RootDatum, ShortEmbedding, Weight,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineDatum", "DemazureLabel", "DominantLWeight", "FlagDecomposition",
-    "FormalCharacter", "GradedClassicalCharacter", "LSPath", "PathSet",
-    "RootDatum", "ShortEmbedding", "Weight", "affinize", "apply_word",
-    "build_finite_datum", "check_w_invariance_per_grade", "concat_paths",
-    "crystal_character", "datum_from_label", "demazure_character",
-    "demazure_dim", "demazure_step", "demazure_word_char", "dominance_leq",
-    "eps_phi", "errors", "eta_lambda", "f_edge_lines", "forget_grading",
-    "generate_demazure_set", "graded_weyl_character", "greedy_decompose",
-    "joseph_highest", "level_flag", "local_weyl_character", "make_dominant",
+    "AffineDatum", "Character", "DemazureLabel", "DominantLWeight",
+    "FlagDecomposition", "LSPath", "PathSet", "RootDatum", "ShortEmbedding",
+    "Weight", "affinize", "apply_word", "build_finite_datum",
+    "check_w_invariance_per_grade", "concat_paths", "crystal_character",
+    "datum_from_label", "demazure_character", "demazure_dim", "demazure_step",
+    "demazure_word_char", "dominance_leq", "eps_phi", "errors", "eta_lambda",
+    "f_edge_lines", "forget_grading", "generate_demazure_set",
+    "graded_weyl_character", "greedy_decompose", "joseph_highest",
+    "level_flag", "local_weyl_character", "make_dominant",
     "project_graded_classical", "reflect_weight", "root_op_e", "root_op_f",
     "shift_grade", "short_subdatum", "solve_extremal", "straight_path",
     "tensor_highest_by_counts", "weyl_character_finite",

@@ -1,8 +1,13 @@
-"""Formal characters and the Demazure operator in its ladder form.
+"""Characters and the Demazure operator in its ladder form.
 
-A formal character is a finite integer combination of exponentials of
-weights of one fixed datum; mixing datums is refused.  The Demazure
-operator for node ``i`` acts term by term on ``e^mu`` with ``n = mu(h_i)``:
+A character is a finite integer combination of exponentials of weights of
+one fixed datum; mixing datums is refused.  There is one character type,
+``Character``, stored as ``{h + (d,): nonzero int}``.  On an affine datum
+``d`` is the coefficient of delta; on a finite datum it is the grade, and
+an ungraded finite character has every term at ``d = 0``.
+
+The Demazure operator for node ``i`` acts term by term on ``e^mu`` with
+``n = mu(h_i)``:
 
 * ``n >= 0``  gives the ladder ``e^mu + e^(mu - alpha_i) + .. + e^(s_i mu)``,
 * ``n == -1`` gives zero,
@@ -12,10 +17,8 @@ operator for node ``i`` acts term by term on ``e^mu`` with ``n = mu(h_i)``:
 Composites along a reduced word therefore stay exact in integers, and the
 operator is idempotent node by node.
 
-A graded classical character records a finite-type character together with
-an integer grade on every term.  It is the shadow of an affine character:
-restrict each weight to the finite coroots and read the grade off the
-``d`` value.
+A graded classical character is the shadow of an affine one: restrict each
+weight to the finite coroots and keep ``d`` as the grade.
 
 Characters are immutable: arithmetic returns new ones, and assigning or
 deleting an attribute raises ``AttributeError``.  The module memos in
@@ -28,52 +31,77 @@ from operator import add, sub
 from typing import Mapping, Sequence
 
 from . import errors
-from .root_data import AffineDatum, Datum, RootDatum, Weight, reflect_weight
+from .root_data import AffineDatum, Datum, RootDatum, Weight
+
+Flat = dict[tuple[int, ...], int]
 
 
-class _Immutable:
-    """Fields set once, by ``__init__``; the term dict is never mutated."""
+class Character:
+    """Finite map ``h + (d,) -> nonzero int`` over one datum.
 
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class FormalCharacter(_Immutable):
-    """Finite map ``Weight -> nonzero int`` over one datum."""
+    Built from ``(h, d)`` pairs, a ``Weight`` among them, whose ``h`` must
+    have the datum's rank.
+    """
 
     __slots__ = ("datum", "_terms")
 
-    def __init__(self, datum: Datum, terms: Mapping[Weight, int]):
+    def __init__(self, datum: Datum,
+                 terms: Mapping[tuple[Sequence[int], int], int]):
+        rank = len(datum.indices)
+        flat: Flat = {}
+        for (h, d), c in terms.items():
+            if len(h) != rank:
+                raise ValueError(f"weight rank does not match {datum.label}")
+            if c:
+                flat[(*h, d)] = c
         object.__setattr__(self, "datum", datum)
-        object.__setattr__(self, "_terms",
-                           {w: c for w, c in terms.items() if c != 0})
+        object.__setattr__(self, "_terms", flat)
 
     @classmethod
-    def zero(cls, datum: Datum) -> "FormalCharacter":
-        return cls(datum, {})
+    def _wrap(cls, datum: Datum, flat: Flat) -> "Character":
+        """A character on ``flat``, which is kept, not copied: no zeros."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "datum", datum)
+        object.__setattr__(out, "_terms", flat)
+        return out
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("Character is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Character is immutable")
 
     @classmethod
-    def monomial(cls, datum: Datum, w: Weight, c: int = 1) -> "FormalCharacter":
+    def zero(cls, datum: Datum) -> "Character":
+        return cls._wrap(datum, {})
+
+    @classmethod
+    def monomial(cls, datum: Datum, w: Weight, c: int = 1) -> "Character":
         return cls(datum, {w: c})
 
-    def _check(self, other: "FormalCharacter") -> None:
+    def _check(self, other: "Character") -> None:
         if self.datum.label != other.datum.label:
             raise ValueError(
                 f"mixed datums {self.datum.label} and {other.datum.label}")
 
-    def terms(self) -> list[tuple[Weight, int]]:
-        return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
+    def terms(self) -> list[tuple[tuple[tuple[int, ...], int], int]]:
+        """``((h, d), c)`` pairs ordered by ``(d, h)``."""
+        return [((k[:-1], k[-1]), c) for k, c in
+                sorted(self._terms.items(), key=lambda t: (t[0][-1], t[0]))]
 
     def coefficient(self, w: Weight) -> int:
-        return self._terms.get(w, 0)
+        h, d = w
+        return self._terms.get((*h, d), 0)
 
     def support(self) -> list[Weight]:
-        return [w for w, _ in self.terms()]
+        """The distinct ``h``, as weights at ``d = 0``."""
+        return sorted({Weight(k[:-1], 0) for k in self._terms})
+
+    def grades(self) -> list[int]:
+        return sorted({k[-1] for k in self._terms})
+
+    def grade_slice(self, grade: int) -> dict[tuple[int, ...], int]:
+        return {k[:-1]: c for k, c in self._terms.items() if k[-1] == grade}
 
     def mass(self) -> int:
         return sum(self._terms.values())
@@ -82,40 +110,45 @@ class FormalCharacter(_Immutable):
         return len(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, FormalCharacter)
+        return (isinstance(other, Character)
                 and self.datum.label == other.datum.label
                 and self._terms == other._terms)
 
-    def __add__(self, other: "FormalCharacter") -> "FormalCharacter":
+    def __add__(self, other: "Character") -> "Character":
         self._check(other)
         out = dict(self._terms)
-        for w, c in other._terms.items():
-            out[w] = out.get(w, 0) + c
-        return FormalCharacter(self.datum, out)
+        get = out.get
+        for k, c in other._terms.items():
+            out[k] = get(k, 0) + c
+        return Character._wrap(self.datum, _nonzero(out))
 
-    def __neg__(self) -> "FormalCharacter":
-        return FormalCharacter(self.datum,
-                               {w: -c for w, c in self._terms.items()})
+    def __neg__(self) -> "Character":
+        return self.scale(-1)
 
-    def __sub__(self, other: "FormalCharacter") -> "FormalCharacter":
+    def __sub__(self, other: "Character") -> "Character":
         return self + (-other)
 
-    def scale(self, c: int) -> "FormalCharacter":
-        return FormalCharacter(self.datum,
-                               {w: c * v for w, v in self._terms.items()})
+    def scale(self, c: int) -> "Character":
+        return Character._wrap(self.datum, _nonzero(
+            {k: c * v for k, v in self._terms.items()}))
 
-    def __mul__(self, other: "FormalCharacter") -> "FormalCharacter":
+    def __mul__(self, other: "Character") -> "Character":
         self._check(other)
-        out: dict[Weight, int] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, 0) + c1 * c2
-        return FormalCharacter(self.datum, out)
+        out: Flat = {}
+        get = out.get
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                k = tuple(map(add, k1, k2))
+                out[k] = get(k, 0) + c1 * c2
+        return Character._wrap(self.datum, _nonzero(out))
 
     def __repr__(self) -> str:
-        inner = " + ".join(f"{c}*e[{w.h},{w.d}]" for w, c in self.terms())
-        return f"FormalCharacter({self.datum.label}: {inner or '0'})"
+        inner = " + ".join(f"{c}*e[{h},{d}]" for (h, d), c in self.terms())
+        return f"Character({self.datum.label}: {inner or '0'})"
+
+
+def _nonzero(terms: Flat) -> Flat:
+    return {k: c for k, c in terms.items() if c}
 
 
 def _flat_root(datum: Datum, i: int) -> tuple[int, ...]:
@@ -123,15 +156,13 @@ def _flat_root(datum: Datum, i: int) -> tuple[int, ...]:
     return alpha.h + (alpha.d,)
 
 
-def _ladder(terms: dict[tuple[int, ...], int], p: int,
-            alpha: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def _ladder(terms: Flat, p: int, alpha: tuple[int, ...]) -> Flat:
     """One Demazure operator on flat weights ``h + (d,)``.
 
     ``p`` is the node's position in ``h`` and ``alpha`` its simple root,
-    flattened the same way.  Zero coefficients are dropped, so the result
-    holds exactly the terms of the matching ``FormalCharacter``.
+    flattened the same way.  Zero coefficients are dropped.
     """
-    out: dict[tuple[int, ...], int] = {}
+    out: Flat = {}
     get = out.get
     for mu, c in terms.items():
         n = mu[p]
@@ -145,132 +176,38 @@ def _ladder(terms: dict[tuple[int, ...], int], p: int,
                 mu = tuple(map(add, mu, alpha))
                 out[mu] = get(mu, 0) - c
         # n == -1 contributes nothing.
-    return {w: c for w, c in out.items() if c}
+    return _nonzero(out)
 
 
-def _flat_terms(datum: Datum,
-                terms: Mapping[Weight, int]) -> dict[tuple[int, ...], int]:
-    rank = len(datum.indices)
-    if any(len(w.h) != rank for w in terms):
-        raise ValueError(f"weight rank does not match {datum.label}")
-    return {w.h + (w.d,): c for w, c in terms.items()}
-
-
-def _from_flat(datum: Datum,
-               terms: dict[tuple[int, ...], int]) -> FormalCharacter:
-    return FormalCharacter(datum, {Weight(w[:-1], w[-1]): c
-                                   for w, c in terms.items()})
-
-
-def demazure_step(datum: Datum, i: int, f: FormalCharacter) -> FormalCharacter:
+def demazure_step(datum: Datum, i: int, f: Character) -> Character:
     """One Demazure operator applied to a character, term by term."""
-    terms = _ladder(_flat_terms(datum, f._terms), datum.pos(i),
-                    _flat_root(datum, i))
-    return _from_flat(datum, terms)
-
-
-def word_ladder(datum: Datum, word: Sequence[int],
-                seed: Weight) -> dict[tuple[int, ...], int]:
-    """``demazure_word_char`` on flat weights ``h + (d,)``."""
-    terms = _flat_terms(datum, {seed: 1})
-    for i in reversed(word):
-        terms = _ladder(terms, datum.pos(i), _flat_root(datum, i))
-    return terms
+    if f.datum.label != datum.label:
+        raise ValueError(f"character does not live on {datum.label}")
+    return Character._wrap(datum, _ladder(f._terms, datum.pos(i),
+                                          _flat_root(datum, i)))
 
 
 def demazure_word_char(datum: Datum, word: Sequence[int],
-                       seed: Weight) -> FormalCharacter:
+                       seed: Weight) -> Character:
     """Composite Demazure operator along a word, applied to ``e^seed``.
 
     The last letter acts first, matching ``apply_word``.  For a reduced word
     this is the Demazure character of the corresponding extremal weight.
     """
-    return _from_flat(datum, word_ladder(datum, word, seed))
+    terms = Character(datum, {seed: 1})._terms
+    for i in reversed(word):
+        terms = _ladder(terms, datum.pos(i), _flat_root(datum, i))
+    return Character._wrap(datum, terms)
 
 
-def weyl_character_finite(rd: RootDatum, lam: Weight) -> FormalCharacter:
+def weyl_character_finite(rd: RootDatum, lam: Weight) -> Character:
     """Character of the simple finite-dimensional module of highest weight."""
     if not rd.is_dominant(lam):
         raise errors.NotDominant(f"{lam.h} is not dominant for {rd.label}")
     return demazure_word_char(rd, rd.w0_word, lam)
 
 
-class GradedClassicalCharacter(_Immutable):
-    """Finite map ``(classical weight, grade) -> nonzero int``."""
-
-    __slots__ = ("datum", "_terms")
-
-    def __init__(self, datum: RootDatum,
-                 terms: Mapping[tuple[tuple[int, ...], int], int]):
-        object.__setattr__(self, "datum", datum)
-        object.__setattr__(self, "_terms",
-                           {k: c for k, c in terms.items() if c != 0})
-
-    @classmethod
-    def zero(cls, datum: RootDatum) -> "GradedClassicalCharacter":
-        return cls(datum, {})
-
-    def _check(self, other: "GradedClassicalCharacter") -> None:
-        if self.datum.label != other.datum.label:
-            raise ValueError(
-                f"mixed datums {self.datum.label} and {other.datum.label}")
-
-    def terms(self) -> list[tuple[tuple[tuple[int, ...], int], int]]:
-        return sorted(self._terms.items(), key=lambda t: (t[0][1], t[0][0]))
-
-    def coefficient(self, lam: Weight, grade: int) -> int:
-        return self._terms.get((lam.h, grade), 0)
-
-    def grades(self) -> list[int]:
-        return sorted({g for _, g in self._terms})
-
-    def grade_slice(self, grade: int) -> dict[tuple[int, ...], int]:
-        return {h: c for (h, g), c in self._terms.items() if g == grade}
-
-    def classical_support(self) -> list[Weight]:
-        return sorted({Weight(h, 0) for (h, _) in self._terms},
-                      key=lambda w: w.sort_key())
-
-    def mass(self) -> int:
-        return sum(self._terms.values())
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GradedClassicalCharacter)
-                and self.datum.label == other.datum.label
-                and self._terms == other._terms)
-
-    def __add__(self, other) -> "GradedClassicalCharacter":
-        self._check(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return GradedClassicalCharacter(self.datum, out)
-
-    def __neg__(self) -> "GradedClassicalCharacter":
-        return GradedClassicalCharacter(
-            self.datum, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other) -> "GradedClassicalCharacter":
-        return self + (-other)
-
-    def scale(self, c: int) -> "GradedClassicalCharacter":
-        return GradedClassicalCharacter(
-            self.datum, {k: c * v for k, v in self._terms.items()})
-
-    def to_records(self) -> list[dict]:
-        return [{"weight": {"h": list(h)}, "grade": g, "coeff": c}
-                for (h, g), c in self.terms()]
-
-    def __repr__(self) -> str:
-        inner = " + ".join(f"{c}*q^{g}e[{h}]" for (h, g), c in self.terms())
-        return f"GradedClassicalCharacter({self.datum.label}: {inner or '0'})"
-
-
-def project_graded_classical(ad: AffineDatum,
-                             f: FormalCharacter) -> GradedClassicalCharacter:
+def project_graded_classical(ad: AffineDatum, f: Character) -> Character:
     """Drop ``h_0``, keep the finite coroot values, read the grade off ``d``.
 
     Terms that collide after projection are summed, so coefficients are
@@ -278,50 +215,44 @@ def project_graded_classical(ad: AffineDatum,
     """
     if f.datum.label != ad.label:
         raise ValueError("character does not live on the given affine datum")
-    return project_flat(ad, _flat_terms(ad, f._terms))
-
-
-def project_flat(ad: AffineDatum,
-                 terms: dict[tuple[int, ...], int]) -> GradedClassicalCharacter:
-    """``project_graded_classical`` on flat affine weights ``h + (d,)``."""
-    out: dict[tuple[tuple[int, ...], int], int] = {}
+    out: Flat = {}
     get = out.get
-    # One tuple per classical weight, shared by all its grades, so that
-    # memoised characters stay small.
-    classical: dict[tuple[int, ...], tuple[int, ...]] = {}
-    share = classical.setdefault
-    for w, c in terms.items():
-        h = w[1:-1]
-        key = (share(h, h), w[-1])
-        out[key] = get(key, 0) + c
-    return GradedClassicalCharacter(ad.finite, out)
+    for k, c in f._terms.items():
+        k = k[1:]
+        out[k] = get(k, 0) + c
+    return Character._wrap(ad.finite, _nonzero(out))
 
 
-def forget_grading(g: GradedClassicalCharacter) -> FormalCharacter:
-    """Sum out the grade, leaving a plain finite-type character."""
-    out: dict[Weight, int] = {}
-    for (h, _), c in g._terms.items():
-        w = Weight(h, 0)
-        out[w] = out.get(w, 0) + c
-    return FormalCharacter(g.datum, out)
+def forget_grading(g: Character) -> Character:
+    """Sum out the grade, leaving every term at ``d = 0``."""
+    out: Flat = {}
+    get = out.get
+    for k, c in g._terms.items():
+        k = k[:-1] + (0,)
+        out[k] = get(k, 0) + c
+    return Character._wrap(g.datum, _nonzero(out))
 
 
-def shift_grade(g: GradedClassicalCharacter, m: int) -> GradedClassicalCharacter:
+def shift_grade(g: Character, m: int) -> Character:
     """Add ``m`` to every grade."""
-    return GradedClassicalCharacter(
-        g.datum, {(h, grade + m): c for (h, grade), c in g._terms.items()})
+    return Character._wrap(
+        g.datum, {k[:-1] + (k[-1] + m,): c for k, c in g._terms.items()})
 
 
-def check_w_invariance_per_grade(rd: RootDatum,
-                                 g: GradedClassicalCharacter) -> bool:
-    """True iff every grade slice is invariant under all simple reflections."""
-    for grade in g.grades():
-        sl = g.grade_slice(grade)
-        for i in rd.indices:
-            reflected: dict[tuple[int, ...], int] = {}
-            for h, c in sl.items():
-                rh = reflect_weight(rd, i, Weight(h, 0)).h
-                reflected[rh] = reflected.get(rh, 0) + c
-            if reflected != sl:
+def check_w_invariance_per_grade(rd: RootDatum, g: Character) -> bool:
+    """True iff every grade slice is invariant under all simple reflections.
+
+    A finite simple root has ``d = 0``, so reflecting ``k`` to
+    ``k - k[p] alpha_i`` keeps its grade, and comparing all grades at once
+    compares them one by one.
+    """
+    terms = g._terms
+    for i in rd.indices:
+        p, alpha = rd.pos(i), _flat_root(rd, i)
+        for k, c in terms.items():
+            n = k[p]
+            if n and terms.get(
+                    tuple([a - n * b for a, b in zip(k, alpha, strict=True)]),
+                    0) != c:
                 return False
     return True

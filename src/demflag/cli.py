@@ -37,8 +37,7 @@ from functools import cache
 from typing import Callable, NamedTuple, Optional
 
 from . import errors
-from .characters import (FormalCharacter, GradedClassicalCharacter,
-                         demazure_word_char, weyl_character_finite)
+from .characters import Character, demazure_word_char, weyl_character_finite
 from .demazure import DemazureLabel, demazure_character, demazure_dim
 from .flags import (DominantLWeight, FlagDecomposition, graded_weyl_character,
                     level_flag, local_weyl_character, weyl_dim_product_check)
@@ -97,20 +96,25 @@ def _h_cols(datum) -> list[str]:
     return [f"h{i}" for i in datum.indices]
 
 
-def _graded_char_table(g: GradedClassicalCharacter) -> Table:
+def _graded_char_table(g: Character) -> Table:
     cols = ["grade"] + _h_cols(g.datum) + ["coeff"]
     rows = [[grade, *h, c] for (h, grade), c in g.terms()]
     return Table("character", cols, rows)
 
 
-def _finite_char_table(f: FormalCharacter) -> Table:
+def _graded_char_records(g: Character) -> list[dict]:
+    return [{"weight": {"h": list(h)}, "grade": grade, "coeff": c}
+            for (h, grade), c in g.terms()]
+
+
+def _finite_char_table(f: Character) -> Table:
     cols = _h_cols(f.datum) + ["coeff"]
-    rows = [[*w.h, c] for w, c in f.terms()]
+    rows = [[*h, c] for (h, _), c in f.terms()]
     return Table("character", cols, rows)
 
 
-def _finite_char_records(f: FormalCharacter) -> list[dict]:
-    return [{"weight": {"h": list(w.h)}, "coeff": c} for w, c in f.terms()]
+def _finite_char_records(f: Character) -> list[dict]:
+    return [{"weight": {"h": list(h)}, "coeff": c} for (h, _), c in f.terms()]
 
 
 def _flag_table(fd: FlagDecomposition, rd: RootDatum) -> Table:
@@ -253,7 +257,7 @@ def _cmd_demazure_char(args):
     def run():
         g = demazure_character(ad, DemazureLabel(args.level, lam, args.grade))
         obj = {"command": args.command, **params,
-               "character": g.to_records()}
+               "character": _graded_char_records(g)}
         return obj, [_graded_char_table(g)]
     return params, run
 
@@ -280,7 +284,7 @@ def _cmd_weyl_char(args):
     def run():
         g, fd = graded_weyl_character(rd, lam)
         obj = {"command": args.command, **params,
-               "character": g.to_records(), "flag": fd.to_obj()}
+               "character": _graded_char_records(g), "flag": fd.to_obj()}
         return obj, [_graded_char_table(g), _flag_table(fd, rd)]
     return params, run
 

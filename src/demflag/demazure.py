@@ -29,7 +29,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import errors
-from .characters import GradedClassicalCharacter, project_flat, word_ladder
+from .characters import (Character, demazure_word_char,
+                         project_graded_classical)
 from .root_data import AffineDatum, Weight, apply_word, make_dominant
 
 # Entries in each module memo (this one and ``flags.graded_weyl_character``'s).
@@ -78,7 +79,7 @@ def solve_extremal(ad: AffineDatum,
 
 
 def demazure_character(ad: AffineDatum,
-                       lab: DemazureLabel) -> GradedClassicalCharacter:
+                       lab: DemazureLabel) -> Character:
     """Graded classical character of the labelled module, memoised."""
     _validate(ad, lab)
     return _character(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
@@ -88,9 +89,9 @@ def demazure_character(ad: AffineDatum,
 # never shares an entry with the equal integer (its grades print as floats).
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
 def _character(ad: AffineDatum, level: int, grade: int, d: int,
-               *h: int) -> GradedClassicalCharacter:
+               *h: int) -> Character:
     lam, word = solve_extremal(ad, DemazureLabel(level, Weight(h, d), grade))
-    return project_flat(ad, word_ladder(ad, word, lam))
+    return project_graded_classical(ad, demazure_word_char(ad, word, lam))
 
 
 def demazure_dim(ad: AffineDatum, lab: DemazureLabel) -> int:

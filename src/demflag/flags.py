@@ -41,9 +41,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import errors
-from .characters import (FormalCharacter, GradedClassicalCharacter,
-                         check_w_invariance_per_grade, forget_grading,
-                         shift_grade)
+from .characters import (Character, check_w_invariance_per_grade,
+                         forget_grading, shift_grade)
 from .demazure import MEMO_SIZE, DemazureLabel, demazure_character
 from .root_data import (AffineDatum, RootDatum, Weight, affinize,
                         eta_lambda, short_subdatum)
@@ -102,7 +101,7 @@ def _leading_weight(rd: RootDatum, support: set[tuple[int, ...]],
                            for o in support))
 
 
-def greedy_decompose(ad: AffineDatum, g: GradedClassicalCharacter,
+def greedy_decompose(ad: AffineDatum, g: Character,
                      level: int, tie_break: str = "max") -> FlagDecomposition:
     """Peel a graded invariant character into level-``level`` pieces.
 
@@ -111,6 +110,8 @@ def greedy_decompose(ad: AffineDatum, g: GradedClassicalCharacter,
     lexicographic order); the resulting multiset of pieces does not depend
     on the choice.
     """
+    if tie_break not in ("min", "max"):
+        raise ValueError(f"tie_break must be min or max, not {tie_break!r}")
     rd = ad.finite
     if g.datum.label != rd.label:
         raise ValueError("character datum does not match the affine datum")
@@ -120,14 +121,14 @@ def greedy_decompose(ad: AffineDatum, g: GradedClassicalCharacter,
     residue = g
     pieces: list[tuple[Weight, int, int]] = []
     while len(residue) > 0:
-        lead_h = _leading_weight(rd, {h for h, _ in residue._terms},
+        lead_h = _leading_weight(rd, {k[:-1] for k in residue._terms},
                                  tie_break)
         lead = Weight(lead_h, 0)
         if not rd.is_dominant(lead):
             raise errors.NonDominantLeading(
                 f"leading weight {lead_h} is not dominant")
-        grade = min(gr for h, gr in residue._terms if h == lead_h)
-        coeff = residue.coefficient(lead, grade)
+        grade = min(k[-1] for k in residue._terms if k[:-1] == lead_h)
+        coeff = residue.coefficient(Weight(lead_h, grade))
         if coeff < 0:
             raise errors.NegativeMultiplicity(
                 f"piece ({lead_h}, {grade}) has coefficient {coeff}")
@@ -155,7 +156,7 @@ def level_flag(ad: AffineDatum, level: int, to_level: int,
 
 def graded_weyl_character(
         rd: RootDatum,
-        lam: Weight) -> tuple[GradedClassicalCharacter, FlagDecomposition]:
+        lam: Weight) -> tuple[Character, FlagDecomposition]:
     """Graded character of the local Weyl module and its level-one flag.
 
     Memoised like ``demazure_character``: a repeated weight returns the
@@ -169,7 +170,7 @@ def graded_weyl_character(
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
 def _graded_weyl(
         rd: RootDatum, d: int,
-        *h: int) -> tuple[GradedClassicalCharacter, FlagDecomposition]:
+        *h: int) -> tuple[Character, FlagDecomposition]:
     lam = Weight(h, d)
     ad = affinize(rd)
     if not rd.short_nodes:
@@ -183,7 +184,7 @@ def _graded_weyl(
     short_flag = greedy_decompose(sub_ad, short_char, rd.lacing)
 
     pieces = []
-    total = GradedClassicalCharacter.zero(rd)
+    total = Character.zero(rd)
     for mu, grade, mult in short_flag.pieces:
         lifted = eta_lambda(se, lam, mu)
         piece = demazure_character(ad, DemazureLabel(1, lifted, 0))
@@ -206,13 +207,13 @@ def weyl_dim_product_check(rd: RootDatum,
 
 
 def local_weyl_character(rd: RootDatum,
-                         varpi: DominantLWeight) -> FormalCharacter:
+                         varpi: DominantLWeight) -> Character:
     """Ungraded character of the tensor product over the labelled summands.
 
     Summands of equal weight share one factor character, computed once.
     """
-    factors: dict[tuple[int, ...], FormalCharacter] = {}
-    out = FormalCharacter.monomial(rd, rd.zero_weight)
+    factors: dict[tuple[int, ...], Character] = {}
+    out = Character.monomial(rd, rd.zero_weight)
     for w, _ in varpi.factors:
         if w.h not in factors:
             factors[w.h] = forget_grading(graded_weyl_character(rd, w)[0])

@@ -57,13 +57,14 @@ never built for the test.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate
 from math import gcd, lcm
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from . import errors
-from .characters import FormalCharacter
+from .characters import Character
 from .root_data import AffineDatum, Weight
 
 Vec = tuple[int, ...]
@@ -273,13 +274,9 @@ def generate_demazure_set(ad: AffineDatum, lam: Weight,
     return PathSet(ad, lam, tuple(word), _sorted(paths))
 
 
-def crystal_character(ps: PathSet) -> FormalCharacter:
+def crystal_character(ps: PathSet) -> Character:
     """Sum of exponentials of endpoint weights."""
-    out: dict[Weight, int] = {}
-    for p in ps.paths:
-        w = p.weight()
-        out[w] = out.get(w, 0) + 1
-    return FormalCharacter(ps.datum, out)
+    return Character(ps.datum, Counter(p.weight() for p in ps.paths))
 
 
 def concat_paths(p1: LSPath, p2: LSPath) -> LSPath:

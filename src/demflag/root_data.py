@@ -562,6 +562,8 @@ def make_dominant(datum: Datum, mu: Weight,
     cross-checks).  Affine weights must have positive level, otherwise the
     walk need not terminate.
     """
+    if tie_break not in ("min", "max"):
+        raise ValueError(f"tie_break must be min or max, not {tie_break!r}")
     if isinstance(datum, AffineDatum) and datum.level(mu) <= 0:
         raise errors.ZeroLevel(
             f"level {datum.level(mu)} weight cannot be reduced")

@@ -1,0 +1,182 @@
+"""Properties of ``Character`` on random small characters.
+
+Each operation is checked against a ``collections.Counter`` over
+``(h, d)`` keys, and the flat-key invariance check against the slice-by-
+slice reflection it replaced.  Examples are derandomized and no example
+database is written, so the suite stays deterministic.
+"""
+
+import os
+import tempfile
+from collections import Counter
+
+# Hypothesis caches the constants it reads from local source files in its
+# storage directory, by default ``.hypothesis/`` in the working directory.
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY",
+    os.path.join(tempfile.gettempdir(), "demflag-hypothesis"))
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from demflag import (
+    Character,
+    Weight,
+    affinize,
+    check_w_invariance_per_grade,
+    datum_from_label,
+    forget_grading,
+    project_graded_classical,
+    reflect_weight,
+    shift_grade,
+    weyl_character_finite,
+)
+
+FINITE = tuple(map(datum_from_label, ("A1", "A2", "C2", "G2")))
+AFFINE = tuple(map(affinize, FINITE[:2]))
+DATUMS = FINITE + AFFINE
+
+SETTINGS = settings(database=None, derandomize=True, deadline=None)
+
+coeffs = st.integers(-3, 3)
+grades = st.integers(-2, 2)
+
+
+def terms_on(datum, max_size=5):
+    h = st.tuples(*[st.integers(-3, 3)] * len(datum.indices))
+    return st.dictionaries(st.tuples(h, grades), coeffs, max_size=max_size)
+
+
+def chars_on(datum, max_size=5):
+    return terms_on(datum, max_size).map(lambda t: Character(datum, t))
+
+
+def several(n, datums=DATUMS):
+    """A datum and ``n`` characters on it."""
+    return st.sampled_from(datums).flatmap(
+        lambda dt: st.tuples(st.just(dt), *[chars_on(dt)] * n))
+
+
+def ref(f: Character) -> Counter:
+    return Counter(dict(f.terms()))
+
+
+def same(f: Character, expected: Counter) -> bool:
+    return dict(f.terms()) == {k: c for k, c in expected.items() if c}
+
+
+@SETTINGS
+@given(st.sampled_from(DATUMS).flatmap(
+    lambda dt: st.tuples(st.just(dt), terms_on(dt))))
+def test_constructor_keeps_nonzero_pairs(case):
+    datum, terms = case
+    f = Character(datum, terms)
+    assert same(f, Counter(terms))
+    assert f == Character(datum, {Weight(h, d): c
+                                  for (h, d), c in terms.items()})
+    assert len(f) == sum(1 for c in terms.values() if c)
+    assert all(f.coefficient(Weight(h, d)) == c
+               for (h, d), c in terms.items())
+    keys = [(d, h) for (h, d), _ in f.terms()]
+    assert keys == sorted(keys)
+
+
+@SETTINGS
+@given(several(2), coeffs)
+def test_linear_operations_match_counter(case, c):
+    _, f, g = case
+    total = ref(f)
+    total.update(ref(g))
+    assert same(f + g, total)
+    diff = ref(f)
+    diff.subtract(ref(g))
+    assert same(f - g, diff)
+    assert same(-f, Counter({k: -v for k, v in ref(f).items()}))
+    assert same(f.scale(c), Counter({k: c * v for k, v in ref(f).items()}))
+    assert (f + g).mass() == f.mass() + g.mass()
+
+
+@SETTINGS
+@given(several(2))
+def test_product_matches_counter(case):
+    _, f, g = case
+    expected = Counter()
+    for (h1, d1), c1 in f.terms():
+        for (h2, d2), c2 in g.terms():
+            h = tuple(a + b for a, b in zip(h1, h2))
+            expected[h, d1 + d2] += c1 * c2
+    assert same(f * g, expected)
+
+
+@SETTINGS
+@given(several(3))
+def test_ring_laws(case):
+    datum, f, g, h = case
+    assert f + g == g + f
+    assert f * g == g * f
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f - f == Character.zero(datum)
+    one = Character.monomial(datum, Weight((0,) * len(datum.indices), 0))
+    assert f * one == f
+
+
+@SETTINGS
+@given(several(1, FINITE), grades, grades)
+def test_shift_grade_adds(case, a, b):
+    _, g = case
+    assert shift_grade(g, a + b) == shift_grade(shift_grade(g, a), b)
+    assert shift_grade(g, a).mass() == g.mass()
+
+
+@SETTINGS
+@given(several(1, FINITE))
+def test_forget_grading_keeps_mass(case):
+    _, g = case
+    flat = forget_grading(g)
+    assert flat.mass() == g.mass()
+    assert flat.grades() in ([], [0])
+
+
+@SETTINGS
+@given(several(1, AFFINE))
+def test_projection_keeps_mass(case):
+    ad, f = case
+    g = project_graded_classical(ad, f)
+    assert g.mass() == f.mass()
+    assert g.datum == ad.finite
+
+
+def invariant_by_slices(rd, g):
+    """Every grade slice, reflected term by term at every node, is itself."""
+    for grade in g.grades():
+        sl = g.grade_slice(grade)
+        for i in rd.indices:
+            reflected: dict = {}
+            for h, c in sl.items():
+                rh = reflect_weight(rd, i, Weight(h, 0)).h
+                reflected[rh] = reflected.get(rh, 0) + c
+            if reflected != sl:
+                return False
+    return True
+
+
+@st.composite
+def graded_sums(draw):
+    """Sums of shifted Weyl characters, some with one term disturbed."""
+    rd = draw(st.sampled_from(FINITE))
+    g = Character.zero(rd)
+    for _ in range(draw(st.integers(0, 3))):
+        lam = rd.weight(draw(st.tuples(*[st.integers(0, 2)] * rd.rank)))
+        g = g + shift_grade(weyl_character_finite(rd, lam),
+                            draw(grades)).scale(draw(coeffs))
+    return rd, g + draw(st.one_of(st.just(Character.zero(rd)),
+                                  chars_on(rd, max_size=1)))
+
+
+@SETTINGS
+@given(st.one_of(graded_sums(), several(1, FINITE)))
+def test_invariance_check_matches_slices(case):
+    rd, g = case
+    assert check_w_invariance_per_grade(rd, g) == invariant_by_slices(rd, g)

@@ -149,11 +149,12 @@ def test_character_structure_random_labels():
         m = rng.randint(-1, 1)
         g = demazure_character(ad, DemazureLabel(level, lam, m))
         assert check_w_invariance_per_grade(rd, g)
-        assert g.coefficient(lam, m) == 1
+        assert g.coefficient(Weight(lam.h, m)) == 1
         assert min(g.grades()) == m
-        for w in g.classical_support():
+        for w in g.support():
             assert dominance_leq(rd, w, lam), (ad.label, level, lam.h, w.h)
-        lam_grades = [gr for gr in g.grades() if g.coefficient(lam, gr)]
+        lam_grades = [gr for gr in g.grades()
+                      if g.coefficient(Weight(lam.h, gr))]
         assert lam_grades == [m]
 
 

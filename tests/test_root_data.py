@@ -349,6 +349,14 @@ def test_make_dominant_word_length_tie_break_independent():
             assert apply_word(ad, w_max, lam_max) == mu
 
 
+def test_make_dominant_refuses_unknown_tie_break():
+    ad = affinize(A2)
+    mu = ad.weight([3, -1, -1])
+    for bad in ("MIN", "Max", "", "first"):
+        with pytest.raises(ValueError):
+            make_dominant(ad, mu, tie_break=bad)
+
+
 def test_make_dominant_word_is_reduced_witness():
     """Applying the word to a regular dominant weight never repeats."""
     rng = random.Random(5)
