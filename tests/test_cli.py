@@ -1,5 +1,6 @@
 """End-to-end command line behavior: outputs, errors, formats, caching."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -15,6 +16,7 @@ from demflag import cli
 
 NC = ["--no-cache"]
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def run(capsys, argv):
@@ -125,23 +127,161 @@ def test_joseph(capsys):
     ]
 
 
-# sha256 of the exact stdout.  The highest terms come in path-set order,
-# which the benchmark digests do not pin: they sort the terms.
-@pytest.mark.parametrize("argv, sha256", [
-    (["--type", "A2", "--mu", "1,0,0", "--lambda", "0,1,1",
-      "--sigma", "1,0,2,0,1"],
+# ---- byte pins ----
+#
+# Exit code and sha256 of what each request prints: stdout on exit 0, else
+# stderr, and the other stream must stay empty.  The table holds every
+# `cli` request of the benchmark in its format (the benchmark's digests sort
+# rows and pieces, so they miss row order and whitespace), three `joseph`
+# requests whose highest terms come in path-set order, every help screen at
+# 80 columns, and the bare command.  Requests other than help screens and
+# the bare command run with --no-cache.
+PINS = [
+    ("demazure-dim --type A1 --level 1 --lambda 3 --format json", 0,
+     "73e080b7ab086f07c423c06a759e6bf01fdc053c39111d0791c18e35811814a8"),
+    ("demazure-dim --type A2 --level 2 --lambda 1,1 --format csv", 0,
+     "1cd835ecaa715cf31568797622494155fda06c86c375d3d9030a8caea3780e6c"),
+    ("demazure-dim --type C2 --level 1 --lambda 1,0 --grade 2 --format"
+     " table", 0,
+     "69e0f782d39fc2240d1d309c8f51fa3764e7d32b5c85170e6ca56b9469c08ead"),
+    ("demazure-char --type C2 --level 1 --lambda 1,1 --format table", 0,
+     "fc8fb3370fb5e200b4110163728c3bf566ec7691bf2a7c92dda2a2a06ab2b74e"),
+    ("demazure-char --type A1 --level 2 --lambda 2 --format json", 0,
+     "2edf061088d22e719d79cb4d49ed30da5ea7f518fbadad03c7e1f2977b22dfc5"),
+    ("demazure-char --type G2 --level 1 --lambda 0,1 --format csv", 0,
+     "e8822c4911e2f03a8beb0c397e4cdb49e74fc3a97415acffe809a463f8fee13a"),
+    ("weyl-char --type C2 --lambda 2,0 --format json", 0,
+     "d66a4a1aa272f7df1d41ae10db92eef784065330b8d46c54f7bbf59247661f1a"),
+    ("weyl-char --type G2 --lambda 1,0 --format csv", 0,
+     "a7811990ea2d180640c1816fe7321ceb7e37a0250e18793e70e68cd7882565dc"),
+    ("weyl-char --type B2 --lambda 0,1 --format table", 0,
+     "3ba9c3dd08f1e3ed250ff65d6bf926e096fd7558932bdf281d1a40bffd58d266"),
+    ("flag --type G2 --lambda 2,0 --format csv", 0,
+     "fe1321fae1e7690436f385b90df6e48a1a6d4538abdf6a4191354eb5e53ef9cd"),
+    ("flag --type C3 --lambda 0,1,0 --format json", 0,
+     "327ba1d1f29bf5369cdecc4fa7aa642fcf66aa50575723be972edd35dd5d4e8c"),
+    ("flag --type A2 --lambda 1,1 --format table", 0,
+     "1970370146e7e1c8f1ae8bac8e97d29df7ae60e5bd5d1a793925d1573a31991e"),
+    ("level-flag --type A1 --level 1 --to-level 2 --lambda 2 --format json", 0,
+     "2be2a9405165cba0403ee4c1ee7f568960a4fa57fcfad4e96c957ecbc555a7f8"),
+    ("level-flag --type A2 --level 1 --to-level 3 --lambda 1,0 --format"
+     " table", 0,
+     "ee4ff8cf918ab369350c635b4923f1dfa0e1c6655f1bd04e76fe74d043954432"),
+    ("level-flag --type A1 --level 2 --to-level 3 --lambda 4 --format csv", 0,
+     "711bb08a0ff552d540284f7c14df55df1fe8daf608de39056313eedb9c2fd353"),
+    ("local-weyl --type A1 --factor 1@a --factor 1@b --format json", 0,
+     "4f4f6697a705df9e1f816fffce6c47c15d12a4048611b053b5dc2235b7594936"),
+    ("local-weyl --type A2 --factor 1,0@a --factor 0,1@b --format csv", 0,
+     "7fd3698f9e9ac655064d0bacfefa646ce9a597de58cee9f47afc3334e09584be"),
+    ("local-weyl --type C2 --factor 1,0@x --format table", 0,
+     "af1290016ede76ca6890995f6fc0edc9e26d645b798c4e097f4ee51ebc613992"),
+    ("weyl-finite --type G2 --lambda 1,0 --format json", 0,
+     "c27fda07303fbc18243a0249118fc1df5f2aa48c64dfbac7491f376ec7ccf73c"),
+    ("weyl-finite --type E6 --lambda 1,0,0,0,0,0 --format csv", 0,
+     "fa3c9cbb2d3e1c81adba693b7787a884f0fa66880c2a82d1503151f81d529a7b"),
+    ("weyl-finite --type B3 --lambda 0,0,1 --format table", 0,
+     "dfe5b6cb42641586a38aef665f89e0d370c30b2e2f56a111e515d8eaaecb64a4"),
+    ("crystal-check --type A1 --lambda 1,0 --grade 1 --sigma 1,0"
+     " --format json", 0,
+     "fdd1c4e054cdccde3f099e3dd94d36423444e15999f4736b47ef21b8d66c39b5"),
+    ("crystal-check --type A2 --lambda 1,0,0 --sigma 1,2,0 --format csv", 0,
+     "25c35f191157ebed4872e6583f42e1a4f6111a2e58e2b4fcf2c6e697988f962c"),
+    ("crystal-check --type C2 --lambda 0,1,0 --sigma 0,1,2 --format table", 0,
+     "86c863cf26324e089337d208d006bae206c4e8d7be751b9211d39b0e57c02108"),
+    ("joseph --type A1 --mu 1,0 --lambda 1,0 --grade 1 --sigma 1,0"
+     " --format json", 0,
+     "f78d95c9fbacebd06d3f721b36bb51b141f1f6be1612c871c508a574a247bd3f"),
+    ("joseph --type A1 --mu 0,1 --lambda 1,1 --sigma 0,1 --format table", 0,
+     "bb64ab47ccd49ab6dea9fb17f1dc0faa92f1c395a1e6479761feaafc95da5868"),
+    ("joseph --type A2 --mu 1,0,0 --lambda 0,1,0 --sigma 1,0 --format csv", 0,
+     "99b3dc9a9c727a42dbf31208e89f01aee2f87350e01c383eba9ac1a5a6fa303e"),
+    ("dim-check --type C2 --lambda 1,1 --format json", 0,
+     "389ebe1dca07d9ddb7521ba2f927dd4e7d3da3c8fb14f4d94de4a958c499fe74"),
+    ("dim-check --type G2 --lambda 1,0 --format csv", 0,
+     "7ad7ded3cebb0d415eb093ec0c88ebfab5a53999c9c1c5d33e7bc610853f6bff"),
+    ("dim-check --type B3 --lambda 1,0,0 --format table", 0,
+     "2534d7e0a67e050719b1e42fef7c6e9c6fdce5d586ff670c139e0ad3a1315a51"),
+    ("joseph --type A2 --mu 1,0,0 --lambda 0,1,1 --sigma 1,0,2,0,1"
+     " --format json", 0,
      "d1bf202be9edc5111d78d1bc57069bfd87146c8087a0480b40a82839008d600b"),
-    (["--type", "C2", "--mu", "1,0,0", "--lambda", "0,1,0",
-      "--sigma", "2,1,0,2,1"],
+    ("joseph --type C2 --mu 1,0,0 --lambda 0,1,0 --sigma 2,1,0,2,1"
+     " --format json", 0,
      "b84bb4b4f25de4bf2a35147bf03207e327fcbe2c0afb1b6bbd014d9dfa86ace3"),
-    (["--type", "G2", "--mu", "1,0,0", "--lambda", "1,1,0",
-      "--sigma", "0,1,2,0,1"],
+    ("joseph --type G2 --mu 1,0,0 --lambda 1,1,0 --sigma 0,1,2,0,1"
+     " --format json", 0,
      "cc2bb1f07b3ce055dda6038b0451cd5793b52064b152885147a3b4746051ea7b"),
-], ids=["A2", "C2", "G2"])
-def test_joseph_json_bytes(capsys, argv, sha256):
-    rc, out, err = run(capsys, ["joseph", *argv, "--format", "json"] + NC)
-    assert rc == 0, err
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+    ("no-such-command", 2,
+     "4c0ab10f173f249635ea49b6baf240a31ce92e1e8f774a50e6db80e516429b74"),
+    ("demazure-dim --type Z9 --level 1 --lambda 1", 2,
+     "293ecbe676786e1898064f204cd09e9f1b54cbcb46bbbe9450ee909014131a4c"),
+    ("weyl-finite --type A2 --lambda 1,x", 2,
+     "ed7bbffb694841eb64ecf7f6bc9e26e547309f324d49e86f799829476640ed4d"),
+    ("demazure-dim --type A1 --level 0 --lambda 1", 3,
+     "20496c111557d7e760bd2da5d39f1364e8377b6154d01227a81f94d3811f09b0"),
+    ("weyl-char --type C2 --lambda=-1,0", 3,
+     "1bf1e339a89ddf9facaee46d6450b903badeb9fa582766ad4bf78393b2d2e105"),
+    ("level-flag --type C2 --level 1 --to-level 2 --lambda 1,0", 3,
+     "f7af5b730a8d943d75ee9c16e172325bc44a716465de97df57bf6da3e88a83c0"),
+    ("--help", 0,
+     "ef859e211eecb0728ac27c269e9fabb0106f3c921406f49fca576ea9564a2896"),
+    ("demazure-char --help", 0,
+     "3a38aec67877f10e26b0b7ae25044e1463102a64243ea1f4fc1cc994a2629282"),
+    ("demazure-dim --help", 0,
+     "c8c76224c8423e8acbfa1f282620266be746d17e0ebc034708110c2db1196ef1"),
+    ("weyl-char --help", 0,
+     "b5475f1d814bb5bb36cf904638316c7cc5a1c346abd66f1a8cb38bcce2aca736"),
+    ("flag --help", 0,
+     "05bc578f0da9429ffb14f1ebc5e37442540310dcc55cbb4362a85e12565e3329"),
+    ("level-flag --help", 0,
+     "0fc973af032d344bb062087e3c77fd8283a6794282d851234483ca9e531fdbc4"),
+    ("local-weyl --help", 0,
+     "0b3dc3b06149211678df4e63262a048fbf4e2d5618f288a8f3d6d319c3b29a7f"),
+    ("weyl-finite --help", 0,
+     "2cfc61fe48979deec5c6de60a85c2142790eb84fc57b929cc7f0cbc75b68e46a"),
+    ("crystal-check --help", 0,
+     "85c6570ed543909f1bdee92a7c477eaefaf26682774b7df708ce313066425781"),
+    ("joseph --help", 0,
+     "00d0967bd17582bd532211c30efffa35f6f06daeda7c1ece6479b2d901452a2d"),
+    ("dim-check --help", 0,
+     "88f99f4d843ff09eb4d3c4f0186cda99510f8653c5d0b89a7cddffd8193df84a"),
+    ("", 2,
+     "6f9d5162bf4ebd4e2cc1838e2be686efb8b4f268cd181d184885594754f1fc55"),
+]
+
+
+def screen(args):
+    """Exit code and sha256 of what ``demflag ARGS`` prints."""
+    argv = args.split()
+    if argv and "--help" not in argv:
+        argv += NC
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    shown, other = (out, err) if rc == 0 else (err, out)
+    if other.getvalue():
+        return rc, "output on both streams"
+    return rc, hashlib.sha256(shown.getvalue().encode("utf-8")).hexdigest()
+
+
+def test_screen_bytes(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert [args for args, rc, sha in PINS if screen(args) != (rc, sha)] == []
+
+
+def test_screen_bytes_under_optimize():
+    code = ("import json, test_cli; print(json.dumps("
+            "[test_cli.screen(args) for args, _, _ in test_cli.PINS]))")
+    got = json.loads(_python(SRC + os.pathsep + TESTS, code, "-O",
+                             COLUMNS="80"))
+    assert [tuple(x) for x in got] == [(rc, sha) for _, rc, sha in PINS]
+
+
+def test_pins_cover_the_benchmark_and_every_help_screen():
+    sys.path.insert(0, os.path.join(os.path.dirname(TESTS), "perfbench"))
+    import workloads
+    pinned = {args for args, _, _ in PINS}
+    assert {r[1] for r in workloads.family("cli")} <= pinned
+    assert {f"{c} --help" for c in cli._HANDLERS} | {"--help", ""} <= pinned
 
 
 def test_dim_check(capsys):
@@ -329,8 +469,8 @@ def test_format_changes_the_cache_key(capsys, tmp_path):
     assert len(list(tmp_path.iterdir())) == 2
 
 
-def _python(pythonpath, code, *flags):
-    env = dict(os.environ, PYTHONPATH=str(pythonpath))
+def _python(pythonpath, code, *flags, **env_vars):
+    env = dict(os.environ, PYTHONPATH=str(pythonpath), **env_vars)
     proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
