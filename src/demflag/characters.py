@@ -246,6 +246,8 @@ def check_w_invariance_per_grade(rd: RootDatum, g: Character) -> bool:
     ``k - k[p] alpha_i`` keeps its grade, and comparing all grades at once
     compares them one by one.
     """
+    if g.datum.label != rd.label:
+        raise ValueError(f"character does not live on {rd.label}")
     terms = g._terms
     for i in rd.indices:
         p, alpha = rd.pos(i), _flat_root(rd, i)

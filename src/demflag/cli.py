@@ -3,7 +3,11 @@
 Subcommands mirror the library surface: Demazure characters and dimensions,
 graded Weyl characters with their flags, higher-level flags, labelled
 tensor characters, the path-crystal cross-check, highest-term extraction,
-finite Weyl characters, and the dimension product check.
+finite Weyl characters, and the dimension product check.  A new subcommand
+is one more ``_COMMANDS`` entry: its help line, its options in validation
+order (kinds from ``_OPTIONS``, which parse and canonicalize them) and a
+function computing its sections.  One handler validates every request, and
+``build_parser`` adds every subcommand in one loop.
 
 Output formats: ``json`` (canonical, sorted keys), ``csv`` (one flat table,
 leading ``section`` column), ``table`` (same rows, aligned).  Empty cells
@@ -53,74 +57,42 @@ class Table(NamedTuple):
     rows: list[list]
 
 
-# -- parsing helpers ---------------------------------------------------------
-
-
-def _ints(text: str, what: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise ValueError(f"{what} must be comma-separated integers: {text!r}")
-
-
-def _classical(rd: RootDatum, text: str):
-    return rd.weight(_ints(text, "--lambda"))
-
-
-def _affine(ad: AffineDatum, text: str, grade: int, what: str):
-    return ad.weight(_ints(text, what), grade)
-
-
-def _word(ad: AffineDatum, text: str) -> tuple[int, ...]:
-    if text == "":
-        return ()
-    word = tuple(_ints(text, "--sigma"))
-    for i in word:
-        ad.pos(i)
-    return word
-
-
-def _factor(rd: RootDatum, text: str):
-    if "@" not in text:
-        raise ValueError(f"--factor needs the form H,..,H@label: {text!r}")
-    coords, label = text.rsplit("@", 1)
-    if not _LABEL_OK.match(label):
-        raise ValueError(f"bad factor label {label!r}")
-    return rd.weight(_ints(coords, "--factor")), label
-
-
-# -- tables ------------------------------------------------------------------
+# -- sections ----------------------------------------------------------------
+#
+# A section is one part of a result: its JSON fields and the table that
+# shows the same part in the flat formats.
 
 
 def _h_cols(datum) -> list[str]:
     return [f"h{i}" for i in datum.indices]
 
 
-def _graded_char_table(g: Character) -> Table:
-    cols = ["grade"] + _h_cols(g.datum) + ["coeff"]
-    rows = [[grade, *h, c] for (h, grade), c in g.terms()]
-    return Table("character", cols, rows)
+def _graded_section(g: Character):
+    terms = g.terms()
+    return ({"character": [{"weight": {"h": list(h)}, "grade": d, "coeff": c}
+                           for (h, d), c in terms]},
+            Table("character", ["grade", *_h_cols(g.datum), "coeff"],
+                  [[d, *h, c] for (h, d), c in terms]))
 
 
-def _graded_char_records(g: Character) -> list[dict]:
-    return [{"weight": {"h": list(h)}, "grade": grade, "coeff": c}
-            for (h, grade), c in g.terms()]
+def _finite_section(f: Character):
+    terms = f.terms()
+    return ({"character": [{"weight": {"h": list(h)}, "coeff": c}
+                           for (h, _), c in terms]},
+            Table("character", [*_h_cols(f.datum), "coeff"],
+                  [[*h, c] for (h, _), c in terms]))
 
 
-def _finite_char_table(f: Character) -> Table:
-    cols = _h_cols(f.datum) + ["coeff"]
-    rows = [[*h, c] for (h, _), c in f.terms()]
-    return Table("character", cols, rows)
+def _flag_section(fd: FlagDecomposition, rd: RootDatum):
+    pieces = [{"lambda": {"h": list(w.h)}, "grade": g, "mult": c}
+              for w, g, c in fd.pieces]
+    return ({"flag": {"level": fd.level, "pieces": pieces}},
+            Table("flag", ["level", "grade", *_h_cols(rd), "mult"],
+                  [[fd.level, g, *w.h, c] for w, g, c in fd.pieces]))
 
 
-def _finite_char_records(f: Character) -> list[dict]:
-    return [{"weight": {"h": list(h)}, "coeff": c} for (h, _), c in f.terms()]
-
-
-def _flag_table(fd: FlagDecomposition, rd: RootDatum) -> Table:
-    cols = ["level", "grade"] + _h_cols(rd) + ["mult"]
-    rows = [[fd.level, g, *w.h, c] for w, g, c in fd.pieces]
-    return Table("flag", cols, rows)
+def _result(**fields):
+    return fields, Table("result", list(fields), [list(fields.values())])
 
 
 # -- rendering ---------------------------------------------------------------
@@ -240,177 +212,199 @@ def cache_write(cdir: str, key: str, output: str) -> None:
         raise
 
 
-# -- subcommand handlers ------------------------------------------------------
+# -- options -----------------------------------------------------------------
 #
-# Each handler validates its request up front and returns the canonical
-# parameter dictionary plus a thunk computing (json object, tables); the
-# thunk is skipped entirely on a cache hit.
+# An option kind is its flag, its argparse keywords, the canonical parameter
+# it fills, how the parsed arguments give its value and how that value
+# reads as a plain JSON parameter.  An integer option is parsed by argparse
+# and stored under its parameter name, so its value is read as it is.
 
 
-def _cmd_demazure_char(args):
-    rd = datum_from_label(args.type)
-    ad = affinize(rd)
-    lam = _classical(rd, args.lam)
-    params = {"type": rd.label, "level": args.level, "lambda": list(lam.h),
-              "grade": args.grade}
-
-    def run():
-        g = demazure_character(ad, DemazureLabel(args.level, lam, args.grade))
-        obj = {"command": args.command, **params,
-               "character": _graded_char_records(g)}
-        return obj, [_graded_char_table(g)]
-    return params, run
+def _ints(text: str, what: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{what} must be comma-separated integers: {text!r}")
 
 
-def _cmd_demazure_dim(args):
-    rd = datum_from_label(args.type)
-    ad = affinize(rd)
-    lam = _classical(rd, args.lam)
-    params = {"type": rd.label, "level": args.level, "lambda": list(lam.h),
-              "grade": args.grade}
-
-    def run():
-        dim = demazure_dim(ad, DemazureLabel(args.level, lam, args.grade))
-        obj = {"command": args.command, **params, "dim": dim}
-        return obj, [Table("result", ["dim"], [[dim]])]
-    return params, run
+def _word(rd: RootDatum, ad: AffineDatum, args) -> tuple[int, ...]:
+    if args.sigma == "":
+        return ()
+    word = tuple(_ints(args.sigma, "--sigma"))
+    for i in word:
+        ad.pos(i)
+    return word
 
 
-def _cmd_weyl_char(args):
-    rd = datum_from_label(args.type)
-    lam = _classical(rd, args.lam)
-    params = {"type": rd.label, "lambda": list(lam.h)}
-
-    def run():
-        g, fd = graded_weyl_character(rd, lam)
-        obj = {"command": args.command, **params,
-               "character": _graded_char_records(g), "flag": fd.to_obj()}
-        return obj, [_graded_char_table(g), _flag_table(fd, rd)]
-    return params, run
-
-
-def _cmd_flag(args):
-    rd = datum_from_label(args.type)
-    lam = _classical(rd, args.lam)
-    params = {"type": rd.label, "lambda": list(lam.h)}
-
-    def run():
-        fd = graded_weyl_character(rd, lam)[1]
-        obj = {"command": args.command, **params, "flag": fd.to_obj()}
-        return obj, [_flag_table(fd, rd)]
-    return params, run
-
-
-def _cmd_level_flag(args):
-    rd = datum_from_label(args.type)
-    ad = affinize(rd)
-    lam = _classical(rd, args.lam)
-    params = {"type": rd.label, "level": args.level,
-              "to_level": args.to_level, "lambda": list(lam.h)}
-
-    def run():
-        fd = level_flag(ad, args.level, args.to_level, lam)
-        obj = {"command": args.command, **params, "flag": fd.to_obj()}
-        return obj, [_flag_table(fd, rd)]
-    return params, run
-
-
-def _cmd_local_weyl(args):
-    rd = datum_from_label(args.type)
+def _factors(rd: RootDatum, ad: AffineDatum, args) -> DominantLWeight:
     if not args.factor:
         raise ValueError("at least one --factor is required")
-    factors = tuple(_factor(rd, f) for f in args.factor)
-    varpi = DominantLWeight(factors)
-    params = {"type": rd.label,
-              "factors": [{"lambda": list(w.h), "label": a}
-                          for w, a in factors]}
-
-    def run():
-        f = local_weyl_character(rd, varpi)
-        obj = {"command": args.command, **params,
-               "character": _finite_char_records(f)}
-        return obj, [_finite_char_table(f)]
-    return params, run
+    factors = []
+    for text in args.factor:
+        if "@" not in text:
+            raise ValueError(f"--factor needs the form H,..,H@label: {text!r}")
+        coords, label = text.rsplit("@", 1)
+        if not _LABEL_OK.match(label):
+            raise ValueError(f"bad factor label {label!r}")
+        factors.append((rd.weight(_ints(coords, "--factor")), label))
+    return DominantLWeight(tuple(factors))
 
 
-def _cmd_weyl_finite(args):
-    rd = datum_from_label(args.type)
-    lam = _classical(rd, args.lam)
-    params = {"type": rd.label, "lambda": list(lam.h)}
-
-    def run():
-        f = weyl_character_finite(rd, lam)
-        obj = {"command": args.command, **params,
-               "character": _finite_char_records(f)}
-        return obj, [_finite_char_table(f)]
-    return params, run
+class _Option(NamedTuple):
+    flag: str
+    kwargs: dict
+    param: str
+    value: Optional[Callable] = None       # (rd, ad, args) -> value
+    plain: Callable = lambda value: value
 
 
-def _cmd_crystal_check(args):
-    rd = datum_from_label(args.type)
-    ad = affinize(rd)
-    lam = _affine(ad, args.lam, args.grade, "--lambda")
-    word = _word(ad, args.sigma)
-    params = {"type": rd.label, "lambda": list(lam.h), "grade": args.grade,
-              "sigma": list(word)}
-
-    def run():
-        ps = generate_demazure_set(ad, lam, word)
-        by_paths = crystal_character(ps)
-        by_ladders = demazure_word_char(ad, word, lam)
-        equal = by_paths == by_ladders
-        obj = {"command": args.command, **params, "paths": len(ps),
-               "mass": by_ladders.mass(), "equal": equal}
-        return obj, [Table("result", ["paths", "mass", "equal"],
-                           [[len(ps), by_ladders.mass(), equal]])]
-    return params, run
+def _h(w) -> list[int]:
+    return list(w.h)
 
 
-def _cmd_joseph(args):
-    rd = datum_from_label(args.type)
-    ad = affinize(rd)
-    mu = _affine(ad, args.mu, 0, "--mu")
-    lam = _affine(ad, args.lam, args.grade, "--lambda")
-    word = _word(ad, args.sigma)
-    params = {"type": rd.label, "mu": list(mu.h), "lambda": list(lam.h),
-              "grade": args.grade, "sigma": list(word)}
+_INT = {"type": int, "required": True}
+_LAMBDA = {"dest": "lam", "required": True}
 
-    def run():
-        pairs = joseph_highest(ad, mu, lam, word)
-        obj = {"command": args.command, **params, "count": len(pairs),
-               "highest": [{"nu": nu.to_obj()} for _, nu in pairs]}
-        cols = _h_cols(ad) + ["d"]
-        rows = [[*nu.h, nu.d] for _, nu in pairs]
-        return obj, [Table("highest", cols, rows)]
-    return params, run
-
-
-def _cmd_dim_check(args):
-    rd = datum_from_label(args.type)
-    lam = _classical(rd, args.lam)
-    params = {"type": rd.label, "lambda": list(lam.h)}
-
-    def run():
-        equal, (mass, product) = weyl_dim_product_check(rd, lam)
-        obj = {"command": args.command, **params, "equal": equal,
-               "mass": mass, "product": product}
-        return obj, [Table("result", ["mass", "product", "equal"],
-                           [[mass, product, equal]])]
-    return params, run
-
-
-_HANDLERS: dict[str, Callable] = {
-    "demazure-char": _cmd_demazure_char,
-    "demazure-dim": _cmd_demazure_dim,
-    "weyl-char": _cmd_weyl_char,
-    "flag": _cmd_flag,
-    "level-flag": _cmd_level_flag,
-    "local-weyl": _cmd_local_weyl,
-    "weyl-finite": _cmd_weyl_finite,
-    "crystal-check": _cmd_crystal_check,
-    "joseph": _cmd_joseph,
-    "dim-check": _cmd_dim_check,
+_OPTIONS = {
+    "level": _Option("--level", _INT, "level"),
+    "to_level": _Option("--to-level", _INT, "to_level"),
+    "lambda": _Option("--lambda", _LAMBDA, "lambda",
+                      lambda rd, ad, args: rd.weight(
+                          _ints(args.lam, "--lambda")), _h),
+    "affine_lambda": _Option("--lambda", _LAMBDA, "lambda",
+                             lambda rd, ad, args: ad.weight(
+                                 _ints(args.lam, "--lambda"), args.grade), _h),
+    "mu": _Option("--mu", {"required": True}, "mu",
+                  lambda rd, ad, args: ad.weight(_ints(args.mu, "--mu")), _h),
+    "grade": _Option("--grade", {"type": int, "default": 0}, "grade"),
+    "sigma": _Option("--sigma", {"required": True}, "sigma", _word, list),
+    "factor": _Option("--factor", {"action": "append", "default": []},
+                      "factors", _factors,
+                      lambda varpi: [{"lambda": list(w.h), "label": a}
+                                     for w, a in varpi.factors]),
 }
+
+
+# -- subcommands -------------------------------------------------------------
+#
+# A subcommand is its help line, its options in validation order with the
+# help text each shows there, and a ``compute(rd, ad, values)`` giving its
+# sections from the option values, keyed by parameter name.
+
+
+class _Command(NamedTuple):
+    help: str
+    options: tuple             # (option kind, help text or None)
+    compute: Callable
+
+
+def _demazure_label(v: dict) -> DemazureLabel:
+    return DemazureLabel(v["level"], v["lambda"], v["grade"])
+
+
+def _weyl_char(rd, ad, v):
+    g, fd = graded_weyl_character(rd, v["lambda"])
+    return [_graded_section(g), _flag_section(fd, rd)]
+
+
+def _crystal_check(rd, ad, v):
+    ps = generate_demazure_set(ad, v["lambda"], v["sigma"])
+    by_paths = crystal_character(ps)
+    by_ladders = demazure_word_char(ad, v["sigma"], v["lambda"])
+    return [_result(paths=len(ps), mass=by_ladders.mass(),
+                    equal=by_paths == by_ladders)]
+
+
+def _joseph(rd, ad, v):
+    nus = [nu for _, nu in joseph_highest(ad, v["mu"], v["lambda"],
+                                          v["sigma"])]
+    return [({"count": len(nus),
+              "highest": [{"nu": {"h": list(nu.h), "d": nu.d}} for nu in nus]},
+             Table("highest", [*_h_cols(ad), "d"],
+                   [[*nu.h, nu.d] for nu in nus]))]
+
+
+def _dim_check(rd, ad, v):
+    equal, (mass, product) = weyl_dim_product_check(rd, v["lambda"])
+    return [_result(mass=mass, product=product, equal=equal)]
+
+
+_AFFINE = "dominant affine weight, nodes 0..n"
+
+_COMMANDS = {
+    "demazure-char": _Command(
+        "graded classical Demazure character",
+        (("level", None),
+         ("lambda", "classical weight, comma-separated coroot values"),
+         ("grade", None)),
+        lambda rd, ad, v: [_graded_section(
+            demazure_character(ad, _demazure_label(v)))]),
+    "demazure-dim": _Command(
+        "Demazure module dimension",
+        (("level", None), ("lambda", None), ("grade", None)),
+        lambda rd, ad, v: [_result(dim=demazure_dim(ad, _demazure_label(v)))]),
+    "weyl-char": _Command(
+        "graded local Weyl character and its flag", (("lambda", None),),
+        _weyl_char),
+    "flag": _Command(
+        "level-one flag of a local Weyl module", (("lambda", None),),
+        lambda rd, ad, v: [_flag_section(
+            graded_weyl_character(rd, v["lambda"])[1], rd)]),
+    "level-flag": _Command(
+        "flag by higher-level Demazure characters",
+        (("level", None), ("to_level", None), ("lambda", None)),
+        lambda rd, ad, v: [_flag_section(
+            level_flag(ad, v["level"], v["to_level"], v["lambda"]), rd)]),
+    "local-weyl": _Command(
+        "tensor character over labelled summands",
+        (("factor", "summand as H,..,H@label; repeatable"),),
+        lambda rd, ad, v: [_finite_section(
+            local_weyl_character(rd, v["factors"]))]),
+    "weyl-finite": _Command(
+        "finite simple-module character", (("lambda", None),),
+        lambda rd, ad, v: [_finite_section(
+            weyl_character_finite(rd, v["lambda"]))]),
+    "crystal-check": _Command(
+        "path-crystal character versus operator ladders",
+        (("affine_lambda", "affine weight, coroot values for nodes 0..n"),
+         ("grade", None), ("sigma", "word as comma-separated node indices")),
+        _crystal_check),
+    "joseph": _Command(
+        "highest terms of straight(mu) * crystal",
+        (("mu", _AFFINE), ("affine_lambda", _AFFINE), ("grade", None),
+         ("sigma", None)),
+        _joseph),
+    "dim-check": _Command(
+        "Weyl dimension against the fundamental product", (("lambda", None),),
+        _dim_check),
+}
+
+
+def _handle(args):
+    """Validate a request; its canonical parameters and a thunk computing
+    (json object, tables), which a cache hit never calls."""
+    command = _COMMANDS[args.command]
+    rd = datum_from_label(args.type)
+    ad = affinize(rd)
+    params, values = {"type": rd.label}, {}
+    for kind, _ in command.options:
+        opt = _OPTIONS[kind]
+        value = values[opt.param] = (opt.value(rd, ad, args) if opt.value
+                                     else getattr(args, opt.param))
+        params[opt.param] = opt.plain(value)
+
+    def run():
+        obj, tables = {"command": args.command, **params}, []
+        for fields, table in command.compute(rd, ad, values):
+            obj.update(fields)
+            tables.append(table)
+        return obj, tables
+    return params, run
+
+
+# One handler serves every subcommand: it returns the canonical parameters
+# and the thunk, so validation and computation can be timed apart.
+_HANDLERS: dict[str, Callable] = dict.fromkeys(_COMMANDS, _handle)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,8 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="demflag",
         description="Exact Demazure and graded Weyl module computations.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for kind, text in command.options:
+            opt = _OPTIONS[kind]
+            p.add_argument(opt.flag, help=text, **opt.kwargs)
         p.add_argument("--type", required=True,
                        help="finite type label, e.g. A1, C2, G2")
         p.add_argument("--format", choices=["json", "csv", "table"],
@@ -428,72 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip cache lookup and write")
         p.add_argument("--cache-dir", default=None,
                        help="override the cache directory")
-
-    p = sub.add_parser("demazure-char",
-                       help="graded classical Demazure character")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="classical weight, comma-separated coroot values")
-    p.add_argument("--grade", type=int, default=0)
-    common(p)
-
-    p = sub.add_parser("demazure-dim", help="Demazure module dimension")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--grade", type=int, default=0)
-    common(p)
-
-    p = sub.add_parser("weyl-char",
-                       help="graded local Weyl character and its flag")
-    p.add_argument("--lambda", dest="lam", required=True)
-    common(p)
-
-    p = sub.add_parser("flag", help="level-one flag of a local Weyl module")
-    p.add_argument("--lambda", dest="lam", required=True)
-    common(p)
-
-    p = sub.add_parser("level-flag",
-                       help="flag by higher-level Demazure characters")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--to-level", dest="to_level", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    common(p)
-
-    p = sub.add_parser("local-weyl",
-                       help="tensor character over labelled summands")
-    p.add_argument("--factor", action="append", default=[],
-                   help="summand as H,..,H@label; repeatable")
-    common(p)
-
-    p = sub.add_parser("weyl-finite",
-                       help="finite simple-module character")
-    p.add_argument("--lambda", dest="lam", required=True)
-    common(p)
-
-    p = sub.add_parser("crystal-check",
-                       help="path-crystal character versus operator ladders")
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="affine weight, coroot values for nodes 0..n")
-    p.add_argument("--grade", type=int, default=0)
-    p.add_argument("--sigma", required=True,
-                   help="word as comma-separated node indices")
-    common(p)
-
-    p = sub.add_parser("joseph",
-                       help="highest terms of straight(mu) * crystal")
-    p.add_argument("--mu", required=True,
-                   help="dominant affine weight, nodes 0..n")
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="dominant affine weight, nodes 0..n")
-    p.add_argument("--grade", type=int, default=0)
-    p.add_argument("--sigma", required=True)
-    common(p)
-
-    p = sub.add_parser("dim-check",
-                       help="Weyl dimension against the fundamental product")
-    p.add_argument("--lambda", dest="lam", required=True)
-    common(p)
-
     return parser
 
 

@@ -54,13 +54,6 @@ class FlagDecomposition(NamedTuple):
     level: int
     pieces: tuple[tuple[Weight, int, int], ...]
 
-    def to_obj(self) -> dict:
-        return {
-            "level": self.level,
-            "pieces": [{"lambda": {"h": list(w.h)}, "grade": g, "mult": c}
-                       for w, g, c in self.pieces],
-        }
-
     def multiset(self) -> list[tuple[tuple[int, ...], int]]:
         """Pairs (weight h-values, grade), one entry per multiplicity."""
         out = []
@@ -113,8 +106,6 @@ def greedy_decompose(ad: AffineDatum, g: Character,
     if tie_break not in ("min", "max"):
         raise ValueError(f"tie_break must be min or max, not {tie_break!r}")
     rd = ad.finite
-    if g.datum.label != rd.label:
-        raise ValueError("character datum does not match the affine datum")
     if not check_w_invariance_per_grade(rd, g):
         raise errors.NonDominantLeading(
             "character is not Weyl invariant grade by grade")

@@ -225,13 +225,10 @@ def eps_phi(ad: AffineDatum, i: int, pi: LSPath) -> tuple[int, int]:
 class PathSet:
     """Deduplicated, deterministically ordered set of generated paths."""
 
-    __slots__ = ("datum", "highest", "word", "paths")
+    __slots__ = ("datum", "paths")
 
-    def __init__(self, datum: AffineDatum, highest: Weight,
-                 word: tuple[int, ...], paths: tuple[LSPath, ...]) -> None:
+    def __init__(self, datum: AffineDatum, paths: tuple[LSPath, ...]) -> None:
         self.datum = datum
-        self.highest = highest
-        self.word = word
         self.paths = paths
 
     def __len__(self) -> int:
@@ -271,7 +268,7 @@ def generate_demazure_set(ad: AffineDatum, lam: Weight,
                 grown.add(cur)
                 cur = root_op_f(ad, i, cur)
         paths = grown
-    return PathSet(ad, lam, tuple(word), _sorted(paths))
+    return PathSet(ad, _sorted(paths))
 
 
 def crystal_character(ps: PathSet) -> Character:

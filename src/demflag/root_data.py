@@ -91,14 +91,6 @@ class Weight(NamedTuple):
         raise TypeError(f"unsupported operand type(s) for +: "
                         f"'{type(other).__name__}' and 'Weight'")
 
-    def sort_key(self) -> tuple:
-        return (self.h, self.d)
-
-    def to_obj(self, with_grade: bool = True) -> dict:
-        if with_grade:
-            return {"h": list(self.h), "d": self.d}
-        return {"h": list(self.h)}
-
 
 def _build_cartan(series: str, rank: int) -> list[list[int]]:
     """Bourbaki Cartan matrix with entries ``alpha_j(h_i)``."""

@@ -249,6 +249,10 @@ def test_invariance_checker():
     bad = Character(A1, {((1,), 0): 1})
     assert not check_w_invariance_per_grade(A1, bad)
     assert check_w_invariance_per_grade(A1, Character.zero(A1))
+    c2_char = weyl_character_finite(C2, C2.weight([1, 0]))
+    assert check_w_invariance_per_grade(C2, c2_char)
+    with pytest.raises(ValueError):
+        check_w_invariance_per_grade(A2, c2_char)
 
 
 # ---- character algebra ----

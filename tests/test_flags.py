@@ -69,6 +69,11 @@ def test_greedy_rejects_noninvariant_input():
         greedy_decompose(A1_AFF, bad, 2)
 
 
+def test_greedy_refuses_a_character_of_another_datum():
+    with pytest.raises(ValueError):
+        greedy_decompose(A2_AFF, Character.zero(C2), 2)
+
+
 def test_greedy_rejects_negative_leading_coefficient():
     bad = Character(A1, {((0,), 0): -1})
     with pytest.raises(errors.NegativeMultiplicity):
