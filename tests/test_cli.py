@@ -132,10 +132,24 @@ def test_joseph(capsys):
 # Exit code and sha256 of what each request prints: stdout on exit 0, else
 # stderr, and the other stream must stay empty.  The table holds every
 # `cli` request of the benchmark in its format (the benchmark's digests sort
-# rows and pieces, so they miss row order and whitespace), three `joseph`
-# requests whose highest terms come in path-set order, every help screen at
-# 80 columns, and the bare command.  Requests other than help screens and
-# the bare command run with --no-cache.
+# rows and pieces, so they miss row order and whitespace), the three
+# `JOSEPH_PINS`, every help screen at 80 columns, and the bare command.
+# Requests other than help screens and the bare command run with --no-cache.
+
+# `joseph --format json` requests whose highest terms come in path-set order,
+# which the benchmark digests do not pin: they sort the terms.
+JOSEPH_PINS = {
+    "A2": ("joseph --type A2 --mu 1,0,0 --lambda 0,1,1 --sigma 1,0,2,0,1"
+           " --format json", 0,
+           "d1bf202be9edc5111d78d1bc57069bfd87146c8087a0480b40a82839008d600b"),
+    "C2": ("joseph --type C2 --mu 1,0,0 --lambda 0,1,0 --sigma 2,1,0,2,1"
+           " --format json", 0,
+           "b84bb4b4f25de4bf2a35147bf03207e327fcbe2c0afb1b6bbd014d9dfa86ace3"),
+    "G2": ("joseph --type G2 --mu 1,0,0 --lambda 1,1,0 --sigma 0,1,2,0,1"
+           " --format json", 0,
+           "cc2bb1f07b3ce055dda6038b0451cd5793b52064b152885147a3b4746051ea7b"),
+}
+
 PINS = [
     ("demazure-dim --type A1 --level 1 --lambda 3 --format json", 0,
      "73e080b7ab086f07c423c06a759e6bf01fdc053c39111d0791c18e35811814a8"),
@@ -201,15 +215,7 @@ PINS = [
      "7ad7ded3cebb0d415eb093ec0c88ebfab5a53999c9c1c5d33e7bc610853f6bff"),
     ("dim-check --type B3 --lambda 1,0,0 --format table", 0,
      "2534d7e0a67e050719b1e42fef7c6e9c6fdce5d586ff670c139e0ad3a1315a51"),
-    ("joseph --type A2 --mu 1,0,0 --lambda 0,1,1 --sigma 1,0,2,0,1"
-     " --format json", 0,
-     "d1bf202be9edc5111d78d1bc57069bfd87146c8087a0480b40a82839008d600b"),
-    ("joseph --type C2 --mu 1,0,0 --lambda 0,1,0 --sigma 2,1,0,2,1"
-     " --format json", 0,
-     "b84bb4b4f25de4bf2a35147bf03207e327fcbe2c0afb1b6bbd014d9dfa86ace3"),
-    ("joseph --type G2 --mu 1,0,0 --lambda 1,1,0 --sigma 0,1,2,0,1"
-     " --format json", 0,
-     "cc2bb1f07b3ce055dda6038b0451cd5793b52064b152885147a3b4746051ea7b"),
+    *JOSEPH_PINS.values(),
     ("no-such-command", 2,
      "4c0ab10f173f249635ea49b6baf240a31ce92e1e8f774a50e6db80e516429b74"),
     ("demazure-dim --type Z9 --level 1 --lambda 1", 2,
@@ -266,6 +272,12 @@ def screen(args):
 def test_screen_bytes(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert [args for args, rc, sha in PINS if screen(args) != (rc, sha)] == []
+
+
+@pytest.mark.parametrize("pin", JOSEPH_PINS.values(), ids=list(JOSEPH_PINS))
+def test_joseph_json_bytes(pin):
+    args, rc, sha = pin
+    assert screen(args) == (rc, sha)
 
 
 def test_screen_bytes_under_optimize():
