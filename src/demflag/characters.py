@@ -151,11 +151,6 @@ def _nonzero(terms: Flat) -> Flat:
     return {k: c for k, c in terms.items() if c}
 
 
-def _flat_root(datum: Datum, i: int) -> tuple[int, ...]:
-    alpha = datum.simple_root(i)
-    return alpha.h + (alpha.d,)
-
-
 def _ladder(terms: Flat, p: int, alpha: tuple[int, ...]) -> Flat:
     """One Demazure operator on flat weights ``h + (d,)``.
 
@@ -183,8 +178,8 @@ def demazure_step(datum: Datum, i: int, f: Character) -> Character:
     """One Demazure operator applied to a character, term by term."""
     if f.datum.label != datum.label:
         raise ValueError(f"character does not live on {datum.label}")
-    return Character._wrap(datum, _ladder(f._terms, datum.pos(i),
-                                          _flat_root(datum, i)))
+    p = datum.pos(i)
+    return Character._wrap(datum, _ladder(f._terms, p, datum.flat_roots[p]))
 
 
 def demazure_word_char(datum: Datum, word: Sequence[int],
@@ -196,7 +191,8 @@ def demazure_word_char(datum: Datum, word: Sequence[int],
     """
     terms = Character(datum, {seed: 1})._terms
     for i in reversed(word):
-        terms = _ladder(terms, datum.pos(i), _flat_root(datum, i))
+        p = datum.pos(i)
+        terms = _ladder(terms, p, datum.flat_roots[p])
     return Character._wrap(datum, terms)
 
 
@@ -242,15 +238,14 @@ def shift_grade(g: Character, m: int) -> Character:
 def check_w_invariance_per_grade(rd: RootDatum, g: Character) -> bool:
     """True iff every grade slice is invariant under all simple reflections.
 
-    A finite simple root has ``d = 0``, so reflecting ``k`` to
-    ``k - k[p] alpha_i`` keeps its grade, and comparing all grades at once
-    compares them one by one.
+    A finite flat root ends in ``d = 0``, so reflecting ``k`` to
+    ``k - k[p] flat_roots[p]`` keeps its grade, and comparing all grades at
+    once compares them one by one.
     """
     if g.datum.label != rd.label:
         raise ValueError(f"character does not live on {rd.label}")
     terms = g._terms
-    for i in rd.indices:
-        p, alpha = rd.pos(i), _flat_root(rd, i)
+    for p, alpha in enumerate(rd.flat_roots):
         for k, c in terms.items():
             n = k[p]
             if n and terms.get(

@@ -105,6 +105,8 @@ def greedy_decompose(ad: AffineDatum, g: Character,
     """
     if tie_break not in ("min", "max"):
         raise ValueError(f"tie_break must be min or max, not {tie_break!r}")
+    if level < 1:
+        raise errors.ZeroLevel(f"level must be positive, got {level}")
     rd = ad.finite
     if not check_w_invariance_per_grade(rd, g):
         raise errors.NonDominantLeading(

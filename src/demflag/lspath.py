@@ -111,6 +111,8 @@ class LSPath(NamedTuple):
         from fractions import Fraction
         segs = [(tuple(Fraction(x) for x in v), Fraction(t))
                 for v, t in segments]
+        if any(t < 0 for _, t in segs):
+            raise ValueError("durations must be nonnegative")
         if sum(t for _, t in segs) != 1:
             raise AssertionError("durations must sum to one")
         n = lcm(*(t.denominator for _, t in segs),
@@ -140,15 +142,24 @@ def _heights(pi: LSPath, p: int) -> list[int]:
     return list(accumulate((e[p] for _, e in pi.steps), initial=0))
 
 
-def _reflect(alpha: Vec, p: int, t: int, e: Vec) -> Step:
-    c = e[p]
-    return t, tuple(x - c * a for x, a in zip(e, alpha))
-
-
-def _scaled(steps: Sequence[Step], b: int) -> list[Step]:
-    if b == 1:
-        return list(steps)
-    return [(t * b, tuple(x * b for x in e)) for t, e in steps]
+def _cut_reflect(ad: AffineDatum, p: int, pi: LSPath, k: int, a: int,
+                 b: int, lo: int, hi: int) -> LSPath:
+    """Scale ``pi`` by ``b``, cut step ``k`` at the fraction ``a/b`` of its
+    duration into two steps, and reflect steps ``lo .. hi - 1`` of the
+    result at the node in position ``p``.  A part of zero duration is
+    dropped by the canonical form."""
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    steps = list(pi.steps) if b == 1 else [
+        (t * b, tuple(x * b for x in e)) for t, e in pi.steps]
+    t, e = pi.steps[k]
+    steps[k:k + 1] = [(t * c, tuple(x * c for x in e)) for c in (a, b - a)]
+    alpha = ad.flat_roots[p]
+    for j in range(lo, hi):
+        t, e = steps[j]
+        c = e[p]
+        steps[j] = (t, tuple(x - c * y for x, y in zip(e, alpha)))
+    return _canonical(pi.n * b, steps)
 
 
 def straight_path(ad: AffineDatum, lam: Weight) -> LSPath:
@@ -161,7 +172,7 @@ def straight_path(ad: AffineDatum, lam: Weight) -> LSPath:
 def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
     """Lowering operator for node ``i``; None when undefined."""
     p = ad.pos(i)
-    n, steps = pi.n, pi.steps
+    n = pi.n
     hs = _heights(pi, p)
     m = min(hs)
     if hs[-1] - m < n:
@@ -170,25 +181,15 @@ def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
     k = k0
     while hs[k + 1] < m + n:
         k += 1
-    # Step k is cut at the fraction a/b of its duration.
-    a, b = m + n - hs[k], hs[k + 1] - hs[k]
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    alpha = ad.flat_roots[p]
-    t, e = steps[k]
-    out = _scaled(steps[:k0], b)
-    out += [_reflect(alpha, p, *s) for s in _scaled(steps[k0:k], b)]
-    out.append(_reflect(alpha, p, t * a, tuple(x * a for x in e)))
-    if a != b:
-        out.append((t * (b - a), tuple(x * (b - a) for x in e)))
-    out += _scaled(steps[k + 1:], b)
-    return _canonical(n * b, out)
+    # Step k is cut where h reaches m + 1; its first part is reflected.
+    return _cut_reflect(ad, p, pi, k, m + n - hs[k], hs[k + 1] - hs[k],
+                        k0, k + 1)
 
 
 def root_op_e(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
     """Raising operator for node ``i``; None when undefined."""
     p = ad.pos(i)
-    n, steps = pi.n, pi.steps
+    n = pi.n
     hs = _heights(pi, p)
     m = min(hs)
     if m > -n:
@@ -197,19 +198,9 @@ def root_op_e(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
     k = k1 - 1
     while hs[k] < m + n:
         k -= 1
-    # Step k is cut at the fraction a/b of its duration.
-    a, b = hs[k] - m - n, hs[k] - hs[k + 1]
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    alpha = ad.flat_roots[p]
-    t, e = steps[k]
-    out = _scaled(steps[:k], b)
-    if a:
-        out.append((t * a, tuple(x * a for x in e)))
-    out.append(_reflect(alpha, p, t * (b - a), tuple(x * (b - a) for x in e)))
-    out += [_reflect(alpha, p, *s) for s in _scaled(steps[k + 1:k1], b)]
-    out += _scaled(steps[k1:], b)
-    return _canonical(n * b, out)
+    # Step k is cut where h falls to m + 1; its second part is reflected.
+    return _cut_reflect(ad, p, pi, k, hs[k] - m - n, hs[k] - hs[k + 1],
+                        k + 1, k1 + 1)
 
 
 def eps_phi(ad: AffineDatum, i: int, pi: LSPath) -> tuple[int, int]:

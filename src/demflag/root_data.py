@@ -3,13 +3,19 @@
 Conventions, fixed once and used everywhere downstream:
 
 * Nodes follow the Bourbaki tables.  A finite datum of rank ``n`` has node
-  set ``{1, .., n}``; its untwisted affinization adds node ``0``.
+  set ``{1, .., n}``; its untwisted affinization adds node ``0``, so it has
+  ``{0, .., n}``.  Node ``i`` sits at position ``pos(i)``, that is ``i - 1``
+  on a finite datum and ``i`` on an affine one.
 * The Cartan matrix is stored as ``cartan[i][j] = alpha_j(h_i)``, so the
   column ``j`` is the coordinate vector of the simple root ``alpha_j`` on
   the basis of simple coroots ``h_i``.
 * A weight is the tuple of its integer values on the coroots ``h_i`` (in
   node order) plus the value ``d`` on the scaling element.  Finite-type
   weights simply keep ``d = 0``.
+* ``flat_roots[p]`` is the simple root at position ``p`` as the flat vector
+  ``h + (d,)``: Cartan column ``p`` followed by ``d``, which is ``1`` for
+  the affine ``alpha_0`` and ``0`` for every other simple root.  Every
+  reflection, of weights, characters and paths, reads this one table.
 * The affine simple root ``alpha_0`` equals ``delta - theta`` where
   ``theta`` is the highest root; equivalently ``h_0 = c - h_theta`` with
   ``c`` the canonical central element.  A classical weight ``lam`` embeds
@@ -34,7 +40,8 @@ from __future__ import annotations
 import re
 from functools import cache, cached_property
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence, Union
+from operator import index
+from typing import Iterable, NamedTuple, Sequence
 
 from . import errors
 
@@ -211,12 +218,13 @@ def _integer_inverse(cartan: Sequence[Sequence[int]]) -> tuple[tuple, int]:
     return tuple(tuple(x // g for x in row[n:]) for row in aug), det // g
 
 
-class _FrozenDatum:
+class Datum:
     """Root-datum base: the fields annotated on the class, given by keyword.
 
     Fields are set once, by ``__init__``; assigning or deleting one raises
     ``AttributeError``.  ``cached_property`` writes the instance ``__dict__``
-    directly, so cached values still work.
+    directly, so cached values still work.  The node, weight and simple-root
+    surface reads ``cartan`` and the first node ``_first`` of the subclass.
     """
 
     def __init__(self, **fields) -> None:
@@ -234,8 +242,53 @@ class _FrozenDatum:
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label}>"
 
+    # -- index bookkeeping -------------------------------------------------
 
-class RootDatum(_FrozenDatum):
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(range(self._first, self._first + len(self.cartan)))
+
+    def pos(self, i: int) -> int:
+        p = i - self._first
+        if not 0 <= p < len(self.cartan):
+            raise errors.IndexOutOfRange(f"node {i} not in {self.label}")
+        return p
+
+    # -- weights -----------------------------------------------------------
+
+    def weight(self, h: Iterable[int], d: int = 0) -> Weight:
+        ht = tuple(h)
+        try:
+            ht, d = tuple(map(index, ht)), index(d)
+        except TypeError:
+            raise ValueError(f"weight {ht} at grade {d!r} is not integral") \
+                from None
+        if len(ht) != len(self.cartan):
+            raise ValueError(f"expected {len(self.cartan)} coroot values")
+        return Weight(ht, d)
+
+    def fundamental_weight(self, i: int) -> Weight:
+        p = self.pos(i)
+        return Weight(tuple(int(k == p) for k in range(len(self.cartan))), 0)
+
+    def value(self, mu: Weight, i: int) -> int:
+        return mu.h[self.pos(i)]
+
+    def simple_root(self, i: int) -> Weight:
+        *h, d = self.flat_roots[self.pos(i)]
+        return Weight(tuple(h), d)
+
+    @cached_property
+    def flat_roots(self) -> tuple[tuple[int, ...], ...]:
+        """Each simple root as the flat vector ``h + (d,)``, in node order."""
+        return tuple(col + (int(i == 0),)
+                     for i, col in zip(self.indices, zip(*self.cartan)))
+
+    def is_dominant(self, mu: Weight) -> bool:
+        return all(x >= 0 for x in mu.h)
+
+
+class RootDatum(Datum):
     """Finite root datum over Bourbaki nodes ``1..rank``."""
 
     series: str
@@ -250,50 +303,19 @@ class RootDatum(_FrozenDatum):
     short_nodes: tuple[int, ...]             # empty iff simply laced
     lacing: int                              # squared-length ratio r-dual
 
-    # -- index bookkeeping -------------------------------------------------
+    _first = 1
 
     @property
     def label(self) -> str:
         return f"{self.series}{self.rank}"
 
     @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(range(1, self.rank + 1))
-
-    def pos(self, i: int) -> int:
-        if not 1 <= i <= self.rank:
-            raise errors.IndexOutOfRange(f"node {i} not in {self.label}")
-        return i - 1
-
-    # -- weights -----------------------------------------------------------
-
-    def weight(self, h: Iterable[int], d: int = 0) -> Weight:
-        ht = tuple(int(x) for x in h)
-        if len(ht) != self.rank:
-            raise ValueError(f"expected {self.rank} coroot values")
-        return Weight(ht, d)
-
-    @property
     def zero_weight(self) -> Weight:
         return Weight((0,) * self.rank, 0)
-
-    def fundamental_weight(self, i: int) -> Weight:
-        p = self.pos(i)
-        return Weight(tuple(1 if k == p else 0 for k in range(self.rank)), 0)
 
     @property
     def rho(self) -> Weight:
         return Weight((1,) * self.rank, 0)
-
-    def value(self, mu: Weight, i: int) -> int:
-        return mu.h[self.pos(i)]
-
-    def simple_root(self, i: int) -> Weight:
-        p = self.pos(i)
-        return Weight(tuple(self.cartan[k][p] for k in range(self.rank)), 0)
-
-    def is_dominant(self, mu: Weight) -> bool:
-        return all(x >= 0 for x in mu.h)
 
     # -- simple-root coordinates -------------------------------------------
 
@@ -339,12 +361,14 @@ class RootDatum(_FrozenDatum):
         return tuple(x // q for x in nums)
 
 
-class AffineDatum(_FrozenDatum):
+class AffineDatum(Datum):
     """Untwisted affinization of a finite root datum; node set ``0..rank``."""
 
     finite: RootDatum
     cartan: tuple[tuple[int, ...], ...]      # over nodes 0..rank
     dual_marks: tuple[int, ...]              # level functional, node order
+
+    _first = 0
 
     @property
     def label(self) -> str:
@@ -355,44 +379,8 @@ class AffineDatum(_FrozenDatum):
         return self.finite.rank
 
     @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(range(0, self.rank + 1))
-
-    def pos(self, i: int) -> int:
-        if not 0 <= i <= self.rank:
-            raise errors.IndexOutOfRange(f"node {i} not in {self.label}")
-        return i
-
-    def weight(self, h: Iterable[int], d: int = 0) -> Weight:
-        ht = tuple(int(x) for x in h)
-        if len(ht) != self.rank + 1:
-            raise ValueError(f"expected {self.rank + 1} coroot values")
-        return Weight(ht, d)
-
-    def fundamental_weight(self, i: int) -> Weight:
-        p = self.pos(i)
-        return Weight(tuple(1 if k == p else 0 for k in range(self.rank + 1)),
-                      0)
-
-    @property
     def delta(self) -> Weight:
         return Weight((0,) * (self.rank + 1), 1)
-
-    def value(self, mu: Weight, i: int) -> int:
-        return mu.h[self.pos(i)]
-
-    def simple_root(self, i: int) -> Weight:
-        p = self.pos(i)
-        col = tuple(self.cartan[k][p] for k in range(self.rank + 1))
-        return Weight(col, 1 if i == 0 else 0)
-
-    @cached_property
-    def flat_roots(self) -> tuple[tuple[int, ...], ...]:
-        """Each simple root as the flat vector ``h + (d,)``, in node order."""
-        return tuple(a.h + (a.d,) for a in map(self.simple_root, self.indices))
-
-    def is_dominant(self, mu: Weight) -> bool:
-        return all(x >= 0 for x in mu.h)
 
     def level(self, mu: Weight) -> int:
         return sum(a * v for a, v in zip(self.dual_marks, mu.h))
@@ -403,9 +391,6 @@ class AffineDatum(_FrozenDatum):
             raise ValueError("classical weight has wrong rank")
         h0 = -sum(a * v for a, v in zip(self.finite.comarks, lam.h))
         return Weight((h0,) + lam.h, grade)
-
-
-Datum = Union[RootDatum, AffineDatum]
 
 
 def build_finite_datum(series: str, rank: int) -> RootDatum:
@@ -528,11 +513,9 @@ def reflect_weight(datum: Datum, i: int, mu: Weight) -> Weight:
     v = mu.h[p]
     if v == 0:
         return mu
-    # Column p of the Cartan matrix is alpha_i; only the affine alpha_0
-    # carries delta (a finite datum has no node 0).
-    h = tuple(a - v * row[p] for a, row in zip(mu.h, datum.cartan,
-                                                strict=True))
-    return Weight(h, mu.d - v if i == 0 else mu.d)
+    *h, d = (a - v * b for a, b in zip((*mu.h, mu.d), datum.flat_roots[p],
+                                        strict=True))
+    return Weight(tuple(h), d)
 
 
 def apply_word(datum: Datum, word: Sequence[int], mu: Weight) -> Weight:

@@ -61,6 +61,9 @@ def test_greedy_splits_level_one_into_level_two():
 def test_greedy_on_zero_character():
     fd = greedy_decompose(A1_AFF, Character.zero(A1), 2)
     assert fd.pieces == ()
+    for level in (0, -5):
+        with pytest.raises(errors.ZeroLevel):
+            greedy_decompose(A1_AFF, Character.zero(A1), level)
 
 
 def test_greedy_rejects_noninvariant_input():

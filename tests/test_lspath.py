@@ -167,6 +167,10 @@ def test_canonical_form_merges_and_drops():
 
     with pytest.raises(AssertionError):
         LSPath.make([(v, Fraction(1, 2))])
+    # Durations 3/2 and -1/2 sum to one but trace no path.
+    with pytest.raises(ValueError):
+        LSPath.make([((0, 2, 0), Fraction(3, 2)),
+                     ((0, -2, 0), Fraction(-1, 2))])
 
 
 def test_split_segments_rebuild_the_same_path():

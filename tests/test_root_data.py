@@ -248,6 +248,48 @@ def test_weight_arity_checked():
         A2.weight([1, 0]) + A1.weight([1])
 
 
+def test_weight_refuses_non_integer_coordinates():
+    # int() used to truncate these: A1.weight([2.9]) was 2 omega_1.
+    for datum in (A1, affinize(A1)):
+        n = len(datum.indices)
+        for bad in (2.9, 1.0, Fraction(1, 2), Fraction(2), "2"):
+            with pytest.raises(ValueError):
+                datum.weight([bad] + [0] * (n - 1))
+            with pytest.raises(ValueError):
+                datum.weight([0] * n, bad)
+    with pytest.raises(ValueError):
+        affinize(A1).weight([0.9, 2.7], 1)
+    assert A1.weight([True], 2) == Weight((1,), 2)
+
+
+@pytest.mark.parametrize("rd", list(all_datums()), ids=lambda rd: rd.label)
+def test_shared_datum_surface(rd):
+    for datum in (rd, affinize(rd)):
+        size = len(datum.indices)
+        for i in datum.indices:
+            p, alpha = datum.pos(i), datum.simple_root(i)
+            assert datum.flat_roots[p] == alpha.h + (alpha.d,)
+            # Cartan column p; only the affine alpha_0 carries delta.
+            assert datum.flat_roots[p] \
+                == tuple(row[p] for row in datum.cartan) + (int(i == 0),)
+        rho = datum.weight([1] * size)
+        for mu in (rho, *map(datum.fundamental_weight, datum.indices)):
+            for i in datum.indices:
+                assert reflect_weight(datum, i, mu) \
+                    == mu - mu.h[datum.pos(i)] * datum.simple_root(i)
+        for bad in (datum.indices[0] - 1, datum.indices[-1] + 1):
+            for call in (datum.pos, datum.fundamental_weight,
+                         datum.simple_root, lambda i: datum.value(rho, i),
+                         lambda i: reflect_weight(datum, i, rho)):
+                with pytest.raises(errors.IndexOutOfRange):
+                    call(bad)
+        for n in (size - 1, size + 1):
+            with pytest.raises(ValueError):
+                datum.weight([0] * n)
+        with pytest.raises(ValueError):
+            reflect_weight(datum, datum.indices[0], Weight((1,) * (size + 1)))
+
+
 # ---- affinization ----
 
 
