@@ -7,37 +7,56 @@ and an integer grade offset.  Its extremal affine weight is
                       +  grade * delta,
 
 embedded at level ``level``.  Reducing that weight to the dominant chamber
-yields a dominant affine weight together with a reduced word; the composite
-Demazure operator along the word, applied to the dominant weight and
-projected to graded classical form, is the module's character.  The
-classical highest weight sits at the grade offset with coefficient one, and
-every grade of the support is at least that offset.
+yields a dominant affine weight ``Lambda`` together with a reduced word
+``sigma`` (``solve_extremal``); the composite Demazure operator along
+``sigma``, applied to ``e^Lambda`` and projected to graded classical form,
+is the module's character.  The classical highest weight sits at the grade
+offset with coefficient one, and every grade of the support is at least
+that offset.
+
+The module is stable under the finite Lie algebra.  Let ``u`` be the
+reduced word that ``make_dominant`` returns for
+``level * Lambda_0 + lam + grade * delta``: the classical weight ``lam``
+itself, not its ``w0`` image.  Then ``sigma = w0^lam * u`` with the lengths
+adding, ``w0^lam`` the shortest element of ``w0`` modulo the stabilizer of
+``lam``; the stabilizer's own operators fix ``D_u e^Lambda``, so
+
+    ch D(level, lam, grade) = D_w0 (D_u e^Lambda).
+
+The finite operators commute with the graded classical projection, and
+``D_w0`` is the Weyl symmetrizer: it sends ``e^mu`` to
+``sign(w) * chi(w(mu + rho) - rho)``, with ``w`` carrying ``mu + rho`` into
+the dominant chamber, or to zero when ``mu + rho`` is singular (Demazure
+1974; Humphreys, GTM 9, section 24; Kumar 2002, chapter 8).  So the ladder
+runs along ``u`` only, and each projected term straightens in plain
+integers: add ``rho``, reflect at a node of negative value until there is
+none, flipping the sign at each step, and drop the term when a value is
+zero.  What remains is a map ``{(dominant weight, grade): multiplicity}``.
+The dimension is the sum of multiplicity times Weyl's dimension formula,
+with nothing expanded; the weight character expands each irreducible
+through ``weyl_character_finite`` at its grade.
 
 Characters and dimensions computed this way depend only on the label, not
 on any ground field; the construction is exact integer arithmetic
 throughout.
 
 Since a character depends only on its datum and label, the last
-``MEMO_SIZE`` characters are kept for the life of the process; a repeated
-label returns the same immutable object.  Labels are validated on every
-call, so a bad label raises every time and no error is kept.
+``MEMO_SIZE`` characters and, separately, dimensions are kept for the life
+of the process; a repeated label returns the same immutable object.
+Labels are validated on every call, so a bad label raises every time and
+no error is kept.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from . import errors
-from .characters import (Character, demazure_word_char,
-                         project_graded_classical)
-from .root_data import AffineDatum, Weight, apply_word, make_dominant
-
-# Entries in each module memo (this one and ``flags.graded_weyl_character``'s).
-# Measured on the perfbench ``flags`` and ``ladder`` families: 48 entries
-# give about 95% of the ``flags`` throughput of 64 and 128, and raise peak
-# memory by about 4% instead of 5.5%; 32 give about 80%.
-MEMO_SIZE = 48
+from .characters import (MEMO_SIZE, Character, _nonzero, demazure_word_char,
+                         weyl_character_finite)
+from .root_data import (AffineDatum, RootDatum, Weight, apply_word,
+                        make_dominant)
 
 
 class DemazureLabel(NamedTuple):
@@ -58,6 +77,17 @@ def _validate(ad: AffineDatum, lab: DemazureLabel) -> None:
         raise errors.NotDominant(f"{lab.lam.h} is not dominant")
 
 
+def _reduce(ad: AffineDatum, level: int, lam: Weight,
+            grade: int) -> tuple[Weight, tuple[int, ...]]:
+    """``make_dominant`` of ``level * Lambda_0 + lam + grade * delta``."""
+    target = ad.embed_classical(lam, grade=grade)
+    target = Weight((target.h[0] + level,) + target.h[1:], target.d)
+    dom, word = make_dominant(ad, target)
+    if ad.level(dom) != level:
+        raise AssertionError("chamber reduction changed the level")
+    return dom, word
+
+
 def solve_extremal(ad: AffineDatum,
                    lab: DemazureLabel) -> tuple[Weight, tuple[int, ...]]:
     """Dominant affine weight and reduced word realizing the label.
@@ -69,13 +99,56 @@ def solve_extremal(ad: AffineDatum,
     """
     _validate(ad, lab)
     rd = ad.finite
-    w0lam = apply_word(rd, rd.w0_word, lab.lam)
-    target = ad.embed_classical(w0lam, grade=lab.grade)
-    target = Weight((target.h[0] + lab.level,) + target.h[1:], target.d)
-    lam, word = make_dominant(ad, target)
-    if ad.level(lam) != lab.level:
-        raise AssertionError("chamber reduction changed the level")
-    return lam, word
+    return _reduce(ad, lab.level, apply_word(rd, rd.w0_word, lab.lam),
+                   lab.grade)
+
+
+def _straighten(rd: RootDatum,
+                h: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """``(sign, top)`` with ``D_w0 e^h = sign * chi(top)``, or None for 0."""
+    nu = [x + 1 for x in h]
+    sign = 1
+    while True:
+        for p, v in enumerate(nu):
+            if v <= 0:
+                break
+        else:
+            return sign, tuple(x - 1 for x in nu)
+        if v == 0:
+            return None
+        nu = [a - v * b for a, b in zip(nu, rd.flat_roots[p])]
+        sign = -sign
+
+
+def _labels(ad: AffineDatum, level: int, grade: int, d: int,
+            *h: int) -> dict[tuple[tuple[int, ...], int], int]:
+    """Irreducible multiplicities ``{(top, grade): m}`` of a valid label."""
+    rd = ad.finite
+    dom, u = _reduce(ad, level, Weight(h, d), grade)
+    out: dict[tuple[tuple[int, ...], int], int] = {}
+    get = out.get
+    for k, c in demazure_word_char(ad, u, dom)._terms.items():
+        straight = _straighten(rd, k[1:-1])
+        if straight is not None:
+            sign, top = straight
+            key = (top, k[-1])
+            out[key] = get(key, 0) + sign * c
+    return _nonzero(out)
+
+
+@cache
+def _positive_coroots(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
+    return tuple(rd.coroot(beta) for beta in rd.positive_roots)
+
+
+def _weyl_dim(rd: RootDatum, h: tuple[int, ...]) -> int:
+    """Weyl's dimension formula: the product over positive roots ``beta``
+    of ``(h + rho)(h_beta) / rho(h_beta)``, with ``rho`` all ones."""
+    num = den = 1
+    for co in _positive_coroots(rd):
+        num *= sum(c * (v + 1) for c, v in zip(co, h))
+        den *= sum(co)
+    return num // den
 
 
 def demazure_character(ad: AffineDatum,
@@ -90,10 +163,24 @@ def demazure_character(ad: AffineDatum,
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
 def _character(ad: AffineDatum, level: int, grade: int, d: int,
                *h: int) -> Character:
-    lam, word = solve_extremal(ad, DemazureLabel(level, Weight(h, d), grade))
-    return project_graded_classical(ad, demazure_word_char(ad, word, lam))
+    rd = ad.finite
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for (top, g), m in _labels(ad, level, grade, d, *h).items():
+        for k, c in weyl_character_finite(rd, Weight(top, 0))._terms.items():
+            k = k[:-1] + (g,)
+            out[k] = get(k, 0) + m * c
+    return Character._wrap(rd, _nonzero(out))
 
 
 def demazure_dim(ad: AffineDatum, lab: DemazureLabel) -> int:
-    """Dimension: total mass of the character."""
-    return demazure_character(ad, lab).mass()
+    """Dimension: multiplicities times Weyl dimensions, memoised."""
+    _validate(ad, lab)
+    return _dim(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
+
+
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
+def _dim(ad: AffineDatum, level: int, grade: int, d: int, *h: int) -> int:
+    rd = ad.finite
+    return sum(m * _weyl_dim(rd, top)
+               for (top, _), m in _labels(ad, level, grade, d, *h).items())

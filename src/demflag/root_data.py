@@ -249,9 +249,12 @@ class Datum:
         return tuple(range(self._first, self._first + len(self.cartan)))
 
     def pos(self, i: int) -> int:
-        p = i - self._first
+        try:
+            p = index(i) - self._first
+        except TypeError:
+            p = -1
         if not 0 <= p < len(self.cartan):
-            raise errors.IndexOutOfRange(f"node {i} not in {self.label}")
+            raise errors.IndexOutOfRange(f"node {i!r} not in {self.label}")
         return p
 
     # -- weights -----------------------------------------------------------
@@ -510,11 +513,12 @@ def affinize(rd: RootDatum) -> AffineDatum:
 def reflect_weight(datum: Datum, i: int, mu: Weight) -> Weight:
     """Simple reflection ``s_i(mu) = mu - mu(h_i) alpha_i``."""
     p = datum.pos(i)
+    if len(mu.h) != len(datum.cartan):
+        raise ValueError(f"expected {len(datum.cartan)} coroot values")
     v = mu.h[p]
     if v == 0:
         return mu
-    *h, d = (a - v * b for a, b in zip((*mu.h, mu.d), datum.flat_roots[p],
-                                        strict=True))
+    *h, d = (a - v * b for a, b in zip((*mu.h, mu.d), datum.flat_roots[p]))
     return Weight(tuple(h), d)
 
 

@@ -2,8 +2,10 @@
 
 Each operation is checked against a ``collections.Counter`` over
 ``(h, d)`` keys, and the flat-key invariance check against the slice-by-
-slice reflection it replaced.  Examples are derandomized and no example
-database is written, so the suite stays deterministic.
+slice reflection it replaced.  Demazure characters, straightened through
+the Weyl symmetrizer, are checked against the ladder along the whole
+extremal word.  Examples are derandomized and no example database is
+written, so the suite stays deterministic.
 """
 
 import os
@@ -21,14 +23,19 @@ from hypothesis import strategies as st
 
 from demflag import (
     Character,
+    DemazureLabel,
     Weight,
     affinize,
     check_w_invariance_per_grade,
     datum_from_label,
+    demazure_character,
+    demazure_dim,
+    demazure_word_char,
     forget_grading,
     project_graded_classical,
     reflect_weight,
     shift_grade,
+    solve_extremal,
     weyl_character_finite,
 )
 
@@ -180,3 +187,32 @@ def graded_sums(draw):
 def test_invariance_check_matches_slices(case):
     rd, g = case
     assert check_w_invariance_per_grade(rd, g) == invariant_by_slices(rd, g)
+
+
+# Every finite type up to rank 4.
+SMALL = tuple(map(datum_from_label, (
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4",
+    "G2")))
+
+
+@st.composite
+def demazure_labels(draw):
+    """An affine datum and a label with small coordinates.  F4 keeps a
+    coordinate sum of 1: at (0, 2, 0, 0) the whole-word ladder alone takes
+    about a second."""
+    rd = draw(st.sampled_from(SMALL))
+    top = 1 if rd.label == "F4" else 2
+    h = draw(st.tuples(*[st.integers(0, top)] * rd.rank)
+             .filter(lambda h: sum(h) <= top))
+    lab = DemazureLabel(draw(st.integers(1, 3)), rd.weight(h), draw(grades))
+    return affinize(rd), lab
+
+
+@SETTINGS
+@given(demazure_labels())
+def test_straightened_character_equals_the_whole_ladder(case):
+    ad, lab = case
+    lam, word = solve_extremal(ad, lab)
+    g = project_graded_classical(ad, demazure_word_char(ad, word, lam))
+    assert demazure_character(ad, lab) == g
+    assert demazure_dim(ad, lab) == g.mass()

@@ -159,6 +159,15 @@ def test_weyl_finite_rejects_nondominant():
         weyl_character_finite(A1, A1.weight([-1]))
 
 
+def test_weyl_finite_memo_hands_out_one_object():
+    f = weyl_character_finite(G2, G2.weight([1, 1]))
+    assert weyl_character_finite(G2, Weight([1, 1])) is f
+    assert weyl_character_finite(G2, G2.weight([1, 1], 1)) \
+        == shift_grade(f, 1)
+    with pytest.raises(errors.NotDominant):
+        weyl_character_finite(G2, G2.weight([1, -1]))
+
+
 def test_weyl_finite_known_dimensions():
     table = [(A2, (1, 1), 8), (C2, (1, 0), 4), (C2, (0, 1), 5),
              (C2, (2, 0), 10), (C2, (1, 1), 16),

@@ -135,6 +135,38 @@ def test_dimension_monotone_along_dominance():
             assert dims == sorted(dims)
 
 
+def _kr_dim(ad, a, m):
+    """Dimension of ``D(m, m omega_a)``, one for ``m = 0``."""
+    rd = ad.finite
+    return demazure_dim(ad, DemazureLabel(m, m * rd.fundamental_weight(a))) \
+        if m else 1
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "D4", "D5", "E6"])
+def test_dimensions_satisfy_the_q_system(label):
+    """In simply-laced type the Kirillov-Reshetikhin module ``W^a_m`` is the
+    Demazure module ``D(m, m omega_a)`` (Chari-Moura 2006;
+    Fourier-Littelmann 2007), and by the Kirillov-Reshetikhin conjecture
+    (Nakajima 2003; Hernandez 2006) the dimensions ``Q^a_m`` satisfy
+
+        (Q^a_m)^2 = Q^a_(m+1) Q^a_(m-1) + prod over neighbours b of Q^b_m,
+
+    with ``Q^a_0 = 1``: an identity between dimensions that no part of
+    the Demazure construction knows of."""
+    rd = datum_from_label(label)
+    ad = affinize(rd)
+    for a in rd.indices:
+        nbrs = [b for b in rd.indices
+                if b != a and rd.cartan[rd.pos(a)][rd.pos(b)]]
+        for m in (1, 2):
+            prod = 1
+            for b in nbrs:
+                prod *= _kr_dim(ad, b, m)
+            assert _kr_dim(ad, a, m) ** 2 \
+                == _kr_dim(ad, a, m + 1) * _kr_dim(ad, a, m - 1) + prod, \
+                (label, a, m)
+
+
 # ---- structural invariants ----
 
 
@@ -237,8 +269,8 @@ def test_bad_labels_raise_on_every_call():
 
 
 def test_memo_stays_within_its_bound():
-    demazure._character.cache_clear()
+    demazure._dim.cache_clear()
     for grade in range(demazure.MEMO_SIZE + 8):
         demazure_dim(A1_AFF, DemazureLabel(1, A1.weight([grade % 3]), grade))
-        assert demazure._character.cache_info().currsize \
+        assert demazure._dim.cache_info().currsize \
             == min(grade + 1, demazure.MEMO_SIZE)

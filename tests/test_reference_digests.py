@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from demflag import cli, demazure, flags, generate_demazure_set
+from demflag import characters, cli, demazure, flags, generate_demazure_set
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -38,6 +38,8 @@ def test_outputs_match_reference_digests(workload):
     # Each request twice, as the benchmark re-issues them: the second
     # answer comes from the memos, so a changed or stale entry shows.
     demazure._character.cache_clear()
+    demazure._dim.cache_clear()
+    characters._weyl_character.cache_clear()
     flags._graded_weyl.cache_clear()
     requests = _requests(workload)
     library = Library(workloads.labels(requests))

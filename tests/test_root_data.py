@@ -277,7 +277,10 @@ def test_shared_datum_surface(rd):
             for i in datum.indices:
                 assert reflect_weight(datum, i, mu) \
                     == mu - mu.h[datum.pos(i)] * datum.simple_root(i)
-        for bad in (datum.indices[0] - 1, datum.indices[-1] + 1):
+        # Nodes are integers in range: a float, even an integral one, a
+        # string or None is no node.
+        for bad in (datum.indices[0] - 1, datum.indices[-1] + 1,
+                    1.5, 1.0, "1", None):
             for call in (datum.pos, datum.fundamental_weight,
                          datum.simple_root, lambda i: datum.value(rho, i),
                          lambda i: reflect_weight(datum, i, rho)):
@@ -286,8 +289,9 @@ def test_shared_datum_surface(rd):
         for n in (size - 1, size + 1):
             with pytest.raises(ValueError):
                 datum.weight([0] * n)
-        with pytest.raises(ValueError):
-            reflect_weight(datum, datum.indices[0], Weight((1,) * (size + 1)))
+            for i in datum.indices:
+                with pytest.raises(ValueError):
+                    reflect_weight(datum, i, Weight((1,) * n))
 
 
 # ---- affinization ----
