@@ -17,6 +17,41 @@ The Demazure operator for node ``i`` acts term by term on ``e^mu`` with
 Composites along a reduced word therefore stay exact in integers, and the
 operator is idempotent node by node.
 
+The character of the simple module of dominant highest weight ``lam`` is
+found without a ladder, in three steps, all in integers:
+
+* The dominant weights below ``lam``: subtract positive roots while the
+  result stays dominant.  Every dominant weight below ``lam`` is reached,
+  since a cover between dominant weights is a positive root (Stembridge
+  1998), and each comes with the simple-root coordinates ``c`` of
+  ``lam - mu``.
+* Their multiplicities, by Freudenthal's formula (Humphreys, GTM 9,
+  section 22.3; Moody and Patera 1982), in decreasing height:
+
+      m(mu) (lam - mu, lam + mu + 2 rho)
+        = 2 sum_{alpha > 0} sum_{k >= 1} m(mu + k alpha) (mu + k alpha, alpha)
+
+  The form is scaled so that ``(alpha_j, alpha_j) = 2 d_j`` with ``d`` the
+  symmetrizer; then ``(mu, alpha_j) = d_j mu(h_j)``, and every pairing
+  above has one side with known simple-root coordinates, so it is an
+  integer dot product.  ``(alpha, alpha)`` is kept per datum and
+  ``(mu, alpha)`` is taken once per string, whose every further step adds
+  ``(alpha, alpha)``.  ``m(mu + k alpha)`` is the multiplicity of its
+  dominant conjugate, which is higher and already known, since each orbit
+  is written out as soon as its multiplicity is; it is looked up by the
+  simple-root coordinates of ``lam - mu - k alpha``, packed into one int.
+  A string stops at its first zero, since root strings through weights
+  have no gaps.  Every division must be exact; one that is not raises
+  ``AssertionError`` (a ``raise``, so ``python -O`` keeps it).
+* Each dominant weight's Weyl orbit, reflecting at nodes of positive value.
+  The orbit is a tree, each weight's parent being its reflection at its
+  first negative node, so no weight is reached twice and nothing records
+  what was seen.
+
+The cost follows the number of dominant weights and the orbit sizes, not
+the number of terms times the length of ``w0``.  The ladder along ``w0``
+gives the same character, and the tests compare the two.
+
 A graded classical character is the shadow of an affine one: restrict each
 weight to the finite coroots and keep ``d`` as the grade.
 
@@ -28,8 +63,8 @@ object to every caller.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import add, sub
+from functools import cache, lru_cache
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from . import errors
@@ -208,22 +243,105 @@ def demazure_word_char(datum: Datum, word: Sequence[int],
 def weyl_character_finite(rd: RootDatum, lam: Weight) -> Character:
     """Character of the simple finite-dimensional module of highest weight.
 
-    Memoised: a repeated weight returns the same immutable object.
+    ``lam`` must be dominant, and it goes through ``rd.weight``, so a
+    coordinate or grade that is not an integer raises ``ValueError``.
+    Memoised: a repeated weight returns the same immutable object.  The
+    memo is keyed by value and type and checks the weight on a miss; a hit
+    repeats values, of the same types, that passed.
     """
-    if not rd.is_dominant(lam):
-        raise errors.NotDominant(f"{lam.h} is not dominant for {rd.label}")
     return _weyl_character(rd, lam.d, *lam.h)
+
+
+@cache
+def _roots(rd: RootDatum) -> tuple[tuple[tuple[int, ...], tuple[int, ...],
+                                         tuple[int, ...], int], ...]:
+    """Per positive root ``alpha``: its coroot values ``a``, its simple-root
+    coordinates ``b``, the row ``(d_j b_j)`` whose dot product with a
+    weight is the pairing with ``alpha``, and ``(alpha, alpha)``."""
+    out = []
+    for b in rd.positive_roots:
+        a = tuple(sum(map(mul, row, b)) for row in rd.cartan)
+        pair = tuple(map(mul, rd.symmetrizer, b))
+        out.append((a, b, pair, sum(map(mul, pair, a))))
+    return tuple(out)
 
 
 # Four times ``MEMO_SIZE``, since each Demazure character expands into
 # several irreducibles: 192 entries hold all 121 distinct ones of a
 # perfbench ``flags`` pass, and a ``ladder`` pass (213) computes each once.
-# ``ladder`` throughput at 48, 96 and 192 entries was 798, 833 and 881 rps
-# and peak memory 25.0, 25.3 and 25.7 MB, against 24.6 MB for the whole
-# extremal-word ladder before (one 8 s run each, 2-vCPU Xeon).
+# With Freudenthal misses, ``ladder`` throughput at 48, 96 and 192 entries
+# was 1313-1349, 1387-1395 and 1501-1529 rps, with peak memory 24.5, 24.8
+# and 25.0-25.3 MB; ``flags`` read 1144-1183, 1182-1188 and 1181-1205 rps
+# (two 20 s runs each, 2-vCPU Xeon).
 @lru_cache(maxsize=4 * MEMO_SIZE, typed=True)
 def _weyl_character(rd: RootDatum, d: int, *h: int) -> Character:
-    return demazure_word_char(rd, rd.w0_word, Weight(h, d))
+    lam = rd.weight(h, d)
+    if not rd.is_dominant(lam):
+        raise errors.NotDominant(f"{lam.h} is not dominant for {rd.label}")
+    h, d = lam
+    roots = _roots(rd)
+    rank = rd.rank
+    # The dominant weights below the top, each with the simple-root
+    # coordinates of the top minus it.
+    dom = {h: (0,) * rank}
+    todo = [h]
+    while todo:
+        mu = todo.pop()
+        c = dom[mu]
+        for a, b, _, _ in roots:
+            nu = tuple(map(sub, mu, a))
+            if min(nu) >= 0 and nu not in dom:
+                dom[nu] = tuple(map(add, c, b))
+                todo.append(nu)
+    # A weight's code reads those coordinates as digits in base ``base``.
+    # On weights they lie in ``0 .. 2 * height(top)``, and one root step
+    # past a weight lowers each by at most a coordinate of theta, so the
+    # weights and the first non-weight of each string have distinct codes.
+    base = 2 * rd.height(h) // rd._inverse[1] + max(rd.theta_coords) + 1
+    powers = [base ** j for j in range(rank)]
+    steps = [(sum(map(mul, powers, b)), pair, aa) for _, b, pair, aa in roots]
+    top2 = [t + 2 for t in h]
+    sym = rd.symmetrizer
+    flat_roots = rd.flat_roots
+    out: Flat = {}
+    mult: dict[int, int] = {}
+    get = mult.get
+    for mu, c in sorted(dom.items(), key=lambda t: sum(t[1])):
+        code = sum(map(mul, powers, c))
+        if not code:                    # the top
+            m = 1
+        else:
+            total = 0
+            for step, pair, aa in steps:
+                up = code - step
+                k = get(up)
+                if k:
+                    x = sum(map(mul, pair, mu))
+                    while k:
+                        x += aa
+                        total += k * x
+                        up -= step
+                        k = get(up)
+            norm = sum(map(mul, map(mul, sym, c), map(add, top2, mu)))
+            m, r = divmod(2 * total, norm)
+            if r:
+                raise AssertionError("Freudenthal division is not exact")
+        # The orbit, as a tree: the parent of ``nu`` is its reflection at
+        # its first negative node ``f``, so ``s_p nu`` (``nu_p > 0``) is a
+        # child when it has no negative value before ``p``.  That holds
+        # for ``p < f``; for ``p > f`` it needs node ``f`` next to ``p``.
+        stack = [((*mu, d), code, rank)]
+        while stack:
+            nu, code, f = stack.pop()
+            out[nu] = mult[code] = m
+            for p in range(rank):
+                v = nu[p]
+                if v > 0 and (p < f or flat_roots[p][f]):
+                    child = tuple([x - v * y
+                                   for x, y in zip(nu, flat_roots[p])])
+                    if p < f or min(child[:p]) >= 0:
+                        stack.append((child, code + v * powers[p], p))
+    return Character._wrap(rd, out)
 
 
 def project_graded_classical(ad: AffineDatum, f: Character) -> Character:

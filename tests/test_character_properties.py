@@ -4,8 +4,10 @@ Each operation is checked against a ``collections.Counter`` over
 ``(h, d)`` keys, and the flat-key invariance check against the slice-by-
 slice reflection it replaced.  Demazure characters, straightened through
 the Weyl symmetrizer, are checked against the ladder along the whole
-extremal word.  Examples are derandomized and no example database is
-written, so the suite stays deterministic.
+extremal word, and finite Weyl characters, found by Freudenthal's formula,
+against the ladder along the longest word ``w0``.  Examples are
+derandomized and no example database is written, so the suite stays
+deterministic.
 """
 
 import os
@@ -18,6 +20,7 @@ os.environ.setdefault(
     "HYPOTHESIS_STORAGE_DIRECTORY",
     os.path.join(tempfile.gettempdir(), "demflag-hypothesis"))
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -216,3 +219,38 @@ def test_straightened_character_equals_the_whole_ladder(case):
     g = project_graded_classical(ad, demazure_word_char(ad, word, lam))
     assert demazure_character(ad, lab) == g
     assert demazure_dim(ad, lab) == g.mass()
+
+
+@st.composite
+def dominant_weights(draw):
+    """A finite datum and a dominant weight with coordinate sum at most 3,
+    at most 1 on F4, at a grade."""
+    rd = draw(st.sampled_from(SMALL))
+    top = 1 if rd.label == "F4" else 3
+    h = draw(st.tuples(*[st.integers(0, top)] * rd.rank)
+             .filter(lambda h: sum(h) <= top))
+    return rd, rd.weight(h, draw(grades))
+
+
+@SETTINGS
+@given(dominant_weights())
+def test_weyl_character_equals_the_w0_ladder(case):
+    rd, lam = case
+    assert weyl_character_finite(rd, lam) \
+        == demazure_word_char(rd, rd.w0_word, lam)
+
+
+# Every exceptional fundamental weight whose w0 ladder takes under about
+# 0.3 s; E7 w4 and E8 w2 .. w7 take from 0.7 s to far longer.
+FUNDAMENTALS = ([("G2", i) for i in (1, 2)] + [("F4", i) for i in (1, 2, 3, 4)]
+                + [("E6", i) for i in (1, 2, 3, 4, 5, 6)]
+                + [("E7", i) for i in (1, 2, 3, 5, 6, 7)]
+                + [("E8", i) for i in (1, 8)])
+
+
+@pytest.mark.parametrize("label,node", FUNDAMENTALS)
+def test_exceptional_fundamental_equals_the_w0_ladder(label, node):
+    rd = datum_from_label(label)
+    lam = rd.fundamental_weight(node)
+    assert weyl_character_finite(rd, lam) \
+        == demazure_word_char(rd, rd.w0_word, lam)

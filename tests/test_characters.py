@@ -9,6 +9,7 @@ from demflag import (
     Weight,
     affinize,
     apply_word,
+    characters,
     check_w_invariance_per_grade,
     datum_from_label,
     demazure_step,
@@ -159,6 +160,29 @@ def test_weyl_finite_rejects_nondominant():
         weyl_character_finite(A1, A1.weight([-1]))
 
 
+def test_weyl_finite_normalises_its_weight():
+    f = weyl_character_finite(A2, Weight((True, 0), 0))
+    assert f == weyl_character_finite(A2, A2.weight([1, 0]))
+    assert all(type(x) is int for (h, d), _ in f.terms() for x in (*h, d))
+    with pytest.raises(ValueError):
+        weyl_character_finite(A2, Weight((1, 0), 0.5))
+    with pytest.raises(ValueError):
+        weyl_character_finite(A2, Weight((1.0, 0), 0))
+
+
+def test_weyl_finite_checks_every_division(monkeypatch):
+    """The exact-division check is a raise, so it holds under ``-O`` too:
+    a wrong ``(alpha, alpha)`` on A1 leaves 2 * 3 / 4 at the zero weight."""
+    (a, b, pair, _), = characters._roots(A1)
+    monkeypatch.setattr(characters, "_roots", lambda rd: ((a, b, pair, 3),))
+    characters._weyl_character.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="not exact"):
+            weyl_character_finite(A1, A1.weight([2]))
+    finally:
+        characters._weyl_character.cache_clear()
+
+
 def test_weyl_finite_memo_hands_out_one_object():
     f = weyl_character_finite(G2, G2.weight([1, 1]))
     assert weyl_character_finite(G2, Weight([1, 1])) is f
@@ -197,6 +221,15 @@ def test_weyl_finite_matches_dimension_formula():
         assert f.mass() == weyl_dim(rd, lam), (rd.label, h)
         assert f.coefficient(lam) == 1
         assert f.coefficient(apply_word(rd, rd.w0_word, lam)) == 1
+
+
+def test_weyl_finite_reaches_e8_omega2():
+    """No test compares E8 w2 with the w0 ladder, which is too slow there;
+    its mass is checked against Weyl's dimension formula."""
+    E8 = datum_from_label("E8")
+    lam = E8.fundamental_weight(2)
+    assert weyl_character_finite(E8, lam).mass() == weyl_dim(E8, lam) \
+        == 147250
 
 
 def test_weyl_finite_is_w_invariant():

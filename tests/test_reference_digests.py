@@ -1,13 +1,13 @@
 """Outputs against the benchmark's recorded digests.
 
 ``perfbench/reference.json`` holds the canonical digest of every benchmark
-request's output.  The ``ladder`` family (without its E8 rungs, which take
-seconds), the ``flags`` family and the ``paths`` family are issued again
-here through the benchmark's own request code, each request twice in a row,
-and every digest must match both times.  The ``cli`` family runs in-process
-through ``cli.main``, each request first as a cache miss and then as a hit.  The digests sort what they cover, so the
-order of each ``paths`` path set is checked on its own, against the order of
-the rational segments.  Nothing under ``perfbench/`` is written.
+request's output.  The ``ladder``, ``flags`` and ``paths`` families are
+issued again here through the benchmark's own request code, each request
+twice in a row, and every digest must match both times.  The ``cli``
+family runs in-process through ``cli.main``, each request first as a cache
+miss and then as a hit.  The digests sort what they cover, so the order of
+each ``paths`` path set is checked on its own, against the order of the
+rational segments.  Nothing under ``perfbench/`` is written.
 """
 
 import json
@@ -29,10 +29,6 @@ with open(os.path.join(PERFBENCH, "reference.json"), encoding="utf-8") as _fh:
     REFERENCE = json.load(_fh)
 
 
-def _requests(workload):
-    return [r for r in workloads.family(workload) if r[1] != "E8"]
-
-
 @pytest.mark.parametrize("workload", ["ladder", "flags", "paths"])
 def test_outputs_match_reference_digests(workload):
     # Each request twice, as the benchmark re-issues them: the second
@@ -41,7 +37,7 @@ def test_outputs_match_reference_digests(workload):
     demazure._dim.cache_clear()
     characters._weyl_character.cache_clear()
     flags._graded_weyl.cache_clear()
-    requests = _requests(workload)
+    requests = workloads.family(workload)
     library = Library(workloads.labels(requests))
     library.build()
     expected = REFERENCE[workload]
