@@ -44,12 +44,14 @@ Since a character depends only on its datum and label, the last
 ``MEMO_SIZE`` characters and, separately, dimensions are kept for the life
 of the process; a repeated label returns the same immutable object.
 Labels are validated on every call, so a bad label raises every time and
-no error is kept.
+no error is kept.  Integrality is checked on a miss: the memos key every
+number by its type, so a float never shares an entry with an integer.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from operator import index
 from typing import NamedTuple
 
 from . import errors
@@ -122,9 +124,15 @@ def _straighten(rd: RootDatum,
 
 def _labels(ad: AffineDatum, level: int, grade: int, d: int,
             *h: int) -> dict[tuple[tuple[int, ...], int], int]:
-    """Irreducible multiplicities ``{(top, grade): m}`` of a valid label."""
+    """Irreducible multiplicities ``{(top, grade): m}`` of a valid label,
+    whose numbers are checked integral here, on the memo miss."""
     rd = ad.finite
-    dom, u = _reduce(ad, level, Weight(h, d), grade)
+    try:
+        level, grade = index(level), index(grade)
+    except TypeError:
+        raise ValueError(f"level {level!r} and grade {grade!r} must be "
+                         f"integers") from None
+    dom, u = _reduce(ad, level, rd.weight(h, d), grade)
     out: dict[tuple[tuple[int, ...], int], int] = {}
     get = out.get
     for k, c in demazure_word_char(ad, u, dom)._terms.items():

@@ -43,6 +43,23 @@ Demazure crystal; summing exponentials of endpoints gives its character.
 This provides a check of the operator-ladder characters by a construction
 that shares no code with them.
 
+Every direction ``E / T`` of a generated path lies in the Weyl orbit of
+``lam``, so it is an integral weight: the straight path's direction is
+``lam``; a reflected step's direction ``v`` becomes ``s_i v = v - v(h_i)
+alpha_i``; cutting keeps directions; and merging joins only positively
+proportional neighbours, which in one orbit are equal, because the level
+is Weyl-invariant and positive (a dominant weight of level zero is a
+multiple of ``delta``, and no operator is defined on its path).  The set
+is therefore ordered on ``E // T``, with the exactness checked.
+
+``generate_demazure_set`` checks its weight (integral, of the datum's rank,
+dominant) and every letter on every call, so a bad input raises every time
+and no error is kept.  It then looks the set up in a per-process memo of
+the last ``MEMO_SIZE // 6`` sets, keyed by datum, straight path and
+letters; a repeated request returns the same ``PathSet``.  A ``PathSet``
+is immutable, and ``crystal_character`` sums its endpoint weights once and
+keeps the character on the set.
+
 Concatenation squeezes both factors to half duration at double speed,
 first factor first, so each displacement is kept, only the scale changes,
 and endpoint weights add.  For a dominant weight ``mu``, the
@@ -58,13 +75,14 @@ never built for the test.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from . import errors
-from .characters import Character
+from .characters import MEMO_SIZE, Character
 from .root_data import AffineDatum, Weight
 
 Vec = tuple[int, ...]
@@ -92,7 +110,12 @@ def _canonical(n: int, steps: Sequence[Step]) -> "LSPath":
             merged[-1] = (t0 + t, tuple(map(add, e0, e)))
         else:
             merged.append((t, e))
-    g = gcd(n, *(t for t, _ in merged), *(x for _, e in merged for x in e))
+    # The displacements are read only when ``n`` and the durations share a
+    # factor.  On a generated path each ``T`` divides its ``E`` (module
+    # docstring), so that common factor is already the joint gcd.
+    g = gcd(n, *(t for t, _ in merged))
+    if g > 1:
+        g = gcd(g, *(x for _, e in merged for x in e))
     if g > 1:
         n //= g
         merged = [(t // g, tuple(x // g for x in e)) for t, e in merged]
@@ -214,13 +237,21 @@ def eps_phi(ad: AffineDatum, i: int, pi: LSPath) -> tuple[int, int]:
 
 
 class PathSet:
-    """Deduplicated, deterministically ordered set of generated paths."""
+    """Deduplicated, deterministically ordered, immutable set of generated
+    paths; ``crystal_character`` keeps its result on the set."""
 
-    __slots__ = ("datum", "paths")
+    __slots__ = ("datum", "paths", "_character")
 
     def __init__(self, datum: AffineDatum, paths: tuple[LSPath, ...]) -> None:
-        self.datum = datum
-        self.paths = paths
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "_character", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("PathSet is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("PathSet is immutable")
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -232,25 +263,47 @@ class PathSet:
 def _sorted(paths: set[LSPath]) -> tuple[LSPath, ...]:
     """Paths in the order of their segments: directions, then durations.
 
-    Directions ``E / T`` are compared at the lcm of every ``T`` in the set
-    and durations ``T / n`` at the lcm of every ``n``, so the integer key
-    orders exactly as the rational segments do.
+    A direction ``E / T`` is integral (module docstring), so it is compared
+    as ``E // T``; durations ``T / n`` are compared at the lcm of every
+    ``n``.  The integer key orders exactly as the rational segments do.
     """
-    lt = lcm(*(t for pi in paths for t, _ in pi.steps))
     ln = lcm(*(pi.n for pi in paths))
 
-    def key(pi: LSPath) -> tuple:
+    def key(pi: LSPath) -> list:
         s = ln // pi.n
-        return tuple((tuple(x * (lt // t) for x in e), t * s)
-                     for t, e in pi.steps)
+        out = []
+        for t, e in pi.steps:
+            if t > 1:
+                v = tuple([x // t for x in e])
+                # Each floor leaves a remainder in 0 .. t - 1, so the sums
+                # agree iff every remainder is zero.
+                if sum(e) != t * sum(v):
+                    raise AssertionError("path direction is not integral")
+                e = v
+            out.append((e, t * s))
+        return out
     return tuple(sorted(paths, key=key))
 
 
 def generate_demazure_set(ad: AffineDatum, lam: Weight,
                           word: Sequence[int]) -> PathSet:
     """All ``f``-strings along the word, last letter first, from straight."""
-    paths = {straight_path(ad, lam)}
-    for i in reversed(tuple(word)):
+    top = straight_path(ad, ad.weight(lam.h, lam.d))
+    nodes = ad.indices
+    return _path_set(ad, top, tuple(nodes[ad.pos(i)] for i in word))
+
+
+# The memo holds each set with every path in it, so its bound is the
+# smallest of the module memos.  Peak memory of one in-process pass of the
+# perfbench ``paths`` family, each re-issued request asked twice in a row,
+# was 20.6 MB with no memo and 21.1, 21.5, 22.0 and 23.9 MB with 4, 8, 16
+# and 48 sets held (Python 3.11.7, x86-64).  Callers repeat a set at once
+# (a repeated request, ``joseph_highest`` for several ``mu`` over one
+# crystal), so eight serve them.
+@lru_cache(maxsize=MEMO_SIZE // 6, typed=True)
+def _path_set(ad: AffineDatum, top: LSPath, word: tuple[int, ...]) -> PathSet:
+    paths = {top}
+    for i in reversed(word):
         grown: set[LSPath] = set()
         for p in paths:
             # A string can stop at a member: grown is closed under f_i.
@@ -263,8 +316,11 @@ def generate_demazure_set(ad: AffineDatum, lam: Weight,
 
 
 def crystal_character(ps: PathSet) -> Character:
-    """Sum of exponentials of endpoint weights."""
-    return Character(ps.datum, Counter(p.weight() for p in ps.paths))
+    """Sum of exponentials of endpoint weights, computed once per set."""
+    if ps._character is None:
+        object.__setattr__(ps, "_character", Character(
+            ps.datum, Counter(p.weight() for p in ps.paths)))
+    return ps._character
 
 
 def concat_paths(p1: LSPath, p2: LSPath) -> LSPath:
@@ -295,13 +351,15 @@ def joseph_highest(ad: AffineDatum, mu: Weight, lam: Weight,
     for every node.  Returns the surviving crystal members with the
     dominant weights ``mu + wt(b)``, in the path set's deterministic order.
     """
+    mu = ad.weight(mu.h, mu.d)
     if not ad.is_dominant(mu):
         raise errors.NotDominant(f"{mu.h} is not dominant for {ad.label}")
     ps = generate_demazure_set(ad, lam, word)
+    # Each node's position ``p`` with ``mu(h_i)``, which is ``mu.h[p]``.
+    nodes = tuple(enumerate(mu.h))
     out: list[tuple[LSPath, Weight]] = []
     for b in ps.paths:
-        if all(ad.value(mu, i) * b.n + min(_heights(b, ad.pos(i))) >= 0
-               for i in ad.indices):
+        if all(v * b.n + min(_heights(b, p)) >= 0 for p, v in nodes):
             nu = mu + b.weight()
             if not ad.is_dominant(nu):
                 raise AssertionError("highest term must be dominant")

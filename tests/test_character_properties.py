@@ -4,8 +4,9 @@ Each operation is checked against a ``collections.Counter`` over
 ``(h, d)`` keys, and the flat-key invariance check against the slice-by-
 slice reflection it replaced.  Demazure characters, straightened through
 the Weyl symmetrizer, are checked against the ladder along the whole
-extremal word, and finite Weyl characters, found by Freudenthal's formula,
-against the ladder along the longest word ``w0``.  Examples are
+extremal word, finite Weyl characters, found by Freudenthal's formula,
+against the ladder along the longest word ``w0``, and path crystals against
+the ladder along their word and the order of their segments.  Examples are
 derandomized and no example database is written, so the suite stays
 deterministic.
 """
@@ -30,11 +31,13 @@ from demflag import (
     Weight,
     affinize,
     check_w_invariance_per_grade,
+    crystal_character,
     datum_from_label,
     demazure_character,
     demazure_dim,
     demazure_word_char,
     forget_grading,
+    generate_demazure_set,
     project_graded_classical,
     reflect_weight,
     shift_grade,
@@ -254,3 +257,41 @@ def test_exceptional_fundamental_equals_the_w0_ladder(label, node):
     lam = rd.fundamental_weight(node)
     assert weyl_character_finite(rd, lam) \
         == demazure_word_char(rd, rd.w0_word, lam)
+
+
+PATH_AFFINE = tuple(map(affinize, FINITE))
+
+
+def reduced_words(ad, max_len=5):
+    """Every reduced word of length 1 to ``max_len``.  A word is built last
+    letter first: a letter keeps it reduced iff its node pairs positively
+    with the image of ``rho`` under the letters so far."""
+    out, grown = [], [((), ad.weight([1] * len(ad.indices)))]
+    for _ in range(max_len):
+        grown = [((i,) + word, reflect_weight(ad, i, cur))
+                 for word, cur in grown for i in ad.indices
+                 if ad.value(cur, i) > 0]
+        out += [word for word, _ in grown]
+    return out
+
+
+REDUCED = {ad: reduced_words(ad) for ad in PATH_AFFINE}
+
+
+@st.composite
+def path_crystals(draw):
+    """An affine datum, a dominant weight of level at most 2 at a grade,
+    and a reduced word of length at most 5."""
+    ad = draw(st.sampled_from(PATH_AFFINE))
+    h = draw(st.tuples(*[st.integers(0, 2)] * len(ad.indices))
+             .filter(lambda h: ad.level(Weight(h)) <= 2))
+    return ad, ad.weight(h, draw(grades)), draw(st.sampled_from(REDUCED[ad]))
+
+
+@SETTINGS
+@given(path_crystals())
+def test_path_sets_are_sorted_and_match_the_ladder(case):
+    ad, lam, word = case
+    ps = generate_demazure_set(ad, lam, word)
+    assert list(ps.paths) == sorted(ps.paths, key=lambda p: p.segments)
+    assert crystal_character(ps) == demazure_word_char(ad, word, lam)

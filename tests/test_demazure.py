@@ -240,8 +240,8 @@ def test_list_coordinates_share_the_tuple_entry():
 
 
 def test_float_labels_never_share_an_integer_entry():
-    # Floats are not part of the contract; whatever a float level or grade
-    # gives, it gives whether or not the integer label is memoised.
+    # A float level or grade raises whether or not the integer label is
+    # memoised.
     cases = [(A1_AFF, DemazureLabel(level, A1.weight([2]), grade))
              for level, grade in ((1.0, 0), (2.0, 0), (1, 1.0))]
     for ad, lab in cases:
@@ -250,10 +250,37 @@ def test_float_labels_never_share_an_integer_entry():
         demazure_character(ad, lab._replace(level=int(lab.level),
                                             grade=int(lab.grade)))
         assert _outcome(lambda: demazure_character(ad, lab)) == fresh
+        assert fresh is ValueError
     demazure._character.cache_clear()
-    demazure_character(A1_AFF, DemazureLabel(1, A1.weight([2]), 1.0))
+    with pytest.raises(ValueError):
+        demazure_character(A1_AFF, DemazureLabel(1, A1.weight([2]), 1.0))
     g = demazure_character(A1_AFF, DemazureLabel(1, A1.weight([2]), 1))
     assert all(type(gr) is int for gr in g.grades())
+
+
+# A float coordinate, level, grade or weight grade: the dimension used to
+# come back as the float 2.0, or grades at 0.5.
+NON_INTEGRAL = [DemazureLabel(1, Weight((1.0,), 0)),
+                DemazureLabel(1.0, Weight((1,), 0)),
+                DemazureLabel(1, Weight((1,), 0), 0.5),
+                DemazureLabel(1, Weight((1,), 0.5))]
+
+
+@pytest.mark.parametrize("lab", NON_INTEGRAL,
+                         ids=["weight", "level", "grade", "weight-grade"])
+def test_non_integral_labels_are_refused(lab):
+    demazure._character.cache_clear()
+    demazure._dim.cache_clear()
+    whole = DemazureLabel(1, Weight((1,), 0))
+    demazure_character(A1_AFF, whole)
+    demazure_dim(A1_AFF, whole)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            demazure_character(A1_AFF, lab)
+        with pytest.raises(ValueError):
+            demazure_dim(A1_AFF, lab)
+    assert demazure._character.cache_info().currsize == 1
+    assert demazure._dim.cache_info().currsize == 1
 
 
 def test_bad_labels_raise_on_every_call():

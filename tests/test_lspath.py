@@ -8,6 +8,7 @@ import pytest
 
 from demflag import (
     LSPath,
+    Weight,
     affinize,
     concat_paths,
     crystal_character,
@@ -18,6 +19,7 @@ from demflag import (
     f_edge_lines,
     generate_demazure_set,
     joseph_highest,
+    lspath,
     reflect_weight,
     root_op_e,
     root_op_f,
@@ -322,3 +324,74 @@ EDGE_CASES = [
 def test_f_edge_lines_pin_set_order(ad, h, word, expected):
     ps = generate_demazure_set(ad, ad.weight(h), word)
     assert f_edge_lines(ps) == expected
+
+
+# ---- memo and input checks ----
+
+
+def test_repeated_sets_and_characters_are_the_same_objects():
+    lspath._path_set.cache_clear()
+    lam = A2_AFF.weight([0, 1, 1], 1)
+    word = (2, 1, 0, 2, 1)
+    ps = generate_demazure_set(A2_AFF, lam, list(word))
+    again = generate_demazure_set(A2_AFF, Weight([0, 1, 1], 1), word)
+    assert again is ps
+    assert crystal_character(again) is crystal_character(ps)
+    assert crystal_character(ps) == demazure_word_char(A2_AFF, word, lam)
+    assert lspath._path_set.cache_info().hits == 1
+
+
+def test_bad_letters_raise_after_the_good_word_is_kept():
+    lam = A1_AFF.weight([1, 1])
+    generate_demazure_set(A1_AFF, lam, [1, 0, 1])
+    for word in ([1.0, 0, 1], [1, 0, 2], ["1", 0, 1]):
+        with pytest.raises(errors.IndexOutOfRange):
+            generate_demazure_set(A1_AFF, lam, word)
+
+
+def test_non_dominant_weight_raises_on_every_call():
+    lspath._path_set.cache_clear()
+    for _ in range(3):
+        with pytest.raises(errors.NotDominant):
+            generate_demazure_set(A1_AFF, A1_AFF.weight([2, -1]), (1, 0))
+    assert lspath._path_set.cache_info().currsize == 0
+
+
+def test_path_sets_are_immutable():
+    ps = generate_demazure_set(A1_AFF, A1_AFF.fundamental_weight(1), (1,))
+    crystal_character(ps)
+    for name in ("datum", "paths", "_character", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(ps, name, None)
+        with pytest.raises(AttributeError):
+            delattr(ps, name)
+    assert len(ps) == 2
+
+
+def test_sorting_refuses_a_non_integral_direction():
+    # Generated directions lie in the Weyl orbit of an integral weight; a
+    # direction of (1/2, 1/2, 0) can only come from a broken operator.
+    half = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
+    with pytest.raises(AssertionError):
+        lspath._sorted({LSPath.make([(half, Fraction(1))])})
+
+
+def test_float_coordinates_raise_value_error():
+    lam = A1_AFF.weight([1, 1])
+    for bad in (Weight((1.0, 1)), Weight((1, 1), 0.5)):
+        with pytest.raises(ValueError):
+            generate_demazure_set(A1_AFF, bad, (0, 1))
+        with pytest.raises(ValueError):
+            joseph_highest(A1_AFF, A1_AFF.fundamental_weight(0), bad, (0, 1))
+        with pytest.raises(ValueError):
+            joseph_highest(A1_AFF, bad, lam, (0, 1))
+
+
+def test_bool_coordinates_give_integer_steps():
+    lspath._path_set.cache_clear()
+    ps = generate_demazure_set(A2_AFF, Weight((False, True, False)),
+                               (True, 0, 2))
+    assert all(type(x) is int for pi in ps
+               for x in (pi.n, *(y for t, e in pi.steps for y in (t, *e))))
+    assert generate_demazure_set(A2_AFF, A2_AFF.fundamental_weight(1),
+                                 (1, 0, 2)) is ps

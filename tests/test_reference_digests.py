@@ -16,7 +16,8 @@ import sys
 
 import pytest
 
-from demflag import characters, cli, demazure, flags, generate_demazure_set
+from demflag import (characters, cli, demazure, flags, generate_demazure_set,
+                     lspath)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -37,6 +38,7 @@ def test_outputs_match_reference_digests(workload):
     demazure._dim.cache_clear()
     characters._weyl_character.cache_clear()
     flags._graded_weyl.cache_clear()
+    lspath._path_set.cache_clear()
     requests = workloads.family(workload)
     library = Library(workloads.labels(requests))
     library.build()
