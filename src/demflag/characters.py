@@ -267,11 +267,10 @@ def _roots(rd: RootDatum) -> tuple[tuple[tuple[int, ...], tuple[int, ...],
 
 
 # Four times ``MEMO_SIZE``, since each Demazure character expands into
-# several irreducibles: 192 entries hold all 121 distinct ones of a
-# perfbench ``flags`` pass, and a ``ladder`` pass (213) computes each once.
-# With Freudenthal misses, ``ladder`` throughput at 48, 96 and 192 entries
-# was 1313-1349, 1387-1395 and 1501-1529 rps, with peak memory 24.5, 24.8
-# and 25.0-25.3 MB; ``flags`` read 1144-1183, 1182-1188 and 1181-1205 rps
+# several irreducibles: a perfbench ``ladder`` pass expands 213 distinct
+# ones and computes each once, and a ``flags`` pass 76.  With Freudenthal
+# misses, ``ladder`` throughput at 48, 96 and 192 entries was 1313-1349,
+# 1387-1395 and 1501-1529 rps, with peak memory 24.5, 24.8 and 25.0-25.3 MB
 # (two 20 s runs each, 2-vCPU Xeon).
 @lru_cache(maxsize=4 * MEMO_SIZE, typed=True)
 def _weyl_character(rd: RootDatum, d: int, *h: int) -> Character:

@@ -36,13 +36,10 @@ The dimension is the sum of multiplicity times Weyl's dimension formula,
 with nothing expanded; the weight character expands each irreducible
 through ``weyl_character_finite`` at its grade.
 
-Characters and dimensions computed this way depend only on the label, not
-on any ground field; the construction is exact integer arithmetic
-throughout.
-
-Since a character depends only on its datum and label, the last
-``MEMO_SIZE`` characters and, separately, dimensions are kept for the life
-of the process; a repeated label returns the same immutable object.
+All of it is exact integer arithmetic, over no ground field, so a result
+depends only on its datum and label: the last ``MEMO_SIZE`` multiplicity
+maps, characters and dimensions are each kept for the life of the process,
+and a repeated label returns the same object.
 Labels are validated on every call, so a bad label raises every time and
 no error is kept.  Integrality is checked on a miss: the memos key every
 number by its type, so a float never shares an entry with an integer.
@@ -55,10 +52,13 @@ from operator import index
 from typing import NamedTuple
 
 from . import errors
-from .characters import (MEMO_SIZE, Character, _nonzero, demazure_word_char,
-                         weyl_character_finite)
+from .characters import (MEMO_SIZE, Character, Flat, _nonzero,
+                         demazure_word_char, weyl_character_finite)
 from .root_data import (AffineDatum, RootDatum, Weight, apply_word,
                         make_dominant)
+
+
+Labels = dict[tuple[tuple[int, ...], int], int]     # {(top, grade): m}
 
 
 class DemazureLabel(NamedTuple):
@@ -105,27 +105,12 @@ def solve_extremal(ad: AffineDatum,
                    lab.grade)
 
 
-def _straighten(rd: RootDatum,
-                h: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """``(sign, top)`` with ``D_w0 e^h = sign * chi(top)``, or None for 0."""
-    nu = [x + 1 for x in h]
-    sign = 1
-    while True:
-        for p, v in enumerate(nu):
-            if v <= 0:
-                break
-        else:
-            return sign, tuple(x - 1 for x in nu)
-        if v == 0:
-            return None
-        nu = [a - v * b for a, b in zip(nu, rd.flat_roots[p])]
-        sign = -sign
-
-
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
 def _labels(ad: AffineDatum, level: int, grade: int, d: int,
-            *h: int) -> dict[tuple[tuple[int, ...], int], int]:
+            *h: int) -> Labels:
     """Irreducible multiplicities ``{(top, grade): m}`` of a valid label,
-    whose numbers are checked integral here, on the memo miss."""
+    whose numbers are checked integral here, on the memo miss.  The map is
+    shared by every caller, and none mutates it."""
     rd = ad.finite
     try:
         level, grade = index(level), index(grade)
@@ -133,15 +118,43 @@ def _labels(ad: AffineDatum, level: int, grade: int, d: int,
         raise ValueError(f"level {level!r} and grade {grade!r} must be "
                          f"integers") from None
     dom, u = _reduce(ad, level, rd.weight(h, d), grade)
-    out: dict[tuple[tuple[int, ...], int], int] = {}
+    return _straighten(rd, demazure_word_char(ad, u, dom)._terms)
+
+
+def _straighten(rd: RootDatum, terms: Flat) -> Labels:
+    """``{(top, grade): m}`` with ``D_w0`` of the flat terms equal to
+    ``sum m * chi(top)`` grade by grade.  The finite part of a key is its
+    last ``rank`` values before the grade: an affine key drops ``h_0``."""
+    lo = -1 - rd.rank
+    out: Labels = {}
     get = out.get
-    for k, c in demazure_word_char(ad, u, dom)._terms.items():
-        straight = _straighten(rd, k[1:-1])
-        if straight is not None:
-            sign, top = straight
-            key = (top, k[-1])
-            out[key] = get(key, 0) + sign * c
+    for k, c in terms.items():
+        nu = [x + 1 for x in k[lo:-1]]
+        while True:
+            for p, v in enumerate(nu):
+                if v <= 0:
+                    break
+            else:                       # dominant: ``chi(nu - rho)``
+                key = (tuple(x - 1 for x in nu), k[-1])
+                out[key] = get(key, 0) + c
+                break
+            if v == 0:                  # singular: zero
+                break
+            nu = [a - v * b for a, b in zip(nu, rd.flat_roots[p])]
+            c = -c
     return _nonzero(out)
+
+
+def _expand(rd: RootDatum, labels: Labels) -> Character:
+    """The weight character of ``{(top, grade): m}``: each irreducible
+    through ``weyl_character_finite``, at its grade."""
+    out: Flat = {}
+    get = out.get
+    for (top, g), m in labels.items():
+        for k, c in weyl_character_finite(rd, Weight(top, 0))._terms.items():
+            k = k[:-1] + (g,)
+            out[k] = get(k, 0) + m * c
+    return Character._wrap(rd, _nonzero(out))
 
 
 @cache
@@ -166,19 +179,10 @@ def demazure_character(ad: AffineDatum,
     return _character(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
 
 
-# ``typed`` keys every number by its type too, so a float level or grade
-# never shares an entry with the equal integer (its grades print as floats).
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
 def _character(ad: AffineDatum, level: int, grade: int, d: int,
                *h: int) -> Character:
-    rd = ad.finite
-    out: dict[tuple[int, ...], int] = {}
-    get = out.get
-    for (top, g), m in _labels(ad, level, grade, d, *h).items():
-        for k, c in weyl_character_finite(rd, Weight(top, 0))._terms.items():
-            k = k[:-1] + (g,)
-            out[k] = get(k, 0) + m * c
-    return Character._wrap(rd, _nonzero(out))
+    return _expand(ad.finite, _labels(ad, level, grade, d, *h))
 
 
 def demazure_dim(ad: AffineDatum, lab: DemazureLabel) -> int:

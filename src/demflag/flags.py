@@ -1,38 +1,39 @@
 """Flags by higher-level Demazure characters and graded Weyl characters.
 
-The decomposition engine is triangular leading-term subtraction.  A graded,
-Weyl-invariant classical character is peeled one piece at a time: pick a
-dominance-maximal classical weight of the residue, take its least grade and
-coefficient, subtract that multiple of the matching Demazure character at
-the target level shifted to that grade.  Triangularity of Demazure
-characters (top weight with coefficient one, everything else strictly
-below) makes the outcome independent of how ties between incomparable
-maxima are broken.
+A graded, Weyl-invariant classical character is peeled as its irreducible
+multiplicities ``{(dominant top, grade): m}``, the map ``demazure._labels``
+gives for a Demazure module.  The leading top is the first in ``tie_break``
+order (lexicographically largest or smallest) that no other top dominates;
+height is positive on simple roots, so a candidate is tested only against
+tops of greater height.  Its least grade and multiplicity name a piece, and
+that multiple of the target-level Demazure module of the top, shifted to the
+grade, is subtracted entry by entry.  A Demazure module holds its top once
+and every other top strictly below, so the multiset of pieces does not
+depend on how ties are broken.  The order is that of peeling the expanded
+weight character: the maximal weights of ``sum m chi(top)`` are exactly its
+maximal tops with ``m != 0``, as a top with nothing above it cannot cancel.
+Weights are expanded once, for a character that is returned.
 
-The leading weight is the first support weight in ``tie_break`` order
-(lexicographically largest or smallest) that no other support weight
-dominates.  Height is positive on every simple root, so ``mu < nu`` forces
-``height(mu) < height(nu)``: testing a candidate only against weights of
-greater height misses no weight above it, and the choice (hence the piece
-order) is exactly that of testing every pair.  Pieces come from the
-memo of ``demazure_character``, so a leading weight that recurs at a later
-grade, or in a later decomposition, is not computed again.
+``greedy_decompose`` takes a weight character from outside.  It checks
+per-grade invariance and straightens every term through ``D_w0``: an
+invariant ``f`` has ``D_w0 f = f`` (Demazure 1974; Kumar 2002, chapter 8),
+so this gives its multiplicities.  Straightening alone would accept a
+character that is not invariant (on A1 it sends ``e^1`` to ``V(1)``), so the
+check stays.
 
-The graded character of a local Weyl module is assembled as follows.  In
-simply-laced type it is a single level-one Demazure character.  Otherwise
-the short-root subsystem carries a level-one Demazure character of its own
-simply-laced affinization, which decomposes at target level equal to the
-lacing number; each piece lifts through the short subsystem back to the
-parent, where it names a level-one Demazure character with the same grade
-shift and multiplicity.  The sum is the graded Weyl character, and the list
-of lifted pieces is its flag.  The last ``MEMO_SIZE`` graded Weyl
-characters are kept with their flags, like Demazure characters.
+In simply-laced type the graded character of a local Weyl module is one
+level-one Demazure character.  Otherwise the short-root subsystem carries a
+level-one Demazure character of its own simply-laced affinization, peeled
+at the lacing number as target level; each piece lifts back to the parent,
+where it names a level-one Demazure module with the same grade shift and
+multiplicity.  The lifted pieces are the flag, and their multiplicities,
+summed and expanded, the character.  The last ``MEMO_SIZE`` graded Weyl
+characters are kept with their flags.
 
-Characters of local Weyl modules multiply: the module for a sum of
-dominant weights attached to pairwise distinct labels is the tensor
-product of the modules of the summands, so its ungraded character is the
-product of theirs.  That is also the source of the dimension check against
-the product over fundamental weights.
+Characters of local Weyl modules multiply: the module for a sum of dominant
+weights attached to pairwise distinct labels is the tensor product of the
+modules of the summands, so its ungraded character is the product of
+theirs, which the dimension check against the fundamental product uses.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import errors
-from .characters import (Character, check_w_invariance_per_grade,
-                         forget_grading, shift_grade)
-from .demazure import MEMO_SIZE, DemazureLabel, demazure_character
+from .characters import (Character, _nonzero, check_w_invariance_per_grade,
+                         forget_grading)
+from .demazure import (MEMO_SIZE, DemazureLabel, Labels, _expand, _labels,
+                       _straighten, _validate)
 from .root_data import (AffineDatum, RootDatum, Weight, affinize,
                         eta_lambda, short_subdatum)
 
@@ -80,28 +82,47 @@ class DominantLWeight:
         return total
 
 
-def _leading_weight(rd: RootDatum, support: set[tuple[int, ...]],
-                    tie_break: str) -> tuple[int, ...]:
-    """First weight in ``tie_break`` order that no other one dominates."""
-    height = {h: rd.height(h) for h in support}
+def _add(out: Labels, labels: Labels, grade: int, c: int) -> None:
+    """Add ``c`` times ``labels``, shifted by ``grade``, into ``out``."""
+    for (top, g), m in labels.items():
+        out[top, g + grade] = out.get((top, g + grade), 0) + c * m
+
+
+def _peel(ad: AffineDatum, residue: Labels, level: int,
+          tie_break: str) -> FlagDecomposition:
+    """Level-``level`` pieces of ``residue``; the first ``_nonzero`` copies
+    it, so the caller's map is left as it is."""
+    rd = ad.finite
 
     def below(h, o):
         coords = rd.root_coordinates([b - a for a, b in zip(h, o)])
         return coords is not None and all(x >= 0 for x in coords)
 
-    return next(h for h in sorted(support, reverse=tie_break == "max")
-                if not any(height[o] > height[h] and below(h, o)
-                           for o in support))
+    pieces: list[tuple[Weight, int, int]] = []
+    while residue := _nonzero(residue):
+        height = {top: rd.height(top) for top, _ in residue}
+        lead = next(h for h in sorted(height, reverse=tie_break == "max")
+                    if not any(height[o] > height[h] and below(h, o)
+                               for o in height))
+        grade = min(g for top, g in residue if top == lead)
+        coeff = residue[lead, grade]
+        if coeff < 0:
+            raise errors.NegativeMultiplicity(
+                f"piece ({lead}, {grade}) has coefficient {coeff}")
+        _add(residue, _labels(ad, level, 0, 0, *lead), grade, -coeff)
+        pieces.append((Weight(lead, 0), grade, coeff))
+    return FlagDecomposition(level=level, pieces=tuple(pieces))
 
 
 def greedy_decompose(ad: AffineDatum, g: Character,
                      level: int, tie_break: str = "max") -> FlagDecomposition:
     """Peel a graded invariant character into level-``level`` pieces.
 
-    Requires per-grade Weyl invariance up front.  ``tie_break`` selects
-    among incomparable dominance-maximal weights ("max" or "min" in
-    lexicographic order); the resulting multiset of pieces does not depend
-    on the choice.
+    Requires per-grade Weyl invariance up front, then peels the
+    multiplicities that straightening ``g`` through ``D_w0 g = g`` gives.
+    ``tie_break`` selects among incomparable dominance-maximal tops ("max"
+    or "min" in lexicographic order); the resulting multiset of pieces does
+    not depend on the choice.
     """
     if tie_break not in ("min", "max"):
         raise ValueError(f"tie_break must be min or max, not {tie_break!r}")
@@ -111,24 +132,7 @@ def greedy_decompose(ad: AffineDatum, g: Character,
     if not check_w_invariance_per_grade(rd, g):
         raise errors.NonDominantLeading(
             "character is not Weyl invariant grade by grade")
-    residue = g
-    pieces: list[tuple[Weight, int, int]] = []
-    while len(residue) > 0:
-        lead_h = _leading_weight(rd, {k[:-1] for k in residue._terms},
-                                 tie_break)
-        lead = Weight(lead_h, 0)
-        if not rd.is_dominant(lead):
-            raise errors.NonDominantLeading(
-                f"leading weight {lead_h} is not dominant")
-        grade = min(k[-1] for k in residue._terms if k[:-1] == lead_h)
-        coeff = residue.coefficient(Weight(lead_h, grade))
-        if coeff < 0:
-            raise errors.NegativeMultiplicity(
-                f"piece ({lead_h}, {grade}) has coefficient {coeff}")
-        piece = demazure_character(ad, DemazureLabel(level, lead, 0))
-        residue = residue - shift_grade(piece, grade).scale(coeff)
-        pieces.append((lead, grade, coeff))
-    return FlagDecomposition(level=level, pieces=tuple(pieces))
+    return _peel(ad, _straighten(rd, g._terms), level, tie_break)
 
 
 def level_flag(ad: AffineDatum, level: int, to_level: int,
@@ -139,12 +143,11 @@ def level_flag(ad: AffineDatum, level: int, to_level: int,
     higher target level.
     """
     if ad.finite.short_nodes:
-        raise errors.NotSimplyLaced(
-            f"{ad.finite.label} is not simply laced")
+        raise errors.NotSimplyLaced(f"{ad.finite.label} is not simply laced")
     if to_level <= level:
         raise ValueError("target level must exceed the source level")
-    g = demazure_character(ad, DemazureLabel(level, lam, 0))
-    return greedy_decompose(ad, g, to_level)
+    _validate(ad, DemazureLabel(level, lam, 0))
+    return _peel(ad, _labels(ad, level, 0, lam.d, *lam.h), to_level, "max")
 
 
 def graded_weyl_character(
@@ -161,29 +164,22 @@ def graded_weyl_character(
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
-def _graded_weyl(
-        rd: RootDatum, d: int,
-        *h: int) -> tuple[Character, FlagDecomposition]:
+def _graded_weyl(rd: RootDatum, d: int,
+                 *h: int) -> tuple[Character, FlagDecomposition]:
     lam = Weight(h, d)
+    pieces: tuple[tuple[Weight, int, int], ...] = ((lam, 0, 1),)
+    if rd.short_nodes:
+        se = short_subdatum(rd)
+        sub_ad = affinize(se.subdatum)
+        flag = _peel(sub_ad, _labels(sub_ad, 1, 0, 0, *se.restrict(lam).h),
+                     rd.lacing, "max")
+        pieces = tuple((eta_lambda(se, lam, mu), grade, mult)
+                       for mu, grade, mult in flag.pieces)
     ad = affinize(rd)
-    if not rd.short_nodes:
-        char = demazure_character(ad, DemazureLabel(1, lam, 0))
-        return char, FlagDecomposition(level=1, pieces=((lam, 0, 1),))
-
-    se = short_subdatum(rd)
-    sub_ad = affinize(se.subdatum)
-    lam_short = se.restrict(lam)
-    short_char = demazure_character(sub_ad, DemazureLabel(1, lam_short, 0))
-    short_flag = greedy_decompose(sub_ad, short_char, rd.lacing)
-
-    pieces = []
-    total = Character.zero(rd)
-    for mu, grade, mult in short_flag.pieces:
-        lifted = eta_lambda(se, lam, mu)
-        piece = demazure_character(ad, DemazureLabel(1, lifted, 0))
-        total = total + shift_grade(piece, grade).scale(mult)
-        pieces.append((lifted, grade, mult))
-    return total, FlagDecomposition(level=1, pieces=tuple(pieces))
+    total: Labels = {}
+    for mu, grade, mult in pieces:
+        _add(total, _labels(ad, 1, 0, mu.d, *mu.h), grade, mult)
+    return _expand(rd, total), FlagDecomposition(level=1, pieces=pieces)
 
 
 def weyl_dim_product_check(rd: RootDatum,

@@ -6,9 +6,10 @@ slice reflection it replaced.  Demazure characters, straightened through
 the Weyl symmetrizer, are checked against the ladder along the whole
 extremal word, finite Weyl characters, found by Freudenthal's formula,
 against the ladder along the longest word ``w0``, and path crystals against
-the ladder along their word and the order of their segments.  Examples are
-derandomized and no example database is written, so the suite stays
-deterministic.
+the ladder along their word and the order of their segments.  Flags are
+checked by rebuilding their source from the pieces and by peeling in both
+tie-break orders.  Examples are derandomized and no example database is
+written, so the suite stays deterministic.
 """
 
 import os
@@ -36,8 +37,11 @@ from demflag import (
     demazure_character,
     demazure_dim,
     demazure_word_char,
+    errors,
     forget_grading,
     generate_demazure_set,
+    greedy_decompose,
+    level_flag,
     project_graded_classical,
     reflect_weight,
     shift_grade,
@@ -295,3 +299,69 @@ def test_path_sets_are_sorted_and_match_the_ladder(case):
     ps = generate_demazure_set(ad, lam, word)
     assert list(ps.paths) == sorted(ps.paths, key=lambda p: p.segments)
     assert crystal_character(ps) == demazure_word_char(ad, word, lam)
+
+
+def rebuilt(ad, fd):
+    """The sum of a flag's pieces, shifted and scaled, as weights."""
+    total = Character.zero(ad.finite)
+    for mu, grade, mult in fd.pieces:
+        piece = demazure_character(ad, DemazureLabel(fd.level, mu))
+        total = total + shift_grade(piece, grade).scale(mult)
+    return total
+
+
+SIMPLY_LACED = tuple(map(affinize, map(datum_from_label,
+                                       ("A1", "A2", "A3", "D4"))))
+
+
+@st.composite
+def level_flag_labels(draw):
+    """A simply-laced affine datum, a dominant weight with coordinate sum at
+    most 3 (2 on A3, 1 on D4), a level and a higher target level."""
+    ad = draw(st.sampled_from(SIMPLY_LACED))
+    top = {"A3": 2, "D4": 1}.get(ad.finite.label, 3)
+    h = draw(st.tuples(*[st.integers(0, top)] * ad.finite.rank)
+             .filter(lambda h: sum(h) <= top))
+    level = draw(st.integers(1, 2))
+    return ad, level, draw(st.integers(level + 1, 3)), ad.finite.weight(h)
+
+
+@SETTINGS
+@given(level_flag_labels())
+def test_level_flag_sum_rebuilds_the_source(case):
+    ad, level, to_level, lam = case
+    fd = level_flag(ad, level, to_level, lam)
+    assert all(mult > 0 for _, _, mult in fd.pieces)
+    assert rebuilt(ad, fd) == demazure_character(ad, DemazureLabel(level, lam))
+
+
+@st.composite
+def invariant_sums(draw):
+    """An affine datum, a nonzero sum of shifted Weyl characters with
+    positive multiplicities, and a level to peel it at."""
+    rd = draw(st.sampled_from(FINITE))
+    g = Character.zero(rd)
+    for _ in range(draw(st.integers(1, 3))):
+        lam = rd.weight(draw(st.tuples(*[st.integers(0, 2)] * rd.rank)
+                             .filter(lambda h: sum(h) <= 2)))
+        g = g + shift_grade(weyl_character_finite(rd, lam),
+                            draw(grades)).scale(draw(st.integers(1, 2)))
+    return affinize(rd), g, draw(st.integers(1, 3))
+
+
+@SETTINGS
+@given(invariant_sums())
+def test_tie_breaks_agree_on_invariant_sums(case):
+    """Both orders peel the same multiset, or both meet a negative
+    multiplicity: the expansion in shifted Demazure characters is unique."""
+    ad, g, level = case
+    outcomes = []
+    for tie_break in ("min", "max"):
+        try:
+            fd = greedy_decompose(ad, g, level, tie_break)
+        except errors.NegativeMultiplicity:
+            outcomes.append(errors.NegativeMultiplicity)
+        else:
+            assert rebuilt(ad, fd) == g
+            outcomes.append(fd.multiset())
+    assert outcomes[0] == outcomes[1]

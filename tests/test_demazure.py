@@ -271,6 +271,7 @@ NON_INTEGRAL = [DemazureLabel(1, Weight((1.0,), 0)),
 def test_non_integral_labels_are_refused(lab):
     demazure._character.cache_clear()
     demazure._dim.cache_clear()
+    demazure._labels.cache_clear()
     whole = DemazureLabel(1, Weight((1,), 0))
     demazure_character(A1_AFF, whole)
     demazure_dim(A1_AFF, whole)
@@ -281,10 +282,12 @@ def test_non_integral_labels_are_refused(lab):
             demazure_dim(A1_AFF, lab)
     assert demazure._character.cache_info().currsize == 1
     assert demazure._dim.cache_info().currsize == 1
+    assert demazure._labels.cache_info().currsize == 1
 
 
 def test_bad_labels_raise_on_every_call():
     demazure._character.cache_clear()
+    demazure._labels.cache_clear()
     for _ in range(3):
         with pytest.raises(errors.ZeroLevel):
             demazure_character(A1_AFF, DemazureLabel(0, A1.weight([1])))
@@ -293,11 +296,14 @@ def test_bad_labels_raise_on_every_call():
         with pytest.raises(ValueError):
             demazure_character(A2_AFF, DemazureLabel(1, A1.weight([1])))
     assert demazure._character.cache_info().currsize == 0
+    assert demazure._labels.cache_info().currsize == 0
 
 
 def test_memo_stays_within_its_bound():
     demazure._dim.cache_clear()
+    demazure._labels.cache_clear()
     for grade in range(demazure.MEMO_SIZE + 8):
         demazure_dim(A1_AFF, DemazureLabel(1, A1.weight([grade % 3]), grade))
-        assert demazure._dim.cache_info().currsize \
-            == min(grade + 1, demazure.MEMO_SIZE)
+        for memo in (demazure._dim, demazure._labels):
+            assert memo.cache_info().currsize \
+                == min(grade + 1, demazure.MEMO_SIZE)

@@ -13,6 +13,7 @@ from demflag import (
     affinize,
     check_w_invariance_per_grade,
     datum_from_label,
+    demazure,
     demazure_character,
     errors,
     flags,
@@ -22,6 +23,7 @@ from demflag import (
     level_flag,
     local_weyl_character,
     shift_grade,
+    weyl_character_finite,
     weyl_dim_product_check,
 )
 from demflag.demazure import MEMO_SIZE
@@ -70,6 +72,16 @@ def test_greedy_rejects_noninvariant_input():
     bad = Character(A1, {((1,), 0): 1})
     with pytest.raises(errors.NonDominantLeading):
         greedy_decompose(A1_AFF, bad, 2)
+
+
+def test_greedy_rejects_a_stray_term_at_another_grade():
+    # Invariant at grade 0; straightening alone would read the stray e^1 at
+    # grade 1 as V(1) there.
+    g = weyl_character_finite(A1, A1.weight([2])) \
+        + Character(A1, {((1,), 1): 1})
+    for level in (1, 2):
+        with pytest.raises(errors.NonDominantLeading):
+            greedy_decompose(A1_AFF, g, level)
 
 
 def test_greedy_refuses_a_character_of_another_datum():
@@ -415,3 +427,26 @@ def test_weyl_memo_stays_within_its_bound():
         graded_weyl_character(rd, lam)
         assert flags._graded_weyl.cache_info().currsize \
             == min(k + 1, MEMO_SIZE)
+
+
+def test_peeling_leaves_the_held_label_maps_alone(monkeypatch):
+    """Every ``demazure._labels`` entry that ``level_flag`` and
+    ``graded_weyl_character`` read still equals a fresh computation."""
+    memo, held = demazure._labels, {}
+
+    def record(*args):
+        held[args] = out = memo(*args)
+        return out
+
+    monkeypatch.setattr(demazure, "_labels", record)
+    monkeypatch.setattr(flags, "_labels", record)
+    memo.cache_clear()
+    flags._graded_weyl.cache_clear()
+    level_flag(A2_AFF, 1, 2, A2.weight([2, 2]))
+    level_flag(A1_AFF, 1, 3, A1.weight([4]))
+    for rd, h in ((A2, (1, 1)), (C2, (2, 0)), (G2, (2, 2))):
+        graded_weyl_character(rd, rd.weight(h))
+    assert memo.cache_info().currsize == len(held) > 10
+    memo.cache_clear()
+    for args, out in held.items():
+        assert out == memo(*args), args
