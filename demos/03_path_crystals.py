@@ -16,8 +16,9 @@ ad = affinize(A1)
 
 # A path is a sequence of segments (direction v, duration t).  It is stored
 # on integers: a common denominator n and, per segment, the scaled duration
-# n*t and displacement n*t*v; `segments` gives the rational form back.  The
-# straight path to a dominant weight is the highest element of its crystal.
+# n*t with the direction v, which is integral; `segments` gives the rational
+# form back.  The straight path to a dominant weight is the highest element
+# of its crystal.
 Lam = ad.fundamental_weight(1)
 pi = straight_path(ad, Lam)
 print("highest path:", pi.segments, "weight:", pi.weight())

@@ -156,7 +156,7 @@ def graded_weyl_character(
     """Graded character of the local Weyl module and its level-one flag.
 
     Memoised like ``demazure_character``: a repeated weight returns the
-    same pair.
+    same pair, and a miss checks the weight through ``rd.weight``.
     """
     if not rd.is_dominant(lam):
         raise errors.NotDominant(f"{lam.h} is not dominant for {rd.label}")
@@ -166,7 +166,7 @@ def graded_weyl_character(
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
 def _graded_weyl(rd: RootDatum, d: int,
                  *h: int) -> tuple[Character, FlagDecomposition]:
-    lam = Weight(h, d)
+    lam = rd.weight(h, d)
     pieces: tuple[tuple[Weight, int, int], ...] = ((lam, 0, 1),)
     if rd.short_nodes:
         se = short_subdatum(rd)

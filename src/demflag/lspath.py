@@ -5,26 +5,27 @@ together with a positive rational duration; durations sum to one.  The
 direction vector lists the values on the coroots in node order followed by
 the value on the scaling element.
 
-Paths are stored on integers scaled by one common denominator ``n``: a
-segment of duration ``t`` and direction ``v`` is the step ``(T, E)`` with
-``T = n t`` and the displacement ``E = n t v``, both integral, so the
-durations ``T`` sum to ``n``.  The form is canonical: steps with ``T = 0``
-are dropped, neighbours whose displacements are positively proportional
-are merged by adding them, and ``n``, every ``T`` and every ``E`` are
-divided by their joint gcd.  Every denominator that makes all of them
-integral is a multiple of the least one, so the form is unique and
-equality of paths means equality of traced polylines.  ``LSPath.make``
-takes rational segments and ``LSPath.segments`` gives them back; they are
-the only code that imports ``fractions``, and the operators below never
-leave the integers.
+Paths are stored over one common duration denominator ``n``: a segment of
+duration ``t`` and direction ``v`` is the step ``(T, v)`` with ``T = n t``,
+so the integers ``T`` sum to ``n``, and ``v`` is an integral tuple (every
+generated direction is integral, see below).  The form is canonical: steps
+with ``T = 0`` are dropped, neighbours with equal directions are merged by
+adding durations, and ``n`` and every ``T`` are divided by their joint gcd,
+so equality of paths means equality of traced polylines.  ``LSPath.make``
+takes rational segments, merges neighbours whose directions are positively
+proportional, and raises ``ValueError`` on a merged direction that is not
+integral, which has no stored form; ``concat_paths`` goes through it.
+``LSPath.segments`` gives the rational form back.  Only ``make`` and
+``segments`` import ``fractions``; the operators stay in the integers.
 
 Root operators follow the usual recipe.  For node ``i`` let ``h(t)`` be the
 pairing of the running point with ``h_i``; it is piecewise linear, so its
 minimum ``m`` over ``[0, 1]`` is attained at a segment endpoint and all
 searches below happen at endpoints.  Values at endpoints are kept scaled
-by ``n``; a step cut at the fraction ``a/b`` of its duration is cut after
-the whole path is scaled by ``b``, and the result is put back into
-canonical form.
+by ``n``.  On a step ``(T, v)`` the scaled pairing moves by ``v(h_i)`` per
+unit of ``T``, so it reaches a scaled value ``c`` after ``c / v(h_i)``
+units; a cut there multiplies ``n`` and every ``T`` by the denominator of
+that quotient and leaves every direction as it is.
 
 * ``f_i`` is defined iff ``h(1) - m >= 1``.  It reflects the stretch
   between the last time ``h = m`` and the first later time ``h = m + 1``
@@ -34,7 +35,9 @@ canonical form.
   last time ``h = m + 1`` before the first minimum and that first minimum;
   the endpoint rises by ``alpha_i``.
 
-A reflected step is ``E - E[i] alpha_i``.  The string statistics are
+A reflected step is ``(T, v - v(h_i) alpha_i)``.  The input is canonical
+and a reflection keeps distinct directions distinct, so only the junctions
+at the ends of the reflected stretch can merge.  The string statistics are
 ``eps = -m`` and ``phi = h(1) - m``.
 
 Generating all ``f``-strings along a reduced word, last letter first,
@@ -43,33 +46,36 @@ Demazure crystal; summing exponentials of endpoints gives its character.
 This provides a check of the operator-ladder characters by a construction
 that shares no code with them.
 
-Every direction ``E / T`` of a generated path lies in the Weyl orbit of
-``lam``, so it is an integral weight: the straight path's direction is
-``lam``; a reflected step's direction ``v`` becomes ``s_i v = v - v(h_i)
-alpha_i``; cutting keeps directions; and merging joins only positively
-proportional neighbours, which in one orbit are equal, because the level
-is Weyl-invariant and positive (a dominant weight of level zero is a
-multiple of ``delta``, and no operator is defined on its path).  The set
-is therefore ordered on ``E // T``, with the exactness checked.
+Every direction of a generated path lies in the Weyl orbit of ``lam``, so
+it is an integral weight: the straight path's direction is ``lam``; a
+reflected direction ``v`` becomes ``s_i v = v - v(h_i) alpha_i``; cutting
+keeps directions; and merging joins only equal neighbours.  In one orbit
+positively proportional means equal, because the level is Weyl-invariant
+and positive (a dominant weight of level zero is a multiple of ``delta``,
+and no operator is defined on its path), so ``make`` gives a generated
+path the same form.  Sets are ordered on directions, then durations, which
+is the order of the rational segments.
 
 ``generate_demazure_set`` checks its weight (integral, of the datum's rank,
 dominant) and every letter on every call, so a bad input raises every time
 and no error is kept.  It then looks the set up in a per-process memo of
 the last ``MEMO_SIZE // 6`` sets, keyed by datum, straight path and
-letters; a repeated request returns the same ``PathSet``.  A ``PathSet``
-is immutable, and ``crystal_character`` sums its endpoint weights once and
-keeps the character on the set.
+letter positions; a repeated request returns the same ``PathSet``.  A
+``PathSet`` is immutable, and ``crystal_character`` sums its endpoint
+weights once and keeps the character on the set.
 
 Concatenation squeezes both factors to half duration at double speed,
-first factor first, so each displacement is kept, only the scale changes,
-and endpoint weights add.  For a dominant weight ``mu``, the
-concatenations ``straight(mu) * b`` whose pairings with every coroot stay
-nonnegative single out the highest-weight terms of a tensor decomposition;
-their endpoint weights are the dominant weights ``mu + wt(b)``.  The
-pairing of such a concatenation with ``h_i`` rises from 0 to ``mu(h_i)``
-and then follows ``b`` shifted by ``mu(h_i)``, so it stays nonnegative
-exactly when ``mu(h_i) + min h_i(b) >= 0``; the concatenation itself is
-never built for the test.
+first factor first, so endpoint weights add.  For a dominant ``mu`` and a
+generated ``b``, the junction of ``straight(mu) * b`` merges only if ``b``
+starts in a direction positively proportional to ``mu``, hence dominant,
+hence ``lam``, which only the straight path does (an LS path's directions
+fall in Bruhat order, ``lam`` least); so the merged direction ``mu + lam``
+is integral.  The concatenations whose pairings with every coroot stay
+nonnegative give the highest-weight terms of a tensor decomposition, at
+the dominant weights ``mu + wt(b)``.  The pairing with ``h_i`` rises from
+0 to ``mu(h_i)`` and then follows ``b`` shifted by ``mu(h_i)``, so it stays
+nonnegative exactly when ``mu(h_i) + min h_i(b) >= 0``; the concatenation
+itself is never built for the test.
 """
 
 from __future__ import annotations
@@ -85,12 +91,11 @@ from . import errors
 from .characters import MEMO_SIZE, Character
 from .root_data import AffineDatum, Weight
 
-Vec = tuple[int, ...]
-Step = tuple[int, Vec]                        # (n t, n t v)
+Step = tuple[int, tuple[int, ...]]            # (n t, v)
 Segment = "tuple[tuple[Fraction, ...], Fraction]"     # (direction, duration)
 
 
-def _positively_proportional(u: Vec, v: Vec) -> bool:
+def _positively_proportional(u: Sequence, v: Sequence) -> bool:
     """True iff ``v == c * u`` for some ``c > 0``; zero matches only zero."""
     for a, b in zip(u, v):
         if a:
@@ -100,37 +105,16 @@ def _positively_proportional(u: Vec, v: Vec) -> bool:
     return True
 
 
-def _canonical(n: int, steps: Sequence[Step]) -> "LSPath":
-    merged: list[Step] = []
-    for t, e in steps:
-        if t == 0:
-            continue
-        if merged and _positively_proportional(merged[-1][1], e):
-            t0, e0 = merged[-1]
-            merged[-1] = (t0 + t, tuple(map(add, e0, e)))
-        else:
-            merged.append((t, e))
-    # The displacements are read only when ``n`` and the durations share a
-    # factor.  On a generated path each ``T`` divides its ``E`` (module
-    # docstring), so that common factor is already the joint gcd.
-    g = gcd(n, *(t for t, _ in merged))
-    if g > 1:
-        g = gcd(g, *(x for _, e in merged for x in e))
-    if g > 1:
-        n //= g
-        merged = [(t // g, tuple(x // g for x in e)) for t, e in merged]
-    return LSPath(n, tuple(merged))
-
-
 class LSPath(NamedTuple):
-    """Canonical-form path on ``[0, 1]``, scaled by the denominator ``n``."""
+    """Canonical path: durations scaled by ``n``, integral directions."""
 
     n: int
     steps: tuple[Step, ...]
 
     @classmethod
     def make(cls, segments: Sequence[Segment]) -> "LSPath":
-        """The path through rational ``(direction, duration)`` segments."""
+        """The path through rational ``(direction, duration)`` segments;
+        ``ValueError`` on a negative duration or a non-integral direction."""
         from fractions import Fraction
         segs = [(tuple(Fraction(x) for x in v), Fraction(t))
                 for v, t in segments]
@@ -138,63 +122,91 @@ class LSPath(NamedTuple):
             raise ValueError("durations must be nonnegative")
         if sum(t for _, t in segs) != 1:
             raise AssertionError("durations must sum to one")
-        n = lcm(*(t.denominator for _, t in segs),
-                *((t * x).denominator for v, t in segs for x in v))
-        return _canonical(n, [(int(n * t), tuple(int(n * t * x) for x in v))
-                              for v, t in segs])
+        merged: list = []                     # [displacement, duration]
+        for v, t in segs:
+            e = [t * x for x in v]
+            if merged and _positively_proportional(merged[-1][0], e):
+                merged[-1] = [list(map(add, merged[-1][0], e)),
+                              merged[-1][1] + t]
+            elif t:
+                merged.append([e, t])
+        dirs = [[x / t for x in e] for e, t in merged]
+        if any(x.denominator != 1 for v in dirs for x in v):
+            raise ValueError("path direction is not integral")
+        # At the lcm of the denominators the durations share no factor.
+        n = lcm(*(t.denominator for _, t in merged))
+        return cls(n, tuple((int(n * t), tuple(map(int, v)))
+                            for (_, t), v in zip(merged, dirs)))
 
     @property
     def segments(self) -> tuple[Segment, ...]:
         """The rational ``(direction, duration)`` segments, read-only."""
         from fractions import Fraction
-        return tuple((tuple(Fraction(x, t) for x in e), Fraction(t, self.n))
-                     for t, e in self.steps)
+        return tuple((tuple(map(Fraction, v)), Fraction(t, self.n))
+                     for t, v in self.steps)
 
     def weight(self) -> Weight:
         """Integral endpoint of the path."""
         n = self.n
-        total = [sum(col) for col in zip(*(e for _, e in self.steps))]
-        if any(x % n for x in total):
-            raise ValueError("path endpoint is not an integral weight")
-        ints = [x // n for x in total]
-        return Weight(tuple(ints[:-1]), ints[-1])
+        steps = iter(self.steps)
+        t, v = next(steps)
+        total = [t * x for x in v]
+        for t, v in steps:
+            total = [y + t * x for y, x in zip(total, v)]
+        if n > 1:
+            if any(x % n for x in total):
+                raise ValueError("path endpoint is not an integral weight")
+            total = [x // n for x in total]
+        return Weight(tuple(total[:-1]), total[-1])
 
 
 def _heights(pi: LSPath, p: int) -> list[int]:
     """``n`` times the pairing at the step endpoints, start included."""
-    return list(accumulate((e[p] for _, e in pi.steps), initial=0))
+    return list(accumulate([t * v[p] for t, v in pi.steps], initial=0))
 
 
-def _cut_reflect(ad: AffineDatum, p: int, pi: LSPath, k: int, a: int,
-                 b: int, lo: int, hi: int) -> LSPath:
-    """Scale ``pi`` by ``b``, cut step ``k`` at the fraction ``a/b`` of its
-    duration into two steps, and reflect steps ``lo .. hi - 1`` of the
-    result at the node in position ``p``.  A part of zero duration is
-    dropped by the canonical form."""
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    steps = list(pi.steps) if b == 1 else [
-        (t * b, tuple(x * b for x in e)) for t, e in pi.steps]
-    t, e = pi.steps[k]
-    steps[k:k + 1] = [(t * c, tuple(x * c for x in e)) for c in (a, b - a)]
+def _cut_reflect(ad: AffineDatum, p: int, pi: LSPath, k: int, num: int,
+                 den: int, lo: int, hi: int) -> LSPath:
+    """Cut step ``k`` after ``num / den`` of its scaled duration into two
+    steps, reflect steps ``lo .. hi - 1`` of the result at the node in
+    position ``p``, and put the result in canonical form."""
+    g = gcd(num, den)
+    a, c = num // g, den // g
+    steps = list(pi.steps) if c == 1 else [(t * c, v) for t, v in pi.steps]
+    t, v = steps[k]
+    steps[k:k + 1] = [(a, v), (t - a, v)]
     alpha = ad.flat_roots[p]
-    for j in range(lo, hi):
-        t, e = steps[j]
-        c = e[p]
-        steps[j] = (t, tuple(x - c * y for x, y in zip(e, alpha)))
-    return _canonical(pi.n * b, steps)
+    # Zero durations and equal neighbours can only sit one step around the
+    # stretch, where the cut and the junctions are.
+    j = max(lo - 1, 0)
+    out = steps[:j]
+    for q in range(j, min(hi + 2, len(steps))):
+        t, v = steps[q]
+        x = v[p]
+        if lo <= q < hi and x:
+            v = tuple([y - x * z for y, z in zip(v, alpha)])
+        if out and out[-1][1] == v:
+            out[-1] = (out[-1][0] + t, v)
+        elif t:
+            out.append((t, v))
+    out += steps[hi + 2:]
+    n = pi.n * c
+    g = gcd(n, *[t for t, _ in out])
+    if g > 1:
+        n //= g
+        out = [(t // g, v) for t, v in out]
+    return LSPath(n, tuple(out))
 
 
 def straight_path(ad: AffineDatum, lam: Weight) -> LSPath:
     """The straight path to a dominant weight."""
     if not ad.is_dominant(lam):
         raise errors.NotDominant(f"{lam.h} is not dominant for {ad.label}")
-    return _canonical(1, [(1, lam.h + (lam.d,))])
+    return LSPath(1, ((1, lam.h + (lam.d,)),))
 
 
-def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
-    """Lowering operator for node ``i``; None when undefined."""
-    p = ad.pos(i)
+def _lower(ad: AffineDatum, p: int, pi: LSPath) -> Optional[LSPath]:
+    """``f_i`` for the node in position ``p``."""
     n = pi.n
     hs = _heights(pi, p)
     m = min(hs)
@@ -205,8 +217,13 @@ def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
     while hs[k + 1] < m + n:
         k += 1
     # Step k is cut where h reaches m + 1; its first part is reflected.
-    return _cut_reflect(ad, p, pi, k, m + n - hs[k], hs[k + 1] - hs[k],
+    return _cut_reflect(ad, p, pi, k, m + n - hs[k], pi.steps[k][1][p],
                         k0, k + 1)
+
+
+def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
+    """Lowering operator for node ``i``; None when undefined."""
+    return _lower(ad, ad.pos(i), pi)
 
 
 def root_op_e(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
@@ -222,7 +239,7 @@ def root_op_e(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
     while hs[k] < m + n:
         k -= 1
     # Step k is cut where h falls to m + 1; its second part is reflected.
-    return _cut_reflect(ad, p, pi, k, hs[k] - m - n, hs[k] - hs[k + 1],
+    return _cut_reflect(ad, p, pi, k, hs[k] - m - n, -pi.steps[k][1][p],
                         k + 1, k1 + 1)
 
 
@@ -261,36 +278,18 @@ class PathSet:
 
 
 def _sorted(paths: set[LSPath]) -> tuple[LSPath, ...]:
-    """Paths in the order of their segments: directions, then durations.
-
-    A direction ``E / T`` is integral (module docstring), so it is compared
-    as ``E // T``; durations ``T / n`` are compared at the lcm of every
-    ``n``.  The integer key orders exactly as the rational segments do.
-    """
+    """Paths in the order of their segments: directions, then durations,
+    which are compared at the lcm of every ``n``."""
     ln = lcm(*(pi.n for pi in paths))
-
-    def key(pi: LSPath) -> list:
-        s = ln // pi.n
-        out = []
-        for t, e in pi.steps:
-            if t > 1:
-                v = tuple([x // t for x in e])
-                # Each floor leaves a remainder in 0 .. t - 1, so the sums
-                # agree iff every remainder is zero.
-                if sum(e) != t * sum(v):
-                    raise AssertionError("path direction is not integral")
-                e = v
-            out.append((e, t * s))
-        return out
-    return tuple(sorted(paths, key=key))
+    return tuple(sorted(paths, key=lambda pi: [
+        (v, t * (ln // pi.n)) for t, v in pi.steps]))
 
 
 def generate_demazure_set(ad: AffineDatum, lam: Weight,
                           word: Sequence[int]) -> PathSet:
     """All ``f``-strings along the word, last letter first, from straight."""
     top = straight_path(ad, ad.weight(lam.h, lam.d))
-    nodes = ad.indices
-    return _path_set(ad, top, tuple(nodes[ad.pos(i)] for i in word))
+    return _path_set(ad, top, tuple(map(ad.pos, word)))
 
 
 # The memo holds each set with every path in it, so its bound is the
@@ -301,16 +300,17 @@ def generate_demazure_set(ad: AffineDatum, lam: Weight,
 # (a repeated request, ``joseph_highest`` for several ``mu`` over one
 # crystal), so eight serve them.
 @lru_cache(maxsize=MEMO_SIZE // 6, typed=True)
-def _path_set(ad: AffineDatum, top: LSPath, word: tuple[int, ...]) -> PathSet:
+def _path_set(ad: AffineDatum, top: LSPath,
+              positions: tuple[int, ...]) -> PathSet:
     paths = {top}
-    for i in reversed(word):
+    for p in reversed(positions):
         grown: set[LSPath] = set()
-        for p in paths:
+        for pi in paths:
             # A string can stop at a member: grown is closed under f_i.
-            cur: Optional[LSPath] = p
+            cur: Optional[LSPath] = pi
             while cur is not None and cur not in grown:
                 grown.add(cur)
-                cur = root_op_f(ad, i, cur)
+                cur = _lower(ad, p, cur)
         paths = grown
     return PathSet(ad, _sorted(paths))
 
@@ -328,12 +328,11 @@ def concat_paths(p1: LSPath, p2: LSPath) -> LSPath:
 
     Each factor is traversed at double speed over half the interval, so the
     traced polyline is the first path followed by the translated second one
-    and endpoint weights add.
+    and endpoint weights add.  Like ``LSPath.make``, it raises
+    ``ValueError`` on a non-integral junction direction.
     """
-    half = lcm(p1.n, p2.n)
-    steps = [(t * (half // pi.n), tuple(x * (2 * half // pi.n) for x in e))
-             for pi in (p1, p2) for t, e in pi.steps]
-    return _canonical(2 * half, steps)
+    return LSPath.make([(tuple(2 * x for x in v), t / 2)
+                        for pi in (p1, p2) for v, t in pi.segments])
 
 
 def tensor_highest_by_counts(ad: AffineDatum, mu: Weight, b: LSPath) -> bool:

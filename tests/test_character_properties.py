@@ -6,7 +6,9 @@ slice reflection it replaced.  Demazure characters, straightened through
 the Weyl symmetrizer, are checked against the ladder along the whole
 extremal word, finite Weyl characters, found by Freudenthal's formula,
 against the ladder along the longest word ``w0``, and path crystals against
-the ladder along their word and the order of their segments.  Flags are
+the ladder along their word and the order of their segments, and each
+path against its own segments, its integral storage and the root operators
+going down and back up.  Flags are
 checked by rebuilding their source from the pieces and by peeling in both
 tie-break orders.  Examples are derandomized and no example database is
 written, so the suite stays deterministic.
@@ -29,6 +31,7 @@ from hypothesis import strategies as st
 from demflag import (
     Character,
     DemazureLabel,
+    LSPath,
     Weight,
     affinize,
     check_w_invariance_per_grade,
@@ -44,6 +47,8 @@ from demflag import (
     level_flag,
     project_graded_classical,
     reflect_weight,
+    root_op_e,
+    root_op_f,
     shift_grade,
     solve_extremal,
     weyl_character_finite,
@@ -299,6 +304,14 @@ def test_path_sets_are_sorted_and_match_the_ladder(case):
     ps = generate_demazure_set(ad, lam, word)
     assert list(ps.paths) == sorted(ps.paths, key=lambda p: p.segments)
     assert crystal_character(ps) == demazure_word_char(ad, word, lam)
+    for pi in ps:
+        assert LSPath.make(pi.segments) == pi
+        assert all(type(x) is int
+                   for t, v in pi.steps for x in (t, *v))
+        for i in ad.indices:
+            down = root_op_f(ad, i, pi)
+            if down is not None:
+                assert root_op_e(ad, i, down) == pi
 
 
 def rebuilt(ad, fd):

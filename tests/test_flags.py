@@ -397,12 +397,18 @@ def test_weyl_list_coordinates_share_the_tuple_entry():
 
 
 def test_nondominant_weyl_weight_raises_on_every_call():
+    # A short weight must fail the length check before the short-root lift
+    # or the sum of the lifted pieces reads it.
+    short = [(A2, (1,)), (datum_from_label("B3"), (1,)),
+             (datum_from_label("F4"), (1, 0)), (C2, (1,)), (G2, (1,))]
     flags._graded_weyl.cache_clear()
     for _ in range(3):
         with pytest.raises(errors.NotDominant):
             graded_weyl_character(C2, C2.weight([-1, 0]))
-        with pytest.raises(ValueError):
-            graded_weyl_character(A2, A1.weight([1]))
+        for rd, h in short:
+            with pytest.raises(ValueError,
+                               match=f"expected {rd.rank} coroot values"):
+                graded_weyl_character(rd, Weight(h, 0))
     assert flags._graded_weyl.cache_info().currsize == 0
 
 

@@ -133,8 +133,7 @@ def test_non_integral_minimum_rejected():
 
 
 def test_non_integral_endpoint_rejected():
-    half = tuple(Fraction(x) for x in (Fraction(1, 2), Fraction(1, 2), 0))
-    pi = LSPath.make([(half, Fraction(1))])
+    pi = LSPath.make([((1, 1, 0), Fraction(1, 2)), ((0, 0, 0), Fraction(1, 2))])
     with pytest.raises(ValueError):
         pi.weight()
 
@@ -148,12 +147,17 @@ def test_canonical_form_merges_and_drops():
     split = LSPath.make([(v, Fraction(1, 2)), (v, Fraction(1, 2))])
     assert split == whole and len(split.segments) == 1
 
-    scaled = LSPath.make([(v, Fraction(1, 3)),
-                          (tuple(2 * x for x in v), Fraction(2, 3))])
+    # Positively proportional neighbours merge into their mean direction.
+    scaled = LSPath.make([(v, Fraction(1, 2)),
+                          (tuple(3 * x for x in v), Fraction(1, 2))])
     assert len(scaled.segments) == 1
-    assert scaled.segments[0] == ((Fraction(0), Fraction(5, 3), Fraction(0)),
+    assert scaled.segments[0] == ((Fraction(0), Fraction(2), Fraction(0)),
                                   Fraction(1))
-    assert (scaled.n, scaled.steps) == (3, ((3, (0, 5, 0)),))
+    assert (scaled.n, scaled.steps) == (1, ((1, (0, 2, 0)),))
+    # A mean direction of 5/3 has no integral form.
+    with pytest.raises(ValueError):
+        LSPath.make([(v, Fraction(1, 3)),
+                     (tuple(2 * x for x in v), Fraction(2, 3))])
 
     # Merging 1/3 and 2/3 of one direction leaves a common factor 3.
     thirds = LSPath.make([(v, Fraction(1, 3)), (v, Fraction(2, 3))])
@@ -368,12 +372,19 @@ def test_path_sets_are_immutable():
     assert len(ps) == 2
 
 
-def test_sorting_refuses_a_non_integral_direction():
+def test_make_and_concat_paths_refuse_a_non_integral_direction():
     # Generated directions lie in the Weyl orbit of an integral weight; a
-    # direction of (1/2, 1/2, 0) can only come from a broken operator.
+    # direction of (1/2, 1/2, 0) has no stored form.
     half = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
-    with pytest.raises(AssertionError):
-        lspath._sorted({LSPath.make([(half, Fraction(1))])})
+    with pytest.raises(ValueError):
+        LSPath.make([(half, Fraction(1))])
+    # The junction merges (2, 0, 0) for 1/2 with (4, 0, 0) for 1/6 into
+    # (5/2, 0, 0) for 2/3.
+    first = LSPath.make([((1, 0, 0), Fraction(1))])
+    second = LSPath.make([((2, 0, 0), Fraction(1, 3)),
+                          ((0, 1, 0), Fraction(2, 3))])
+    with pytest.raises(ValueError):
+        concat_paths(first, second)
 
 
 def test_float_coordinates_raise_value_error():
