@@ -17,6 +17,33 @@ The Demazure operator for node ``i`` acts term by term on ``e^mu`` with
 Composites along a reduced word therefore stay exact in integers, and the
 operator is idempotent node by node.
 
+The one ladder, ``_ladder``, runs on packed keys.  At ``B`` bits a field, a
+flat key ``k`` with ``L`` entries is the int ``sum_j (k_j + 2^(B-1)) 2^(B j)``;
+``L`` is the rank plus one on a finite datum and plus two on an affine one.
+While every coordinate lies strictly between ``-2^(B-1)`` and ``2^(B-1)``,
+every field stays in ``[0, 2^B)``: packing is one-to-one, field ``j`` reads
+``((key >> B j) & (2^B - 1)) - 2^(B-1)``, and adding the packed simple root
+``a = sum_j alpha_j 2^(B j)`` adds ``alpha`` field by field with no carry
+from one field into the next.  So a rung is ``mu -= a``.  Keys are packed
+once before the first letter and unpacked once after the last;
+``demazure._labels`` reads the finite values and the grade straight off the
+packed keys instead.
+
+The width holds every coordinate the word can produce, so the loop checks
+nothing and there is no other path.  Let ``M`` bound the absolute
+coordinates of every key before a letter, and let ``A`` be the largest
+absolute entry of a flat simple root of the datum.  A term with
+``n = mu(h_i)`` gives ``n`` rungs when ``n >= 0``, ``-1 - n`` when
+``n <= -2`` and none when ``n = -1``: at most ``|n| <= M``.  Each rung moves
+every coordinate by at most ``A``, so every key written for the letter,
+each intermediate rung included, has coordinates of absolute value at most
+``M + M A = M (1 + A)``.  By induction a word of ``len(word)`` letters keeps
+them at most ``M0 (1 + A)^len(word)``, ``M0`` bounding the input, and
+``B`` is that number's bit length plus two, rounded up to a multiple of 16
+(``_width``): every coordinate is below ``2^(B-2)`` in absolute value,
+inside its field.  ``B`` grows by about ``log2(1 + A)`` bits a letter; the
+``w0`` ladder of E8, 120 letters, packs its 9 fields at 208 bits each.
+
 The character of the simple module of dominant highest weight ``lam`` is
 found without a ladder, in three steps, all in integers:
 
@@ -64,7 +91,7 @@ object to every caller.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from operator import add, mul, sub
+from operator import add, index, lshift, mul, sub
 from typing import Mapping, Sequence
 
 from . import errors
@@ -84,7 +111,8 @@ class Character:
     """Finite map ``h + (d,) -> nonzero int`` over one datum.
 
     Built from ``(h, d)`` pairs, a ``Weight`` among them, whose ``h`` must
-    have the datum's rank.
+    have the datum's rank and whose values must be integers; ``ValueError``
+    otherwise.
     """
 
     __slots__ = ("datum", "_terms")
@@ -97,7 +125,11 @@ class Character:
             if len(h) != rank:
                 raise ValueError(f"weight rank does not match {datum.label}")
             if c:
-                flat[(*h, d)] = c
+                try:
+                    flat[(*map(index, h), index(d))] = c
+                except TypeError:
+                    raise ValueError(f"weight {tuple(h)} at grade {d!r} is "
+                                     f"not integral") from None
         object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "_terms", flat)
 
@@ -195,35 +227,83 @@ def _nonzero(terms: Flat) -> Flat:
     return {k: c for k, c in terms.items() if c}
 
 
-def _ladder(terms: Flat, p: int, alpha: tuple[int, ...]) -> Flat:
-    """One Demazure operator on flat weights ``h + (d,)``.
+# Shifts, packed simple roots, mask, bias, and the sum of the biases.
+_Layout = tuple[tuple[int, ...], tuple[int, ...], int, int, int]
 
-    ``p`` is the node's position in ``h`` and ``alpha`` its simple root,
-    flattened the same way.  Zero coefficients are dropped.
-    """
-    out: Flat = {}
-    get = out.get
-    for mu, c in terms.items():
-        n = mu[p]
-        if n >= 0:
-            out[mu] = get(mu, 0) + c
-            for _ in range(n):
-                mu = tuple(map(sub, mu, alpha))
+
+@cache
+def _growth(datum: Datum) -> int:
+    """``1 + A``, with ``A`` the largest absolute entry of a flat root."""
+    return 1 + max(abs(x) for alpha in datum.flat_roots for x in alpha)
+
+
+def _width(datum: Datum, m0: int, length: int) -> int:
+    """Bits a field needs along ``length`` letters from keys whose largest
+    absolute coordinate is ``m0`` (the bound in the module docstring)."""
+    return -(-((m0 * _growth(datum) ** length).bit_length() + 2) // 16) * 16
+
+
+# Widths come in steps of 16 bits, so that few layouts serve every call: a
+# layout takes about 6 us to build, and a perfbench ``ladder`` pass needs
+# 20 of them (34 in steps of 8, 123 in steps of 1), ``flags`` 17.
+@lru_cache(maxsize=4 * MEMO_SIZE)
+def _layout(datum: Datum, width: int) -> _Layout:
+    """Packed keys of ``datum`` at ``width`` bits a field: the shift of each
+    field, each packed simple root, the field mask, the bias, and the sum of
+    the biases, which packs the zero key."""
+    shifts = tuple(range(0, width * (len(datum.indices) + 1), width))
+    bias = 1 << (width - 1)
+    return (shifts,
+            tuple(sum(map(lshift, alpha, shifts))
+                  for alpha in datum.flat_roots),
+            (1 << width) - 1, bias, sum(bias << s for s in shifts))
+
+
+def _ladder(datum: Datum, positions: Sequence[int],
+            terms: Flat) -> tuple[dict[int, int], _Layout]:
+    """The Demazure operators at ``positions``, first position first, on
+    flat terms, as packed terms with their layout.  Zeros are dropped."""
+    m0 = 0
+    for k in terms:
+        m0 = max(m0, max(k), -min(k))
+    lay = _layout(datum, _width(datum, m0, len(positions)))
+    shifts, roots, mask, bias, offset = lay
+    packed: dict[int, int] = {}
+    for k, c in terms.items():
+        packed[sum(map(lshift, k, shifts)) + offset] = c
+    for p in positions:
+        s, a = shifts[p], roots[p]
+        out: dict[int, int] = {}
+        get = out.get
+        for mu, c in packed.items():
+            n = ((mu >> s) & mask) - bias
+            if n >= 0:
                 out[mu] = get(mu, 0) + c
-        elif n <= -2:
-            for _ in range(-1 - n):
-                mu = tuple(map(add, mu, alpha))
-                out[mu] = get(mu, 0) - c
-        # n == -1 contributes nothing.
-    return _nonzero(out)
+                for _ in range(n):
+                    mu -= a
+                    out[mu] = get(mu, 0) + c
+            elif n <= -2:
+                for _ in range(-1 - n):
+                    mu += a
+                    out[mu] = get(mu, 0) - c
+            # n == -1 contributes nothing.
+        packed = {k: c for k, c in out.items() if c}
+    return packed, lay
+
+
+def _unpacked(datum: Datum, packed: dict[int, int],
+              lay: _Layout) -> Character:
+    shifts, _, mask, bias, _ = lay
+    return Character._wrap(datum, {
+        tuple([((k >> s) & mask) - bias for s in shifts]): c
+        for k, c in packed.items()})
 
 
 def demazure_step(datum: Datum, i: int, f: Character) -> Character:
     """One Demazure operator applied to a character, term by term."""
     if f.datum.label != datum.label:
         raise ValueError(f"character does not live on {datum.label}")
-    p = datum.pos(i)
-    return Character._wrap(datum, _ladder(f._terms, p, datum.flat_roots[p]))
+    return _unpacked(datum, *_ladder(datum, (datum.pos(i),), f._terms))
 
 
 def demazure_word_char(datum: Datum, word: Sequence[int],
@@ -234,10 +314,8 @@ def demazure_word_char(datum: Datum, word: Sequence[int],
     this is the Demazure character of the corresponding extremal weight.
     """
     terms = Character(datum, {seed: 1})._terms
-    for i in reversed(word):
-        p = datum.pos(i)
-        terms = _ladder(terms, p, datum.flat_roots[p])
-    return Character._wrap(datum, terms)
+    positions = [datum.pos(i) for i in reversed(word)]
+    return _unpacked(datum, *_ladder(datum, positions, terms))
 
 
 def weyl_character_finite(rd: RootDatum, lam: Weight) -> Character:
@@ -269,9 +347,9 @@ def _roots(rd: RootDatum) -> tuple[tuple[tuple[int, ...], tuple[int, ...],
 # Four times ``MEMO_SIZE``, since each Demazure character expands into
 # several irreducibles: a perfbench ``ladder`` pass expands 213 distinct
 # ones and computes each once, and a ``flags`` pass 76.  With Freudenthal
-# misses, ``ladder`` throughput at 48, 96 and 192 entries was 1313-1349,
-# 1387-1395 and 1501-1529 rps, with peak memory 24.5, 24.8 and 25.0-25.3 MB
-# (two 20 s runs each, 2-vCPU Xeon).
+# misses and packed ladders, ``ladder`` throughput at 48, 96 and 192
+# entries was 1724-1807, 1806-1883 and 1994-2023 rps, with peak memory
+# 24.6-24.8, 24.8-25.0 and 25.3-25.4 MB (two 20 s runs each, 2-vCPU Xeon).
 @lru_cache(maxsize=4 * MEMO_SIZE, typed=True)
 def _weyl_character(rd: RootDatum, d: int, *h: int) -> Character:
     lam = rd.weight(h, d)
@@ -370,7 +448,12 @@ def forget_grading(g: Character) -> Character:
 
 
 def shift_grade(g: Character, m: int) -> Character:
-    """Add ``m`` to every grade."""
+    """Add ``m`` to every grade; ``ValueError`` if ``m`` is not an integer,
+    as for the weights of a ``Character``."""
+    try:
+        m = index(m)
+    except TypeError:
+        raise ValueError(f"grade shift {m!r} is not integral") from None
     return Character._wrap(
         g.datum, {k[:-1] + (k[-1] + m,): c for k, c in g._terms.items()})
 

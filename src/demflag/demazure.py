@@ -28,13 +28,16 @@ The finite operators commute with the graded classical projection, and
 ``sign(w) * chi(w(mu + rho) - rho)``, with ``w`` carrying ``mu + rho`` into
 the dominant chamber, or to zero when ``mu + rho`` is singular (Demazure
 1974; Humphreys, GTM 9, section 24; Kumar 2002, chapter 8).  So the ladder
-runs along ``u`` only, and each projected term straightens in plain
-integers: add ``rho``, reflect at a node of negative value until there is
-none, flipping the sign at each step, and drop the term when a value is
-zero.  What remains is a map ``{(dominant weight, grade): multiplicity}``.
-The dimension is the sum of multiplicity times Weyl's dimension formula,
-with nothing expanded; the weight character expands each irreducible
-through ``weyl_character_finite`` at its grade.
+runs along ``u`` only, on packed integer keys (``characters._ladder``), and
+each term straightens in plain integers, its finite values and grade read
+off the packed key with no character built in between: reflect ``mu + rho``
+at a node of negative value until there is none, flipping the sign at each
+step, and drop the term when a value is zero.  The loop carries ``mu``
+itself, moved by the dot action ``s_p (mu + rho) - rho``.  What remains is
+a map ``{(dominant weight, grade): multiplicity}``.  The dimension is the
+sum of multiplicity times Weyl's dimension formula, with nothing expanded;
+the weight character expands each irreducible through
+``weyl_character_finite`` at its grade.
 
 All of it is exact integer arithmetic, over no ground field, so a result
 depends only on its datum and label: the last ``MEMO_SIZE`` multiplicity
@@ -49,11 +52,11 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from operator import index
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import errors
-from .characters import (MEMO_SIZE, Character, Flat, _nonzero,
-                         demazure_word_char, weyl_character_finite)
+from .characters import (MEMO_SIZE, Character, Flat, _ladder, _nonzero,
+                         weyl_character_finite)
 from .root_data import (AffineDatum, RootDatum, Weight, apply_word,
                         make_dominant)
 
@@ -118,29 +121,39 @@ def _labels(ad: AffineDatum, level: int, grade: int, d: int,
         raise ValueError(f"level {level!r} and grade {grade!r} must be "
                          f"integers") from None
     dom, u = _reduce(ad, level, rd.weight(h, d), grade)
-    return _straighten(rd, demazure_word_char(ad, u, dom)._terms)
+    # Node ``i`` of an affine datum sits at position ``i``.
+    packed, (shifts, _, mask, bias, _) = _ladder(ad, u[::-1],
+                                                 {(*dom.h, dom.d): 1})
+    # Each key holds ``h_0``, the finite values and the grade.
+    fin, top = shifts[1:-1], shifts[-1]
+    return _straighten(rd, (([((k >> s) & mask) - bias for s in fin],
+                             (k >> top) - bias, c)
+                            for k, c in packed.items()))
 
 
-def _straighten(rd: RootDatum, terms: Flat) -> Labels:
-    """``{(top, grade): m}`` with ``D_w0`` of the flat terms equal to
-    ``sum m * chi(top)`` grade by grade.  The finite part of a key is its
-    last ``rank`` values before the grade: an affine key drops ``h_0``."""
-    lo = -1 - rd.rank
+def _straighten(rd: RootDatum,
+                terms: Iterable[tuple[Sequence[int], int, int]]) -> Labels:
+    """``{(top, grade): m}`` with ``D_w0`` of the terms equal to
+    ``sum m * chi(top)`` grade by grade.  A term is ``(mu, grade, c)``: the
+    finite values of its weight, its grade and its coefficient.  The loop
+    moves ``mu`` by the dot action, ``s_p (mu + rho) - rho``, which
+    subtracts ``(mu_p + 1) alpha_p``."""
+    roots = rd.flat_roots
     out: Labels = {}
     get = out.get
-    for k, c in terms.items():
-        nu = [x + 1 for x in k[lo:-1]]
+    for mu, g, c in terms:
         while True:
-            for p, v in enumerate(nu):
-                if v <= 0:
+            for p, v in enumerate(mu):
+                if v < 0:
                     break
-            else:                       # dominant: ``chi(nu - rho)``
-                key = (tuple(x - 1 for x in nu), k[-1])
+            else:                       # dominant: ``chi(mu)``
+                key = (tuple(mu), g)
                 out[key] = get(key, 0) + c
                 break
-            if v == 0:                  # singular: zero
+            if v == -1:                 # ``mu + rho`` singular: zero
                 break
-            nu = [a - v * b for a, b in zip(nu, rd.flat_roots[p])]
+            v += 1
+            mu = [a - v * b for a, b in zip(mu, roots[p])]
             c = -c
     return _nonzero(out)
 

@@ -132,7 +132,9 @@ def greedy_decompose(ad: AffineDatum, g: Character,
     if not check_w_invariance_per_grade(rd, g):
         raise errors.NonDominantLeading(
             "character is not Weyl invariant grade by grade")
-    return _peel(ad, _straighten(rd, g._terms), level, tie_break)
+    return _peel(ad, _straighten(rd, ((k[:-1], k[-1], c)
+                                      for k, c in g._terms.items())),
+                 level, tie_break)
 
 
 def level_flag(ad: AffineDatum, level: int, to_level: int,

@@ -62,7 +62,11 @@ and no error is kept.  It then looks the set up in a per-process memo of
 the last ``MEMO_SIZE // 6`` sets, keyed by datum, straight path and
 letter positions; a repeated request returns the same ``PathSet``.  A
 ``PathSet`` is immutable, and ``crystal_character`` sums its endpoint
-weights once and keeps the character on the set.
+weights once and keeps the character on the set.  A path carries no
+datum, so ``root_op_f``, ``root_op_e`` and ``eps_phi`` raise ``ValueError``
+for a path whose directions do not have ``rank + 2`` entries (the nodes
+``0 .. rank`` and the scaling element); generation skips the check, as its
+paths start from a weight of the datum.
 
 Concatenation squeezes both factors to half duration at double speed,
 first factor first, so endpoint weights add.  For a dominant ``mu`` and a
@@ -221,13 +225,24 @@ def _lower(ad: AffineDatum, p: int, pi: LSPath) -> Optional[LSPath]:
                         k0, k + 1)
 
 
+def _check_width(ad: AffineDatum, pi: LSPath) -> None:
+    """``ValueError`` unless every direction has one value per node of
+    ``ad`` and one on the scaling element."""
+    width = ad.rank + 2
+    if any(len(v) != width for _, v in pi.steps):
+        raise ValueError(f"path directions on {ad.label} must have "
+                         f"{width} entries")
+
+
 def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
     """Lowering operator for node ``i``; None when undefined."""
+    _check_width(ad, pi)
     return _lower(ad, ad.pos(i), pi)
 
 
 def root_op_e(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
     """Raising operator for node ``i``; None when undefined."""
+    _check_width(ad, pi)
     p = ad.pos(i)
     n = pi.n
     hs = _heights(pi, p)
@@ -245,6 +260,7 @@ def root_op_e(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
 
 def eps_phi(ad: AffineDatum, i: int, pi: LSPath) -> tuple[int, int]:
     """String statistics ``(eps, phi)``; both are nonnegative integers."""
+    _check_width(ad, pi)
     hs = _heights(pi, ad.pos(i))
     m, n = min(hs), pi.n
     if m % n or hs[-1] % n:
@@ -318,8 +334,10 @@ def _path_set(ad: AffineDatum, top: LSPath,
 def crystal_character(ps: PathSet) -> Character:
     """Sum of exponentials of endpoint weights, computed once per set."""
     if ps._character is None:
-        object.__setattr__(ps, "_character", Character(
-            ps.datum, Counter(p.weight() for p in ps.paths)))
+        # Endpoints are integral weights of the datum: no check is needed.
+        object.__setattr__(ps, "_character", Character._wrap(
+            ps.datum, dict(Counter((*w.h, w.d) for w in map(
+                LSPath.weight, ps.paths)))))
     return ps._character
 
 

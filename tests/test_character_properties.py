@@ -10,8 +10,15 @@ the ladder along their word and the order of their segments, and each
 path against its own segments, its integral storage and the root operators
 going down and back up.  Flags are
 checked by rebuilding their source from the pieces and by peeling in both
-tie-break orders.  Examples are derandomized and no example database is
-written, so the suite stays deterministic.
+tie-break orders.  The packed-integer ladder (``demazure_word_char``,
+``demazure_step`` and the multiplicities of ``demazure._labels``) is
+checked against a tuple ladder written here from the Cartan matrix, with
+grades of ``10**30`` and coordinates of ``2**80``, and its packing width
+against the largest coordinate that ladder reaches.  Ladders are
+idempotent, Demazure characters invariant grade by grade, and ungraded
+local Weyl characters the products of their fundamental factors.
+Examples are derandomized and no example database is written, so the suite
+stays deterministic.
 """
 
 import os
@@ -34,15 +41,19 @@ from demflag import (
     LSPath,
     Weight,
     affinize,
+    characters,
     check_w_invariance_per_grade,
     crystal_character,
     datum_from_label,
+    demazure,
     demazure_character,
     demazure_dim,
+    demazure_step,
     demazure_word_char,
     errors,
     forget_grading,
     generate_demazure_set,
+    graded_weyl_character,
     greedy_decompose,
     level_flag,
     project_graded_classical,
@@ -378,3 +389,167 @@ def test_tie_breaks_agree_on_invariant_sums(case):
             assert rebuilt(ad, fd) == g
             outcomes.append(fd.multiset())
     assert outcomes[0] == outcomes[1]
+
+
+# ---- the packed ladder against a tuple ladder written here ----
+
+def oracle_roots(datum):
+    """Each simple root as a flat ``h + (d,)`` vector, read off the Cartan
+    matrix: column ``p``, then ``d = 1`` for the affine ``alpha_0`` only."""
+    affine = datum.indices[0] == 0
+    size = len(datum.indices)
+    return [tuple(datum.cartan[j][p] for j in range(size))
+            + (int(affine and p == 0),) for p in range(size)]
+
+
+def oracle_ladder(datum, word, terms):
+    """The Demazure operators of ``word``, last letter first, on
+    ``{flat key: c}`` as tuples, with the largest absolute coordinate of any
+    key written on the way."""
+    roots = oracle_roots(datum)
+    peak = max((abs(x) for k in terms for x in k), default=0)
+    for i in reversed(word):
+        p = i - datum.indices[0]
+        alpha = roots[p]
+        out = Counter()
+        for mu, c in terms.items():
+            n = mu[p]
+            # ``e^mu + .. + e^(mu - n alpha)``, or minus the interior.
+            ks, sign = (range(n + 1), 1) if n >= 0 else (range(n + 1, 0), -1)
+            for k in ks:
+                nu = tuple(x - k * a for x, a in zip(mu, alpha))
+                out[nu] += sign * c
+                peak = max(peak, *map(abs, nu))
+        terms = {k: c for k, c in out.items() if c}
+    return terms, peak
+
+
+def as_pairs(terms):
+    return {(k[:-1], k[-1]): c for k, c in terms.items()}
+
+
+def fits(datum, m0, length, peak):
+    """The packed width for this input holds every coordinate reached."""
+    return peak < 2 ** (characters._width(datum, m0, length) - 1)
+
+
+WORD_DATUMS = SMALL + tuple(map(affinize, FINITE))
+
+
+@st.composite
+def words_and_seeds(draw):
+    """A datum, a word of up to five letters and a seed.  Some seeds sit at
+    grade ``10**30``; some put ``2**80`` at a node the word never uses."""
+    datum = draw(st.sampled_from(WORD_DATUMS))
+    nodes = list(datum.indices)
+    h = list(draw(st.tuples(*[st.integers(-3, 3)] * len(nodes))))
+    d = draw(st.sampled_from((0, -1, 2, 10**30)))
+    if len(nodes) > 1 and draw(st.booleans()):
+        far = draw(st.sampled_from(nodes))
+        h[nodes.index(far)] = 2**80
+        nodes.remove(far)
+    word = draw(st.lists(st.sampled_from(nodes), max_size=5))
+    return datum, word, Weight(tuple(h), d)
+
+
+@SETTINGS
+@given(words_and_seeds())
+def test_word_ladder_matches_the_tuple_oracle(case):
+    datum, word, seed = case
+    expected, peak = oracle_ladder(datum, word, {(*seed.h, seed.d): 1})
+    assert dict(demazure_word_char(datum, word, seed).terms()) \
+        == as_pairs(expected)
+    m0 = max(map(abs, (*seed.h, seed.d)))
+    assert fits(datum, m0, len(word), peak)
+
+
+@SETTINGS
+@given(st.sampled_from(WORD_DATUMS).flatmap(
+    lambda dt: st.tuples(st.just(dt), terms_on(dt),
+                         st.sampled_from(dt.indices), st.booleans())))
+def test_step_matches_the_tuple_oracle(case):
+    datum, terms, i, wide = case
+    if wide:
+        # One term far out: a huge grade, and ``2**80`` at another node.
+        h = [2**80 if j != i else 1 for j in datum.indices]
+        terms = {**terms, (tuple(h), 10**30): 2}
+    flat = {(*h, d): c for (h, d), c in terms.items() if c}
+    expected, peak = oracle_ladder(datum, [i], flat)
+    assert dict(demazure_step(datum, i, Character(datum, terms)).terms()) \
+        == as_pairs(expected)
+    m0 = max((abs(x) for k in flat for x in k), default=0)
+    assert fits(datum, m0, 1, peak)
+
+
+@st.composite
+def oracle_labels(draw):
+    """A label with small coordinates, sometimes at grade ``10**30``."""
+    ad, lab = draw(demazure_labels())
+    return ad, lab._replace(grade=draw(st.sampled_from((lab.grade, 10**30))))
+
+
+@SETTINGS
+@given(oracle_labels())
+def test_labels_match_the_tuple_oracle(case):
+    """The multiplicities, each irreducible expanded by Freudenthal, give
+    the projected tuple ladder along the whole extremal word."""
+    ad, lab = case
+    top, word = solve_extremal(ad, lab)
+    ladder, peak = oracle_ladder(ad, word, {(*top.h, top.d): 1})
+    expected = Counter()
+    for k, c in ladder.items():
+        expected[k[1:-1], k[-1]] += c
+    expanded = Counter()
+    for (h, grade), m in demazure._labels(ad, lab.level, lab.grade,
+                                          lab.lam.d, *lab.lam.h).items():
+        for (mu, _), c in weyl_character_finite(ad.finite,
+                                                Weight(h)).terms():
+            expanded[mu, grade] += m * c
+    assert {k: c for k, c in expanded.items() if c} \
+        == {k: c for k, c in expected.items() if c}
+    assert fits(ad, max(map(abs, (*top.h, top.d))), len(word), peak)
+
+
+# ---- ROADMAP item 5 leftovers ----
+
+@SETTINGS
+@given(st.sampled_from(WORD_DATUMS).flatmap(
+    lambda dt: st.tuples(st.just(dt), chars_on(dt),
+                         st.sampled_from(dt.indices))))
+def test_ladder_is_idempotent(case):
+    datum, f, i = case
+    once = demazure_step(datum, i, f)
+    assert demazure_step(datum, i, once) == once
+
+
+@SETTINGS
+@given(demazure_labels())
+def test_demazure_characters_are_invariant_grade_by_grade(case):
+    ad, lab = case
+    g = demazure_character(ad, lab)
+    assert invariant_by_slices(ad.finite, g)
+    assert check_w_invariance_per_grade(ad.finite, g)
+
+
+# Weights with at least two fundamental parts, counted with multiplicity.
+FACTORIZED = [
+    ("A3", (1, 1, 0)), ("A3", (1, 0, 1)), ("A3", (2, 0, 0)),
+    ("A3", (0, 1, 1)), ("B3", (1, 0, 1)), ("B3", (1, 1, 0)),
+    ("C2", (1, 1)), ("C2", (2, 0)), ("C2", (0, 2)), ("C3", (1, 0, 1)),
+    ("C3", (0, 1, 1)), ("D4", (1, 0, 0, 1)), ("D4", (1, 1, 0, 0)),
+    ("F4", (1, 0, 0, 1)), ("G2", (1, 1)), ("G2", (2, 0)),
+]
+
+
+@pytest.mark.parametrize("label,h", FACTORIZED)
+def test_local_weyl_characters_factor_into_fundamentals(label, h):
+    """``W(lam)`` is the tensor product of ``W(omega_i)^(m_i)`` (the
+    paper's factorization), so the ungraded characters multiply."""
+    rd = datum_from_label(label)
+    whole = forget_grading(graded_weyl_character(rd, rd.weight(h))[0])
+    product = Character.monomial(rd, rd.zero_weight)
+    for node, m in zip(rd.indices, h):
+        omega = graded_weyl_character(rd, rd.fundamental_weight(node))[0]
+        for _ in range(m):
+            product = product * forget_grading(omega)
+    assert whole == product

@@ -91,6 +91,21 @@ def test_seed_rank_must_match_datum():
         Character(A1_AFF, {((1,), 0): 1})
 
 
+def test_weights_must_be_integral():
+    # Ladders pack every key into one int, so a float has no place there.
+    for h, d in (((1.0, 0), 0), ((1, 0), 0.5)):
+        with pytest.raises(ValueError, match="not integral"):
+            Character(A1_AFF, {(h, d): 1})
+        with pytest.raises(ValueError, match="not integral"):
+            demazure_word_char(A1_AFF, (1, 0), Weight(h, d))
+    with pytest.raises(ValueError, match="not integral"):
+        shift_grade(mono(A1, [1]), 0.5)
+    f = Character(A1_AFF, {((True, 0), False): 1})
+    assert all(type(x) is int for (h, d), _ in f.terms() for x in (*h, d))
+    assert demazure_step(A1_AFF, 0, f) == demazure_step(
+        A1_AFF, 0, mono(A1_AFF, [1, 0]))
+
+
 def test_word_char_examples():
     lam0_delta = A1_AFF.weight([1, 0], 1)
     assert demazure_word_char(A1_AFF, (), lam0_delta) \

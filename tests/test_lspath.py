@@ -406,3 +406,17 @@ def test_bool_coordinates_give_integer_steps():
                for x in (pi.n, *(y for t, e in pi.steps for y in (t, *e))))
     assert generate_demazure_set(A2_AFF, A2_AFF.fundamental_weight(1),
                                  (1, 0, 2)) is ps
+
+
+@pytest.mark.parametrize("v", [(1, 0), (1, 0, 0, 0), (0, 1, 0, 0)])
+def test_operators_refuse_a_path_of_another_width(v):
+    # Affine A1 directions have three entries: h_0, h_1 and d.  Both a
+    # short and a long path used to get a silent answer.
+    pi = LSPath.make([(v, Fraction(1))])
+    for op in (root_op_f, root_op_e, eps_phi):
+        for i in A1_AFF.indices:
+            with pytest.raises(ValueError, match="3 entries"):
+                op(A1_AFF, i, pi)
+    fine = straight_path(A1_AFF, A1_AFF.weight([0, 1]))
+    assert eps_phi(A1_AFF, 1, fine) == (0, 1)
+    assert root_op_e(A1_AFF, 1, root_op_f(A1_AFF, 1, fine)) == fine
