@@ -26,20 +26,43 @@ every field stays in ``[0, 2^B)``: packing is one-to-one, field ``j`` reads
 ``a = sum_j alpha_j 2^(B j)`` adds ``alpha`` field by field with no carry
 from one field into the next.  So a rung is ``mu -= a``.  Keys are packed
 once before the first letter and unpacked once after the last;
-``demazure._labels`` reads the finite values and the grade straight off the
-packed keys instead.
+``demazure._labels`` straightens the packed keys themselves and unpacks
+only what survives.
 
-The width holds every coordinate the word can produce, so the loop checks
-nothing and there is no other path.  Let ``M`` bound the absolute
-coordinates of every key before a letter, and let ``A`` be the largest
-absolute entry of a flat simple root of the datum.  A term with
-``n = mu(h_i)`` gives ``n`` rungs when ``n >= 0``, ``-1 - n`` when
-``n <= -2`` and none when ``n = -1``: at most ``|n| <= M``.  Each rung moves
-every coordinate by at most ``A``, so every key written for the letter,
-each intermediate rung included, has coordinates of absolute value at most
-``M + M A = M (1 + A)``.  By induction a word of ``len(word)`` letters keeps
-them at most ``M0 (1 + A)^len(word)``, ``M0`` bounding the input, and
-``B`` is that number's bit length plus two, rounded up to a multiple of 16
+The width holds every coordinate the word can produce, and every one that
+straightening the result through ``D_w0`` can (``demazure._straighten``),
+so the loops check nothing and there is no other path.
+
+* The ladder.  Let ``M`` bound the absolute coordinates of every key
+  before a letter, and let ``A`` be the largest absolute entry of a flat
+  simple root of the datum.  A term with ``n = mu(h_i)`` gives ``n`` rungs
+  when ``n >= 0``, ``-1 - n`` when ``n <= -2`` and none when ``n = -1``: at
+  most ``|n| <= M``.  Each rung moves every coordinate by at most ``A``, so
+  every key written for the letter, each intermediate rung included, has
+  coordinates of absolute value at most ``M + M A = M (1 + A)``.  By
+  induction a word of ``len(word)`` letters keeps them at most
+  ``M = M0 (1 + A)^len(word)``, ``M0`` bounding the input.
+* Straightening.  It moves the finite values of a key through
+  ``w(mu + rho) - rho`` for Weyl group elements ``w`` and leaves the grade
+  alone.  Take the invariant form with ``(alpha_j, alpha_j) = 2 d_j``, ``d``
+  the symmetrizer, so that ``(omega_i, omega_j) = d_i (cartan^-1)_ij``.  A
+  weight ``nu`` whose values are at most ``N`` in absolute value has
+  ``(nu, nu) <= N^2 S`` with ``S = sum_ij |(omega_i, omega_j)|``, and ``w``
+  keeps the form, so by Cauchy-Schwarz
+
+      |w(nu)(h_j)| = 2 |(w nu, alpha_j)| / (alpha_j, alpha_j)
+                   <= 2 |nu| / |alpha_j|  <=  C N,   C^2 = 2 S / min(d).
+
+  With ``nu = mu + rho`` and ``N = M + 1``, every value straightening
+  reaches is at most ``C (M + 1) + 1 <= (K + 1)(M + 1)``, where ``K`` is
+  ``C`` rounded up to an integer.  ``C`` is 1 for A1, 2 for A2, about 3.2
+  for A3, 4.5 for A4 and 35.2 for E8, so ``K`` is 1, 2, 4, 5 and 36; on
+  A1, A2 and A3 the bound is reached or nearly.  On an affine datum
+  ``K`` is that of its finite part; ``demazure._labels`` straightens only
+  the finite fields and the affine ``h_0`` is shifted out first.
+
+``B`` is the bit length of ``(K + 1)(M + 1)``, which exceeds every
+coordinate of both loops, plus two, rounded up to a multiple of 16
 (``_width``): every coordinate is below ``2^(B-2)`` in absolute value,
 inside its field.  ``B`` grows by about ``log2(1 + A)`` bits a letter; the
 ``w0`` ladder of E8, 120 letters, packs its 9 fields at 208 bits each.
@@ -91,6 +114,7 @@ object to every caller.
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from math import isqrt
 from operator import add, index, lshift, mul, sub
 from typing import Mapping, Sequence
 
@@ -232,15 +256,28 @@ _Layout = tuple[tuple[int, ...], tuple[int, ...], int, int, int]
 
 
 @cache
-def _growth(datum: Datum) -> int:
-    """``1 + A``, with ``A`` the largest absolute entry of a flat root."""
-    return 1 + max(abs(x) for alpha in datum.flat_roots for x in alpha)
+def _factors(datum: Datum) -> tuple[int, int]:
+    """``1 + A`` and ``K + 1`` of the bound in the module docstring: ``A``
+    the largest absolute entry of a flat root, ``K`` the straightening
+    constant ``C`` of the finite part, rounded up."""
+    rd = datum.finite if isinstance(datum, AffineDatum) else datum
+    adj, den = rd._inverse
+    sym = rd.symmetrizer
+    # ``den * S``, with ``(omega_i, omega_j) = d_i adj_ij / den``.
+    s = sum(d * abs(x) for d, row in zip(sym, adj) for x in row)
+    c2 = -(-2 * s // (den * min(sym)))          # ceil(C^2)
+    # ``isqrt(c2 - 1) + 1`` is ``ceil(sqrt(c2))``, at least ``C``.
+    return (1 + max(abs(x) for alpha in datum.flat_roots for x in alpha),
+            isqrt(c2 - 1) + 2)
 
 
 def _width(datum: Datum, m0: int, length: int) -> int:
     """Bits a field needs along ``length`` letters from keys whose largest
-    absolute coordinate is ``m0`` (the bound in the module docstring)."""
-    return -(-((m0 * _growth(datum) ** length).bit_length() + 2) // 16) * 16
+    absolute coordinate is ``m0``, and through straightening the result
+    (the bound in the module docstring)."""
+    growth, reach = _factors(datum)
+    bits = ((m0 * growth ** length + 1) * reach).bit_length() + 2
+    return -(-bits // 16) * 16
 
 
 # Widths come in steps of 16 bits, so that few layouts serve every call: a

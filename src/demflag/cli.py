@@ -218,13 +218,27 @@ def cache_write(cdir: str, key: str, output: str) -> None:
 # it fills, how the parsed arguments give its value and how that value
 # reads as a plain JSON parameter.  An integer option is parsed by argparse
 # and stored under its parameter name, so its value is read as it is.
+#
+# Every number on the command line goes through ``integer``.
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """An ASCII decimal integer, ``-?[0-9]+``, or ``ValueError``.  ``int``
+    alone would also take other scripts' digits, ``_`` between digits, a
+    ``+`` sign and surrounding blanks."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _ints(text: str, what: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",")]
+        return [integer(x) for x in text.split(",")]
     except ValueError:
-        raise ValueError(f"{what} must be comma-separated integers: {text!r}")
+        raise ValueError(f"{what} must be comma-separated integers: "
+                         f"{text!r}") from None
 
 
 def _word(rd: RootDatum, ad: AffineDatum, args) -> tuple[int, ...]:
@@ -262,7 +276,7 @@ def _h(w) -> list[int]:
     return list(w.h)
 
 
-_INT = {"type": int, "required": True}
+_INT = {"type": integer, "required": True}
 _LAMBDA = {"dest": "lam", "required": True}
 
 _OPTIONS = {
@@ -276,7 +290,7 @@ _OPTIONS = {
                                  _ints(args.lam, "--lambda"), args.grade), _h),
     "mu": _Option("--mu", {"required": True}, "mu",
                   lambda rd, ad, args: ad.weight(_ints(args.mu, "--mu")), _h),
-    "grade": _Option("--grade", {"type": int, "default": 0}, "grade"),
+    "grade": _Option("--grade", {"type": integer, "default": 0}, "grade"),
     "sigma": _Option("--sigma", {"required": True}, "sigma", _word, list),
     "factor": _Option("--factor", {"action": "append", "default": []},
                       "factors", _factors,

@@ -29,20 +29,34 @@ The finite operators commute with the graded classical projection, and
 the dominant chamber, or to zero when ``mu + rho`` is singular (Demazure
 1974; Humphreys, GTM 9, section 24; Kumar 2002, chapter 8).  So the ladder
 runs along ``u`` only, on packed integer keys (``characters._ladder``), and
-each term straightens in plain integers, its finite values and grade read
-off the packed key with no character built in between: reflect ``mu + rho``
-at a node of negative value until there is none, flipping the sign at each
-step, and drop the term when a value is zero.  The loop carries ``mu``
-itself, moved by the dot action ``s_p (mu + rho) - rho``.  What remains is
-a map ``{(dominant weight, grade): multiplicity}``.  The dimension is the
-sum of multiplicity times Weyl's dimension formula, with nothing expanded;
-the weight character expands each irreducible through
+each term straightens on its packed key, in plain integers, with no tuple
+or character built in between: reflect ``mu + rho`` at a node of negative
+value until there is none, flipping the sign at each step, and drop the
+term when a value is zero.  The loop carries ``mu`` itself, moved by the
+dot action ``s_p (mu + rho) - rho``, which subtracts ``(mu_p + 1) alpha_p``.
+
+On a packed key that is a few integer operations.  The affine ``h_0`` is
+the lowest field, so shifting it out leaves a key of the finite layout at
+the same width, ``B`` bits a field with bias ``2^(B-1)``.  A field is
+nonnegative exactly when its top bit is set, so with ``tops`` the top bits
+of the finite fields, a key ``k`` is dominant iff ``tops & ~k == 0``, and
+otherwise its first negative node is the field of the lowest set bit of
+``x = tops & ~k``, ``((x & -x).bit_length() - 1) // B``.  At a value of
+``-1`` the term drops; otherwise ``k -= (v + 1) a_p``, with ``a_p`` the
+packed simple root, and the sign flips.  Each dominant survivor is unpacked
+once, at the end.  The width covers every value straightening reaches (the
+bound in the ``characters`` docstring), so no field borrows from the next.
+What remains is a map ``{(dominant weight, grade): multiplicity}``.  The
+dimension is the sum of multiplicity times Weyl's dimension formula, with
+nothing expanded; the weight character expands each irreducible through
 ``weyl_character_finite`` at its grade.
 
 All of it is exact integer arithmetic, over no ground field, so a result
 depends only on its datum and label: the last ``MEMO_SIZE`` multiplicity
 maps, characters and dimensions are each kept for the life of the process,
-and a repeated label returns the same object.
+and a repeated label returns the same object.  Beneath the dimensions, the
+Weyl dimensions of the last ``4 * MEMO_SIZE`` tops are kept per datum, since
+many labels share their tops.
 Labels are validated on every call, so a bad label raises every time and
 no error is kept.  Integrality is checked on a miss: the memos key every
 number by its type, so a float never shares an entry with an integer.
@@ -51,12 +65,13 @@ number by its type, so a float never shares an entry with an integer.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from operator import index
-from typing import Iterable, NamedTuple, Sequence
+from itertools import repeat
+from operator import index, mul, rshift
+from typing import Iterable, NamedTuple
 
 from . import errors
-from .characters import (MEMO_SIZE, Character, Flat, _ladder, _nonzero,
-                         weyl_character_finite)
+from .characters import (MEMO_SIZE, Character, Flat, _ladder, _Layout,
+                         _layout, _nonzero, weyl_character_finite)
 from .root_data import (AffineDatum, RootDatum, Weight, apply_word,
                         make_dominant)
 
@@ -85,9 +100,8 @@ def _validate(ad: AffineDatum, lab: DemazureLabel) -> None:
 def _reduce(ad: AffineDatum, level: int, lam: Weight,
             grade: int) -> tuple[Weight, tuple[int, ...]]:
     """``make_dominant`` of ``level * Lambda_0 + lam + grade * delta``."""
-    target = ad.embed_classical(lam, grade=grade)
-    target = Weight((target.h[0] + level,) + target.h[1:], target.d)
-    dom, word = make_dominant(ad, target)
+    h0 = level - sum(map(mul, ad.finite.comarks, lam.h))
+    dom, word = make_dominant(ad, Weight((h0, *lam.h), grade))
     if ad.level(dom) != level:
         raise AssertionError("chamber reduction changed the level")
     return dom, word
@@ -122,40 +136,37 @@ def _labels(ad: AffineDatum, level: int, grade: int, d: int,
                          f"integers") from None
     dom, u = _reduce(ad, level, rd.weight(h, d), grade)
     # Node ``i`` of an affine datum sits at position ``i``.
-    packed, (shifts, _, mask, bias, _) = _ladder(ad, u[::-1],
-                                                 {(*dom.h, dom.d): 1})
-    # Each key holds ``h_0``, the finite values and the grade.
-    fin, top = shifts[1:-1], shifts[-1]
-    return _straighten(rd, (([((k >> s) & mask) - bias for s in fin],
-                             (k >> top) - bias, c)
-                            for k, c in packed.items()))
+    packed, (shifts, *_) = _ladder(ad, u[::-1], {(*dom.h, dom.d): 1})
+    # Shifting ``h_0``, the lowest field, out leaves finite keys.
+    b = shifts[1]
+    return _straighten(zip(map(rshift, packed, repeat(b)), packed.values()),
+                       _layout(rd, b))
 
 
-def _straighten(rd: RootDatum,
-                terms: Iterable[tuple[Sequence[int], int, int]]) -> Labels:
+def _straighten(terms: Iterable[tuple[int, int]], lay: _Layout) -> Labels:
     """``{(top, grade): m}`` with ``D_w0`` of the terms equal to
-    ``sum m * chi(top)`` grade by grade.  A term is ``(mu, grade, c)``: the
-    finite values of its weight, its grade and its coefficient.  The loop
-    moves ``mu`` by the dot action, ``s_p (mu + rho) - rho``, which
-    subtracts ``(mu_p + 1) alpha_p``."""
-    roots = rd.flat_roots
-    out: Labels = {}
+    ``sum m * chi(top)`` grade by grade.  A term is ``(k, c)``: a key
+    packed in ``lay``, a layout of a finite datum, and its coefficient.
+    The loop moves ``k`` by the dot action, ``s_p (mu + rho) - rho``, which
+    subtracts ``(mu_p + 1) alpha_p``; the module docstring has the rest."""
+    shifts, roots, mask, bias, offset = lay
+    *fin, top = shifts
+    b = shifts[1]
+    tops = offset - (bias << top)       # the top bit of every finite field
+    out: dict[int, int] = {}
     get = out.get
-    for mu, g, c in terms:
-        while True:
-            for p, v in enumerate(mu):
-                if v < 0:
-                    break
-            else:                       # dominant: ``chi(mu)``
-                key = (tuple(mu), g)
-                out[key] = get(key, 0) + c
-                break
+    for k, c in terms:
+        while x := tops & ~k:
+            at = (x & -x).bit_length() - b      # the first negative field
+            v = ((k >> at) & mask) - bias
             if v == -1:                 # ``mu + rho`` singular: zero
                 break
-            v += 1
-            mu = [a - v * b for a, b in zip(mu, roots[p])]
+            k -= (v + 1) * roots[at // b]
             c = -c
-    return _nonzero(out)
+        else:                           # dominant: ``chi(mu)``
+            out[k] = get(k, 0) + c
+    return {(tuple([((k >> s) & mask) - bias for s in fin]),
+             (k >> top) - bias): c for k, c in out.items() if c}
 
 
 def _expand(rd: RootDatum, labels: Labels) -> Character:
@@ -175,6 +186,13 @@ def _positive_coroots(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     return tuple(rd.coroot(beta) for beta in rd.positive_roots)
 
 
+# Weyl dimensions of tops, four times ``MEMO_SIZE`` like the Weyl characters
+# of ``characters``.  A perfbench ``ladder`` pass asks for 4,312 of them,
+# 210 distinct; over three shuffled passes a memo of 48, 96, 192 and 256
+# entries missed 527-553, 333-390, 212-213 and 210 times.  A miss takes
+# about 2 us on A2, 8 us on D4 and 0.1 ms on E8 (2-vCPU Xeon), so the
+# three misses more at 192 cost well under a millisecond a pass.
+@lru_cache(maxsize=4 * MEMO_SIZE)
 def _weyl_dim(rd: RootDatum, h: tuple[int, ...]) -> int:
     """Weyl's dimension formula: the product over positive roots ``beta``
     of ``(h + rho)(h_beta) / rho(h_beta)``, with ``rho`` all ones."""

@@ -42,8 +42,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import errors
-from .characters import (Character, _nonzero, check_w_invariance_per_grade,
-                         forget_grading)
+from .characters import (Character, _ladder, _nonzero,
+                         check_w_invariance_per_grade, forget_grading)
 from .demazure import (MEMO_SIZE, DemazureLabel, Labels, _expand, _labels,
                        _straighten, _validate)
 from .root_data import (AffineDatum, RootDatum, Weight, affinize,
@@ -99,11 +99,13 @@ def _peel(ad: AffineDatum, residue: Labels, level: int,
         return coords is not None and all(x >= 0 for x in coords)
 
     pieces: list[tuple[Weight, int, int]] = []
+    height: dict[tuple[int, ...], int] = {}     # every top seen, once each
     while residue := _nonzero(residue):
-        height = {top: rd.height(top) for top, _ in residue}
-        lead = next(h for h in sorted(height, reverse=tie_break == "max")
+        tops = {top for top, _ in residue}
+        height.update((t, rd.height(t)) for t in tops - height.keys())
+        lead = next(h for h in sorted(tops, reverse=tie_break == "max")
                     if not any(height[o] > height[h] and below(h, o)
-                               for o in height))
+                               for o in tops))
         grade = min(g for top, g in residue if top == lead)
         coeff = residue[lead, grade]
         if coeff < 0:
@@ -132,9 +134,8 @@ def greedy_decompose(ad: AffineDatum, g: Character,
     if not check_w_invariance_per_grade(rd, g):
         raise errors.NonDominantLeading(
             "character is not Weyl invariant grade by grade")
-    return _peel(ad, _straighten(rd, ((k[:-1], k[-1], c)
-                                      for k, c in g._terms.items())),
-                 level, tie_break)
+    packed, lay = _ladder(rd, (), g._terms)     # no letters: packs the terms
+    return _peel(ad, _straighten(packed.items(), lay), level, tie_break)
 
 
 def level_flag(ad: AffineDatum, level: int, to_level: int,

@@ -546,16 +546,24 @@ def make_dominant(datum: Datum, mu: Weight,
     if isinstance(datum, AffineDatum) and datum.level(mu) <= 0:
         raise errors.ZeroLevel(
             f"level {datum.level(mu)} weight cannot be reduced")
-    pick = min if tie_break == "min" else max
-    cur = mu
+    roots = datum.flat_roots
+    n = len(roots)
+    if len(mu.h) != n:
+        raise ValueError(f"expected {n} coroot values")
+    order = range(n) if tie_break == "min" else range(n - 1, -1, -1)
+    first = datum._first
+    # The walk runs on the flat values ``h + (d,)``, a plain list.
+    cur = [*mu.h, mu.d]
     word: list[int] = []
     while True:
-        neg = [i for i in datum.indices if datum.value(cur, i) < 0]
-        if not neg:
-            return cur, tuple(word)
-        i = pick(neg)
-        cur = reflect_weight(datum, i, cur)
-        word.append(i)
+        for p in order:
+            v = cur[p]
+            if v < 0:
+                break
+        else:
+            return Weight(tuple(cur[:-1]), cur[-1]), tuple(word)
+        cur = [a - v * b for a, b in zip(cur, roots[p])]
+        word.append(p + first)
 
 
 def dominance_leq(datum: Datum, mu: Weight, lam: Weight) -> bool:

@@ -32,7 +32,7 @@ os.environ.setdefault(
     os.path.join(tempfile.gettempdir(), "demflag-hypothesis"))
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demflag import (
@@ -488,26 +488,109 @@ def oracle_labels(draw):
     return ad, lab._replace(grade=draw(st.sampled_from((lab.grade, 10**30))))
 
 
+def oracle_straighten(rd, terms):
+    """``D_w0`` of ``{flat key: c}`` on a finite datum, as
+    ``{(top, grade): m}``: reflect ``mu + rho`` at its first node of value
+    at most zero, flipping the sign, until it is dominant, or drop it at a
+    zero.  With the largest absolute coordinate of any ``mu`` on the way."""
+    roots = oracle_roots(rd)
+    out = Counter()
+    peak = max((abs(x) for k in terms for x in k), default=0)
+    for key, c in terms.items():
+        nu = [x + 1 for x in key[:-1]]
+        while (p := next((p for p, x in enumerate(nu) if x <= 0), None)) \
+                is not None and nu[p]:
+            nu = [x - nu[p] * a for x, a in zip(nu, roots[p])]
+            c = -c
+            peak = max(peak, *(abs(x - 1) for x in nu))
+        if p is None:
+            out[tuple(x - 1 for x in nu), key[-1]] += c
+    return {k: c for k, c in out.items() if c}, peak
+
+
 @SETTINGS
 @given(oracle_labels())
 def test_labels_match_the_tuple_oracle(case):
     """The multiplicities, each irreducible expanded by Freudenthal, give
-    the projected tuple ladder along the whole extremal word."""
+    the projected tuple ladder along the whole extremal word; they are the
+    tuple straightening of the ladder along ``u``, and the packed width
+    holds every coordinate of that ladder and that straightening."""
     ad, lab = case
+    labels = demazure._labels(ad, lab.level, lab.grade, lab.lam.d,
+                              *lab.lam.h)
+    dom, u = demazure._reduce(ad, lab.level, lab.lam, lab.grade)
+    ladder, peak = oracle_ladder(ad, u, {(*dom.h, dom.d): 1})
+    projected = Counter()
+    for k, c in ladder.items():
+        projected[k[1:]] += c
+    straightened, reached = oracle_straighten(ad.finite, projected)
+    assert labels == straightened
+    assert fits(ad, max(map(abs, (*dom.h, dom.d))), len(u),
+                max(peak, reached))
     top, word = solve_extremal(ad, lab)
     ladder, peak = oracle_ladder(ad, word, {(*top.h, top.d): 1})
     expected = Counter()
     for k, c in ladder.items():
         expected[k[1:-1], k[-1]] += c
     expanded = Counter()
-    for (h, grade), m in demazure._labels(ad, lab.level, lab.grade,
-                                          lab.lam.d, *lab.lam.h).items():
+    for (h, grade), m in labels.items():
         for (mu, _), c in weyl_character_finite(ad.finite,
                                                 Weight(h)).terms():
             expanded[mu, grade] += m * c
     assert {k: c for k, c in expanded.items() if c} \
         == {k: c for k, c in expected.items() if c}
     assert fits(ad, max(map(abs, (*top.h, top.d))), len(word), peak)
+
+
+# The largest ``m`` whose keys pack at 80 bits a field before the
+# straightening bits: a coordinate of ``-m`` at every node of A3 straightens
+# to ``3 m``, past that field.
+M80 = 2**78 - 1
+
+
+@st.composite
+def wide_terms(draw):
+    """A finite datum and terms with coordinates at ``-m``, ``m`` or near
+    zero, and grades at ``0`` or ``+-m``, for ``m`` up to ``2**80``."""
+    rd = draw(st.sampled_from(SMALL))
+    m = draw(st.sampled_from((3, M80, 2**80)))
+    key = st.tuples(*[st.sampled_from((-m, 1 - m, -1, 0, 1, m))] * rd.rank,
+                    st.sampled_from((0, -m, m)))
+    return rd, draw(st.dictionaries(key, coeffs.filter(bool), min_size=1,
+                                    max_size=4))
+
+
+@SETTINGS
+@example((datum_from_label("A3"), {(-M80, -M80, -M80, 0): 1}))
+@given(wide_terms())
+def test_straightening_matches_the_tuple_oracle(case):
+    """The packed straightening, on keys packed as ``greedy_decompose``
+    packs them, against the tuple loop; the width holds its every value."""
+    rd, terms = case
+    expected, peak = oracle_straighten(rd, terms)
+    packed, lay = characters._ladder(rd, (), terms)
+    assert demazure._straighten(packed.items(), lay) == expected
+    assert fits(rd, max(abs(x) for k in terms for x in k), 0, peak)
+
+
+@SETTINGS
+@given(invariant_sums(), st.sampled_from((2**80, -2**80, 10**30)))
+def test_greedy_decompose_takes_wide_grades(case, shift):
+    """Shifting an invariant sum by a grade far past 64 bits shifts its
+    pieces, and its straightening fits the packed width."""
+    ad, g, level = case
+    wide = shift_grade(g, shift)
+    try:
+        pieces = greedy_decompose(ad, g, level).pieces
+    except errors.NegativeMultiplicity:
+        with pytest.raises(errors.NegativeMultiplicity):
+            greedy_decompose(ad, wide, level)
+    else:
+        assert greedy_decompose(ad, wide, level).pieces \
+            == tuple((w, grade + shift, c) for w, grade, c in pieces)
+    _, peak = oracle_straighten(ad.finite, wide._terms)
+    assert fits(ad.finite, max(abs(x) for k in wide._terms for x in k), 0,
+                peak)
 
 
 # ---- ROADMAP item 5 leftovers ----

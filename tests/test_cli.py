@@ -222,6 +222,8 @@ PINS = [
      "293ecbe676786e1898064f204cd09e9f1b54cbcb46bbbe9450ee909014131a4c"),
     ("weyl-finite --type A2 --lambda 1,x", 2,
      "ed7bbffb694841eb64ecf7f6bc9e26e547309f324d49e86f799829476640ed4d"),
+    ("demazure-dim --type A1 --level 1 --lambda \u0661\u0662", 2,
+     "8d20a3af5390384948df93422dd8bb6df9e4f67c20a05cfc4eacb5e6f8a92f88"),
     ("demazure-dim --type A1 --level 0 --lambda 1", 3,
      "20496c111557d7e760bd2da5d39f1364e8377b6154d01227a81f94d3811f09b0"),
     ("weyl-char --type C2 --lambda=-1,0", 3,
@@ -371,6 +373,36 @@ def test_exit_2_cases(capsys):
 def test_argparse_errors_use_exit_code_2(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()
+
+
+# Each is a number ``int`` takes: other scripts' digits, ``_`` between
+# digits, a sign other than ``-``, blanks.
+NOT_ASCII_INTEGERS = ["\u0661\u0662", "1_0", "+1", " 1", "1 ", "\uff11",
+                      "0x1", "", "1.0", "--1"]
+
+
+@pytest.mark.parametrize("bad", NOT_ASCII_INTEGERS)
+def test_only_ascii_integers_are_numbers(capsys, bad):
+    """Every integer option refuses what is not ``-?[0-9]+``, with exit 2
+    and one error message, never a traceback."""
+    requests = [
+        ["demazure-dim", "--type", "A1", "--level", "1", "--lambda", bad],
+        ["demazure-dim", "--type", "A1", "--level", bad, "--lambda", "1"],
+        ["demazure-dim", "--type", "A1", "--level", "1", "--lambda", "1",
+         f"--grade={bad}"],
+        ["level-flag", "--type", "A1", "--level", "1", f"--to-level={bad}",
+         "--lambda", "2"],
+        ["joseph", "--type", "A1", "--mu", f"1,{bad}", "--lambda", "1,0",
+         "--sigma", "1,0"],
+        ["crystal-check", "--type", "A1", "--lambda", "1,0",
+         "--sigma", f"1,{bad}"],
+        ["local-weyl", "--type", "A1", "--factor", f"{bad}@a"],
+    ]
+    for argv in requests:
+        rc, out, err = run(capsys, argv + NC)
+        assert (rc, out) == (2, ""), argv
+        assert "error:" in err and "Traceback" not in err, argv
+        assert err.count("\n") <= 5, argv
 
 
 # ---- domain errors (exit 3) ----

@@ -419,6 +419,13 @@ def test_make_dominant_word_is_reduced_witness():
             seen.add(cur)
 
 
+def test_make_dominant_refuses_a_weight_of_another_rank():
+    for datum in (A2, affinize(A1)):
+        for h in ((1,), (1, 0, 0, 0)):
+            with pytest.raises(ValueError, match="coroot values"):
+                make_dominant(datum, Weight(h, 0))
+
+
 def test_make_dominant_rejects_nonpositive_level():
     ad = affinize(A1)
     with pytest.raises(errors.ZeroLevel):
