@@ -28,10 +28,9 @@ from .demazure import (DemazureLabel, demazure_character, demazure_dim,
 from .flags import (DominantLWeight, FlagDecomposition, graded_weyl_character,
                     greedy_decompose, level_flag, local_weyl_character,
                     weyl_dim_product_check)
-from .lspath import (LSPath, PathSet, concat_paths, crystal_character,
-                     eps_phi, f_edge_lines, generate_demazure_set,
-                     joseph_highest, root_op_e, root_op_f, straight_path,
-                     tensor_highest_by_counts)
+from .lspath import (LSPath, PathSet, crystal_character, f_edge_lines,
+                     generate_demazure_set, joseph_highest, root_op_f,
+                     straight_path)
 from .root_data import (AffineDatum, RootDatum, ShortEmbedding, Weight,
                         affinize, apply_word, build_finite_datum,
                         datum_from_label, dominance_leq, eta_lambda,
@@ -43,14 +42,14 @@ __all__ = [
     "AffineDatum", "Character", "DemazureLabel", "DominantLWeight",
     "FlagDecomposition", "LSPath", "PathSet", "RootDatum", "ShortEmbedding",
     "Weight", "affinize", "apply_word", "build_finite_datum",
-    "check_w_invariance_per_grade", "concat_paths", "crystal_character",
+    "check_w_invariance_per_grade", "crystal_character",
     "datum_from_label", "demazure_character", "demazure_dim", "demazure_step",
-    "demazure_word_char", "dominance_leq", "eps_phi", "errors", "eta_lambda",
+    "demazure_word_char", "dominance_leq", "errors", "eta_lambda",
     "f_edge_lines", "forget_grading", "generate_demazure_set",
     "graded_weyl_character", "greedy_decompose", "joseph_highest",
     "level_flag", "local_weyl_character", "make_dominant",
-    "project_graded_classical", "reflect_weight", "root_op_e", "root_op_f",
+    "project_graded_classical", "reflect_weight", "root_op_f",
     "shift_grade", "short_subdatum", "solve_extremal", "straight_path",
-    "tensor_highest_by_counts", "weyl_character_finite",
+    "weyl_character_finite",
     "weyl_dim_product_check",
 ]

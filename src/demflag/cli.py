@@ -216,8 +216,8 @@ def cache_write(cdir: str, key: str, output: str) -> None:
 #
 # An option kind is its flag, its argparse keywords, the canonical parameter
 # it fills, how the parsed arguments give its value and how that value
-# reads as a plain JSON parameter.  An integer option is parsed by argparse
-# and stored under its parameter name, so its value is read as it is.
+# reads as a plain JSON parameter.  Argparse keeps every value as text; the
+# value functions parse it, so every refusal is one ``error:`` line.
 #
 # Every number on the command line goes through ``integer``.
 
@@ -231,6 +231,13 @@ def integer(text: str) -> int:
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+def _int(text: str, what: str) -> int:
+    try:
+        return integer(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer: {text!r}") from None
 
 
 def _ints(text: str, what: str) -> list[int]:
@@ -268,7 +275,7 @@ class _Option(NamedTuple):
     flag: str
     kwargs: dict
     param: str
-    value: Optional[Callable] = None       # (rd, ad, args) -> value
+    value: Callable                        # (rd, ad, args) -> value
     plain: Callable = lambda value: value
 
 
@@ -276,21 +283,27 @@ def _h(w) -> list[int]:
     return list(w.h)
 
 
-_INT = {"type": integer, "required": True}
+def _integer_option(flag: str, kwargs: dict) -> _Option:
+    param = flag[2:].replace("-", "_")
+    return _Option(flag, kwargs, param,
+                   lambda rd, ad, args: _int(getattr(args, param), flag))
+
+
 _LAMBDA = {"dest": "lam", "required": True}
 
 _OPTIONS = {
-    "level": _Option("--level", _INT, "level"),
-    "to_level": _Option("--to-level", _INT, "to_level"),
+    "level": _integer_option("--level", {"required": True}),
+    "to_level": _integer_option("--to-level", {"required": True}),
     "lambda": _Option("--lambda", _LAMBDA, "lambda",
                       lambda rd, ad, args: rd.weight(
                           _ints(args.lam, "--lambda")), _h),
     "affine_lambda": _Option("--lambda", _LAMBDA, "lambda",
                              lambda rd, ad, args: ad.weight(
-                                 _ints(args.lam, "--lambda"), args.grade), _h),
+                                 _ints(args.lam, "--lambda"),
+                                 _int(args.grade, "--grade")), _h),
     "mu": _Option("--mu", {"required": True}, "mu",
                   lambda rd, ad, args: ad.weight(_ints(args.mu, "--mu")), _h),
-    "grade": _Option("--grade", {"type": integer, "default": 0}, "grade"),
+    "grade": _integer_option("--grade", {"default": "0"}),
     "sigma": _Option("--sigma", {"required": True}, "sigma", _word, list),
     "factor": _Option("--factor", {"action": "append", "default": []},
                       "factors", _factors,
@@ -403,8 +416,7 @@ def _handle(args):
     params, values = {"type": rd.label}, {}
     for kind, _ in command.options:
         opt = _OPTIONS[kind]
-        value = values[opt.param] = (opt.value(rd, ad, args) if opt.value
-                                     else getattr(args, opt.param))
+        value = values[opt.param] = opt.value(rd, ad, args)
         params[opt.param] = opt.plain(value)
 
     def run():
@@ -422,10 +434,15 @@ _HANDLERS: dict[str, Callable] = dict.fromkeys(_COMMANDS, _handle)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The usage line as argparse wraps it at 80 columns up to Python 3.12;
+    # from 3.13 on it keeps ``...`` beside the choices.  Spelled out, it is
+    # the same bytes on every supported version.
+    indent = "\n" + " " * len("usage: demflag ")
     parser = argparse.ArgumentParser(
         prog="demflag",
+        usage=f"%(prog)s [-h]{indent}{{{','.join(_COMMANDS)}}}{indent}...",
         description="Exact Demazure and graded Weyl module computations.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="demflag")
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for kind, text in command.options:

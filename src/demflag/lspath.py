@@ -5,18 +5,26 @@ together with a positive rational duration; durations sum to one.  The
 direction vector lists the values on the coroots in node order followed by
 the value on the scaling element.
 
-Paths are stored over one common duration denominator ``n``: a segment of
-duration ``t`` and direction ``v`` is the step ``(T, v)`` with ``T = n t``,
-so the integers ``T`` sum to ``n``, and ``v`` is an integral tuple (every
-generated direction is integral, see below).  The form is canonical: steps
-with ``T = 0`` are dropped, neighbours with equal directions are merged by
-adding durations, and ``n`` and every ``T`` are divided by their joint gcd,
-so equality of paths means equality of traced polylines.  ``LSPath.make``
-takes rational segments, merges neighbours whose directions are positively
-proportional, and raises ``ValueError`` on a merged direction that is not
-integral, which has no stored form; ``concat_paths`` goes through it.
+``LSPath`` stores a path over one common duration denominator ``n``: a
+segment of duration ``t`` and direction ``v`` is the step ``(T, v)`` with
+``T = n t``, so the integers ``T`` sum to ``n``, and ``v`` is an integral
+tuple (every generated direction is integral, see below).  The form is
+canonical: steps with ``T = 0`` are dropped, neighbours with equal
+directions are merged by adding durations, and ``n`` and every ``T`` are
+divided by their joint gcd, so equality of paths means equality of traced
+polylines.  ``LSPath.make`` takes rational segments, merges neighbours
+whose directions are positively proportional, and raises ``ValueError`` on
+a merged direction that is not integral, which has no stored form.
 ``LSPath.segments`` gives the rational form back.  Only ``make`` and
 ``segments`` import ``fractions``; the operators stay in the integers.
+
+Generation does not build ``LSPath``s.  Each path set interns its
+directions as small ints in a table of its own, which holds for each node
+and direction the pairing ``v(h_i)`` and, filled in when first asked, the
+id of the reflected direction.  A path in generation is the flat tuple
+``(n, T0, id0, T1, id1, ...)``: within one table equal flat tuples are
+equal paths.  One kernel, ``_lower``, applies ``f_i`` to that form;
+``root_op_f`` and ``f_edge_lines`` go through it too.
 
 Root operators follow the usual recipe.  For node ``i`` let ``h(t)`` be the
 pairing of the running point with ``h_i``; it is piecewise linear, so its
@@ -27,24 +35,20 @@ unit of ``T``, so it reaches a scaled value ``c`` after ``c / v(h_i)``
 units; a cut there multiplies ``n`` and every ``T`` by the denominator of
 that quotient and leaves every direction as it is.
 
-* ``f_i`` is defined iff ``h(1) - m >= 1``.  It reflects the stretch
-  between the last time ``h = m`` and the first later time ``h = m + 1``
-  and leaves the increments elsewhere unchanged; the endpoint drops by
-  ``alpha_i``.
-* ``e_i`` is defined iff ``m <= -1``.  It reflects the stretch between the
-  last time ``h = m + 1`` before the first minimum and that first minimum;
-  the endpoint rises by ``alpha_i``.
-
-A reflected step is ``(T, v - v(h_i) alpha_i)``.  The input is canonical
-and a reflection keeps distinct directions distinct, so only the junctions
-at the ends of the reflected stretch can merge.  The string statistics are
-``eps = -m`` and ``phi = h(1) - m``.
+``f_i`` is defined iff ``h(1) - m >= 1``.  It reflects the stretch between
+the last time ``h = m`` and the first later time ``h = m + 1`` and leaves
+the increments elsewhere unchanged; the endpoint drops by ``alpha_i``.  A
+reflected step is ``(T, v - v(h_i) alpha_i)``.  The input is canonical and
+a reflection keeps distinct directions distinct, so only the junctions at
+the ends of the reflected stretch can merge.
 
 Generating all ``f``-strings along a reduced word, last letter first,
 starting from the straight dominant path, yields the path realization of a
 Demazure crystal; summing exponentials of endpoints gives its character.
 This provides a check of the operator-ladder characters by a construction
-that shares no code with them.
+that shares no code with them.  Generation carries each path's endpoint
+weight, the weight of the path it was lowered from minus ``alpha_i``, so
+the character is summed when the set is built, from no path's steps.
 
 Every direction of a generated path lies in the Weyl orbit of ``lam``, so
 it is an integral weight: the straight path's direction is ``lam``; a
@@ -61,25 +65,24 @@ dominant) and every letter on every call, so a bad input raises every time
 and no error is kept.  It then looks the set up in a per-process memo of
 the last ``MEMO_SIZE // 6`` sets, keyed by datum, straight path and
 letter positions; a repeated request returns the same ``PathSet``.  A
-``PathSet`` is immutable, and ``crystal_character`` sums its endpoint
-weights once and keeps the character on the set.  A path carries no
-datum, so ``root_op_f``, ``root_op_e`` and ``eps_phi`` raise ``ValueError``
-for a path whose directions do not have ``rank + 2`` entries (the nodes
-``0 .. rank`` and the scaling element); generation skips the check, as its
-paths start from a weight of the datum.
+``PathSet`` is immutable.  It keeps its flat paths, their weights, its
+table and its character; ``len`` and ``crystal_character`` build no
+``LSPath``, and ``paths`` builds and sorts them on first access and keeps
+them.  A path carries no datum, so ``root_op_f`` raises ``ValueError`` for
+a path whose directions do not have ``rank + 2`` entries (the nodes
+``0 .. rank`` and the scaling element).
 
-Concatenation squeezes both factors to half duration at double speed,
-first factor first, so endpoint weights add.  For a dominant ``mu`` and a
-generated ``b``, the junction of ``straight(mu) * b`` merges only if ``b``
-starts in a direction positively proportional to ``mu``, hence dominant,
-hence ``lam``, which only the straight path does (an LS path's directions
-fall in Bruhat order, ``lam`` least); so the merged direction ``mu + lam``
-is integral.  The concatenations whose pairings with every coroot stay
-nonnegative give the highest-weight terms of a tensor decomposition, at
-the dominant weights ``mu + wt(b)``.  The pairing with ``h_i`` rises from
-0 to ``mu(h_i)`` and then follows ``b`` shifted by ``mu(h_i)``, so it stays
-nonnegative exactly when ``mu(h_i) + min h_i(b) >= 0``; the concatenation
-itself is never built for the test.
+``joseph_highest`` concatenates the straight path to a dominant ``mu``
+with each member ``b``, first ``mu`` then ``b``.  The pairing with ``h_i``
+rises from 0 to ``mu(h_i)`` and then follows ``b`` shifted by
+``mu(h_i)``, so it stays nonnegative exactly when
+``mu(h_i) + min h_i(b) >= 0``; the members passing for every node give the
+highest-weight terms of the tensor decomposition, at the dominant weights
+``mu + wt(b)``.  As ``mu(h_i)`` is an integer, the test is
+``mu(h_i) >= eps_i(b)`` with ``eps_i(b) = -floor(min h_i(b))``.  A set
+groups its flat paths by the vector of their ``eps_i`` when first asked,
+from the pairing table, and keeps the groups, so a call compares one
+vector per group; only the members that pass become ``LSPath``s.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from operator import add
+from operator import add, le, mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import errors
@@ -97,6 +100,7 @@ from .root_data import AffineDatum, Weight
 
 Step = tuple[int, tuple[int, ...]]            # (n t, v)
 Segment = "tuple[tuple[Fraction, ...], Fraction]"     # (direction, duration)
+Flat = tuple[int, ...]                        # (n, T0, id0, T1, id1, ...)
 
 
 def _positively_proportional(u: Sequence, v: Sequence) -> bool:
@@ -164,42 +168,106 @@ class LSPath(NamedTuple):
         return Weight(tuple(total[:-1]), total[-1])
 
 
-def _heights(pi: LSPath, p: int) -> list[int]:
-    """``n`` times the pairing at the step endpoints, start included."""
-    return list(accumulate([t * v[p] for t, v in pi.steps], initial=0))
+class _Table:
+    """The directions of one path set, interned as small ints.
+
+    ``pairs[p][d]`` is the value of direction ``d`` on the coroot at
+    position ``p``; ``refl[p][d]`` is the id of its reflection at that
+    node, or -1 until ``reflect`` is first asked for it.
+    """
+
+    __slots__ = ("roots", "dirs", "ids", "pairs", "refl")
+
+    def __init__(self, ad: AffineDatum) -> None:
+        self.roots = ad.flat_roots
+        self.dirs: list[tuple[int, ...]] = []
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.pairs: list[list[int]] = [[] for _ in self.roots]
+        self.refl: list[list[int]] = [[] for _ in self.roots]
+
+    def intern(self, v: tuple[int, ...]) -> int:
+        d = self.ids.get(v)
+        if d is None:
+            d = self.ids[v] = len(self.dirs)
+            self.dirs.append(v)
+            for x, col, refl in zip(v, self.pairs, self.refl):
+                col.append(x)
+                refl.append(-1)
+        return d
+
+    def reflect(self, p: int, d: int) -> int:
+        r = self.refl[p][d]
+        if r < 0:
+            v = self.dirs[d]
+            x = v[p]
+            r = self.refl[p][d] = self.intern(tuple(
+                [y - x * z for y, z in zip(v, self.roots[p])])) if x else d
+        return r
+
+    def flat(self, pi: LSPath) -> Flat:
+        out = [pi.n]
+        for t, v in pi.steps:
+            out += (t, self.intern(v))
+        return tuple(out)
+
+    def path(self, b: Flat) -> LSPath:
+        return LSPath(b[0], tuple(zip(b[1::2], map(self.dirs.__getitem__,
+                                                   b[2::2]))))
 
 
-def _cut_reflect(ad: AffineDatum, p: int, pi: LSPath, k: int, num: int,
-                 den: int, lo: int, hi: int) -> LSPath:
-    """Cut step ``k`` after ``num / den`` of its scaled duration into two
-    steps, reflect steps ``lo .. hi - 1`` of the result at the node in
-    position ``p``, and put the result in canonical form."""
+def _heights(pairs: list[int], ts: Flat, ds: Flat) -> list[int]:
+    """``n`` times the pairing at the step endpoints, start included, for
+    durations ``ts``, direction ids ``ds`` and one node's pairings."""
+    return list(accumulate(map(mul, ts, map(pairs.__getitem__, ds)),
+                           initial=0))
+
+
+def _lower(tab: _Table, p: int, b: Flat) -> Optional[Flat]:
+    """``f_i`` for the node in position ``p``; None when undefined."""
+    n, ts, ds = b[0], b[1::2], b[2::2]
+    pairs = tab.pairs[p]
+    hs = _heights(pairs, ts, ds)
+    m = min(hs)
+    if hs[-1] - m < n:
+        return None
+    k0 = len(hs) - 1 - hs[::-1].index(m)
+    k = k0
+    while hs[k + 1] < m + n:
+        k += 1
+    # Step k is cut where h reaches m + 1, after a / c of its duration.
+    num, den = m + n - hs[k], pairs[ds[k]]
     g = gcd(num, den)
     a, c = num // g, den // g
-    steps = list(pi.steps) if c == 1 else [(t * c, v) for t, v in pi.steps]
-    t, v = steps[k]
-    steps[k:k + 1] = [(a, v), (t - a, v)]
-    alpha = ad.flat_roots[p]
-    # Zero durations and equal neighbours can only sit one step around the
-    # stretch, where the cut and the junctions are.
-    j = max(lo - 1, 0)
-    out = steps[:j]
-    for q in range(j, min(hi + 2, len(steps))):
-        t, v = steps[q]
-        x = v[p]
-        if lo <= q < hi and x:
-            v = tuple([y - x * z for y, z in zip(v, alpha)])
-        if out and out[-1][1] == v:
-            out[-1] = (out[-1][0] + t, v)
-        elif t:
-            out.append((t, v))
-    out += steps[hi + 2:]
-    n = pi.n * c
-    g = gcd(n, *[t for t, _ in out])
+    ts = list(ts) if c == 1 else [t * c for t in ts]
+    rest = ts[k] - a
+    # Steps k0 .. k - 1 and the first part of step k are reflected.
+    out_t = ts[:k]
+    out_t.append(a)
+    out_d = list(ds[:k0])
+    out_d += [tab.reflect(p, d) for d in ds[k0:k + 1]]
+    if rest:
+        out_t.append(rest)
+        out_d.append(ds[k])
+        k += 1
+    elif k + 1 < len(ds) and ds[k + 1] == out_d[-1]:
+        out_t[-1] += ts[k + 1]
+        k += 2
+    else:
+        k += 1
+    out_t += ts[k:]
+    out_d += ds[k:]
+    if k0 and out_d[k0 - 1] == out_d[k0]:
+        out_t[k0 - 1] += out_t.pop(k0)
+        del out_d[k0]
+    n *= c
+    g = gcd(n, *out_t)
     if g > 1:
         n //= g
-        out = [(t // g, v) for t, v in out]
-    return LSPath(n, tuple(out))
+        out_t = [t // g for t in out_t]
+    out = [n] * (2 * len(out_t) + 1)
+    out[1::2] = out_t
+    out[2::2] = out_d
+    return tuple(out)
 
 
 def straight_path(ad: AffineDatum, lam: Weight) -> LSPath:
@@ -209,76 +277,50 @@ def straight_path(ad: AffineDatum, lam: Weight) -> LSPath:
     return LSPath(1, ((1, lam.h + (lam.d,)),))
 
 
-def _lower(ad: AffineDatum, p: int, pi: LSPath) -> Optional[LSPath]:
-    """``f_i`` for the node in position ``p``."""
-    n = pi.n
-    hs = _heights(pi, p)
-    m = min(hs)
-    if hs[-1] - m < n:
-        return None
-    k0 = len(hs) - 1 - hs[::-1].index(m)
-    k = k0
-    while hs[k + 1] < m + n:
-        k += 1
-    # Step k is cut where h reaches m + 1; its first part is reflected.
-    return _cut_reflect(ad, p, pi, k, m + n - hs[k], pi.steps[k][1][p],
-                        k0, k + 1)
+def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
+    """Lowering operator for node ``i``; None when undefined.
 
-
-def _check_width(ad: AffineDatum, pi: LSPath) -> None:
-    """``ValueError`` unless every direction has one value per node of
-    ``ad`` and one on the scaling element."""
+    ``ValueError`` unless every direction has one value per node of ``ad``
+    and one on the scaling element.
+    """
     width = ad.rank + 2
     if any(len(v) != width for _, v in pi.steps):
         raise ValueError(f"path directions on {ad.label} must have "
                          f"{width} entries")
-
-
-def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
-    """Lowering operator for node ``i``; None when undefined."""
-    _check_width(ad, pi)
-    return _lower(ad, ad.pos(i), pi)
-
-
-def root_op_e(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
-    """Raising operator for node ``i``; None when undefined."""
-    _check_width(ad, pi)
     p = ad.pos(i)
-    n = pi.n
-    hs = _heights(pi, p)
-    m = min(hs)
-    if m > -n:
-        return None
-    k1 = hs.index(m)
-    k = k1 - 1
-    while hs[k] < m + n:
-        k -= 1
-    # Step k is cut where h falls to m + 1; its second part is reflected.
-    return _cut_reflect(ad, p, pi, k, hs[k] - m - n, -pi.steps[k][1][p],
-                        k + 1, k1 + 1)
+    tab = _Table(ad)
+    b = _lower(tab, p, tab.flat(pi))
+    return None if b is None else tab.path(b)
 
 
-def eps_phi(ad: AffineDatum, i: int, pi: LSPath) -> tuple[int, int]:
-    """String statistics ``(eps, phi)``; both are nonnegative integers."""
-    _check_width(ad, pi)
-    hs = _heights(pi, ad.pos(i))
-    m, n = min(hs), pi.n
-    if m % n or hs[-1] % n:
-        raise errors.NonIntegralMin(
-            f"pairing with h_{i} attains non-integral extremum")
-    return -m // n, (hs[-1] - m) // n
+def _sorted(tab: _Table, flats) -> list[Flat]:
+    """Flat paths in the order of their segments: directions, then
+    durations, which are compared at the lcm of every ``n``."""
+    ln = lcm(*(b[0] for b in flats))
+    dirs = tab.dirs
+    return sorted(flats, key=lambda b: [
+        (dirs[d], t * (ln // b[0])) for t, d in zip(b[1::2], b[2::2])])
 
 
 class PathSet:
     """Deduplicated, deterministically ordered, immutable set of generated
-    paths; ``crystal_character`` keeps its result on the set."""
+    paths.  Keeps the flat paths with their endpoint weights, the table of
+    their directions and the character; ``paths`` and the ``eps`` groups
+    are built on first use."""
 
-    __slots__ = ("datum", "paths", "_character")
+    __slots__ = ("datum", "_table", "_weights", "_character", "_paths",
+                 "_eps")
 
-    def __init__(self, datum: AffineDatum, paths: tuple[LSPath, ...]) -> None:
+    def __init__(self, datum: AffineDatum, table: _Table,
+                 weights: dict[Flat, tuple[int, ...]]) -> None:
         object.__setattr__(self, "datum", datum)
-        object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "_character", None)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_weights", weights)
+        # Endpoints are integral weights of the datum: no check is needed.
+        object.__setattr__(self, "_character", Character._wrap(
+            datum, dict(Counter(weights.values()))))
+        object.__setattr__(self, "_paths", None)
+        object.__setattr__(self, "_eps", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("PathSet is immutable")
@@ -286,19 +328,32 @@ class PathSet:
     def __delattr__(self, name: str) -> None:
         raise AttributeError("PathSet is immutable")
 
+    @property
+    def paths(self) -> tuple[LSPath, ...]:
+        if self._paths is None:
+            tab = self._table
+            object.__setattr__(self, "_paths", tuple(
+                map(tab.path, _sorted(tab, self._weights))))
+        return self._paths
+
+    def _by_eps(self) -> dict[tuple[int, ...], list[Flat]]:
+        """The flat paths grouped by ``-floor(min h_i / n)`` at each node,
+        in node order; grouped on first use and kept."""
+        if self._eps is None:
+            groups: dict[tuple[int, ...], list[Flat]] = {}
+            for b in self._weights:
+                ts, ds = b[1::2], b[2::2]
+                eps = tuple(-(min(_heights(pairs, ts, ds)) // b[0])
+                            for pairs in self._table.pairs)
+                groups.setdefault(eps, []).append(b)
+            object.__setattr__(self, "_eps", groups)
+        return self._eps
+
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self._weights)
 
     def __iter__(self):
         return iter(self.paths)
-
-
-def _sorted(paths: set[LSPath]) -> tuple[LSPath, ...]:
-    """Paths in the order of their segments: directions, then durations,
-    which are compared at the lcm of every ``n``."""
-    ln = lcm(*(pi.n for pi in paths))
-    return tuple(sorted(paths, key=lambda pi: [
-        (v, t * (ln // pi.n)) for t, v in pi.steps]))
 
 
 def generate_demazure_set(ad: AffineDatum, lam: Weight,
@@ -310,52 +365,37 @@ def generate_demazure_set(ad: AffineDatum, lam: Weight,
 
 # The memo holds each set with every path in it, so its bound is the
 # smallest of the module memos.  Peak memory of one in-process pass of the
-# perfbench ``paths`` family, each re-issued request asked twice in a row,
-# was 20.6 MB with no memo and 21.1, 21.5, 22.0 and 23.9 MB with 4, 8, 16
-# and 48 sets held (Python 3.11.7, x86-64).  Callers repeat a set at once
-# (a repeated request, ``joseph_highest`` for several ``mu`` over one
+# perfbench ``paths`` family, each request asked twice in a row, was 20.2
+# MB with no memo and 20.3, 20.4, 20.7 and 21.3 MB with 4, 8, 16 and 48
+# sets held; sets of ``LSPath``s with tuple directions took 20.1, 20.4,
+# 20.6, 21.1 and 22.4 MB (Python 3.11.7, x86-64).  Callers repeat a set at
+# once (a repeated request, ``joseph_highest`` for several ``mu`` over one
 # crystal), so eight serve them.
 @lru_cache(maxsize=MEMO_SIZE // 6, typed=True)
 def _path_set(ad: AffineDatum, top: LSPath,
               positions: tuple[int, ...]) -> PathSet:
-    paths = {top}
+    tab = _Table(ad)
+    (_, lam), = top.steps
+    weights = {tab.flat(top): lam}
     for p in reversed(positions):
-        grown: set[LSPath] = set()
-        for pi in paths:
+        alpha = ad.flat_roots[p]
+        grown: dict[Flat, tuple[int, ...]] = {}
+        for b, w in weights.items():
             # A string can stop at a member: grown is closed under f_i.
-            cur: Optional[LSPath] = pi
-            while cur is not None and cur not in grown:
-                grown.add(cur)
-                cur = _lower(ad, p, cur)
-        paths = grown
-    return PathSet(ad, _sorted(paths))
+            while b not in grown:
+                grown[b] = w
+                b = _lower(tab, p, b)
+                if b is None:
+                    break
+                w = tuple([x - y for x, y in zip(w, alpha)])
+        weights = grown
+    return PathSet(ad, tab, weights)
 
 
 def crystal_character(ps: PathSet) -> Character:
-    """Sum of exponentials of endpoint weights, computed once per set."""
-    if ps._character is None:
-        # Endpoints are integral weights of the datum: no check is needed.
-        object.__setattr__(ps, "_character", Character._wrap(
-            ps.datum, dict(Counter((*w.h, w.d) for w in map(
-                LSPath.weight, ps.paths)))))
+    """Sum of exponentials of endpoint weights, taken when the set is
+    built."""
     return ps._character
-
-
-def concat_paths(p1: LSPath, p2: LSPath) -> LSPath:
-    """Concatenation, first factor first.
-
-    Each factor is traversed at double speed over half the interval, so the
-    traced polyline is the first path followed by the translated second one
-    and endpoint weights add.  Like ``LSPath.make``, it raises
-    ``ValueError`` on a non-integral junction direction.
-    """
-    return LSPath.make([(tuple(2 * x for x in v), t / 2)
-                        for pi in (p1, p2) for v, t in pi.segments])
-
-
-def tensor_highest_by_counts(ad: AffineDatum, mu: Weight, b: LSPath) -> bool:
-    """String-count criterion: ``eps_i(b) <= mu(h_i)`` for every node."""
-    return all(eps_phi(ad, i, b)[0] <= ad.value(mu, i) for i in ad.indices)
 
 
 def joseph_highest(ad: AffineDatum, mu: Weight, lam: Weight,
@@ -372,15 +412,17 @@ def joseph_highest(ad: AffineDatum, mu: Weight, lam: Weight,
     if not ad.is_dominant(mu):
         raise errors.NotDominant(f"{mu.h} is not dominant for {ad.label}")
     ps = generate_demazure_set(ad, lam, word)
-    # Each node's position ``p`` with ``mu(h_i)``, which is ``mu.h[p]``.
-    nodes = tuple(enumerate(mu.h))
+    tab, weights = ps._table, ps._weights
+    # For an integer mu(h_i), mu(h_i) + min h_i(b) / n >= 0 is
+    # mu(h_i) >= -floor(min h_i(b) / n).
     out: list[tuple[LSPath, Weight]] = []
-    for b in ps.paths:
-        if all(v * b.n + min(_heights(b, p)) >= 0 for p, v in nodes):
-            nu = mu + b.weight()
-            if not ad.is_dominant(nu):
-                raise AssertionError("highest term must be dominant")
-            out.append((b, nu))
+    for b in _sorted(tab, [b for eps, group in ps._by_eps().items()
+                           if all(map(le, eps, mu.h)) for b in group]):
+        *h, d = weights[b]
+        nu = mu + Weight(tuple(h), d)
+        if not ad.is_dominant(nu):
+            raise AssertionError("highest term must be dominant")
+        out.append((tab.path(b), nu))
     return out
 
 
@@ -390,11 +432,13 @@ def f_edge_lines(ps: PathSet) -> str:
     Path ids are positions in the set's deterministic order; edges leaving
     the set are omitted.
     """
-    index = {p: k for k, p in enumerate(ps.paths)}
+    tab = ps._table
+    order = _sorted(tab, ps._weights)
+    index = {b: k for k, b in enumerate(order)}
     lines = []
-    for k, p in enumerate(ps.paths):
-        for i in ps.datum.indices:
-            q = root_op_f(ps.datum, i, p)
-            if q is not None and q in index:
-                lines.append(f"{k} {i} {index[q]}")
+    for k, b in enumerate(order):
+        for p, i in enumerate(ps.datum.indices):
+            q = index.get(_lower(tab, p, b))
+            if q is not None:
+                lines.append(f"{k} {i} {q}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -58,12 +58,12 @@ from demflag import (
     level_flag,
     project_graded_classical,
     reflect_weight,
-    root_op_e,
     root_op_f,
     shift_grade,
     solve_extremal,
     weyl_character_finite,
 )
+from test_lspath import root_op_e
 
 FINITE = tuple(map(datum_from_label, ("A1", "A2", "C2", "G2")))
 AFFINE = tuple(map(affinize, FINITE[:2]))

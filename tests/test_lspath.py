@@ -1,8 +1,18 @@
-"""Path crystals: root operators, Demazure sets, concatenation, highest terms."""
+"""Path crystals: root operators, Demazure sets, concatenation, highest terms.
+
+The package generates path sets on interned integer directions.  The
+oracles below work on ``LSPath(n, steps)`` with tuple directions and share
+no helper with the package: the generator the package used before, the
+raising operator, the string statistics and concatenation.
+"""
 
 import itertools
+import os
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -10,22 +20,22 @@ from demflag import (
     LSPath,
     Weight,
     affinize,
-    concat_paths,
     crystal_character,
     datum_from_label,
     demazure_word_char,
-    eps_phi,
     errors,
     f_edge_lines,
     generate_demazure_set,
     joseph_highest,
     lspath,
     reflect_weight,
-    root_op_e,
     root_op_f,
     straight_path,
-    tensor_highest_by_counts,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+import workloads  # noqa: E402
 
 A1_AFF = affinize(datum_from_label("A1"))
 A2_AFF = affinize(datum_from_label("A2"))
@@ -49,6 +59,165 @@ def reduced_words(ad, max_len):
         for word in itertools.product(ad.indices, repeat=k):
             if is_reduced(ad, word):
                 yield word
+
+
+# ---- oracles on tuple directions ----
+
+
+def _heights(pi, p):
+    """``n`` times the pairing at the step endpoints, start included."""
+    return list(itertools.accumulate([t * v[p] for t, v in pi.steps],
+                                     initial=0))
+
+
+def _cut_reflect(ad, p, pi, k, num, den, lo, hi):
+    """Cut step ``k`` after ``num / den`` of its scaled duration into two
+    steps, reflect steps ``lo .. hi - 1`` of the result at the node in
+    position ``p``, and put the result in canonical form."""
+    g = gcd(num, den)
+    a, c = num // g, den // g
+    steps = list(pi.steps) if c == 1 else [(t * c, v) for t, v in pi.steps]
+    t, v = steps[k]
+    steps[k:k + 1] = [(a, v), (t - a, v)]
+    alpha = ad.flat_roots[p]
+    # Zero durations and equal neighbours can only sit one step around the
+    # stretch, where the cut and the junctions are.
+    j = max(lo - 1, 0)
+    out = steps[:j]
+    for q in range(j, min(hi + 2, len(steps))):
+        t, v = steps[q]
+        x = v[p]
+        if lo <= q < hi and x:
+            v = tuple([y - x * z for y, z in zip(v, alpha)])
+        if out and out[-1][1] == v:
+            out[-1] = (out[-1][0] + t, v)
+        elif t:
+            out.append((t, v))
+    out += steps[hi + 2:]
+    n = pi.n * c
+    g = gcd(n, *[t for t, _ in out])
+    if g > 1:
+        n //= g
+        out = [(t // g, v) for t, v in out]
+    return LSPath(n, tuple(out))
+
+
+def _lower(ad, p, pi):
+    """``f_i`` for the node in position ``p``."""
+    n = pi.n
+    hs = _heights(pi, p)
+    m = min(hs)
+    if hs[-1] - m < n:
+        return None
+    k0 = len(hs) - 1 - hs[::-1].index(m)
+    k = k0
+    while hs[k + 1] < m + n:
+        k += 1
+    # Step k is cut where h reaches m + 1; its first part is reflected.
+    return _cut_reflect(ad, p, pi, k, m + n - hs[k], pi.steps[k][1][p],
+                        k0, k + 1)
+
+
+def _check_width(ad, pi):
+    width = ad.rank + 2
+    if any(len(v) != width for _, v in pi.steps):
+        raise ValueError(f"path directions on {ad.label} must have "
+                         f"{width} entries")
+
+
+def root_op_e(ad, i, pi):
+    """Raising operator for node ``i``; None when undefined."""
+    _check_width(ad, pi)
+    p = ad.pos(i)
+    n = pi.n
+    hs = _heights(pi, p)
+    m = min(hs)
+    if m > -n:
+        return None
+    k1 = hs.index(m)
+    k = k1 - 1
+    while hs[k] < m + n:
+        k -= 1
+    # Step k is cut where h falls to m + 1; its second part is reflected.
+    return _cut_reflect(ad, p, pi, k, hs[k] - m - n, -pi.steps[k][1][p],
+                        k + 1, k1 + 1)
+
+
+def eps_phi(ad, i, pi):
+    """String statistics ``(eps, phi)``; both are nonnegative integers."""
+    _check_width(ad, pi)
+    hs = _heights(pi, ad.pos(i))
+    m, n = min(hs), pi.n
+    if m % n or hs[-1] % n:
+        raise errors.NonIntegralMin(
+            f"pairing with h_{i} attains non-integral extremum")
+    return -m // n, (hs[-1] - m) // n
+
+
+def concat_paths(p1, p2):
+    """Both factors at double speed over half the interval, first factor
+    first; ``ValueError`` on a non-integral junction direction."""
+    return LSPath.make([(tuple(2 * x for x in v), t / 2)
+                        for pi in (p1, p2) for v, t in pi.segments])
+
+
+def tensor_highest_by_counts(ad, mu, b):
+    """String-count criterion: ``eps_i(b) <= mu(h_i)`` for every node."""
+    return all(eps_phi(ad, i, b)[0] <= ad.value(mu, i) for i in ad.indices)
+
+
+def oracle_set(ad, lam, word):
+    """All ``f``-strings along the word, last letter first, from the
+    straight path to ``lam``, in the order of their segments."""
+    paths = {LSPath(1, ((1, lam.h + (lam.d,)),))}
+    for p in reversed([ad.pos(i) for i in word]):
+        grown = set()
+        for pi in paths:
+            cur = pi
+            while cur is not None and cur not in grown:
+                grown.add(cur)
+                cur = _lower(ad, p, cur)
+        paths = grown
+    ln = lcm(*(pi.n for pi in paths))
+    return sorted(paths, key=lambda pi: [
+        (v, t * (ln // pi.n)) for t, v in pi.steps])
+
+
+def oracle_weight(pi):
+    """Endpoint of a path with an integral endpoint."""
+    total = [sum(t * v[j] for t, v in pi.steps)
+             for j in range(len(pi.steps[0][1]))]
+    assert all(x % pi.n == 0 for x in total)
+    *h, d = (x // pi.n for x in total)
+    return Weight(tuple(h), d)
+
+
+def oracle_joseph(mu, paths):
+    """The members ``b`` with ``mu(h_i) + min h_i(b) >= 0`` at every node,
+    each with ``mu + wt(b)``."""
+    return [(b, mu + oracle_weight(b)) for b in paths
+            if all(v * b.n + min(_heights(b, p)) >= 0
+                   for p, v in enumerate(mu.h))]
+
+
+def test_sets_match_the_tuple_direction_oracle():
+    """Every request of the benchmark's ``paths`` family: size, members
+    and order, character and highest terms."""
+    lspath._path_set.cache_clear()
+    for req in workloads.family("paths"):
+        ad = affinize(datum_from_label(req[1]))
+        lam = ad.weight(*req[-3:-1])
+        word = req[-1]
+        ps = generate_demazure_set(ad, lam, word)
+        expected = oracle_set(ad, lam, word)
+        assert len(ps) == len(expected), req
+        assert dict(crystal_character(ps).terms()) == dict(Counter(
+            (w.h, w.d) for w in map(oracle_weight, expected))), req
+        assert list(ps.paths) == expected, req
+        if req[0] == "joseph_highest":
+            mu = ad.weight(req[2])
+            assert joseph_highest(ad, mu, lam, word) \
+                == oracle_joseph(mu, ps.paths), req
 
 
 # ---- paths and operators ----
@@ -343,6 +512,16 @@ def test_repeated_sets_and_characters_are_the_same_objects():
     assert crystal_character(again) is crystal_character(ps)
     assert crystal_character(ps) == demazure_word_char(A2_AFF, word, lam)
     assert lspath._path_set.cache_info().hits == 1
+
+
+def test_paths_are_built_on_first_use():
+    lspath._path_set.cache_clear()
+    lam = G2_AFF.fundamental_weight(2)
+    ps = generate_demazure_set(G2_AFF, lam, (0, 2, 1, 2))
+    assert len(ps) == crystal_character(ps).mass()
+    joseph_highest(G2_AFF, G2_AFF.fundamental_weight(0), lam, (0, 2, 1, 2))
+    assert ps._paths is None
+    assert ps.paths is ps.paths and len(ps.paths) == len(ps)
 
 
 def test_bad_letters_raise_after_the_good_word_is_kept():
