@@ -124,10 +124,14 @@ from .root_data import AffineDatum, Datum, RootDatum, Weight
 Flat = dict[tuple[int, ...], int]
 
 # Entries in each module memo (``demazure_character``'s, ``demazure_dim``'s
-# and ``flags.graded_weyl_character``'s).  Measured on the perfbench
-# ``flags`` and ``ladder`` families: 48 entries give about 95% of the
-# ``flags`` throughput of 64 and 128, and raise peak memory by about 4%
-# instead of 5.5%; 32 give about 80%.
+# and ``flags.graded_weyl_character``'s); the multiplicity maps, Weyl
+# characters and Weyl dimensions beneath them keep four times as many, the
+# path sets a sixth.  Two 20 s perfbench runs at each size (2-vCPU Xeon):
+# at 32, 48, 64 and 128, ``flags`` ran 3965-3977, 4517-4560, 4501-4556 and
+# 4548-4613 rps, and ``ladder`` 2282-2294, 2354-2382, 2379-2418 and
+# 2433-2498 rps with peak memory 25.0-25.1, 25.4-25.7, 25.6-26.0 and
+# 26.2-26.5 MB.  48 gives ``flags`` the throughput of larger memos and
+# ``ladder`` 95% of 128's, for about 1 MB less.
 MEMO_SIZE = 48
 
 

@@ -433,6 +433,23 @@ def _handle(args):
 _HANDLERS: dict[str, Callable] = dict.fromkeys(_COMMANDS, _handle)
 
 
+# Options every subcommand takes after its own, with argparse's keywords.
+_SHARED = (
+    ("--type", {"required": True,
+                "help": "finite type label, e.g. A1, C2, G2"}),
+    ("--format", {"choices": ["json", "csv", "table"], "default": "json"}),
+    ("--no-cache", {"action": "store_true",
+                    "help": "skip cache lookup and write"}),
+    ("--cache-dir", {"default": None, "help": "override the cache directory"}),
+)
+
+
+def _arguments(name: str) -> list[tuple[str, dict]]:
+    """The options of a subcommand, in the order its help lists them."""
+    return [(_OPTIONS[kind].flag, {"help": text, **_OPTIONS[kind].kwargs})
+            for kind, text in _COMMANDS[name].options] + list(_SHARED)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # The usage line as argparse wraps it at 80 columns up to Python 3.12;
     # from 3.13 on it keeps ``...`` beside the choices.  Spelled out, it is
@@ -445,18 +462,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, prog="demflag")
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        for kind, text in command.options:
-            opt = _OPTIONS[kind]
-            p.add_argument(opt.flag, help=text, **opt.kwargs)
-        p.add_argument("--type", required=True,
-                       help="finite type label, e.g. A1, C2, G2")
-        p.add_argument("--format", choices=["json", "csv", "table"],
-                       default="json")
-        p.add_argument("--no-cache", action="store_true",
-                       help="skip cache lookup and write")
-        p.add_argument("--cache-dir", default=None,
-                       help="override the cache directory")
+        for flag, kwargs in _arguments(name):
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def _join_values(argv: list[str]) -> list[str]:
+    """``argv`` with each option that takes a value joined to a next token
+    that starts with ``-`` but names no option of the subcommand, nor
+    abbreviates one: ``--level --1`` becomes ``--level=--1``.  argparse
+    would read ``--1`` as an unknown option and answer with its usage
+    block; joined, the value reaches its own one-line refusal.  A missing
+    value before a real option, as in ``--lambda --format json``, is left
+    to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return argv
+    options = _arguments(argv[0])
+    names = [flag for flag, _ in options] + ["-h", "--help"]
+    valued = {flag for flag, kwargs in options
+              if kwargs.get("action") != "store_true"}
+    out, i = argv[:1], 1
+    while i < len(argv):
+        tok, nxt = argv[i], argv[i + 1] if i + 1 < len(argv) else ""
+        if tok in valued and nxt.startswith("-") and not any(
+                name.startswith(nxt.split("=", 1)[0]) for name in names):
+            out.append(f"{tok}={nxt}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
 
 
 # Exit code of each error family; a cache failure (exit 4) is reported
@@ -467,7 +502,8 @@ _EXIT_CODES = {errors.InputError: 2, ValueError: 2, errors.DomainError: 3}
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _join_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as e:
         return int(e.code or 0)
     try:

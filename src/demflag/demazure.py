@@ -46,17 +46,22 @@ otherwise its first negative node is the field of the lowest set bit of
 packed simple root, and the sign flips.  Each dominant survivor is unpacked
 once, at the end.  The width covers every value straightening reaches (the
 bound in the ``characters`` docstring), so no field borrows from the next.
-What remains is a map ``{(dominant weight, grade): multiplicity}``.  The
-dimension is the sum of multiplicity times Weyl's dimension formula, with
-nothing expanded; the weight character expands each irreducible through
-``weyl_character_finite`` at its grade.
+What remains is a nested map ``{top: {grade: multiplicity}}`` (``Labels``):
+one row per distinct dominant top, whose tuple is unpacked once, holding
+no zero and no empty row.  The dimension is the sum over tops of the row's
+multiplicities times Weyl's dimension formula, with nothing expanded; the
+weight character reads each top's ``weyl_character_finite`` once and adds
+it at every grade of the row.
 
 All of it is exact integer arithmetic, over no ground field, so a result
-depends only on its datum and label: the last ``MEMO_SIZE`` multiplicity
-maps, characters and dimensions are each kept for the life of the process,
-and a repeated label returns the same object.  Beneath the dimensions, the
-Weyl dimensions of the last ``4 * MEMO_SIZE`` tops are kept per datum, since
-many labels share their tops.
+depends only on its datum and label: the last ``MEMO_SIZE`` characters and
+dimensions are each kept for the life of the process, and a repeated label
+returns the same object.  The multiplicity maps beneath them keep the last
+``4 * MEMO_SIZE``, as the Weyl characters do: every flag peel reads one map
+per piece, the same few maps over and over, and a nested map stores each
+top once, so they are small.  Beneath the dimensions, the Weyl dimensions
+of the last ``4 * MEMO_SIZE`` tops are kept per datum, since many labels
+share their tops.
 Labels are validated on every call, so a bad label raises every time and
 no error is kept.  Integrality is checked on a miss: the memos key every
 number by its type, so a float never shares an entry with an integer.
@@ -76,7 +81,7 @@ from .root_data import (AffineDatum, RootDatum, Weight, apply_word,
                         make_dominant)
 
 
-Labels = dict[tuple[tuple[int, ...], int], int]     # {(top, grade): m}
+Labels = dict[tuple[int, ...], dict[int, int]]      # {top: {grade: m}}
 
 
 class DemazureLabel(NamedTuple):
@@ -122,12 +127,12 @@ def solve_extremal(ad: AffineDatum,
                    lab.grade)
 
 
-@lru_cache(maxsize=MEMO_SIZE, typed=True)
+@lru_cache(maxsize=4 * MEMO_SIZE, typed=True)
 def _labels(ad: AffineDatum, level: int, grade: int, d: int,
             *h: int) -> Labels:
-    """Irreducible multiplicities ``{(top, grade): m}`` of a valid label,
-    whose numbers are checked integral here, on the memo miss.  The map is
-    shared by every caller, and none mutates it."""
+    """Irreducible multiplicities ``{top: {grade: m}}`` of a valid label,
+    whose numbers are checked integral here, on the memo miss.  The map and
+    its rows are shared by every caller, and none mutates them."""
     rd = ad.finite
     try:
         level, grade = index(level), index(grade)
@@ -144,7 +149,7 @@ def _labels(ad: AffineDatum, level: int, grade: int, d: int,
 
 
 def _straighten(terms: Iterable[tuple[int, int]], lay: _Layout) -> Labels:
-    """``{(top, grade): m}`` with ``D_w0`` of the terms equal to
+    """``{top: {grade: m}}`` with ``D_w0`` of the terms equal to
     ``sum m * chi(top)`` grade by grade.  A term is ``(k, c)``: a key
     packed in ``lay``, a layout of a finite datum, and its coefficient.
     The loop moves ``k`` by the dot action, ``s_p (mu + rho) - rho``, which
@@ -165,19 +170,31 @@ def _straighten(terms: Iterable[tuple[int, int]], lay: _Layout) -> Labels:
             c = -c
         else:                           # dominant: ``chi(mu)``
             out[k] = get(k, 0) + c
-    return {(tuple([((k >> s) & mask) - bias for s in fin]),
-             (k >> top) - bias): c for k, c in out.items() if c}
+    labels: Labels = {}
+    rows: dict[int, dict[int, int]] = {}    # finite fields -> their row
+    low = (1 << top) - 1
+    for k, c in out.items():
+        if c:
+            if (row := rows.get(f := k & low)) is None:
+                row = rows[f] = labels[
+                    tuple([((f >> s) & mask) - bias for s in fin])] = {}
+            row[(k >> top) - bias] = c
+    return labels
 
 
 def _expand(rd: RootDatum, labels: Labels) -> Character:
-    """The weight character of ``{(top, grade): m}``: each irreducible
-    through ``weyl_character_finite``, at its grade."""
+    """The weight character of ``{top: {grade: m}}``: each top's
+    irreducible through ``weyl_character_finite`` once, at every grade of
+    its row."""
     out: Flat = {}
     get = out.get
-    for (top, g), m in labels.items():
-        for k, c in weyl_character_finite(rd, Weight(top, 0))._terms.items():
-            k = k[:-1] + (g,)
-            out[k] = get(k, 0) + m * c
+    for top, row in labels.items():
+        chi = [(k[:-1], c) for k, c in
+               weyl_character_finite(rd, Weight(top, 0))._terms.items()]
+        for g, m in row.items():
+            for h, c in chi:
+                k = (*h, g)
+                out[k] = get(k, 0) + m * c
     return Character._wrap(rd, _nonzero(out))
 
 
@@ -225,5 +242,5 @@ def demazure_dim(ad: AffineDatum, lab: DemazureLabel) -> int:
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
 def _dim(ad: AffineDatum, level: int, grade: int, d: int, *h: int) -> int:
     rd = ad.finite
-    return sum(m * _weyl_dim(rd, top)
-               for (top, _), m in _labels(ad, level, grade, d, *h).items())
+    return sum(sum(row.values()) * _weyl_dim(rd, top)
+               for top, row in _labels(ad, level, grade, d, *h).items())

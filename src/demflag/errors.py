@@ -53,7 +53,3 @@ class NegativeMultiplicity(DomainError):
 
 class NonDominantLeading(DomainError):
     """Character is not Weyl invariant grade by grade, so no flag exists."""
-
-
-class NonIntegralMin(DomainError):
-    """Piecewise-linear pairing attains a non-integral minimum."""

@@ -1,18 +1,22 @@
 """Flags by higher-level Demazure characters and graded Weyl characters.
 
 A graded, Weyl-invariant classical character is peeled as its irreducible
-multiplicities ``{(dominant top, grade): m}``, the map ``demazure._labels``
-gives for a Demazure module.  The leading top is the first in ``tie_break``
-order (lexicographically largest or smallest) that no other top dominates;
-height is positive on simple roots, so a candidate is tested only against
-tops of greater height.  Its least grade and multiplicity name a piece, and
-that multiple of the target-level Demazure module of the top, shifted to the
-grade, is subtracted entry by entry.  A Demazure module holds its top once
-and every other top strictly below, so the multiset of pieces does not
-depend on how ties are broken.  The order is that of peeling the expanded
-weight character: the maximal weights of ``sum m chi(top)`` are exactly its
-maximal tops with ``m != 0``, as a top with nothing above it cannot cancel.
-Weights are expanded once, for a character that is returned.
+multiplicities ``{dominant top: {grade: m}}``, the map ``demazure._labels``
+gives for a Demazure module.  The peel copies its input once, then works on
+the copy in place: subtracting a piece deletes every entry that reaches zero
+and every row left empty, so the tops still to peel are the copy's keys, and
+no pass rebuilds or rescans the whole map.  The leading top is the first in
+``tie_break`` order (lexicographically largest or smallest) that no other top
+dominates; height is positive on simple roots, so a candidate is tested only
+against tops of greater height.  Its least grade, the least key of its row,
+and that grade's multiplicity name a piece, and that multiple of the
+target-level Demazure module of the top, shifted to the grade, is subtracted
+row by row.  A Demazure module holds its top once and every other top
+strictly below, so the multiset of pieces does not depend on how ties are
+broken.  The order is that of peeling the expanded weight character: the
+maximal weights of ``sum m chi(top)`` are exactly its maximal tops with
+``m != 0``, as a top with nothing above it cannot cancel.  Weights are
+expanded once, for a character that is returned.
 
 ``greedy_decompose`` takes a weight character from outside.  It checks
 per-grade invariance and straightens every term through ``D_w0``: an
@@ -42,8 +46,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import errors
-from .characters import (Character, _ladder, _nonzero,
-                         check_w_invariance_per_grade, forget_grading)
+from .characters import (Character, _ladder, check_w_invariance_per_grade,
+                         forget_grading)
 from .demazure import (MEMO_SIZE, DemazureLabel, Labels, _expand, _labels,
                        _straighten, _validate)
 from .root_data import (AffineDatum, RootDatum, Weight, affinize,
@@ -83,15 +87,28 @@ class DominantLWeight:
 
 
 def _add(out: Labels, labels: Labels, grade: int, c: int) -> None:
-    """Add ``c`` times ``labels``, shifted by ``grade``, into ``out``."""
-    for (top, g), m in labels.items():
-        out[top, g + grade] = out.get((top, g + grade), 0) + c * m
+    """Add ``c`` times ``labels``, shifted by ``grade``, into ``out``, in
+    place: an entry that reaches zero is deleted, and so is a row left
+    empty.  ``c`` is nonzero, and no row of ``labels`` is shared with
+    ``out``."""
+    for top, row in labels.items():
+        if (into := out.get(top)) is None:
+            out[top] = {g + grade: c * m for g, m in row.items()}
+            continue
+        for g, m in row.items():
+            g += grade
+            if m := into.get(g, 0) + c * m:
+                into[g] = m
+            else:
+                del into[g]
+        if not into:
+            del out[top]
 
 
-def _peel(ad: AffineDatum, residue: Labels, level: int,
+def _peel(ad: AffineDatum, labels: Labels, level: int,
           tie_break: str) -> FlagDecomposition:
-    """Level-``level`` pieces of ``residue``; the first ``_nonzero`` copies
-    it, so the caller's map is left as it is."""
+    """Level-``level`` pieces of ``labels``, peeled off a copy of it, so
+    the caller's map is left as it is."""
     rd = ad.finite
 
     def below(h, o):
@@ -100,14 +117,17 @@ def _peel(ad: AffineDatum, residue: Labels, level: int,
 
     pieces: list[tuple[Weight, int, int]] = []
     height: dict[tuple[int, ...], int] = {}     # every top seen, once each
-    while residue := _nonzero(residue):
-        tops = {top for top, _ in residue}
+    residue: Labels = {}
+    _add(residue, labels, 0, 1)
+    tops = residue.keys()
+    while residue:
         height.update((t, rd.height(t)) for t in tops - height.keys())
         lead = next(h for h in sorted(tops, reverse=tie_break == "max")
                     if not any(height[o] > height[h] and below(h, o)
                                for o in tops))
-        grade = min(g for top, g in residue if top == lead)
-        coeff = residue[lead, grade]
+        row = residue[lead]
+        grade = min(row)
+        coeff = row[grade]
         if coeff < 0:
             raise errors.NegativeMultiplicity(
                 f"piece ({lead}, {grade}) has coefficient {coeff}")

@@ -230,6 +230,8 @@ PINS = [
      "20496c111557d7e760bd2da5d39f1364e8377b6154d01227a81f94d3811f09b0"),
     ("weyl-char --type C2 --lambda=-1,0", 3,
      "1bf1e339a89ddf9facaee46d6450b903badeb9fa582766ad4bf78393b2d2e105"),
+    ("demazure-dim --type A1 --level --1 --lambda 1", 2,
+     "41e5663819089ab4b74d65b9e03be91677de6cf4154ef8c14f54f0bed96553fe"),
     ("level-flag --type C2 --level 1 --to-level 2 --lambda 1,0", 3,
      "f7af5b730a8d943d75ee9c16e172325bc44a716465de97df57bf6da3e88a83c0"),
     ("--help", 0,
@@ -407,6 +409,25 @@ def test_only_ascii_integers_are_numbers(capsys, bad):
         assert (rc, out) == (2, ""), argv
         assert err.startswith("error: --") and err.count("\n") == 1, argv
         assert "Traceback" not in err, argv
+
+
+def test_a_dashed_value_gets_the_one_line_refusal(capsys):
+    """A value starting with ``-`` that names no option is refused alike
+    after a blank and after ``=``; a value missing before a real option,
+    whole or abbreviated, keeps argparse's usage and message."""
+    base = ["demazure-dim", "--type", "A1", "--level", "1"] + NC
+    for bad in ("--1", "-x", "--1,0"):
+        assert run(capsys, base + ["--lambda", bad]) \
+            == run(capsys, base + [f"--lambda={bad}"]) \
+            == (2, "", "error: --lambda must be comma-separated integers: "
+                       f"{bad!r}\n")
+    for real in (["--format", "json"], ["--format=json"], ["--form", "json"],
+                 ["--type", "A1"], ["-h"]):
+        rc, out, err = run(capsys, base + ["--lambda"] + real)
+        assert (rc, out) == (2, ""), real
+        assert err.startswith("usage: demflag demazure-dim"), real
+        assert err.endswith("error: argument --lambda: expected one "
+                            "argument\n"), real
 
 
 # ---- domain errors (exit 3) ----

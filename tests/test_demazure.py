@@ -300,10 +300,13 @@ def test_bad_labels_raise_on_every_call():
 
 
 def test_memo_stays_within_its_bound():
-    demazure._dim.cache_clear()
-    demazure._labels.cache_clear()
-    for grade in range(demazure.MEMO_SIZE + 8):
+    """The dimensions keep ``MEMO_SIZE`` entries and the multiplicity maps
+    beneath them four times that; run past both."""
+    bounds = ((demazure._dim, demazure.MEMO_SIZE),
+              (demazure._labels, 4 * demazure.MEMO_SIZE))
+    for memo, _ in bounds:
+        memo.cache_clear()
+    for grade in range(4 * demazure.MEMO_SIZE + 8):
         demazure_dim(A1_AFF, DemazureLabel(1, A1.weight([grade % 3]), grade))
-        for memo in (demazure._dim, demazure._labels):
-            assert memo.cache_info().currsize \
-                == min(grade + 1, demazure.MEMO_SIZE)
+        for memo, bound in bounds:
+            assert memo.cache_info().currsize == min(grade + 1, bound)

@@ -1,5 +1,6 @@
 """Greedy flag decomposition, graded Weyl characters, and product laws."""
 
+import copy
 import itertools
 import random
 
@@ -456,3 +457,36 @@ def test_peeling_leaves_the_held_label_maps_alone(monkeypatch):
     memo.cache_clear()
     for args, out in held.items():
         assert out == memo(*args), args
+
+
+def test_peeling_keeps_every_held_label_map_intact(monkeypatch):
+    """The ``demazure._labels`` entries behind a level flag, a graded Weyl
+    character and a greedy peel equal a deep snapshot after each call runs
+    twice, and hold no zero and no empty row: the peel deletes in place on
+    its own copy."""
+    memo, held = demazure._labels, set()
+
+    def record(*args):
+        held.add(args)
+        return memo(*args)
+
+    g = demazure_character(A2_AFF, DemazureLabel(1, A2.weight([2, 1])))
+    calls = (lambda: level_flag(A1_AFF, 1, 2, A1.weight([12])),
+             lambda: graded_weyl_character(G2, G2.weight([2, 2])),
+             lambda: greedy_decompose(A2_AFF, g, 2))
+    monkeypatch.setattr(demazure, "_labels", record)
+    monkeypatch.setattr(flags, "_labels", record)
+    flags._graded_weyl.cache_clear()
+    for call in calls:
+        call()
+    monkeypatch.undo()
+    memo.cache_clear()
+    flags._graded_weyl.cache_clear()
+    snapshot = {args: copy.deepcopy(memo(*args)) for args in held}
+    for call in calls:
+        call()
+        call()
+    assert memo.cache_info().currsize == len(snapshot) > 10
+    for args, labels in snapshot.items():
+        assert memo(*args) == labels, args
+        assert all(row and all(row.values()) for row in labels.values())
