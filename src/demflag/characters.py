@@ -68,15 +68,23 @@ inside its field.  ``B`` grows by about ``log2(1 + A)`` bits a letter; the
 ``w0`` ladder of E8, 120 letters, packs its 9 fields at 208 bits each.
 
 The character of the simple module of dominant highest weight ``lam`` is
-found without a ladder, in three steps, all in integers:
+found without a ladder, all in integers, from two memos kept per datum and
+shared by every top:
 
-* The dominant weights below ``lam``: subtract positive roots while the
-  result stays dominant.  Every dominant weight below ``lam`` is reached,
-  since a cover between dominant weights is a positive root (Stembridge
-  1998), and each comes with the simple-root coordinates ``c`` of
-  ``lam - mu``.
-* Their multiplicities, by Freudenthal's formula (Humphreys, GTM 9,
-  section 22.3; Moody and Patera 1982), in decreasing height:
+* ``_orbit``: the Weyl orbit of one dominant weight, as flat keys
+  ``(*h, 0)``, reflecting at nodes of positive value.  The orbit is a tree,
+  each weight's parent being its reflection at its first negative node, so
+  no weight is reached twice and nothing records what was seen.  An orbit
+  depends on its weight alone, so it is walked once for every top above it.
+* ``_dominant``: the multiplicities of the dominant weights below ``lam``
+  alone, ``((mu, m), ...)``.  The dominant weights come from subtracting
+  positive roots while the result stays dominant; every dominant weight
+  below ``lam`` is reached, since a cover between dominant weights is a
+  positive root (Stembridge 1998), and each comes with the simple-root
+  coordinates ``c`` of ``lam - mu``.  Their multiplicities come from
+  Freudenthal's formula (Humphreys, GTM 9, section 22.3), in decreasing
+  height, in the form of Moody and Patera (1982), which stores dominant
+  weights alone:
 
       m(mu) (lam - mu, lam + mu + 2 rho)
         = 2 sum_{alpha > 0} sum_{k >= 1} m(mu + k alpha) (mu + k alpha, alpha)
@@ -87,16 +95,20 @@ found without a ladder, in three steps, all in integers:
   integer dot product.  ``(alpha, alpha)`` is kept per datum and
   ``(mu, alpha)`` is taken once per string, whose every further step adds
   ``(alpha, alpha)``.  ``m(mu + k alpha)`` is the multiplicity of its
-  dominant conjugate, which is higher and already known, since each orbit
-  is written out as soon as its multiplicity is; it is looked up by the
-  simple-root coordinates of ``lam - mu - k alpha``, packed into one int.
-  A string stops at its first zero, since root strings through weights
-  have no gaps.  Every division must be exact; one that is not raises
-  ``AssertionError`` (a ``raise``, so ``python -O`` keeps it).
-* Each dominant weight's Weyl orbit, reflecting at nodes of positive value.
-  The orbit is a tree, each weight's parent being its reflection at its
-  first negative node, so no weight is reached twice and nothing records
-  what was seen.
+  dominant conjugate, which is higher and already known: as soon as a
+  multiplicity is found, one ``dict.update`` enters it at every key of its
+  weight's orbit in a lookup map, where ``mu + k alpha`` is looked up by
+  its flat key.  A string stops at its first zero, since root strings
+  through weights have no gaps.  Every division must be exact; one that is
+  not raises ``AssertionError`` (a ``raise``, so ``python -O`` keeps it).
+
+A character is written from these tables orbit by orbit (``_orbit_sum``):
+the coefficient of a dominant weight at a grade goes to every key of its
+orbit at that grade, each key once, since distinct dominant weights have
+disjoint orbits.  ``weyl_character_finite`` writes one top's table, and
+``demazure._expand`` first sums ``m * mult_top(mu)`` over the tops of a
+multiplicity map, per grade and dominant ``mu``, so it builds no
+irreducible character and writes each orbit once per grade.
 
 The cost follows the number of dominant weights and the orbit sizes, not
 the number of terms times the length of ``w0``.  The ladder along ``w0``
@@ -115,7 +127,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from math import isqrt
-from operator import add, index, lshift, mul, sub
+from operator import add, index, le, lshift, mul, sub
 from typing import Mapping, Sequence
 
 from . import errors
@@ -123,15 +135,16 @@ from .root_data import AffineDatum, Datum, RootDatum, Weight
 
 Flat = dict[tuple[int, ...], int]
 
-# Entries in each module memo (``demazure_character``'s, ``demazure_dim``'s
-# and ``flags.graded_weyl_character``'s); the multiplicity maps, Weyl
-# characters and Weyl dimensions beneath them keep four times as many, the
-# path sets a sixth.  Two 20 s perfbench runs at each size (2-vCPU Xeon):
-# at 32, 48, 64 and 128, ``flags`` ran 3965-3977, 4517-4560, 4501-4556 and
-# 4548-4613 rps, and ``ladder`` 2282-2294, 2354-2382, 2379-2418 and
-# 2433-2498 rps with peak memory 25.0-25.1, 25.4-25.7, 25.6-26.0 and
-# 26.2-26.5 MB.  48 gives ``flags`` the throughput of larger memos and
-# ``ladder`` 95% of 128's, for about 1 MB less.
+# Entries in each module memo (``demazure_character``'s, ``demazure_dim``'s,
+# ``flags.graded_weyl_character``'s and ``weyl_character_finite``'s); the
+# multiplicity maps, dominant multiplicities and Weyl dimensions beneath
+# them keep four times as many, the Weyl orbits eight times, the path sets
+# a sixth.  Two 20 s perfbench runs at each size (seed 11, 2-vCPU Xeon): at
+# 32, 48, 64 and 128, ``flags`` ran 4622-4677, 5303-5388, 5334-5410 and
+# 5296-5355 rps, and ``ladder`` 2882-3053, 2935-2950, 3038-3050 and
+# 3035-3079 rps with peak memory 24.7, 25.0-25.1, 25.3 and 25.8-25.9 MB.
+# 48 gives ``flags`` the throughput of larger memos and ``ladder`` 96% of
+# 128's, for about 0.8 MB less.
 MEMO_SIZE = 48
 
 
@@ -139,8 +152,8 @@ class Character:
     """Finite map ``h + (d,) -> nonzero int`` over one datum.
 
     Built from ``(h, d)`` pairs, a ``Weight`` among them, whose ``h`` must
-    have the datum's rank and whose values must be integers; ``ValueError``
-    otherwise.
+    have the datum's rank and whose values and coefficients must be
+    integers; ``ValueError`` otherwise.  Zero coefficients are dropped.
     """
 
     __slots__ = ("datum", "_terms")
@@ -152,12 +165,14 @@ class Character:
         for (h, d), c in terms.items():
             if len(h) != rank:
                 raise ValueError(f"weight rank does not match {datum.label}")
+            try:
+                key, c = (*map(index, h), index(d)), index(c)
+            except TypeError:
+                raise ValueError(f"weight {tuple(h)} at grade {d!r} with "
+                                 f"coefficient {c!r} is not integral"
+                                 ) from None
             if c:
-                try:
-                    flat[(*map(index, h), index(d))] = c
-                except TypeError:
-                    raise ValueError(f"weight {tuple(h)} at grade {d!r} is "
-                                     f"not integral") from None
+                flat[key] = c
         object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "_terms", flat)
 
@@ -233,6 +248,12 @@ class Character:
         return self + (-other)
 
     def scale(self, c: int) -> "Character":
+        """``c`` times the character; ``ValueError`` if ``c`` is not an
+        integer."""
+        try:
+            c = index(c)
+        except TypeError:
+            raise ValueError(f"scale factor {c!r} is not integral") from None
         return Character._wrap(self.datum, _nonzero(
             {k: c * v for k, v in self._terms.items()}))
 
@@ -374,92 +395,135 @@ def weyl_character_finite(rd: RootDatum, lam: Weight) -> Character:
 @cache
 def _roots(rd: RootDatum) -> tuple[tuple[tuple[int, ...], tuple[int, ...],
                                          tuple[int, ...], int], ...]:
-    """Per positive root ``alpha``: its coroot values ``a``, its simple-root
-    coordinates ``b``, the row ``(d_j b_j)`` whose dot product with a
-    weight is the pairing with ``alpha``, and ``(alpha, alpha)``."""
+    """Per positive root ``alpha``: its flat key ``a`` (coroot values and a
+    zero grade), its simple-root coordinates ``b``, the row ``(d_j b_j)``
+    whose dot product with a weight is the pairing with ``alpha``, and
+    ``(alpha, alpha)``."""
     out = []
     for b in rd.positive_roots:
-        a = tuple(sum(map(mul, row, b)) for row in rd.cartan)
+        a = (*(sum(map(mul, row, b)) for row in rd.cartan), 0)
         pair = tuple(map(mul, rd.symmetrizer, b))
         out.append((a, b, pair, sum(map(mul, pair, a))))
     return tuple(out)
 
 
-# Four times ``MEMO_SIZE``, since each Demazure character expands into
-# several irreducibles: a perfbench ``ladder`` pass expands 213 distinct
-# ones and computes each once, and a ``flags`` pass 76.  With Freudenthal
-# misses and packed ladders, ``ladder`` throughput at 48, 96 and 192
-# entries was 1724-1807, 1806-1883 and 1994-2023 rps, with peak memory
-# 24.6-24.8, 24.8-25.0 and 25.3-25.4 MB (two 20 s runs each, 2-vCPU Xeon).
-@lru_cache(maxsize=4 * MEMO_SIZE, typed=True)
-def _weyl_character(rd: RootDatum, d: int, *h: int) -> Character:
-    lam = rd.weight(h, d)
-    if not rd.is_dominant(lam):
-        raise errors.NotDominant(f"{lam.h} is not dominant for {rd.label}")
-    h, d = lam
-    roots = _roots(rd)
+# A perfbench ``ladder`` pass asks for 7,283-7,308 orbits of 239 distinct
+# dominant weights, a ``flags`` pass for about 800 of 78.  At 8 and 4
+# times ``MEMO_SIZE`` the ``ladder`` pass walks 239 and 250-265 of them
+# (seeds 1, 7 and 11); the 239 hold about 6,200 keys.
+@lru_cache(maxsize=8 * MEMO_SIZE)
+def _orbit(rd: RootDatum, key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The Weyl orbit of the dominant flat key ``(*h, 0)``, as flat keys.
+
+    The orbit is a tree: the parent of ``nu`` is its reflection at its
+    first negative node ``f``, so ``s_p nu`` (``nu_p > 0``) is a child when
+    it has no negative value before ``p``.  That holds for ``p < f``; for
+    ``p > f`` it needs node ``f`` next to ``p``.  No weight is reached
+    twice, and nothing records what was seen."""
     rank = rd.rank
+    flat_roots = rd.flat_roots
+    # The nonzero entries of each simple root, the only ones a step moves.
+    moves = [[(j, y) for j, y in enumerate(alpha) if y]
+             for alpha in flat_roots]
+    out = []
+    stack = [(key, rank)]
+    while stack:
+        nu, f = stack.pop()
+        out.append(nu)
+        for p in range(rank):
+            v = nu[p]
+            if v > 0 and (p < f or flat_roots[p][f]):
+                child = list(nu)
+                for j, y in moves[p]:
+                    child[j] -= v * y
+                if p < f or min(child[:p]) >= 0:
+                    stack.append((tuple(child), p))
+    return tuple(out)
+
+
+# A perfbench ``ladder`` pass expands 213 distinct tops, 760 times, and a
+# ``flags`` pass 76; at 4 times ``MEMO_SIZE`` ``ladder`` computes 215-217
+# of them, at 2 times 342-363 (seeds 1, 7 and 11).
+@lru_cache(maxsize=4 * MEMO_SIZE)
+def _dominant(rd: RootDatum,
+              h: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """``((mu, m), ...)``: the dominant weights ``mu`` of the simple module
+    of dominant highest weight ``h``, as flat keys, with their
+    multiplicities, in decreasing height, by Freudenthal's formula (the
+    module docstring)."""
+    roots = _roots(rd)
     # The dominant weights below the top, each with the simple-root
     # coordinates of the top minus it.
-    dom = {h: (0,) * rank}
-    todo = [h]
+    top = (*h, 0)
+    dom = {top: (0,) * rd.rank}
+    todo = [top]
     while todo:
         mu = todo.pop()
         c = dom[mu]
         for a, b, _, _ in roots:
-            nu = tuple(map(sub, mu, a))
-            if min(nu) >= 0 and nu not in dom:
-                dom[nu] = tuple(map(add, c, b))
-                todo.append(nu)
-    # A weight's code reads those coordinates as digits in base ``base``.
-    # On weights they lie in ``0 .. 2 * height(top)``, and one root step
-    # past a weight lowers each by at most a coordinate of theta, so the
-    # weights and the first non-weight of each string have distinct codes.
-    base = 2 * rd.height(h) // rd._inverse[1] + max(rd.theta_coords) + 1
-    powers = [base ** j for j in range(rank)]
-    steps = [(sum(map(mul, powers, b)), pair, aa) for _, b, pair, aa in roots]
+            if all(map(le, a, mu)):             # ``mu - alpha`` is dominant
+                nu = tuple(map(sub, mu, a))
+                if nu not in dom:
+                    dom[nu] = tuple(map(add, c, b))
+                    todo.append(nu)
     top2 = [t + 2 for t in h]
     sym = rd.symmetrizer
-    flat_roots = rd.flat_roots
-    out: Flat = {}
-    mult: dict[int, int] = {}
+    out = []
+    mult: dict[tuple[int, ...], int] = {}
     get = mult.get
     for mu, c in sorted(dom.items(), key=lambda t: sum(t[1])):
-        code = sum(map(mul, powers, c))
-        if not code:                    # the top
+        if mu is top:
             m = 1
         else:
             total = 0
-            for step, pair, aa in steps:
-                up = code - step
+            for a, _, pair, aa in roots:
+                up = tuple(map(add, mu, a))
                 k = get(up)
                 if k:
                     x = sum(map(mul, pair, mu))
                     while k:
                         x += aa
                         total += k * x
-                        up -= step
+                        up = tuple(map(add, up, a))
                         k = get(up)
             norm = sum(map(mul, map(mul, sym, c), map(add, top2, mu)))
             m, r = divmod(2 * total, norm)
             if r:
                 raise AssertionError("Freudenthal division is not exact")
-        # The orbit, as a tree: the parent of ``nu`` is its reflection at
-        # its first negative node ``f``, so ``s_p nu`` (``nu_p > 0``) is a
-        # child when it has no negative value before ``p``.  That holds
-        # for ``p < f``; for ``p > f`` it needs node ``f`` next to ``p``.
-        stack = [((*mu, d), code, rank)]
-        while stack:
-            nu, code, f = stack.pop()
-            out[nu] = mult[code] = m
-            for p in range(rank):
-                v = nu[p]
-                if v > 0 and (p < f or flat_roots[p][f]):
-                    child = tuple([x - v * y
-                                   for x, y in zip(nu, flat_roots[p])])
-                    if p < f or min(child[:p]) >= 0:
-                        stack.append((child, code + v * powers[p], p))
+        out.append((mu, m))
+        mult.update(dict.fromkeys(_orbit(rd, mu), m))
+    return tuple(out)
+
+
+def _orbit_sum(rd: RootDatum,
+               sums: dict[tuple[int, ...], dict[int, int]]) -> Character:
+    """The character ``sum c e^nu``, ``nu`` over the orbit of ``mu`` at
+    grade ``g``, over ``sums = {mu: {g: c}}`` with ``mu`` dominant flat
+    keys.  Distinct ``mu`` have disjoint orbits, so each key is written
+    once, and a zero ``c`` writes nothing."""
+    out: Flat = {}
+    for mu, row in sums.items():
+        orbit = _orbit(rd, mu)
+        for g, c in row.items():
+            if c:
+                if g:
+                    for k in orbit:
+                        out[k[:-1] + (g,)] = c
+                else:
+                    for k in orbit:
+                        out[k] = c
     return Character._wrap(rd, out)
+
+
+# The characters ``weyl_character_finite`` hands out, ``MEMO_SIZE`` like the
+# other module memos: expansions read ``_dominant`` and ``_orbit``, not these.
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
+def _weyl_character(rd: RootDatum, d: int, *h: int) -> Character:
+    lam = rd.weight(h, d)
+    if not rd.is_dominant(lam):
+        raise errors.NotDominant(f"{lam.h} is not dominant for {rd.label}")
+    h, d = lam
+    return _orbit_sum(rd, {mu: {d: m} for mu, m in _dominant(rd, h)})
 
 
 def project_graded_classical(ad: AffineDatum, f: Character) -> Character:

@@ -49,19 +49,21 @@ bound in the ``characters`` docstring), so no field borrows from the next.
 What remains is a nested map ``{top: {grade: multiplicity}}`` (``Labels``):
 one row per distinct dominant top, whose tuple is unpacked once, holding
 no zero and no empty row.  The dimension is the sum over tops of the row's
-multiplicities times Weyl's dimension formula, with nothing expanded; the
-weight character reads each top's ``weyl_character_finite`` once and adds
-it at every grade of the row.
+multiplicities times Weyl's dimension formula, with nothing expanded.  The
+weight character sums each top's dominant multiplicities
+(``characters._dominant``) times the row's, per grade and dominant weight,
+and writes each nonzero sum over its Weyl orbit once
+(``characters._orbit_sum``); no irreducible character is built.
 
 All of it is exact integer arithmetic, over no ground field, so a result
 depends only on its datum and label: the last ``MEMO_SIZE`` characters and
 dimensions are each kept for the life of the process, and a repeated label
 returns the same object.  The multiplicity maps beneath them keep the last
-``4 * MEMO_SIZE``, as the Weyl characters do: every flag peel reads one map
-per piece, the same few maps over and over, and a nested map stores each
-top once, so they are small.  Beneath the dimensions, the Weyl dimensions
-of the last ``4 * MEMO_SIZE`` tops are kept per datum, since many labels
-share their tops.
+``4 * MEMO_SIZE``, as the dominant multiplicities of the Weyl characters
+do: every flag peel reads one map per piece, the same few maps over and
+over, and a nested map stores each top once, so they are small.  Beneath
+the dimensions, the Weyl dimensions of the last ``4 * MEMO_SIZE`` tops are
+kept per datum, since many labels share their tops.
 Labels are validated on every call, so a bad label raises every time and
 no error is kept.  Integrality is checked on a miss: the memos key every
 number by its type, so a float never shares an entry with an integer.
@@ -75,8 +77,8 @@ from operator import index, mul, rshift
 from typing import Iterable, NamedTuple
 
 from . import errors
-from .characters import (MEMO_SIZE, Character, Flat, _ladder, _Layout,
-                         _layout, _nonzero, weyl_character_finite)
+from .characters import (MEMO_SIZE, Character, _dominant, _ladder, _Layout,
+                         _layout, _orbit_sum)
 from .root_data import (AffineDatum, RootDatum, Weight, apply_word,
                         make_dominant)
 
@@ -183,19 +185,18 @@ def _straighten(terms: Iterable[tuple[int, int]], lay: _Layout) -> Labels:
 
 
 def _expand(rd: RootDatum, labels: Labels) -> Character:
-    """The weight character of ``{top: {grade: m}}``: each top's
-    irreducible through ``weyl_character_finite`` once, at every grade of
-    its row."""
-    out: Flat = {}
-    get = out.get
+    """The weight character of ``{top: {grade: m}}``: every top's dominant
+    multiplicities times ``m``, summed per dominant weight and grade, and
+    each sum written over its Weyl orbit once."""
+    sums: dict[tuple[int, ...], dict[int, int]] = {}
     for top, row in labels.items():
-        chi = [(k[:-1], c) for k, c in
-               weyl_character_finite(rd, Weight(top, 0))._terms.items()]
-        for g, m in row.items():
-            for h, c in chi:
-                k = (*h, g)
-                out[k] = get(k, 0) + m * c
-    return Character._wrap(rd, _nonzero(out))
+        for mu, c in _dominant(rd, top):
+            if (into := sums.get(mu)) is None:
+                into = sums[mu] = {}
+            get = into.get
+            for g, m in row.items():
+                into[g] = get(g, 0) + m * c
+    return _orbit_sum(rd, sums)
 
 
 @cache
@@ -203,12 +204,12 @@ def _positive_coroots(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     return tuple(rd.coroot(beta) for beta in rd.positive_roots)
 
 
-# Weyl dimensions of tops, four times ``MEMO_SIZE`` like the Weyl characters
-# of ``characters``.  A perfbench ``ladder`` pass asks for 4,312 of them,
-# 210 distinct; over three shuffled passes a memo of 48, 96, 192 and 256
-# entries missed 527-553, 333-390, 212-213 and 210 times.  A miss takes
-# about 2 us on A2, 8 us on D4 and 0.1 ms on E8 (2-vCPU Xeon), so the
-# three misses more at 192 cost well under a millisecond a pass.
+# Weyl dimensions of tops, four times ``MEMO_SIZE`` like the dominant
+# multiplicities of ``characters``.  A perfbench ``ladder`` pass asks for
+# 4,312 of them, 210 distinct; over three shuffled passes a memo of 48, 96,
+# 192 and 256 entries missed 527-553, 333-390, 212-213 and 210 times.  A
+# miss takes about 2 us on A2, 8 us on D4 and 0.1 ms on E8 (2-vCPU Xeon),
+# so the three misses more at 192 cost well under a millisecond a pass.
 @lru_cache(maxsize=4 * MEMO_SIZE)
 def _weyl_dim(rd: RootDatum, h: tuple[int, ...]) -> int:
     """Weyl's dimension formula: the product over positive roots ``beta``

@@ -5,7 +5,8 @@ Each operation is checked against a ``collections.Counter`` over
 slice reflection it replaced.  Demazure characters, straightened through
 the Weyl symmetrizer, are checked against the ladder along the whole
 extremal word, finite Weyl characters, found by Freudenthal's formula,
-against the ladder along the longest word ``w0``, and path crystals against
+against the ladder along the longest word ``w0``, their expansion of
+multiplicity maps against adding them term by term, and path crystals against
 the ladder along their word and the order of their segments, and each
 path against its own segments, its integral storage and the root operators
 going down and back up.  Flags are
@@ -261,6 +262,33 @@ def test_weyl_character_equals_the_w0_ladder(case):
     rd, lam = case
     assert weyl_character_finite(rd, lam) \
         == demazure_word_char(rd, rd.w0_word, lam)
+
+
+@st.composite
+def multiplicity_maps(draw):
+    """A finite datum and a map ``{top: {grade: m}}`` of up to four tops,
+    each coordinate at most 2, with nonzero ``m`` of either sign, so that
+    sums of dominant multiplicities can cancel (on A1, ``V(2) - V(0)``)."""
+    rd = draw(st.sampled_from(FINITE))
+    tops = st.tuples(*[st.integers(0, 2)] * rd.rank)
+    rows = st.dictionaries(grades, coeffs.filter(bool), min_size=1,
+                           max_size=3)
+    return rd, draw(st.dictionaries(tops, rows, max_size=4))
+
+
+@SETTINGS
+@given(multiplicity_maps())
+def test_expansion_equals_the_sum_of_irreducibles(case):
+    """``demazure._expand`` against adding every top's Weyl character at
+    each grade of its row, term by term."""
+    rd, labels = case
+    total = Counter()
+    for top, row in labels.items():
+        chi = weyl_character_finite(rd, rd.weight(top))
+        for g, m in row.items():
+            for (h, _), c in chi.terms():
+                total[(h, g)] += m * c
+    assert same(demazure._expand(rd, labels), total)
 
 
 # Every exceptional fundamental weight whose w0 ladder takes under about

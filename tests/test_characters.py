@@ -1,6 +1,7 @@
 """Operator ladders, finite Weyl characters, and graded projections."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -106,6 +107,22 @@ def test_weights_must_be_integral():
         A1_AFF, 0, mono(A1_AFF, [1, 0]))
 
 
+def test_coefficients_must_be_integers():
+    """Coefficients and scale factors go through ``operator.index``, as
+    weights do, so arithmetic stays exact."""
+    with pytest.raises(ValueError, match="not integral"):
+        Character(A2, {Weight((1, 0), 0): 1.5, Weight((0, 1), 0): True})
+    with pytest.raises(ValueError, match="not integral"):
+        mono(A2, [1, 0], c=1.0)
+    f = Character(A2, {Weight((0, 1), 0): True})
+    assert f.mass() == 1 and all(type(c) is int for _, c in f.terms())
+    chi = weyl_character_finite(A2, A2.weight([1, 0]))
+    with pytest.raises(ValueError, match="not integral"):
+        chi.scale(2.0)
+    assert chi.scale(True) == chi
+    assert all(type(c) is int for _, c in chi.scale(True).terms())
+
+
 def test_word_char_examples():
     lam0_delta = A1_AFF.weight([1, 0], 1)
     assert demazure_word_char(A1_AFF, (), lam0_delta) \
@@ -190,12 +207,15 @@ def test_weyl_finite_checks_every_division(monkeypatch):
     a wrong ``(alpha, alpha)`` on A1 leaves 2 * 3 / 4 at the zero weight."""
     (a, b, pair, _), = characters._roots(A1)
     monkeypatch.setattr(characters, "_roots", lambda rd: ((a, b, pair, 3),))
-    characters._weyl_character.cache_clear()
+    memos = (characters._weyl_character, characters._dominant)
+    for memo in memos:
+        memo.cache_clear()
     try:
         with pytest.raises(AssertionError, match="not exact"):
             weyl_character_finite(A1, A1.weight([2]))
     finally:
-        characters._weyl_character.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
 
 
 def test_weyl_finite_memo_hands_out_one_object():
@@ -252,6 +272,42 @@ def test_weyl_finite_is_w_invariant():
         f = weyl_character_finite(rd, rd.weight(h))
         g = Character(rd, {(k, 0): c for (k, _), c in f.terms()})
         assert check_w_invariance_per_grade(rd, g)
+
+
+def _closure(cartan, h):
+    """The closure of ``h`` under the simple reflections, breadth first,
+    from the Cartan matrix alone: ``s_i`` subtracts ``h_i`` times column
+    ``i``, the values of ``alpha_i``."""
+    seen = {tuple(h)}
+    queue = deque(seen)
+    while queue:
+        mu = queue.popleft()
+        for i, v in enumerate(mu):
+            nu = tuple(x - v * row[i] for x, row in zip(mu, cartan))
+            if nu not in seen:
+                seen.add(nu)
+                queue.append(nu)
+    return seen
+
+
+def test_weyl_orbits_are_reflection_closures():
+    """Every orbit memoised beneath a Weyl character holds the closure of
+    its dominant weight under the simple reflections, each weight once, at
+    grade 0: below rho (and 2 rho up to rank 3) for every finite type up
+    to rank 4, G2 and F4 among them, and at E6 w1."""
+    E6 = datum_from_label("E6")
+    cases = [(E6, E6.fundamental_weight(1).h)]
+    for rd in all_datums():
+        if rd.rank <= 4:
+            cases.append((rd, rd.rho.h))
+        if rd.rank <= 3:
+            cases.append((rd, tuple(2 * x for x in rd.rho.h)))
+    for rd, top in cases:
+        for mu, _ in characters._dominant(rd, top):
+            orbit = characters._orbit(rd, mu)
+            assert mu[-1] == 0 and all(k[-1] == 0 for k in orbit)
+            assert len(set(orbit)) == len(orbit)
+            assert {k[:-1] for k in orbit} == _closure(rd.cartan, mu[:-1])
 
 
 # ---- graded projections ----

@@ -9,6 +9,7 @@ from demflag import (
     Weight,
     affinize,
     apply_word,
+    characters,
     check_w_invariance_per_grade,
     datum_from_label,
     demazure,
@@ -19,6 +20,7 @@ from demflag import (
     forget_grading,
     shift_grade,
     solve_extremal,
+    weyl_character_finite,
 )
 
 A1 = datum_from_label("A1")
@@ -301,12 +303,26 @@ def test_bad_labels_raise_on_every_call():
 
 def test_memo_stays_within_its_bound():
     """The dimensions keep ``MEMO_SIZE`` entries and the multiplicity maps
-    beneath them four times that; run past both."""
-    bounds = ((demazure._dim, demazure.MEMO_SIZE),
-              (demazure._labels, 4 * demazure.MEMO_SIZE))
+    beneath them four times that; beneath expansions, the dominant
+    multiplicities of Weyl characters keep four times and their orbits
+    eight times that.  Run past every bound: each A1 weight ``n`` adds one
+    top and one orbit, that of ``n`` itself; past the tops' bound the
+    orbits are asked for alone, which is cheaper."""
+    size = demazure.MEMO_SIZE
+    bounds = ((demazure._dim, size), (demazure._labels, 4 * size))
     for memo, _ in bounds:
         memo.cache_clear()
-    for grade in range(4 * demazure.MEMO_SIZE + 8):
+    for grade in range(4 * size + 8):
         demazure_dim(A1_AFF, DemazureLabel(1, A1.weight([grade % 3]), grade))
         for memo, bound in bounds:
             assert memo.cache_info().currsize == min(grade + 1, bound)
+    tops, orbits = characters._dominant, characters._orbit
+    for memo in (characters._weyl_character, tops, orbits):
+        memo.cache_clear()
+    for n in range(8 * size + 8):
+        if n < 4 * size + 8:
+            weyl_character_finite(A1, A1.weight([n]))
+            assert tops.cache_info().currsize == min(n + 1, 4 * size)
+        else:
+            orbits(A1, (n, 0))
+        assert orbits.cache_info().currsize == min(n + 1, 8 * size)
