@@ -21,7 +21,6 @@ and plain tables.
 from . import errors
 from .characters import (Character, check_w_invariance_per_grade,
                          demazure_step, demazure_word_char, forget_grading,
-                         project_graded_classical, shift_grade,
                          weyl_character_finite)
 from .demazure import (DemazureLabel, demazure_character, demazure_dim,
                        solve_extremal)
@@ -33,8 +32,8 @@ from .lspath import (LSPath, PathSet, crystal_character, f_edge_lines,
                      straight_path)
 from .root_data import (AffineDatum, RootDatum, ShortEmbedding, Weight,
                         affinize, apply_word, build_finite_datum,
-                        datum_from_label, dominance_leq, eta_lambda,
-                        make_dominant, reflect_weight, short_subdatum)
+                        datum_from_label, eta_lambda, make_dominant,
+                        reflect_weight, short_subdatum)
 
 __version__ = "0.1.0"
 
@@ -44,12 +43,11 @@ __all__ = [
     "Weight", "affinize", "apply_word", "build_finite_datum",
     "check_w_invariance_per_grade", "crystal_character",
     "datum_from_label", "demazure_character", "demazure_dim", "demazure_step",
-    "demazure_word_char", "dominance_leq", "errors", "eta_lambda",
+    "demazure_word_char", "errors", "eta_lambda",
     "f_edge_lines", "forget_grading", "generate_demazure_set",
     "graded_weyl_character", "greedy_decompose", "joseph_highest",
     "level_flag", "local_weyl_character", "make_dominant",
-    "project_graded_classical", "reflect_weight", "root_op_f",
-    "shift_grade", "short_subdatum", "solve_extremal", "straight_path",
-    "weyl_character_finite",
+    "reflect_weight", "root_op_f", "short_subdatum", "solve_extremal",
+    "straight_path", "weyl_character_finite",
     "weyl_dim_product_check",
 ]

@@ -526,22 +526,6 @@ def _weyl_character(rd: RootDatum, d: int, *h: int) -> Character:
     return _orbit_sum(rd, {mu: {d: m} for mu, m in _dominant(rd, h)})
 
 
-def project_graded_classical(ad: AffineDatum, f: Character) -> Character:
-    """Drop ``h_0``, keep the finite coroot values, read the grade off ``d``.
-
-    Terms that collide after projection are summed, so coefficients are
-    preserved.
-    """
-    if f.datum.label != ad.label:
-        raise ValueError("character does not live on the given affine datum")
-    out: Flat = {}
-    get = out.get
-    for k, c in f._terms.items():
-        k = k[1:]
-        out[k] = get(k, 0) + c
-    return Character._wrap(ad.finite, _nonzero(out))
-
-
 def forget_grading(g: Character) -> Character:
     """Sum out the grade, leaving every term at ``d = 0``."""
     out: Flat = {}
@@ -550,17 +534,6 @@ def forget_grading(g: Character) -> Character:
         k = k[:-1] + (0,)
         out[k] = get(k, 0) + c
     return Character._wrap(g.datum, _nonzero(out))
-
-
-def shift_grade(g: Character, m: int) -> Character:
-    """Add ``m`` to every grade; ``ValueError`` if ``m`` is not an integer,
-    as for the weights of a ``Character``."""
-    try:
-        m = index(m)
-    except TypeError:
-        raise ValueError(f"grade shift {m!r} is not integral") from None
-    return Character._wrap(
-        g.datum, {k[:-1] + (k[-1] + m,): c for k, c in g._terms.items()})
 
 
 def check_w_invariance_per_grade(rd: RootDatum, g: Character) -> bool:

@@ -87,7 +87,8 @@ Labels = dict[tuple[int, ...], dict[int, int]]      # {top: {grade: m}}
 
 
 class DemazureLabel(NamedTuple):
-    """Label (level, classical highest weight, grade offset)."""
+    """Label (level, classical highest weight, grade offset).  The weight
+    carries no grade of its own: its ``d`` is 0."""
 
     level: int
     lam: Weight
@@ -100,8 +101,21 @@ def _validate(ad: AffineDatum, lab: DemazureLabel) -> None:
     if len(lab.lam.h) != ad.rank:
         raise ValueError(f"classical weight has rank {len(lab.lam.h)}, "
                          f"expected {ad.rank}")
+    _check_ungraded(lab.lam)
     if not ad.finite.is_dominant(lab.lam):
         raise errors.NotDominant(f"{lab.lam.h} is not dominant")
+
+
+def _check_ungraded(lam: Weight) -> None:
+    """A classical highest weight carries no grade: ``ValueError`` unless
+    its ``d`` is the integer 0.  A module's grade is its label's."""
+    try:
+        d = index(lam.d)
+    except TypeError:
+        d = None
+    if d != 0:
+        raise ValueError(f"classical weight {lam.h} has grade {lam.d!r}, "
+                         f"not 0")
 
 
 def _reduce(ad: AffineDatum, level: int, lam: Weight,
@@ -130,8 +144,7 @@ def solve_extremal(ad: AffineDatum,
 
 
 @lru_cache(maxsize=4 * MEMO_SIZE, typed=True)
-def _labels(ad: AffineDatum, level: int, grade: int, d: int,
-            *h: int) -> Labels:
+def _labels(ad: AffineDatum, level: int, grade: int, *h: int) -> Labels:
     """Irreducible multiplicities ``{top: {grade: m}}`` of a valid label,
     whose numbers are checked integral here, on the memo miss.  The map and
     its rows are shared by every caller, and none mutates them."""
@@ -141,7 +154,7 @@ def _labels(ad: AffineDatum, level: int, grade: int, d: int,
     except TypeError:
         raise ValueError(f"level {level!r} and grade {grade!r} must be "
                          f"integers") from None
-    dom, u = _reduce(ad, level, rd.weight(h, d), grade)
+    dom, u = _reduce(ad, level, rd.weight(h), grade)
     # Node ``i`` of an affine datum sits at position ``i``.
     packed, (shifts, *_) = _ladder(ad, u[::-1], {(*dom.h, dom.d): 1})
     # Shifting ``h_0``, the lowest field, out leaves finite keys.
@@ -225,23 +238,23 @@ def demazure_character(ad: AffineDatum,
                        lab: DemazureLabel) -> Character:
     """Graded classical character of the labelled module, memoised."""
     _validate(ad, lab)
-    return _character(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
+    return _character(ad, lab.level, lab.grade, *lab.lam.h)
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
-def _character(ad: AffineDatum, level: int, grade: int, d: int,
+def _character(ad: AffineDatum, level: int, grade: int,
                *h: int) -> Character:
-    return _expand(ad.finite, _labels(ad, level, grade, d, *h))
+    return _expand(ad.finite, _labels(ad, level, grade, *h))
 
 
 def demazure_dim(ad: AffineDatum, lab: DemazureLabel) -> int:
     """Dimension: multiplicities times Weyl dimensions, memoised."""
     _validate(ad, lab)
-    return _dim(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
+    return _dim(ad, lab.level, lab.grade, *lab.lam.h)
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
-def _dim(ad: AffineDatum, level: int, grade: int, d: int, *h: int) -> int:
+def _dim(ad: AffineDatum, level: int, grade: int, *h: int) -> int:
     rd = ad.finite
     return sum(sum(row.values()) * _weyl_dim(rd, top)
-               for top, row in _labels(ad, level, grade, d, *h).items())
+               for top, row in _labels(ad, level, grade, *h).items())

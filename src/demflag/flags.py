@@ -48,8 +48,8 @@ from typing import NamedTuple
 from . import errors
 from .characters import (Character, _ladder, check_w_invariance_per_grade,
                          forget_grading)
-from .demazure import (MEMO_SIZE, DemazureLabel, Labels, _expand, _labels,
-                       _straighten, _validate)
+from .demazure import (MEMO_SIZE, DemazureLabel, Labels, _check_ungraded,
+                       _expand, _labels, _straighten, _validate)
 from .root_data import (AffineDatum, RootDatum, Weight, affinize,
                         eta_lambda, short_subdatum)
 
@@ -59,13 +59,6 @@ class FlagDecomposition(NamedTuple):
 
     level: int
     pieces: tuple[tuple[Weight, int, int], ...]
-
-    def multiset(self) -> list[tuple[tuple[int, ...], int]]:
-        """Pairs (weight h-values, grade), one entry per multiplicity."""
-        out = []
-        for w, g, c in self.pieces:
-            out.extend([(w.h, g)] * c)
-        return sorted(out)
 
 
 class DominantLWeight:
@@ -131,7 +124,7 @@ def _peel(ad: AffineDatum, labels: Labels, level: int,
         if coeff < 0:
             raise errors.NegativeMultiplicity(
                 f"piece ({lead}, {grade}) has coefficient {coeff}")
-        _add(residue, _labels(ad, level, 0, 0, *lead), grade, -coeff)
+        _add(residue, _labels(ad, level, 0, *lead), grade, -coeff)
         pieces.append((Weight(lead, 0), grade, coeff))
     return FlagDecomposition(level=level, pieces=tuple(pieces))
 
@@ -170,7 +163,7 @@ def level_flag(ad: AffineDatum, level: int, to_level: int,
     if to_level <= level:
         raise ValueError("target level must exceed the source level")
     _validate(ad, DemazureLabel(level, lam, 0))
-    return _peel(ad, _labels(ad, level, 0, lam.d, *lam.h), to_level, "max")
+    return _peel(ad, _labels(ad, level, 0, *lam.h), to_level, "max")
 
 
 def graded_weyl_character(
@@ -179,29 +172,31 @@ def graded_weyl_character(
     """Graded character of the local Weyl module and its level-one flag.
 
     Memoised like ``demazure_character``: a repeated weight returns the
-    same pair, and a miss checks the weight through ``rd.weight``.
+    same pair, and a miss checks the weight through ``rd.weight``.  The
+    weight carries no grade: ``ValueError`` unless its ``d`` is 0.
     """
+    _check_ungraded(lam)
     if not rd.is_dominant(lam):
         raise errors.NotDominant(f"{lam.h} is not dominant for {rd.label}")
-    return _graded_weyl(rd, lam.d, *lam.h)
+    return _graded_weyl(rd, *lam.h)
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
-def _graded_weyl(rd: RootDatum, d: int,
+def _graded_weyl(rd: RootDatum,
                  *h: int) -> tuple[Character, FlagDecomposition]:
-    lam = rd.weight(h, d)
+    lam = rd.weight(h)
     pieces: tuple[tuple[Weight, int, int], ...] = ((lam, 0, 1),)
     if rd.short_nodes:
         se = short_subdatum(rd)
         sub_ad = affinize(se.subdatum)
-        flag = _peel(sub_ad, _labels(sub_ad, 1, 0, 0, *se.restrict(lam).h),
+        flag = _peel(sub_ad, _labels(sub_ad, 1, 0, *se.restrict(lam).h),
                      rd.lacing, "max")
         pieces = tuple((eta_lambda(se, lam, mu), grade, mult)
                        for mu, grade, mult in flag.pieces)
     ad = affinize(rd)
     total: Labels = {}
     for mu, grade, mult in pieces:
-        _add(total, _labels(ad, 1, 0, mu.d, *mu.h), grade, mult)
+        _add(total, _labels(ad, 1, 0, *mu.h), grade, mult)
     return _expand(rd, total), FlagDecomposition(level=1, pieces=pieces)
 
 

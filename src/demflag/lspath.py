@@ -12,11 +12,8 @@ tuple (every generated direction is integral, see below).  The form is
 canonical: steps with ``T = 0`` are dropped, neighbours with equal
 directions are merged by adding durations, and ``n`` and every ``T`` are
 divided by their joint gcd, so equality of paths means equality of traced
-polylines.  ``LSPath.make`` takes rational segments, merges neighbours
-whose directions are positively proportional, and raises ``ValueError`` on
-a merged direction that is not integral, which has no stored form.
-``LSPath.segments`` gives the rational form back.  Only ``make`` and
-``segments`` import ``fractions``; the operators stay in the integers.
+polylines.  ``LSPath.segments`` gives the rational form back; the
+operators stay in the integers.
 
 Generation does not build ``LSPath``s.  Each path set interns its
 directions as small ints in a table of its own, which holds for each node
@@ -56,9 +53,9 @@ reflected direction ``v`` becomes ``s_i v = v - v(h_i) alpha_i``; cutting
 keeps directions; and merging joins only equal neighbours.  In one orbit
 positively proportional means equal, because the level is Weyl-invariant
 and positive (a dominant weight of level zero is a multiple of ``delta``,
-and no operator is defined on its path), so ``make`` gives a generated
-path the same form.  Sets are ordered on directions, then durations, which
-is the order of the rational segments.
+and no operator is defined on its path), so merging equal neighbours
+merges every pair that a traced polyline would.  Sets are ordered on
+directions, then durations, which is the order of the rational segments.
 
 ``generate_demazure_set`` checks its weight (integral, of the datum's rank,
 dominant) and every letter on every call, so a bad input raises every time
@@ -91,7 +88,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from operator import add, le, mul
+from operator import le, mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import errors
@@ -103,48 +100,11 @@ Segment = "tuple[tuple[Fraction, ...], Fraction]"     # (direction, duration)
 Flat = tuple[int, ...]                        # (n, T0, id0, T1, id1, ...)
 
 
-def _positively_proportional(u: Sequence, v: Sequence) -> bool:
-    """True iff ``v == c * u`` for some ``c > 0``; zero matches only zero."""
-    for a, b in zip(u, v):
-        if a:
-            return a * b > 0 and all(x * b == y * a for x, y in zip(u, v))
-        if b:
-            return False
-    return True
-
-
 class LSPath(NamedTuple):
     """Canonical path: durations scaled by ``n``, integral directions."""
 
     n: int
     steps: tuple[Step, ...]
-
-    @classmethod
-    def make(cls, segments: Sequence[Segment]) -> "LSPath":
-        """The path through rational ``(direction, duration)`` segments;
-        ``ValueError`` on a negative duration or a non-integral direction."""
-        from fractions import Fraction
-        segs = [(tuple(Fraction(x) for x in v), Fraction(t))
-                for v, t in segments]
-        if any(t < 0 for _, t in segs):
-            raise ValueError("durations must be nonnegative")
-        if sum(t for _, t in segs) != 1:
-            raise AssertionError("durations must sum to one")
-        merged: list = []                     # [displacement, duration]
-        for v, t in segs:
-            e = [t * x for x in v]
-            if merged and _positively_proportional(merged[-1][0], e):
-                merged[-1] = [list(map(add, merged[-1][0], e)),
-                              merged[-1][1] + t]
-            elif t:
-                merged.append([e, t])
-        dirs = [[x / t for x in e] for e, t in merged]
-        if any(x.denominator != 1 for v in dirs for x in v):
-            raise ValueError("path direction is not integral")
-        # At the lcm of the denominators the durations share no factor.
-        n = lcm(*(t.denominator for _, t in merged))
-        return cls(n, tuple((int(n * t), tuple(map(int, v)))
-                            for (_, t), v in zip(merged, dirs)))
 
     @property
     def segments(self) -> tuple[Segment, ...]:

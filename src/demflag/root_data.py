@@ -388,13 +388,6 @@ class AffineDatum(Datum):
     def level(self, mu: Weight) -> int:
         return sum(a * v for a, v in zip(self.dual_marks, mu.h))
 
-    def embed_classical(self, lam: Weight, grade: int = 0) -> Weight:
-        """Level-zero embedding of a classical weight, placed at ``grade``."""
-        if len(lam.h) != self.rank:
-            raise ValueError("classical weight has wrong rank")
-        h0 = -sum(a * v for a, v in zip(self.finite.comarks, lam.h))
-        return Weight((h0,) + lam.h, grade)
-
 
 def build_finite_datum(series: str, rank: int) -> RootDatum:
     """The finite root datum for a Cartan-Killing label, built once."""
@@ -564,28 +557,6 @@ def make_dominant(datum: Datum, mu: Weight,
             return Weight(tuple(cur[:-1]), cur[-1]), tuple(word)
         cur = [a - v * b for a, b in zip(cur, roots[p])]
         word.append(p + first)
-
-
-def dominance_leq(datum: Datum, mu: Weight, lam: Weight) -> bool:
-    """True iff ``lam - mu`` is a nonnegative integer sum of simple roots.
-
-    On an affine datum only ``alpha_0`` carries ``delta``, so its
-    coefficient is the grade of the difference.  Taking that multiple of
-    ``alpha_0`` off leaves a finite problem on nodes ``1..n``; node ``0``
-    then agrees exactly when the difference has level zero, as every
-    simple root does.
-    """
-    diff = lam - mu
-    if isinstance(datum, AffineDatum):
-        c0 = diff.d
-        if c0 < 0 or datum.level(diff) != 0:
-            return False
-        rd = datum.finite
-        coords = rd.root_coordinates(
-            [v + c0 * t for v, t in zip(diff.h[1:], rd.theta_h)])
-    else:
-        coords = datum.root_coordinates(diff.h)
-    return coords is not None and all(x >= 0 for x in coords)
 
 
 # -- short-root subsystem ---------------------------------------------------

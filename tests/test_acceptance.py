@@ -16,7 +16,6 @@ from demflag import (
     demazure_dim,
     demazure_step,
     demazure_word_char,
-    dominance_leq,
     generate_demazure_set,
     graded_weyl_character,
     joseph_highest,
@@ -27,6 +26,7 @@ from demflag import (
     weyl_dim_product_check,
 )
 from demflag.characters import Character
+from test_root_data import dominance_leq
 
 A1 = datum_from_label("A1")
 A2 = datum_from_label("A2")

@@ -39,7 +39,6 @@ from hypothesis import strategies as st
 from demflag import (
     Character,
     DemazureLabel,
-    LSPath,
     Weight,
     affinize,
     characters,
@@ -57,14 +56,14 @@ from demflag import (
     graded_weyl_character,
     greedy_decompose,
     level_flag,
-    project_graded_classical,
     reflect_weight,
     root_op_f,
-    shift_grade,
     solve_extremal,
     weyl_character_finite,
 )
-from test_lspath import root_op_e
+from test_characters import project_graded_classical, shift_grade
+from test_flags import multiset
+from test_lspath import make, root_op_e
 
 FINITE = tuple(map(datum_from_label, ("A1", "A2", "C2", "G2")))
 AFFINE = tuple(map(affinize, FINITE[:2]))
@@ -157,29 +156,12 @@ def test_ring_laws(case):
 
 
 @SETTINGS
-@given(several(1, FINITE), grades, grades)
-def test_shift_grade_adds(case, a, b):
-    _, g = case
-    assert shift_grade(g, a + b) == shift_grade(shift_grade(g, a), b)
-    assert shift_grade(g, a).mass() == g.mass()
-
-
-@SETTINGS
 @given(several(1, FINITE))
 def test_forget_grading_keeps_mass(case):
     _, g = case
     flat = forget_grading(g)
     assert flat.mass() == g.mass()
     assert flat.grades() in ([], [0])
-
-
-@SETTINGS
-@given(several(1, AFFINE))
-def test_projection_keeps_mass(case):
-    ad, f = case
-    g = project_graded_classical(ad, f)
-    assert g.mass() == f.mass()
-    assert g.datum == ad.finite
 
 
 def invariant_by_slices(rd, g):
@@ -344,7 +326,7 @@ def test_path_sets_are_sorted_and_match_the_ladder(case):
     assert list(ps.paths) == sorted(ps.paths, key=lambda p: p.segments)
     assert crystal_character(ps) == demazure_word_char(ad, word, lam)
     for pi in ps:
-        assert LSPath.make(pi.segments) == pi
+        assert make(pi.segments) == pi
         assert all(type(x) is int
                    for t, v in pi.steps for x in (t, *v))
         for i in ad.indices:
@@ -415,7 +397,7 @@ def test_tie_breaks_agree_on_invariant_sums(case):
             outcomes.append(errors.NegativeMultiplicity)
         else:
             assert rebuilt(ad, fd) == g
-            outcomes.append(fd.multiset())
+            outcomes.append(multiset(fd))
     assert outcomes[0] == outcomes[1]
 
 
@@ -549,8 +531,7 @@ def test_labels_match_the_tuple_oracle(case):
     tuple straightening of the ladder along ``u``, and the packed width
     holds every coordinate of that ladder and that straightening."""
     ad, lab = case
-    labels = flatten(demazure._labels(ad, lab.level, lab.grade, lab.lam.d,
-                                      *lab.lam.h))
+    labels = flatten(demazure._labels(ad, lab.level, lab.grade, *lab.lam.h))
     dom, u = demazure._reduce(ad, lab.level, lab.lam, lab.grade)
     ladder, peak = oracle_ladder(ad, u, {(*dom.h, dom.d): 1})
     projected = Counter()

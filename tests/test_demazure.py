@@ -6,6 +6,7 @@ import pytest
 
 from demflag import (
     DemazureLabel,
+    DominantLWeight,
     Weight,
     affinize,
     apply_word,
@@ -15,13 +16,17 @@ from demflag import (
     demazure,
     demazure_character,
     demazure_dim,
-    dominance_leq,
     errors,
+    flags,
     forget_grading,
-    shift_grade,
+    graded_weyl_character,
+    level_flag,
+    local_weyl_character,
     solve_extremal,
     weyl_character_finite,
 )
+from test_characters import shift_grade
+from test_root_data import dominance_leq
 
 A1 = datum_from_label("A1")
 A2 = datum_from_label("A2")
@@ -32,6 +37,13 @@ C2_AFF = affinize(C2)
 
 
 # ---- extremal weights ----
+
+
+def embed_classical(ad, lam, grade):
+    """Oracle: the level-zero embedding of a classical weight at ``grade``,
+    ``lam(h_0) = -lam(h_theta)`` with ``h_theta`` the comarks."""
+    h0 = -sum(a * v for a, v in zip(ad.finite.comarks, lam.h))
+    return Weight((h0, *lam.h), grade)
 
 
 def test_solve_extremal_examples():
@@ -59,7 +71,7 @@ def test_solve_extremal_postcondition():
             assert ad.is_dominant(lam)
             assert ad.level(lam) == level
             w0lam = apply_word(rd, rd.w0_word, clam)
-            target = ad.embed_classical(w0lam, grade)
+            target = embed_classical(ad, w0lam, grade)
             target = ad.weight([target.h[0] + level, *target.h[1:]], grade)
             assert apply_word(ad, word, lam) == target
 
@@ -285,6 +297,37 @@ def test_non_integral_labels_are_refused(lab):
     assert demazure._character.cache_info().currsize == 1
     assert demazure._dim.cache_info().currsize == 1
     assert demazure._labels.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("d", [5, -1, 0.0, 0.5])
+def test_a_classical_weight_carries_no_grade(d):
+    """A module's grade is its label's: a classical highest weight whose
+    ``d`` is not the integer 0 is refused on every call by every entry
+    point, and keeps no memo entry."""
+    memos = (demazure._labels, demazure._character, demazure._dim,
+             flags._graded_weyl)
+    for memo in memos:
+        memo.cache_clear()
+    for rd in (A2, C2):
+        ad = affinize(rd)
+        graded = Weight((1, 1), d)
+        calls = [
+            lambda: demazure_character(ad, DemazureLabel(1, graded)),
+            lambda: demazure_dim(ad, DemazureLabel(1, graded)),
+            lambda: solve_extremal(ad, DemazureLabel(1, graded)),
+            lambda: graded_weyl_character(rd, graded),
+            lambda: local_weyl_character(
+                rd, DominantLWeight(((graded, "a"),)))]
+        if not rd.short_nodes:
+            calls.append(lambda: level_flag(ad, 1, 2, graded))
+        for call in calls * 2:
+            with pytest.raises(ValueError, match="grade"):
+                call()
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
+    # At ``d = 0`` the flag pieces sit at ``d = 0`` too, through the
+    # short-root lift on C2.
+    _, fd = graded_weyl_character(C2, Weight((1, 1), 0))
+    assert all(w.d == 0 for w, _, _ in fd.pieces)
 
 
 def test_bad_labels_raise_on_every_call():

@@ -2,8 +2,9 @@
 
 The package generates path sets on interned integer directions.  The
 oracles below work on ``LSPath(n, steps)`` with tuple directions and share
-no helper with the package: the generator the package used before, the
-raising operator, the string statistics and concatenation.
+no helper with the package: the canonical path through rational segments
+(``make``), the generator the package used before, the raising operator,
+the string statistics and concatenation.
 """
 
 import itertools
@@ -62,6 +63,45 @@ def reduced_words(ad, max_len):
 
 
 # ---- oracles on tuple directions ----
+
+
+def _positively_proportional(u, v):
+    """True iff ``v == c * u`` for some ``c > 0``; zero matches only zero."""
+    for a, b in zip(u, v):
+        if a:
+            return a * b > 0 and all(x * b == y * a for x, y in zip(u, v))
+        if b:
+            return False
+    return True
+
+
+def make(segments):
+    """The canonical ``LSPath`` through rational ``(direction, duration)``
+    segments: neighbours whose directions are positively proportional
+    merge, zero durations drop, and durations go over their least common
+    denominator.  ``ValueError`` on a negative duration or a merged
+    direction that is not integral, which has no stored form."""
+    segs = [(tuple(Fraction(x) for x in v), Fraction(t))
+            for v, t in segments]
+    if any(t < 0 for _, t in segs):
+        raise ValueError("durations must be nonnegative")
+    if sum(t for _, t in segs) != 1:
+        raise AssertionError("durations must sum to one")
+    merged = []                               # [displacement, duration]
+    for v, t in segs:
+        e = [t * x for x in v]
+        if merged and _positively_proportional(merged[-1][0], e):
+            merged[-1] = [[a + b for a, b in zip(merged[-1][0], e)],
+                          merged[-1][1] + t]
+        elif t:
+            merged.append([e, t])
+    dirs = [[x / t for x in e] for e, t in merged]
+    if any(x.denominator != 1 for v in dirs for x in v):
+        raise ValueError("path direction is not integral")
+    # At the lcm of the denominators the durations share no factor.
+    n = lcm(*(t.denominator for _, t in merged))
+    return LSPath(n, tuple((int(n * t), tuple(map(int, v)))
+                           for (_, t), v in zip(merged, dirs)))
 
 
 def _heights(pi, p):
@@ -156,8 +196,8 @@ def eps_phi(ad, i, pi):
 def concat_paths(p1, p2):
     """Both factors at double speed over half the interval, first factor
     first; ``ValueError`` on a non-integral junction direction."""
-    return LSPath.make([(tuple(2 * x for x in v), t / 2)
-                        for pi in (p1, p2) for v, t in pi.segments])
+    return make([(tuple(2 * x for x in v), t / 2)
+                 for pi in (p1, p2) for v, t in pi.segments])
 
 
 def tensor_highest_by_counts(ad, mu, b):
@@ -295,13 +335,13 @@ def test_string_statistics_axiom():
 def test_non_integral_minimum_rejected():
     up = tuple(Fraction(x) for x in (-2, 2, 0))
     down = tuple(Fraction(x) for x in (2, -2, 0))
-    pi = LSPath.make([(down, Fraction(1, 4)), (up, Fraction(3, 4))])
+    pi = make([(down, Fraction(1, 4)), (up, Fraction(3, 4))])
     with pytest.raises(ValueError, match="non-integral extremum"):
         eps_phi(A1_AFF, 1, pi)
 
 
 def test_non_integral_endpoint_rejected():
-    pi = LSPath.make([((1, 1, 0), Fraction(1, 2)), ((0, 0, 0), Fraction(1, 2))])
+    pi = make([((1, 1, 0), Fraction(1, 2)), ((0, 0, 0), Fraction(1, 2))])
     with pytest.raises(ValueError):
         pi.weight()
 
@@ -311,40 +351,40 @@ def test_non_integral_endpoint_rejected():
 
 def test_canonical_form_merges_and_drops():
     v = tuple(Fraction(x) for x in (0, 1, 0))
-    whole = LSPath.make([(v, Fraction(1))])
-    split = LSPath.make([(v, Fraction(1, 2)), (v, Fraction(1, 2))])
+    whole = make([(v, Fraction(1))])
+    split = make([(v, Fraction(1, 2)), (v, Fraction(1, 2))])
     assert split == whole and len(split.segments) == 1
 
     # Positively proportional neighbours merge into their mean direction.
-    scaled = LSPath.make([(v, Fraction(1, 2)),
-                          (tuple(3 * x for x in v), Fraction(1, 2))])
+    scaled = make([(v, Fraction(1, 2)),
+                   (tuple(3 * x for x in v), Fraction(1, 2))])
     assert len(scaled.segments) == 1
     assert scaled.segments[0] == ((Fraction(0), Fraction(2), Fraction(0)),
                                   Fraction(1))
     assert (scaled.n, scaled.steps) == (1, ((1, (0, 2, 0)),))
     # A mean direction of 5/3 has no integral form.
     with pytest.raises(ValueError):
-        LSPath.make([(v, Fraction(1, 3)),
-                     (tuple(2 * x for x in v), Fraction(2, 3))])
+        make([(v, Fraction(1, 3)),
+              (tuple(2 * x for x in v), Fraction(2, 3))])
 
     # Merging 1/3 and 2/3 of one direction leaves a common factor 3.
-    thirds = LSPath.make([(v, Fraction(1, 3)), (v, Fraction(2, 3))])
+    thirds = make([(v, Fraction(1, 3)), (v, Fraction(2, 3))])
     assert (thirds.n, thirds.steps) == (1, ((1, (0, 1, 0)),))
     assert thirds == whole
 
     still = tuple(Fraction(0) for _ in v)
-    paused = LSPath.make([(v, Fraction(1, 2)), (still, Fraction(1, 2))])
+    paused = make([(v, Fraction(1, 2)), (still, Fraction(1, 2))])
     assert len(paused.segments) == 2
 
-    dropped = LSPath.make([(v, Fraction(0)), (v, Fraction(1))])
+    dropped = make([(v, Fraction(0)), (v, Fraction(1))])
     assert dropped == whole
 
     with pytest.raises(AssertionError):
-        LSPath.make([(v, Fraction(1, 2))])
+        make([(v, Fraction(1, 2))])
     # Durations 3/2 and -1/2 sum to one but trace no path.
     with pytest.raises(ValueError):
-        LSPath.make([((0, 2, 0), Fraction(3, 2)),
-                     ((0, -2, 0), Fraction(-1, 2))])
+        make([((0, 2, 0), Fraction(3, 2)),
+              ((0, -2, 0), Fraction(-1, 2))])
 
 
 def test_split_segments_rebuild_the_same_path():
@@ -352,10 +392,10 @@ def test_split_segments_rebuild_the_same_path():
     ps = generate_demazure_set(G2_AFF, lam, (0, 2, 1, 2))
     assert any(pi.n > 1 for pi in ps)
     for pi in ps:
-        assert LSPath.make(pi.segments) == pi
+        assert make(pi.segments) == pi
         pieces = [(v, t * part) for v, t in pi.segments
                   for part in (Fraction(1, 3), Fraction(0), Fraction(2, 3))]
-        rebuilt = LSPath.make(pieces)
+        rebuilt = make(pieces)
         assert rebuilt == pi and hash(rebuilt) == hash(pi)
         assert rebuilt.segments == pi.segments
 
@@ -555,12 +595,12 @@ def test_make_and_concat_paths_refuse_a_non_integral_direction():
     # direction of (1/2, 1/2, 0) has no stored form.
     half = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
     with pytest.raises(ValueError):
-        LSPath.make([(half, Fraction(1))])
+        make([(half, Fraction(1))])
     # The junction merges (2, 0, 0) for 1/2 with (4, 0, 0) for 1/6 into
     # (5/2, 0, 0) for 2/3.
-    first = LSPath.make([((1, 0, 0), Fraction(1))])
-    second = LSPath.make([((2, 0, 0), Fraction(1, 3)),
-                          ((0, 1, 0), Fraction(2, 3))])
+    first = make([((1, 0, 0), Fraction(1))])
+    second = make([((2, 0, 0), Fraction(1, 3)),
+                   ((0, 1, 0), Fraction(2, 3))])
     with pytest.raises(ValueError):
         concat_paths(first, second)
 
@@ -590,7 +630,7 @@ def test_bool_coordinates_give_integer_steps():
 def test_operators_refuse_a_path_of_another_width(v):
     # Affine A1 directions have three entries: h_0, h_1 and d.  Both a
     # short and a long path used to get a silent answer.
-    pi = LSPath.make([(v, Fraction(1))])
+    pi = make([(v, Fraction(1))])
     for op in (root_op_f, root_op_e, eps_phi):
         for i in A1_AFF.indices:
             with pytest.raises(ValueError, match="3 entries"):
