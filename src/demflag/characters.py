@@ -25,12 +25,12 @@ every field stays in ``[0, 2^B)``: packing is one-to-one, field ``j`` reads
 ``((key >> B j) & (2^B - 1)) - 2^(B-1)``, and adding the packed simple root
 ``a = sum_j alpha_j 2^(B j)`` adds ``alpha`` field by field with no carry
 from one field into the next.  So a rung is ``mu -= a``.  Keys are packed
-once before the first letter and unpacked once after the last;
-``demazure._labels`` straightens the packed keys themselves and unpacks
-only what survives.
+once before the first letter and unpacked once after the last, or
+straightened packed (``_irreducibles``, below), unpacking only what
+survives.
 
 The width holds every coordinate the word can produce, and every one that
-straightening the result through ``D_w0`` can (``demazure._straighten``),
+straightening the result through ``D_w0`` can (``_straighten``),
 so the loops check nothing and there is no other path.
 
 * The ladder.  Let ``M`` bound the absolute coordinates of every key
@@ -58,14 +58,34 @@ so the loops check nothing and there is no other path.
   ``C`` rounded up to an integer.  ``C`` is 1 for A1, 2 for A2, about 3.2
   for A3, 4.5 for A4 and 35.2 for E8, so ``K`` is 1, 2, 4, 5 and 36; on
   A1, A2 and A3 the bound is reached or nearly.  On an affine datum
-  ``K`` is that of its finite part; ``demazure._labels`` straightens only
-  the finite fields and the affine ``h_0`` is shifted out first.
+  ``K`` is that of its finite part; only the finite fields are
+  straightened, and the affine ``h_0`` is shifted out first.
 
 ``B`` is the bit length of ``(K + 1)(M + 1)``, which exceeds every
 coordinate of both loops, plus two, rounded up to a multiple of 16
 (``_width``): every coordinate is below ``2^(B-2)`` in absolute value,
 inside its field.  ``B`` grows by about ``log2(1 + A)`` bits a letter; the
 ``w0`` ladder of E8, 120 letters, packs its 9 fields at 208 bits each.
+
+``_irreducibles`` runs the ladder and straightens its terms through
+``D_w0``, the Weyl symmetrizer: it sends ``e^mu`` to
+``sign(w) * chi(w(mu + rho) - rho)``, with ``w`` carrying ``mu + rho`` into
+the dominant chamber, or to zero when ``mu + rho`` is singular (Demazure
+1974; Humphreys, GTM 9, section 24; Kumar 2002, chapter 8).  On an affine
+datum ``h_0`` is the lowest field, so shifting it out projects a key to
+graded classical form, a key of the finite layout at the same width, ``B``
+bits a field with bias ``2^(B-1)``.  ``_straighten`` then works on that key
+in plain integers, with no tuple or character built in between.  It carries
+``mu`` itself, moved by the dot action ``s_p (mu + rho) - rho``, which
+subtracts ``(mu_p + 1) alpha_p``.  A field is nonnegative exactly when its
+top bit is set, so with ``tops`` the top bits of the finite fields, a key
+``k`` is dominant iff ``tops & ~k == 0``, and otherwise its first negative
+node is the field of the lowest set bit of ``x = tops & ~k``,
+``((x & -x).bit_length() - 1) // B``.  At a value of ``-1`` the term drops;
+otherwise ``k -= (v + 1) a_p``, with ``a_p`` the packed simple root, and the
+sign flips.  The survivors form a nested map ``{top: {grade: m}}``
+(``Labels``): one row per distinct dominant top, whose tuple is unpacked
+once, holding no zero and no empty row.
 
 The character of the simple module of dominant highest weight ``lam`` is
 found without a ladder, all in integers, from two memos kept per datum and
@@ -106,7 +126,7 @@ A character is written from these tables orbit by orbit (``_orbit_sum``):
 the coefficient of a dominant weight at a grade goes to every key of its
 orbit at that grade, each key once, since distinct dominant weights have
 disjoint orbits.  ``weyl_character_finite`` writes one top's table, and
-``demazure._expand`` first sums ``m * mult_top(mu)`` over the tops of a
+``_expand`` first sums ``m * mult_top(mu)`` over the tops of a
 multiplicity map, per grade and dominant ``mu``, so it builds no
 irreducible character and writes each orbit once per grade.
 
@@ -126,14 +146,16 @@ object to every caller.
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from itertools import repeat
 from math import isqrt
-from operator import add, index, le, lshift, mul, sub
-from typing import Mapping, Sequence
+from operator import add, index, le, lshift, mul, rshift, sub
+from typing import Iterable, Mapping, Sequence
 
 from . import errors
 from .root_data import AffineDatum, Datum, RootDatum, Weight
 
 Flat = dict[tuple[int, ...], int]
+Labels = dict[tuple[int, ...], dict[int, int]]      # {top: {grade: m}}
 
 # Entries in each module memo (``demazure_character``'s, ``demazure_dim``'s,
 # ``flags.graded_weyl_character``'s and ``weyl_character_finite``'s); the
@@ -353,6 +375,54 @@ def _ladder(datum: Datum, positions: Sequence[int],
     return packed, lay
 
 
+def _irreducibles(datum: Datum, positions: Sequence[int],
+                  terms: Flat) -> Labels:
+    """``{top: {grade: m}}`` with ``D_w0`` of the Demazure operators at
+    ``positions`` on ``terms`` equal to ``sum m * chi(top)`` grade by grade,
+    projected to graded classical form on an affine datum."""
+    packed, lay = _ladder(datum, positions, terms)
+    if isinstance(datum, AffineDatum):
+        # Shifting ``h_0``, the lowest field, out leaves finite keys.
+        b = lay[0][1]
+        return _straighten(zip(map(rshift, packed, repeat(b)),
+                               packed.values()), _layout(datum.finite, b))
+    return _straighten(packed.items(), lay)
+
+
+def _straighten(terms: Iterable[tuple[int, int]], lay: _Layout) -> Labels:
+    """``{top: {grade: m}}`` with ``D_w0`` of the terms equal to
+    ``sum m * chi(top)`` grade by grade.  A term is ``(k, c)``: a key
+    packed in ``lay``, a layout of a finite datum, and its coefficient.
+    The loop moves ``k`` by the dot action, ``s_p (mu + rho) - rho``, which
+    subtracts ``(mu_p + 1) alpha_p``; the module docstring has the rest."""
+    shifts, roots, mask, bias, offset = lay
+    *fin, top = shifts
+    b = shifts[1]
+    tops = offset - (bias << top)       # the top bit of every finite field
+    out: dict[int, int] = {}
+    get = out.get
+    for k, c in terms:
+        while x := tops & ~k:
+            at = (x & -x).bit_length() - b      # the first negative field
+            v = ((k >> at) & mask) - bias
+            if v == -1:                 # ``mu + rho`` singular: zero
+                break
+            k -= (v + 1) * roots[at // b]
+            c = -c
+        else:                           # dominant: ``chi(mu)``
+            out[k] = get(k, 0) + c
+    labels: Labels = {}
+    rows: dict[int, dict[int, int]] = {}    # finite fields -> their row
+    low = (1 << top) - 1
+    for k, c in out.items():
+        if c:
+            if (row := rows.get(f := k & low)) is None:
+                row = rows[f] = labels[
+                    tuple([((f >> s) & mask) - bias for s in fin])] = {}
+            row[(k >> top) - bias] = c
+    return labels
+
+
 def _unpacked(datum: Datum, packed: dict[int, int],
               lay: _Layout) -> Character:
     shifts, _, mask, bias, _ = lay
@@ -495,6 +565,23 @@ def _dominant(rd: RootDatum,
     return tuple(out)
 
 
+# Weyl dimensions of tops, four times ``MEMO_SIZE`` like the dominant
+# multiplicities.  A perfbench ``ladder`` pass asks for 4,312 of them, 210
+# distinct; over three shuffled passes a memo of 48, 96, 192 and 256 entries
+# missed 527-553, 333-390, 212-213 and 210 times.  A miss takes about 2 us
+# on A2, 8 us on D4 and 0.1 ms on E8 (2-vCPU Xeon), so the three misses more
+# at 192 cost well under a millisecond a pass.
+@lru_cache(maxsize=4 * MEMO_SIZE)
+def _weyl_dim(rd: RootDatum, h: tuple[int, ...]) -> int:
+    """Weyl's dimension formula: the product over positive roots ``alpha``
+    of ``(h + rho, alpha) / (rho, alpha)``, with ``rho`` all ones."""
+    num = den = 1
+    for _, _, pair, _ in _roots(rd):
+        num *= sum(p * (v + 1) for p, v in zip(pair, h))
+        den *= sum(pair)
+    return num // den
+
+
 def _orbit_sum(rd: RootDatum,
                sums: dict[tuple[int, ...], dict[int, int]]) -> Character:
     """The character ``sum c e^nu``, ``nu`` over the orbit of ``mu`` at
@@ -513,6 +600,21 @@ def _orbit_sum(rd: RootDatum,
                     for k in orbit:
                         out[k] = c
     return Character._wrap(rd, out)
+
+
+def _expand(rd: RootDatum, labels: Labels) -> Character:
+    """The weight character of ``{top: {grade: m}}``: every top's dominant
+    multiplicities times ``m``, summed per dominant weight and grade, and
+    each sum written over its Weyl orbit once."""
+    sums: dict[tuple[int, ...], dict[int, int]] = {}
+    for top, row in labels.items():
+        for mu, c in _dominant(rd, top):
+            if (into := sums.get(mu)) is None:
+                into = sums[mu] = {}
+            get = into.get
+            for g, m in row.items():
+                into[g] = get(g, 0) + m * c
+    return _orbit_sum(rd, sums)
 
 
 # The characters ``weyl_character_finite`` hands out, ``MEMO_SIZE`` like the

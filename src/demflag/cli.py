@@ -193,7 +193,9 @@ def cache_read(cdir: str, key: str) -> Optional[str]:
             entry = json.load(fh)
         except (ValueError, RecursionError):
             return None       # not UTF-8, not JSON or absurdly nested: a miss
-    out = entry.get("output") if isinstance(entry, dict) else None
+    if not isinstance(entry, dict) or entry.get("key") != key:
+        return None           # not an object, or another request's entry
+    out = entry.get("output")
     return out if isinstance(out, str) else None
 
 

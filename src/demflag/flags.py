@@ -5,15 +5,17 @@ multiplicities ``{dominant top: {grade: m}}``, the map ``demazure._labels``
 gives for a Demazure module.  The peel copies its input once, then works on
 the copy in place: subtracting a piece deletes every entry that reaches zero
 and every row left empty, so the tops still to peel are the copy's keys, and
-no pass rebuilds or rescans the whole map.  The leading top is the first in
-``tie_break`` order (lexicographically largest or smallest) that no other top
-dominates; height is positive on simple roots, so a candidate is tested only
-against tops of greater height.  Its least grade, the least key of its row,
-and that grade's multiplicity name a piece, and that multiple of the
-target-level Demazure module of the top, shifted to the grade, is subtracted
-row by row.  A Demazure module holds its top once and every other top
-strictly below, so the multiset of pieces does not depend on how ties are
-broken.  The order is that of peeling the expanded weight character: the
+no pass rebuilds or rescans the whole map.  The leading top is the
+lexicographically largest top that no other top dominates; height is
+positive on simple roots, so a candidate is tested only against tops of
+greater height.  Each grade of its row, least first, and that grade's
+multiplicity name a piece, and that multiple of the target-level Demazure
+module of the top, shifted to the grade, is subtracted row by row.  A
+Demazure module holds its top once, at grade 0, and every other top
+strictly below, so a piece empties one entry of the lead's row and adds
+nothing above the lead: the whole row is peeled before the next lead is
+chosen, and the multiset of pieces does not depend on the order of the
+leads.  The order is that of peeling the expanded weight character: the
 maximal weights of ``sum m chi(top)`` are exactly its maximal tops with
 ``m != 0``, as a top with nothing above it cannot cancel.  Weights are
 expanded once, for a character that is returned.
@@ -46,10 +48,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import errors
-from .characters import (Character, _ladder, check_w_invariance_per_grade,
+from .characters import (MEMO_SIZE, Character, Labels, _expand,
+                         _irreducibles, check_w_invariance_per_grade,
                          forget_grading)
-from .demazure import (MEMO_SIZE, DemazureLabel, Labels, _check_ungraded,
-                       _expand, _labels, _straighten, _validate)
+from .demazure import DemazureLabel, _check_ungraded, _labels, _validate
 from .root_data import (AffineDatum, RootDatum, Weight, affinize,
                         eta_lambda, short_subdatum)
 
@@ -98,8 +100,7 @@ def _add(out: Labels, labels: Labels, grade: int, c: int) -> None:
             del out[top]
 
 
-def _peel(ad: AffineDatum, labels: Labels, level: int,
-          tie_break: str) -> FlagDecomposition:
+def _peel(ad: AffineDatum, labels: Labels, level: int) -> FlagDecomposition:
     """Level-``level`` pieces of ``labels``, peeled off a copy of it, so
     the caller's map is left as it is."""
     rd = ad.finite
@@ -115,40 +116,38 @@ def _peel(ad: AffineDatum, labels: Labels, level: int,
     tops = residue.keys()
     while residue:
         height.update((t, rd.height(t)) for t in tops - height.keys())
-        lead = next(h for h in sorted(tops, reverse=tie_break == "max")
+        lead = next(h for h in sorted(tops, reverse=True)
                     if not any(height[o] > height[h] and below(h, o)
                                for o in tops))
+        # A piece holds its lead once, at grade 0, and every other top
+        # strictly below, so the lead stays the first undominated top until
+        # its row is empty.
         row = residue[lead]
-        grade = min(row)
-        coeff = row[grade]
-        if coeff < 0:
-            raise errors.NegativeMultiplicity(
-                f"piece ({lead}, {grade}) has coefficient {coeff}")
-        _add(residue, _labels(ad, level, 0, *lead), grade, -coeff)
-        pieces.append((Weight(lead, 0), grade, coeff))
+        piece = _labels(ad, level, 0, *lead)
+        for grade in sorted(row):
+            coeff = row[grade]
+            if coeff < 0:
+                raise errors.NegativeMultiplicity(
+                    f"piece ({lead}, {grade}) has coefficient {coeff}")
+            _add(residue, piece, grade, -coeff)
+            pieces.append((Weight(lead, 0), grade, coeff))
     return FlagDecomposition(level=level, pieces=tuple(pieces))
 
 
 def greedy_decompose(ad: AffineDatum, g: Character,
-                     level: int, tie_break: str = "max") -> FlagDecomposition:
+                     level: int) -> FlagDecomposition:
     """Peel a graded invariant character into level-``level`` pieces.
 
     Requires per-grade Weyl invariance up front, then peels the
     multiplicities that straightening ``g`` through ``D_w0 g = g`` gives.
-    ``tie_break`` selects among incomparable dominance-maximal tops ("max"
-    or "min" in lexicographic order); the resulting multiset of pieces does
-    not depend on the choice.
     """
-    if tie_break not in ("min", "max"):
-        raise ValueError(f"tie_break must be min or max, not {tie_break!r}")
     if level < 1:
         raise errors.ZeroLevel(f"level must be positive, got {level}")
     rd = ad.finite
     if not check_w_invariance_per_grade(rd, g):
         raise errors.NonDominantLeading(
             "character is not Weyl invariant grade by grade")
-    packed, lay = _ladder(rd, (), g._terms)     # no letters: packs the terms
-    return _peel(ad, _straighten(packed.items(), lay), level, tie_break)
+    return _peel(ad, _irreducibles(rd, (), g._terms), level)
 
 
 def level_flag(ad: AffineDatum, level: int, to_level: int,
@@ -163,7 +162,7 @@ def level_flag(ad: AffineDatum, level: int, to_level: int,
     if to_level <= level:
         raise ValueError("target level must exceed the source level")
     _validate(ad, DemazureLabel(level, lam, 0))
-    return _peel(ad, _labels(ad, level, 0, *lam.h), to_level, "max")
+    return _peel(ad, _labels(ad, level, 0, *lam.h), to_level)
 
 
 def graded_weyl_character(
@@ -190,7 +189,7 @@ def _graded_weyl(rd: RootDatum,
         se = short_subdatum(rd)
         sub_ad = affinize(se.subdatum)
         flag = _peel(sub_ad, _labels(sub_ad, 1, 0, *se.restrict(lam).h),
-                     rd.lacing, "max")
+                     rd.lacing)
         pieces = tuple((eta_lambda(se, lam, mu), grade, mult)
                        for mu, grade, mult in flag.pieces)
     ad = affinize(rd)

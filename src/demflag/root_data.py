@@ -523,19 +523,15 @@ def apply_word(datum: Datum, word: Sequence[int], mu: Weight) -> Weight:
     return cur
 
 
-def make_dominant(datum: Datum, mu: Weight,
-                  tie_break: str = "min") -> tuple[Weight, tuple[int, ...]]:
+def make_dominant(datum: Datum,
+                  mu: Weight) -> tuple[Weight, tuple[int, ...]]:
     """Reduce to the dominant chamber.
 
     Returns ``(lam, word)`` with ``lam`` dominant and
     ``apply_word(word, lam) == mu``; the word is reduced.  Each step reflects
-    at a node with negative value, by default the smallest such node
-    (``tie_break="max"`` picks the largest instead and is exposed for
-    cross-checks).  Affine weights must have positive level, otherwise the
-    walk need not terminate.
+    at the smallest node with negative value.  Affine weights must have
+    positive level, otherwise the walk need not terminate.
     """
-    if tie_break not in ("min", "max"):
-        raise ValueError(f"tie_break must be min or max, not {tie_break!r}")
     if isinstance(datum, AffineDatum) and datum.level(mu) <= 0:
         raise errors.ZeroLevel(
             f"level {datum.level(mu)} weight cannot be reduced")
@@ -543,13 +539,12 @@ def make_dominant(datum: Datum, mu: Weight,
     n = len(roots)
     if len(mu.h) != n:
         raise ValueError(f"expected {n} coroot values")
-    order = range(n) if tie_break == "min" else range(n - 1, -1, -1)
     first = datum._first
     # The walk runs on the flat values ``h + (d,)``, a plain list.
     cur = [*mu.h, mu.d]
     word: list[int] = []
     while True:
-        for p in order:
+        for p in range(n):
             v = cur[p]
             if v < 0:
                 break

@@ -9,9 +9,9 @@ against the ladder along the longest word ``w0``, their expansion of
 multiplicity maps against adding them term by term, and path crystals against
 the ladder along their word and the order of their segments, and each
 path against its own segments, its integral storage and the root operators
-going down and back up.  Flags are
-checked by rebuilding their source from the pieces and by peeling in both
-tie-break orders.  The packed-integer ladder (``demazure_word_char``,
+going down and back up.  Flags are checked by rebuilding their source
+from the pieces and against a peel of the expanded character in the other
+lead order.  The packed-integer ladder (``demazure_word_char``,
 ``demazure_step`` and the multiplicities of ``demazure._labels``) is
 checked against a tuple ladder written here from the Cartan matrix, with
 grades of ``10**30`` and coordinates of ``2**80``, and its packing width
@@ -63,6 +63,7 @@ from demflag import (
 )
 from test_characters import project_graded_classical, shift_grade
 from test_flags import multiset
+from test_root_data import dominance_leq
 from test_lspath import make, root_op_e
 
 FINITE = tuple(map(datum_from_label, ("A1", "A2", "C2", "G2")))
@@ -261,7 +262,7 @@ def multiplicity_maps(draw):
 @SETTINGS
 @given(multiplicity_maps())
 def test_expansion_equals_the_sum_of_irreducibles(case):
-    """``demazure._expand`` against adding every top's Weyl character at
+    """``characters._expand`` against adding every top's Weyl character at
     each grade of its row, term by term."""
     rd, labels = case
     total = Counter()
@@ -270,7 +271,7 @@ def test_expansion_equals_the_sum_of_irreducibles(case):
         for g, m in row.items():
             for (h, _), c in chi.terms():
                 total[(h, g)] += m * c
-    assert same(demazure._expand(rd, labels), total)
+    assert same(characters._expand(rd, labels), total)
 
 
 # Every exceptional fundamental weight whose w0 ladder takes under about
@@ -383,22 +384,44 @@ def invariant_sums(draw):
     return affinize(rd), g, draw(st.integers(1, 3))
 
 
+def lex_min_peel(ad, g, level):
+    """``multiset`` of the pieces of ``g`` peeled on its weights, or
+    ``NegativeMultiplicity``: the lexicographically smallest weight that no
+    other weight dominates, at its least grade, names a piece, and that
+    multiple of the shifted ``demazure_character`` is subtracted."""
+    rd = ad.finite
+    pieces = []
+    while g:
+        weights = {h for (h, _), _ in g.terms()}
+        lead = min(h for h in weights
+                   if not any(o != h and dominance_leq(rd, Weight(h),
+                                                       Weight(o))
+                              for o in weights))
+        grade, m = min((d, c) for (h, d), c in g.terms() if h == lead)
+        if m < 0:
+            return errors.NegativeMultiplicity
+        piece = demazure_character(ad, DemazureLabel(level, Weight(lead)))
+        g = g - shift_grade(piece, grade).scale(m)
+        pieces += [(lead, grade)] * m
+    return sorted(pieces)
+
+
 @SETTINGS
 @given(invariant_sums())
 def test_tie_breaks_agree_on_invariant_sums(case):
-    """Both orders peel the same multiset, or both meet a negative
-    multiplicity: the expansion in shifted Demazure characters is unique."""
+    """Peeling leads in lexicographically largest order and in smallest
+    order, on the expanded character here, give the same multiset, or both
+    meet a negative multiplicity: the expansion in shifted Demazure
+    characters is unique."""
     ad, g, level = case
-    outcomes = []
-    for tie_break in ("min", "max"):
-        try:
-            fd = greedy_decompose(ad, g, level, tie_break)
-        except errors.NegativeMultiplicity:
-            outcomes.append(errors.NegativeMultiplicity)
-        else:
-            assert rebuilt(ad, fd) == g
-            outcomes.append(multiset(fd))
-    assert outcomes[0] == outcomes[1]
+    try:
+        fd = greedy_decompose(ad, g, level)
+    except errors.NegativeMultiplicity:
+        outcome = errors.NegativeMultiplicity
+    else:
+        assert rebuilt(ad, fd) == g
+        outcome = multiset(fd)
+    assert outcome == lex_min_peel(ad, g, level)
 
 
 # ---- the packed ladder against a tuple ladder written here ----
@@ -582,8 +605,7 @@ def test_straightening_matches_the_tuple_oracle(case):
     packs them, against the tuple loop; the width holds its every value."""
     rd, terms = case
     expected, peak = oracle_straighten(rd, terms)
-    packed, lay = characters._ladder(rd, (), terms)
-    assert flatten(demazure._straighten(packed.items(), lay)) == expected
+    assert flatten(characters._irreducibles(rd, (), terms)) == expected
     assert fits(rd, max(abs(x) for k in terms for x in k), 0, peak)
 
 

@@ -530,6 +530,24 @@ def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, payload):
         == uncached
 
 
+def test_cache_entry_of_another_request_is_recomputed(capsys, tmp_path):
+    # The entry for ``--lambda 3`` (dim 8) moved onto the key of
+    # ``--lambda 4``: that request recomputes dim 16 and rewrites the entry.
+    argv = ["demazure-dim", "--type", "A1", "--level", "1", "--format",
+            "csv", "--cache-dir", str(tmp_path), "--lambda"]
+    _, dim8, _ = run(capsys, argv + ["3"])
+    (three,) = tmp_path.iterdir()
+    key = cli.cache_key("demazure-dim", {"type": "A1", "level": 1,
+                                         "lambda": [4], "grade": 0}, "csv")
+    three.rename(tmp_path / f"{key}.json")
+    rc, out, _ = run(capsys, argv + ["4"])
+    assert rc == 0
+    assert dim8 == "section,dim\nresult,8\n"
+    assert out == "section,dim\nresult,16\n"
+    entry = json.loads((tmp_path / f"{key}.json").read_text())
+    assert entry["key"] == key and entry["output"] == out
+
+
 def test_format_changes_the_cache_key(capsys, tmp_path):
     base = ["flag", "--type", "A1", "--lambda", "1",
             "--cache-dir", str(tmp_path)]

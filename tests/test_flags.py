@@ -102,22 +102,6 @@ def test_greedy_rejects_negative_leading_coefficient():
         greedy_decompose(A1_AFF, bad, 2)
 
 
-def test_greedy_tie_break_independence():
-    for h in ((1, 1), (2, 1), (2, 2), (3, 0)):
-        g = demazure_character(A2_AFF, DemazureLabel(1, A2.weight(h)))
-        lo = greedy_decompose(A2_AFF, g, 2, tie_break="min")
-        hi = greedy_decompose(A2_AFF, g, 2, tie_break="max")
-        assert multiset(lo) == multiset(hi), h
-        assert reassemble(A2_AFF, lo) == g
-
-
-def test_greedy_refuses_unknown_tie_break():
-    g = demazure_character(A2_AFF, DemazureLabel(1, A2.weight((1, 1))))
-    for bad in ("MAX", "min ", "", "lex"):
-        with pytest.raises(ValueError):
-            greedy_decompose(A2_AFF, g, 2, tie_break=bad)
-
-
 # ---- piece order ----
 #
 # The rendered flag lists pieces in peeling order, and the cache stores
@@ -144,13 +128,6 @@ def test_level_flag_piece_order_is_pinned():
             ((0, 2, 2), 1, 1), ((1, 0, 3), 2, 1), ((0, 3, 0), 2, 1),
             ((1, 1, 1), 4, 1), ((2, 0, 0), 4, 1), ((2, 0, 0), 5, 1),
             ((0, 0, 2), 4, 1), ((0, 0, 2), 5, 1), ((0, 1, 0), 6, 1)]
-
-
-def test_min_tie_break_piece_order_is_pinned():
-    g = demazure_character(A2_AFF, DemazureLabel(1, A2.weight([2, 2])))
-    assert _ordered(greedy_decompose(A2_AFF, g, 2, tie_break="min")) == [
-        ((2, 2), 0, 1), ((0, 3), 1, 1), ((3, 0), 1, 1), ((1, 1), 3, 1),
-        ((0, 0), 4, 1)]
 
 
 def test_weyl_flag_piece_order_is_pinned():

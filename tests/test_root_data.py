@@ -375,6 +375,17 @@ def _random_level_weight(rng, ad, level):
     return ad.weight([h0] + tail, rng.randint(-2, 2))
 
 
+def largest_node_walk(ad, mu):
+    """Chamber walk reflecting at the largest node of negative value, the
+    other end from ``make_dominant``'s, as ``(dominant, word)`` with the
+    word in ``apply_word`` order."""
+    word = []
+    while negative := [i for i in ad.indices if ad.value(mu, i) < 0]:
+        mu = reflect_weight(ad, negative[-1], mu)
+        word.append(negative[-1])
+    return mu, tuple(word)
+
+
 def test_make_dominant_word_length_tie_break_independent():
     rng = random.Random(23)
     for rd in (A1, A2):
@@ -382,19 +393,11 @@ def test_make_dominant_word_length_tie_break_independent():
         for _ in range(50):
             mu = _random_level_weight(rng, ad, rng.randint(1, 3))
             lam_min, w_min = make_dominant(ad, mu)
-            lam_max, w_max = make_dominant(ad, mu, tie_break="max")
+            lam_max, w_max = largest_node_walk(ad, mu)
             assert lam_min == lam_max
             assert len(w_min) == len(w_max)
             assert apply_word(ad, w_min, lam_min) == mu
             assert apply_word(ad, w_max, lam_max) == mu
-
-
-def test_make_dominant_refuses_unknown_tie_break():
-    ad = affinize(A2)
-    mu = ad.weight([3, -1, -1])
-    for bad in ("MIN", "Max", "", "first"):
-        with pytest.raises(ValueError):
-            make_dominant(ad, mu, tie_break=bad)
 
 
 def test_make_dominant_word_is_reduced_witness():
