@@ -15,13 +15,22 @@ divided by their joint gcd, so equality of paths means equality of traced
 polylines.  ``LSPath.segments`` gives the rational form back; the
 operators stay in the integers.
 
-Generation does not build ``LSPath``s.  Each path set interns its
-directions as small ints in a table of its own, which holds for each node
-and direction the pairing ``v(h_i)`` and, filled in when first asked, the
-id of the reflected direction.  A path in generation is the flat tuple
-``(n, T0, id0, T1, id1, ...)``: within one table equal flat tuples are
-equal paths.  One kernel, ``_lower``, applies ``f_i`` to that form;
-``root_op_f`` and ``f_edge_lines`` go through it too.
+Generation does not build ``LSPath``s.  The Demazure sets of one top, a
+datum with the straight path to a dominant weight, grade included, are
+subsets of one path crystal, and all of them grow in one table per top,
+kept for the last ``MEMO_SIZE`` tops.  The table interns directions as
+small ints and holds for each node and direction the pairing ``v(h_i)``
+and, filled in when first asked, the id of the reflected direction.  A
+path in generation is the flat tuple ``(n, T0, id0, T1, id1, ...)``: within
+one table equal flat tuples are equal paths.  For each node the table also
+keeps the edges ``b -> f_i b`` (or None) walked so far, so a string that
+an earlier set of the same top walked is read, not lowered again.  Ids are
+never reassigned and the table only grows, so a set's members, weights
+and order do not depend on the sets grown before it.  Tables are shared
+between threads: a set is grown, and edges are added, while holding the
+table's lock.  One kernel, ``_lower``, applies ``f_i`` to the flat form;
+``f_edge_lines`` reads and fills the table's edges, and ``root_op_f``
+lowers a path given by hand in a table of its own.
 
 Root operators follow the usual recipe.  For node ``i`` let ``h(t)`` be the
 pairing of the running point with ``h_i``; it is piecewise linear, so its
@@ -63,11 +72,12 @@ and no error is kept.  It then looks the set up in a per-process memo of
 the last ``MEMO_SIZE // 6`` sets, keyed by datum, straight path and
 letter positions; a repeated request returns the same ``PathSet``.  A
 ``PathSet`` is immutable.  It keeps its flat paths, their weights, its
-table and its character; ``len`` and ``crystal_character`` build no
-``LSPath``, and ``paths`` builds and sorts them on first access and keeps
-them.  A path carries no datum, so ``root_op_f`` raises ``ValueError`` for
-a path whose directions do not have ``rank + 2`` entries (the nodes
-``0 .. rank`` and the scaling element).
+crystal's table and its character; ``len`` and ``crystal_character``
+build no ``LSPath``, and ``paths`` builds and sorts them on first access
+and keeps them.  ``root_op_f`` takes a path from outside, so it raises
+``ValueError`` unless ``n >= 1``, the durations are positive integers
+that sum to ``n``, and every direction is integral with ``rank + 2``
+entries (the nodes ``0 .. rank`` and the scaling element).
 
 ``joseph_highest`` concatenates the straight path to a dominant ``mu``
 with each member ``b``, first ``mu`` then ``b``.  The pairing with ``h_i``
@@ -84,11 +94,12 @@ vector per group; only the members that pass become ``LSPath``s.
 
 from __future__ import annotations
 
+from _thread import allocate_lock
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from operator import le, mul
+from operator import index, le, mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import errors
@@ -115,6 +126,8 @@ class LSPath(NamedTuple):
 
     def weight(self) -> Weight:
         """Integral endpoint of the path."""
+        if not self.steps:
+            raise ValueError("an empty path has no endpoint")
         n = self.n
         steps = iter(self.steps)
         t, v = next(steps)
@@ -129,14 +142,19 @@ class LSPath(NamedTuple):
 
 
 class _Table:
-    """The directions of one path set, interned as small ints.
+    """The directions and lowering edges of one path crystal.
 
     ``pairs[p][d]`` is the value of direction ``d`` on the coroot at
     position ``p``; ``refl[p][d]`` is the id of its reflection at that
-    node, or -1 until ``reflect`` is first asked for it.
+    node, or -1 until ``reflect`` is first asked for it.  ``down[p]`` maps
+    a flat path to ``f_i`` of it at that node, or to None where ``f_i`` is
+    undefined, filled in as edges are first walked.  Ids are never
+    reassigned and entries never change, so a flat path means the same
+    path for as long as the table lives.  Whoever interns a direction or
+    adds an edge to a shared table holds ``lock``.
     """
 
-    __slots__ = ("roots", "dirs", "ids", "pairs", "refl")
+    __slots__ = ("roots", "dirs", "ids", "pairs", "refl", "down", "lock")
 
     def __init__(self, ad: AffineDatum) -> None:
         self.roots = ad.flat_roots
@@ -144,6 +162,8 @@ class _Table:
         self.ids: dict[tuple[int, ...], int] = {}
         self.pairs: list[list[int]] = [[] for _ in self.roots]
         self.refl: list[list[int]] = [[] for _ in self.roots]
+        self.down: list[dict[Flat, Optional[Flat]]] = [{} for _ in self.roots]
+        self.lock = allocate_lock()
 
     def intern(self, v: tuple[int, ...]) -> int:
         d = self.ids.get(v)
@@ -204,7 +224,9 @@ def _lower(tab: _Table, p: int, b: Flat) -> Optional[Flat]:
     out_t = ts[:k]
     out_t.append(a)
     out_d = list(ds[:k0])
-    out_d += [tab.reflect(p, d) for d in ds[k0:k + 1]]
+    refl = tab.refl[p]
+    out_d += [r if (r := refl[d]) >= 0 else tab.reflect(p, d)
+              for d in ds[k0:k + 1]]
     if rest:
         out_t.append(rest)
         out_d.append(ds[k])
@@ -240,16 +262,26 @@ def straight_path(ad: AffineDatum, lam: Weight) -> LSPath:
 def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
     """Lowering operator for node ``i``; None when undefined.
 
-    ``ValueError`` unless every direction has one value per node of ``ad``
-    and one on the scaling element.
+    ``ValueError`` unless ``n >= 1``, every duration is a positive integer,
+    the durations sum to ``n``, and every direction is integral with one
+    value per node of ``ad`` and one on the scaling element.
     """
+    try:
+        n = index(pi.n)
+        steps = tuple((index(t), tuple(map(index, v))) for t, v in pi.steps)
+    except TypeError:
+        raise ValueError("path durations and directions must be integral") \
+            from None
+    if n < 1 or any(t < 1 for t, _ in steps) or sum(t for t, _ in steps) != n:
+        raise ValueError(f"path durations must be positive integers that "
+                         f"sum to n >= 1, with n = {n}")
     width = ad.rank + 2
-    if any(len(v) != width for _, v in pi.steps):
+    if any(len(v) != width for _, v in steps):
         raise ValueError(f"path directions on {ad.label} must have "
                          f"{width} entries")
     p = ad.pos(i)
     tab = _Table(ad)
-    b = _lower(tab, p, tab.flat(pi))
+    b = _lower(tab, p, tab.flat(LSPath(n, steps)))
     return None if b is None else tab.path(b)
 
 
@@ -264,9 +296,9 @@ def _sorted(tab: _Table, flats) -> list[Flat]:
 
 class PathSet:
     """Deduplicated, deterministically ordered, immutable set of generated
-    paths.  Keeps the flat paths with their endpoint weights, the table of
-    their directions and the character; ``paths`` and the ``eps`` groups
-    are built on first use."""
+    paths.  Keeps the flat paths with their endpoint weights, the crystal
+    table they were grown in and the character; ``paths`` and the ``eps``
+    groups are built on first use."""
 
     __slots__ = ("datum", "_table", "_weights", "_character", "_paths",
                  "_eps")
@@ -323,32 +355,57 @@ def generate_demazure_set(ad: AffineDatum, lam: Weight,
     return _path_set(ad, top, tuple(map(ad.pos, word)))
 
 
+# One table per top, the datum and the straight path with its grade;
+# every Demazure set of that crystal grows in it.  A table keeps every path
+# its sets have visited, with the edges walked from it.  The perfbench
+# ``paths`` family has 119 requests over 47 tops, and 38% of the lowering
+# edges one pass walks were walked before by a set of the same top.
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
+def _crystal(ad: AffineDatum, top: LSPath) -> _Table:
+    return _Table(ad)
+
+
+_UNSEEN = object()
+
+
+def _edge(tab: _Table, p: int, b: Flat) -> Optional[Flat]:
+    """``f_i`` of ``b`` at position ``p`` through the table's edges, adding
+    the edge when first walked; the caller holds ``tab.lock``."""
+    down = tab.down[p]
+    c = down.get(b, _UNSEEN)
+    if c is _UNSEEN:
+        c = down[b] = _lower(tab, p, b)
+    return c
+
+
 # The memo holds each set with every path in it, so its bound is the
 # smallest of the module memos.  Peak memory of one in-process pass of the
 # perfbench ``paths`` family, each request asked twice in a row, was 20.2
-# MB with no memo and 20.3, 20.4, 20.7 and 21.3 MB with 4, 8, 16 and 48
-# sets held; sets of ``LSPath``s with tuple directions took 20.1, 20.4,
-# 20.6, 21.1 and 22.4 MB (Python 3.11.7, x86-64).  Callers repeat a set at
-# once (a repeated request, ``joseph_highest`` for several ``mu`` over one
+# MB with no memo and 20.4, 20.5, 20.8 and 21.5 MB with 4, 8, 16 and 48
+# sets held and no table kept between sets; keeping the tables of up to 48
+# tops, it is 21.1 MB with no set memo and 21.2, 21.2, 21.4 and 21.6 MB
+# (Python 3.11.7, x86-64).  Callers repeat a set at once (a
+# repeated request, ``joseph_highest`` for several ``mu`` over one
 # crystal), so eight serve them.
 @lru_cache(maxsize=MEMO_SIZE // 6, typed=True)
 def _path_set(ad: AffineDatum, top: LSPath,
               positions: tuple[int, ...]) -> PathSet:
-    tab = _Table(ad)
+    tab = _crystal(ad, top)
     (_, lam), = top.steps
-    weights = {tab.flat(top): lam}
-    for p in reversed(positions):
-        alpha = ad.flat_roots[p]
-        grown: dict[Flat, tuple[int, ...]] = {}
-        for b, w in weights.items():
-            # A string can stop at a member: grown is closed under f_i.
-            while b not in grown:
-                grown[b] = w
-                b = _lower(tab, p, b)
-                if b is None:
-                    break
-                w = tuple([x - y for x, y in zip(w, alpha)])
-        weights = grown
+    with tab.lock:
+        weights = {tab.flat(top): lam}
+        for p in reversed(positions):
+            alpha = ad.flat_roots[p]
+            grown: dict[Flat, tuple[int, ...]] = {}
+            for b, w in weights.items():
+                # A string can stop at a member: grown is closed under f_i.
+                while b not in grown:
+                    grown[b] = w
+                    b = _edge(tab, p, b)
+                    if b is None:
+                        break
+                    w = tuple([x - y for x, y in zip(w, alpha)])
+            weights = grown
     return PathSet(ad, tab, weights)
 
 
@@ -394,11 +451,12 @@ def f_edge_lines(ps: PathSet) -> str:
     """
     tab = ps._table
     order = _sorted(tab, ps._weights)
-    index = {b: k for k, b in enumerate(order)}
+    position = {b: k for k, b in enumerate(order)}
     lines = []
-    for k, b in enumerate(order):
-        for p, i in enumerate(ps.datum.indices):
-            q = index.get(_lower(tab, p, b))
-            if q is not None:
-                lines.append(f"{k} {i} {q}")
+    with tab.lock:
+        for k, b in enumerate(order):
+            for p, i in enumerate(ps.datum.indices):
+                q = position.get(_edge(tab, p, b))
+                if q is not None:
+                    lines.append(f"{k} {i} {q}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -19,9 +19,11 @@ from demflag import (
     errors,
     flags,
     forget_grading,
+    generate_demazure_set,
     graded_weyl_character,
     level_flag,
     local_weyl_character,
+    lspath,
     solve_extremal,
     weyl_character_finite,
 )
@@ -348,9 +350,10 @@ def test_memo_stays_within_its_bound():
     """The dimensions keep ``MEMO_SIZE`` entries and the multiplicity maps
     beneath them four times that; beneath expansions, the dominant
     multiplicities of Weyl characters keep four times and their orbits
-    eight times that.  Run past every bound: each A1 weight ``n`` adds one
-    top and one orbit, that of ``n`` itself; past the tops' bound the
-    orbits are asked for alone, which is cheaper."""
+    eight times that.  Path crystals keep ``MEMO_SIZE`` tables and the
+    path sets grown in them a sixth of that.  Run past every bound: each
+    A1 weight ``n`` adds one top and one orbit, that of ``n`` itself; past
+    the tops' bound the orbits are asked for alone, which is cheaper."""
     size = demazure.MEMO_SIZE
     bounds = ((demazure._dim, size), (demazure._labels, 4 * size))
     for memo, _ in bounds:
@@ -369,3 +372,10 @@ def test_memo_stays_within_its_bound():
         else:
             orbits(A1, (n, 0))
         assert orbits.cache_info().currsize == min(n + 1, 8 * size)
+    crystals, sets = lspath._crystal, lspath._path_set
+    for memo in (crystals, sets):
+        memo.cache_clear()
+    for n in range(size + 8):
+        generate_demazure_set(A1_AFF, A1_AFF.weight([n, 1]), (0, 1))
+        assert crystals.cache_info().currsize == min(n + 1, size)
+        assert sets.cache_info().currsize == min(n + 1, size // 6)

@@ -11,6 +11,8 @@ import itertools
 import os
 import random
 import sys
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -60,6 +62,12 @@ def reduced_words(ad, max_len):
         for word in itertools.product(ad.indices, repeat=k):
             if is_reduced(ad, word):
                 yield word
+
+
+def clear_path_memos():
+    """Start cold: no path set and no crystal table kept."""
+    lspath._path_set.cache_clear()
+    lspath._crystal.cache_clear()
 
 
 # ---- oracles on tuple directions ----
@@ -242,7 +250,7 @@ def oracle_joseph(mu, paths):
 def test_sets_match_the_tuple_direction_oracle():
     """Every request of the benchmark's ``paths`` family: size, members
     and order, character and highest terms."""
-    lspath._path_set.cache_clear()
+    clear_path_memos()
     for req in workloads.family("paths"):
         ad = affinize(datum_from_label(req[1]))
         lam = ad.weight(*req[-3:-1])
@@ -542,7 +550,7 @@ def test_f_edge_lines_pin_set_order(ad, h, word, expected):
 
 
 def test_repeated_sets_and_characters_are_the_same_objects():
-    lspath._path_set.cache_clear()
+    clear_path_memos()
     lam = A2_AFF.weight([0, 1, 1], 1)
     word = (2, 1, 0, 2, 1)
     ps = generate_demazure_set(A2_AFF, lam, list(word))
@@ -554,7 +562,7 @@ def test_repeated_sets_and_characters_are_the_same_objects():
 
 
 def test_paths_are_built_on_first_use():
-    lspath._path_set.cache_clear()
+    clear_path_memos()
     lam = G2_AFF.fundamental_weight(2)
     ps = generate_demazure_set(G2_AFF, lam, (0, 2, 1, 2))
     assert len(ps) == crystal_character(ps).mass()
@@ -572,11 +580,12 @@ def test_bad_letters_raise_after_the_good_word_is_kept():
 
 
 def test_non_dominant_weight_raises_on_every_call():
-    lspath._path_set.cache_clear()
+    clear_path_memos()
     for _ in range(3):
         with pytest.raises(errors.NotDominant):
             generate_demazure_set(A1_AFF, A1_AFF.weight([2, -1]), (1, 0))
     assert lspath._path_set.cache_info().currsize == 0
+    assert lspath._crystal.cache_info().currsize == 0
 
 
 def test_path_sets_are_immutable():
@@ -617,7 +626,7 @@ def test_float_coordinates_raise_value_error():
 
 
 def test_bool_coordinates_give_integer_steps():
-    lspath._path_set.cache_clear()
+    clear_path_memos()
     ps = generate_demazure_set(A2_AFF, Weight((False, True, False)),
                                (True, 0, 2))
     assert all(type(x) is int for pi in ps
@@ -638,3 +647,103 @@ def test_operators_refuse_a_path_of_another_width(v):
     fine = straight_path(A1_AFF, A1_AFF.weight([0, 1]))
     assert eps_phi(A1_AFF, 1, fine) == (0, 1)
     assert root_op_e(A1_AFF, 1, root_op_f(A1_AFF, 1, fine)) == fine
+
+
+# ---- one crystal per top ----
+
+
+# Words of different lengths over one top of affine C2: the sets share
+# directions and edges but none contains another's last string.
+SHARED_TOP_WORDS = [(0, 1, 2, 1, 0, 1), (1, 2, 1, 0, 1, 2), (2, 1, 0, 1, 2),
+                    (0, 2, 1, 0, 2, 1, 0)]
+
+
+def _grown(ad, lam, word):
+    ps = generate_demazure_set(ad, lam, word)
+    return list(ps.paths), crystal_character(ps), f_edge_lines(ps)
+
+
+class _YieldingIds(dict):
+    """Direction ids that hand the interpreter to another thread between
+    looking a direction up and interning it, where a table left unlocked
+    would give one direction two ids."""
+
+    def get(self, key, default=None):
+        found = dict.get(self, key, default)
+        time.sleep(0)
+        return found
+
+
+class _YieldingTable(lspath._Table):
+    def __init__(self, ad):
+        super().__init__(ad)
+        self.ids = _YieldingIds()
+
+
+def test_threads_growing_one_top_match_a_sequential_run(monkeypatch):
+    """Threads grow different words of one top in its shared table, two
+    threads a word, and export their edges; each result equals the set
+    grown alone from cold."""
+    lam = C2_AFF.weight([1, 0, 1])
+    alone = {}
+    for word in SHARED_TOP_WORDS:
+        clear_path_memos()
+        alone[word] = _grown(C2_AFF, lam, word)
+    monkeypatch.setattr(lspath, "_Table", _YieldingTable)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            clear_path_memos()
+            results = []
+
+            def grow(word):
+                results.append((word, _grown(C2_AFF, lam, word)))
+
+            threads = [threading.Thread(target=grow, args=(word,))
+                       for word in SHARED_TOP_WORDS * 2]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == len(threads)
+            assert all(got == alone[word] for word, got in results)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_sets_of_one_top_do_not_depend_on_earlier_sets():
+    lam = C2_AFF.weight([1, 0, 1])
+    alone = {}
+    for word in SHARED_TOP_WORDS:
+        clear_path_memos()
+        alone[word] = _grown(C2_AFF, lam, word)
+    clear_path_memos()
+    for word in reversed(SHARED_TOP_WORDS):
+        assert _grown(C2_AFF, lam, word) == alone[word]
+    assert lspath._crystal.cache_info().currsize == 1
+
+
+MALFORMED = {
+    "empty": LSPath(1, ()),
+    "n-zero": LSPath(0, ((0, (1, 1, 0)),)),
+    "negative-duration": LSPath(2, ((3, (1, 1, 0)), (-1, (0, 2, 0)))),
+    "short-sum": LSPath(2, ((1, (1, 1, 0)),)),
+    "float-direction": LSPath(1, ((1, (1.0, 1, 0)),)),
+    "fraction-direction": LSPath(2, ((2, (Fraction(1, 2), 1, 0)),)),
+    "float-duration": LSPath(1, ((1.0, (1, 1, 0)),)),
+    "float-n": LSPath(1.0, ((1, (1, 1, 0)),)),
+}
+
+
+@pytest.mark.parametrize("pi", MALFORMED.values(), ids=MALFORMED.keys())
+def test_lowering_refuses_a_malformed_path(pi):
+    for i in A1_AFF.indices:
+        with pytest.raises(ValueError):
+            root_op_f(A1_AFF, i, pi)
+
+
+def test_an_empty_path_has_no_weight():
+    with pytest.raises(ValueError):
+        LSPath(1, ()).weight()

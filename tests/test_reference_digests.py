@@ -3,7 +3,9 @@
 ``perfbench/reference.json`` holds the canonical digest of every benchmark
 request's output.  The ``ladder``, ``flags`` and ``paths`` families are
 issued again here through the benchmark's own request code, each request
-twice in a row, and every digest must match both times.  The ``cli``
+twice in a row, and every digest must match both times.  The sets of one
+top share a crystal table, so the ``paths`` family is also issued from
+cold in three seeded shuffled orders.  The ``cli``
 family runs in-process through ``cli.main``, each request first as a cache
 miss and then as a hit.  The digests sort what they cover, so the order of
 each ``paths`` path set is checked on its own, against the order of the
@@ -12,6 +14,7 @@ rational segments.  Nothing under ``perfbench/`` is written.
 
 import json
 import os
+import random
 import sys
 
 import pytest
@@ -39,6 +42,7 @@ def test_outputs_match_reference_digests(workload):
     characters._weyl_character.cache_clear()
     flags._graded_weyl.cache_clear()
     lspath._path_set.cache_clear()
+    lspath._crystal.cache_clear()
     requests = workloads.family(workload)
     library = Library(workloads.labels(requests))
     library.build()
@@ -59,6 +63,33 @@ def test_path_sets_come_in_segment_order():
         h, grade, word = req[-3:]       # both request kinds end this way
         ps = generate_demazure_set(ad, ad.weight(h, grade), word)
         assert list(ps.paths) == sorted(ps.paths, key=lambda p: p.segments)
+
+
+@pytest.mark.parametrize("seed", [5, 23, 2718])
+def test_paths_digests_hold_in_any_request_order(seed):
+    """The sets of one top grow in one shared crystal table, so a set may
+    be grown in a table that earlier sets of its top filled.  From cold,
+    in a shuffled order, each request twice: every digest and every set's
+    segment order must be those of the reference."""
+    lspath._path_set.cache_clear()
+    lspath._crystal.cache_clear()
+    requests = workloads.family("paths")
+    random.Random(seed).shuffle(requests)
+    library = Library(workloads.labels(requests))
+    library.build()
+    expected = REFERENCE["paths"]
+    wrong = []
+    for req in requests:
+        for kind in ("first", "again"):
+            if (digest(CANONICAL[req[0]](library.call(req)))
+                    != expected[workloads.request_id(req)]):
+                wrong.append((kind, workloads.request_id(req)))
+        _, ad = library.data[req[1]]
+        h, grade, word = req[-3:]
+        ps = generate_demazure_set(ad, ad.weight(h, grade), word)
+        if list(ps.paths) != sorted(ps.paths, key=lambda p: p.segments):
+            wrong.append(("order", workloads.request_id(req)))
+    assert wrong == []
 
 
 def test_cli_outputs_match_reference_digests(capsys, tmp_path):
