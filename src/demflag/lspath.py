@@ -125,7 +125,8 @@ class LSPath(NamedTuple):
                      for t, v in self.steps)
 
     def weight(self) -> Weight:
-        """Integral endpoint of the path."""
+        """Integral endpoint of the path; ``ValueError`` for an empty path
+        or an endpoint that is not integral."""
         if not self.steps:
             raise ValueError("an empty path has no endpoint")
         n = self.n
@@ -362,6 +363,7 @@ def generate_demazure_set(ad: AffineDatum, lam: Weight,
 # edges one pass walks were walked before by a set of the same top.
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
 def _crystal(ad: AffineDatum, top: LSPath) -> _Table:
+    """The table the path sets of ``top`` grow in; ``top`` is the key."""
     return _Table(ad)
 
 

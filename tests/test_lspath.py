@@ -711,6 +711,7 @@ def test_threads_growing_one_top_match_a_sequential_run(monkeypatch):
             assert all(got == alone[word] for word, got in results)
     finally:
         sys.setswitchinterval(interval)
+        clear_path_memos()
 
 
 def test_sets_of_one_top_do_not_depend_on_earlier_sets():
