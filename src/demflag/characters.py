@@ -151,7 +151,6 @@ from math import isqrt
 from operator import add, index, le, lshift, mul, rshift, sub
 from typing import Iterable, Mapping, Sequence
 
-from . import errors
 from .root_data import AffineDatum, Datum, RootDatum, Weight
 
 Flat = dict[tuple[int, ...], int]
@@ -453,11 +452,10 @@ def demazure_word_char(datum: Datum, word: Sequence[int],
 def weyl_character_finite(rd: RootDatum, lam: Weight) -> Character:
     """Character of the simple finite-dimensional module of highest weight.
 
-    ``lam`` must be dominant, and it goes through ``rd.weight``, so a
-    coordinate or grade that is not an integer raises ``ValueError``.
-    Memoised: a repeated weight returns the same immutable object.  The
-    memo is keyed by value and type and checks the weight on a miss; a hit
-    repeats values, of the same types, that passed.
+    Memoised: one lookup keyed by every number of the weight, by value and
+    type, returning the same immutable object.  Only a miss checks them:
+    ``ValueError`` for a number that is not an integer, ``NotDominant``
+    for a weight that is not dominant.
     """
     return _weyl_character(rd, lam.d, *lam.h)
 
@@ -621,10 +619,7 @@ def _expand(rd: RootDatum, labels: Labels) -> Character:
 # other module memos: expansions read ``_dominant`` and ``_orbit``, not these.
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
 def _weyl_character(rd: RootDatum, d: int, *h: int) -> Character:
-    lam = rd.weight(h, d)
-    if not rd.is_dominant(lam):
-        raise errors.NotDominant(f"{lam.h} is not dominant for {rd.label}")
-    h, d = lam
+    h, d = rd.dominant(rd.weight(h, d))
     return _orbit_sum(rd, {mu: {d: m} for mu, m in _dominant(rd, h)})
 
 

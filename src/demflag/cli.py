@@ -500,6 +500,9 @@ def _join_values(argv: list[str]) -> list[str]:
 # after the result is printed, so it never reaches this map.
 _EXIT_CODES = {errors.InputError: 2, ValueError: 2, errors.DomainError: 3}
 
+# Characters of a message an ``error:`` line shows, then ``...`` if cut.
+_ERROR_CHARS = 200
+
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -511,7 +514,10 @@ def main(argv=None) -> int:
     try:
         return _serve(args)
     except tuple(_EXIT_CODES) as e:
-        print(f"error: {e}", file=sys.stderr)
+        msg = str(e)
+        if len(msg) > _ERROR_CHARS:
+            msg = msg[:_ERROR_CHARS] + "..."
+        print(f"error: {msg}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items()
                     if isinstance(e, kind))
 

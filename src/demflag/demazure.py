@@ -40,9 +40,9 @@ do: every flag peel reads one map per lead, the same few maps over and
 over, and a nested map stores each top once, so they are small.  Beneath
 the dimensions, the Weyl dimensions of the last ``4 * MEMO_SIZE`` tops are
 kept per datum, since many labels share their tops.
-Labels are validated on every call, so a bad label raises every time and
-no error is kept.  Integrality is checked on a miss: the memos key every
-number by its type, so a float never shares an entry with an integer.
+Each entry point is one lookup in a memo keyed by every number of the
+label as given, by value and type, and only a miss checks them, in
+``_label``: a bad label raises on every call, and no error is kept.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ from typing import NamedTuple
 from . import errors
 from .characters import (MEMO_SIZE, Character, Labels, _expand,
                          _irreducibles, _weyl_dim)
-from .root_data import AffineDatum, Weight, apply_word, make_dominant
+from .root_data import (AffineDatum, RootDatum, Weight, apply_word,
+                        make_dominant)
 
 
 class DemazureLabel(NamedTuple):
@@ -66,27 +67,22 @@ class DemazureLabel(NamedTuple):
     grade: int = 0
 
 
-def _validate(ad: AffineDatum, lab: DemazureLabel) -> None:
-    if lab.level < 1:
-        raise errors.ZeroLevel(f"level must be positive, got {lab.level}")
-    if len(lab.lam.h) != ad.rank:
-        raise ValueError(f"classical weight has rank {len(lab.lam.h)}, "
-                         f"expected {ad.rank}")
-    _check_ungraded(lab.lam)
-    if not ad.finite.is_dominant(lab.lam):
-        raise errors.NotDominant(f"{lab.lam.h} is not dominant")
-
-
-def _check_ungraded(lam: Weight) -> None:
-    """A classical highest weight carries no grade: ``ValueError`` unless
-    its ``d`` is the integer 0.  A module's grade is its label's."""
+def _label(rd: RootDatum, level: int, grade: int, d: int,
+           h: tuple[int, ...]) -> DemazureLabel:
+    """The checked label: integral level >= 1 and grade, and an integral
+    dominant weight of rank ``rd.rank`` whose ``d`` is 0."""
     try:
-        d = index(lam.d)
+        level, grade = index(level), index(grade)
     except TypeError:
-        d = None
-    if d != 0:
-        raise ValueError(f"classical weight {lam.h} has grade {lam.d!r}, "
+        raise ValueError(f"level {level!r} and grade {grade!r} must be "
+                         f"integers") from None
+    if level < 1:
+        raise errors.ZeroLevel(f"level must be positive, got {level}")
+    lam = rd.weight(h, d)
+    if lam.d:
+        raise ValueError(f"classical weight {lam.h} has grade {lam.d}, "
                          f"not 0")
+    return DemazureLabel(level, rd.dominant(lam), grade)
 
 
 def _reduce(ad: AffineDatum, level: int, lam: Weight,
@@ -108,23 +104,18 @@ def solve_extremal(ad: AffineDatum,
     simple transitivity of the affine Weyl group on alcoves at positive
     level.
     """
-    _validate(ad, lab)
     rd = ad.finite
-    return _reduce(ad, lab.level, apply_word(rd, rd.w0_word, lab.lam),
-                   lab.grade)
+    level, lam, grade = _label(rd, lab.level, lab.grade, lab.lam.d, lab.lam.h)
+    return _reduce(ad, level, apply_word(rd, rd.w0_word, lam), grade)
 
 
 @lru_cache(maxsize=4 * MEMO_SIZE, typed=True)
-def _labels(ad: AffineDatum, level: int, grade: int, *h: int) -> Labels:
-    """Irreducible multiplicities ``{top: {grade: m}}`` of a valid label,
-    whose numbers are checked integral here, on the memo miss.  The map and
-    its rows are shared by every caller, and none mutates them."""
-    try:
-        level, grade = index(level), index(grade)
-    except TypeError:
-        raise ValueError(f"level {level!r} and grade {grade!r} must be "
-                         f"integers") from None
-    dom, u = _reduce(ad, level, ad.finite.weight(h), grade)
+def _labels(ad: AffineDatum, level: int, grade: int, d: int,
+            *h: int) -> Labels:
+    """Irreducible multiplicities ``{top: {grade: m}}`` of a label checked
+    on the miss, shared by every caller; none mutates them."""
+    level, lam, grade = _label(ad.finite, level, grade, d, h)
+    dom, u = _reduce(ad, level, lam, grade)
     # Node ``i`` of an affine datum sits at position ``i``.
     return _irreducibles(ad, u[::-1], {(*dom.h, dom.d): 1})
 
@@ -132,24 +123,22 @@ def _labels(ad: AffineDatum, level: int, grade: int, *h: int) -> Labels:
 def demazure_character(ad: AffineDatum,
                        lab: DemazureLabel) -> Character:
     """Graded classical character of the labelled module, memoised."""
-    _validate(ad, lab)
-    return _character(ad, lab.level, lab.grade, *lab.lam.h)
+    return _character(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
-def _character(ad: AffineDatum, level: int, grade: int,
+def _character(ad: AffineDatum, level: int, grade: int, d: int,
                *h: int) -> Character:
-    return _expand(ad.finite, _labels(ad, level, grade, *h))
+    return _expand(ad.finite, _labels(ad, level, grade, d, *h))
 
 
 def demazure_dim(ad: AffineDatum, lab: DemazureLabel) -> int:
     """Dimension: multiplicities times Weyl dimensions, memoised."""
-    _validate(ad, lab)
-    return _dim(ad, lab.level, lab.grade, *lab.lam.h)
+    return _dim(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
-def _dim(ad: AffineDatum, level: int, grade: int, *h: int) -> int:
+def _dim(ad: AffineDatum, level: int, grade: int, d: int, *h: int) -> int:
     rd = ad.finite
     return sum(sum(row.values()) * _weyl_dim(rd, top)
-               for top, row in _labels(ad, level, grade, *h).items())
+               for top, row in _labels(ad, level, grade, d, *h).items())

@@ -51,7 +51,7 @@ from . import errors
 from .characters import (MEMO_SIZE, Character, Labels, _expand,
                          _irreducibles, check_w_invariance_per_grade,
                          forget_grading)
-from .demazure import DemazureLabel, _check_ungraded, _labels, _validate
+from .demazure import _label, _labels
 from .root_data import (AffineDatum, RootDatum, Weight, affinize,
                         eta_lambda, short_subdatum)
 
@@ -123,7 +123,7 @@ def _peel(ad: AffineDatum, labels: Labels, level: int) -> FlagDecomposition:
         # strictly below, so the lead stays the first undominated top until
         # its row is empty.
         row = residue[lead]
-        piece = _labels(ad, level, 0, *lead)
+        piece = _labels(ad, level, 0, 0, *lead)
         for grade in sorted(row):
             coeff = row[grade]
             if coeff < 0:
@@ -161,8 +161,7 @@ def level_flag(ad: AffineDatum, level: int, to_level: int,
         raise errors.NotSimplyLaced(f"{ad.finite.label} is not simply laced")
     if to_level <= level:
         raise ValueError("target level must exceed the source level")
-    _validate(ad, DemazureLabel(level, lam, 0))
-    return _peel(ad, _labels(ad, level, 0, *lam.h), to_level)
+    return _peel(ad, _labels(ad, level, 0, lam.d, *lam.h), to_level)
 
 
 def graded_weyl_character(
@@ -170,32 +169,28 @@ def graded_weyl_character(
         lam: Weight) -> tuple[Character, FlagDecomposition]:
     """Graded character of the local Weyl module and its level-one flag.
 
-    Memoised like ``demazure_character``: a repeated weight returns the
-    same pair, and a miss checks the weight through ``rd.weight``.  The
-    weight carries no grade: ``ValueError`` unless its ``d`` is 0.
+    Memoised like ``demazure_character``: one lookup keyed by the weight's
+    numbers, which a miss checks as those of a level-one label.
     """
-    _check_ungraded(lam)
-    if not rd.is_dominant(lam):
-        raise errors.NotDominant(f"{lam.h} is not dominant for {rd.label}")
-    return _graded_weyl(rd, *lam.h)
+    return _graded_weyl(rd, lam.d, *lam.h)
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
-def _graded_weyl(rd: RootDatum,
+def _graded_weyl(rd: RootDatum, d: int,
                  *h: int) -> tuple[Character, FlagDecomposition]:
-    lam = rd.weight(h)
+    lam = _label(rd, 1, 0, d, h).lam
     pieces: tuple[tuple[Weight, int, int], ...] = ((lam, 0, 1),)
     if rd.short_nodes:
         se = short_subdatum(rd)
         sub_ad = affinize(se.subdatum)
-        flag = _peel(sub_ad, _labels(sub_ad, 1, 0, *se.restrict(lam).h),
+        flag = _peel(sub_ad, _labels(sub_ad, 1, 0, 0, *se.restrict(lam).h),
                      rd.lacing)
         pieces = tuple((eta_lambda(se, lam, mu), grade, mult)
                        for mu, grade, mult in flag.pieces)
     ad = affinize(rd)
     total: Labels = {}
     for mu, grade, mult in pieces:
-        _add(total, _labels(ad, 1, 0, *mu.h), grade, mult)
+        _add(total, _labels(ad, 1, 0, 0, *mu.h), grade, mult)
     return _expand(rd, total), FlagDecomposition(level=1, pieces=pieces)
 
 

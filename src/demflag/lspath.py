@@ -24,13 +24,14 @@ and, filled in when first asked, the id of the reflected direction.  A
 path in generation is the flat tuple ``(n, T0, id0, T1, id1, ...)``: within
 one table equal flat tuples are equal paths.  For each node the table also
 keeps the edges ``b -> f_i b`` (or None) walked so far, so a string that
-an earlier set of the same top walked is read, not lowered again.  Ids are
-never reassigned and the table only grows, so a set's members, weights
-and order do not depend on the sets grown before it.  Tables are shared
-between threads: a set is grown, and edges are added, while holding the
-table's lock.  One kernel, ``_lower``, applies ``f_i`` to the flat form;
-``f_edge_lines`` reads and fills the table's edges, and ``root_op_f``
-lowers a path given by hand in a table of its own.
+an earlier set of the same top walked is read, not lowered again; a node
+holding ``_DOWN_SIZE`` edges drops them all before it adds one.  Ids are
+never reassigned, so a set's members, weights and order do not depend on
+the sets grown before it.  Tables are shared between threads: a set is
+grown, and edges are added, while holding the table's lock.  One kernel,
+``_lower``, applies ``f_i`` to the flat form; ``f_edge_lines`` reads and
+fills the table's edges, and ``root_op_f`` lowers a path given by hand in
+a table of its own.
 
 Root operators follow the usual recipe.  For node ``i`` let ``h(t)`` be the
 pairing of the running point with ``h_i``; it is piecewise linear, so its
@@ -68,16 +69,18 @@ directions, then durations, which is the order of the rational segments.
 
 ``generate_demazure_set`` checks its weight (integral, of the datum's rank,
 dominant) and every letter on every call, so a bad input raises every time
-and no error is kept.  It then looks the set up in a per-process memo of
-the last ``MEMO_SIZE // 6`` sets, keyed by datum, straight path and
+and no error is kept (a key typed by value and type would not reach
+inside the word's tuple).  It then looks the set up in a per-process memo
+of the last ``MEMO_SIZE // 6`` sets, keyed by datum, straight path and
 letter positions; a repeated request returns the same ``PathSet``.  A
 ``PathSet`` is immutable.  It keeps its flat paths, their weights, its
 crystal's table and its character; ``len`` and ``crystal_character``
 build no ``LSPath``, and ``paths`` builds and sorts them on first access
 and keeps them.  ``root_op_f`` takes a path from outside, so it raises
 ``ValueError`` unless ``n >= 1``, the durations are positive integers
-that sum to ``n``, and every direction is integral with ``rank + 2``
-entries (the nodes ``0 .. rank`` and the scaling element).
+that sum to ``n``, every direction is integral with ``rank + 2``
+entries (the nodes ``0 .. rank`` and the scaling element) and differs
+from its neighbours, as ``_lower`` needs a canonical path.
 
 ``joseph_highest`` concatenates the straight path to a dominant ``mu``
 with each member ``b``, first ``mu`` then ``b``.  The pairing with ``h_i``
@@ -102,7 +105,6 @@ from math import gcd, lcm
 from operator import index, le, mul
 from typing import NamedTuple, Optional, Sequence
 
-from . import errors
 from .characters import MEMO_SIZE, Character
 from .root_data import AffineDatum, Weight
 
@@ -149,10 +151,10 @@ class _Table:
     position ``p``; ``refl[p][d]`` is the id of its reflection at that
     node, or -1 until ``reflect`` is first asked for it.  ``down[p]`` maps
     a flat path to ``f_i`` of it at that node, or to None where ``f_i`` is
-    undefined, filled in as edges are first walked.  Ids are never
-    reassigned and entries never change, so a flat path means the same
-    path for as long as the table lives.  Whoever interns a direction or
-    adds an edge to a shared table holds ``lock``.
+    undefined, filled in as edges are first walked and emptied when full.
+    Ids are never reassigned, so a flat path means the same path for as
+    long as the table lives.  Whoever interns a direction or adds an edge
+    to a shared table holds ``lock``.
     """
 
     __slots__ = ("roots", "dirs", "ids", "pairs", "refl", "down", "lock")
@@ -255,9 +257,7 @@ def _lower(tab: _Table, p: int, b: Flat) -> Optional[Flat]:
 
 def straight_path(ad: AffineDatum, lam: Weight) -> LSPath:
     """The straight path to a dominant weight."""
-    if not ad.is_dominant(lam):
-        raise errors.NotDominant(f"{lam.h} is not dominant for {ad.label}")
-    return LSPath(1, ((1, lam.h + (lam.d,)),))
+    return LSPath(1, ((1, ad.dominant(lam).h + (lam.d,)),))
 
 
 def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
@@ -265,7 +265,8 @@ def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
 
     ``ValueError`` unless ``n >= 1``, every duration is a positive integer,
     the durations sum to ``n``, and every direction is integral with one
-    value per node of ``ad`` and one on the scaling element.
+    value per node of ``ad`` and one on the scaling element, and differs
+    from its neighbours.
     """
     try:
         n = index(pi.n)
@@ -280,6 +281,8 @@ def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
     if any(len(v) != width for _, v in steps):
         raise ValueError(f"path directions on {ad.label} must have "
                          f"{width} entries")
+    if any(a[1] == b[1] for a, b in zip(steps, steps[1:])):
+        raise ValueError("neighbouring path directions must differ")
     p = ad.pos(i)
     tab = _Table(ad)
     b = _lower(tab, p, tab.flat(LSPath(n, steps)))
@@ -361,13 +364,17 @@ def generate_demazure_set(ad: AffineDatum, lam: Weight,
 # its sets have visited, with the edges walked from it.  The perfbench
 # ``paths`` family has 119 requests over 47 tops, and 38% of the lowering
 # edges one pass walks were walked before by a set of the same top.
-@lru_cache(maxsize=MEMO_SIZE, typed=True)
+@lru_cache(maxsize=MEMO_SIZE)
 def _crystal(ad: AffineDatum, top: LSPath) -> _Table:
     """The table the path sets of ``top`` grow in; ``top`` is the key."""
     return _Table(ad)
 
 
 _UNSEEN = object()
+
+# Edges kept per node of a table: the largest table of a perfbench ``paths``
+# pass holds 648 in all, one length-12 word on A2~ fills a node with 38,880.
+_DOWN_SIZE = 4096
 
 
 def _edge(tab: _Table, p: int, b: Flat) -> Optional[Flat]:
@@ -376,6 +383,8 @@ def _edge(tab: _Table, p: int, b: Flat) -> Optional[Flat]:
     down = tab.down[p]
     c = down.get(b, _UNSEEN)
     if c is _UNSEEN:
+        if len(down) >= _DOWN_SIZE:
+            down.clear()
         c = down[b] = _lower(tab, p, b)
     return c
 
@@ -389,7 +398,7 @@ def _edge(tab: _Table, p: int, b: Flat) -> Optional[Flat]:
 # (Python 3.11.7, x86-64).  Callers repeat a set at once (a
 # repeated request, ``joseph_highest`` for several ``mu`` over one
 # crystal), so eight serve them.
-@lru_cache(maxsize=MEMO_SIZE // 6, typed=True)
+@lru_cache(maxsize=MEMO_SIZE // 6)
 def _path_set(ad: AffineDatum, top: LSPath,
               positions: tuple[int, ...]) -> PathSet:
     tab = _crystal(ad, top)
@@ -427,9 +436,7 @@ def joseph_highest(ad: AffineDatum, mu: Weight, lam: Weight,
     for every node.  Returns the surviving crystal members with the
     dominant weights ``mu + wt(b)``, in the path set's deterministic order.
     """
-    mu = ad.weight(mu.h, mu.d)
-    if not ad.is_dominant(mu):
-        raise errors.NotDominant(f"{mu.h} is not dominant for {ad.label}")
+    mu = ad.dominant(ad.weight(mu.h, mu.d))
     ps = generate_demazure_set(ad, lam, word)
     tab, weights = ps._table, ps._weights
     # For an integer mu(h_i), mu(h_i) + min h_i(b) / n >= 0 is

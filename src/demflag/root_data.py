@@ -290,6 +290,13 @@ class Datum:
     def is_dominant(self, mu: Weight) -> bool:
         return all(x >= 0 for x in mu.h)
 
+    def dominant(self, mu: Weight) -> Weight:
+        """``mu`` itself, or ``NotDominant``: the one dominance refusal."""
+        if not self.is_dominant(mu):
+            raise errors.NotDominant(f"{mu.h} is not dominant for "
+                                     f"{self.label}")
+        return mu
+
 
 class RootDatum(Datum):
     """Finite root datum over Bourbaki nodes ``1..rank``."""

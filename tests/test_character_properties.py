@@ -554,7 +554,8 @@ def test_labels_match_the_tuple_oracle(case):
     tuple straightening of the ladder along ``u``, and the packed width
     holds every coordinate of that ladder and that straightening."""
     ad, lab = case
-    labels = flatten(demazure._labels(ad, lab.level, lab.grade, *lab.lam.h))
+    labels = flatten(demazure._labels(ad, lab.level, lab.grade, 0,
+                                      *lab.lam.h))
     dom, u = demazure._reduce(ad, lab.level, lab.lam, lab.grade)
     ladder, peak = oracle_ladder(ad, u, {(*dom.h, dom.d): 1})
     projected = Counter()

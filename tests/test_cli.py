@@ -234,6 +234,12 @@ PINS = [
      "41e5663819089ab4b74d65b9e03be91677de6cf4154ef8c14f54f0bed96553fe"),
     ("level-flag --type C2 --level 1 --to-level 2 --lambda 1,0", 3,
      "f7af5b730a8d943d75ee9c16e172325bc44a716465de97df57bf6da3e88a83c0"),
+    ("demazure-dim --type A1 --level 1 --lambda=-1", 3,
+     "490a7b41682548f1e7e5856460e60db8734544b28e8b3e47e01f076ec6cd51ef"),
+    # A refused value of 5,000 characters prints 200 of the message, then
+    # "...".
+    ("demazure-dim --type A1 --level 1 --lambda " + "x" * 5000, 2,
+     "ff0cf338277ceff46f7892d08ff03c5fb3b51aeef5fb9cd2ffce4974cd4741ba"),
     ("--help", 0,
      "ef859e211eecb0728ac27c269e9fabb0106f3c921406f49fca576ea9564a2896"),
     ("demazure-char --help", 0,

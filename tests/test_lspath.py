@@ -726,6 +726,36 @@ def test_sets_of_one_top_do_not_depend_on_earlier_sets():
     assert lspath._crystal.cache_info().currsize == 1
 
 
+def _members(ps):
+    """A set's paths with their weights, read out of its table."""
+    return {ps._table.path(b): w for b, w in ps._weights.items()}
+
+
+def test_a_table_keeps_a_bounded_number_of_edges_a_node(monkeypatch):
+    """Three long words of one top fill a node of an unbounded cold table
+    with 15,552, 23,328 and 38,880 edges.  Grown one after another in one
+    table, each node keeps at most ``_DOWN_SIZE``, and every set is the
+    one the unbounded cold table grows."""
+    lam = A2_AFF.weight([1, 1, 0])
+    words = {(0, 1, 2) * 4: 15552, (1, 2, 0) * 4: 23328,
+             (2, 0, 1) * 4: 38880}
+    cold = {}
+    with monkeypatch.context() as m:
+        m.setattr(lspath, "_DOWN_SIZE", float("inf"))
+        for word, most in words.items():
+            clear_path_memos()
+            ps = generate_demazure_set(A2_AFF, lam, word)
+            assert max(map(len, ps._table.down)) == most
+            cold[word] = _members(ps)
+    clear_path_memos()
+    for word in words:
+        ps = generate_demazure_set(A2_AFF, lam, word)
+        assert all(len(down) <= lspath._DOWN_SIZE
+                   for down in ps._table.down)
+        assert _members(ps) == cold[word]
+    assert lspath._crystal.cache_info().currsize == 1
+
+
 MALFORMED = {
     "empty": LSPath(1, ()),
     "n-zero": LSPath(0, ((0, (1, 1, 0)),)),
@@ -735,6 +765,7 @@ MALFORMED = {
     "fraction-direction": LSPath(2, ((2, (Fraction(1, 2), 1, 0)),)),
     "float-duration": LSPath(1, ((1.0, (1, 1, 0)),)),
     "float-n": LSPath(1.0, ((1, (1, 1, 0)),)),
+    "equal-neighbours": LSPath(2, ((1, (1, 1, 0)), (1, (1, 1, 0)))),
 }
 
 
