@@ -443,10 +443,21 @@ def demazure_word_char(datum: Datum, word: Sequence[int],
 
     The last letter acts first, matching ``apply_word``.  For a reduced word
     this is the Demazure character of the corresponding extremal weight.
+    The seed and every letter are checked on every call, since a key typed
+    by value and type would not reach inside the word; the character is
+    then looked up in a memo and the same object is handed out again.
     """
-    terms = Character(datum, {seed: 1})._terms
-    positions = [datum.pos(i) for i in reversed(word)]
-    return _unpacked(datum, *_ladder(datum, positions, terms))
+    h, d = datum.weight(seed.h, seed.d)
+    return _word_char(datum, tuple([datum.pos(i) for i in reversed(word)]),
+                      (*h, d))
+
+
+# The ladders ``demazure_word_char`` hands out, keyed by checked positions
+# and seed, ``MEMO_SIZE`` like the other module memos.
+@lru_cache(maxsize=MEMO_SIZE)
+def _word_char(datum: Datum, positions: tuple[int, ...],
+               key: tuple[int, ...]) -> Character:
+    return _unpacked(datum, *_ladder(datum, positions, {key: 1}))
 
 
 def weyl_character_finite(rd: RootDatum, lam: Weight) -> Character:

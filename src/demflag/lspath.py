@@ -15,23 +15,37 @@ divided by their joint gcd, so equality of paths means equality of traced
 polylines.  ``LSPath.segments`` gives the rational form back; the
 operators stay in the integers.
 
-Generation does not build ``LSPath``s.  The Demazure sets of one top, a
-datum with the straight path to a dominant weight, grade included, are
-subsets of one path crystal, and all of them grow in one table per top,
-kept for the last ``MEMO_SIZE`` tops.  The table interns directions as
-small ints and holds for each node and direction the pairing ``v(h_i)``
-and, filled in when first asked, the id of the reflected direction.  A
-path in generation is the flat tuple ``(n, T0, id0, T1, id1, ...)``: within
-one table equal flat tuples are equal paths.  For each node the table also
-keeps the edges ``b -> f_i b`` (or None) walked so far, so a string that
-an earlier set of the same top walked is read, not lowered again; a node
-holding ``_DOWN_SIZE`` edges drops them all before it adds one.  Ids are
-never reassigned, so a set's members, weights and order do not depend on
-the sets grown before it.  Tables are shared between threads: a set is
-grown, and edges are added, while holding the table's lock.  One kernel,
-``_lower``, applies ``f_i`` to the flat form; ``f_edge_lines`` reads and
-fills the table's edges, and ``root_op_f`` lowers a path given by hand in
-a table of its own.
+Generation does not build ``LSPath``s.  The Demazure sets of one
+classical top, a datum with the straight path to a dominant weight at
+grade 0, are subsets of one path crystal, and all of them grow in one
+table per top, kept for the last ``MEMO_SIZE`` tops.  The grade needs no
+table of its own: ``delta`` pairs to zero with every coroot and every
+reflection fixes it, so the crystal of ``lam + g delta`` is that of
+``lam`` with every direction moved by ``g delta``, with the same
+pairings, the same edges and the same order (adding one amount to the
+last entry of every direction reorders none).  A table holds directions
+at grade 0.  A set carries its grade, its weights start from ``lam`` with
+that grade, and only ``_Table.path`` adds the grade, when it builds an
+``LSPath``.
+
+The table interns directions as small ints and holds for each node and
+direction the pairing ``v(h_i)`` and, filled in when first asked, the id
+of the reflected direction.  A path in generation is the flat tuple
+``(n, T0, id0, T1, id1, ...)``: within one table equal flat tuples are
+equal paths.  For each node the table also keeps the edges
+``b -> f_i b`` (or None) walked so far, so a string that an earlier set
+of the same top walked is read, not lowered again.  The end of a string
+is recorded, not lowered: ``phi_i(f_i b) = phi_i(b) - 1`` (Littelmann,
+Ann. Math. 1995), so where ``_lower`` finds ``phi_i(b) = 1`` it also
+records ``f_i(f_i b) = None``.  An edge can thus add two entries, so a
+node holding ``_DOWN_SIZE - 1`` edges drops them all before it adds any,
+and no node holds more than ``_DOWN_SIZE``.  Ids are never reassigned, so
+a set's members, weights and order do not depend on the sets grown
+before it.  Tables are shared between threads: a set is grown, and edges
+are added, while holding the table's lock.  One kernel, ``_lower``,
+applies ``f_i`` to the flat form; ``f_edge_lines`` reads and fills the
+table's edges, and ``root_op_f`` lowers a path given by hand in a table
+of its own.
 
 Root operators follow the usual recipe.  For node ``i`` let ``h(t)`` be the
 pairing of the running point with ``h_i``; it is piecewise linear, so its
@@ -67,20 +81,23 @@ and no operator is defined on its path), so merging equal neighbours
 merges every pair that a traced polyline would.  Sets are ordered on
 directions, then durations, which is the order of the rational segments.
 
-``generate_demazure_set`` checks its weight (integral, of the datum's rank,
-dominant) and every letter on every call, so a bad input raises every time
-and no error is kept (a key typed by value and type would not reach
-inside the word's tuple).  It then looks the set up in a per-process memo
-of the last ``MEMO_SIZE // 6`` sets, keyed by datum, straight path and
-letter positions; a repeated request returns the same ``PathSet``.  A
-``PathSet`` is immutable.  It keeps its flat paths, their weights, its
-crystal's table and its character; ``len`` and ``crystal_character``
-build no ``LSPath``, and ``paths`` builds and sorts them on first access
-and keeps them.  ``root_op_f`` takes a path from outside, so it raises
-``ValueError`` unless ``n >= 1``, the durations are positive integers
-that sum to ``n``, every direction is integral with ``rank + 2``
-entries (the nodes ``0 .. rank`` and the scaling element) and differs
-from its neighbours, as ``_lower`` needs a canonical path.
+``straight_path`` checks its weight (integral values and grade, of the
+datum's rank, dominant), and ``generate_demazure_set`` and
+``joseph_highest`` check theirs through it.  ``generate_demazure_set``
+checks its weight and every letter on every call, so a bad input raises
+every time and no error is kept (a key typed by value and type would not
+reach inside the word's tuple).  It then looks the set up in a
+per-process memo of the last ``MEMO_SIZE // 6`` sets, keyed by datum,
+straight path (grade included) and letter positions; a repeated request
+returns the same ``PathSet``.  A ``PathSet`` is immutable.  It keeps its
+flat paths, their weights, its crystal's table, its grade and its
+character; ``len`` and ``crystal_character`` build no ``LSPath``, and
+``paths`` builds and sorts them on first access and keeps them.
+``root_op_f`` takes a path from outside, so it raises ``ValueError``
+unless ``n >= 1``, the durations are positive integers that sum to ``n``,
+every direction is integral with ``rank + 2`` entries (the nodes
+``0 .. rank`` and the scaling element) and differs from its neighbours,
+as ``_lower`` needs a canonical path.
 
 ``joseph_highest`` concatenates the straight path to a dominant ``mu``
 with each member ``b``, first ``mu`` then ``b``.  The pairing with ``h_i``
@@ -193,9 +210,13 @@ class _Table:
             out += (t, self.intern(v))
         return tuple(out)
 
-    def path(self, b: Flat) -> LSPath:
-        return LSPath(b[0], tuple(zip(b[1::2], map(self.dirs.__getitem__,
-                                                   b[2::2]))))
+    def path(self, b: Flat, grade: int = 0) -> LSPath:
+        """The path of ``b`` with ``grade`` added to the last entry, the
+        value on the scaling element, of every direction."""
+        vs = map(self.dirs.__getitem__, b[2::2])
+        if grade:
+            vs = [(*v[:-1], v[-1] + grade) for v in vs]
+        return LSPath(b[0], tuple(zip(b[1::2], vs)))
 
 
 def _heights(pairs: list[int], ts: Flat, ds: Flat) -> list[int]:
@@ -205,14 +226,16 @@ def _heights(pairs: list[int], ts: Flat, ds: Flat) -> list[int]:
                            initial=0))
 
 
-def _lower(tab: _Table, p: int, b: Flat) -> Optional[Flat]:
-    """``f_i`` for the node in position ``p``; None when undefined."""
+def _lower(tab: _Table, p: int, b: Flat) -> tuple[Optional[Flat], bool]:
+    """``f_i`` for the node in position ``p``, None when undefined, and
+    whether ``phi_i(b) = 1``, so that ``f_i`` of the result is undefined."""
     n, ts, ds = b[0], b[1::2], b[2::2]
     pairs = tab.pairs[p]
     hs = _heights(pairs, ts, ds)
     m = min(hs)
     if hs[-1] - m < n:
-        return None
+        return None, False
+    last = hs[-1] - m < 2 * n
     k0 = len(hs) - 1 - hs[::-1].index(m)
     k = k0
     while hs[k + 1] < m + n:
@@ -252,12 +275,14 @@ def _lower(tab: _Table, p: int, b: Flat) -> Optional[Flat]:
     out = [n] * (2 * len(out_t) + 1)
     out[1::2] = out_t
     out[2::2] = out_d
-    return tuple(out)
+    return tuple(out), last
 
 
 def straight_path(ad: AffineDatum, lam: Weight) -> LSPath:
-    """The straight path to a dominant weight."""
-    return LSPath(1, ((1, ad.dominant(lam).h + (lam.d,)),))
+    """The straight path to a dominant weight; ``ValueError`` unless its
+    values and grade are integers, one value per node of ``ad``."""
+    h, d = ad.dominant(ad.weight(lam.h, lam.d))
+    return LSPath(1, ((1, h + (d,)),))
 
 
 def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
@@ -285,7 +310,7 @@ def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
         raise ValueError("neighbouring path directions must differ")
     p = ad.pos(i)
     tab = _Table(ad)
-    b = _lower(tab, p, tab.flat(LSPath(n, steps)))
+    b, _ = _lower(tab, p, tab.flat(LSPath(n, steps)))
     return None if b is None else tab.path(b)
 
 
@@ -301,16 +326,18 @@ def _sorted(tab: _Table, flats) -> list[Flat]:
 class PathSet:
     """Deduplicated, deterministically ordered, immutable set of generated
     paths.  Keeps the flat paths with their endpoint weights, the crystal
-    table they were grown in and the character; ``paths`` and the ``eps``
-    groups are built on first use."""
+    table they were grown in, the grade its paths add to every direction
+    of the table and the character; ``paths`` and the ``eps`` groups are
+    built on first use."""
 
-    __slots__ = ("datum", "_table", "_weights", "_character", "_paths",
-                 "_eps")
+    __slots__ = ("datum", "_table", "_grade", "_weights", "_character",
+                 "_paths", "_eps")
 
-    def __init__(self, datum: AffineDatum, table: _Table,
+    def __init__(self, datum: AffineDatum, table: _Table, grade: int,
                  weights: dict[Flat, tuple[int, ...]]) -> None:
         object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_grade", grade)
         object.__setattr__(self, "_weights", weights)
         # Endpoints are integral weights of the datum: no check is needed.
         object.__setattr__(self, "_character", Character._wrap(
@@ -327,9 +354,9 @@ class PathSet:
     @property
     def paths(self) -> tuple[LSPath, ...]:
         if self._paths is None:
-            tab = self._table
+            tab, grade = self._table, self._grade
             object.__setattr__(self, "_paths", tuple(
-                map(tab.path, _sorted(tab, self._weights))))
+                tab.path(b, grade) for b in _sorted(tab, self._weights)))
         return self._paths
 
     def _by_eps(self) -> dict[tuple[int, ...], list[Flat]]:
@@ -355,15 +382,15 @@ class PathSet:
 def generate_demazure_set(ad: AffineDatum, lam: Weight,
                           word: Sequence[int]) -> PathSet:
     """All ``f``-strings along the word, last letter first, from straight."""
-    top = straight_path(ad, ad.weight(lam.h, lam.d))
-    return _path_set(ad, top, tuple(map(ad.pos, word)))
+    return _path_set(ad, straight_path(ad, lam), tuple(map(ad.pos, word)))
 
 
-# One table per top, the datum and the straight path with its grade;
-# every Demazure set of that crystal grows in it.  A table keeps every path
-# its sets have visited, with the edges walked from it.  The perfbench
-# ``paths`` family has 119 requests over 47 tops, and 38% of the lowering
-# edges one pass walks were walked before by a set of the same top.
+# One table per classical top, the datum and the straight path at grade 0;
+# every Demazure set of that crystal, at every grade, grows in it.  A table
+# keeps every path its sets have visited, with the edges walked from it.
+# The perfbench ``paths`` family has 119 requests over 26 classical tops (47
+# with their grades), and 51% of the 21,964 lowering edges one pass walks
+# were walked before by a set of the same top.
 @lru_cache(maxsize=MEMO_SIZE)
 def _crystal(ad: AffineDatum, top: LSPath) -> _Table:
     """The table the path sets of ``top`` grow in; ``top`` is the key."""
@@ -373,51 +400,61 @@ def _crystal(ad: AffineDatum, top: LSPath) -> _Table:
 _UNSEEN = object()
 
 # Edges kept per node of a table: the largest table of a perfbench ``paths``
-# pass holds 648 in all, one length-12 word on A2~ fills a node with 38,880.
+# pass holds 798 in all, one length-12 word on A2~ fills a node with 38,880.
 _DOWN_SIZE = 4096
 
 
 def _edge(tab: _Table, p: int, b: Flat) -> Optional[Flat]:
     """``f_i`` of ``b`` at position ``p`` through the table's edges, adding
-    the edge when first walked; the caller holds ``tab.lock``."""
+    the edge when first walked, and the undefined edge after it when
+    ``phi_i(b) = 1``; the caller holds ``tab.lock``."""
     down = tab.down[p]
     c = down.get(b, _UNSEEN)
     if c is _UNSEEN:
-        if len(down) >= _DOWN_SIZE:
+        # Up to two edges are added, so a node is cleared one short of full.
+        if len(down) >= _DOWN_SIZE - 1:
             down.clear()
-        c = down[b] = _lower(tab, p, b)
+        c, last = _lower(tab, p, b)
+        down[b] = c
+        if last:
+            down[c] = None
     return c
 
 
 # The memo holds each set with every path in it, so its bound is the
 # smallest of the module memos.  Peak memory of one in-process pass of the
-# perfbench ``paths`` family, each request asked twice in a row, was 20.2
-# MB with no memo and 20.4, 20.5, 20.8 and 21.5 MB with 4, 8, 16 and 48
-# sets held and no table kept between sets; keeping the tables of up to 48
-# tops, it is 21.1 MB with no set memo and 21.2, 21.2, 21.4 and 21.6 MB
-# (Python 3.11.7, x86-64).  Callers repeat a set at once (a
-# repeated request, ``joseph_highest`` for several ``mu`` over one
-# crystal), so eight serve them.
+# perfbench ``paths`` family, each request asked twice in a row, with the
+# tables of up to 48 classical tops and the last 48 word ladders kept, is
+# 20.8 MB with no set memo and 20.8, 20.9, 21.0 and 21.8 MB with 4, 8, 16
+# and 48 sets held (Python 3.11.7, x86-64, modules loaded from bytecode).
+# Callers repeat a set at once (a repeated request, ``joseph_highest`` for
+# several ``mu`` over one crystal), so eight serve them.
 @lru_cache(maxsize=MEMO_SIZE // 6)
 def _path_set(ad: AffineDatum, top: LSPath,
               positions: tuple[int, ...]) -> PathSet:
-    tab = _crystal(ad, top)
     (_, lam), = top.steps
+    *h, grade = lam
+    base = LSPath(1, ((1, (*h, 0)),))
+    tab = _crystal(ad, base)
     with tab.lock:
-        weights = {tab.flat(top): lam}
+        # Weights start at ``lam`` with its grade; directions at grade 0.
+        weights = {tab.flat(base): lam}
         for p in reversed(positions):
             alpha = ad.flat_roots[p]
+            get = tab.down[p].get
             grown: dict[Flat, tuple[int, ...]] = {}
             for b, w in weights.items():
                 # A string can stop at a member: grown is closed under f_i.
                 while b not in grown:
                     grown[b] = w
-                    b = _edge(tab, p, b)
-                    if b is None:
+                    if (c := get(b, _UNSEEN)) is _UNSEEN:
+                        c = _edge(tab, p, b)
+                    if c is None:
                         break
+                    b = c
                     w = tuple([x - y for x, y in zip(w, alpha)])
             weights = grown
-    return PathSet(ad, tab, weights)
+    return PathSet(ad, tab, grade, weights)
 
 
 def crystal_character(ps: PathSet) -> Character:
@@ -436,9 +473,10 @@ def joseph_highest(ad: AffineDatum, mu: Weight, lam: Weight,
     for every node.  Returns the surviving crystal members with the
     dominant weights ``mu + wt(b)``, in the path set's deterministic order.
     """
-    mu = ad.dominant(ad.weight(mu.h, mu.d))
+    (_, (*h, d)), = straight_path(ad, mu).steps
+    mu = Weight(tuple(h), d)
     ps = generate_demazure_set(ad, lam, word)
-    tab, weights = ps._table, ps._weights
+    tab, grade, weights = ps._table, ps._grade, ps._weights
     # For an integer mu(h_i), mu(h_i) + min h_i(b) / n >= 0 is
     # mu(h_i) >= -floor(min h_i(b) / n).
     out: list[tuple[LSPath, Weight]] = []
@@ -448,7 +486,7 @@ def joseph_highest(ad: AffineDatum, mu: Weight, lam: Weight,
         nu = mu + Weight(tuple(h), d)
         if not ad.is_dominant(nu):
             raise AssertionError("highest term must be dominant")
-        out.append((tab.path(b), nu))
+        out.append((tab.path(b, grade), nu))
     return out
 
 

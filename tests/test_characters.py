@@ -239,6 +239,31 @@ def test_weyl_finite_memo_hands_out_one_object():
         weyl_character_finite(G2, G2.weight([1, -1]))
 
 
+def test_word_ladder_memo_hands_out_one_object_and_keeps_no_error():
+    """A repeated word ladder is the same object, whatever sequence and
+    weight spell it; a bad seed or letter raises on every call, hit or
+    not, and leaves no entry."""
+    memo = characters._word_char
+    memo.cache_clear()
+    lam = A2_AFF.weight([0, 1, 1], 1)
+    f = demazure_word_char(A2_AFF, [2, 1, 0], lam)
+    assert demazure_word_char(A2_AFF, (2, 1, 0), Weight((0, 1, True), 1)) is f
+    g = Character(A2_AFF, {lam: 1})
+    for i in (0, 1, 2):
+        g = demazure_step(A2_AFF, i, g)
+    assert f == g
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not integral"):
+            demazure_word_char(A2_AFF, (2, 1, 0), Weight((0, 1, 1), 1.0))
+        with pytest.raises(ValueError, match="not integral"):
+            demazure_word_char(A2_AFF, (2, 1, 0), Weight((0, 1.5, 1), 1))
+        for word in ((2, 1, 3), (2, 1.0, 0), (2, "1", 0)):
+            with pytest.raises(errors.IndexOutOfRange):
+                demazure_word_char(A2_AFF, word, lam)
+    assert memo.cache_info().currsize == 1
+    assert memo.cache_info().hits == 1
+
+
 def test_weyl_finite_known_dimensions():
     table = [(A2, (1, 1), 8), (C2, (1, 0), 4), (C2, (0, 1), 5),
              (C2, (2, 0), 10), (C2, (1, 1), 16),

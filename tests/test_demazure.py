@@ -16,6 +16,7 @@ from demflag import (
     demazure,
     demazure_character,
     demazure_dim,
+    demazure_word_char,
     errors,
     flags,
     forget_grading,
@@ -351,9 +352,10 @@ def test_memo_stays_within_its_bound():
     beneath them four times that; beneath expansions, the dominant
     multiplicities of Weyl characters keep four times and their orbits
     eight times that.  Path crystals keep ``MEMO_SIZE`` tables and the
-    path sets grown in them a sixth of that.  Run past every bound: each
-    A1 weight ``n`` adds one top and one orbit, that of ``n`` itself; past
-    the tops' bound the orbits are asked for alone, which is cheaper."""
+    path sets grown in them a sixth of that; word ladders keep
+    ``MEMO_SIZE``.  Run past every bound: each A1 weight ``n`` adds one
+    top and one orbit, that of ``n`` itself; past the tops' bound the
+    orbits are asked for alone, which is cheaper."""
     size = demazure.MEMO_SIZE
     bounds = ((demazure._dim, size), (demazure._labels, 4 * size))
     for memo, _ in bounds:
@@ -373,9 +375,13 @@ def test_memo_stays_within_its_bound():
             orbits(A1, (n, 0))
         assert orbits.cache_info().currsize == min(n + 1, 8 * size)
     crystals, sets = lspath._crystal, lspath._path_set
-    for memo in (crystals, sets):
+    ladders = characters._word_char
+    for memo in (crystals, sets, ladders):
         memo.cache_clear()
     for n in range(size + 8):
-        generate_demazure_set(A1_AFF, A1_AFF.weight([n, 1]), (0, 1))
+        lam = A1_AFF.weight([n, 1])
+        generate_demazure_set(A1_AFF, lam, (0, 1))
+        demazure_word_char(A1_AFF, (0, 1), lam)
         assert crystals.cache_info().currsize == min(n + 1, size)
         assert sets.cache_info().currsize == min(n + 1, size // 6)
+        assert ladders.cache_info().currsize == min(n + 1, size)

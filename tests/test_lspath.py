@@ -20,9 +20,11 @@ from math import gcd, lcm
 import pytest
 
 from demflag import (
+    Character,
     LSPath,
     Weight,
     affinize,
+    characters,
     crystal_character,
     datum_from_label,
     demazure_word_char,
@@ -65,9 +67,10 @@ def reduced_words(ad, max_len):
 
 
 def clear_path_memos():
-    """Start cold: no path set and no crystal table kept."""
+    """Start cold: no path set, crystal table or word ladder kept."""
     lspath._path_set.cache_clear()
     lspath._crystal.cache_clear()
+    characters._word_char.cache_clear()
 
 
 # ---- oracles on tuple directions ----
@@ -625,6 +628,16 @@ def test_float_coordinates_raise_value_error():
             joseph_highest(A1_AFF, bad, lam, (0, 1))
 
 
+@pytest.mark.parametrize("lam", [Weight((1.5, 0.5), 0), Weight((1,), 0),
+                                 Weight((1, 1), 0.5)],
+                         ids=["fractional", "short", "fractional-grade"])
+def test_straight_path_refuses_a_malformed_weight(lam):
+    # The first two used to give a path with a non-integral direction and
+    # one with a one-entry direction on a datum whose paths need three.
+    with pytest.raises(ValueError):
+        straight_path(A1_AFF, lam)
+
+
 def test_bool_coordinates_give_integer_steps():
     clear_path_memos()
     ps = generate_demazure_set(A2_AFF, Weight((False, True, False)),
@@ -724,6 +737,79 @@ def test_sets_of_one_top_do_not_depend_on_earlier_sets():
     for word in reversed(SHARED_TOP_WORDS):
         assert _grown(C2_AFF, lam, word) == alone[word]
     assert lspath._crystal.cache_info().currsize == 1
+
+
+def _graded(pi, g):
+    """``pi`` moved by ``g delta``: ``g`` added to every direction's last
+    entry, the value on the scaling element."""
+    return LSPath(pi.n, tuple((t, (*v[:-1], v[-1] + g)) for t, v in pi.steps))
+
+
+def test_sets_of_one_top_at_several_grades_share_one_table():
+    """The crystal of ``(lam, g)`` is that of ``(lam, 0)`` moved by
+    ``g delta``: one table serves every grade, and each set's paths,
+    character and highest terms are those at grade 0 moved by ``g``."""
+    h, word = (0, 1, 0), (0, 1, 2, 1, 0)
+    mu = C2_AFF.weight([1, 0, 0])
+    clear_path_memos()
+    sets = {g: generate_demazure_set(C2_AFF, C2_AFF.weight(h, g), word)
+            for g in (3, 0, 1)}
+    assert lspath._crystal.cache_info().currsize == 1
+    base = sets[0]
+    highest = joseph_highest(C2_AFF, mu, C2_AFF.weight(h, 0), word)
+    assert highest
+    for g, ps in sets.items():
+        lam = C2_AFF.weight(h, g)
+        assert ps._table is base._table
+        assert list(ps.paths) == [_graded(pi, g) for pi in base.paths] \
+            == oracle_set(C2_AFF, lam, word)
+        assert crystal_character(ps) == Character(C2_AFF, {
+            (w, d + g): c for (w, d), c in crystal_character(base).terms()})
+        assert crystal_character(ps) == demazure_word_char(C2_AFF, word, lam)
+        assert joseph_highest(C2_AFF, mu, lam, word) == [
+            (_graded(pi, g), Weight(nu.h, nu.d + g)) for pi, nu in highest]
+    assert lspath._crystal.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("bound", [None, 5], ids=["default", "small"])
+def test_every_kept_edge_is_the_lowering_operator(monkeypatch, bound):
+    """After several sets of one top at several grades, every edge a node
+    keeps, the string ends recorded from ``phi_i = 1`` included, is
+    ``root_op_f`` of its source, which lowers in a table of its own, and
+    no node holds more than ``_DOWN_SIZE`` edges.  Under the default
+    bound nothing is cleared, and the table holds more edges than were
+    lowered: the string ends were recorded, not lowered."""
+    if bound is None:
+        bound = lspath._DOWN_SIZE
+    else:
+        monkeypatch.setattr(lspath, "_DOWN_SIZE", bound)
+    lowered = Counter()
+    lower = lspath._lower
+
+    def counted(tab, p, b):
+        lowered[tab] += 1
+        return lower(tab, p, b)
+
+    monkeypatch.setattr(lspath, "_lower", counted)
+    clear_path_memos()
+    h = (1, 0, 1)
+    for g, word in zip((0, 2, 1, 0), SHARED_TOP_WORDS):
+        lam = C2_AFF.weight(h, g)
+        ps = generate_demazure_set(C2_AFF, lam, word)
+        assert list(ps.paths) == oracle_set(C2_AFF, lam, word)
+        assert all(len(down) <= bound for down in ps._table.down)
+    tab = ps._table
+    kept = ends = 0
+    for p, i in enumerate(C2_AFF.indices):
+        for b, c in tab.down[p].items():
+            want = root_op_f(C2_AFF, i, tab.path(b))
+            assert want == (None if c is None else tab.path(c))
+            kept += 1
+            ends += c is None
+    assert ends
+    if bound == 4096:
+        assert lowered[tab] < kept
+    clear_path_memos()
 
 
 def _members(ps):
