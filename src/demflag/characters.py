@@ -447,14 +447,18 @@ def demazure_word_char(datum: Datum, word: Sequence[int],
     by value and type would not reach inside the word; the character is
     then looked up in a memo and the same object is handed out again.
     """
-    h, d = datum.weight(seed.h, seed.d)
+    h, d = datum.weight(*seed)
     return _word_char(datum, tuple([datum.pos(i) for i in reversed(word)]),
                       (*h, d))
 
 
 # The ladders ``demazure_word_char`` hands out, keyed by checked positions
-# and seed, ``MEMO_SIZE`` like the other module memos.
-@lru_cache(maxsize=MEMO_SIZE)
+# and seed.  A ladder is asked for beside the path set of its word, as
+# ``crystal-check`` does, and repeated at once like the set, so the memo is
+# as small as the path-set memo.  Peak memory of one in-process perfbench
+# ``paths`` pass (seed 1) was 20.9, 21.0 and 21.3 MB holding no ladder, 8
+# and 48 (Python 3.11.7, x86-64), and 8 serve every repeat of the pass.
+@lru_cache(maxsize=MEMO_SIZE // 6)
 def _word_char(datum: Datum, positions: tuple[int, ...],
                key: tuple[int, ...]) -> Character:
     return _unpacked(datum, *_ladder(datum, positions, {key: 1}))

@@ -352,10 +352,10 @@ def test_memo_stays_within_its_bound():
     beneath them four times that; beneath expansions, the dominant
     multiplicities of Weyl characters keep four times and their orbits
     eight times that.  Path crystals keep ``MEMO_SIZE`` tables and the
-    path sets grown in them a sixth of that; word ladders keep
-    ``MEMO_SIZE``.  Run past every bound: each A1 weight ``n`` adds one
-    top and one orbit, that of ``n`` itself; past the tops' bound the
-    orbits are asked for alone, which is cheaper."""
+    path sets grown in them and the word ladders compared with those
+    sets a sixth of that.  Run past every bound: each A1 weight ``n``
+    adds one top and one orbit, that of ``n`` itself; past the tops' bound
+    the orbits are asked for alone, which is cheaper."""
     size = demazure.MEMO_SIZE
     bounds = ((demazure._dim, size), (demazure._labels, 4 * size))
     for memo, _ in bounds:
@@ -384,4 +384,4 @@ def test_memo_stays_within_its_bound():
         demazure_word_char(A1_AFF, (0, 1), lam)
         assert crystals.cache_info().currsize == min(n + 1, size)
         assert sets.cache_info().currsize == min(n + 1, size // 6)
-        assert ladders.cache_info().currsize == min(n + 1, size)
+        assert ladders.cache_info().currsize == min(n + 1, size // 6)

@@ -694,14 +694,14 @@ class _YieldingTable(lspath._Table):
 
 
 def test_threads_growing_one_top_match_a_sequential_run(monkeypatch):
-    """Threads grow different words of one top in its shared table, two
-    threads a word, and export their edges; each result equals the set
-    grown alone from cold."""
-    lam = C2_AFF.weight([1, 0, 1])
+    """Threads grow different words of one top in its shared table, each
+    word at grades 0 and 2, which walk the same edges, and export their
+    edges; each result equals the set grown alone from cold."""
+    cases = [(word, g) for word in SHARED_TOP_WORDS for g in (0, 2)]
     alone = {}
-    for word in SHARED_TOP_WORDS:
+    for word, g in cases:
         clear_path_memos()
-        alone[word] = _grown(C2_AFF, lam, word)
+        alone[word, g] = _grown(C2_AFF, C2_AFF.weight([1, 0, 1], g), word)
     monkeypatch.setattr(lspath, "_Table", _YieldingTable)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -710,18 +710,20 @@ def test_threads_growing_one_top_match_a_sequential_run(monkeypatch):
             clear_path_memos()
             results = []
 
-            def grow(word):
-                results.append((word, _grown(C2_AFF, lam, word)))
+            def grow(word, g):
+                results.append(((word, g), _grown(
+                    C2_AFF, C2_AFF.weight([1, 0, 1], g), word)))
 
-            threads = [threading.Thread(target=grow, args=(word,))
-                       for word in SHARED_TOP_WORDS * 2]
+            threads = [threading.Thread(target=grow, args=case)
+                       for case in cases]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert len(results) == len(threads)
-            assert all(got == alone[word] for word, got in results)
+            assert all(got == alone[case] for case, got in results)
+            assert lspath._crystal.cache_info().currsize == 1
     finally:
         sys.setswitchinterval(interval)
         clear_path_memos()
