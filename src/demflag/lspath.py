@@ -25,8 +25,8 @@ reflection fixes it, so the crystal of ``lam + g delta`` is that of
 pairings, the same edges and the same order (adding one amount to the
 last entry of every direction reorders none).  A table holds directions
 at grade 0.  A set carries its grade, its weights start from ``lam`` with
-that grade, and only ``_Table.path`` adds the grade, when it builds an
-``LSPath``.
+that grade, and only ``_Table.paths`` adds the grade, when it builds
+``LSPath``s.
 
 The table interns directions as small ints and holds for each node and
 direction the pairing ``v(h_i)`` and, filled in when first asked, the id
@@ -210,13 +210,17 @@ class _Table:
             out += (t, self.intern(v))
         return tuple(out)
 
-    def path(self, b: Flat, grade: int = 0) -> LSPath:
-        """The path of ``b`` with ``grade`` added to the last entry, the
-        value on the scaling element, of every direction."""
-        vs = map(self.dirs.__getitem__, b[2::2])
+    def paths(self, flats: Sequence[Flat], grade: int = 0) -> list[LSPath]:
+        """The paths of ``flats`` with ``grade`` added to the last entry,
+        the value on the scaling element, of every direction.  Paths share
+        their direction tuples, so each moved direction is built once."""
+        dirs = self.dirs
         if grade:
-            vs = [(*v[:-1], v[-1] + grade) for v in vs]
-        return LSPath(b[0], tuple(zip(b[1::2], vs)))
+            used = {d for b in flats for d in b[2::2]}
+            dirs = {d: (*dirs[d][:-1], dirs[d][-1] + grade) for d in used}
+        get = dirs.__getitem__
+        return [LSPath(b[0], tuple(zip(b[1::2], map(get, b[2::2]))))
+                for b in flats]
 
 
 def _heights(pairs: list[int], ts: Flat, ds: Flat) -> list[int]:
@@ -311,7 +315,7 @@ def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
     p = ad.pos(i)
     tab = _Table(ad)
     b, _ = _lower(tab, p, tab.flat(LSPath(n, steps)))
-    return None if b is None else tab.path(b)
+    return None if b is None else tab.paths([b])[0]
 
 
 def _sorted(tab: _Table, flats) -> list[Flat]:
@@ -354,9 +358,9 @@ class PathSet:
     @property
     def paths(self) -> tuple[LSPath, ...]:
         if self._paths is None:
-            tab, grade = self._table, self._grade
-            object.__setattr__(self, "_paths", tuple(
-                tab.path(b, grade) for b in _sorted(tab, self._weights)))
+            tab = self._table
+            object.__setattr__(self, "_paths", tuple(tab.paths(
+                _sorted(tab, self._weights), self._grade)))
         return self._paths
 
     def _by_eps(self) -> dict[tuple[int, ...], list[Flat]]:
@@ -476,18 +480,19 @@ def joseph_highest(ad: AffineDatum, mu: Weight, lam: Weight,
     (_, (*h, d)), = straight_path(ad, mu).steps
     mu = Weight(tuple(h), d)
     ps = generate_demazure_set(ad, lam, word)
-    tab, grade, weights = ps._table, ps._grade, ps._weights
+    tab, weights = ps._table, ps._weights
     # For an integer mu(h_i), mu(h_i) + min h_i(b) / n >= 0 is
     # mu(h_i) >= -floor(min h_i(b) / n).
-    out: list[tuple[LSPath, Weight]] = []
-    for b in _sorted(tab, [b for eps, group in ps._by_eps().items()
-                           if all(map(le, eps, mu.h)) for b in group]):
+    kept = _sorted(tab, [b for eps, group in ps._by_eps().items()
+                         if all(map(le, eps, mu.h)) for b in group])
+    nus: list[Weight] = []
+    for b in kept:
         *h, d = weights[b]
         nu = mu + Weight(tuple(h), d)
         if not ad.is_dominant(nu):
             raise AssertionError("highest term must be dominant")
-        out.append((tab.path(b, grade), nu))
-    return out
+        nus.append(nu)
+    return list(zip(tab.paths(kept, ps._grade), nus))
 
 
 def f_edge_lines(ps: PathSet) -> str:

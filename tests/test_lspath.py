@@ -765,6 +765,9 @@ def test_sets_of_one_top_at_several_grades_share_one_table():
         assert ps._table is base._table
         assert list(ps.paths) == [_graded(pi, g) for pi in base.paths] \
             == oracle_set(C2_AFF, lam, word)
+        # Each moved direction is built once and shared by the paths.
+        dirs = [v for pi in ps.paths for _, v in pi.steps]
+        assert len(set(map(id, dirs))) == len(set(dirs))
         assert crystal_character(ps) == Character(C2_AFF, {
             (w, d + g): c for (w, d), c in crystal_character(base).terms()})
         assert crystal_character(ps) == demazure_word_char(C2_AFF, word, lam)
@@ -804,8 +807,8 @@ def test_every_kept_edge_is_the_lowering_operator(monkeypatch, bound):
     kept = ends = 0
     for p, i in enumerate(C2_AFF.indices):
         for b, c in tab.down[p].items():
-            want = root_op_f(C2_AFF, i, tab.path(b))
-            assert want == (None if c is None else tab.path(c))
+            want = root_op_f(C2_AFF, i, *tab.paths([b]))
+            assert want == (None if c is None else tab.paths([c])[0])
             kept += 1
             ends += c is None
     assert ends
@@ -816,7 +819,8 @@ def test_every_kept_edge_is_the_lowering_operator(monkeypatch, bound):
 
 def _members(ps):
     """A set's paths with their weights, read out of its table."""
-    return {ps._table.path(b): w for b, w in ps._weights.items()}
+    return dict(zip(ps._table.paths(list(ps._weights)),
+                    ps._weights.values()))
 
 
 def test_a_table_keeps_a_bounded_number_of_edges_a_node(monkeypatch):
