@@ -64,15 +64,23 @@ class FlagDecomposition(NamedTuple):
 
 
 class DominantLWeight:
-    """Dominant weight split as labelled summands; labels must differ."""
+    """Dominant weight split as labelled summands; labels must differ.
+    Immutable, so the labels stay as checked."""
 
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[tuple[Weight, str], ...]) -> None:
+        factors = tuple(factors)
         labels = [a for _, a in factors]
         if len(set(labels)) != len(labels):
             raise ValueError("summand labels must be pairwise distinct")
-        self.factors = factors
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("DominantLWeight is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("DominantLWeight is immutable")
 
     def weight(self, rd: RootDatum) -> Weight:
         total = rd.zero_weight

@@ -16,17 +16,17 @@ polylines.  ``LSPath.segments`` gives the rational form back; the
 operators stay in the integers.
 
 Generation does not build ``LSPath``s.  The Demazure sets of one
-classical top, a datum with the straight path to a dominant weight at
-grade 0, are subsets of one path crystal, and all of them grow in one
-table per top, kept for the last ``MEMO_SIZE`` tops.  The grade needs no
-table of its own: ``delta`` pairs to zero with every coroot and every
-reflection fixes it, so the crystal of ``lam + g delta`` is that of
-``lam`` with every direction moved by ``g delta``, with the same
-pairings, the same edges and the same order (adding one amount to the
-last entry of every direction reorders none).  A table holds directions
-at grade 0.  A set carries its grade, its weights start from ``lam`` with
-that grade, and only ``_Table.paths`` adds the grade, when it builds
-``LSPath``s.
+classical top, a datum with the values ``h`` of a dominant weight, are
+subsets of one path crystal, and all of them grow in one table per top,
+keyed by the datum and ``h`` and kept for the last ``MEMO_SIZE`` tops.
+The grade needs no table of its own: ``delta`` pairs to zero with every
+coroot and every reflection fixes it, so the crystal of ``lam + g
+delta`` is that of ``lam`` with every direction moved by ``g delta``,
+with the same pairings, the same edges and the same order (adding one
+amount to the last entry of every direction reorders none).  A table
+holds directions at grade 0.  A set carries its grade, its weights start
+from ``lam`` with that grade, and only ``_Table.paths`` adds the grade,
+when it builds ``LSPath``s.
 
 The table interns directions as small ints and holds for each node and
 direction the pairing ``v(h_i)`` and, filled in when first asked, the id
@@ -81,15 +81,15 @@ and no operator is defined on its path), so merging equal neighbours
 merges every pair that a traced polyline would.  Sets are ordered on
 directions, then durations, which is the order of the rational segments.
 
-``straight_path`` checks its weight (integral values and grade, of the
-datum's rank, dominant), and ``generate_demazure_set`` and
-``joseph_highest`` check theirs through it.  ``generate_demazure_set``
-checks its weight and every letter on every call, so a bad input raises
-every time and no error is kept (a key typed by value and type would not
-reach inside the word's tuple).  It then looks the set up in a
-per-process memo of the last ``MEMO_SIZE // 6`` sets, keyed by datum,
-straight path (grade included) and letter positions; a repeated request
-returns the same ``PathSet``.  A ``PathSet`` is immutable.  It keeps its
+``straight_path``, ``generate_demazure_set`` and ``joseph_highest`` check
+their weight the same way (integral values and grade, of the datum's
+rank, dominant).  ``generate_demazure_set`` checks its weight and every
+letter on every call, so a bad input raises every time and no error is
+kept (a key typed by value and type would not reach inside the word's
+tuple).  It then looks the set up in a per-process memo of the last
+``MEMO_SIZE // 6`` sets, keyed by the datum, the checked values ``h``
+and grade, and the letters' node positions; a repeated request returns
+the same ``PathSet``.  A ``PathSet`` is immutable.  It keeps its
 flat paths, their weights, its crystal's table, its grade and its
 character; ``len`` and ``crystal_character`` build no ``LSPath``, and
 ``paths`` builds and sorts them on first access and keeps them.
@@ -204,12 +204,6 @@ class _Table:
                 [y - x * z for y, z in zip(v, self.roots[p])])) if x else d
         return r
 
-    def flat(self, pi: LSPath) -> Flat:
-        out = [pi.n]
-        for t, v in pi.steps:
-            out += (t, self.intern(v))
-        return tuple(out)
-
     def paths(self, flats: Sequence[Flat], grade: int = 0) -> list[LSPath]:
         """The paths of ``flats`` with ``grade`` added to the last entry,
         the value on the scaling element, of every direction.  Paths share
@@ -314,7 +308,8 @@ def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
         raise ValueError("neighbouring path directions must differ")
     p = ad.pos(i)
     tab = _Table(ad)
-    b, _ = _lower(tab, p, tab.flat(LSPath(n, steps)))
+    b, _ = _lower(tab, p, (n, *[x for t, v in steps
+                                for x in (t, tab.intern(v))]))
     return None if b is None else tab.paths([b])[0]
 
 
@@ -386,18 +381,19 @@ class PathSet:
 def generate_demazure_set(ad: AffineDatum, lam: Weight,
                           word: Sequence[int]) -> PathSet:
     """All ``f``-strings along the word, last letter first, from straight."""
-    return _path_set(ad, straight_path(ad, lam), tuple(map(ad.pos, word)))
+    h, grade = ad.dominant(ad.weight(lam.h, lam.d))
+    return _path_set(ad, h, grade, tuple(map(ad.pos, word)))
 
 
-# One table per classical top, the datum and the straight path at grade 0;
+# One table per classical top, the datum and a dominant weight's values;
 # every Demazure set of that crystal, at every grade, grows in it.  A table
 # keeps every path its sets have visited, with the edges walked from it.
 # The perfbench ``paths`` family has 119 requests over 26 classical tops (47
 # with their grades), and 51% of the 21,964 lowering edges one pass walks
 # were walked before by a set of the same top.
 @lru_cache(maxsize=MEMO_SIZE)
-def _crystal(ad: AffineDatum, top: LSPath) -> _Table:
-    """The table the path sets of ``top`` grow in; ``top`` is the key."""
+def _crystal(ad: AffineDatum, h: tuple[int, ...]) -> _Table:
+    """The table the path sets of the classical top ``h`` grow in."""
     return _Table(ad)
 
 
@@ -409,40 +405,36 @@ _DOWN_SIZE = 4096
 
 
 def _edge(tab: _Table, p: int, b: Flat) -> Optional[Flat]:
-    """``f_i`` of ``b`` at position ``p`` through the table's edges, adding
-    the edge when first walked, and the undefined edge after it when
-    ``phi_i(b) = 1``; the caller holds ``tab.lock``."""
+    """``f_i`` of ``b`` at position ``p``, an edge the caller did not find
+    in the table: lowers it and adds it, and the undefined edge after it
+    when ``phi_i(b) = 1``; the caller holds ``tab.lock``."""
     down = tab.down[p]
-    c = down.get(b, _UNSEEN)
-    if c is _UNSEEN:
-        # Up to two edges are added, so a node is cleared one short of full.
-        if len(down) >= _DOWN_SIZE - 1:
-            down.clear()
-        c, last = _lower(tab, p, b)
-        down[b] = c
-        if last:
-            down[c] = None
+    # Up to two edges are added, so a node is cleared one short of full.
+    if len(down) >= _DOWN_SIZE - 1:
+        down.clear()
+    c, last = _lower(tab, p, b)
+    down[b] = c
+    if last:
+        down[c] = None
     return c
 
 
 # The memo holds each set with every path in it, so its bound is the
 # smallest of the module memos.  Peak memory of one in-process pass of the
 # perfbench ``paths`` family, each request asked twice in a row, with the
-# tables of up to 48 classical tops and the last 48 word ladders kept, is
-# 20.8 MB with no set memo and 20.8, 20.9, 21.0 and 21.8 MB with 4, 8, 16
-# and 48 sets held (Python 3.11.7, x86-64, modules loaded from bytecode).
-# Callers repeat a set at once (a repeated request, ``joseph_highest`` for
-# several ``mu`` over one crystal), so eight serve them.
+# tables of up to 48 classical tops and the last 8 word ladders kept, is
+# 20.2-20.3 MB with no set memo and 20.4, 20.4-20.5, 20.6-20.8 and
+# 21.1-21.4 MB with 4, 8, 16 and 48 sets held (three runs each, Python
+# 3.11.7, x86-64, modules loaded from bytecode).  Callers repeat a set at
+# once (a repeated request, ``joseph_highest`` for several ``mu`` over one
+# crystal), so eight serve them: no repeat of such a pass misses.
 @lru_cache(maxsize=MEMO_SIZE // 6)
-def _path_set(ad: AffineDatum, top: LSPath,
+def _path_set(ad: AffineDatum, h: tuple[int, ...], grade: int,
               positions: tuple[int, ...]) -> PathSet:
-    (_, lam), = top.steps
-    *h, grade = lam
-    base = LSPath(1, ((1, (*h, 0)),))
-    tab = _crystal(ad, base)
+    tab = _crystal(ad, h)
     with tab.lock:
-        # Weights start at ``lam`` with its grade; directions at grade 0.
-        weights = {tab.flat(base): lam}
+        # Weights start at ``h`` with its grade; directions at grade 0.
+        weights = {(1, 1, tab.intern((*h, 0))): (*h, grade)}
         for p in reversed(positions):
             alpha = ad.flat_roots[p]
             get = tab.down[p].get
@@ -477,8 +469,7 @@ def joseph_highest(ad: AffineDatum, mu: Weight, lam: Weight,
     for every node.  Returns the surviving crystal members with the
     dominant weights ``mu + wt(b)``, in the path set's deterministic order.
     """
-    (_, (*h, d)), = straight_path(ad, mu).steps
-    mu = Weight(tuple(h), d)
+    mu = ad.dominant(ad.weight(mu.h, mu.d))
     ps = generate_demazure_set(ad, lam, word)
     tab, weights = ps._table, ps._weights
     # For an integer mu(h_i), mu(h_i) + min h_i(b) / n >= 0 is
@@ -508,7 +499,8 @@ def f_edge_lines(ps: PathSet) -> str:
     with tab.lock:
         for k, b in enumerate(order):
             for p, i in enumerate(ps.datum.indices):
-                q = position.get(_edge(tab, p, b))
-                if q is not None:
+                if (c := tab.down[p].get(b, _UNSEEN)) is _UNSEEN:
+                    c = _edge(tab, p, b)
+                if (q := position.get(c)) is not None:
                     lines.append(f"{k} {i} {q}")
     return "\n".join(lines) + ("\n" if lines else "")

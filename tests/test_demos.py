@@ -29,8 +29,12 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_demo_output_is_unchanged(name):
+    """Each demo runs at the interpreter's own optimisation level, so a
+    run under ``python -O`` checks the demos under ``-O`` too."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+    optimize = ["-" + "O" * sys.flags.optimize] if sys.flags.optimize else []
+    run = subprocess.run([sys.executable, *optimize,
+                          str(ROOT / "demos" / name)],
                          capture_output=True, env=env, cwd=ROOT, timeout=60)
     assert run.returncode == 0, run.stderr.decode()
     assert run.stderr == b""

@@ -344,6 +344,20 @@ def test_labels_must_be_distinct():
         DominantLWeight(((om, "a"), (om, "a")))
 
 
+def test_labelled_weights_are_immutable():
+    """The labels stay as checked: a split cannot be edited into one the
+    constructor refuses."""
+    om = A1.weight([1])
+    varpi = DominantLWeight([(om, "a"), (om, "b")])
+    assert varpi.factors == ((om, "a"), (om, "b"))
+    for name in ("factors", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(varpi, name, ((om, "a"), (om, "a"), (om, "a")))
+        with pytest.raises(AttributeError):
+            delattr(varpi, name)
+    assert local_weyl_character(A1, varpi).mass() == 4
+
+
 def test_dominant_lweight_total():
     varpi = DominantLWeight(((C2.weight([1, 0]), "a"),
                              (C2.weight([0, 1]), "b")))

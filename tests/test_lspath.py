@@ -296,6 +296,15 @@ def test_lowering_examples():
     assert down0.weight() == A1_AFF.weight([-1, 2], -1)
 
 
+def test_lowering_merges_a_cut_at_a_step_end_with_the_next_step():
+    """The reflected stretch ends exactly where a step ends, and the
+    reflected direction equals the next one, so the two merge."""
+    pi = LSPath(8, ((2, (1, -1, 0)), (4, (0, 2, 0)), (1, (4, -2, 0)),
+                    (1, (0, 2, 0))))
+    want = LSPath(8, ((2, (1, -1, 0)), (5, (4, -2, 0)), (1, (0, 2, 0))))
+    assert root_op_f(A1_AFF, 1, pi) == _lower(A1_AFF, 1, pi) == want
+
+
 def test_raising_is_inverse_of_lowering():
     lam1 = A1_AFF.fundamental_weight(1)
     pi = straight_path(A1_AFF, lam1)
