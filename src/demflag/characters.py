@@ -122,13 +122,13 @@ shared by every top:
   through weights have no gaps.  Every division must be exact; one that is
   not raises ``AssertionError`` (a ``raise``, so ``python -O`` keeps it).
 
-A character is written from these tables orbit by orbit (``_orbit_sum``):
-the coefficient of a dominant weight at a grade goes to every key of its
-orbit at that grade, each key once, since distinct dominant weights have
-disjoint orbits.  ``weyl_character_finite`` writes one top's table, and
-``_expand`` first sums ``m * mult_top(mu)`` over the tops of a
-multiplicity map, per grade and dominant ``mu``, so it builds no
-irreducible character and writes each orbit once per grade.
+Every weight character is written from these tables by one function,
+``_expand``, from a multiplicity map ``{top: {grade: m}}``;
+``weyl_character_finite`` hands it the map of one top, ``{lam: {d: 1}}``.
+It first sums ``m * mult_top(mu)`` over the tops, per grade and dominant
+``mu``, so it builds no irreducible character, then writes each sum over
+its orbit at that grade, each key once, since distinct dominant weights
+have disjoint orbits.
 
 The cost follows the number of dominant weights and the orbit sizes, not
 the number of terms times the length of ``w0``.  The ladder along ``w0``
@@ -137,10 +137,10 @@ gives the same character, and the tests compare the two.
 A graded classical character is the shadow of an affine one: restrict each
 weight to the finite coroots and keep ``d`` as the grade.
 
-Characters are immutable: arithmetic returns new ones, and assigning or
-deleting an attribute raises ``AttributeError``.  The memos of
-``weyl_character_finite`` and of ``demazure`` and ``flags`` hand the same
-object to every caller.
+Characters are immutable (``root_data.Frozen``): arithmetic returns new
+ones, and assigning or deleting an attribute raises ``AttributeError``.
+The memos of ``weyl_character_finite`` and of ``demazure`` and ``flags``
+hand the same object to every caller.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ from math import isqrt
 from operator import add, index, le, lshift, mul, rshift, sub
 from typing import Iterable, Mapping, Sequence
 
-from .root_data import AffineDatum, Datum, RootDatum, Weight
+from .root_data import AffineDatum, Datum, Frozen, RootDatum, Weight
 
 Flat = dict[tuple[int, ...], int]
 Labels = dict[tuple[int, ...], dict[int, int]]      # {top: {grade: m}}
@@ -169,31 +169,28 @@ Labels = dict[tuple[int, ...], dict[int, int]]      # {top: {grade: m}}
 MEMO_SIZE = 48
 
 
-class Character:
+class Character(Frozen):
     """Finite map ``h + (d,) -> nonzero int`` over one datum.
 
-    Built from ``(h, d)`` pairs, a ``Weight`` among them, whose ``h`` must
-    have the datum's rank and whose values and coefficients must be
-    integers; ``ValueError`` otherwise.  Zero coefficients are dropped.
+    Built from ``(h, d)`` pairs, a ``Weight`` among them, each checked by
+    ``datum.weight``, and integer coefficients; ``ValueError`` otherwise.
+    Zero coefficients are dropped.
     """
 
     __slots__ = ("datum", "_terms")
 
     def __init__(self, datum: Datum,
                  terms: Mapping[tuple[Sequence[int], int], int]):
-        rank = len(datum.indices)
         flat: Flat = {}
         for (h, d), c in terms.items():
-            if len(h) != rank:
-                raise ValueError(f"weight rank does not match {datum.label}")
+            h, d = datum.weight(h, d)
             try:
-                key, c = (*map(index, h), index(d)), index(c)
+                c = index(c)
             except TypeError:
-                raise ValueError(f"weight {tuple(h)} at grade {d!r} with "
-                                 f"coefficient {c!r} is not integral"
+                raise ValueError(f"coefficient {c!r} is not integral"
                                  ) from None
             if c:
-                flat[key] = c
+                flat[(*h, d)] = c
         object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "_terms", flat)
 
@@ -204,12 +201,6 @@ class Character:
         object.__setattr__(out, "datum", datum)
         object.__setattr__(out, "_terms", flat)
         return out
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("Character is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("Character is immutable")
 
     @classmethod
     def zero(cls, datum: Datum) -> "Character":
@@ -595,12 +586,20 @@ def _weyl_dim(rd: RootDatum, h: tuple[int, ...]) -> int:
     return num // den
 
 
-def _orbit_sum(rd: RootDatum,
-               sums: dict[tuple[int, ...], dict[int, int]]) -> Character:
-    """The character ``sum c e^nu``, ``nu`` over the orbit of ``mu`` at
-    grade ``g``, over ``sums = {mu: {g: c}}`` with ``mu`` dominant flat
-    keys.  Distinct ``mu`` have disjoint orbits, so each key is written
-    once, and a zero ``c`` writes nothing."""
+def _expand(rd: RootDatum, labels: Labels) -> Character:
+    """The weight character of ``{top: {grade: m}}``: every top's dominant
+    multiplicities times ``m``, summed per dominant weight and grade, and
+    each sum written over its Weyl orbit once.  Distinct dominant weights
+    have disjoint orbits, so each key is written once, and a zero sum
+    writes nothing."""
+    sums: dict[tuple[int, ...], dict[int, int]] = {}
+    for top, row in labels.items():
+        for mu, c in _dominant(rd, top):
+            if (into := sums.get(mu)) is None:
+                into = sums[mu] = {}
+            get = into.get
+            for g, m in row.items():
+                into[g] = get(g, 0) + m * c
     out: Flat = {}
     for mu, row in sums.items():
         orbit = _orbit(rd, mu)
@@ -615,27 +614,12 @@ def _orbit_sum(rd: RootDatum,
     return Character._wrap(rd, out)
 
 
-def _expand(rd: RootDatum, labels: Labels) -> Character:
-    """The weight character of ``{top: {grade: m}}``: every top's dominant
-    multiplicities times ``m``, summed per dominant weight and grade, and
-    each sum written over its Weyl orbit once."""
-    sums: dict[tuple[int, ...], dict[int, int]] = {}
-    for top, row in labels.items():
-        for mu, c in _dominant(rd, top):
-            if (into := sums.get(mu)) is None:
-                into = sums[mu] = {}
-            get = into.get
-            for g, m in row.items():
-                into[g] = get(g, 0) + m * c
-    return _orbit_sum(rd, sums)
-
-
 # The characters ``weyl_character_finite`` hands out, ``MEMO_SIZE`` like the
 # other module memos: expansions read ``_dominant`` and ``_orbit``, not these.
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
 def _weyl_character(rd: RootDatum, d: int, *h: int) -> Character:
     h, d = rd.dominant(rd.weight(h, d))
-    return _orbit_sum(rd, {mu: {d: m} for mu, m in _dominant(rd, h)})
+    return _expand(rd, {h: {d: 1}})
 
 
 def forget_grading(g: Character) -> Character:

@@ -48,7 +48,7 @@ from .flags import (DominantLWeight, FlagDecomposition, graded_weyl_character,
 from .lspath import crystal_character, generate_demazure_set, joseph_highest
 from .root_data import AffineDatum, RootDatum, affinize, datum_from_label
 
-_LABEL_OK = re.compile(r"^[A-Za-z0-9_.-]+$")
+_LABEL_OK = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 class Table(NamedTuple):
@@ -185,10 +185,11 @@ def cache_key(command: str, params: dict, fmt: str) -> str:
 
 
 def cache_read(cdir: str, key: str) -> Optional[str]:
-    path = os.path.join(cdir, key + ".json")
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(os.path.join(cdir, key + ".json"), "r", encoding="utf-8")
+    except FileNotFoundError:
+        return None           # no entry, or one removed since: a miss
+    with fh:
         try:
             entry = json.load(fh)
         except (ValueError, RecursionError):
@@ -267,7 +268,7 @@ def _factors(rd: RootDatum, ad: AffineDatum, args) -> DominantLWeight:
         if "@" not in text:
             raise ValueError(f"--factor needs the form H,..,H@label: {text!r}")
         coords, label = text.rsplit("@", 1)
-        if not _LABEL_OK.match(label):
+        if not _LABEL_OK.fullmatch(label):
             raise ValueError(f"bad factor label {label!r}")
         factors.append((rd.weight(_ints(coords, "--factor")), label))
     return DominantLWeight(tuple(factors))

@@ -52,7 +52,7 @@ from .characters import (MEMO_SIZE, Character, Labels, _expand,
                          _irreducibles, check_w_invariance_per_grade,
                          forget_grading)
 from .demazure import _label, _labels
-from .root_data import (AffineDatum, RootDatum, Weight, affinize,
+from .root_data import (AffineDatum, Frozen, RootDatum, Weight, affinize,
                         eta_lambda, short_subdatum)
 
 
@@ -63,7 +63,7 @@ class FlagDecomposition(NamedTuple):
     pieces: tuple[tuple[Weight, int, int], ...]
 
 
-class DominantLWeight:
+class DominantLWeight(Frozen):
     """Dominant weight split as labelled summands; labels must differ.
     Immutable, so the labels stay as checked."""
 
@@ -75,12 +75,6 @@ class DominantLWeight:
         if len(set(labels)) != len(labels):
             raise ValueError("summand labels must be pairwise distinct")
         object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("DominantLWeight is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("DominantLWeight is immutable")
 
     def weight(self, rd: RootDatum) -> Weight:
         total = rd.zero_weight

@@ -89,10 +89,12 @@ kept (a key typed by value and type would not reach inside the word's
 tuple).  It then looks the set up in a per-process memo of the last
 ``MEMO_SIZE // 6`` sets, keyed by the datum, the checked values ``h``
 and grade, and the letters' node positions; a repeated request returns
-the same ``PathSet``.  A ``PathSet`` is immutable.  It keeps its
-flat paths, their weights, its crystal's table, its grade and its
-character; ``len`` and ``crystal_character`` build no ``LSPath``, and
-``paths`` builds and sorts them on first access and keeps them.
+the same ``PathSet``.  A ``PathSet`` is immutable (``root_data.Frozen``).
+It keeps its flat paths, their weights, its crystal's table, its grade
+and its character; ``len`` and ``crystal_character`` build no ``LSPath``.
+Two fields are ``cached_property``s, computed on first access and kept
+in the instance ``__dict__``: ``paths``, the ``LSPath``s built and
+sorted, and ``_by_eps``, the groups ``joseph_highest`` reads (below).
 ``root_op_f`` takes a path from outside, so it raises ``ValueError``
 unless ``n >= 1``, the durations are positive integers that sum to ``n``,
 every direction is integral with ``rank + 2`` entries (the nodes
@@ -116,14 +118,14 @@ from __future__ import annotations
 
 from _thread import allocate_lock
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 from operator import index, le, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .characters import MEMO_SIZE, Character
-from .root_data import AffineDatum, Weight
+from .root_data import AffineDatum, Frozen, Weight
 
 Step = tuple[int, tuple[int, ...]]            # (n t, v)
 Segment = "tuple[tuple[Fraction, ...], Fraction]"     # (direction, duration)
@@ -322,54 +324,38 @@ def _sorted(tab: _Table, flats) -> list[Flat]:
         (dirs[d], t * (ln // b[0])) for t, d in zip(b[1::2], b[2::2])])
 
 
-class PathSet:
+class PathSet(Frozen):
     """Deduplicated, deterministically ordered, immutable set of generated
     paths.  Keeps the flat paths with their endpoint weights, the crystal
     table they were grown in, the grade its paths add to every direction
     of the table and the character; ``paths`` and the ``eps`` groups are
-    built on first use."""
-
-    __slots__ = ("datum", "_table", "_grade", "_weights", "_character",
-                 "_paths", "_eps")
+    cached properties, built on first use.  Neither is read under the
+    table's lock: ``cached_property`` may hold a lock of its own while it
+    computes."""
 
     def __init__(self, datum: AffineDatum, table: _Table, grade: int,
                  weights: dict[Flat, tuple[int, ...]]) -> None:
-        object.__setattr__(self, "datum", datum)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_grade", grade)
-        object.__setattr__(self, "_weights", weights)
         # Endpoints are integral weights of the datum: no check is needed.
-        object.__setattr__(self, "_character", Character._wrap(
-            datum, dict(Counter(weights.values()))))
-        object.__setattr__(self, "_paths", None)
-        object.__setattr__(self, "_eps", None)
+        vars(self).update(datum=datum, _table=table, _grade=grade,
+                          _weights=weights, _character=Character._wrap(
+                              datum, dict(Counter(weights.values()))))
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("PathSet is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("PathSet is immutable")
-
-    @property
+    @cached_property
     def paths(self) -> tuple[LSPath, ...]:
-        if self._paths is None:
-            tab = self._table
-            object.__setattr__(self, "_paths", tuple(tab.paths(
-                _sorted(tab, self._weights), self._grade)))
-        return self._paths
+        tab = self._table
+        return tuple(tab.paths(_sorted(tab, self._weights), self._grade))
 
+    @cached_property
     def _by_eps(self) -> dict[tuple[int, ...], list[Flat]]:
         """The flat paths grouped by ``-floor(min h_i / n)`` at each node,
-        in node order; grouped on first use and kept."""
-        if self._eps is None:
-            groups: dict[tuple[int, ...], list[Flat]] = {}
-            for b in self._weights:
-                ts, ds = b[1::2], b[2::2]
-                eps = tuple(-(min(_heights(pairs, ts, ds)) // b[0])
-                            for pairs in self._table.pairs)
-                groups.setdefault(eps, []).append(b)
-            object.__setattr__(self, "_eps", groups)
-        return self._eps
+        in node order."""
+        groups: dict[tuple[int, ...], list[Flat]] = {}
+        for b in self._weights:
+            ts, ds = b[1::2], b[2::2]
+            eps = tuple(-(min(_heights(pairs, ts, ds)) // b[0])
+                        for pairs in self._table.pairs)
+            groups.setdefault(eps, []).append(b)
+        return groups
 
     def __len__(self) -> int:
         return len(self._weights)
@@ -474,7 +460,7 @@ def joseph_highest(ad: AffineDatum, mu: Weight, lam: Weight,
     tab, weights = ps._table, ps._weights
     # For an integer mu(h_i), mu(h_i) + min h_i(b) / n >= 0 is
     # mu(h_i) >= -floor(min h_i(b) / n).
-    kept = _sorted(tab, [b for eps, group in ps._by_eps().items()
+    kept = _sorted(tab, [b for eps, group in ps._by_eps.items()
                          if all(map(le, eps, mu.h)) for b in group])
     nus: list[Weight] = []
     for b in kept:

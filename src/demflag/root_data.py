@@ -32,7 +32,8 @@ fraction-free elimination; root coordinates and heights read off it.
 Each datum is built once per type: ``build_finite_datum``, ``affinize`` and
 ``short_subdatum`` return the same object for the same type, so equal data
 are identical and hash by identity.  The data are immutable; assigning to a
-field raises ``AttributeError``.
+field raises ``AttributeError``, by ``Frozen``, the one base of every
+immutable value type (``Character``, ``DominantLWeight``, ``PathSet``).
 """
 
 from __future__ import annotations
@@ -218,12 +219,28 @@ def _integer_inverse(cartan: Sequence[Sequence[int]]) -> tuple[tuple, int]:
     return tuple(tuple(x // g for x in row[n:]) for row in aug), det // g
 
 
-class Datum:
-    """Root-datum base: the fields annotated on the class, given by keyword.
+class Frozen:
+    """Base of the immutable value types: assigning or deleting an
+    attribute raises ``AttributeError``.
 
-    Fields are set once, by ``__init__``; assigning or deleting one raises
-    ``AttributeError``.  ``cached_property`` writes the instance ``__dict__``
-    directly, so cached values still work.  The node, weight and simple-root
+    A subclass sets its fields once, when it is built, by writing its
+    ``__dict__`` (``vars(self).update``) or, with ``__slots__``, through
+    ``object.__setattr__``.  ``cached_property`` writes the instance
+    ``__dict__`` directly, so a field computed on first use still works.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Datum(Frozen):
+    """Root-datum base: the fields annotated on the class, given by keyword
+    and set once, by ``__init__``.  The node, weight and simple-root
     surface reads ``cartan`` and the first node ``_first`` of the subclass.
     """
 
@@ -232,12 +249,6 @@ class Datum:
             raise TypeError(f"{type(self).__name__} takes the fields "
                             f"{', '.join(self.__annotations__)}")
         vars(self).update(fields)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label}>"
@@ -323,10 +334,6 @@ class RootDatum(Datum):
     def zero_weight(self) -> Weight:
         return Weight((0,) * self.rank, 0)
 
-    @property
-    def rho(self) -> Weight:
-        return Weight((1,) * self.rank, 0)
-
     # -- simple-root coordinates -------------------------------------------
 
     @cached_property
@@ -359,16 +366,6 @@ class RootDatum(Datum):
         integer.  It is linear and positive on simple roots: ``mu < nu`` in
         the dominance order implies ``height(mu) < height(nu)``."""
         return sum(a * v for a, v in zip(self._height_vector, h))
-
-    def coroot(self, beta: Sequence[int]) -> tuple[int, ...]:
-        """Coefficients of ``h_beta`` on the ``h_i`` basis."""
-        n = self.rank
-        q = sum(beta[i] * beta[j] * self.symmetrizer[i] * self.cartan[i][j]
-                for i in range(n) for j in range(n))
-        nums = [2 * self.symmetrizer[j] * beta[j] for j in range(n)]
-        if any(x % q for x in nums):
-            raise ValueError("coroot coefficients must be integral")
-        return tuple(x // q for x in nums)
 
 
 class AffineDatum(Datum):

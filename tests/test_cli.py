@@ -380,6 +380,14 @@ def test_exit_2_cases(capsys):
         assert err.startswith("error:")
 
 
+def test_a_factor_label_may_not_end_in_a_newline(capsys):
+    # ``$`` also matches before a final newline, so ``a\n`` passed a label
+    # check written with it and counted as a label distinct from ``a``.
+    rc, out, err = run(capsys, ["local-weyl", "--type", "A1", "--factor",
+                                "1@a\n", "--factor", "1@a"] + NC)
+    assert (rc, out, err) == (2, "", "error: bad factor label 'a\\n'\n")
+
+
 def test_argparse_errors_use_exit_code_2(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()
@@ -476,6 +484,22 @@ def test_cache_read_failure_exits_4_after_output(capsys, tmp_path):
     assert rc == 4
     assert out == uncached
     assert err.startswith("cache error:")
+
+
+def test_an_entry_removed_after_a_check_is_a_miss(capsys, tmp_path,
+                                                  monkeypatch):
+    """An entry that goes between a check that it exists and the read, as
+    when a cache cleaner runs, is a miss, not a cache error."""
+    argv = ["flag", "--type", "C2", "--lambda", "2,0"]
+    _, uncached, _ = run(capsys, argv + NC)
+    key = cli.cache_key("flag", {"type": "C2", "lambda": [2, 0]}, "json")
+    entry = tmp_path / f"{key}.json"
+    exists = os.path.exists
+    monkeypatch.setattr(cli.os.path, "exists",
+                        lambda path: path == str(entry) or exists(path))
+    rc, out, err = run(capsys, argv + ["--cache-dir", str(tmp_path)])
+    assert (rc, out, err) == (0, uncached, "")
+    assert json.loads(entry.read_text())["output"] == uncached
 
 
 def test_cache_round_trip_is_byte_identical(capsys, tmp_path):

@@ -46,6 +46,9 @@ CARTAN = {
     "B2": (((2, -1), (-2, 2)), (2, 1)),       # alpha_2 short
     "C2": (((2, -2), (-1, 2)), (1, 2)),       # alpha_1 short
     "G2": (((2, -3), (-1, 2)), (1, 3)),       # alpha_1 short
+    "A3": (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), (1, 1, 1)),
+    "B3": (((2, -1, 0), (-1, 2, -1), (0, -2, 2)), (2, 2, 1)),  # alpha_3 short
+    "C3": (((2, -1, 0), (-1, 2, -2), (0, -1, 2)), (1, 1, 2)),  # alpha_3 long
 }
 
 
@@ -196,7 +199,7 @@ CASES = [(label, h) for label, (cartan, _) in CARTAN.items()
 
 
 def test_every_weight_of_coordinate_sum_at_most_two_is_covered():
-    assert len(CASES) == 22
+    assert len(CASES) == 49
 
 
 @pytest.mark.parametrize("label,h", CASES,
