@@ -1,6 +1,8 @@
 """Tables, reflections, chamber reduction, and the short-root subsystem."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import cache
@@ -138,6 +140,26 @@ def test_integer_symmetrizer_and_inverse_match_fractions():
         assert _integer_inverse(rd.cartan) == _fraction_inverse(rd.cartan)
         count += 1
     assert count == 32
+
+
+def test_catalogue_is_pinned():
+    # Every table of the 32 finite types, their affinizations and short
+    # subsystems, hashed in series and rank order: a change to how the
+    # data are built must leave each number as it was.
+    rows = []
+    for rd in all_datums():
+        ad = affinize(rd)
+        row = [rd.label, rd.cartan, rd.symmetrizer, rd.positive_roots,
+               rd.theta_coords, rd.theta_h, rd.comarks, rd.w0_word,
+               rd.short_nodes, rd.lacing, ad.cartan, ad.dual_marks,
+               ad.flat_roots]
+        if rd.short_nodes:
+            se = short_subdatum(rd)
+            row += [se.nodes, se.subdatum.label]
+        rows.append(row)
+    assert len(rows) == 32
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() \
+        == "787ead71d74f14593d51be229e7466253ea4baed2c3ae3ad1ee5d6971f807284"
 
 
 def test_weight_arithmetic_never_falls_back_to_tuples():
