@@ -6,6 +6,12 @@ Conventions, fixed once and used everywhere downstream:
   set ``{1, .., n}``; its untwisted affinization adds node ``0``, so it has
   ``{0, .., n}``.  Node ``i`` sits at position ``pos(i)``, that is ``i - 1``
   on a finite datum and ``i`` on an affine one.
+* Each finite type is one entry of one table: its diagram's edges and the
+  lengths of its simple roots (``_diagram``; Bourbaki, *Lie Groups and Lie
+  Algebras* ch. VI, plates I-IX).  The Cartan matrix and the symmetrizer
+  are read off them, and every other table is derived from the Cartan
+  matrix and checked as it is built: the number of positive roots, the
+  highest root, the comarks, the affinization and the short subsystem.
 * The Cartan matrix is stored as ``cartan[i][j] = alpha_j(h_i)``, so the
   column ``j`` is the coordinate vector of the simple root ``alpha_j`` on
   the basis of simple coroots ``h_i``.
@@ -31,9 +37,12 @@ fraction-free elimination; root coordinates and heights read off it.
 
 Each datum is built once per type: ``build_finite_datum``, ``affinize`` and
 ``short_subdatum`` return the same object for the same type, so equal data
-are identical and hash by identity.  The data are immutable; assigning to a
-field raises ``AttributeError``, by ``Frozen``, the one base of every
-immutable value type (``Character``, ``DominantLWeight``, ``PathSet``).
+are identical and hash by identity.  What most requests never read is
+computed on first use: ``den * C^-1``, and ``w0_word``, a reduced word of
+the longest element, which is ``make_dominant``'s word for ``-rho``.  The
+data are immutable; assigning to a field raises ``AttributeError``, by
+``Frozen``, the one base of every immutable value type (``Character``,
+``DominantLWeight``, ``PathSet``).
 """
 
 from __future__ import annotations
@@ -46,26 +55,40 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import errors
 
-# Inclusive rank ranges of the finite series supported here.
-_SERIES_RANKS = {
-    "A": (1, 8),
-    "B": (2, 8),
-    "C": (2, 8),
-    "D": (4, 8),
-    "E": (6, 8),
-    "F": (4, 4),
-    "G": (2, 2),
+# Per series: the inclusive range of ranks supported here, and the number
+# of positive roots at rank ``n``.
+_SERIES = {
+    "A": (1, 8, lambda n: n * (n + 1) // 2),
+    "B": (2, 8, lambda n: n * n),
+    "C": (2, 8, lambda n: n * n),
+    "D": (4, 8, lambda n: n * (n - 1)),
+    "E": (6, 8, lambda n: {6: 36, 7: 63, 8: 120}[n]),
+    "F": (4, 4, lambda n: 24),
+    "G": (2, 2, lambda n: 6),
 }
 
-_EXPECTED_POSITIVE = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-    "F": lambda n: 24,
-    "G": lambda n: 6,
-}
+
+def _diagram(series: str, rank: int) -> tuple[list[list[int]], list[int]]:
+    """Bourbaki Cartan matrix, entries ``alpha_j(h_i)``, and symmetrizer.
+
+    The diagram's edges are 0-based: a chain ``0 - 1 - .. - (n-1)``, except
+    that D moves its last link to ``(n-3, n-1)`` and E is the chain ``0 -
+    2 - 3 - .. - (n-1)`` with node 1 on node 3.  The symmetrizer ``d_i`` is
+    half the squared length of ``alpha_i``, short roots 1.  An edge ``i -
+    j`` gives ``alpha_j(h_i) = -max(1, d_j / d_i)``, so ``d_i c_ij = d_j
+    c_ji`` holds by construction.
+    """
+    n = rank
+    chain = [(k, k + 1) for k in range(n - 1)]
+    edges = {"D": chain[:-1] + [(n - 3, n - 1)],
+             "E": [(0, 2), (1, 3)] + chain[2:]}.get(series, chain)
+    sym = {"B": [2] * (n - 1) + [1], "C": [1] * (n - 1) + [2],
+           "F": [2, 2, 1, 1], "G": [1, 3]}.get(series, [1] * n)
+    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for edge in edges:
+        for i, j in (edge, edge[::-1]):
+            c[i][j] = -max(1, sym[j] // sym[i])
+    return c, sym
 
 
 class Weight(NamedTuple):
@@ -98,77 +121,6 @@ class Weight(NamedTuple):
     def __radd__(self, other):
         raise TypeError(f"unsupported operand type(s) for +: "
                         f"'{type(other).__name__}' and 'Weight'")
-
-
-def _build_cartan(series: str, rank: int) -> list[list[int]]:
-    """Bourbaki Cartan matrix with entries ``alpha_j(h_i)``."""
-    n = rank
-    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def link(i: int, j: int, down: int = -1, up: int = -1) -> None:
-        # 0-based pair; c[i][j] = alpha_j(h_i).
-        c[i][j] = down
-        c[j][i] = up
-
-    if series == "A":
-        for k in range(n - 1):
-            link(k, k + 1)
-    elif series == "B":
-        # Final root short: alpha_n(h_{n-1}) = -1, alpha_{n-1}(h_n) = -2.
-        for k in range(n - 2):
-            link(k, k + 1)
-        link(n - 2, n - 1, down=-1, up=-2)
-    elif series == "C":
-        # Final root long: alpha_n(h_{n-1}) = -2, alpha_{n-1}(h_n) = -1.
-        for k in range(n - 2):
-            link(k, k + 1)
-        link(n - 2, n - 1, down=-2, up=-1)
-    elif series == "D":
-        for k in range(n - 3):
-            link(k, k + 1)
-        link(n - 3, n - 2)
-        link(n - 3, n - 1)
-    elif series == "E":
-        # Chain 1-3-4-5-..-n with node 2 hanging off node 4.
-        link(0, 2)
-        for k in range(2, n - 1):
-            link(k, k + 1)
-        link(1, 3)
-    elif series == "F":
-        link(0, 1)
-        link(1, 2, down=-1, up=-2)   # alpha_3 short
-        link(2, 3)
-    elif series == "G":
-        link(0, 1, down=-3, up=-1)   # alpha_1 short
-    return c
-
-
-def _symmetrizer(cartan: Sequence[Sequence[int]]) -> list[int]:
-    """Minimal positive integers d with ``d_i c_ij = d_j c_ji``."""
-    n = len(cartan)
-    d = [0] * n
-    d[0] = 1
-    todo = [0]
-    while todo:
-        i = todo.pop()
-        for j in range(n):
-            if j != i and cartan[i][j] != 0 and not d[j]:
-                # d_j = d_i c_ij / c_ji: first scale every value set so far
-                # by the least factor that makes the division exact.
-                num, den = d[i] * cartan[i][j], cartan[j][i]
-                s = abs(den) // gcd(num, den)
-                d = [x * s for x in d]
-                d[j] = num * s // den
-                todo.append(j)
-    if not all(d):
-        raise ValueError("Dynkin diagram is not connected")
-    g = gcd(*d)
-    ints = [x // g for x in d]
-    for i in range(n):
-        for j in range(n):
-            if ints[i] * cartan[i][j] != ints[j] * cartan[j][i]:
-                raise ValueError("symmetrizer check failed")
-    return ints
 
 
 def _positive_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -320,7 +272,6 @@ class RootDatum(Datum):
     theta_coords: tuple[int, ...]            # highest root on simple roots
     theta_h: tuple[int, ...]                 # theta(h_i) in node order
     comarks: tuple[int, ...]                 # h_theta on the h_i basis
-    w0_word: tuple[int, ...]
     short_nodes: tuple[int, ...]             # empty iff simply laced
     lacing: int                              # squared-length ratio r-dual
 
@@ -333,6 +284,15 @@ class RootDatum(Datum):
     @property
     def zero_weight(self) -> Weight:
         return Weight((0,) * self.rank, 0)
+
+    @cached_property
+    def w0_word(self) -> tuple[int, ...]:
+        """A reduced word of the longest element, from ``make_dominant`` of
+        ``-rho``: ``apply_word(w0_word, rho) == -rho``."""
+        rho, word = make_dominant(self, Weight((-1,) * self.rank))
+        if len(word) != len(self.positive_roots) or set(rho.h) != {1}:
+            raise AssertionError("longest-element word has wrong length")
+        return word
 
     # -- simple-root coordinates -------------------------------------------
 
@@ -395,9 +355,9 @@ class AffineDatum(Datum):
 
 def build_finite_datum(series: str, rank: int) -> RootDatum:
     """The finite root datum for a Cartan-Killing label, built once."""
-    if series not in _SERIES_RANKS:
+    if series not in _SERIES:
         raise errors.UnknownType(f"unknown series {series!r}")
-    lo, hi = _SERIES_RANKS[series]
+    lo, hi, _ = _SERIES[series]
     if not (isinstance(rank, int) and lo <= rank <= hi):
         raise errors.UnknownType(f"rank {rank} invalid for series {series}")
     return _finite_datum(series, int(rank))
@@ -407,10 +367,9 @@ def build_finite_datum(series: str, rank: int) -> RootDatum:
 def _finite_datum(series: str, rank: int) -> RootDatum:
     # Keyed on validated positional arguments, the rank as a plain int, so
     # there is one object per type (``True`` gives A1, not "ATrue").
-    cartan = _build_cartan(series, rank)
-    sym = _symmetrizer(cartan)
+    cartan, sym = _diagram(series, rank)
     pos = _positive_roots(cartan)
-    if len(pos) != _EXPECTED_POSITIVE[series](rank):
+    if len(pos) != _SERIES[series][2](rank):
         raise AssertionError("positive root count mismatch")
 
     theta = max(pos, key=lambda b: (sum(b), b))
@@ -426,20 +385,6 @@ def _finite_datum(series: str, rank: int) -> RootDatum:
             raise AssertionError("comarks must be integral")
         comarks.append(num // dmax)
 
-    # Longest-element word: greedily reduce -rho, recording letters in the
-    # order they act; the word then satisfies apply_word(word, rho) = -rho.
-    cur = [-1] * rank
-    word: list[int] = []
-    while True:
-        neg = next((i for i in range(rank) if cur[i] < 0), None)
-        if neg is None:
-            break
-        v = cur[neg]
-        cur = [cur[k] - v * cartan[k][neg] for k in range(rank)]
-        word.append(neg + 1)
-    if len(word) != len(pos) or any(x != 1 for x in cur):
-        raise AssertionError("longest-element word has wrong length")
-
     short = tuple(i + 1 for i in range(rank) if sym[i] < dmax)
     lacing = dmax // min(sym)
 
@@ -452,7 +397,6 @@ def _finite_datum(series: str, rank: int) -> RootDatum:
         theta_coords=theta,
         theta_h=theta_h,
         comarks=tuple(comarks),
-        w0_word=tuple(word),
         short_nodes=short,
         lacing=lacing,
     )

@@ -23,7 +23,7 @@ from demflag import (
     reflect_weight,
     short_subdatum,
 )
-from demflag.root_data import _integer_inverse, _symmetrizer
+from demflag.root_data import _integer_inverse
 
 A1 = datum_from_label("A1")
 A2 = datum_from_label("A2")
@@ -134,9 +134,15 @@ def _fraction_inverse(cartan):
 
 
 def test_integer_symmetrizer_and_inverse_match_fractions():
+    # The symmetrizer is written down with the diagram, not solved for: the
+    # reference solves for it on a connected diagram, and it must make
+    # d_i c_ij = d_j c_ji hold for every pair.
     count = 0
     for rd in all_datums():
-        assert _symmetrizer(rd.cartan) == _fraction_symmetrizer(rd.cartan)
+        d, c = rd.symmetrizer, rd.cartan
+        assert list(d) == _fraction_symmetrizer(c)
+        assert all(d[i] * c[i][j] == d[j] * c[j][i]
+                   for i in range(rd.rank) for j in range(rd.rank))
         assert _integer_inverse(rd.cartan) == _fraction_inverse(rd.cartan)
         count += 1
     assert count == 32
