@@ -507,9 +507,14 @@ _ERROR_CHARS = 200
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(
-            _join_values(sys.argv[1:] if argv is None else list(argv)))
+        if argv and argv[0] not in _COMMANDS and not argv[0].startswith("-"):
+            # argparse quotes the choices in this line on some versions and
+            # not on others; spelled out, it is the same bytes on all.
+            parser.error(f"argument command: invalid choice: {argv[0]!r} "
+                         f"(choose from {', '.join(map(repr, _COMMANDS))})")
+        args = parser.parse_args(_join_values(argv))
     except SystemExit as e:
         return int(e.code or 0)
     try:

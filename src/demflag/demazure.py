@@ -67,17 +67,28 @@ class DemazureLabel(NamedTuple):
     grade: int = 0
 
 
+def _integer(x: int, what: str) -> int:
+    """``x`` as an int, or ``ValueError`` naming ``what`` it is."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} must be an integer") from None
+
+
+def _level(level: int) -> int:
+    """The checked level: an integer, and at least 1 (else ``ZeroLevel``)."""
+    level = _integer(level, "level")
+    if level < 1:
+        raise errors.ZeroLevel(f"level must be positive, got {level}")
+    return level
+
+
 def _label(rd: RootDatum, level: int, grade: int, d: int,
            h: tuple[int, ...]) -> DemazureLabel:
     """The checked label: integral level >= 1 and grade, and an integral
     dominant weight of rank ``rd.rank`` whose ``d`` is 0."""
-    try:
-        level, grade = index(level), index(grade)
-    except TypeError:
-        raise ValueError(f"level {level!r} and grade {grade!r} must be "
-                         f"integers") from None
-    if level < 1:
-        raise errors.ZeroLevel(f"level must be positive, got {level}")
+    grade = _integer(grade, "grade")
+    level = _level(level)
     lam = rd.weight(h, d)
     if lam.d:
         raise ValueError(f"classical weight {lam.h} has grade {lam.d}, "

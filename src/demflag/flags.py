@@ -51,7 +51,7 @@ from . import errors
 from .characters import (MEMO_SIZE, Character, Labels, _expand,
                          _irreducibles, check_w_invariance_per_grade,
                          forget_grading)
-from .demazure import _label, _labels
+from .demazure import _integer, _label, _labels, _level
 from .root_data import (AffineDatum, Frozen, RootDatum, Weight, affinize,
                         eta_lambda, short_subdatum)
 
@@ -143,8 +143,7 @@ def greedy_decompose(ad: AffineDatum, g: Character,
     Requires per-grade Weyl invariance up front, then peels the
     multiplicities that straightening ``g`` through ``D_w0 g = g`` gives.
     """
-    if level < 1:
-        raise errors.ZeroLevel(f"level must be positive, got {level}")
+    level = _level(level)
     rd = ad.finite
     if not check_w_invariance_per_grade(rd, g):
         raise errors.NonDominantLeading(
@@ -161,6 +160,8 @@ def level_flag(ad: AffineDatum, level: int, to_level: int,
     """
     if ad.finite.short_nodes:
         raise errors.NotSimplyLaced(f"{ad.finite.label} is not simply laced")
+    level = _integer(level, "level")
+    to_level = _integer(to_level, "target level")
     if to_level <= level:
         raise ValueError("target level must exceed the source level")
     return _peel(ad, _labels(ad, level, 0, lam.d, *lam.h), to_level)

@@ -75,6 +75,16 @@ def test_greedy_on_zero_character():
             greedy_decompose(A1_AFF, Character.zero(A1), level)
 
 
+def test_greedy_checks_its_level_before_anything_else():
+    # The zero character has no piece to check a level against: an
+    # integer-valued float used to come back as the flag's level.
+    g = demazure_character(A1_AFF, DemazureLabel(1, A1.weight([2])))
+    for bad in (1.5, 2.0, "1", None):
+        for char in (Character.zero(A1), g):
+            with pytest.raises(ValueError, match="level"):
+                greedy_decompose(A1_AFF, char, bad)
+
+
 def test_greedy_rejects_noninvariant_input():
     bad = Character(A1, {((1,), 0): 1})
     with pytest.raises(errors.NonDominantLeading):
@@ -171,6 +181,18 @@ def test_level_flag_guards():
         level_flag(A1_AFF, 2, 2, A1.weight([1]))
     with pytest.raises(ValueError):
         level_flag(A1_AFF, 2, 1, A1.weight([1]))
+    # Equal levels are refused as such, before the level is checked to be
+    # positive.
+    with pytest.raises(ValueError):
+        level_flag(A1_AFF, 0, 0, A1.weight([1]))
+
+
+def test_level_flag_refuses_levels_that_are_no_integers():
+    # Both levels are integers before they are compared.
+    for level, to_level in (("1", 2), (1, "2"), (1.0, 2), (1, 2.5),
+                            (None, 2)):
+        with pytest.raises(ValueError, match="level"):
+            level_flag(A1_AFF, level, to_level, A1.weight([1]))
 
 
 # ---- graded Weyl characters ----
