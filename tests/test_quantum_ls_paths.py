@@ -31,15 +31,18 @@ Weyl orbit and the quantum Bruhat graph are built from them.
 """
 
 import itertools
+import time
 from collections import Counter, deque
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from demflag import datum_from_label, graded_weyl_character
 
 # Bourbaki Cartan matrices, ``c[i][j] = alpha_j(h_i)``, and half the
-# squared length of each simple root, short roots 1.
+# squared length of each simple root, short roots 1 (Bourbaki, Lie Groups
+# and Lie Algebras ch. VI, plates I-IX).
 CARTAN = {
     "A1": (((2,),), (1,)),
     "A2": (((2, -1), (-1, 2)), (1, 1)),
@@ -49,44 +52,66 @@ CARTAN = {
     "A3": (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), (1, 1, 1)),
     "B3": (((2, -1, 0), (-1, 2, -1), (0, -2, 2)), (2, 2, 1)),  # alpha_3 short
     "C3": (((2, -1, 0), (-1, 2, -2), (0, -1, 2)), (1, 1, 2)),  # alpha_3 long
+    "A4": (((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+           (1, 1, 1, 1)),
+    "B4": (((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -2, 2)),
+           (2, 2, 2, 1)),                     # alpha_4 short
+    "C4": (((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -2), (0, 0, -1, 2)),
+           (1, 1, 1, 2)),                     # alpha_4 long
+    "D4": (((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
+           (1, 1, 1, 1)),                     # alpha_2 on three legs
+    "F4": (((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2)),
+           (2, 2, 1, 1)),                     # alpha_3, alpha_4 short
+    # Chain 1-3-4-5-6 with alpha_2 on alpha_4.
+    "E6": (((2, 0, -1, 0, 0, 0), (0, 2, 0, -1, 0, 0), (-1, 0, 2, -1, 0, 0),
+            (0, -1, -1, 2, -1, 0), (0, 0, 0, -1, 2, -1), (0, 0, 0, 0, -1, 2)),
+           (1, 1, 1, 1, 1, 1)),
 }
 
 
 class RootSystem:
     """Roots in simple-root coordinates, weights in fundamental-weight
-    coordinates (their values on the simple coroots)."""
+    coordinates (their values on the simple coroots).  The weight, squared
+    length and simple reflections of every root are computed once."""
 
     def __init__(self, cartan, half_lengths):
         self.c, self.d, self.n = cartan, half_lengths, len(cartan)
         simple = [tuple(int(i == j) for j in range(self.n))
                   for i in range(self.n)]
-        self.roots = set(simple)
+        self.wt, self.norm, self.refl = {}, {}, {}
         todo = list(simple)
+        for a in simple:
+            self._add(a)
         while todo:
             a = todo.pop()
             for i in range(self.n):
-                b = self.reflect_root(a, i)
-                if b not in self.roots:
-                    self.roots.add(b)
+                x = self.wt[a][i]
+                b = tuple(y - x * (j == i) for j, y in enumerate(a))
+                if b not in self.wt:
+                    self._add(b)
                     todo.append(b)
+        self.roots = list(self.wt)
         self.positive = [a for a in self.roots if min(a) >= 0]
+        self.refl = {a: [self.reflect_root(a, i) for i in range(self.n)]
+                     for a in self.roots}
 
-    def weight(self, a):
-        return tuple(sum(x * y for x, y in zip(a, row)) for row in self.c)
+    def _add(self, a):
+        self.wt[a] = w = tuple(sum(x * y for x, y in zip(a, row))
+                               for row in self.c)
+        self.norm[a] = sum(x * d * m for x, d, m in zip(a, self.d, w))
 
     def pair(self, mu, a):
         """``mu(a^vee) = 2 (mu, a) / (a, a)``, with ``(mu, alpha_j) = d_j
         mu(h_j)``."""
         num = 2 * sum(x * d * m for x, d, m in zip(a, self.d, mu))
-        norm = sum(x * d * m for x, d, m in zip(a, self.d, self.weight(a)))
-        assert num % norm == 0
-        return num // norm
+        assert num % self.norm[a] == 0
+        return num // self.norm[a]
 
     def reflect(self, mu, i):
         return tuple(m - mu[i] * row[i] for m, row in zip(mu, self.c))
 
     def reflect_root(self, a, i):
-        x = self.weight(a)[i]
+        x = self.wt[a][i]
         return tuple(y - x * (j == i) for j, y in enumerate(a))
 
 
@@ -103,7 +128,7 @@ def quantum_bruhat_graph(rs, lam):
                 todo.append(nu)
     outside = [j for j in range(rs.n) if lam[j]]
     two_rho = (2,) * rs.n
-    in_j = [rs.weight(b) for b in rs.positive
+    in_j = [rs.wt[b] for b in rs.positive
             if not any(b[j] for j in outside)]
     two_rho_j = [sum(b[i] for b in in_j) for i in range(rs.n)]
     edges = {}
@@ -113,10 +138,10 @@ def quantum_bruhat_graph(rs, lam):
             c = rs.pair(mu, gamma)
             if c <= 0:
                 continue
-            nu = tuple(x - c * y for x, y in zip(mu, rs.weight(gamma)))
+            nu = tuple(x - c * y for x, y in zip(mu, rs.wt[gamma]))
             alpha = gamma
             for i in word:
-                alpha = rs.reflect_root(alpha, i)
+                alpha = rs.refl[alpha][i]
             assert min(alpha) >= 0 and any(alpha[j] for j in outside)
             assert rs.pair(lam, alpha) == c
             rise = len(words[nu]) - len(word)
@@ -153,61 +178,96 @@ def shortest_weights(edges):
 
 def qls_character(label, lam):
     """``{(wt(eta), -Deg(eta)): count}`` over the quantum LS paths of shape
-    ``lam``."""
+    ``lam``.
+
+    Telescoped, ``wt = w_s lam + sum sigma_u (w_u lam - w_(u+1) lam)``, so
+    a path's weight and degree are sums over its turns.  The paths are
+    counted by a sweep over the times in order: before time ``sigma``,
+    ``state[x]`` counts the paths so far by (weight, degree) sums, each
+    times ``den``, the lcm of the labels, for each direction ``x`` they
+    hold; at ``sigma`` each may turn once, from ``x`` to a ``y`` that
+    leads to ``x``.  No path is built one by one.
+    """
     rs = RootSystem(*CARTAN[label])
     edges = quantum_bruhat_graph(rs, lam)
     wt = shortest_weights(edges)
     labels = {c for out in edges.values() for _, c, _ in out}
+    den = lcm(*labels)
     sigmas = sorted({Fraction(k, c) for c in labels for k in range(1, c)})
-    # reach[k][y]: the vertices that the edges with integral sigma_k c
-    # lead to from y.
-    reach = []
+    state = {x: Counter({((0,) * rs.n, 0): 1}) for x in edges}
     for s in sigmas:
-        reach.append({})
+        turned = {y: Counter(counts) for y, counts in state.items()}
         for y in edges:
+            # The vertices that the edges with integral s c lead to from y.
             seen, todo = {y}, [y]
             while todo:
                 for z, c, _ in edges[todo.pop()]:
                     if (s * c).denominator == 1 and z not in seen:
                         seen.add(z)
                         todo.append(z)
-            reach[-1][y] = seen
+            for x in seen - {y}:
+                step = int(s * den)
+                move = [step * (a - b) for a, b in zip(x, y)]
+                grade = step * wt[y][x]
+                into = turned[y]
+                for (w, g), m in state[x].items():
+                    into[tuple(map(sum, zip(w, move))), g + grade] += m
+        state = turned
     out = Counter()
-
-    def extend(x, k, start, weight, grade):
-        """``x`` holds from ``start`` on; end there, or turn at a later
-        time ``sigmas[j]``, ``j >= k``, to a ``y`` that leads to ``x``."""
-        end = [w + (1 - start) * m for w, m in zip(weight, x)]
-        assert all(w.denominator == 1 for w in end)
-        assert grade.denominator == 1
-        out[tuple(map(int, end)), int(grade)] += 1
-        for j in range(k, len(sigmas)):
-            s = sigmas[j]
-            moved = [w + (s - start) * m for w, m in zip(weight, x)]
-            for y in edges:
-                if y != x and x in reach[j][y]:
-                    extend(y, j + 1, s, moved, grade + s * wt[y][x])
-
-    for x in edges:
-        extend(x, 0, Fraction(0), [Fraction(0)] * rs.n, Fraction(0))
+    for x, counts in state.items():
+        for (w, g), m in counts.items():
+            end = [a + den * b for a, b in zip(w, x)]
+            assert all(a % den == 0 for a in end) and g % den == 0
+            out[tuple(a // den for a in end), g // den] += m
     return dict(out)
 
 
-CASES = [(label, h) for label, (cartan, _) in CARTAN.items()
-         for h in itertools.product(range(3), repeat=len(cartan))
-         if 0 < sum(h) <= 2]
+def _coordinate_sum_at_most_two(labels):
+    return [(label, h) for label in labels
+            for h in itertools.product(range(3), repeat=len(CARTAN[label][0]))
+            if 0 < sum(h) <= 2]
 
 
-def test_every_weight_of_coordinate_sum_at_most_two_is_covered():
-    assert len(CASES) == 49
+def _fundamental(label):
+    n = len(CARTAN[label][0])
+    return [(label, tuple(int(j == i) for j in range(n))) for i in range(n)]
+
+
+# E6 omega_4 (dimension 3732; its shortest-path table takes seconds) and F4
+# (0,2,0,0) (dimension 2,900,209) are left to a run of this file as a
+# script.
+SLOW = [("E6", (0, 0, 0, 1, 0, 0)), ("F4", (0, 2, 0, 0))]
+
+CASES = _coordinate_sum_at_most_two(
+    ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"]) + [
+    case for label in ("A4", "B4", "C4", "D4", "F4", "E6")
+    for case in _fundamental(label) if case not in SLOW] + [
+    ("D4", (0, 2, 0, 0)), ("B4", (0, 0, 0, 2)), ("C4", (1, 1, 0, 0)),
+    ("F4", (0, 0, 0, 2))]
+
+
+def test_every_chosen_weight_is_covered():
+    assert len(CASES) == 49 + 25 + 4
+
+
+def check(label, h):
+    rd = datum_from_label(label)
+    cartan, half_lengths = CARTAN[label]
+    assert [list(row) for row in rd.cartan] == [list(row) for row in cartan]
+    assert list(rd.symmetrizer) == list(half_lengths)
+    g, _ = graded_weyl_character(rd, rd.weight(h))
+    assert dict(g.terms()) == qls_character(label, h)
 
 
 @pytest.mark.parametrize("label,h", CASES,
                          ids=[f"{label}-{''.join(map(str, h))}"
                               for label, h in CASES])
 def test_graded_local_weyl_characters_count_quantum_ls_paths(label, h):
-    rd = datum_from_label(label)
-    assert [list(row) for row in rd.cartan] \
-        == [list(row) for row in CARTAN[label][0]]
-    g, _ = graded_weyl_character(rd, rd.weight(h))
-    assert dict(g.terms()) == qls_character(label, h)
+    check(label, h)
+
+
+if __name__ == "__main__":
+    for label, h in SLOW:
+        start = time.perf_counter()
+        check(label, h)
+        print(f"{label} {h}: matched in {time.perf_counter() - start:.1f} s")
