@@ -241,6 +241,21 @@ PINS = [
     # "...".
     ("demazure-dim --type A1 --level 1 --lambda " + "x" * 5000, 2,
      "ff0cf338277ceff46f7892d08ff03c5fb3b51aeef5fb9cd2ffce4974cd4741ba"),
+    # argparse's own refusals and abbreviations: a stray positional, a
+    # missing required option, an unknown option after the command and
+    # before it, abbreviated options, and an invalid --format.
+    ("demazure-dim --type A1 --level 1 --lambda 1 stray", 2,
+     "d3763e85063b50d66511092df6c5406898c213300e2a70cb28e5061a55b0d90e"),
+    ("demazure-dim --type A1 --lambda 1", 2,
+     "70fa4eeb44294d354ca016282c855898f2f513a233e6b4f84ab6e2cd1dc881b4"),
+    ("demazure-dim --type A1 --level 1 --lambda 1 --bogus 1", 2,
+     "e86c2a881721db0a6dafdc70f1c9565ddc61dd3e16f0dbd21cc4cef9ced73cef"),
+    ("--bogus demazure-dim --type A1 --level 1 --lambda 1", 2,
+     "509768cd57b1159d8bfc0f147e2f02e82f4351ba2f8386590b34e44d384be550"),
+    ("demazure-dim --typ A1 --lev 1 --lam 2", 0,
+     "186e640e9ff43720b07d4256992678f4132f611c9e967cf9b2357e5aa6b253ed"),
+    ("demazure-dim --type A1 --level 1 --lambda 1 --format xml", 2,
+     "89a058b5f8fa4197d4e236e079567b27e6e518d3e0d67d7b719ab747cd8784e0"),
     ("--help", 0,
      "ef859e211eecb0728ac27c269e9fabb0106f3c921406f49fca576ea9564a2896"),
     ("demazure-char --help", 0,
