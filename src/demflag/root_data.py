@@ -15,6 +15,11 @@ Conventions, fixed once and used everywhere downstream:
 * The Cartan matrix is stored as ``cartan[i][j] = alpha_j(h_i)``, so the
   column ``j`` is the coordinate vector of the simple root ``alpha_j`` on
   the basis of simple coroots ``h_i``.
+* The positive roots are made height by height from root strings:
+  ``beta + alpha_i`` is a root exactly when ``alpha_i`` can be subtracted
+  from ``beta`` more than ``beta(h_i)`` times (``_positive_roots``).
+  ``positive_roots`` lists them by height and then by coordinates, so the
+  highest root comes last.
 * A weight is the tuple of its integer values on the coroots ``h_i`` (in
   node order) plus the value ``d`` on the scaling element.  Finite-type
   weights simply keep ``d = 0``.
@@ -124,24 +129,38 @@ class Weight(NamedTuple):
 
 
 def _positive_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """All positive roots in simple-root coordinates, by reflection closure."""
+    """All positive roots in simple-root coordinates, ordered by height and
+    then by coordinates, built one height at a time from root strings.
+
+    The ``alpha_i``-string through a root ``beta`` runs from ``beta - q
+    alpha_i`` to ``beta + p alpha_i`` with ``q - p = beta(h_i)`` (Humphreys,
+    GTM 9, §9.4), so ``beta + alpha_i`` is a root exactly when ``q >
+    beta(h_i)``.  Each root carries its coroot values ``h`` and its ``q``
+    at every node.  A simple root has ``q = 0``; ``beta + alpha_i`` has
+    ``q_i`` one more than ``beta`` has.  A root is reached from every root
+    one simple root below it, all of one height, so one sweep over a
+    height fills in every ``q`` of the next.
+    """
     n = len(cartan)
-    simple = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        beta = frontier.pop()
-        for i in range(n):
-            pairing = sum(beta[j] * cartan[i][j] for j in range(n))
-            cand = list(beta)
-            cand[i] -= pairing
-            cand_t = tuple(cand)
-            if cand_t not in roots:
-                roots.add(cand_t)
-                frontier.append(cand_t)
-    pos = [b for b in roots if all(x >= 0 for x in b)]
-    pos.sort(key=lambda b: (sum(b), b))
-    return pos
+    cols = list(zip(*cartan))               # cols[i] = alpha_i(h_j) over j
+    level = {tuple(int(k == i) for k in range(n)): (cols[i], [0] * n)
+             for i in range(n)}
+    out = []
+    while level:
+        nxt: dict[tuple[int, ...], tuple] = {}
+        for beta in sorted(level):
+            h, q = level[beta]
+            out.append(beta)
+            for i in range(n):
+                if q[i] > h[i]:
+                    gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    entry = nxt.get(gamma)
+                    if entry is None:
+                        entry = nxt[gamma] = (
+                            tuple(a + b for a, b in zip(h, cols[i])), [0] * n)
+                    entry[1][i] = q[i] + 1
+        level = nxt
+    return out
 
 
 def _integer_inverse(cartan: Sequence[Sequence[int]]) -> tuple[tuple, int]:
@@ -372,7 +391,7 @@ def _finite_datum(series: str, rank: int) -> RootDatum:
     if len(pos) != _SERIES[series][2](rank):
         raise AssertionError("positive root count mismatch")
 
-    theta = max(pos, key=lambda b: (sum(b), b))
+    theta = pos[-1]
     theta_h = tuple(sum(theta[j] * cartan[i][j] for j in range(rank))
                     for i in range(rank))
     if any(v < 0 for v in theta_h):

@@ -90,6 +90,36 @@ def test_positive_root_counts():
         assert len(datum_from_label(label).positive_roots) == count
 
 
+def _reflection_closure(cartan):
+    # Reference: every root, negative ones included, reflected at every
+    # node until no new one appears; the positive ones by height, then by
+    # coordinates.
+    n = len(cartan)
+    simple = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        beta = frontier.pop()
+        for i in range(n):
+            pairing = sum(beta[j] * cartan[i][j] for j in range(n))
+            cand = list(beta)
+            cand[i] -= pairing
+            cand = tuple(cand)
+            if cand not in roots:
+                roots.add(cand)
+                frontier.append(cand)
+    pos = [b for b in roots if all(x >= 0 for x in b)]
+    return tuple(sorted(pos, key=lambda b: (sum(b), b)))
+
+
+def test_positive_roots_match_the_reflection_closure():
+    count = 0
+    for rd in all_datums():
+        assert rd.positive_roots == _reflection_closure(rd.cartan), rd.label
+        count += 1
+    assert count == 32
+
+
 def test_symmetrizers():
     assert A2.symmetrizer == (1, 1)
     assert C2.symmetrizer == (1, 2)
