@@ -6,8 +6,10 @@ tensor characters, the path-crystal cross-check, highest-term extraction,
 finite Weyl characters, and the dimension product check.  A new subcommand
 is one more ``_COMMANDS`` entry: its help line, its options in validation
 order (kinds from ``_OPTIONS``, which parse and canonicalize them) and a
-function computing its sections.  One handler validates every request, and
-``build_parser`` adds every subcommand in one loop.
+function computing its sections.  One handler validates every request.
+``build_parser`` adds only the subcommand that the first argument names;
+any other command line (top-level help, no arguments, an unknown command
+or an option first) gets every subcommand.
 
 Output formats: ``json`` (canonical, sorted keys), ``csv`` (one flat table,
 leading ``section`` column), ``table`` (same rows, aligned).  Empty cells
@@ -28,7 +30,6 @@ Exit codes: 0 success, 2 invalid request, 3 mathematical domain error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import io
 import json
@@ -125,6 +126,7 @@ def render_json(obj) -> str:
 
 
 def render_csv_raw(cols: list[str], rows: list[list[str]]) -> str:
+    import csv             # here, so that only a CSV request loads it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
@@ -436,11 +438,29 @@ def _handle(args):
 _HANDLERS: dict[str, Callable] = dict.fromkeys(_COMMANDS, _handle)
 
 
+def _invalid_choice(value: str, choices) -> str:
+    # argparse quotes the choices in this line on some versions and not on
+    # others; spelled out, it is the same bytes on all.
+    return (f"invalid choice: {value!r} "
+            f"(choose from {', '.join(map(repr, choices))})")
+
+
+_FORMATS = ("json", "csv", "table")
+
+
+def _format(text: str) -> str:
+    """A ``--format`` value, checked before argparse checks its choices,
+    which then serve only the usage line and the help."""
+    if text not in _FORMATS:
+        raise argparse.ArgumentTypeError(_invalid_choice(text, _FORMATS))
+    return text
+
+
 # Options every subcommand takes after its own, with argparse's keywords.
 _SHARED = (
     ("--type", {"required": True,
                 "help": "finite type label, e.g. A1, C2, G2"}),
-    ("--format", {"choices": ["json", "csv", "table"], "default": "json"}),
+    ("--format", {"type": _format, "choices": _FORMATS, "default": "json"}),
     ("--no-cache", {"action": "store_true",
                     "help": "skip cache lookup and write"}),
     ("--cache-dir", {"default": None, "help": "override the cache directory"}),
@@ -453,7 +473,10 @@ def _arguments(name: str) -> list[tuple[str, dict]]:
             for kind, text in _COMMANDS[name].options] + list(_SHARED)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with only the subcommand ``command``, or with every
+    subcommand when it is None.  The top-level usage names every
+    subcommand either way."""
     # The usage line as argparse wraps it at 80 columns up to Python 3.12;
     # from 3.13 on it keeps ``...`` beside the choices.  Spelled out, it is
     # the same bytes on every supported version.
@@ -463,8 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
         usage=f"%(prog)s [-h]{indent}{{{','.join(_COMMANDS)}}}{indent}...",
         description="Exact Demazure and graded Weyl module computations.")
     sub = parser.add_subparsers(dest="command", required=True, prog="demflag")
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+    for name in _COMMANDS if command is None else (command,):
+        p = sub.add_parser(name, help=_COMMANDS[name].help)
         for flag, kwargs in _arguments(name):
             p.add_argument(flag, **kwargs)
     return parser
@@ -506,14 +529,12 @@ _ERROR_CHARS = 200
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         if argv and argv[0] not in _COMMANDS and not argv[0].startswith("-"):
-            # argparse quotes the choices in this line on some versions and
-            # not on others; spelled out, it is the same bytes on all.
-            parser.error(f"argument command: invalid choice: {argv[0]!r} "
-                         f"(choose from {', '.join(map(repr, _COMMANDS))})")
+            parser.error(f"argument command: "
+                         f"{_invalid_choice(argv[0], _COMMANDS)}")
         args = parser.parse_args(_join_values(argv))
     except SystemExit as e:
         return int(e.code or 0)

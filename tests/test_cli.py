@@ -304,16 +304,21 @@ def test_screen_bytes(monkeypatch):
 
 def test_unknown_command_line_does_not_follow_argparse(monkeypatch):
     # argparse words its invalid-choice line differently across versions
-    # (newer releases leave the choices unquoted).  The line is spelled out,
-    # so it keeps its pinned bytes whatever argparse would have printed.
+    # (newer releases leave the choices unquoted).  The lines for an unknown
+    # command and an invalid --format are spelled out, so they keep their
+    # pinned bytes whatever argparse would have printed.
     def reworded(self, action, value):
         if action.choices is not None and value not in action.choices:
             raise argparse.ArgumentError(action, f"invalid choice: {value}")
 
     monkeypatch.setattr(argparse.ArgumentParser, "_check_value", reworded)
     monkeypatch.setenv("COLUMNS", "80")
-    [pin] = [pin for pin in PINS if pin[0] == "no-such-command"]
-    assert screen(pin[0]) == pin[1:]
+    requests = ("no-such-command",
+                "demazure-dim --type A1 --level 1 --lambda 1 --format xml")
+    pins = [pin for pin in PINS if pin[0] in requests]
+    assert len(pins) == len(requests)
+    assert [screen(args) for args, _, _ in pins] == \
+        [(rc, sha) for _, rc, sha in pins]
 
 
 @pytest.mark.parametrize("pin", JOSEPH_PINS.values(), ids=list(JOSEPH_PINS))
@@ -658,7 +663,8 @@ def test_import_loads_no_dataclasses_or_fractions():
     code = "import sys, demflag.cli; print(*sorted(sys.modules))"
     loaded = set(_python(SRC, code, "-S").split())
     assert "demflag.cli" in loaded
-    assert not loaded & {"dataclasses", "fractions", "inspect", "decimal"}
+    assert not loaded & {"dataclasses", "fractions", "inspect", "decimal",
+                         "csv"}
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):
