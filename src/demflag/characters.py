@@ -87,6 +87,17 @@ sign flips.  The survivors form a nested map ``{top: {grade: m}}``
 (``Labels``): one row per distinct dominant top, whose tuple is unpacked
 once, holding no zero and no empty row.
 
+A dimension needs no grades, and the ladder can forget them (``graded``
+false, which only ``demazure_dim`` asks for).  ``delta`` pairs to zero with
+every coroot, so each ``D_i`` commutes with ``e^(mu + k delta) -> e^mu``,
+and so does straightening, which leaves the grade alone.  The layout then
+packs the simple roots without their grade field, ``alpha_0`` without its
+``delta`` (``_layout`` keeps both kinds, keyed by ``graded``): a seed at
+grade 0 stays there, terms that differ only in grade merge rung by rung,
+and every row of the map is ``{0: m}``, ``m`` the row's total.  The width
+bound above holds as it is: the grade field stays 0, and ``A`` can only
+shrink.
+
 The character of the simple module of dominant highest weight ``lam`` is
 found without a ladder, all in integers, from two memos kept per datum and
 shared by every top:
@@ -321,26 +332,29 @@ def _width(datum: Datum, m0: int, length: int) -> int:
 # layout takes about 6 us to build, and a perfbench ``ladder`` pass needs
 # 20 of them (34 in steps of 8, 123 in steps of 1), ``flags`` 17.
 @lru_cache(maxsize=4 * MEMO_SIZE)
-def _layout(datum: Datum, width: int) -> _Layout:
+def _layout(datum: Datum, width: int, graded: bool) -> _Layout:
     """Packed keys of ``datum`` at ``width`` bits a field: the shift of each
     field, each packed simple root, the field mask, the bias, and the sum of
-    the biases, which packs the zero key."""
+    the biases, which packs the zero key.  Unless ``graded``, the roots
+    leave the grade field alone: ``alpha_0`` loses its ``delta``."""
     shifts = tuple(range(0, width * (len(datum.indices) + 1), width))
     bias = 1 << (width - 1)
     return (shifts,
-            tuple(sum(map(lshift, alpha, shifts))
+            tuple(sum(map(lshift, alpha if graded else alpha[:-1], shifts))
                   for alpha in datum.flat_roots),
             (1 << width) - 1, bias, sum(bias << s for s in shifts))
 
 
-def _ladder(datum: Datum, positions: Sequence[int],
-            terms: Flat) -> tuple[dict[int, int], _Layout]:
+def _ladder(datum: Datum, positions: Sequence[int], terms: Flat,
+            graded: bool = True) -> tuple[dict[int, int], _Layout]:
     """The Demazure operators at ``positions``, first position first, on
-    flat terms, as packed terms with their layout.  Zeros are dropped."""
+    flat terms, as packed terms with their layout.  Zeros are dropped.
+    Unless ``graded``, the grade of every term stays where it is (the
+    grade-free ladder of the module docstring)."""
     m0 = 0
     for k in terms:
         m0 = max(m0, max(k), -min(k))
-    lay = _layout(datum, _width(datum, m0, len(positions)))
+    lay = _layout(datum, _width(datum, m0, len(positions)), graded)
     shifts, roots, mask, bias, offset = lay
     packed: dict[int, int] = {}
     for k, c in terms.items():
@@ -365,17 +379,19 @@ def _ladder(datum: Datum, positions: Sequence[int],
     return packed, lay
 
 
-def _irreducibles(datum: Datum, positions: Sequence[int],
-                  terms: Flat) -> Labels:
+def _irreducibles(datum: Datum, positions: Sequence[int], terms: Flat,
+                  graded: bool = True) -> Labels:
     """``{top: {grade: m}}`` with ``D_w0`` of the Demazure operators at
     ``positions`` on ``terms`` equal to ``sum m * chi(top)`` grade by grade,
-    projected to graded classical form on an affine datum."""
-    packed, lay = _ladder(datum, positions, terms)
+    projected to graded classical form on an affine datum; unless
+    ``graded``, every term keeps the grade it came with."""
+    packed, lay = _ladder(datum, positions, terms, graded)
     if isinstance(datum, AffineDatum):
         # Shifting ``h_0``, the lowest field, out leaves finite keys.
         b = lay[0][1]
         return _straighten(zip(map(rshift, packed, repeat(b)),
-                               packed.values()), _layout(datum.finite, b))
+                               packed.values()),
+                           _layout(datum.finite, b, True))
     return _straighten(packed.items(), lay)
 
 
@@ -570,11 +586,11 @@ def _dominant(rd: RootDatum,
 
 
 # Weyl dimensions of tops, four times ``MEMO_SIZE`` like the dominant
-# multiplicities.  A perfbench ``ladder`` pass asks for 4,312 of them, 210
-# distinct; over three shuffled passes a memo of 48, 96, 192 and 256 entries
-# missed 527-553, 333-390, 212-213 and 210 times.  A miss takes about 2 us
-# on A2, 8 us on D4 and 0.1 ms on E8 (2-vCPU Xeon), so the three misses more
-# at 192 cost well under a millisecond a pass.
+# multiplicities.  A perfbench ``ladder`` pass asks for 772 of them, 210
+# distinct; over three shuffled passes (seeds 1, 7 and 11) a memo of 48, 96,
+# 192 and 256 entries missed 550-559, 370-409, 212-230 and 210 times.  A
+# miss takes about 2 us on A2, 8 us on D4 and 0.1 ms on E8 (2-vCPU Xeon), so
+# the 20 misses more at 192 cost well under a millisecond a pass.
 @lru_cache(maxsize=4 * MEMO_SIZE)
 def _weyl_dim(rd: RootDatum, h: tuple[int, ...]) -> int:
     """Weyl's dimension formula: the product over positive roots ``alpha``

@@ -156,6 +156,8 @@ def render(obj, tables: list[Table], fmt: str) -> str:
 
 
 def resolve_cache_dir(explicit: Optional[str]) -> str:
+    """``explicit``, else ``DEMAZURE_CACHE_DIR``, else the per-user path;
+    an empty value counts as unset."""
     if explicit:
         return explicit
     env = os.environ.get("DEMAZURE_CACHE_DIR")
@@ -456,6 +458,14 @@ def _format(text: str) -> str:
     return text
 
 
+def _cache_dir(text: str) -> str:
+    """A ``--cache-dir`` value.  An empty one names no directory; refused
+    here, it cannot fall through to the per-user cache path."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty value names no directory")
+    return text
+
+
 # Options every subcommand takes after its own, with argparse's keywords.
 _SHARED = (
     ("--type", {"required": True,
@@ -463,7 +473,8 @@ _SHARED = (
     ("--format", {"type": _format, "choices": _FORMATS, "default": "json"}),
     ("--no-cache", {"action": "store_true",
                     "help": "skip cache lookup and write"}),
-    ("--cache-dir", {"default": None, "help": "override the cache directory"}),
+    ("--cache-dir", {"type": _cache_dir, "default": None,
+                     "help": "override the cache directory"}),
 )
 
 

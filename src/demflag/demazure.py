@@ -27,19 +27,27 @@ The finite operators commute with the graded classical projection, and
 ``D_w0`` is the Weyl symmetrizer.  So the ladder runs along ``u`` only, and
 ``characters._irreducibles`` straightens its packed terms into a nested map
 ``{top: {grade: multiplicity}}`` (``Labels``; the ``characters`` docstring
-has how).  The dimension is the sum over tops of the row's multiplicities
-times Weyl's dimension formula, with nothing expanded; the weight character
-is ``characters._expand`` of the map, which builds no irreducible character.
+has how).  The weight character is ``characters._expand`` of the map,
+which builds no irreducible character.
+
+The dimension runs the same ladder with the grade forgotten.  ``delta``
+pairs to zero with every coroot, so each ``D_i`` commutes with
+``e^(mu + k delta) -> e^mu``: the ladder starts from ``Lambda`` at grade 0,
+``alpha_0`` steps without its ``delta``, and terms that differ only in grade
+merge as they are made, so every top's row is ``{0: m}``.  The dimension is
+the sum over tops of ``m`` times Weyl's dimension formula, with nothing
+expanded.  It neither reads nor fills the multiplicity maps of the
+characters, which keep their grades.
 
 All of it is exact integer arithmetic, over no ground field, so a result
 depends only on its datum and label: the last ``MEMO_SIZE`` characters and
 dimensions are each kept for the life of the process, and a repeated label
-returns the same object.  The multiplicity maps beneath them keep the last
-``4 * MEMO_SIZE``, as the dominant multiplicities of the Weyl characters
-do: every flag peel reads one map per lead, the same few maps over and
-over, and a nested map stores each top once, so they are small.  Beneath
-the dimensions, the Weyl dimensions of the last ``4 * MEMO_SIZE`` tops are
-kept per datum, since many labels share their tops.
+returns the same object.  The multiplicity maps beneath the characters
+keep the last ``4 * MEMO_SIZE``, as the dominant multiplicities of the Weyl
+characters do: every flag peel reads one map per lead, the same few maps
+over and over, and a nested map stores each top once, so they are small.
+Beneath the dimensions, the Weyl dimensions of the last ``4 * MEMO_SIZE``
+tops are kept per datum, since many labels share their tops.
 Each entry point is one lookup in a memo keyed by every number of the
 label as given, by value and type, and only a miss checks them, in
 ``_label``: a bad label raises on every call, and no error is kept.
@@ -120,15 +128,24 @@ def solve_extremal(ad: AffineDatum,
     return _reduce(ad, level, apply_word(rd, rd.w0_word, lam), grade)
 
 
+def _multiplicities(ad: AffineDatum, level: int, grade: int, d: int,
+                    h: tuple[int, ...], graded: bool) -> Labels:
+    """``_irreducibles`` of ``D_u e^Lambda`` for the label, checked here;
+    unless ``graded``, from ``Lambda`` at grade 0 with the grade forgotten,
+    so every row is ``{0: m}``."""
+    level, lam, grade = _label(ad.finite, level, grade, d, h)
+    dom, u = _reduce(ad, level, lam, grade)
+    # Node ``i`` of an affine datum sits at position ``i``.
+    return _irreducibles(ad, u[::-1], {(*dom.h, dom.d if graded else 0): 1},
+                         graded)
+
+
 @lru_cache(maxsize=4 * MEMO_SIZE, typed=True)
 def _labels(ad: AffineDatum, level: int, grade: int, d: int,
             *h: int) -> Labels:
     """Irreducible multiplicities ``{top: {grade: m}}`` of a label checked
     on the miss, shared by every caller; none mutates them."""
-    level, lam, grade = _label(ad.finite, level, grade, d, h)
-    dom, u = _reduce(ad, level, lam, grade)
-    # Node ``i`` of an affine datum sits at position ``i``.
-    return _irreducibles(ad, u[::-1], {(*dom.h, dom.d): 1})
+    return _multiplicities(ad, level, grade, d, h, True)
 
 
 def demazure_character(ad: AffineDatum,
@@ -144,12 +161,13 @@ def _character(ad: AffineDatum, level: int, grade: int, d: int,
 
 
 def demazure_dim(ad: AffineDatum, lab: DemazureLabel) -> int:
-    """Dimension: multiplicities times Weyl dimensions, memoised."""
+    """Dimension: multiplicities of the grade-free ladder times Weyl
+    dimensions, memoised."""
     return _dim(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
 def _dim(ad: AffineDatum, level: int, grade: int, d: int, *h: int) -> int:
     rd = ad.finite
-    return sum(sum(row.values()) * _weyl_dim(rd, top)
-               for top, row in _labels(ad, level, grade, d, *h).items())
+    labels = _multiplicities(ad, level, grade, d, h, False)
+    return sum(row[0] * _weyl_dim(rd, top) for top, row in labels.items())

@@ -243,7 +243,8 @@ PINS = [
      "ff0cf338277ceff46f7892d08ff03c5fb3b51aeef5fb9cd2ffce4974cd4741ba"),
     # argparse's own refusals and abbreviations: a stray positional, a
     # missing required option, an unknown option after the command and
-    # before it, abbreviated options, and an invalid --format.
+    # before it, abbreviated options, an invalid --format and an empty
+    # --cache-dir.
     ("demazure-dim --type A1 --level 1 --lambda 1 stray", 2,
      "d3763e85063b50d66511092df6c5406898c213300e2a70cb28e5061a55b0d90e"),
     ("demazure-dim --type A1 --lambda 1", 2,
@@ -256,6 +257,8 @@ PINS = [
      "186e640e9ff43720b07d4256992678f4132f611c9e967cf9b2357e5aa6b253ed"),
     ("demazure-dim --type A1 --level 1 --lambda 1 --format xml", 2,
      "89a058b5f8fa4197d4e236e079567b27e6e518d3e0d67d7b719ab747cd8784e0"),
+    ("demazure-dim --type A1 --level 1 --lambda 3 --cache-dir=", 2,
+     "a260ddba2e61f26400676e0ffcac0279c94145cb34464dd29031ef7413936741"),
     ("--help", 0,
      "ef859e211eecb0728ac27c269e9fabb0106f3c921406f49fca576ea9564a2896"),
     ("demazure-char --help", 0,
@@ -674,6 +677,25 @@ def test_cache_dir_resolution(tmp_path, monkeypatch):
     monkeypatch.delenv("DEMAZURE_CACHE_DIR")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     assert cli.resolve_cache_dir(None) == str(tmp_path / "xdg" / "demflag")
+
+
+@pytest.mark.parametrize("spelling", [["--cache-dir", ""], ["--cache-dir="]])
+def test_an_empty_cache_dir_is_refused(capsys, tmp_path, monkeypatch,
+                                       spelling):
+    """An empty ``--cache-dir`` exits 2 with one refusal and writes
+    nothing, not even under the per-user path it once fell back to.  An
+    empty ``DEMAZURE_CACHE_DIR`` counts as unset."""
+    monkeypatch.setenv("DEMAZURE_CACHE_DIR", "")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    assert cli.resolve_cache_dir(None) == str(tmp_path / "xdg" / "demflag")
+    rc, out, err = run(capsys, ["demazure-dim", "--type", "A1", "--level",
+                                "1", "--lambda", "3", *spelling])
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == ("demflag demazure-dim: error: argument "
+                                    "--cache-dir: an empty value names no "
+                                    "directory")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_env_cache_dir_is_used(capsys, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Extremal-weight solving, module characters, and dimension laws."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -122,9 +123,51 @@ def test_dimension_examples():
 
 
 def test_dimension_ignores_grade_offset():
-    for m in (-1, 0, 3):
-        assert demazure_dim(A2_AFF, DemazureLabel(2, A2.weight([1, 0]), m)) \
-            == demazure_dim(A2_AFF, DemazureLabel(2, A2.weight([1, 0]), 0))
+    for ad, level, lam in ((A1_AFF, 1, A1.weight([5])),
+                           (A2_AFF, 2, A2.weight([1, 0])),
+                           (A2_AFF, 1, A2.weight([2, 1])),
+                           (C2_AFF, 1, C2.weight([1, 2]))):
+        dims = {demazure_dim(ad, DemazureLabel(level, lam, g))
+                for g in (-3, 0, 5)}
+        assert len(dims) == 1, (ad.label, level, lam.h, dims)
+
+
+# ---- the grade-free dimension ladder against the graded one ----
+
+
+def test_rank_one_level_one_dimensions_to_forty():
+    """``dim D(1, m omega_1) = 2^m`` on A1, the tensor power of the
+    two-dimensional fundamental module."""
+    for m in range(41):
+        assert demazure_dim(A1_AFF, DemazureLabel(1, A1.weight([m]))) \
+            == 2 ** m, m
+
+
+@pytest.mark.parametrize("label,extra", [("A2", (6, 6)), ("A3", (2, 2, 2)),
+                                         ("D4", (1, 1, 1, 1))])
+def test_level_one_dimensions_factor_into_fundamentals(label, extra):
+    """In simply laced type ``D(1, lam)`` is the local Weyl module
+    ``W(lam)``, whose dimension is the product over the fundamental weights
+    of ``dim W(omega_i)^lam_i`` (the paper's factorization)."""
+    rd = datum_from_label(label)
+    ad = affinize(rd)
+    fund = [demazure_dim(ad, DemazureLabel(1, rd.fundamental_weight(i)))
+            for i in rd.indices]
+    small = [h for h in product(range(5), repeat=rd.rank) if sum(h) <= 4]
+    for h in small + [extra]:
+        prod = 1
+        for dim, n in zip(fund, h):
+            prod *= dim ** n
+        assert demazure_dim(ad, DemazureLabel(1, rd.weight(h))) == prod, h
+
+
+@pytest.mark.parametrize("label,level,h", [
+    ("A1", 1, (20,)), ("A2", 1, (6, 6)), ("A2", 2, (6, 6)), ("C2", 1, (2, 3)),
+    ("G2", 2, (1, 1))])
+def test_dimension_is_the_mass_of_the_graded_character(label, level, h):
+    ad = affinize(datum_from_label(label))
+    lab = DemazureLabel(level, ad.finite.weight(h))
+    assert demazure_dim(ad, lab) == demazure_character(ad, lab).mass()
 
 
 def test_dimension_dual_weight():
@@ -349,21 +392,25 @@ def test_bad_labels_raise_on_every_call():
 
 def test_memo_stays_within_its_bound():
     """The dimensions keep ``MEMO_SIZE`` entries and the multiplicity maps
-    beneath them four times that; beneath expansions, the dominant
-    multiplicities of Weyl characters keep four times and their orbits
-    eight times that.  Path crystals keep ``MEMO_SIZE`` tables and the
-    path sets grown in them and the word ladders compared with those
+    beneath the characters four times that; beneath expansions, the
+    dominant multiplicities of Weyl characters keep four times and their
+    orbits eight times that.  Path crystals keep ``MEMO_SIZE`` tables and
+    the path sets grown in them and the word ladders compared with those
     sets a sixth of that.  Run past every bound: each A1 weight ``n``
     adds one top and one orbit, that of ``n`` itself; past the tops' bound
-    the orbits are asked for alone, which is cheaper."""
+    the orbits are asked for alone, which is cheaper.  A dimension runs
+    the grade-free ladder, so it leaves the multiplicity maps alone."""
     size = demazure.MEMO_SIZE
-    bounds = ((demazure._dim, size), (demazure._labels, 4 * size))
-    for memo, _ in bounds:
+    dims, maps = demazure._dim, demazure._labels
+    for memo in (dims, maps):
         memo.cache_clear()
     for grade in range(4 * size + 8):
-        demazure_dim(A1_AFF, DemazureLabel(1, A1.weight([grade % 3]), grade))
-        for memo, bound in bounds:
-            assert memo.cache_info().currsize == min(grade + 1, bound)
+        lab = DemazureLabel(1, A1.weight([grade % 3]), grade)
+        demazure_dim(A1_AFF, lab)
+        assert dims.cache_info().currsize == min(grade + 1, size)
+        assert maps.cache_info().currsize == min(grade, 4 * size)
+        demazure_character(A1_AFF, lab)
+        assert maps.cache_info().currsize == min(grade + 1, 4 * size)
     tops, orbits = characters._dominant, characters._orbit
     for memo in (characters._weyl_character, tops, orbits):
         memo.cache_clear()
