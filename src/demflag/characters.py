@@ -44,28 +44,24 @@ so the loops check nothing and there is no other path.
   ``M = M0 (1 + A)^len(word)``, ``M0`` bounding the input.
 * Straightening.  It moves the finite values of a key through
   ``w(mu + rho) - rho`` for Weyl group elements ``w`` and leaves the grade
-  alone.  Take the invariant form with ``(alpha_j, alpha_j) = 2 d_j``, ``d``
-  the symmetrizer, so that ``(omega_i, omega_j) = d_i (cartan^-1)_ij``.  A
-  weight ``nu`` whose values are at most ``N`` in absolute value has
-  ``(nu, nu) <= N^2 S`` with ``S = sum_ij |(omega_i, omega_j)|``, and ``w``
-  keeps the form, so by Cauchy-Schwarz
-
-      |w(nu)(h_j)| = 2 |(w nu, alpha_j)| / (alpha_j, alpha_j)
-                   <= 2 |nu| / |alpha_j|  <=  C N,   C^2 = 2 S / min(d).
-
-  With ``nu = mu + rho`` and ``N = M + 1``, every value straightening
-  reaches is at most ``C (M + 1) + 1 <= (K + 1)(M + 1)``, where ``K`` is
-  ``C`` rounded up to an integer.  ``C`` is 1 for A1, 2 for A2, about 3.2
-  for A3, 4.5 for A4 and 35.2 for E8, so ``K`` is 1, 2, 4, 5 and 36; on
-  A1, A2 and A3 the bound is reached or nearly.  On an affine datum
-  ``K`` is that of its finite part; only the finite fields are
+  alone.  With ``nu = mu + rho``, ``w(nu)(h_j) = nu(w^-1 h_j)``, and
+  ``w^-1 h_j`` is a coroot.  Its simple-coroot coefficients have one sign
+  and sum to at most ``h - 1``, the height of the highest coroot, where
+  ``h`` is the Coxeter number: the coroots form a root system with the
+  same Weyl group, so the same ``h`` (Kostant; Humphreys, *Reflection
+  Groups and Coxeter Groups*, section 3.20; Bourbaki, Lie VI section
+  1.11).  The values of ``nu`` are at most ``M + 1``, so every value
+  straightening reaches is at most ``(h - 1)(M + 1) + 1 <= h (M + 1)``.
+  The factor ``h - 1`` is exact on all 32 finite types: a key at ``-m`` on
+  every node peaks at exactly ``(h - 1)(m - 1) + 1``.  On an affine datum
+  ``h`` is that of its finite part; only the finite fields are
   straightened, and the affine ``h_0`` is shifted out first.
 
-``B`` is the bit length of ``(K + 1)(M + 1)``, which exceeds every
-coordinate of both loops, plus two, rounded up to a multiple of 16
-(``_width``): every coordinate is below ``2^(B-2)`` in absolute value,
-inside its field.  ``B`` grows by about ``log2(1 + A)`` bits a letter; the
-``w0`` ladder of E8, 120 letters, packs its 9 fields at 208 bits each.
+``B`` is the bit length of ``h (M + 1)``, which exceeds every coordinate
+of both loops, plus two, rounded up to a multiple of 16 (``_width``):
+every coordinate is below ``2^(B-2)`` in absolute value, inside its field.
+``B`` grows by about ``log2(1 + A)`` bits a letter; the ``w0`` ladder of
+E8, 120 letters, packs its 9 fields at 208 bits each.
 
 ``_irreducibles`` runs the ladder and straightens its terms through
 ``D_w0``, the Weyl symmetrizer: it sends ``e^mu`` to
@@ -158,7 +154,6 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import repeat
-from math import isqrt
 from operator import add, index, le, lshift, mul, rshift, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -305,18 +300,12 @@ _Layout = tuple[tuple[int, ...], tuple[int, ...], int, int, int]
 
 @cache
 def _factors(datum: Datum) -> tuple[int, int]:
-    """``1 + A`` and ``K + 1`` of the bound in the module docstring: ``A``
-    the largest absolute entry of a flat root, ``K`` the straightening
-    constant ``C`` of the finite part, rounded up."""
+    """``1 + A`` and ``h`` of the bound in the module docstring: ``A`` the
+    largest absolute entry of a flat root, ``h`` the Coxeter number of the
+    finite part, ``2 |positive roots| / rank``."""
     rd = datum.finite if isinstance(datum, AffineDatum) else datum
-    adj, den = rd._inverse
-    sym = rd.symmetrizer
-    # ``den * S``, with ``(omega_i, omega_j) = d_i adj_ij / den``.
-    s = sum(d * abs(x) for d, row in zip(sym, adj) for x in row)
-    c2 = -(-2 * s // (den * min(sym)))          # ceil(C^2)
-    # ``isqrt(c2 - 1) + 1`` is ``ceil(sqrt(c2))``, at least ``C``.
     return (1 + max(abs(x) for alpha in datum.flat_roots for x in alpha),
-            isqrt(c2 - 1) + 2)
+            2 * len(rd.positive_roots) // rd.rank)
 
 
 def _width(datum: Datum, m0: int, length: int) -> int:
@@ -329,8 +318,8 @@ def _width(datum: Datum, m0: int, length: int) -> int:
 
 
 # Widths come in steps of 16 bits, so that few layouts serve every call: a
-# layout takes about 6 us to build, and a perfbench ``ladder`` pass needs
-# 20 of them (34 in steps of 8, 123 in steps of 1), ``flags`` 17.
+# layout takes 6-15 us to build (A2 to E8), and from empty memos a full
+# perfbench ``ladder`` family builds 55 of them, ``flags`` 36.
 @lru_cache(maxsize=4 * MEMO_SIZE)
 def _layout(datum: Datum, width: int, graded: bool) -> _Layout:
     """Packed keys of ``datum`` at ``width`` bits a field: the shift of each

@@ -157,14 +157,18 @@ def render(obj, tables: list[Table], fmt: str) -> str:
 
 def resolve_cache_dir(explicit: Optional[str]) -> str:
     """``explicit``, else ``DEMAZURE_CACHE_DIR``, else the per-user path;
-    an empty value counts as unset."""
+    an empty value counts as unset.  The per-user path is under
+    ``XDG_CACHE_HOME`` when that is an absolute path, else under
+    ``~/.cache``: the XDG Base Directory spec ignores an empty or relative
+    value."""
     if explicit:
         return explicit
     env = os.environ.get("DEMAZURE_CACHE_DIR")
     if env:
         return env
-    base = os.environ.get("XDG_CACHE_HOME",
-                          os.path.join(os.path.expanduser("~"), ".cache"))
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "demflag")
 
 
@@ -509,19 +513,26 @@ def _join_values(argv: list[str]) -> list[str]:
     that starts with ``-`` but names no option of the subcommand, nor
     abbreviates one: ``--level --1`` becomes ``--level=--1``.  argparse
     would read ``--1`` as an unknown option and answer with its usage
-    block; joined, the value reaches its own one-line refusal.  A missing
-    value before a real option, as in ``--lambda --format json``, is left
-    to argparse."""
+    block; joined, the value reaches its own one-line refusal.  An option
+    is resolved as argparse resolves it, by its name or by a ``--`` prefix
+    of exactly one option, so ``--lev --1`` is joined too; an ambiguous
+    prefix is left to argparse, and so is a missing value before a real
+    option, as in ``--lambda --format json``."""
     if not argv or argv[0] not in _COMMANDS:
         return argv
     options = _arguments(argv[0])
     names = [flag for flag, _ in options] + ["-h", "--help"]
     valued = {flag for flag, kwargs in options
               if kwargs.get("action") != "store_true"}
+
+    def named(tok: str) -> str:
+        hits = [name for name in names if name.startswith(tok)]
+        return hits[0] if tok.startswith("--") and len(hits) == 1 else tok
+
     out, i = argv[:1], 1
     while i < len(argv):
         tok, nxt = argv[i], argv[i + 1] if i + 1 < len(argv) else ""
-        if tok in valued and nxt.startswith("-") and not any(
+        if named(tok) in valued and nxt.startswith("-") and not any(
                 name.startswith(nxt.split("=", 1)[0]) for name in names):
             out.append(f"{tok}={nxt}")
             i += 2

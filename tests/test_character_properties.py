@@ -15,7 +15,8 @@ lead order.  The packed-integer ladder (``demazure_word_char``,
 ``demazure_step`` and the multiplicities of ``demazure._labels``) is
 checked against a tuple ladder written here from the Cartan matrix, with
 grades of ``10**30`` and coordinates of ``2**80``, and its packing width
-against the largest coordinate that ladder reaches.  Ladders are
+against the largest coordinate that ladder reaches; the straightening
+part of that width is exact on every finite type.  Ladders are
 idempotent, Demazure characters invariant grade by grade, and ungraded
 local Weyl characters the products of their fundamental factors.
 Examples are derandomized and no example database is written, so the suite
@@ -63,7 +64,7 @@ from demflag import (
 )
 from test_characters import project_graded_classical, shift_grade
 from test_flags import multiset
-from test_root_data import dominance_leq
+from test_root_data import all_datums, dominance_leq
 from test_lspath import make, root_op_e
 
 FINITE = tuple(map(datum_from_label, ("A1", "A2", "C2", "G2")))
@@ -608,6 +609,24 @@ def test_straightening_matches_the_tuple_oracle(case):
     expected, peak = oracle_straighten(rd, terms)
     assert flatten(characters._irreducibles(rd, (), terms)) == expected
     assert fits(rd, max(abs(x) for k in terms for x in k), 0, peak)
+
+
+@pytest.mark.parametrize("m", [2, 5, 2**13 - 1, 2**40])
+def test_straightening_bound_is_exact_on_every_type(m):
+    """A key at ``-m`` on every node straightens through a peak of exactly
+    ``(h - 1)(m - 1) + 1``, ``h`` the Coxeter number ``2 |positive roots| /
+    rank``: the width's straightening factor can be no smaller on any
+    type.  The packed straightening gives the oracle's answer there."""
+    count = 0
+    for rd in all_datums():
+        h = 2 * len(rd.positive_roots) // rd.rank
+        terms = {(-m,) * rd.rank + (0,): 1}
+        expected, peak = oracle_straighten(rd, terms)
+        assert peak == (h - 1) * (m - 1) + 1, rd.label
+        assert flatten(characters._irreducibles(rd, (), terms)) == expected
+        assert fits(rd, m, 0, peak), rd.label
+        count += 1
+    assert count == 32
 
 
 @SETTINGS

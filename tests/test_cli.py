@@ -233,6 +233,14 @@ PINS = [
      "1bf1e339a89ddf9facaee46d6450b903badeb9fa582766ad4bf78393b2d2e105"),
     ("demazure-dim --type A1 --level --1 --lambda 1", 2,
      "41e5663819089ab4b74d65b9e03be91677de6cf4154ef8c14f54f0bed96553fe"),
+    # The same two refusals with the option abbreviated: the bytes of the
+    # full spelling.
+    ("weyl-char --type C2 --lam -1,0", 3,
+     "1bf1e339a89ddf9facaee46d6450b903badeb9fa582766ad4bf78393b2d2e105"),
+    ("weyl-char --type C2 --l -1,0", 3,
+     "1bf1e339a89ddf9facaee46d6450b903badeb9fa582766ad4bf78393b2d2e105"),
+    ("demazure-dim --type A1 --lev --1 --lambda 1", 2,
+     "41e5663819089ab4b74d65b9e03be91677de6cf4154ef8c14f54f0bed96553fe"),
     ("level-flag --type C2 --level 1 --to-level 2 --lambda 1,0", 3,
      "f7af5b730a8d943d75ee9c16e172325bc44a716465de97df57bf6da3e88a83c0"),
     ("demazure-dim --type A1 --level 1 --lambda=-1", 3,
@@ -465,14 +473,20 @@ def test_only_ascii_integers_are_numbers(capsys, bad):
 
 def test_a_dashed_value_gets_the_one_line_refusal(capsys):
     """A value starting with ``-`` that names no option is refused alike
-    after a blank and after ``=``; a value missing before a real option,
-    whole or abbreviated, keeps argparse's usage and message."""
+    after a blank and after ``=``, after the option in full and
+    abbreviated; a value missing before a real option, whole or
+    abbreviated, keeps argparse's usage and message, and so does a value
+    after an ambiguous abbreviation."""
     base = ["demazure-dim", "--type", "A1", "--level", "1"] + NC
     for bad in ("--1", "-x", "--1,0"):
         assert run(capsys, base + ["--lambda", bad]) \
+            == run(capsys, base + ["--lam", bad]) \
             == run(capsys, base + [f"--lambda={bad}"]) \
             == (2, "", "error: --lambda must be comma-separated integers: "
                        f"{bad!r}\n")
+    rc, out, err = run(capsys, base + ["--l", "--1"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: demflag demazure-dim")
     for real in (["--format", "json"], ["--format=json"], ["--form", "json"],
                  ["--type", "A1"], ["-h"]):
         rc, out, err = run(capsys, base + ["--lambda"] + real)
@@ -670,13 +684,29 @@ def test_import_loads_no_dataclasses_or_fractions():
                          "csv"}
 
 
-def test_cache_dir_resolution(tmp_path, monkeypatch):
+def test_cache_dir_resolution(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("DEMAZURE_CACHE_DIR", str(tmp_path / "env"))
     assert cli.resolve_cache_dir("/explicit") == "/explicit"
     assert cli.resolve_cache_dir(None) == str(tmp_path / "env")
     monkeypatch.delenv("DEMAZURE_CACHE_DIR")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     assert cli.resolve_cache_dir(None) == str(tmp_path / "xdg" / "demflag")
+    # The XDG Base Directory spec counts an empty XDG_CACHE_HOME as unset
+    # and ignores a relative one: the cache goes under ~/.cache, and
+    # nothing is written under the working directory.
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    home_cache = tmp_path / "home" / ".cache" / "demflag"
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for xdg in ("", "relative"):
+        monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+        assert cli.resolve_cache_dir(None) == str(home_cache)
+        rc, out, _ = run(capsys, ["demazure-dim", "--type", "A1", "--level",
+                                  "1", "--lambda", "3"])
+        assert (rc, json.loads(out)["dim"]) == (0, 8)
+        assert len(list(home_cache.iterdir())) == 1
+        assert list(work.iterdir()) == []
 
 
 @pytest.mark.parametrize("spelling", [["--cache-dir", ""], ["--cache-dir="]])
