@@ -6,7 +6,9 @@ tensor characters, the path-crystal cross-check, highest-term extraction,
 finite Weyl characters, and the dimension product check.  A new subcommand
 is one more ``_COMMANDS`` entry: its help line, its options in validation
 order (kinds from ``_OPTIONS``, which parse and canonicalize them) and a
-function computing its sections.  One handler validates every request.
+function computing its sections.  Argparse keeps every value as text and
+refuses only the shape of a command line; one handler validates every
+value of every request, so each refused value is one ``error:`` line.
 ``build_parser`` adds only the subcommand that the first argument names;
 any other command line (top-level help, no arguments, an unknown command
 or an option first) gets every subcommand.
@@ -227,8 +229,8 @@ def cache_write(cdir: str, key: str, output: str) -> None:
 #
 # An option kind is its flag, its argparse keywords, the canonical parameter
 # it fills, how the parsed arguments give its value and how that value
-# reads as a plain JSON parameter.  Argparse keeps every value as text; the
-# value functions parse it, so every refusal is one ``error:`` line.
+# reads as a plain JSON parameter.  The value functions parse the text
+# argparse keeps.
 #
 # Every number on the command line goes through ``integer``.
 
@@ -418,9 +420,27 @@ _COMMANDS = {
 }
 
 
+def _invalid_choice(value: str, choices) -> str:
+    # argparse quotes the choices in this line on some versions and not on
+    # others; spelled out, it is the same bytes on all.
+    return (f"invalid choice: {value!r} "
+            f"(choose from {', '.join(map(repr, choices))})")
+
+
+_FORMATS = ("json", "csv", "table")
+
+
 def _handle(args):
     """Validate a request; its canonical parameters and a thunk computing
-    (json object, tables), which a cache hit never calls."""
+    (json object, tables), which a cache hit never calls.  The options
+    every subcommand shares come first, then ``--type`` and the
+    subcommand's own options in their order."""
+    if args.format not in _FORMATS:
+        raise ValueError("argument --format: "
+                         + _invalid_choice(args.format, _FORMATS))
+    if args.cache_dir == "":           # not unset: it names no directory
+        raise ValueError("argument --cache-dir: an empty value names no "
+                         "directory")
     command = _COMMANDS[args.command]
     rd = datum_from_label(args.type)
     ad = affinize(rd)
@@ -444,40 +464,15 @@ def _handle(args):
 _HANDLERS: dict[str, Callable] = dict.fromkeys(_COMMANDS, _handle)
 
 
-def _invalid_choice(value: str, choices) -> str:
-    # argparse quotes the choices in this line on some versions and not on
-    # others; spelled out, it is the same bytes on all.
-    return (f"invalid choice: {value!r} "
-            f"(choose from {', '.join(map(repr, choices))})")
-
-
-_FORMATS = ("json", "csv", "table")
-
-
-def _format(text: str) -> str:
-    """A ``--format`` value, checked before argparse checks its choices,
-    which then serve only the usage line and the help."""
-    if text not in _FORMATS:
-        raise argparse.ArgumentTypeError(_invalid_choice(text, _FORMATS))
-    return text
-
-
-def _cache_dir(text: str) -> str:
-    """A ``--cache-dir`` value.  An empty one names no directory; refused
-    here, it cannot fall through to the per-user cache path."""
-    if not text:
-        raise argparse.ArgumentTypeError("an empty value names no directory")
-    return text
-
-
 # Options every subcommand takes after its own, with argparse's keywords.
 _SHARED = (
     ("--type", {"required": True,
                 "help": "finite type label, e.g. A1, C2, G2"}),
-    ("--format", {"type": _format, "choices": _FORMATS, "default": "json"}),
+    ("--format", {"metavar": "{" + ",".join(_FORMATS) + "}",
+                  "default": "json"}),
     ("--no-cache", {"action": "store_true",
                     "help": "skip cache lookup and write"}),
-    ("--cache-dir", {"type": _cache_dir, "default": None,
+    ("--cache-dir", {"default": None,
                      "help": "override the cache directory"}),
 )
 

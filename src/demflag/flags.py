@@ -76,12 +76,6 @@ class DominantLWeight(Frozen):
             raise ValueError("summand labels must be pairwise distinct")
         object.__setattr__(self, "factors", factors)
 
-    def weight(self, rd: RootDatum) -> Weight:
-        total = rd.zero_weight
-        for w, _ in self.factors:
-            total = total + w
-        return total
-
 
 def _add(out: Labels, labels: Labels, grade: int, c: int) -> None:
     """Add ``c`` times ``labels``, shifted by ``grade``, into ``out``, in

@@ -57,6 +57,12 @@ def _random_char(rng, ad, terms=4):
     return out
 
 
+def test_repr_lists_the_terms():
+    assert repr(Character.zero(A1)) == "Character(A1: 0)"
+    assert repr(weyl_character_finite(A1, A1.weight([1]))) \
+        == "Character(A1: 1*e[(-1,),0] + 1*e[(1,),0])"
+
+
 # ---- operator ladders ----
 
 

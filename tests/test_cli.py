@@ -249,10 +249,9 @@ PINS = [
     # "...".
     ("demazure-dim --type A1 --level 1 --lambda " + "x" * 5000, 2,
      "ff0cf338277ceff46f7892d08ff03c5fb3b51aeef5fb9cd2ffce4974cd4741ba"),
-    # argparse's own refusals and abbreviations: a stray positional, a
-    # missing required option, an unknown option after the command and
-    # before it, abbreviated options, an invalid --format and an empty
-    # --cache-dir.
+    # argparse's own refusals, of the shape of a command line, and
+    # abbreviations: a stray positional, a missing required option, an
+    # unknown option after the command and before it, abbreviated options.
     ("demazure-dim --type A1 --level 1 --lambda 1 stray", 2,
      "d3763e85063b50d66511092df6c5406898c213300e2a70cb28e5061a55b0d90e"),
     ("demazure-dim --type A1 --lambda 1", 2,
@@ -263,10 +262,15 @@ PINS = [
      "509768cd57b1159d8bfc0f147e2f02e82f4351ba2f8386590b34e44d384be550"),
     ("demazure-dim --typ A1 --lev 1 --lam 2", 0,
      "186e640e9ff43720b07d4256992678f4132f611c9e967cf9b2357e5aa6b253ed"),
+    # An invalid --format and an empty --cache-dir are values, refused in
+    # one line like every other value.
     ("demazure-dim --type A1 --level 1 --lambda 1 --format xml", 2,
-     "89a058b5f8fa4197d4e236e079567b27e6e518d3e0d67d7b719ab747cd8784e0"),
+     "8af6048bfd6ca90372d0cccc8ddd419c43f5ffbb03f9e64431af1ed4378eca9d"),
     ("demazure-dim --type A1 --level 1 --lambda 3 --cache-dir=", 2,
-     "a260ddba2e61f26400676e0ffcac0279c94145cb34464dd29031ef7413936741"),
+     "14f05f832a8add60b94015dede61b531335ceeea0f3696e0ad9a447492f65298"),
+    # The empty word: the crystal of the highest weight alone.
+    ("crystal-check --type A1 --lambda 1,0 --sigma= --format csv", 0,
+     "065974df50f265f78ca02450e66947e4a2646c8ce3d4b496641106f0620b7a48"),
     ("--help", 0,
      "ef859e211eecb0728ac27c269e9fabb0106f3c921406f49fca576ea9564a2896"),
     ("demazure-char --help", 0,
@@ -351,7 +355,7 @@ def test_pins_cover_the_benchmark_and_every_help_screen():
     import workloads
     pinned = {args for args, _, _ in PINS}
     assert {r[1] for r in workloads.family("cli")} <= pinned
-    assert {f"{c} --help" for c in cli._HANDLERS} | {"--help", ""} <= pinned
+    assert {f"{c} --help" for c in cli._COMMANDS} | {"--help", ""} <= pinned
 
 
 def test_dim_check(capsys):
@@ -432,6 +436,21 @@ def test_a_factor_label_may_not_end_in_a_newline(capsys):
     rc, out, err = run(capsys, ["local-weyl", "--type", "A1", "--factor",
                                 "1@a\n", "--factor", "1@a"] + NC)
     assert (rc, out, err) == (2, "", "error: bad factor label 'a\\n'\n")
+
+
+def test_shared_values_are_checked_first(capsys):
+    """``--format``, then ``--cache-dir``, then ``--type`` and the
+    subcommand's own values, wherever each stands on the command line."""
+    fmt = ("error: argument --format: invalid choice: 'xml' (choose from "
+           "'json', 'csv', 'table')\n")
+    cdir = "error: argument --cache-dir: an empty value names no directory\n"
+    for argv, err in (
+            (["--type", "Z9", "--level", "x", "--format", "xml"], fmt),
+            (["--cache-dir=", "--type", "A1", "--level", "1", "--format",
+              "xml"], fmt),
+            (["--type", "Z9", "--level", "x", "--cache-dir="], cdir)):
+        assert run(capsys, ["demazure-dim", "--lambda", "1", *argv]) \
+            == (2, "", err), argv
 
 
 def test_argparse_errors_use_exit_code_2(capsys):
@@ -721,10 +740,8 @@ def test_an_empty_cache_dir_is_refused(capsys, tmp_path, monkeypatch,
     assert cli.resolve_cache_dir(None) == str(tmp_path / "xdg" / "demflag")
     rc, out, err = run(capsys, ["demazure-dim", "--type", "A1", "--level",
                                 "1", "--lambda", "3", *spelling])
-    assert (rc, out) == (2, "")
-    assert err.splitlines()[-1] == ("demflag demazure-dim: error: argument "
-                                    "--cache-dir: an empty value names no "
-                                    "directory")
+    assert (rc, out, err) == (2, "", "error: argument --cache-dir: an empty "
+                                     "value names no directory\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -380,12 +380,6 @@ def test_labelled_weights_are_immutable():
     assert local_weyl_character(A1, varpi).mass() == 4
 
 
-def test_dominant_lweight_total():
-    varpi = DominantLWeight(((C2.weight([1, 0]), "a"),
-                             (C2.weight([0, 1]), "b")))
-    assert varpi.weight(C2) == C2.weight([1, 1])
-
-
 # ---- the per-process memo ----
 
 

@@ -12,6 +12,7 @@ from operator import mul
 import pytest
 
 from demflag import (
+    RootDatum,
     Weight,
     affinize,
     apply_word,
@@ -302,6 +303,19 @@ def test_unknown_type_rejected():
     for bad in ("H3", "A0", "A9", "F5", "G3", "D3", "a2", "X1", ""):
         with pytest.raises(errors.UnknownType):
             datum_from_label(bad)
+
+
+def test_unknown_series_rejected_by_the_builder():
+    # datum_from_label's pattern never lets an unknown series through, so
+    # the builder's own check is reached only directly.
+    with pytest.raises(errors.UnknownType, match="^unknown series 'H'$"):
+        build_finite_datum("H", 2)
+
+
+def test_a_datum_takes_exactly_its_fields():
+    with pytest.raises(TypeError, match="^RootDatum takes the fields series, "
+                                        "rank, cartan, "):
+        RootDatum(series="A")
 
 
 def test_index_bounds():
