@@ -154,10 +154,11 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import repeat
-from operator import add, index, le, lshift, mul, rshift, sub
+from operator import add, le, lshift, mul, rshift, sub
 from typing import Iterable, Mapping, Sequence
 
-from .root_data import AffineDatum, Datum, Frozen, RootDatum, Weight
+from .root_data import (AffineDatum, Datum, Frozen, RootDatum, Weight,
+                        integral)
 
 Flat = dict[tuple[int, ...], int]
 Labels = dict[tuple[int, ...], dict[int, int]]      # {top: {grade: m}}
@@ -179,8 +180,8 @@ class Character(Frozen):
     """Finite map ``h + (d,) -> nonzero int`` over one datum.
 
     Built from ``(h, d)`` pairs, a ``Weight`` among them, each checked by
-    ``datum.weight``, and integer coefficients; ``ValueError`` otherwise.
-    Zero coefficients are dropped.
+    ``datum.weight``, and integer coefficients, each checked by
+    ``integral``; ``ValueError`` otherwise.  Zero coefficients are dropped.
     """
 
     __slots__ = ("datum", "_terms")
@@ -190,12 +191,7 @@ class Character(Frozen):
         flat: Flat = {}
         for (h, d), c in terms.items():
             h, d = datum.weight(h, d)
-            try:
-                c = index(c)
-            except TypeError:
-                raise ValueError(f"coefficient {c!r} is not integral"
-                                 ) from None
-            if c:
+            if c := integral(c, "coefficient"):
                 flat[(*h, d)] = c
         object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "_terms", flat)
@@ -216,10 +212,13 @@ class Character(Frozen):
     def monomial(cls, datum: Datum, w: Weight, c: int = 1) -> "Character":
         return cls(datum, {w: c})
 
-    def _check(self, other: "Character") -> None:
-        if self.datum.label != other.datum.label:
-            raise ValueError(
-                f"mixed datums {self.datum.label} and {other.datum.label}")
+    def _on(self, datum: Datum) -> "Character":
+        """The character itself, or ``ValueError`` unless it lives on
+        ``datum``: the one check that no datums are mixed."""
+        if self.datum.label != datum.label:
+            raise ValueError(f"character on {self.datum.label} does not "
+                             f"live on {datum.label}")
+        return self
 
     def terms(self) -> list[tuple[tuple[tuple[int, ...], int], int]]:
         """``((h, d), c)`` pairs ordered by ``(d, h)``."""
@@ -252,10 +251,9 @@ class Character(Frozen):
                 and self._terms == other._terms)
 
     def __add__(self, other: "Character") -> "Character":
-        self._check(other)
         out = dict(self._terms)
         get = out.get
-        for k, c in other._terms.items():
+        for k, c in other._on(self.datum)._terms.items():
             out[k] = get(k, 0) + c
         return Character._wrap(self.datum, _nonzero(out))
 
@@ -268,15 +266,12 @@ class Character(Frozen):
     def scale(self, c: int) -> "Character":
         """``c`` times the character; ``ValueError`` if ``c`` is not an
         integer."""
-        try:
-            c = index(c)
-        except TypeError:
-            raise ValueError(f"scale factor {c!r} is not integral") from None
+        c = integral(c, "scale factor")
         return Character._wrap(self.datum, _nonzero(
             {k: c * v for k, v in self._terms.items()}))
 
     def __mul__(self, other: "Character") -> "Character":
-        self._check(other)
+        other._on(self.datum)
         out: Flat = {}
         get = out.get
         for k1, c1 in self._terms.items():
@@ -428,9 +423,8 @@ def _unpacked(datum: Datum, packed: dict[int, int],
 
 def demazure_step(datum: Datum, i: int, f: Character) -> Character:
     """One Demazure operator applied to a character, term by term."""
-    if f.datum.label != datum.label:
-        raise ValueError(f"character does not live on {datum.label}")
-    return _unpacked(datum, *_ladder(datum, (datum.pos(i),), f._terms))
+    return _unpacked(datum, *_ladder(datum, (datum.pos(i),),
+                                     f._on(datum)._terms))
 
 
 def demazure_word_char(datum: Datum, word: Sequence[int],
@@ -644,9 +638,7 @@ def check_w_invariance_per_grade(rd: RootDatum, g: Character) -> bool:
     ``k - k[p] flat_roots[p]`` keeps its grade, and comparing all grades at
     once compares them one by one.
     """
-    if g.datum.label != rd.label:
-        raise ValueError(f"character does not live on {rd.label}")
-    terms = g._terms
+    terms = g._on(rd)._terms
     for p, alpha in enumerate(rd.flat_roots):
         for k, c in terms.items():
             n = k[p]

@@ -26,7 +26,7 @@ per-user cache path; ``--no-cache`` skips both lookup and write.  Cache
 writes go through a temporary file and an atomic rename.
 
 Exit codes: 0 success, 2 invalid request, 3 mathematical domain error,
-4 cache input/output failure (the result is still printed).
+4 cache or output I/O failure (the result is still printed and cached).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import os
 import re
 import sys
 import tempfile
-import time
 from functools import cache
 from typing import Callable, NamedTuple, Optional
 
@@ -212,13 +211,11 @@ def cache_read(cdir: str, key: str) -> Optional[str]:
 
 def cache_write(cdir: str, key: str, output: str) -> None:
     os.makedirs(cdir, exist_ok=True)
-    path = os.path.join(cdir, key + ".json")
-    entry = {"key": key, "created": time.time(), "output": output}
     fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh)
-        os.replace(tmp, path)
+            json.dump({"key": key, "output": output}, fh)
+        os.replace(tmp, os.path.join(cdir, key + ".json"))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -292,30 +289,25 @@ class _Option(NamedTuple):
     plain: Callable = lambda value: value
 
 
-def _h(w) -> list[int]:
-    return list(w.h)
-
-
 def _integer_option(flag: str, kwargs: dict) -> _Option:
     param = flag[2:].replace("-", "_")
     return _Option(flag, kwargs, param,
                    lambda rd, ad, args: _int(getattr(args, param), flag))
 
 
-_LAMBDA = {"dest": "lam", "required": True}
+def _weight_option(flag: str, dest: str, affine: bool) -> _Option:
+    return _Option(flag, {"dest": dest, "required": True}, flag[2:],
+                   lambda rd, ad, args: (ad if affine else rd).weight(
+                       _ints(getattr(args, dest), flag)),
+                   lambda w: list(w.h))
+
 
 _OPTIONS = {
     "level": _integer_option("--level", {"required": True}),
     "to_level": _integer_option("--to-level", {"required": True}),
-    "lambda": _Option("--lambda", _LAMBDA, "lambda",
-                      lambda rd, ad, args: rd.weight(
-                          _ints(args.lam, "--lambda")), _h),
-    "affine_lambda": _Option("--lambda", _LAMBDA, "lambda",
-                             lambda rd, ad, args: ad.weight(
-                                 _ints(args.lam, "--lambda"),
-                                 _int(args.grade, "--grade")), _h),
-    "mu": _Option("--mu", {"required": True}, "mu",
-                  lambda rd, ad, args: ad.weight(_ints(args.mu, "--mu")), _h),
+    "lambda": _weight_option("--lambda", "lam", False),
+    "affine_lambda": _weight_option("--lambda", "lam", True),
+    "mu": _weight_option("--mu", "mu", True),
     "grade": _integer_option("--grade", {"default": "0"}),
     "sigma": _Option("--sigma", {"required": True}, "sigma", _word, list),
     "factor": _Option("--factor", {"action": "append", "default": []},
@@ -348,16 +340,17 @@ def _weyl_char(rd, ad, v):
 
 
 def _crystal_check(rd, ad, v):
-    ps = generate_demazure_set(ad, v["lambda"], v["sigma"])
+    lam = v["lambda"]._replace(d=v["grade"])
+    ps = generate_demazure_set(ad, lam, v["sigma"])
     by_paths = crystal_character(ps)
-    by_ladders = demazure_word_char(ad, v["sigma"], v["lambda"])
+    by_ladders = demazure_word_char(ad, v["sigma"], lam)
     return [_result(paths=len(ps), mass=by_ladders.mass(),
                     equal=by_paths == by_ladders)]
 
 
 def _joseph(rd, ad, v):
-    nus = [nu for _, nu in joseph_highest(ad, v["mu"], v["lambda"],
-                                          v["sigma"])]
+    lam = v["lambda"]._replace(d=v["grade"])
+    nus = [nu for _, nu in joseph_highest(ad, v["mu"], lam, v["sigma"])]
     return [({"count": len(nus),
               "highest": [{"nu": {"h": list(nu.h), "d": nu.d}} for nu in nus]},
              Table("highest", [*_h_cols(ad), "d"],
@@ -566,36 +559,48 @@ def main(argv=None) -> int:
                     if isinstance(e, kind))
 
 
+def _write(text: str) -> int:
+    """Print ``text``; the exit code, 4 if it cannot be written.  Standard
+    output then points at ``os.devnull``, as the Python docs on SIGPIPE
+    advise, so the flush at interpreter exit raises nothing more."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as e:
+        print(f"error: cannot write the result: {e}", file=sys.stderr)
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 4
+    return 0
+
+
 def _serve(args) -> int:
     """Validate, answer from the cache or compute, print; the exit code.
 
     A cache that cannot be read counts as a miss and one that cannot be
     written loses only the entry: either way the result is printed, and
-    the exit code is 4.
+    the exit code is 4, as for a result that cannot be printed.
     """
     params, run = _HANDLERS[args.command](args)
+    if args.no_cache:
+        return _write(render(*run(), args.format))
+    cdir = resolve_cache_dir(args.cache_dir)
+    key = cache_key(args.command, params, args.format)
     status = 0
-    if not args.no_cache:
-        cdir = resolve_cache_dir(args.cache_dir)
-        key = cache_key(args.command, params, args.format)
-        try:
-            cached = cache_read(cdir, key)
-        except OSError as e:
-            print(f"cache error: {e}", file=sys.stderr)
-            cached, status = None, 4
-        if cached is not None:
-            sys.stdout.write(cached)
-            return 0
-
-    obj, tables = run()
-    text = render(obj, tables, args.format)
-    sys.stdout.write(text)
-    if not args.no_cache:
-        try:
-            cache_write(cdir, key, text)
-        except OSError as e:
-            print(f"cache error: {e}", file=sys.stderr)
-            status = 4
+    try:
+        cached = cache_read(cdir, key)
+    except OSError as e:
+        print(f"cache error: {e}", file=sys.stderr)
+        cached, status = None, 4
+    if cached is not None:
+        return _write(cached)
+    text = render(*run(), args.format)
+    status = _write(text) or status
+    try:
+        cache_write(cdir, key, text)
+    except OSError as e:
+        print(f"cache error: {e}", file=sys.stderr)
+        status = 4
     return status
 
 

@@ -56,14 +56,14 @@ label as given, by value and type, and only a miss checks them, in
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index, mul
+from operator import mul
 from typing import NamedTuple
 
 from . import errors
 from .characters import (MEMO_SIZE, Character, Labels, _expand,
                          _irreducibles, _weyl_dim)
 from .root_data import (AffineDatum, RootDatum, Weight, apply_word,
-                        make_dominant)
+                        integral, make_dominant)
 
 
 class DemazureLabel(NamedTuple):
@@ -75,17 +75,9 @@ class DemazureLabel(NamedTuple):
     grade: int = 0
 
 
-def _integer(x: int, what: str) -> int:
-    """``x`` as an int, or ``ValueError`` naming ``what`` it is."""
-    try:
-        return index(x)
-    except TypeError:
-        raise ValueError(f"{what} {x!r} must be an integer") from None
-
-
 def _level(level: int) -> int:
     """The checked level: an integer, and at least 1 (else ``ZeroLevel``)."""
-    level = _integer(level, "level")
+    level = integral(level, "level")
     if level < 1:
         raise errors.ZeroLevel(f"level must be positive, got {level}")
     return level
@@ -95,7 +87,7 @@ def _label(rd: RootDatum, level: int, grade: int, d: int,
            h: tuple[int, ...]) -> DemazureLabel:
     """The checked label: integral level >= 1 and grade, and an integral
     dominant weight of rank ``rd.rank`` whose ``d`` is 0."""
-    grade = _integer(grade, "grade")
+    grade = integral(grade, "grade")
     level = _level(level)
     lam = rd.weight(h, d)
     if lam.d:

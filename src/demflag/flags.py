@@ -51,9 +51,9 @@ from . import errors
 from .characters import (MEMO_SIZE, Character, Labels, _expand,
                          _irreducibles, check_w_invariance_per_grade,
                          forget_grading)
-from .demazure import _integer, _label, _labels, _level
+from .demazure import _label, _labels, _level
 from .root_data import (AffineDatum, Frozen, RootDatum, Weight, affinize,
-                        eta_lambda, short_subdatum)
+                        eta_lambda, integral, short_subdatum)
 
 
 class FlagDecomposition(NamedTuple):
@@ -154,8 +154,8 @@ def level_flag(ad: AffineDatum, level: int, to_level: int,
     """
     if ad.finite.short_nodes:
         raise errors.NotSimplyLaced(f"{ad.finite.label} is not simply laced")
-    level = _integer(level, "level")
-    to_level = _integer(to_level, "target level")
+    level = integral(level, "level")
+    to_level = integral(to_level, "target level")
     if to_level <= level:
         raise ValueError("target level must exceed the source level")
     return _peel(ad, _labels(ad, level, 0, lam.d, *lam.h), to_level)

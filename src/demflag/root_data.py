@@ -40,6 +40,10 @@ inverse of the Cartan matrix is kept as the integer matrix ``den * C^-1``
 with ``den`` its least common denominator, computed once per datum by
 fraction-free elimination; root coordinates and heights read off it.
 
+Each input check has one owner: ``Datum.weight`` for weights, those of
+the Weyl group action included; ``integral`` for integer scalars, such as
+levels, grades and coefficients; ``characters.Character._on`` for datums.
+
 Each datum is built once per type: ``build_finite_datum``, ``affinize`` and
 ``short_subdatum`` return the same object for the same type, so equal data
 are identical and hash by identity.  What most requests never read is
@@ -94,6 +98,14 @@ def _diagram(series: str, rank: int) -> tuple[list[list[int]], list[int]]:
         for i, j in (edge, edge[::-1]):
             c[i][j] = -max(1, sym[j] // sym[i])
     return c, sym
+
+
+def integral(x: int, what: str) -> int:
+    """``x`` as an int, or ``ValueError`` naming ``what`` it is."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not integral") from None
 
 
 class Weight(NamedTuple):
@@ -473,8 +485,7 @@ def affinize(rd: RootDatum) -> AffineDatum:
 def reflect_weight(datum: Datum, i: int, mu: Weight) -> Weight:
     """Simple reflection ``s_i(mu) = mu - mu(h_i) alpha_i``."""
     p = datum.pos(i)
-    if len(mu.h) != len(datum.cartan):
-        raise ValueError(f"expected {len(datum.cartan)} coroot values")
+    mu = datum.weight(mu.h, mu.d)
     v = mu.h[p]
     if v == 0:
         return mu
@@ -499,13 +510,12 @@ def make_dominant(datum: Datum,
     at the smallest node with negative value.  Affine weights must have
     positive level, otherwise the walk need not terminate.
     """
+    mu = datum.weight(mu.h, mu.d)
     if isinstance(datum, AffineDatum) and datum.level(mu) <= 0:
         raise errors.ZeroLevel(
             f"level {datum.level(mu)} weight cannot be reduced")
     roots = datum.flat_roots
     n = len(roots)
-    if len(mu.h) != n:
-        raise ValueError(f"expected {n} coroot values")
     first = datum._first
     # The walk runs on the flat values ``h + (d,)``, a plain list.
     cur = [*mu.h, mu.d]

@@ -94,6 +94,22 @@ def test_step_idempotent():
             assert demazure_step(ad, i, once) == once
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: demazure_step(A2, 1, f),
+    lambda f: check_w_invariance_per_grade(A2, f),
+    lambda f: Character.zero(A2) + f,
+    lambda f: Character.zero(A2) - f,
+    lambda f: Character.zero(A2) * f,
+], ids=["demazure_step", "check_w_invariance_per_grade", "add", "sub",
+        "mul"])
+def test_a_character_of_another_datum_is_refused_alike(call):
+    """One check, ``Character._on``, keeps characters to their datum."""
+    for f in (mono(A1, [1]), mono(A2_AFF, [1, 0, 0])):
+        with pytest.raises(ValueError, match=f"^character on "
+                           f"{f.datum.label} does not live on A2$"):
+            call(f)
+
+
 def test_seed_rank_must_match_datum():
     # The value at node 1 is -1, so a ladder would drop the term and
     # return zero before any arithmetic could notice the missing node.

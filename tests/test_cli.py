@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -453,6 +454,17 @@ def test_shared_values_are_checked_first(capsys):
             == (2, "", err), argv
 
 
+def test_an_affine_weight_is_checked_before_its_grade(capsys):
+    """Only the ``grade`` option reads ``--grade``, after ``--lambda`` as
+    the help lists them, wherever each stands on the command line."""
+    for argv in (["crystal-check", "--type", "A1", "--sigma", "0"],
+                 ["joseph", "--type", "A1", "--mu", "1,0", "--sigma", "1"]):
+        for lam, err in (("1", "error: expected 2 coroot values\n"),
+                         ("1,0", "error: --grade must be an integer: 'x'\n")):
+            assert run(capsys, [*argv, "--grade", "x", "--lambda", lam, *NC]) \
+                == (2, "", err), (argv, lam)
+
+
 def test_argparse_errors_use_exit_code_2(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()
@@ -544,6 +556,62 @@ def test_cache_write_failure_exits_4_after_output(capsys, tmp_path):
     assert rc == 4
     assert json.loads(out)["dim"] == 2
     assert err.startswith("cache error:")
+
+
+def test_a_closed_pipe_exits_4_after_caching(capsys, tmp_path):
+    """A result that cannot be written to a pipe with no reader left is one
+    ``error:`` line and exit 4, with no traceback, not even when the
+    interpreter flushes at exit; the cache entry is still written."""
+    argv = ["demazure-dim", "--type", "A1", "--level", "1", "--lambda", "3"]
+    _, uncached, _ = run(capsys, argv + NC)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "demflag.cli", *argv, "--cache-dir",
+             str(tmp_path)], stdout=write,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(env, PYTHONPATH=SRC))
+    finally:
+        os.close(write)
+    assert proc.returncode == 4
+    assert proc.stderr == ("error: cannot write the result: [Errno 32] "
+                           "Broken pipe\n")
+    (entry,) = tmp_path.iterdir()
+    assert json.loads(entry.read_text())["output"] == uncached
+
+
+def test_a_full_disk_exits_4_after_caching(capsys, tmp_path, monkeypatch):
+    """A result that cannot be written for want of space, whether computed
+    or read from the cache, is one ``error:`` line and exit 4; standard
+    output then points at ``os.devnull``."""
+    argv = ["weyl-char", "--type", "C2", "--lambda", "1,1"]
+    _, uncached, _ = run(capsys, argv + NC)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class Full:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    try:
+        for _ in ("miss", "hit"):
+            rc = cli.main(argv + ["--cache-dir", str(tmp_path / "cache")])
+            assert (rc, capsys.readouterr().err) == (
+                4, "error: cannot write the result: [Errno 28] No space left "
+                   "on device\n")
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    (entry,) = (tmp_path / "cache").iterdir()
+    assert json.loads(entry.read_text())["output"] == uncached
 
 
 def test_cache_read_failure_exits_4_after_output(capsys, tmp_path):

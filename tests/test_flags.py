@@ -3,6 +3,7 @@
 import copy
 import itertools
 import random
+import re
 
 import pytest
 
@@ -193,6 +194,27 @@ def test_level_flag_refuses_levels_that_are_no_integers():
                             (None, 2)):
         with pytest.raises(ValueError, match="level"):
             level_flag(A1_AFF, level, to_level, A1.weight([1]))
+
+
+@pytest.mark.parametrize("what, call", [
+    ("level", lambda x: demazure_character(
+        A1_AFF, DemazureLabel(x, A1.weight([1])))),
+    ("level", lambda x: greedy_decompose(A1_AFF, Character.zero(A1), x)),
+    ("level", lambda x: level_flag(A1_AFF, x, 2, A1.weight([1]))),
+    ("grade", lambda x: demazure_character(
+        A1_AFF, DemazureLabel(1, A1.weight([1]), x))),
+    ("target level", lambda x: level_flag(A1_AFF, 1, x, A1.weight([1]))),
+    ("coefficient", lambda x: Character(A1, {A1.weight([1]): x})),
+    ("scale factor", lambda x: Character.monomial(
+        A1, A1.weight([1])).scale(x)),
+], ids=["level", "greedy-level", "flag-level", "grade", "target-level",
+        "coefficient", "scale-factor"])
+def test_every_scalar_is_refused_with_one_message(what, call):
+    """One check, ``root_data.integral``, refuses every integer scalar."""
+    for x in (1.5, "1"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{what} {x!r} is not integral")):
+            call(x)
 
 
 # ---- graded Weyl characters ----

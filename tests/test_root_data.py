@@ -383,6 +383,16 @@ def test_shared_datum_surface(rd):
             for i in datum.indices:
                 with pytest.raises(ValueError):
                     reflect_weight(datum, i, Weight((1,) * n))
+        # The Weyl group acts on integral weights only: a float value or
+        # grade is refused by ``datum.weight``, wherever the walk would go.
+        for mu in (Weight((-1.5,) + (2,) * (size - 1)),
+                   Weight((1,) * size, 0.5), Weight((1.0,) * size)):
+            for call in (lambda: make_dominant(datum, mu),
+                         lambda: apply_word(datum, datum.indices, mu),
+                         *(lambda i=i: reflect_weight(datum, i, mu)
+                           for i in datum.indices)):
+                with pytest.raises(ValueError, match="not integral"):
+                    call()
 
 
 # ---- affinization ----
@@ -456,6 +466,13 @@ def test_make_dominant_examples():
     assert apply_word(ad, word, lam) == mu
     dom = ad.weight([2, 1], 0)
     assert make_dominant(ad, dom) == (dom, ())
+    # A float weight is no weight: once it reached the chamber as
+    # ``(1.5, 0.5)`` by the word ``(1,)``.
+    for call in (lambda: make_dominant(A2, Weight((-1.5, 2.0))),
+                 lambda: reflect_weight(A2, 1, Weight((1.5, 0), 0.5)),
+                 lambda: apply_word(A2, (1, 2), Weight((0, 1.5)))):
+        with pytest.raises(ValueError, match="not integral"):
+            call()
 
 
 def _random_level_weight(rng, ad, level):
