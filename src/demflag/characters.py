@@ -569,11 +569,11 @@ def _dominant(rd: RootDatum,
 
 
 # Weyl dimensions of tops, four times ``MEMO_SIZE`` like the dominant
-# multiplicities.  A perfbench ``ladder`` pass asks for 772 of them, 210
-# distinct; over three shuffled passes (seeds 1, 7 and 11) a memo of 48, 96,
-# 192 and 256 entries missed 550-559, 370-409, 212-230 and 210 times.  A
-# miss takes about 2 us on A2, 8 us on D4 and 0.1 ms on E8 (2-vCPU Xeon), so
-# the 20 misses more at 192 cost well under a millisecond a pass.
+# multiplicities.  A perfbench ``ladder`` pass asks for 289 of them, 121
+# distinct, now that simply-laced dimensions factor; over three shuffled
+# passes (seeds 1, 7 and 11) a memo of 48, 96 and 192 entries missed
+# 177-188, 125-129 and 121 times.  A miss takes about 2 us on A2, 8 us on
+# D4 and 0.1 ms on E8 (2-vCPU Xeon).
 @lru_cache(maxsize=4 * MEMO_SIZE)
 def _weyl_dim(rd: RootDatum, h: tuple[int, ...]) -> int:
     """Weyl's dimension formula: the product over positive roots ``alpha``

@@ -27,6 +27,7 @@ writes go through a temporary file and an atomic rename.
 
 Exit codes: 0 success, 2 invalid request, 3 mathematical domain error,
 4 cache or output I/O failure (the result is still printed and cached).
+A standard error that cannot be written loses its line, not the code.
 """
 
 from __future__ import annotations
@@ -554,9 +555,18 @@ def main(argv=None) -> int:
         msg = str(e)
         if len(msg) > _ERROR_CHARS:
             msg = msg[:_ERROR_CHARS] + "..."
-        print(f"error: {msg}", file=sys.stderr)
+        _complain(f"error: {msg}")
         return next(code for kind, code in _EXIT_CODES.items()
                     if isinstance(e, kind))
+
+
+def _complain(line: str) -> None:
+    """Print ``line`` on standard error.  One that cannot be written loses
+    the line, not the exit code."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _write(text: str) -> int:
@@ -567,7 +577,7 @@ def _write(text: str) -> int:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as e:
-        print(f"error: cannot write the result: {e}", file=sys.stderr)
+        _complain(f"error: cannot write the result: {e}")
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 4
@@ -590,7 +600,7 @@ def _serve(args) -> int:
     try:
         cached = cache_read(cdir, key)
     except OSError as e:
-        print(f"cache error: {e}", file=sys.stderr)
+        _complain(f"cache error: {e}")
         cached, status = None, 4
     if cached is not None:
         return _write(cached)
@@ -599,7 +609,7 @@ def _serve(args) -> int:
     try:
         cache_write(cdir, key, text)
     except OSError as e:
-        print(f"cache error: {e}", file=sys.stderr)
+        _complain(f"cache error: {e}")
         status = 4
     return status
 

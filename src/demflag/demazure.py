@@ -39,6 +39,25 @@ the sum over tops of ``m`` times Weyl's dimension formula, with nothing
 expanded.  It neither reads nor fills the multiplicity maps of the
 characters, which keep their grades.
 
+In simply-laced type (A, D, E) the dimension factors, and only small
+labels run the ladder.  The source paper (arXiv:1307.4305) proves that
+there the graded local Weyl module ``W(lam)`` is the level-one Demazure
+module ``D(1, lam)``, and that its character is the product of those of
+the ``W(omega_i)``, ``lam_i`` times each.  Fourier and Littelmann (Adv. Math.
+211 (2007), 566-593) extend this to every level ``l``: with
+``lam = sum_i m_i l omega_i + lam0`` and every ``lam0_i < l``, ``D(l, lam)``
+is the fusion product of ``m_i`` copies of each ``D(l, l omega_i)`` and one
+``D(l, lam0)``, so
+
+    dim D(l, lam) = dim D(l, lam0) * prod_i dim D(l, l omega_i)^m_i.
+
+Each piece ``D(l, l omega_i)`` runs the ladder once and is kept, per
+datum, level and node, in a memo of its own; ``lam0`` runs it each time.
+A product whose factors would pass ``MAX_DIM_BITS`` bits is refused with
+``TooLarge`` before it is multiplied out.  Types B, C, F and G keep the
+ladder for every label: there the law needs the short nodes' factors at a
+higher level, which no theorem cited here states.
+
 All of it is exact integer arithmetic, over no ground field, so a result
 depends only on its datum and label: the last ``MEMO_SIZE`` characters and
 dimensions are each kept for the life of the process, and a repeated label
@@ -47,7 +66,8 @@ keep the last ``4 * MEMO_SIZE``, as the dominant multiplicities of the Weyl
 characters do: every flag peel reads one map per lead, the same few maps
 over and over, and a nested map stores each top once, so they are small.
 Beneath the dimensions, the Weyl dimensions of the last ``4 * MEMO_SIZE``
-tops are kept per datum, since many labels share their tops.
+tops are kept per datum, since many labels share their tops, and the
+last ``MEMO_SIZE`` pieces of the factorization.
 Each entry point is one lookup in a memo keyed by every number of the
 label as given, by value and type, and only a miss checks them, in
 ``_label``: a bad label raises on every call, and no error is kept.
@@ -62,8 +82,14 @@ from typing import NamedTuple
 from . import errors
 from .characters import (MEMO_SIZE, Character, Labels, _expand,
                          _irreducibles, _weyl_dim)
-from .root_data import (AffineDatum, RootDatum, Weight, apply_word,
-                        integral, make_dominant)
+from .root_data import (AffineDatum, RootDatum, Weight, _make_dominant,
+                        apply_word, integral)
+
+# The bound on ``sum_i m_i * bit_length(dim D(l, l omega_i))``, and so on
+# the size of a factorized dimension short of its ``lam0`` factor: 8192
+# bits, about 2,466 decimal digits, well inside the 4,300 digits that
+# CPython turns into a string by default.
+MAX_DIM_BITS = 8192
 
 
 class DemazureLabel(NamedTuple):
@@ -100,7 +126,7 @@ def _reduce(ad: AffineDatum, level: int, lam: Weight,
             grade: int) -> tuple[Weight, tuple[int, ...]]:
     """``make_dominant`` of ``level * Lambda_0 + lam + grade * delta``."""
     h0 = level - sum(map(mul, ad.finite.comarks, lam.h))
-    dom, word = make_dominant(ad, Weight((h0, *lam.h), grade))
+    dom, word = _make_dominant(ad, Weight((h0, *lam.h), grade))
     if ad.level(dom) != level:
         raise AssertionError("chamber reduction changed the level")
     return dom, word
@@ -120,12 +146,11 @@ def solve_extremal(ad: AffineDatum,
     return _reduce(ad, level, apply_word(rd, rd.w0_word, lam), grade)
 
 
-def _multiplicities(ad: AffineDatum, level: int, grade: int, d: int,
-                    h: tuple[int, ...], graded: bool) -> Labels:
-    """``_irreducibles`` of ``D_u e^Lambda`` for the label, checked here;
-    unless ``graded``, from ``Lambda`` at grade 0 with the grade forgotten,
-    so every row is ``{0: m}``."""
-    level, lam, grade = _label(ad.finite, level, grade, d, h)
+def _ladder(ad: AffineDatum, level: int, lam: Weight, grade: int,
+            graded: bool) -> Labels:
+    """``_irreducibles`` of ``D_u e^Lambda`` for a checked label; unless
+    ``graded``, from ``Lambda`` at grade 0 with the grade forgotten, so
+    every row is ``{0: m}``."""
     dom, u = _reduce(ad, level, lam, grade)
     # Node ``i`` of an affine datum sits at position ``i``.
     return _irreducibles(ad, u[::-1], {(*dom.h, dom.d if graded else 0): 1},
@@ -137,7 +162,8 @@ def _labels(ad: AffineDatum, level: int, grade: int, d: int,
             *h: int) -> Labels:
     """Irreducible multiplicities ``{top: {grade: m}}`` of a label checked
     on the miss, shared by every caller; none mutates them."""
-    return _multiplicities(ad, level, grade, d, h, True)
+    level, lam, grade = _label(ad.finite, level, grade, d, h)
+    return _ladder(ad, level, lam, grade, True)
 
 
 def demazure_character(ad: AffineDatum,
@@ -153,13 +179,41 @@ def _character(ad: AffineDatum, level: int, grade: int, d: int,
 
 
 def demazure_dim(ad: AffineDatum, lab: DemazureLabel) -> int:
-    """Dimension: multiplicities of the grade-free ladder times Weyl
-    dimensions, memoised."""
+    """Dimension, memoised: by the factorization in simply-laced type,
+    else by the grade-free ladder (see the module docstring)."""
     return _dim(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
 def _dim(ad: AffineDatum, level: int, grade: int, d: int, *h: int) -> int:
     rd = ad.finite
-    labels = _multiplicities(ad, level, grade, d, h, False)
-    return sum(row[0] * _weyl_dim(rd, top) for top, row in labels.items())
+    level, lam, _ = _label(rd, level, grade, d, h)
+    if rd.short_nodes:
+        return _ladder_dim(ad, level, lam)
+    powers = [(_piece(ad, level, i), x // level)
+              for i, x in zip(rd.indices, lam.h) if x >= level]
+    bits = sum(m * piece.bit_length() for piece, m in powers)
+    if bits > MAX_DIM_BITS:
+        raise errors.TooLarge(
+            f"dimension of {lam.h} at level {level} would have about "
+            f"{bits} bits, more than {MAX_DIM_BITS}")
+    rest = Weight(tuple(x % level for x in lam.h))
+    # ``D(level, 0)`` is the trivial module.
+    out = _ladder_dim(ad, level, rest) if any(rest.h) else 1
+    for piece, m in powers:
+        out *= piece ** m
+    return out
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _piece(ad: AffineDatum, level: int, i: int) -> int:
+    """``dim D(level, level omega_i)``, a factor of the factorization."""
+    return _ladder_dim(ad, level, level * ad.finite.fundamental_weight(i))
+
+
+def _ladder_dim(ad: AffineDatum, level: int, lam: Weight) -> int:
+    """Dimension of a checked label by the grade-free ladder:
+    multiplicities times Weyl dimensions."""
+    rd = ad.finite
+    return sum(row[0] * _weyl_dim(rd, top)
+               for top, row in _ladder(ad, level, lam, 0, False).items())

@@ -31,6 +31,10 @@ class ZeroLevel(DomainError):
     """Affine weight of non-positive level where positive level is required."""
 
 
+class TooLarge(DomainError):
+    """Result too large to be computed within a fixed bound."""
+
+
 class NotDominant(DomainError):
     """Weight fails dominance where a dominant weight is required."""
 

@@ -121,11 +121,11 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from operator import index, le, mul
+from operator import le, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .characters import MEMO_SIZE, Character
-from .root_data import AffineDatum, Frozen, Weight
+from .root_data import AffineDatum, Frozen, Weight, integral
 
 Step = tuple[int, tuple[int, ...]]            # (n t, v)
 Segment = "tuple[tuple[Fraction, ...], Fraction]"     # (direction, duration)
@@ -293,12 +293,10 @@ def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
     value per node of ``ad`` and one on the scaling element, and differs
     from its neighbours.
     """
-    try:
-        n = index(pi.n)
-        steps = tuple((index(t), tuple(map(index, v))) for t, v in pi.steps)
-    except TypeError:
-        raise ValueError("path durations and directions must be integral") \
-            from None
+    n = integral(pi.n, "path length")
+    steps = tuple((integral(t, "path duration"),
+                   tuple(integral(x, "path direction entry") for x in v))
+                  for t, v in pi.steps)
     if n < 1 or any(t < 1 for t, _ in steps) or sum(t for t, _ in steps) != n:
         raise ValueError(f"path durations must be positive integers that "
                          f"sum to n >= 1, with n = {n}")

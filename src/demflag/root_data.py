@@ -42,7 +42,8 @@ fraction-free elimination; root coordinates and heights read off it.
 
 Each input check has one owner: ``Datum.weight`` for weights, those of
 the Weyl group action included; ``integral`` for integer scalars, such as
-levels, grades and coefficients; ``characters.Character._on`` for datums.
+levels, grades, coefficients and the numbers of a path given to
+``lspath.root_op_f``; ``characters.Character._on`` for datums.
 
 Each datum is built once per type: ``build_finite_datum``, ``affinize`` and
 ``short_subdatum`` return the same object for the same type, so equal data
@@ -514,6 +515,13 @@ def make_dominant(datum: Datum,
     if isinstance(datum, AffineDatum) and datum.level(mu) <= 0:
         raise errors.ZeroLevel(
             f"level {datum.level(mu)} weight cannot be reduced")
+    return _make_dominant(datum, mu)
+
+
+def _make_dominant(datum: Datum,
+                   mu: Weight) -> tuple[Weight, tuple[int, ...]]:
+    """``make_dominant`` of a weight its caller has checked: integral, of
+    the datum's rank, and of positive level on an affine datum."""
     roots = datum.flat_roots
     n = len(roots)
     first = datum._first

@@ -230,6 +230,10 @@ PINS = [
      "7818f9ca82363ae7333d92d1f64cb88dcd57182c4b6759b9118cc38b283ac735"),
     ("demazure-dim --type A1 --level 0 --lambda 1", 3,
      "20496c111557d7e760bd2da5d39f1364e8377b6154d01227a81f94d3811f09b0"),
+    # A dimension whose factors would pass the size bound: refused before
+    # the product is multiplied out.
+    ("demazure-dim --type A1 --level 1 --lambda 100000000000000000000", 3,
+     "c5cdd1a32fb7bffbc874018b7b8969ff4c8571be47402b306b61478b246ec965"),
     ("weyl-char --type C2 --lambda=-1,0", 3,
      "1bf1e339a89ddf9facaee46d6450b903badeb9fa582766ad4bf78393b2d2e105"),
     ("demazure-dim --type A1 --level --1 --lambda 1", 2,
@@ -612,6 +616,27 @@ def test_a_full_disk_exits_4_after_caching(capsys, tmp_path, monkeypatch):
         os.close(fd)
     (entry,) = (tmp_path / "cache").iterdir()
     assert json.loads(entry.read_text())["output"] == uncached
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv,stdout,code", [
+    ("demazure-dim --type Z9 --level 1 --lambda 1", None, 2),
+    ("demazure-dim --type A1 --level 1 --lambda=-1", None, 3),
+    ("demazure-dim --type A1 --level 1 --lambda 1", "/dev/full", 4),
+], ids=["refused", "domain", "unwritable"])
+def test_an_unwritable_stderr_keeps_the_exit_code(argv, stdout, code):
+    """With standard error on a full device, the ``error:`` line is lost
+    but the documented exit code stays, with or without standard output
+    on the full device too."""
+    with contextlib.ExitStack() as stack:
+        err = stack.enter_context(open("/dev/full", "w"))
+        out = stack.enter_context(open(stdout, "w")) if stdout \
+            else subprocess.DEVNULL
+        proc = subprocess.run(
+            [sys.executable, "-m", "demflag.cli", *argv.split(), *NC],
+            stdout=out, stderr=err, timeout=120,
+            env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == code
 
 
 def test_cache_read_failure_exits_4_after_output(capsys, tmp_path):

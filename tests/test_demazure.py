@@ -114,12 +114,21 @@ def test_grade_offset_is_a_shift():
             assert shifted == shift_grade(base, m)
 
 
+def dim(ad, lab):
+    """``demazure_dim``, checked against the mass of the graded character,
+    which runs the graded ladder and shares no code with the product of
+    the factorization."""
+    out = demazure_dim(ad, lab)
+    assert out == demazure_character(ad, lab).mass(), (ad.label, lab)
+    return out
+
+
 def test_dimension_examples():
     for m in range(5):
-        assert demazure_dim(A1_AFF, DemazureLabel(1, A1.weight([m]))) == 2 ** m
-    assert demazure_dim(A1_AFF, DemazureLabel(2, A1.weight([2]))) == 3
+        assert dim(A1_AFF, DemazureLabel(1, A1.weight([m]))) == 2 ** m
+    assert dim(A1_AFF, DemazureLabel(2, A1.weight([2]))) == 3
     for level in (1, 2, 3):
-        assert demazure_dim(A2_AFF, DemazureLabel(level, A2.zero_weight)) == 1
+        assert dim(A2_AFF, DemazureLabel(level, A2.zero_weight)) == 1
 
 
 def test_dimension_ignores_grade_offset():
@@ -127,8 +136,7 @@ def test_dimension_ignores_grade_offset():
                            (A2_AFF, 2, A2.weight([1, 0])),
                            (A2_AFF, 1, A2.weight([2, 1])),
                            (C2_AFF, 1, C2.weight([1, 2]))):
-        dims = {demazure_dim(ad, DemazureLabel(level, lam, g))
-                for g in (-3, 0, 5)}
+        dims = {dim(ad, DemazureLabel(level, lam, g)) for g in (-3, 0, 5)}
         assert len(dims) == 1, (ad.label, level, lam.h, dims)
 
 
@@ -139,8 +147,7 @@ def test_rank_one_level_one_dimensions_to_forty():
     """``dim D(1, m omega_1) = 2^m`` on A1, the tensor power of the
     two-dimensional fundamental module."""
     for m in range(41):
-        assert demazure_dim(A1_AFF, DemazureLabel(1, A1.weight([m]))) \
-            == 2 ** m, m
+        assert dim(A1_AFF, DemazureLabel(1, A1.weight([m]))) == 2 ** m, m
 
 
 @pytest.mark.parametrize("label,extra", [("A2", (6, 6)), ("A3", (2, 2, 2)),
@@ -151,14 +158,14 @@ def test_level_one_dimensions_factor_into_fundamentals(label, extra):
     of ``dim W(omega_i)^lam_i`` (the paper's factorization)."""
     rd = datum_from_label(label)
     ad = affinize(rd)
-    fund = [demazure_dim(ad, DemazureLabel(1, rd.fundamental_weight(i)))
+    fund = [dim(ad, DemazureLabel(1, rd.fundamental_weight(i)))
             for i in rd.indices]
     small = [h for h in product(range(5), repeat=rd.rank) if sum(h) <= 4]
     for h in small + [extra]:
         prod = 1
-        for dim, n in zip(fund, h):
-            prod *= dim ** n
-        assert demazure_dim(ad, DemazureLabel(1, rd.weight(h))) == prod, h
+        for d, n in zip(fund, h):
+            prod *= d ** n
+        assert dim(ad, DemazureLabel(1, rd.weight(h))) == prod, h
 
 
 @pytest.mark.parametrize("label,level,h", [
@@ -170,6 +177,72 @@ def test_dimension_is_the_mass_of_the_graded_character(label, level, h):
     assert demazure_dim(ad, lab) == demazure_character(ad, lab).mass()
 
 
+# Each coordinate of the exactness grid runs from 0 to its bound.
+GRID = {"A1": 9, "A2": 5, "A3": 3, "D4": 2}
+
+
+@pytest.mark.parametrize("label", GRID)
+def test_factorized_dimensions_equal_the_ladder(label):
+    """On simply-laced data ``demazure_dim`` multiplies the dimensions of
+    ``D(l, l omega_i)`` and of one small ``D(l, lam0)``
+    (Fourier-Littelmann 2007); on every label of the grid at levels 1-3
+    that product equals the grade-free ladder run on the whole label."""
+    rd = datum_from_label(label)
+    ad = affinize(rd)
+    for level in (1, 2, 3):
+        for h in product(range(GRID[label] + 1), repeat=rd.rank):
+            lam = rd.weight(h)
+            assert demazure_dim(ad, DemazureLabel(level, lam)) \
+                == demazure._ladder_dim(ad, level, lam), (level, h)
+
+
+def test_large_labels_run_only_small_ladders(monkeypatch):
+    """A large simply-laced label runs the ladder only on labels whose
+    coordinates are at most the level: A1 (1000) at level 1 is ``2^1000``
+    with one ladder, on ``omega_1``, and D4 (6,6,6,6) at level 2 is the
+    product of the cubes of its four pieces ``D(2, 2 omega_i)``."""
+    D4 = datum_from_label("D4")
+    D4_AFF = affinize(D4)
+    pieces = [demazure._ladder_dim(D4_AFF, 2, 2 * D4.fundamental_weight(i))
+              for i in D4.indices]
+    ran = []
+    ladder = demazure._ladder
+
+    def recorded(ad, level, lam, grade, graded):
+        ran.append((level, lam.h))
+        return ladder(ad, level, lam, grade, graded)
+
+    monkeypatch.setattr(demazure, "_ladder", recorded)
+    demazure._dim.cache_clear()
+    demazure._piece.cache_clear()
+    assert demazure_dim(A1_AFF, DemazureLabel(1, A1.weight([1000]))) \
+        == 2 ** 1000
+    assert ran == [(1, (1,))]
+    want = 1
+    for piece in pieces:
+        want *= piece ** 3
+    assert demazure_dim(D4_AFF, DemazureLabel(2, D4.weight([6] * 4))) == want
+    assert all(max(h) <= level for level, h in ran), ran
+
+
+def test_a_dimension_past_the_bit_bound_is_refused():
+    """A factorized dimension whose factors pass ``MAX_DIM_BITS`` bits, by
+    the sum of ``m_i`` times each piece's bit length, is refused before it
+    is multiplied out; the label is checked first, and no error is kept."""
+    demazure._dim.cache_clear()
+    bound = demazure.MAX_DIM_BITS
+    # ``dim D(1, omega_1) = 2`` is two bits long.
+    assert demazure_dim(A1_AFF, DemazureLabel(1, A1.weight([bound // 2]))) \
+        == 2 ** (bound // 2)
+    for m in (bound // 2 + 1, 10 ** 20):
+        for _ in range(2):
+            with pytest.raises(errors.TooLarge, match="bits"):
+                demazure_dim(A1_AFF, DemazureLabel(1, A1.weight([m])))
+    with pytest.raises(errors.NotDominant):
+        demazure_dim(A2_AFF, DemazureLabel(1, A2.weight([10 ** 20, -1])))
+    assert demazure._dim.cache_info().currsize == 1
+
+
 def test_dimension_dual_weight():
     rng = random.Random(41)
     for ad in (A2_AFF, C2_AFF):
@@ -179,8 +252,8 @@ def test_dimension_dual_weight():
             lam = rd.weight([rng.randint(0, 2) for _ in rd.indices])
             dual = -apply_word(rd, rd.w0_word, lam)
             assert rd.is_dominant(dual)
-            assert demazure_dim(ad, DemazureLabel(level, lam)) \
-                == demazure_dim(ad, DemazureLabel(level, dual))
+            assert dim(ad, DemazureLabel(level, lam)) \
+                == dim(ad, DemazureLabel(level, dual))
 
 
 def test_dimension_monotone_along_dominance():
@@ -190,16 +263,14 @@ def test_dimension_monotone_along_dominance():
         for low, high in zip(chain, chain[1:]):
             assert dominance_leq(ad.finite, low, high)
         for level in (1, 2):
-            dims = [demazure_dim(ad, DemazureLabel(level, lam))
-                    for lam in chain]
+            dims = [dim(ad, DemazureLabel(level, lam)) for lam in chain]
             assert dims == sorted(dims)
 
 
 def _kr_dim(ad, a, m):
     """Dimension of ``D(m, m omega_a)``, one for ``m = 0``."""
     rd = ad.finite
-    return demazure_dim(ad, DemazureLabel(m, m * rd.fundamental_weight(a))) \
-        if m else 1
+    return dim(ad, DemazureLabel(m, m * rd.fundamental_weight(a))) if m else 1
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "D4", "D5", "E6"])
