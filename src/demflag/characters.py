@@ -314,7 +314,7 @@ def _width(datum: Datum, m0: int, length: int) -> int:
 
 # Widths come in steps of 16 bits, so that few layouts serve every call: a
 # layout takes 6-15 us to build (A2 to E8), and from empty memos a full
-# perfbench ``ladder`` family builds 55 of them, ``flags`` 36.
+# perfbench ``ladder`` family builds 49 of them, ``flags`` 36.
 @lru_cache(maxsize=4 * MEMO_SIZE)
 def _layout(datum: Datum, width: int, graded: bool) -> _Layout:
     """Packed keys of ``datum`` at ``width`` bits a field: the shift of each

@@ -53,6 +53,12 @@ from .root_data import AffineDatum, RootDatum, affinize, datum_from_label
 
 _LABEL_OK = re.compile(r"[A-Za-z0-9_.-]+")
 
+# CPython's default limit on the digits of an int turned into a string: on
+# every Python version, the most digits of a number read (``integer``) or
+# printed (``render``, which checks the JSON object, whatever the format).
+MAX_DIGITS = 4300
+_PAST_DIGITS = 10 ** MAX_DIGITS
+
 
 class Table(NamedTuple):
     name: str
@@ -145,7 +151,17 @@ def render_table_raw(cols: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fits(obj) -> bool:
+    """Whether no integer in ``obj`` has more than ``MAX_DIGITS`` digits."""
+    if isinstance(obj, (dict, list, tuple)):
+        return all(map(_fits, obj.values() if isinstance(obj, dict) else obj))
+    return not isinstance(obj, int) or -_PAST_DIGITS < obj < _PAST_DIGITS
+
+
 def render(obj, tables: list[Table], fmt: str) -> str:
+    if not _fits(obj):
+        raise errors.TooLarge(f"a result has a number of more than "
+                              f"{MAX_DIGITS} digits")
     if fmt == "json":
         return render_json(obj)
     cols, rows = flatten(tables)
@@ -232,13 +248,13 @@ def cache_write(cdir: str, key: str, output: str) -> None:
 #
 # Every number on the command line goes through ``integer``.
 
-_INTEGER = re.compile(r"-?[0-9]+")
+_INTEGER = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}")
 
 
 def integer(text: str) -> int:
-    """An ASCII decimal integer, ``-?[0-9]+``, or ``ValueError``.  ``int``
-    alone would also take other scripts' digits, ``_`` between digits, a
-    ``+`` sign and surrounding blanks."""
+    """An ASCII decimal integer of at most ``MAX_DIGITS`` digits, or
+    ``ValueError``.  ``int`` alone would also take other scripts' digits,
+    ``_`` between digits, a ``+`` sign and surrounding blanks."""
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)

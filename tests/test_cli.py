@@ -234,6 +234,10 @@ PINS = [
     # the product is multiplied out.
     ("demazure-dim --type A1 --level 1 --lambda 100000000000000000000", 3,
      "c5cdd1a32fb7bffbc874018b7b8969ff4c8571be47402b306b61478b246ec965"),
+    # A result number past CPython's 4,300-digit limit on int to str: one
+    # line of the same bytes on every Python version.
+    ("demazure-char --type A1 --level 1 --lambda 2 --grade " + "9" * 4300, 3,
+     "0e3ad8bb553386c343a3cef925044c48e1fec17516657b9ddc4363ed56d8c2e3"),
     ("weyl-char --type C2 --lambda=-1,0", 3,
      "1bf1e339a89ddf9facaee46d6450b903badeb9fa582766ad4bf78393b2d2e105"),
     ("demazure-dim --type A1 --level --1 --lambda 1", 2,
@@ -546,6 +550,31 @@ def test_exit_3_cases(capsys):
         assert rc == 3, argv
         assert out == ""
         assert err.startswith("error:")
+
+
+def test_a_result_past_the_digit_limit_is_refused(capsys, tmp_path):
+    """A result number longer than ``MAX_DIGITS`` digits, CPython's default
+    limit on turning an int into a string, is refused with exit 3 and one
+    line of the same bytes on every Python version: nothing is printed or
+    cached.  One of ``MAX_DIGITS`` digits prints; a value past the limit on
+    the command line is refused as no integer."""
+    nines = "9" * cli.MAX_DIGITS
+    cdir = ["--cache-dir", str(tmp_path)]
+    for argv in (["demazure-char", "--type", "A1", "--level", "1",
+                  "--lambda", "2", "--grade", nines],
+                 ["joseph", "--type", "A1", "--mu", "1,0", "--lambda", "1,0",
+                  f"--grade=-{nines}", "--sigma", "1,0"]):
+        assert run(capsys, argv + cdir) == (
+            3, "", "error: a result has a number of more than 4300 digits\n")
+    assert list(tmp_path.iterdir()) == []
+    obj = run_json(capsys, ["demazure-char", "--type", "A1", "--level", "1",
+                            "--lambda", "2", "--grade", nines[:-1] + "8"])
+    assert max(r["grade"] for r in obj["character"]) == int(nines)
+    rc, out, err = run(capsys, ["demazure-dim", "--type", "A1", "--level",
+                                "1", "--lambda", "1", "--grade", "1" + nines]
+                       + NC)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --grade must be an integer: '1999")
 
 
 # ---- cache (exit 4 and transparency) ----

@@ -89,6 +89,13 @@ def test_positive_root_counts():
                 "D4": 12, "E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6}
     for label, count in expected.items():
         assert len(datum_from_label(label).positive_roots) == count
+    # Every type against the classical counts (Bourbaki, plates I-IX).
+    counts = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
+              "C": lambda n: n * n, "D": lambda n: n * (n - 1),
+              "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
+              "F": lambda n: 24, "G": lambda n: 6}
+    for rd in all_datums():
+        assert len(rd.positive_roots) == counts[rd.series](rd.rank), rd.label
 
 
 def _reflection_closure(cartan):
@@ -249,6 +256,13 @@ def test_highest_root_tables():
     assert G2.comarks == (1, 2)
     assert b3.comarks == (1, 2, 1)
     assert datum_from_label("F4").comarks == (2, 3, 2, 1)
+    # On every type theta is the last positive root, theta_h has theta's
+    # simple-root coordinates, read back through the inverse Cartan
+    # matrix, and theta is dominant.
+    for rd in all_datums():
+        assert rd.theta_coords == rd.positive_roots[-1], rd.label
+        assert rd.root_coordinates(rd.theta_h) == rd.theta_coords, rd.label
+        assert min(rd.theta_h) >= 0, rd.label
 
 
 def test_coxeter_numbers_all_types():
@@ -281,9 +295,10 @@ def test_w0_is_an_involution():
 
 
 def test_coroot_of_theta_is_comarks():
-    for label in ("A2", "C2", "G2", "B3", "F4", "D4", "E6"):
-        rd = datum_from_label(label)
-        assert coroot(rd, rd.theta_coords) == rd.comarks
+    # ``coroot`` refuses coefficients that are not integers, so the comarks
+    # are integral on every type.
+    for rd in all_datums():
+        assert coroot(rd, rd.theta_coords) == rd.comarks, rd.label
 
 
 def test_coroot_of_simple_roots():
@@ -411,8 +426,30 @@ def test_affine_cartan_a2():
     assert ad.cartan[1][0] == -1 and ad.cartan[2][0] == -1
 
 
+def test_affine_cartan_tables():
+    """On every type the affine Cartan matrix is a generalized Cartan
+    matrix: 2 on the diagonal, no positive entry, and zeros in symmetric
+    places.  Its finite block is the finite Cartan matrix, and
+    ``alpha_0 = delta - theta``: ``alpha_0 + theta`` is ``delta`` in coroot
+    values and grade."""
+    for rd in all_datums():
+        ad = affinize(rd)
+        c = ad.cartan
+        for i, j in itertools.product(range(rd.rank + 1), repeat=2):
+            if i == j:
+                assert c[i][j] == 2, rd.label
+            else:
+                assert c[i][j] <= 0 and (c[i][j] == 0) == (c[j][i] == 0), \
+                    (rd.label, i, j)
+        assert tuple(row[1:] for row in c[1:]) == rd.cartan, rd.label
+        total = ad.simple_root(0)
+        for i, t in zip(rd.indices, rd.theta_coords):
+            total = total + t * ad.simple_root(i)
+        assert total == ad.delta, rd.label
+
+
 def test_simple_roots_have_level_zero():
-    for rd in (A1, A2, C2, G2):
+    for rd in all_datums():
         ad = affinize(rd)
         for i in ad.indices:
             assert ad.level(ad.simple_root(i)) == 0
@@ -648,6 +685,21 @@ def test_height_increases_along_dominance():
 
 
 def test_short_subdatum_tables():
+    # On each of the 16 non-simply-laced types the short simple roots form
+    # a type-A chain: the parent's Cartan matrix on them is the subdatum's.
+    count = 0
+    for rd in all_datums():
+        if not rd.short_nodes:
+            with pytest.raises(errors.SimplyLaced):
+                short_subdatum(rd)
+            continue
+        se = short_subdatum(rd)
+        k = len(se.nodes)
+        assert se.nodes == rd.short_nodes and se.subdatum.label == f"A{k}"
+        assert tuple(tuple(rd.cartan[rd.pos(a)][rd.pos(b)] for b in se.nodes)
+                     for a in se.nodes) == se.subdatum.cartan, rd.label
+        count += 1
+    assert count == 16
     assert short_subdatum(C2).nodes == (1,)
     assert short_subdatum(G2).nodes == (1,)
     assert short_subdatum(datum_from_label("B3")).nodes == (3,)
