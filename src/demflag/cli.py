@@ -18,12 +18,18 @@ leading ``section`` column), ``table`` (same rows, aligned).  Empty cells
 print as ``-``.  All record orders are deterministic, so output for a given
 request is byte-stable.
 
-Results are cached under a content address built from a digest of the
-package's source files, the subcommand, the canonicalized parameters, and
-the format, so any change to the code gets fresh entries.  The cache
-directory comes from ``--cache-dir``, else ``DEMAZURE_CACHE_DIR``, else a
-per-user cache path; ``--no-cache`` skips both lookup and write.  Cache
-writes go through a temporary file and an atomic rename.
+Results are cached per request.  The request's key is one line, the
+``repr`` of a digest of the package's source files, the subcommand, the
+canonicalized parameters and the format, so any change to the code gets
+fresh entries.  An entry is a plain-text file: that line, then the output
+bytes unchanged.  Its name is the 64-bit ``importlib.util.source_hash`` of
+the key, and a read that finds any other first line under the name is a
+miss, so a name shared by two keys costs a recompute, never a wrong answer.
+That hash loads no OpenSSL, and a hit imports neither ``json`` nor
+``tempfile``.  The cache directory comes from ``--cache-dir``, else
+``DEMAZURE_CACHE_DIR``, else a per-user cache path; ``--no-cache`` skips
+both lookup and write.  Cache writes go through a temporary file and an
+atomic rename.
 
 Exit codes: 0 success, 2 invalid request, 3 mathematical domain error,
 4 cache or output I/O failure (the result is still printed and cached).
@@ -33,14 +39,12 @@ A standard error that cannot be written loses its line, not the code.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
-import json
 import os
 import re
 import sys
-import tempfile
 from functools import cache
+from importlib.util import source_hash
 from typing import Callable, NamedTuple, Optional
 
 from . import errors
@@ -130,6 +134,7 @@ def flatten(tables: list[Table]) -> tuple[list[str], list[list[str]]]:
 
 
 def render_json(obj) -> str:
+    import json            # here, so that a cache hit does not load it
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -192,47 +197,56 @@ def resolve_cache_dir(explicit: Optional[str]) -> str:
 
 @cache
 def _source_digest() -> str:
-    """sha256 over the package's ``*.py`` files, in sorted name order.
+    """``importlib.util.source_hash`` over the package's ``*.py`` files, in
+    sorted name order, as 16 hex digits.
 
-    Taken once per process, and only by a request that uses the cache.
+    The hash is the keyed 64-bit SipHash of hash-based ``.pyc`` files.  Its
+    key is the interpreter's bytecode magic number, so the digest, and with
+    it every cache key, differs between Python versions.  Taken once per
+    process, and only by a request that uses the cache.
     """
     here = os.path.dirname(os.path.abspath(__file__))
-    h = hashlib.sha256()
+    parts = []
     for name in sorted(f for f in os.listdir(here) if f.endswith(".py")):
         with open(os.path.join(here, name), "rb") as fh:
-            h.update(name.encode("utf-8") + b"\0" + fh.read() + b"\0")
-    return h.hexdigest()
+            parts.append(name.encode("utf-8") + b"\0" + fh.read() + b"\0")
+    return source_hash(b"".join(parts)).hex()
 
 
 def cache_key(command: str, params: dict, fmt: str) -> str:
-    blob = json.dumps([_source_digest(), command, params, fmt],
-                      sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """The request as one line: ``repr`` escapes any newline in a string."""
+    return repr([_source_digest(), command, params, fmt])
+
+
+def _entry_path(cdir: str, key: str) -> str:
+    """Where the entry of ``key`` lives: 16 hex digits of its 64-bit hash.
+    Other keys may share the name; the entry's first line tells them apart."""
+    return os.path.join(cdir, source_hash(key.encode("utf-8")).hex() + ".txt")
 
 
 def cache_read(cdir: str, key: str) -> Optional[str]:
     try:
-        fh = open(os.path.join(cdir, key + ".json"), "r", encoding="utf-8")
+        fh = open(_entry_path(cdir, key), encoding="utf-8", newline="")
     except FileNotFoundError:
         return None           # no entry, or one removed since: a miss
     with fh:
         try:
-            entry = json.load(fh)
-        except (ValueError, RecursionError):
-            return None       # not UTF-8, not JSON or absurdly nested: a miss
-    if not isinstance(entry, dict) or entry.get("key") != key:
-        return None           # not an object, or another request's entry
-    out = entry.get("output")
-    return out if isinstance(out, str) else None
+            if fh.readline() != key + "\n":
+                return None   # empty, no newline or another request's entry
+            return fh.read()
+        except ValueError:
+            return None       # not UTF-8: a miss
 
 
 def cache_write(cdir: str, key: str, output: str) -> None:
+    import tempfile        # here, so that a cache hit does not load it
     os.makedirs(cdir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump({"key": key, "output": output}, fh)
-        os.replace(tmp, os.path.join(cdir, key + ".json"))
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(key + "\n")
+            fh.write(output)
+        os.replace(tmp, _entry_path(cdir, key))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

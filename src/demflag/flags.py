@@ -51,7 +51,7 @@ from . import errors
 from .characters import (MEMO_SIZE, Character, Labels, _expand,
                          _irreducibles, check_w_invariance_per_grade,
                          forget_grading)
-from .demazure import _label, _labels, _level
+from .demazure import MAX_DIM_BITS, _label, _labels, _level
 from .root_data import (AffineDatum, Frozen, RootDatum, Weight, affinize,
                         eta_lambda, integral, short_subdatum)
 
@@ -193,14 +193,30 @@ def _graded_weyl(rd: RootDatum, d: int,
 
 def weyl_dim_product_check(rd: RootDatum,
                            lam: Weight) -> tuple[bool, tuple[int, int]]:
-    """Compare the Weyl-module dimension with the fundamental product."""
+    """Compare the Weyl-module dimension with the fundamental product.
+
+    Memoised like ``graded_weyl_character``.  The fundamental masses come
+    first: a product whose factors would pass ``MAX_DIM_BITS`` bits is
+    refused with ``TooLarge`` before the label's own character is built.
+    """
+    return _dim_check(rd, lam.d, *lam.h)
+
+
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
+def _dim_check(rd: RootDatum, d: int,
+               *h: int) -> tuple[bool, tuple[int, int]]:
+    lam = _label(rd, 1, 0, d, h).lam
+    powers = [(graded_weyl_character(rd, rd.fundamental_weight(i))[0].mass(),
+               m) for i, m in zip(rd.indices, lam.h) if m]
+    # The count itself is not printed: for a label of 4,300 digits it has
+    # more digits than CPython turns into a string.
+    if sum(m * mass.bit_length() for mass, m in powers) > MAX_DIM_BITS:
+        raise errors.TooLarge(f"the fundamental product of {lam.h} would "
+                              f"pass {MAX_DIM_BITS} bits")
     mass = graded_weyl_character(rd, lam)[0].mass()
     product = 1
-    for i in rd.indices:
-        mult = rd.value(lam, i)
-        if mult:
-            omega = rd.fundamental_weight(i)
-            product *= graded_weyl_character(rd, omega)[0].mass() ** mult
+    for factor, m in powers:
+        product *= factor ** m
     return mass == product, (mass, product)
 
 

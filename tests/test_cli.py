@@ -43,6 +43,15 @@ def run_json(capsys, argv):
     return json.loads(out)
 
 
+def held(cdir, key):
+    """The output of ``key``'s entry under ``cdir``, found by the cache's own
+    naming; the entry's first line must be ``key``."""
+    with open(cli._entry_path(str(cdir), key), encoding="utf-8",
+              newline="") as fh:
+        assert fh.readline() == key + "\n"
+        return fh.read()
+
+
 # ---- happy paths, one per subcommand ----
 
 
@@ -234,6 +243,10 @@ PINS = [
     # the product is multiplied out.
     ("demazure-dim --type A1 --level 1 --lambda 100000000000000000000", 3,
      "c5cdd1a32fb7bffbc874018b7b8969ff4c8571be47402b306b61478b246ec965"),
+    # A dimension check whose fundamental product would pass the same
+    # bound: refused before the label's own character is built.
+    ("dim-check --type A1 --lambda 10000", 3,
+     "45ca2a25e1ae51180019116cba8808cd44cb474065b3891bf72e59a986ba8f93"),
     # A result number past CPython's 4,300-digit limit on int to str: one
     # line of the same bytes on every Python version.
     ("demazure-char --type A1 --level 1 --lambda 2 --grade " + "9" * 4300, 3,
@@ -370,6 +383,20 @@ def test_pins_cover_the_benchmark_and_every_help_screen():
 def test_dim_check(capsys):
     obj = run_json(capsys, ["dim-check", "--type", "A2", "--lambda", "1,1"])
     assert (obj["mass"], obj["product"], obj["equal"]) == (9, 9, True)
+
+
+def test_a_dim_check_past_the_size_bound_is_refused_at_once():
+    """``dim-check`` weighs the fundamental product before it builds the
+    label's graded character, which for A1 (10000) takes far longer than
+    the time limit; run apart, so that a missing guard fails by that
+    limit instead of hanging."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "demflag.cli", "dim-check", "--type", "A1",
+         "--lambda", "10000", *NC], capture_output=True, text=True,
+        timeout=30, env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "error: the fundamental product of (10000,) would pass 8192 "
+               "bits\n")
 
 
 # ---- formats ----
@@ -611,8 +638,10 @@ def test_a_closed_pipe_exits_4_after_caching(capsys, tmp_path):
     assert proc.returncode == 4
     assert proc.stderr == ("error: cannot write the result: [Errno 32] "
                            "Broken pipe\n")
-    (entry,) = tmp_path.iterdir()
-    assert json.loads(entry.read_text())["output"] == uncached
+    key = cli.cache_key("demazure-dim", {"type": "A1", "level": 1,
+                                         "lambda": [3], "grade": 0}, "json")
+    assert len(list(tmp_path.iterdir())) == 1
+    assert held(tmp_path, key) == uncached
 
 
 def test_a_full_disk_exits_4_after_caching(capsys, tmp_path, monkeypatch):
@@ -643,8 +672,9 @@ def test_a_full_disk_exits_4_after_caching(capsys, tmp_path, monkeypatch):
             assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
     finally:
         os.close(fd)
-    (entry,) = (tmp_path / "cache").iterdir()
-    assert json.loads(entry.read_text())["output"] == uncached
+    key = cli.cache_key("weyl-char", {"type": "C2", "lambda": [1, 1]}, "json")
+    assert len(list((tmp_path / "cache").iterdir())) == 1
+    assert held(tmp_path / "cache", key) == uncached
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -672,7 +702,7 @@ def test_cache_read_failure_exits_4_after_output(capsys, tmp_path):
     argv = ["flag", "--type", "C2", "--lambda", "2,0"]
     _, uncached, _ = run(capsys, argv + NC)
     key = cli.cache_key("flag", {"type": "C2", "lambda": [2, 0]}, "json")
-    (tmp_path / f"{key}.json").mkdir()       # the entry cannot be opened
+    os.mkdir(cli._entry_path(str(tmp_path), key))  # it cannot be opened
     rc, out, err = run(capsys, argv + ["--cache-dir", str(tmp_path)])
     assert rc == 4
     assert out == uncached
@@ -686,13 +716,13 @@ def test_an_entry_removed_after_a_check_is_a_miss(capsys, tmp_path,
     argv = ["flag", "--type", "C2", "--lambda", "2,0"]
     _, uncached, _ = run(capsys, argv + NC)
     key = cli.cache_key("flag", {"type": "C2", "lambda": [2, 0]}, "json")
-    entry = tmp_path / f"{key}.json"
+    entry = cli._entry_path(str(tmp_path), key)
     exists = os.path.exists
     monkeypatch.setattr(cli.os.path, "exists",
-                        lambda path: path == str(entry) or exists(path))
+                        lambda path: path == entry or exists(path))
     rc, out, err = run(capsys, argv + ["--cache-dir", str(tmp_path)])
     assert (rc, out, err) == (0, uncached, "")
-    assert json.loads(entry.read_text())["output"] == uncached
+    assert held(tmp_path, key) == uncached
 
 
 def test_cache_round_trip_is_byte_identical(capsys, tmp_path):
@@ -700,8 +730,10 @@ def test_cache_round_trip_is_byte_identical(capsys, tmp_path):
             "--cache-dir", str(tmp_path)]
     rc, cold, _ = run(capsys, argv)
     assert rc == 0
-    entries = os.listdir(tmp_path)
-    assert len(entries) == 1 and entries[0].endswith(".json")
+    key = cli.cache_key("weyl-char", {"type": "A1", "lambda": [2]}, "json")
+    assert [os.path.join(tmp_path, name) for name in os.listdir(tmp_path)] \
+        == [cli._entry_path(str(tmp_path), key)]
+    assert held(tmp_path, key) == cold
     rc, warm, _ = run(capsys, argv)
     assert rc == 0
     assert warm == cold
@@ -725,19 +757,23 @@ def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path):
             "--cache-dir", str(tmp_path)]
     _, cold, _ = run(capsys, argv)
     (entry,) = tmp_path.iterdir()
-    entry.write_text("not json at all")
+    entry.write_text("not an entry at all\n")
     rc, again, _ = run(capsys, argv)
     assert rc == 0
     assert again == cold
-    assert json.loads(entry.read_text())["output"] == cold
+    key = cli.cache_key("dim-check", {"type": "A1", "lambda": [2]}, "json")
+    assert held(tmp_path, key) == cold
 
 
 @pytest.mark.parametrize("payload", [
-    b"\xff\xfe not utf-8 \x80",       # undecodable bytes
-    b"[1, 2]",                         # valid JSON, but not an object
-    b'{"output": 7}',                  # an object without string output
-    b"[" * 100_000,                    # nested past the parser's depth
-], ids=["non-utf8", "json-list", "non-string-output", "deep-nesting"])
+    # The request line, then bytes that are not UTF-8.
+    lambda key: (key + "\n").encode() + b"\xff\xfe not utf-8 \x80",
+    # The request line alone, without its newline.
+    lambda key: key.encode(),
+    # Another request's line, then a plausible output.
+    lambda key: b"['other']\n{}\n",
+    lambda key: b"",
+], ids=["non-utf8", "no-newline", "wrong-first-line", "empty"])
 def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, payload):
     argv = ["flag", "--type", "C2", "--lambda", "2,0"]
     rc, uncached, _ = run(capsys, argv + NC)
@@ -745,12 +781,12 @@ def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, payload):
     cdir = tmp_path / "cache"
     cdir.mkdir()
     key = cli.cache_key("flag", {"type": "C2", "lambda": [2, 0]}, "json")
-    (cdir / f"{key}.json").write_bytes(payload)
+    with open(cli._entry_path(str(cdir), key), "wb") as fh:
+        fh.write(payload(key))
     rc, out, err = run(capsys, argv + ["--cache-dir", str(cdir)])
     assert rc == 0, err
     assert out == uncached
-    assert json.loads((cdir / f"{key}.json").read_text())["output"] \
-        == uncached
+    assert held(cdir, key) == uncached
 
 
 def test_cache_entry_of_another_request_is_recomputed(capsys, tmp_path):
@@ -762,13 +798,12 @@ def test_cache_entry_of_another_request_is_recomputed(capsys, tmp_path):
     (three,) = tmp_path.iterdir()
     key = cli.cache_key("demazure-dim", {"type": "A1", "level": 1,
                                          "lambda": [4], "grade": 0}, "csv")
-    three.rename(tmp_path / f"{key}.json")
+    three.rename(cli._entry_path(str(tmp_path), key))
     rc, out, _ = run(capsys, argv + ["4"])
     assert rc == 0
     assert dim8 == "section,dim\nresult,8\n"
     assert out == "section,dim\nresult,16\n"
-    entry = json.loads((tmp_path / f"{key}.json").read_text())
-    assert entry["key"] == key and entry["output"] == out
+    assert held(tmp_path, key) == out
 
 
 def test_format_changes_the_cache_key(capsys, tmp_path):
@@ -823,6 +858,32 @@ def test_import_loads_no_dataclasses_or_fractions():
     assert "demflag.cli" in loaded
     assert not loaded & {"dataclasses", "fractions", "inspect", "decimal",
                          "csv"}
+
+
+def test_a_cache_hit_loads_no_hashing_json_or_tempfile(tmp_path):
+    """A hit answers without ``hashlib`` (whose ``_hashlib`` loads
+    OpenSSL), ``json`` or ``tempfile``, and a CSV miss without ``json``.
+    Run under ``-S``, so that no site hook imports any of them first."""
+    code = ("import sys, io, contextlib; from demflag import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    if cli.main(sys.argv[1:]): sys.exit(1)\n"
+            "print(*sorted(sys.modules))")
+    argv = ["demazure-dim", "--type", "A1", "--level", "1", "--lambda", "3",
+            "--cache-dir", str(tmp_path)]
+    unwanted = {"hashlib", "_hashlib", "json", "tempfile"}
+
+    def loaded(*args):
+        proc = subprocess.run([sys.executable, "-S", "-c", code, *args],
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    assert "json" not in loaded(*argv, "--format", "csv")
+    loaded(*argv)
+    assert len(list(tmp_path.iterdir())) == 2       # two misses, written
+    hit = loaded(*argv)
+    assert "demflag.cli" in hit and not hit & unwanted
 
 
 def test_cache_dir_resolution(capsys, tmp_path, monkeypatch):
