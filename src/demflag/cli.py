@@ -18,15 +18,21 @@ leading ``section`` column), ``table`` (same rows, aligned).  Empty cells
 print as ``-``.  All record orders are deterministic, so output for a given
 request is byte-stable.
 
-Results are cached per request.  The request's key is one line, the
-``repr`` of a digest of the package's source files, the subcommand, the
-canonicalized parameters and the format, so any change to the code gets
-fresh entries.  An entry is a plain-text file: that line, then the output
-bytes unchanged.  Its name is the 64-bit ``importlib.util.source_hash`` of
-the key, and a read that finds any other first line under the name is a
-miss, so a name shared by two keys costs a recompute, never a wrong answer.
-That hash loads no OpenSSL, and a hit imports neither ``json`` nor
-``tempfile``.  The cache directory comes from ``--cache-dir``, else
+Results are cached per command line.  An answer depends on nothing but
+the command line and the code, so the key is one line, the ``repr`` of a
+digest of the package's source files and the command line as typed: any
+change to the code gets fresh entries, and two spellings of one request
+(``--lambda 2,0``, ``--lambda=2,0``) are two entries.  An entry is written
+only after its command line succeeds, so ``main`` reads it before the
+command line is parsed: a hit builds no parser and no root datum, and
+imports neither ``argparse``, ``json`` nor ``tempfile``.  Before parsing,
+``--no-cache`` and ``--cache-dir`` are read as argparse reads them, in
+full, abbreviated or after ``=``, the last one winning.  An entry is a
+plain-text file: the key's line, then the output bytes unchanged.  Its
+name is the 64-bit ``importlib.util.source_hash`` of the key, and a read
+that finds any other first line under the name is a miss, so a name
+shared by two keys costs a recompute, never a wrong answer.  That hash
+loads no OpenSSL.  The cache directory comes from ``--cache-dir``, else
 ``DEMAZURE_CACHE_DIR``, else a per-user cache path; ``--no-cache`` skips
 both lookup and write.  Cache writes go through a temporary file and an
 atomic rename.
@@ -38,14 +44,13 @@ A standard error that cannot be written loses its line, not the code.
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import re
 import sys
 from functools import cache
 from importlib.util import source_hash
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import errors
 from .characters import Character, demazure_word_char, weyl_character_finite
@@ -54,6 +59,9 @@ from .flags import (DominantLWeight, FlagDecomposition, graded_weyl_character,
                     level_flag, local_weyl_character, weyl_dim_product_check)
 from .lspath import crystal_character, generate_demazure_set, joseph_highest
 from .root_data import AffineDatum, RootDatum, affinize, datum_from_label
+
+if TYPE_CHECKING:
+    import argparse
 
 _LABEL_OK = re.compile(r"[A-Za-z0-9_.-]+")
 
@@ -213,9 +221,10 @@ def _source_digest() -> str:
     return source_hash(b"".join(parts)).hex()
 
 
-def cache_key(command: str, params: dict, fmt: str) -> str:
-    """The request as one line: ``repr`` escapes any newline in a string."""
-    return repr([_source_digest(), command, params, fmt])
+def cache_key(argv: list[str]) -> str:
+    """The command line as typed, as one line: ``repr`` escapes any newline
+    or lone surrogate in an argument."""
+    return repr([_source_digest(), argv])
 
 
 def _entry_path(cdir: str, key: str) -> str:
@@ -455,8 +464,8 @@ _FORMATS = ("json", "csv", "table")
 
 
 def _handle(args):
-    """Validate a request; its canonical parameters and a thunk computing
-    (json object, tables), which a cache hit never calls.  The options
+    """Validate a request; its canonical parameters, which the JSON body
+    holds, and a thunk computing (json object, tables).  The options
     every subcommand shares come first, then ``--type`` and the
     subcommand's own options in their order."""
     if args.format not in _FORMATS:
@@ -484,7 +493,8 @@ def _handle(args):
 
 
 # One handler serves every subcommand: it returns the canonical parameters
-# and the thunk, so validation and computation can be timed apart.
+# and the thunk, a pair that perfbench's tracer splits, so that validation
+# and computation can be timed apart.
 _HANDLERS: dict[str, Callable] = dict.fromkeys(_COMMANDS, _handle)
 
 
@@ -511,6 +521,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser with only the subcommand ``command``, or with every
     subcommand when it is None.  The top-level usage names every
     subcommand either way."""
+    import argparse        # here, so that a cache hit does not load it
     # The usage line as argparse wraps it at 80 columns up to Python 3.12;
     # from 3.13 on it keeps ``...`` beside the choices.  Spelled out, it is
     # the same bytes on every supported version.
@@ -527,31 +538,38 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _flags(command: str) -> tuple[list[str], set[str]]:
+    """The option names a subcommand's parser knows, help included, and
+    the set of those that take a value."""
+    options = _arguments(command)
+    return ([flag for flag, _ in options] + ["-h", "--help"],
+            {flag for flag, kwargs in options
+             if kwargs.get("action") != "store_true"})
+
+
+def _named(tok: str, names: list[str]) -> str:
+    """The option ``tok`` names, resolved as argparse resolves it: by its
+    name or by a ``--`` prefix of exactly one of ``names``; else ``tok``."""
+    hits = [name for name in names if name.startswith(tok)]
+    return hits[0] if tok.startswith("--") and len(hits) == 1 else tok
+
+
 def _join_values(argv: list[str]) -> list[str]:
     """``argv`` with each option that takes a value joined to a next token
     that starts with ``-`` but names no option of the subcommand, nor
     abbreviates one: ``--level --1`` becomes ``--level=--1``.  argparse
     would read ``--1`` as an unknown option and answer with its usage
     block; joined, the value reaches its own one-line refusal.  An option
-    is resolved as argparse resolves it, by its name or by a ``--`` prefix
-    of exactly one option, so ``--lev --1`` is joined too; an ambiguous
+    is resolved by ``_named``, so ``--lev --1`` is joined too; an ambiguous
     prefix is left to argparse, and so is a missing value before a real
     option, as in ``--lambda --format json``."""
     if not argv or argv[0] not in _COMMANDS:
         return argv
-    options = _arguments(argv[0])
-    names = [flag for flag, _ in options] + ["-h", "--help"]
-    valued = {flag for flag, kwargs in options
-              if kwargs.get("action") != "store_true"}
-
-    def named(tok: str) -> str:
-        hits = [name for name in names if name.startswith(tok)]
-        return hits[0] if tok.startswith("--") and len(hits) == 1 else tok
-
+    names, valued = _flags(argv[0])
     out, i = argv[:1], 1
     while i < len(argv):
         tok, nxt = argv[i], argv[i + 1] if i + 1 < len(argv) else ""
-        if named(tok) in valued and nxt.startswith("-") and not any(
+        if _named(tok, names) in valued and nxt.startswith("-") and not any(
                 name.startswith(nxt.split("=", 1)[0]) for name in names):
             out.append(f"{tok}={nxt}")
             i += 2
@@ -559,6 +577,28 @@ def _join_values(argv: list[str]) -> list[str]:
             out.append(tok)
             i += 1
     return out
+
+
+def _cache_options(argv: list[str]) -> tuple[bool, Optional[str]]:
+    """``--no-cache`` and ``--cache-dir`` of a subcommand line joined by
+    ``_join_values``, read as argparse reads them, before it is parsed:
+    each option by ``_named`` on the part before any ``=``, its value
+    after the ``=`` or else in the next token, and the last one wins."""
+    names, valued = _flags(argv[0])
+    no_cache, cache_dir = False, None
+    i = 1
+    while i < len(argv):
+        flag, eq, value = argv[i].partition("=")
+        name = _named(flag, names)
+        if name in valued and not eq:
+            i += 1
+            value = argv[i] if i < len(argv) else None
+        if name == "--no-cache":
+            no_cache = True
+        elif name == "--cache-dir":
+            cache_dir = value
+        i += 1
+    return no_cache, cache_dir
 
 
 # Exit code of each error family; a cache failure (exit 4) is reported
@@ -570,17 +610,33 @@ _ERROR_CHARS = 200
 
 
 def main(argv=None) -> int:
+    """Answer the command line ``argv``; the exit code.  A subcommand line
+    that uses the cache reads its entry before it is parsed: a hit needs
+    neither argparse nor the request's values."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    joined, cache = _join_values(argv), None
+    if command:
+        no_cache, cache_dir = _cache_options(joined)
+        if not no_cache and cache_dir != "":
+            cdir, key = resolve_cache_dir(cache_dir), cache_key(argv)
+            try:
+                cached, error = cache_read(cdir, key), None
+            except OSError as e:
+                cached, error = None, e
+            if cached is not None:
+                return _write(cached)
+            cache = cdir, key, error
+    parser = build_parser(command)
     try:
-        if argv and argv[0] not in _COMMANDS and not argv[0].startswith("-"):
+        if argv and not command and not argv[0].startswith("-"):
             parser.error(f"argument command: "
                          f"{_invalid_choice(argv[0], _COMMANDS)}")
-        args = parser.parse_args(_join_values(argv))
+        args = parser.parse_args(joined)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _serve(args)
+        return _serve(args, cache)
     except tuple(_EXIT_CODES) as e:
         msg = str(e)
         if len(msg) > _ERROR_CHARS:
@@ -614,26 +670,26 @@ def _write(text: str) -> int:
     return 0
 
 
-def _serve(args) -> int:
-    """Validate, answer from the cache or compute, print; the exit code.
+def _serve(args, cache: Optional[tuple]) -> int:
+    """Validate, compute, print and, unless ``cache`` is None (the request
+    skips the cache), write the entry of a request whose cache read
+    missed; the exit code.  ``cache`` is the entry's directory and key and
+    the ``OSError`` the read raised, or None.
 
     A cache that cannot be read counts as a miss and one that cannot be
     written loses only the entry: either way the result is printed, and
-    the exit code is 4, as for a result that cannot be printed.
+    the exit code is 4, as for a result that cannot be printed.  A read
+    error is reported once the request is valid, so a refused request
+    prints only its refusal.
     """
-    params, run = _HANDLERS[args.command](args)
-    if args.no_cache:
+    _, run = _HANDLERS[args.command](args)
+    if cache is None:
         return _write(render(*run(), args.format))
-    cdir = resolve_cache_dir(args.cache_dir)
-    key = cache_key(args.command, params, args.format)
+    cdir, key, error = cache
     status = 0
-    try:
-        cached = cache_read(cdir, key)
-    except OSError as e:
-        _complain(f"cache error: {e}")
-        cached, status = None, 4
-    if cached is not None:
-        return _write(cached)
+    if error is not None:
+        _complain(f"cache error: {error}")
+        status = 4
     text = render(*run(), args.format)
     status = _write(text) or status
     try:

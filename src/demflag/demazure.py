@@ -191,9 +191,13 @@ def _dim(ad: AffineDatum, level: int, grade: int, d: int, *h: int) -> int:
               for i, x in zip(rd.indices, lam.h) if x >= level]
     bits = sum(m * piece.bit_length() for piece, m in powers)
     if bits > MAX_DIM_BITS:
-        raise errors.TooLarge(
-            f"dimension of {lam.h} at level {level} would have about "
-            f"{bits} bits, more than {MAX_DIM_BITS}")
+        try:
+            msg = (f"dimension of {lam.h} at level {level} would have about "
+                   f"{bits} bits, more than {MAX_DIM_BITS}")
+        except ValueError:    # a number past CPython's int-to-str limit
+            msg = (f"dimension at level {level} would have more than "
+                   f"{MAX_DIM_BITS} bits")
+        raise errors.TooLarge(msg)
     rest = Weight(tuple(x % level for x in lam.h))
     # ``D(level, 0)`` is the trivial module.
     out = _ladder_dim(ad, level, rest) if any(rest.h) else 1

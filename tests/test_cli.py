@@ -243,6 +243,11 @@ PINS = [
     # the product is multiplied out.
     ("demazure-dim --type A1 --level 1 --lambda 100000000000000000000", 3,
      "c5cdd1a32fb7bffbc874018b7b8969ff4c8571be47402b306b61478b246ec965"),
+    # The same with a label of 4,300 digits, whose bit count has more digits
+    # than CPython turns into a string: "error: dimension at level 1 would
+    # have more than 8192 bits".
+    ("demazure-dim --type A1 --level 1 --lambda " + "9" * 4300, 3,
+     "35cc62086c1708f7a7f5647544837235f297adc1742e5e9ee2f5ce2b03822b9c"),
     # A dimension check whose fundamental product would pass the same
     # bound: refused before the label's own character is built.
     ("dim-check --type A1 --lambda 10000", 3,
@@ -638,8 +643,7 @@ def test_a_closed_pipe_exits_4_after_caching(capsys, tmp_path):
     assert proc.returncode == 4
     assert proc.stderr == ("error: cannot write the result: [Errno 32] "
                            "Broken pipe\n")
-    key = cli.cache_key("demazure-dim", {"type": "A1", "level": 1,
-                                         "lambda": [3], "grade": 0}, "json")
+    key = cli.cache_key([*argv, "--cache-dir", str(tmp_path)])
     assert len(list(tmp_path.iterdir())) == 1
     assert held(tmp_path, key) == uncached
 
@@ -672,7 +676,7 @@ def test_a_full_disk_exits_4_after_caching(capsys, tmp_path, monkeypatch):
             assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
     finally:
         os.close(fd)
-    key = cli.cache_key("weyl-char", {"type": "C2", "lambda": [1, 1]}, "json")
+    key = cli.cache_key(argv + ["--cache-dir", str(tmp_path / "cache")])
     assert len(list((tmp_path / "cache").iterdir())) == 1
     assert held(tmp_path / "cache", key) == uncached
 
@@ -701,12 +705,28 @@ def test_an_unwritable_stderr_keeps_the_exit_code(argv, stdout, code):
 def test_cache_read_failure_exits_4_after_output(capsys, tmp_path):
     argv = ["flag", "--type", "C2", "--lambda", "2,0"]
     _, uncached, _ = run(capsys, argv + NC)
-    key = cli.cache_key("flag", {"type": "C2", "lambda": [2, 0]}, "json")
+    key = cli.cache_key(argv + ["--cache-dir", str(tmp_path)])
     os.mkdir(cli._entry_path(str(tmp_path), key))  # it cannot be opened
     rc, out, err = run(capsys, argv + ["--cache-dir", str(tmp_path)])
     assert rc == 4
     assert out == uncached
     assert err.startswith("cache error:")
+
+
+@pytest.mark.parametrize("refused", [
+    ["flag", "--type", "Z9", "--lambda", "2,0"],    # a refused value
+    ["flag", "--type", "C2"],                       # a missing option
+], ids=["value", "shape"])
+def test_a_refused_request_hides_a_cache_read_failure(capsys, tmp_path,
+                                                      refused):
+    """The cache is read before the command line is parsed, but a read that
+    fails is reported only for a valid request: a refused one prints its
+    refusal alone."""
+    expected = run(capsys, refused + NC)
+    argv = refused + ["--cache-dir", str(tmp_path)]
+    os.mkdir(cli._entry_path(str(tmp_path), cli.cache_key(argv)))
+    assert run(capsys, argv) == expected
+    assert expected[0] == 2
 
 
 def test_an_entry_removed_after_a_check_is_a_miss(capsys, tmp_path,
@@ -715,7 +735,7 @@ def test_an_entry_removed_after_a_check_is_a_miss(capsys, tmp_path,
     when a cache cleaner runs, is a miss, not a cache error."""
     argv = ["flag", "--type", "C2", "--lambda", "2,0"]
     _, uncached, _ = run(capsys, argv + NC)
-    key = cli.cache_key("flag", {"type": "C2", "lambda": [2, 0]}, "json")
+    key = cli.cache_key(argv + ["--cache-dir", str(tmp_path)])
     entry = cli._entry_path(str(tmp_path), key)
     exists = os.path.exists
     monkeypatch.setattr(cli.os.path, "exists",
@@ -730,7 +750,7 @@ def test_cache_round_trip_is_byte_identical(capsys, tmp_path):
             "--cache-dir", str(tmp_path)]
     rc, cold, _ = run(capsys, argv)
     assert rc == 0
-    key = cli.cache_key("weyl-char", {"type": "A1", "lambda": [2]}, "json")
+    key = cli.cache_key(argv)
     assert [os.path.join(tmp_path, name) for name in os.listdir(tmp_path)] \
         == [cli._entry_path(str(tmp_path), key)]
     assert held(tmp_path, key) == cold
@@ -743,11 +763,10 @@ def test_cache_round_trip_is_byte_identical(capsys, tmp_path):
 
 
 def test_cache_hit_returns_stored_output(capsys, tmp_path):
-    params = {"type": "A1", "level": 1, "lambda": [3], "grade": 0}
-    key = cli.cache_key("demazure-dim", params, "json")
-    cli.cache_write(str(tmp_path), key, "canned\n")
-    rc, out, _ = run(capsys, ["demazure-dim", "--type", "A1", "--level", "1",
-                              "--lambda", "3", "--cache-dir", str(tmp_path)])
+    argv = ["demazure-dim", "--type", "A1", "--level", "1", "--lambda", "3",
+            "--cache-dir", str(tmp_path)]
+    cli.cache_write(str(tmp_path), cli.cache_key(argv), "canned\n")
+    rc, out, _ = run(capsys, argv)
     assert rc == 0
     assert out == "canned\n"
 
@@ -761,8 +780,7 @@ def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path):
     rc, again, _ = run(capsys, argv)
     assert rc == 0
     assert again == cold
-    key = cli.cache_key("dim-check", {"type": "A1", "lambda": [2]}, "json")
-    assert held(tmp_path, key) == cold
+    assert held(tmp_path, cli.cache_key(argv)) == cold
 
 
 @pytest.mark.parametrize("payload", [
@@ -780,7 +798,7 @@ def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, payload):
     assert rc == 0
     cdir = tmp_path / "cache"
     cdir.mkdir()
-    key = cli.cache_key("flag", {"type": "C2", "lambda": [2, 0]}, "json")
+    key = cli.cache_key(argv + ["--cache-dir", str(cdir)])
     with open(cli._entry_path(str(cdir), key), "wb") as fh:
         fh.write(payload(key))
     rc, out, err = run(capsys, argv + ["--cache-dir", str(cdir)])
@@ -796,8 +814,7 @@ def test_cache_entry_of_another_request_is_recomputed(capsys, tmp_path):
             "csv", "--cache-dir", str(tmp_path), "--lambda"]
     _, dim8, _ = run(capsys, argv + ["3"])
     (three,) = tmp_path.iterdir()
-    key = cli.cache_key("demazure-dim", {"type": "A1", "level": 1,
-                                         "lambda": [4], "grade": 0}, "csv")
+    key = cli.cache_key(argv + ["4"])
     three.rename(cli._entry_path(str(tmp_path), key))
     rc, out, _ = run(capsys, argv + ["4"])
     assert rc == 0
@@ -841,14 +858,17 @@ def test_source_edit_changes_the_cache_key(tmp_path):
 
 
 def test_no_cache_request_takes_no_source_digest(capsys, monkeypatch):
-    argv = ["weyl-char", "--type", "G2", "--lambda", "1,1"] + NC
-    expected = run(capsys, argv)
+    """``--no-cache`` in full or abbreviated: the cache, read before the
+    command line is parsed, is not even keyed."""
+    argv = ["weyl-char", "--type", "G2", "--lambda", "1,1"]
+    expected = run(capsys, argv + NC)
 
     def refuse():
         raise AssertionError("the source digest was taken")
 
     monkeypatch.setattr(cli, "_source_digest", refuse)
-    assert run(capsys, argv) == expected
+    for no_cache in ("--no-cache", "--no", "--no-c"):
+        assert run(capsys, argv + [no_cache]) == expected, no_cache
     assert expected[0] == 0
 
 
@@ -863,14 +883,18 @@ def test_import_loads_no_dataclasses_or_fractions():
 def test_a_cache_hit_loads_no_hashing_json_or_tempfile(tmp_path):
     """A hit answers without ``hashlib`` (whose ``_hashlib`` loads
     OpenSSL), ``json`` or ``tempfile``, and a CSV miss without ``json``.
-    Run under ``-S``, so that no site hook imports any of them first."""
+    A hit is read before the command line is parsed, so it loads neither
+    ``argparse`` nor the ``gettext`` and ``locale`` that parsing loads,
+    and builds no root datum.  Run under ``-S``, so that no site hook
+    imports any of them first."""
     code = ("import sys, io, contextlib; from demflag import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    if cli.main(sys.argv[1:]): sys.exit(1)\n"
-            "print(*sorted(sys.modules))")
+            "print(cli.affinize.cache_info().currsize, *sorted(sys.modules))")
     argv = ["demazure-dim", "--type", "A1", "--level", "1", "--lambda", "3",
             "--cache-dir", str(tmp_path)]
-    unwanted = {"hashlib", "_hashlib", "json", "tempfile"}
+    unwanted = {"hashlib", "_hashlib", "json", "tempfile", "argparse",
+                "gettext", "locale"}
 
     def loaded(*args):
         proc = subprocess.run([sys.executable, "-S", "-c", code, *args],
@@ -884,6 +908,44 @@ def test_a_cache_hit_loads_no_hashing_json_or_tempfile(tmp_path):
     assert len(list(tmp_path.iterdir())) == 2       # two misses, written
     hit = loaded(*argv)
     assert "demflag.cli" in hit and not hit & unwanted
+    assert "0" in hit                               # no datum was built
+    assert "argparse" in loaded(*argv, "--no-cache")
+
+
+# Spellings of the two cache options, each as argparse takes it: in full,
+# after ``=``, abbreviated, repeated, and a value that starts with ``-``.
+CACHE_SPELLINGS = {
+    "none": [],
+    "no-cache": ["--no-cache"],
+    "no": ["--no"],
+    "no-c": ["--no-c"],
+    "cache-dir": ["--cache-dir", "a"],
+    "cache-dir=": ["--cache-dir=a"],
+    "cache": ["--cache", "a"],
+    "cache=": ["--cache=a"],
+    "twice": ["--cache-dir", "a", "--cache-dir", "b"],
+    "dashed": ["--cache-dir", "-x"],
+    "empty": ["--cache-dir="],
+    "both": ["--no", "--cache", "a"],
+}
+
+
+@pytest.mark.parametrize("spelling", CACHE_SPELLINGS.values(),
+                         ids=list(CACHE_SPELLINGS))
+def test_the_cache_options_are_read_as_argparse_reads_them(spelling):
+    """The cache is read before the command line is parsed, from
+    ``--no-cache`` and ``--cache-dir`` as ``_cache_options`` reads them:
+    they must be argparse's values, for every subcommand, before and
+    after the subcommand's own options."""
+    for name in cli._COMMANDS:
+        required = [tok for flag, kwargs in cli._arguments(name)
+                    if kwargs.get("required") for tok in (flag, "1")]
+        for argv in ([name, *spelling, *required],
+                     [name, *required, *spelling]):
+            joined = cli._join_values(argv)
+            args = cli.build_parser(name).parse_args(joined)
+            assert cli._cache_options(joined) \
+                == (args.no_cache, args.cache_dir), argv
 
 
 def test_cache_dir_resolution(capsys, tmp_path, monkeypatch):
