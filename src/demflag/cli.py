@@ -6,9 +6,12 @@ tensor characters, the path-crystal cross-check, highest-term extraction,
 finite Weyl characters, and the dimension product check.  A new subcommand
 is one more ``_COMMANDS`` entry: its help line, its options in validation
 order (kinds from ``_OPTIONS``, which parse and canonicalize them) and a
-function computing its sections.  Argparse keeps every value as text and
-refuses only the shape of a command line; one handler validates every
-value of every request, so each refused value is one ``error:`` line.
+function computing its sections.  A valid subcommand line is read from
+that table into the namespace argparse would give, every value kept as
+text; argparse is loaded only for a help screen or a line whose shape it
+refuses (a missing, unknown or ambiguous option, a missing value, a stray
+argument, an unknown command).  One handler validates every value of
+every request, so each refused value is one ``error:`` line.
 ``build_parser`` adds only the subcommand that the first argument names;
 any other command line (top-level help, no arguments, an unknown command
 or an option first) gets every subcommand.
@@ -23,11 +26,13 @@ the command line and the code, so the key is one line, the ``repr`` of a
 digest of the package's source files and the command line as typed: any
 change to the code gets fresh entries, and two spellings of one request
 (``--lambda 2,0``, ``--lambda=2,0``) are two entries.  An entry is written
-only after its command line succeeds, so ``main`` reads it before the
-command line is parsed: a hit builds no parser and no root datum, and
-imports neither ``argparse``, ``json`` nor ``tempfile``.  Before parsing,
-``--no-cache`` and ``--cache-dir`` are read as argparse reads them, in
-full, abbreviated or after ``=``, the last one winning.  An entry is a
+only after its command line succeeds, so ``main`` reads it before any
+value is checked: a hit builds no parser and no root datum, and imports
+neither ``argparse``, ``json`` nor ``tempfile``.  ``--no-cache`` and
+``--cache-dir`` are read from the table like every option, in full,
+abbreviated or after ``=``, the last one winning.  A help screen or a
+refused shape reads no entry, and a line argparse accepts though the
+table declined it reads its entry once parsed.  An entry is a
 plain-text file: the key's line, then the output bytes unchanged.  Its
 name is the 64-bit ``importlib.util.source_hash`` of the key, and a read
 that finds any other first line under the name is a miss, so a name
@@ -50,6 +55,7 @@ import re
 import sys
 from functools import cache
 from importlib.util import source_hash
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import errors
@@ -579,26 +585,51 @@ def _join_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _cache_options(argv: list[str]) -> tuple[bool, Optional[str]]:
-    """``--no-cache`` and ``--cache-dir`` of a subcommand line joined by
-    ``_join_values``, read as argparse reads them, before it is parsed:
-    each option by ``_named`` on the part before any ``=``, its value
-    after the ``=`` or else in the next token, and the last one wins."""
+def _read_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives a subcommand line joined by
+    ``_join_values``, read from the command table: every option at its
+    argparse default, each given one by ``_named`` on the part before any
+    ``=``, its value after the ``=`` or else in the next token, the last
+    one winning and ``--factor`` appending.  None for a line that argparse
+    must answer, with help or a refusal of its shape: ``-h`` or
+    ``--help``, ``--``, an unknown or ambiguous option, a stray argument,
+    a missing value or required option, ``=`` after ``--no-cache``, a
+    value in its own token that starts with ``-``, which argparse may
+    read as an option, or a value ``--``, which some versions drop."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = dict(_arguments(argv[0]))
     names, valued = _flags(argv[0])
-    no_cache, cache_dir = False, None
-    i = 1
-    while i < len(argv):
-        flag, eq, value = argv[i].partition("=")
-        name = _named(flag, names)
-        if name in valued and not eq:
-            i += 1
-            value = argv[i] if i < len(argv) else None
-        if name == "--no-cache":
-            no_cache = True
-        elif name == "--cache-dir":
-            cache_dir = value
-        i += 1
-    return no_cache, cache_dir
+    dests = {flag: kwargs.get("dest", flag[2:].replace("-", "_"))
+             for flag, kwargs in options.items()}
+    values = {"command": argv[0]}
+    for flag, kwargs in options.items():
+        values[dests[flag]] = kwargs.get(
+            "default", False if flag not in valued else None)
+    given, rest = set(), iter(argv[1:])
+    for tok in rest:
+        flag, eq, value = tok.partition("=")
+        flag = _named(flag, names)
+        if flag not in options or eq and flag not in valued:
+            return None
+        if flag in valued and not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("-"):
+                return None
+        if value == "--":
+            return None
+        dest = dests[flag]
+        if flag not in valued:
+            values[dest] = True
+        elif options[flag].get("action") == "append":
+            values[dest] = [*values[dest], value]  # the default stays empty
+        else:
+            values[dest] = value
+        given.add(flag)
+    if any(kwargs.get("required") and flag not in given
+           for flag, kwargs in options.items()):
+        return None
+    return SimpleNamespace(**values)
 
 
 # Exit code of each error family; a cache failure (exit 4) is reported
@@ -610,31 +641,35 @@ _ERROR_CHARS = 200
 
 
 def main(argv=None) -> int:
-    """Answer the command line ``argv``; the exit code.  A subcommand line
-    that uses the cache reads its entry before it is parsed: a hit needs
-    neither argparse nor the request's values."""
+    """Answer the command line ``argv``; the exit code.  A valid
+    subcommand line is read from the command table, and its cache entry
+    is read before any value is checked: a hit needs neither argparse nor
+    the request's values, and a miss builds no parser.  argparse reads
+    only a line the table declines, for its help screen or its refusal,
+    and a line it accepts after all is served the same way."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    joined, cache = _join_values(argv), None
-    if command:
-        no_cache, cache_dir = _cache_options(joined)
-        if not no_cache and cache_dir != "":
-            cdir, key = resolve_cache_dir(cache_dir), cache_key(argv)
-            try:
-                cached, error = cache_read(cdir, key), None
-            except OSError as e:
-                cached, error = None, e
-            if cached is not None:
-                return _write(cached)
-            cache = cdir, key, error
-    parser = build_parser(command)
-    try:
-        if argv and not command and not argv[0].startswith("-"):
-            parser.error(f"argument command: "
-                         f"{_invalid_choice(argv[0], _COMMANDS)}")
-        args = parser.parse_args(joined)
-    except SystemExit as e:
-        return int(e.code or 0)
+    joined = _join_values(argv)
+    args = _read_args(joined)
+    if args is None:
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        parser = build_parser(command)
+        try:
+            if argv and not command and not argv[0].startswith("-"):
+                parser.error(f"argument command: "
+                             f"{_invalid_choice(argv[0], _COMMANDS)}")
+            args = parser.parse_args(joined)
+        except SystemExit as e:
+            return int(e.code or 0)
+    cache = None
+    if not args.no_cache and args.cache_dir != "":
+        cdir, key = resolve_cache_dir(args.cache_dir), cache_key(argv)
+        try:
+            cached, error = cache_read(cdir, key), None
+        except OSError as e:
+            cached, error = None, e
+        if cached is not None:
+            return _write(cached)
+        cache = cdir, key, error
     try:
         return _serve(args, cache)
     except tuple(_EXIT_CODES) as e:

@@ -13,12 +13,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from demflag import cli
+from test_character_properties import SETTINGS
 
 NC = ["--no-cache"]
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 TESTS = os.path.dirname(os.path.abspath(__file__))
+README = os.path.join(os.path.dirname(TESTS), "README.md")
 
 
 def run(capsys, argv):
@@ -719,9 +723,9 @@ def test_cache_read_failure_exits_4_after_output(capsys, tmp_path):
 ], ids=["value", "shape"])
 def test_a_refused_request_hides_a_cache_read_failure(capsys, tmp_path,
                                                       refused):
-    """The cache is read before the command line is parsed, but a read that
+    """The cache is read before any value is checked, but a read that
     fails is reported only for a valid request: a refused one prints its
-    refusal alone."""
+    refusal alone.  A refused shape reads no entry at all."""
     expected = run(capsys, refused + NC)
     argv = refused + ["--cache-dir", str(tmp_path)]
     os.mkdir(cli._entry_path(str(tmp_path), cli.cache_key(argv)))
@@ -858,8 +862,9 @@ def test_source_edit_changes_the_cache_key(tmp_path):
 
 
 def test_no_cache_request_takes_no_source_digest(capsys, monkeypatch):
-    """``--no-cache`` in full or abbreviated: the cache, read before the
-    command line is parsed, is not even keyed."""
+    """``--no-cache`` in full or abbreviated: the cache is not even keyed.
+    Nor is it for a help screen or a line argparse refuses, which read no
+    entry."""
     argv = ["weyl-char", "--type", "G2", "--lambda", "1,1"]
     expected = run(capsys, argv + NC)
 
@@ -870,6 +875,8 @@ def test_no_cache_request_takes_no_source_digest(capsys, monkeypatch):
     for no_cache in ("--no-cache", "--no", "--no-c"):
         assert run(capsys, argv + [no_cache]) == expected, no_cache
     assert expected[0] == 0
+    assert [run(capsys, ["weyl-char", *tail])[0]
+            for tail in (["--help"], ["--type", "G2"])] == [0, 2]
 
 
 def test_import_loads_no_dataclasses_or_fractions():
@@ -883,33 +890,42 @@ def test_import_loads_no_dataclasses_or_fractions():
 def test_a_cache_hit_loads_no_hashing_json_or_tempfile(tmp_path):
     """A hit answers without ``hashlib`` (whose ``_hashlib`` loads
     OpenSSL), ``json`` or ``tempfile``, and a CSV miss without ``json``.
-    A hit is read before the command line is parsed, so it loads neither
-    ``argparse`` nor the ``gettext`` and ``locale`` that parsing loads,
-    and builds no root datum.  Run under ``-S``, so that no site hook
-    imports any of them first."""
+    A valid line is read from the command table, so neither a hit nor a
+    miss loads ``argparse`` or the ``gettext`` and ``locale`` that it
+    loads; a hit builds no root datum.  Help and a line argparse refuses
+    do load it.  Run under ``-S``, so that no site hook imports any of
+    them first."""
     code = ("import sys, io, contextlib; from demflag import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    if cli.main(sys.argv[1:]): sys.exit(1)\n"
-            "print(cli.affinize.cache_info().currsize, *sorted(sys.modules))")
+            "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "        contextlib.redirect_stderr(io.StringIO()):\n"
+            "    status = cli.main(sys.argv[1:])\n"
+            "print(status, cli.affinize.cache_info().currsize,\n"
+            "      *sorted(sys.modules))")
     argv = ["demazure-dim", "--type", "A1", "--level", "1", "--lambda", "3",
             "--cache-dir", str(tmp_path)]
-    unwanted = {"hashlib", "_hashlib", "json", "tempfile", "argparse",
-                "gettext", "locale"}
+    parsing = {"argparse", "gettext", "locale"}
+    unwanted = {"hashlib", "_hashlib", "json", "tempfile", *parsing}
 
-    def loaded(*args):
+    def loaded(*args, status=0):
+        """The exit code must be ``status``; the number of affine data
+        built, and the modules loaded."""
         proc = subprocess.run([sys.executable, "-S", "-c", code, *args],
                               env=dict(os.environ, PYTHONPATH=SRC),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        return set(proc.stdout.split())
+        got, datums, *modules = proc.stdout.split()
+        assert int(got) == status, args
+        return int(datums), set(modules)
 
-    assert "json" not in loaded(*argv, "--format", "csv")
+    assert "json" not in loaded(*argv, "--format", "csv")[1]
     loaded(*argv)
     assert len(list(tmp_path.iterdir())) == 2       # two misses, written
-    hit = loaded(*argv)
+    datums, hit = loaded(*argv)
     assert "demflag.cli" in hit and not hit & unwanted
-    assert "0" in hit                               # no datum was built
-    assert "argparse" in loaded(*argv, "--no-cache")
+    assert datums == 0                              # no datum was built
+    assert not loaded(*argv, "--no-cache")[1] & parsing
+    assert "argparse" in loaded("demazure-dim", "--help")[1]
+    assert "argparse" in loaded(*argv[:3], *argv[5:], status=2)[1]
 
 
 # Spellings of the two cache options, each as argparse takes it: in full,
@@ -930,22 +946,93 @@ CACHE_SPELLINGS = {
 }
 
 
+def table_reading(argv):
+    """The command table's reading of ``argv``, by ``cli._read_args`` after
+    ``cli._join_values``: argparse's own namespace when it reads the line,
+    and else a help screen or a refusal from argparse, unless the line
+    holds a lone ``-`` or ``--``, which argparse may take as a value or
+    as the end of the options, or a value ``--`` after ``=``, which some
+    versions of argparse drop."""
+    joined = cli._join_values(argv)
+    args = cli._read_args(joined)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(cli.build_parser(argv[0]).parse_args(joined))
+        except SystemExit:
+            expected = None
+    if args is None:
+        assert expected is None or any(
+            tok in ("-", "--") or tok.endswith("=--") for tok in joined), argv
+    else:
+        assert vars(args) == expected, argv
+    return args
+
+
+# Values an option takes: plain, empty, with ``=`` or a blank, or starting
+# with ``-`` but naming no option.  Odd tokens are declined in some place:
+# a lone ``-`` or ``--``, help, and options of every subcommand, whole,
+# abbreviated or unknown.
+VALUES = st.sampled_from(["1", "2,0", "A1", "xml", "1@a", "", "a b", "x=y",
+                          "-1", "--1", "-x"])
+ODD = st.sampled_from(["-", "--", "-h", "--he", "--lam", "--format",
+                       "--bogus"])
+
+
+@st.composite
+def command_lines(draw, spelling):
+    """A subcommand line from the real tables: its options in full or
+    abbreviated, with a value after a blank or after ``=``, alone, left
+    out or repeated, stray tokens, the required options or not, and
+    ``spelling``, in any order."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._arguments(name)
+    pieces = [spelling]
+    if draw(st.integers(0, 3)) < 3:
+        pieces += [[flag, "1"] for flag, kwargs in options
+                   if kwargs.get("required")]
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from([flag for flag, _ in options]))
+        flag = flag[:len(flag) - draw(st.integers(0, len(flag) - 2))]
+        value = draw(st.one_of(VALUES, VALUES, ODD))
+        pieces.append(draw(st.sampled_from(
+            [[flag, value], [f"{flag}={value}"], [flag, value], [flag],
+             [value]])))
+    return [name, *(tok for piece in draw(st.permutations(pieces))
+                    for tok in piece)]
+
+
 @pytest.mark.parametrize("spelling", CACHE_SPELLINGS.values(),
                          ids=list(CACHE_SPELLINGS))
-def test_the_cache_options_are_read_as_argparse_reads_them(spelling):
-    """The cache is read before the command line is parsed, from
-    ``--no-cache`` and ``--cache-dir`` as ``_cache_options`` reads them:
-    they must be argparse's values, for every subcommand, before and
-    after the subcommand's own options."""
+@SETTINGS
+@given(data=st.data())
+def test_the_cache_options_are_read_as_argparse_reads_them(spelling, data):
+    """A subcommand line is read from the command table, ``--no-cache``
+    and ``--cache-dir`` included, and argparse reads only the lines the
+    table declines: every reading must be argparse's.  The table reads
+    each cache spelling with the required options, for every subcommand,
+    before and after them, and declines no line argparse takes but for a
+    value ``-`` or ``--``."""
     for name in cli._COMMANDS:
         required = [tok for flag, kwargs in cli._arguments(name)
                     if kwargs.get("required") for tok in (flag, "1")]
         for argv in ([name, *spelling, *required],
                      [name, *required, *spelling]):
-            joined = cli._join_values(argv)
-            args = cli.build_parser(name).parse_args(joined)
-            assert cli._cache_options(joined) \
-                == (args.no_cache, args.cache_dir), argv
+            assert table_reading(argv) is not None, argv
+    table_reading(data.draw(command_lines(spelling)))
+
+
+def test_every_valid_pinned_or_documented_line_is_read_from_the_table():
+    """Every request ``PINS`` answers with exit 0, help aside, and every
+    example of the README is read without argparse."""
+    with open(README, encoding="utf-8") as fh:
+        documented = [line.split()[1:] for line in fh
+                      if line.startswith("demflag ")]
+    pinned = [args.split() for args, rc, _ in PINS
+              if rc == 0 and "--help" not in args]
+    assert {argv[0] for argv in documented} == set(cli._COMMANDS)
+    for argv in pinned + documented:
+        assert table_reading(argv) is not None, argv
 
 
 def test_cache_dir_resolution(capsys, tmp_path, monkeypatch):
