@@ -6,15 +6,10 @@ tensor characters, the path-crystal cross-check, highest-term extraction,
 finite Weyl characters, and the dimension product check.  A new subcommand
 is one more ``_COMMANDS`` entry: its help line, its options in validation
 order (kinds from ``_OPTIONS``, which parse and canonicalize them) and a
-function computing its sections.  A valid subcommand line is read from
-that table into the namespace argparse would give, every value kept as
-text; argparse is loaded only for a help screen or a line whose shape it
-refuses (a missing, unknown or ambiguous option, a missing value, a stray
-argument, an unknown command).  One handler validates every value of
-every request, so each refused value is one ``error:`` line.
-``build_parser`` adds only the subcommand that the first argument names;
-any other command line (top-level help, no arguments, an unknown command
-or an option first) gets every subcommand.
+function computing its sections.  Every command line is read from that
+table as argparse would read it, every value kept as text; argparse is
+loaded only to print a help screen.  A refusal, of the line's shape or
+of a value, is one ``error:`` line.
 
 Output formats: ``json`` (canonical, sorted keys), ``csv`` (one flat table,
 leading ``section`` column), ``table`` (same rows, aligned).  Empty cells
@@ -26,21 +21,17 @@ the command line and the code, so the key is one line, the ``repr`` of a
 digest of the package's source files and the command line as typed: any
 change to the code gets fresh entries, and two spellings of one request
 (``--lambda 2,0``, ``--lambda=2,0``) are two entries.  An entry is written
-only after its command line succeeds, so ``main`` reads it before any
-value is checked: a hit builds no parser and no root datum, and imports
-neither ``argparse``, ``json`` nor ``tempfile``.  ``--no-cache`` and
-``--cache-dir`` are read from the table like every option, in full,
-abbreviated or after ``=``, the last one winning.  A help screen or a
-refused shape reads no entry, and a line argparse accepts though the
-table declined it reads its entry once parsed.  An entry is a
-plain-text file: the key's line, then the output bytes unchanged.  Its
-name is the 64-bit ``importlib.util.source_hash`` of the key, and a read
-that finds any other first line under the name is a miss, so a name
-shared by two keys costs a recompute, never a wrong answer.  That hash
-loads no OpenSSL.  The cache directory comes from ``--cache-dir``, else
-``DEMAZURE_CACHE_DIR``, else a per-user cache path; ``--no-cache`` skips
-both lookup and write.  Cache writes go through a temporary file and an
-atomic rename.
+only after its command line succeeds, so it is read before any value is
+checked: a hit builds no root datum and imports neither ``argparse``,
+``json`` nor ``tempfile``.  A help screen or a refused shape reads no
+entry.  An entry is a plain-text file: the key's line, then the output
+bytes unchanged.  Its name is the 64-bit ``importlib.util.source_hash``
+of the key, and a read that finds any other first line under the name
+is a miss, so a name shared by two keys costs a recompute, never a wrong
+answer.  That hash loads no OpenSSL.  The cache directory comes from
+``--cache-dir``, else ``DEMAZURE_CACHE_DIR``, else a per-user cache path;
+``--no-cache`` skips both lookup and write.  Cache writes go through a
+temporary file and an atomic rename.
 
 Exit codes: 0 success, 2 invalid request, 3 mathematical domain error,
 4 cache or output I/O failure (the result is still printed and cached).
@@ -544,91 +535,98 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _flags(command: str) -> tuple[list[str], set[str]]:
-    """The option names a subcommand's parser knows, help included, and
-    the set of those that take a value."""
-    options = _arguments(command)
-    return ([flag for flag, _ in options] + ["-h", "--help"],
-            {flag for flag, kwargs in options
-             if kwargs.get("action") != "store_true"})
+_HELP = ["-h", "--help"]
 
 
-def _named(tok: str, names: list[str]) -> str:
-    """The option ``tok`` names, resolved as argparse resolves it: by its
-    name or by a ``--`` prefix of exactly one of ``names``; else ``tok``."""
-    hits = [name for name in names if name.startswith(tok)]
-    return hits[0] if tok.startswith("--") and len(hits) == 1 else tok
-
-
-def _join_values(argv: list[str]) -> list[str]:
-    """``argv`` with each option that takes a value joined to a next token
-    that starts with ``-`` but names no option of the subcommand, nor
-    abbreviates one: ``--level --1`` becomes ``--level=--1``.  argparse
-    would read ``--1`` as an unknown option and answer with its usage
-    block; joined, the value reaches its own one-line refusal.  An option
-    is resolved by ``_named``, so ``--lev --1`` is joined too; an ambiguous
-    prefix is left to argparse, and so is a missing value before a real
-    option, as in ``--lambda --format json``."""
-    if not argv or argv[0] not in _COMMANDS:
-        return argv
-    names, valued = _flags(argv[0])
-    out, i = argv[:1], 1
-    while i < len(argv):
-        tok, nxt = argv[i], argv[i + 1] if i + 1 < len(argv) else ""
-        if _named(tok, names) in valued and nxt.startswith("-") and not any(
-                name.startswith(nxt.split("=", 1)[0]) for name in names):
-            out.append(f"{tok}={nxt}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
+def _option(tok: str, names: list[str]) -> tuple[Optional[str], Optional[str]]:
+    """The option among ``names`` that ``tok`` names, as argparse reads
+    it, and the value after its ``=`` (None without one); ``(None, None)``
+    for a token that names none.  A ``--`` token names an option by the
+    part before any ``=``, in full or as a prefix of exactly one name, and
+    a prefix of more is refused as ambiguous; ``-hX`` is ``-h`` with the
+    value ``X``."""
+    head, eq, value = tok.partition("=")
+    if head in names:
+        return head, value if eq else None
+    if tok.startswith("-h"):
+        return "-h", tok[2:]
+    hits = [name for name in names if name.startswith(head)]
+    if not tok.startswith("--") or not hits:
+        return None, None
+    if len(hits) > 1:
+        raise ValueError(f"ambiguous option: {tok} could match "
+                         f"{', '.join(hits)}")
+    return hits[0], value if eq else None
 
 
 def _read_args(argv: list[str]) -> Optional[SimpleNamespace]:
-    """The namespace argparse gives a subcommand line joined by
-    ``_join_values``, read from the command table: every option at its
-    argparse default, each given one by ``_named`` on the part before any
-    ``=``, its value after the ``=`` or else in the next token, the last
-    one winning and ``--factor`` appending.  None for a line that argparse
-    must answer, with help or a refusal of its shape: ``-h`` or
-    ``--help``, ``--``, an unknown or ambiguous option, a stray argument,
-    a missing value or required option, ``=`` after ``--no-cache``, a
-    value in its own token that starts with ``-``, which argparse may
-    read as an option, or a value ``--``, which some versions drop."""
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    options = dict(_arguments(argv[0]))
-    names, valued = _flags(argv[0])
+    """The namespace of the command line ``argv``, read from the command
+    table as argparse reads it, every value kept as text; None for a help
+    screen.  A line of the wrong shape raises ``ValueError`` with
+    argparse's message.
+
+    The line is a subcommand, or help.  Every token before a lone ``--``
+    is resolved by ``_option`` first, so an ambiguous prefix refuses
+    before anything else.  Then, from the left, an option takes the value
+    after its ``=`` or else the next token, unless that names an option
+    too: ``--1`` or a lone ``-`` is a value, unlike ``--lam`` or a lone
+    ``--`` (argparse would refuse ``--1`` as an option); the last value
+    wins and ``--factor`` appends; an explicit value for ``--no-cache``
+    or help refuses, and help returns.  Then the required options must be
+    given, and no token may stray: neither one naming no option nor any
+    from a lone ``--`` on."""
+    if not argv:
+        raise ValueError("the following arguments are required: command")
+    name, tail = argv[0], argv[1:]
+    if name not in _COMMANDS:
+        flag, value = _option(name, _HELP)
+        if flag and value is None:
+            return None
+        raise ValueError(f"argument command: "
+                         f"{_invalid_choice(name, _COMMANDS)}")
+    options = dict(_arguments(name))
     dests = {flag: kwargs.get("dest", flag[2:].replace("-", "_"))
              for flag, kwargs in options.items()}
-    values = {"command": argv[0]}
+    values = {"command": name}
     for flag, kwargs in options.items():
         values[dests[flag]] = kwargs.get(
-            "default", False if flag not in valued else None)
-    given, rest = set(), iter(argv[1:])
-    for tok in rest:
-        flag, eq, value = tok.partition("=")
-        flag = _named(flag, names)
-        if flag not in options or eq and flag not in valued:
-            return None
-        if flag in valued and not eq:
-            value = next(rest, None)
-            if value is None or value.startswith("-"):
+            "default", False if kwargs.get("action") == "store_true" else None)
+    end = tail.index("--") if "--" in tail else len(tail)
+    names = [*_HELP, *options]
+    tokens = iter([(tok, _option(tok, names)) for tok in tail[:end]])
+    given, strays = set(), []
+    for tok, (flag, value) in tokens:
+        if flag is None:
+            strays.append(tok)
+            continue
+        if flag in _HELP or options[flag].get("action") == "store_true":
+            if value is not None:
+                shown = "/".join(_HELP) if flag in _HELP else flag
+                raise ValueError(f"argument {shown}: ignored explicit "
+                                 f"argument {value!r}")
+            if flag in _HELP:
                 return None
-        if value == "--":
-            return None
-        dest = dests[flag]
-        if flag not in valued:
-            values[dest] = True
-        elif options[flag].get("action") == "append":
-            values[dest] = [*values[dest], value]  # the default stays empty
+            values[dests[flag]] = True
         else:
-            values[dest] = value
+            if value is None:
+                nxt = next(tokens, None)
+                if nxt is None or nxt[1][0] is not None:
+                    raise ValueError(f"argument {flag}: expected one "
+                                     f"argument")
+                value = nxt[0]
+            dest = dests[flag]
+            values[dest] = ([*values[dest], value]  # the default stays empty
+                            if options[flag].get("action") == "append"
+                            else value)
         given.add(flag)
-    if any(kwargs.get("required") and flag not in given
-           for flag, kwargs in options.items()):
-        return None
+    missing = [flag for flag, kwargs in options.items()
+               if kwargs.get("required") and flag not in given]
+    if missing:
+        raise ValueError(f"the following arguments are required: "
+                         f"{', '.join(missing)}")
+    strays += tail[end:]
+    if strays:
+        raise ValueError(f"unrecognized arguments: {' '.join(strays)}")
     return SimpleNamespace(**values)
 
 
@@ -637,48 +635,39 @@ def _read_args(argv: list[str]) -> Optional[SimpleNamespace]:
 _EXIT_CODES = {errors.InputError: 2, ValueError: 2, errors.DomainError: 3}
 
 # Characters of a message an ``error:`` line shows, then ``...`` if cut.
+# A message at most three longer is shown whole: the cut would not shorten
+# it (the unknown-command line, with its choices, is 201 characters).
 _ERROR_CHARS = 200
 
 
 def main(argv=None) -> int:
-    """Answer the command line ``argv``; the exit code.  A valid
-    subcommand line is read from the command table, and its cache entry
-    is read before any value is checked: a hit needs neither argparse nor
-    the request's values, and a miss builds no parser.  argparse reads
-    only a line the table declines, for its help screen or its refusal,
-    and a line it accepts after all is served the same way."""
+    """Answer the command line ``argv``; the exit code.  The line is read
+    from the command table; argparse is loaded only to print a help
+    screen.  Every refusal, of the line's shape or of a value, is one
+    ``error:`` line."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    joined = _join_values(argv)
-    args = _read_args(joined)
-    if args is None:
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        parser = build_parser(command)
-        try:
-            if argv and not command and not argv[0].startswith("-"):
-                parser.error(f"argument command: "
-                             f"{_invalid_choice(argv[0], _COMMANDS)}")
-            args = parser.parse_args(joined)
-        except SystemExit as e:
-            return int(e.code or 0)
-    cache = None
-    if not args.no_cache and args.cache_dir != "":
-        cdir, key = resolve_cache_dir(args.cache_dir), cache_key(argv)
-        try:
-            cached, error = cache_read(cdir, key), None
-        except OSError as e:
-            cached, error = None, e
-        if cached is not None:
-            return _write(cached)
-        cache = cdir, key, error
     try:
-        return _serve(args, cache)
+        args = _read_args(argv)
+        return _help(argv[0]) if args is None else _serve(args, argv)
     except tuple(_EXIT_CODES) as e:
         msg = str(e)
-        if len(msg) > _ERROR_CHARS:
+        if len(msg) > _ERROR_CHARS + len("..."):
             msg = msg[:_ERROR_CHARS] + "..."
         _complain(f"error: {msg}")
         return next(code for kind, code in _EXIT_CODES.items()
                     if isinstance(e, kind))
+
+
+def _help(name: str) -> int:
+    """Print, by argparse, the help screen of the subcommand ``name`` or
+    else the top-level one; the exit code, 0."""
+    command = name if name in _COMMANDS else None
+    try:
+        build_parser(command).parse_args([command, "-h"] if command
+                                         else ["-h"])
+    except SystemExit:
+        pass
+    return 0
 
 
 def _complain(line: str) -> None:
@@ -705,27 +694,35 @@ def _write(text: str) -> int:
     return 0
 
 
-def _serve(args, cache: Optional[tuple]) -> int:
-    """Validate, compute, print and, unless ``cache`` is None (the request
-    skips the cache), write the entry of a request whose cache read
-    missed; the exit code.  ``cache`` is the entry's directory and key and
-    the ``OSError`` the read raised, or None.
+def _serve(args, argv: list[str]) -> int:
+    """Answer the request ``args`` that ``argv`` spells; the exit code.
+    Unless the request skips the cache, its entry is read before any
+    value is checked, and a hit is printed as it is; a miss is validated,
+    computed, printed and written under the same key.
 
     A cache that cannot be read counts as a miss and one that cannot be
     written loses only the entry: either way the result is printed, and
     the exit code is 4, as for a result that cannot be printed.  A read
-    error is reported once the request is valid, so a refused request
+    error is reported once the result is rendered, so a refused request
     prints only its refusal.
     """
+    cache = not args.no_cache and args.cache_dir != ""
+    if cache:
+        cdir, key = resolve_cache_dir(args.cache_dir), cache_key(argv)
+        try:
+            cached, error = cache_read(cdir, key), None
+        except OSError as e:
+            cached, error = None, e
+        if cached is not None:
+            return _write(cached)
     _, run = _HANDLERS[args.command](args)
-    if cache is None:
-        return _write(render(*run(), args.format))
-    cdir, key, error = cache
+    text = render(*run(), args.format)
+    if not cache:
+        return _write(text)
     status = 0
     if error is not None:
         _complain(f"cache error: {error}")
         status = 4
-    text = render(*run(), args.format)
     status = _write(text) or status
     try:
         cache_write(cdir, key, text)
