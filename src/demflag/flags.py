@@ -33,18 +33,28 @@ level-one Demazure character of its own simply-laced affinization, peeled
 at the lacing number as target level; each piece lifts back to the parent,
 where it names a level-one Demazure module with the same grade shift and
 multiplicity.  The lifted pieces are the flag, and their multiplicities,
-summed and expanded, the character.  The last ``MEMO_SIZE`` graded Weyl
-characters are kept with their flags.
+summed and expanded, the character.
 
 Characters of local Weyl modules multiply: the module for a sum of dominant
 weights attached to pairwise distinct labels is the tensor product of the
 modules of the summands, so its ungraded character is the product of
 theirs, which the dimension check against the fundamental product uses.
+
+``level_flag``, ``graded_weyl_character``, ``weyl_dim_product_check`` and
+``local_weyl_character`` each keep their last ``MEMO_SIZE`` answers, as
+the ``demazure`` entry points do: each is one lookup in a memo keyed by
+every number of the request as given (both levels; every summand's
+length, grade and values in order), by value and type, and only a miss
+checks them.  A bad request raises on every call, no error is kept, and
+a repeated request returns the same immutable object.
+``greedy_decompose`` takes a character, which is no key, and peels it on
+every call.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 from . import errors
@@ -150,15 +160,23 @@ def level_flag(ad: AffineDatum, level: int, to_level: int,
     """Flag of a level-``level`` character by level-``to_level`` pieces.
 
     Only available in simply-laced type, where such flags exist for every
-    higher target level.
+    higher target level.  Memoised like ``graded_weyl_character``: one
+    lookup keyed by both levels and the weight's numbers, which a miss
+    checks.
     """
+    return _level_flag(ad, level, to_level, lam.d, *lam.h)
+
+
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
+def _level_flag(ad: AffineDatum, level: int, to_level: int, d: int,
+                *h: int) -> FlagDecomposition:
     if ad.finite.short_nodes:
         raise errors.NotSimplyLaced(f"{ad.finite.label} is not simply laced")
     level = integral(level, "level")
     to_level = integral(to_level, "target level")
     if to_level <= level:
         raise ValueError("target level must exceed the source level")
-    return _peel(ad, _labels(ad, level, 0, lam.d, *lam.h), to_level)
+    return _peel(ad, _labels(ad, level, 0, d, *h), to_level)
 
 
 def graded_weyl_character(
@@ -224,12 +242,28 @@ def local_weyl_character(rd: RootDatum,
                          varpi: DominantLWeight) -> Character:
     """Ungraded character of the tensor product over the labelled summands.
 
-    Summands of equal weight share one factor character, computed once.
+    Memoised: one lookup keyed by every summand's numbers in order, each
+    weight's length, grade and values, by value and type; the labels do
+    not change the character.  A miss checks every summand as a level-one
+    label in ``graded_weyl_character``'s lookup, and summands of equal
+    weight share one factor character, computed once.
     """
-    factors: dict[tuple[int, ...], Character] = {}
+    return _local_weyl(rd, *[x for w, _ in varpi.factors
+                             for x in (len(w.h), w.d, *w.h)])
+
+
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
+def _local_weyl(rd: RootDatum, *numbers: int) -> Character:
+    factors: dict[tuple, Character] = {}
     out = Character.monomial(rd, rd.zero_weight)
-    for w, _ in varpi.factors:
-        if w.h not in factors:
-            factors[w.h] = forget_grading(graded_weyl_character(rd, w)[0])
-        out = out * factors[w.h]
+    rest = iter(numbers)
+    for n in rest:
+        d, h = next(rest), tuple(islice(rest, n))
+        # Keyed by value and type, as the memos are, so a summand that
+        # differs in type alone meets its own check in the lookup below.
+        key = (d, *h, *map(type, (d, *h)))
+        if key not in factors:
+            factors[key] = forget_grading(
+                graded_weyl_character(rd, Weight(h, d))[0])
+        out = out * factors[key]
     return out

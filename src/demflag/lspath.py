@@ -112,6 +112,12 @@ highest-weight terms of the tensor decomposition, at the dominant weights
 groups its flat paths by the vector of their ``eps_i`` when first asked,
 from the pairing table, and keeps the groups, so a call compares one
 vector per group; only the members that pass become ``LSPath``s.
+Like ``generate_demazure_set``, ``joseph_highest`` checks ``mu``, the
+weight and every letter on every call, then looks the terms up in a memo
+of the last ``MEMO_SIZE // 6``, keyed by the datum, the checked values
+and grade of ``mu`` and of the weight, and the letters' node positions.
+The memo keeps a tuple, and each call returns a fresh list of it, so a
+caller's edits reach neither the memo nor the next answer.
 """
 
 from __future__ import annotations
@@ -451,10 +457,19 @@ def joseph_highest(ad: AffineDatum, mu: Weight, lam: Weight,
     ``b`` for which the straight path to ``mu`` followed by ``b`` pairs
     nonnegatively with every coroot, that is ``mu(h_i) + min h_i(b) >= 0``
     for every node.  Returns the surviving crystal members with the
-    dominant weights ``mu + wt(b)``, in the path set's deterministic order.
+    dominant weights ``mu + wt(b)``, in the path set's deterministic order,
+    as a fresh list of the memoised terms.
     """
     mu = ad.dominant(ad.weight(mu.h, mu.d))
-    ps = generate_demazure_set(ad, lam, word)
+    h, grade = ad.dominant(ad.weight(lam.h, lam.d))
+    return list(_joseph(ad, mu, h, grade, tuple(map(ad.pos, word))))
+
+
+# Beside the path sets it is read from, so as small a bound as theirs.
+@lru_cache(maxsize=MEMO_SIZE // 6)
+def _joseph(ad: AffineDatum, mu: Weight, h: tuple[int, ...], grade: int,
+            positions: tuple[int, ...]) -> tuple[tuple[LSPath, Weight], ...]:
+    ps = _path_set(ad, h, grade, positions)
     tab, weights = ps._table, ps._weights
     # For an integer mu(h_i), mu(h_i) + min h_i(b) / n >= 0 is
     # mu(h_i) >= -floor(min h_i(b) / n).
@@ -467,7 +482,7 @@ def joseph_highest(ad: AffineDatum, mu: Weight, lam: Weight,
         if not ad.is_dominant(nu):
             raise AssertionError("highest term must be dominant")
         nus.append(nu)
-    return list(zip(tab.paths(kept, ps._grade), nus))
+    return tuple(zip(tab.paths(kept, ps._grade), nus))
 
 
 def f_edge_lines(ps: PathSet) -> str:

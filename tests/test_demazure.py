@@ -23,6 +23,7 @@ from demflag import (
     forget_grading,
     generate_demazure_set,
     graded_weyl_character,
+    joseph_highest,
     level_flag,
     local_weyl_character,
     lspath,
@@ -432,7 +433,7 @@ def test_a_classical_weight_carries_no_grade(d):
     ``d`` is not the integer 0 is refused on every call by every entry
     point, and keeps no memo entry."""
     memos = (demazure._labels, demazure._character, demazure._dim,
-             flags._graded_weyl)
+             flags._graded_weyl, flags._level_flag, flags._local_weyl)
     for memo in memos:
         memo.cache_clear()
     for rd in (A2, C2):
@@ -476,11 +477,12 @@ def test_memo_stays_within_its_bound():
     beneath the characters four times that; beneath expansions, the
     dominant multiplicities of Weyl characters keep four times and their
     orbits eight times that.  Path crystals keep ``MEMO_SIZE`` tables and
-    the path sets grown in them and the word ladders compared with those
-    sets a sixth of that.  Run past every bound: each A1 weight ``n``
-    adds one top and one orbit, that of ``n`` itself; past the tops' bound
-    the orbits are asked for alone, which is cheaper.  A dimension runs
-    the grade-free ladder, so it leaves the multiplicity maps alone."""
+    the path sets grown in them, the highest terms read from those sets
+    and the word ladders compared with them a sixth of that.  Run past
+    every bound: each A1 weight ``n`` adds one top and one orbit, that of
+    ``n`` itself; past the tops' bound the orbits are asked for alone,
+    which is cheaper.  A dimension runs the grade-free ladder, so it
+    leaves the multiplicity maps alone."""
     size = demazure.MEMO_SIZE
     dims, maps = demazure._dim, demazure._labels
     for memo in (dims, maps):
@@ -503,13 +505,15 @@ def test_memo_stays_within_its_bound():
             orbits(A1, (n, 0))
         assert orbits.cache_info().currsize == min(n + 1, 8 * size)
     crystals, sets = lspath._crystal, lspath._path_set
-    ladders = characters._word_char
-    for memo in (crystals, sets, ladders):
+    terms, ladders = lspath._joseph, characters._word_char
+    for memo in (crystals, sets, terms, ladders):
         memo.cache_clear()
     for n in range(size + 8):
         lam = A1_AFF.weight([n, 1])
         generate_demazure_set(A1_AFF, lam, (0, 1))
+        joseph_highest(A1_AFF, A1_AFF.fundamental_weight(0), lam, (0, 1))
         demazure_word_char(A1_AFF, (0, 1), lam)
         assert crystals.cache_info().currsize == min(n + 1, size)
         assert sets.cache_info().currsize == min(n + 1, size // 6)
+        assert terms.cache_info().currsize == min(n + 1, size // 6)
         assert ladders.cache_info().currsize == min(n + 1, size // 6)

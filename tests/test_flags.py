@@ -350,6 +350,7 @@ def test_local_weyl_computes_each_factor_weight_once(monkeypatch):
         return graded_weyl_character(rd, lam)
 
     monkeypatch.setattr(flags, "graded_weyl_character", counted)
+    flags._local_weyl.cache_clear()
     om = A1.weight([1])
     f = local_weyl_character(
         A1, DominantLWeight(((om, "a"), (om, "b"), (om, "c"))))
@@ -471,6 +472,112 @@ def test_weyl_memo_stays_within_its_bound():
             == min(k + 1, MEMO_SIZE)
 
 
+def test_flag_and_tensor_memo_hits_return_the_same_object():
+    flags._level_flag.cache_clear()
+    flags._local_weyl.cache_clear()
+    fd = level_flag(A2_AFF, 1, 2, A2.weight([2, 1]))
+    assert level_flag(A2_AFF, 1, 2, Weight([2, 1])) is fd
+    assert flags._level_flag.cache_info().hits == 1
+    om = A2.weight([1, 0])
+    f = local_weyl_character(A2, DominantLWeight(((om, "a"), (om, "b"))))
+    # The labels do not change the character, so they are not in the key.
+    assert local_weyl_character(
+        A2, DominantLWeight(((Weight([1, 0]), "x"), (om, "y")))) is f
+    assert flags._local_weyl.cache_info().hits == 1
+
+
+# Each number of a request as an int, a float and a bool of equal value
+# (a target level above 1 has no bool): the float is refused, and the bool
+# is answered from an entry of its own.  A second summand equal in value to
+# the first is checked as well, not read from the first.
+TYPED = [
+    ("_level_flag", (1, 1.0, True),
+     lambda x: level_flag(A1_AFF, x, 2, A1.weight([1]))),
+    ("_level_flag", (2, 2.0),
+     lambda x: level_flag(A1_AFF, 1, x, A1.weight([1]))),
+    ("_level_flag", (1, 1.0, True),
+     lambda x: level_flag(A1_AFF, 1, 2, Weight((x,), 0))),
+    ("_level_flag", (0, 0.0, False),
+     lambda x: level_flag(A1_AFF, 1, 2, Weight((1,), x))),
+    ("_local_weyl", (1, 1.0, True),
+     lambda x: local_weyl_character(
+         A1, DominantLWeight(((Weight((x,), 0), "a"),)))),
+    ("_local_weyl", (1, 1.0, True),
+     lambda x: local_weyl_character(
+         A1, DominantLWeight(((Weight((1,), 0), "a"),
+                              (Weight((x,), 0), "b"))))),
+    ("_local_weyl", (0, 0.0, False),
+     lambda x: local_weyl_character(
+         A1, DominantLWeight(((Weight((1,), 0), "a"),
+                              (Weight((1,), x), "b"))))),
+]
+
+
+@pytest.mark.parametrize("memo, values, call", TYPED,
+                         ids=["level", "to-level", "weight", "weight-grade",
+                              "factor", "second-factor",
+                              "second-factor-grade"])
+def test_one_float_and_true_never_share_an_entry(memo, values, call):
+    memo = getattr(flags, memo)
+    for order in (values, values[::-1]):
+        memo.cache_clear()
+        answers = []
+        for x in order:
+            if isinstance(x, float):
+                with pytest.raises(ValueError, match="integral"):
+                    call(x)
+            else:
+                answers.append(call(x))
+        assert all(a == answers[0] for a in answers)
+        assert len(set(map(id, answers))) == len(answers)
+        assert memo.cache_info().currsize == len(answers)
+
+
+def test_bad_flag_and_tensor_requests_raise_on_every_call():
+    """A refused request is refused again on each repeat, after a good one
+    is kept, and keeps no entry of its own."""
+    om = A1.weight([1])
+    bad = [
+        (errors.NotSimplyLaced, lambda: level_flag(
+            affinize(C2), 1, 2, C2.weight([1, 0]))),
+        (ValueError, lambda: level_flag(A1_AFF, 2, 2, om)),
+        (ValueError, lambda: level_flag(A1_AFF, 1.5, 2, om)),
+        (errors.ZeroLevel, lambda: level_flag(A1_AFF, 0, 2, om)),
+        (errors.NotDominant, lambda: level_flag(A1_AFF, 1, 2,
+                                                A1.weight([-1]))),
+        (ValueError, lambda: level_flag(A1_AFF, 1, 2, A2.weight([1, 0]))),
+        (errors.NotDominant, lambda: local_weyl_character(
+            A1, DominantLWeight(((om, "a"), (A1.weight([-1]), "b"))))),
+        (ValueError, lambda: local_weyl_character(
+            A1, DominantLWeight(((A2.weight([1, 0]), "a"),)))),
+        (ValueError, lambda: local_weyl_character(
+            A1, DominantLWeight(((om, "a"), (Weight((1,), 1), "b"))))),
+    ]
+    memos = (flags._level_flag, flags._local_weyl)
+    for memo in memos:
+        memo.cache_clear()
+    level_flag(A1_AFF, 1, 2, om)
+    local_weyl_character(A1, DominantLWeight(((om, "a"),)))
+    for _ in range(3):
+        for error, call in bad:
+            with pytest.raises(error):
+                call()
+    assert [memo.cache_info().currsize for memo in memos] == [1, 1]
+
+
+def test_flag_and_tensor_memos_stay_within_their_bound():
+    memos = (flags._level_flag, flags._local_weyl)
+    for memo in memos:
+        memo.cache_clear()
+    pairs = list(_small_weights())
+    assert len(pairs) > MEMO_SIZE
+    for k, (rd, lam) in enumerate(pairs):
+        level_flag(A1_AFF, 1, k + 2, A1.weight([2]))
+        local_weyl_character(rd, DominantLWeight(((lam, "a"),)))
+        assert [memo.cache_info().currsize for memo in memos] \
+            == [min(k + 1, MEMO_SIZE)] * 2
+
+
 def test_peeling_leaves_the_held_label_maps_alone(monkeypatch):
     """Every ``demazure._labels`` entry that ``level_flag`` and
     ``graded_weyl_character`` read still equals a fresh computation."""
@@ -484,6 +591,7 @@ def test_peeling_leaves_the_held_label_maps_alone(monkeypatch):
     monkeypatch.setattr(flags, "_labels", record)
     memo.cache_clear()
     flags._graded_weyl.cache_clear()
+    flags._level_flag.cache_clear()
     level_flag(A2_AFF, 1, 2, A2.weight([2, 2]))
     level_flag(A1_AFF, 1, 3, A1.weight([4]))
     for rd, h in ((A2, (1, 1)), (C2, (2, 0)), (G2, (2, 2))):
@@ -512,11 +620,13 @@ def test_peeling_keeps_every_held_label_map_intact(monkeypatch):
     monkeypatch.setattr(demazure, "_labels", record)
     monkeypatch.setattr(flags, "_labels", record)
     flags._graded_weyl.cache_clear()
+    flags._level_flag.cache_clear()
     for call in calls:
         call()
     monkeypatch.undo()
     memo.cache_clear()
     flags._graded_weyl.cache_clear()
+    flags._level_flag.cache_clear()
     snapshot = {args: copy.deepcopy(memo(*args)) for args in held}
     for call in calls:
         call()

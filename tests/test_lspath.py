@@ -67,7 +67,9 @@ def reduced_words(ad, max_len):
 
 
 def clear_path_memos():
-    """Start cold: no path set, crystal table or word ladder kept."""
+    """Start cold: no path set, crystal table, word ladder or highest
+    terms kept."""
+    lspath._joseph.cache_clear()
     lspath._path_set.cache_clear()
     lspath._crystal.cache_clear()
     characters._word_char.cache_clear()
@@ -571,6 +573,61 @@ def test_repeated_sets_and_characters_are_the_same_objects():
     assert crystal_character(again) is crystal_character(ps)
     assert crystal_character(ps) == demazure_word_char(A2_AFF, word, lam)
     assert lspath._path_set.cache_info().hits == 1
+
+
+def test_repeated_highest_terms_are_fresh_lists_of_the_same_terms():
+    clear_path_memos()
+    mu, lam = A2_AFF.weight([1, 0, 0]), A2_AFF.weight([0, 1, 1], 1)
+    word = (2, 1, 0, 2, 1)
+    first = joseph_highest(A2_AFF, mu, lam, list(word))
+    again = joseph_highest(A2_AFF, Weight([1, 0, 0]), Weight((0, 1, 1), 1),
+                           word)
+    assert lspath._joseph.cache_info().hits == 1
+    assert type(again) is list and again == first and again is not first
+    assert all(a is b for a, b in zip(again, first)) and len(first) > 1
+    expected = list(first)
+    again.pop()
+    again.append(None)
+    first.clear()
+    assert joseph_highest(A2_AFF, mu, lam, word) == expected
+    assert lspath._joseph.cache_info().currsize == 1
+
+
+def test_highest_terms_key_the_checked_numbers():
+    """``joseph_highest`` checks its weights before the lookup, so a float
+    is refused on every call, even after the integer request is kept, and a
+    bool is read as the integer it equals: its terms are the integer
+    request's, every number an exact ``int``."""
+    lam, word = A1_AFF.weight([1, 0]), (1, 0)
+    clear_path_memos()
+    pairs = joseph_highest(A1_AFF, A1_AFF.weight([1, 0]), lam, word)
+    for _ in range(2):
+        for mu in (Weight((1.0, 0), 0), Weight((1, 0), 0.0)):
+            with pytest.raises(ValueError, match="integral"):
+                joseph_highest(A1_AFF, mu, lam, word)
+        with pytest.raises(ValueError, match="integral"):
+            joseph_highest(A1_AFF, A1_AFF.weight([1, 0]),
+                           Weight((1.0, 0), 0), word)
+    assert joseph_highest(A1_AFF, Weight((True, False), False), lam,
+                          (True, False)) == pairs
+    assert all(type(x) is int for _, nu in pairs for x in (*nu.h, nu.d))
+    assert lspath._joseph.cache_info().currsize == 1
+
+
+def test_bad_highest_term_requests_raise_on_every_call():
+    clear_path_memos()
+    mu, lam = A1_AFF.fundamental_weight(0), A1_AFF.weight([1, 1])
+    joseph_highest(A1_AFF, mu, lam, (0, 1))
+    bad = [(errors.NotDominant, A1_AFF.weight([2, -1]), lam, (0, 1)),
+           (errors.NotDominant, mu, A1_AFF.weight([2, -1]), (0, 1)),
+           (ValueError, mu, Weight((1, 1, 0), 0), (0, 1)),
+           (errors.IndexOutOfRange, mu, lam, (0, 2)),
+           (errors.IndexOutOfRange, mu, lam, (0, 1.0))]
+    for _ in range(3):
+        for error, *args in bad:
+            with pytest.raises(error):
+                joseph_highest(A1_AFF, *args)
+    assert lspath._joseph.cache_info().currsize == 1
 
 
 def test_paths_are_built_on_first_use():
