@@ -460,9 +460,14 @@ def weyl_character_finite(rd: RootDatum, lam: Weight) -> Character:
     Memoised: one lookup keyed by every number of the weight, by value and
     type, returning the same immutable object.  Only a miss checks them:
     ``ValueError`` for a number that is not an integer, ``NotDominant``
-    for a weight that is not dominant.
+    for a weight that is not dominant.  A number that cannot be hashed
+    fails the key, so that call runs the miss's check itself.
     """
-    return _weyl_character(rd, lam.d, *lam.h)
+    try:
+        return _weyl_character(rd, lam.d, *lam.h)
+    except TypeError:
+        rd.dominant(rd.weight(lam.h, lam.d))
+        raise
 
 
 @cache

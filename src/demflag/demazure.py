@@ -70,7 +70,10 @@ tops are kept per datum, since many labels share their tops, and the
 last ``MEMO_SIZE`` pieces of the factorization.
 Each entry point is one lookup in a memo keyed by every number of the
 label as given, by value and type, and only a miss checks them, in
-``_label``: a bad label raises on every call, and no error is kept.
+``_label``: a bad label raises on every call, and no error is kept.  A
+number that cannot be hashed fails the lookup's key before any miss, so
+that call runs ``_label`` itself, which refuses it as a miss would; a
+``TypeError`` from a label that passes is raised as it was.
 """
 
 from __future__ import annotations
@@ -166,7 +169,11 @@ def _labels(ad: AffineDatum, level: int, grade: int, d: int,
 def demazure_character(ad: AffineDatum,
                        lab: DemazureLabel) -> Character:
     """Graded classical character of the labelled module, memoised."""
-    return _character(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
+    try:
+        return _character(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
+    except TypeError:
+        _label(ad.finite, lab.level, lab.grade, lab.lam.d, lab.lam.h)
+        raise
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
@@ -178,7 +185,11 @@ def _character(ad: AffineDatum, level: int, grade: int, d: int,
 def demazure_dim(ad: AffineDatum, lab: DemazureLabel) -> int:
     """Dimension, memoised: by the factorization in simply-laced type,
     else by the grade-free ladder (see the module docstring)."""
-    return _dim(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
+    try:
+        return _dim(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
+    except TypeError:
+        _label(ad.finite, lab.level, lab.grade, lab.lam.d, lab.lam.h)
+        raise
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)

@@ -46,7 +46,10 @@ the ``demazure`` entry points do: each is one lookup in a memo keyed by
 every number of the request as given (both levels; every summand's
 length, grade and values in order), by value and type, and only a miss
 checks them.  A bad request raises on every call, no error is kept, and
-a repeated request returns the same immutable object.
+a repeated request returns the same immutable object.  A number that
+cannot be hashed fails the lookup's key before any miss, so that call
+runs the miss's checks itself, which refuse it; a ``TypeError`` from a
+request that passes them is raised as it was.
 ``greedy_decompose`` takes a character, which is no key, and peels it on
 every call.
 """
@@ -164,18 +167,28 @@ def level_flag(ad: AffineDatum, level: int, to_level: int,
     lookup keyed by both levels and the weight's numbers, which a miss
     checks.
     """
-    return _level_flag(ad, level, to_level, lam.d, *lam.h)
+    try:
+        return _level_flag(ad, level, to_level, lam.d, *lam.h)
+    except TypeError:
+        _label(ad.finite, _levels(ad, level, to_level)[0], 0, lam.d, lam.h)
+        raise
 
 
-@lru_cache(maxsize=MEMO_SIZE, typed=True)
-def _level_flag(ad: AffineDatum, level: int, to_level: int, d: int,
-                *h: int) -> FlagDecomposition:
+def _levels(ad: AffineDatum, level: int, to_level: int) -> tuple[int, int]:
+    """The checked levels of a flag, in simply-laced type only."""
     if ad.finite.short_nodes:
         raise errors.NotSimplyLaced(f"{ad.finite.label} is not simply laced")
     level = integral(level, "level")
     to_level = integral(to_level, "target level")
     if to_level <= level:
         raise ValueError("target level must exceed the source level")
+    return level, to_level
+
+
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
+def _level_flag(ad: AffineDatum, level: int, to_level: int, d: int,
+                *h: int) -> FlagDecomposition:
+    level, to_level = _levels(ad, level, to_level)
     return _peel(ad, _labels(ad, level, 0, d, *h), to_level)
 
 
@@ -187,7 +200,11 @@ def graded_weyl_character(
     Memoised like ``demazure_character``: one lookup keyed by the weight's
     numbers, which a miss checks as those of a level-one label.
     """
-    return _graded_weyl(rd, lam.d, *lam.h)
+    try:
+        return _graded_weyl(rd, lam.d, *lam.h)
+    except TypeError:
+        _label(rd, 1, 0, lam.d, lam.h)
+        raise
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
@@ -217,7 +234,11 @@ def weyl_dim_product_check(rd: RootDatum,
     first: a product whose factors would pass ``MAX_DIM_BITS`` bits is
     refused with ``TooLarge`` before the label's own character is built.
     """
-    return _dim_check(rd, lam.d, *lam.h)
+    try:
+        return _dim_check(rd, lam.d, *lam.h)
+    except TypeError:
+        _label(rd, 1, 0, lam.d, lam.h)
+        raise
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
@@ -248,8 +269,13 @@ def local_weyl_character(rd: RootDatum,
     label in ``graded_weyl_character``'s lookup, and summands of equal
     weight share one factor character, computed once.
     """
-    return _local_weyl(rd, *[x for w, _ in varpi.factors
-                             for x in (len(w.h), w.d, *w.h)])
+    try:
+        return _local_weyl(rd, *[x for w, _ in varpi.factors
+                                 for x in (len(w.h), w.d, *w.h)])
+    except TypeError:
+        for w, _ in varpi.factors:
+            _label(rd, 1, 0, w.d, w.h)
+        raise
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)

@@ -54,7 +54,10 @@ searches below happen at endpoints.  Values at endpoints are kept scaled
 by ``n``.  On a step ``(T, v)`` the scaled pairing moves by ``v(h_i)`` per
 unit of ``T``, so it reaches a scaled value ``c`` after ``c / v(h_i)``
 units; a cut there multiplies ``n`` and every ``T`` by the denominator of
-that quotient and leaves every direction as it is.
+that quotient and leaves every direction as it is.  ``_lower`` reads a
+flat path once for ``h(1)``, ``m`` and the last endpoint at ``m``, then
+walks on from there to the cut; the ``eps`` groups keep one running
+minimum per path and node.  Neither builds a list of heights.
 
 ``f_i`` is defined iff ``h(1) - m >= 1``.  It reflects the stretch between
 the last time ``h = m`` and the first later time ``h = m + 1`` and leaves
@@ -125,9 +128,8 @@ from __future__ import annotations
 from _thread import allocate_lock
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from math import gcd, lcm
-from operator import le, mul
+from operator import le
 from typing import NamedTuple, Optional, Sequence
 
 from .characters import MEMO_SIZE, Character
@@ -225,29 +227,28 @@ class _Table:
                 for b in flats]
 
 
-def _heights(pairs: list[int], ts: Flat, ds: Flat) -> list[int]:
-    """``n`` times the pairing at the step endpoints, start included, for
-    durations ``ts``, direction ids ``ds`` and one node's pairings."""
-    return list(accumulate(map(mul, ts, map(pairs.__getitem__, ds)),
-                           initial=0))
-
-
 def _lower(tab: _Table, p: int, b: Flat) -> tuple[Optional[Flat], bool]:
     """``f_i`` for the node in position ``p``, None when undefined, and
     whether ``phi_i(b) = 1``, so that ``f_i`` of the result is undefined."""
-    n, ts, ds = b[0], b[1::2], b[2::2]
+    n = b[0]
     pairs = tab.pairs[p]
-    hs = _heights(pairs, ts, ds)
-    m = min(hs)
-    if hs[-1] - m < n:
+    # h is n h_i at the end of the step whose id sits at b[j]; the minimum
+    # m is last reached after k0 steps (at the start, k0 = 0).
+    h = m = k0 = 0
+    for j in range(2, len(b), 2):
+        h += b[j - 1] * pairs[b[j]]
+        if h <= m:
+            m, k0 = h, j // 2
+    if h - m < n:
         return None, False
-    last = hs[-1] - m < 2 * n
-    k0 = len(hs) - 1 - hs[::-1].index(m)
-    k = k0
-    while hs[k + 1] < m + n:
+    last = h - m < 2 * n
+    ts, ds = b[1::2], b[2::2]
+    k, h = k0, m
+    while (x := h + ts[k] * pairs[ds[k]]) < m + n:
+        h = x
         k += 1
     # Step k is cut where h reaches m + 1, after a / c of its duration.
-    num, den = m + n - hs[k], pairs[ds[k]]
+    num, den = m + n - h, pairs[ds[k]]
     g = gcd(num, den)
     a, c = num // g, den // g
     ts = list(ts) if c == 1 else [t * c for t in ts]
@@ -355,10 +356,15 @@ class PathSet(Frozen):
         in node order."""
         groups: dict[tuple[int, ...], list[Flat]] = {}
         for b in self._weights:
-            ts, ds = b[1::2], b[2::2]
-            eps = tuple(-(min(_heights(pairs, ts, ds)) // b[0])
-                        for pairs in self._table.pairs)
-            groups.setdefault(eps, []).append(b)
+            eps = []
+            for pairs in self._table.pairs:
+                h = m = 0
+                for j in range(2, len(b), 2):
+                    h += b[j - 1] * pairs[b[j]]
+                    if h < m:
+                        m = h
+                eps.append(-(m // b[0]))
+            groups.setdefault(tuple(eps), []).append(b)
         return groups
 
     def __len__(self) -> int:

@@ -13,10 +13,12 @@ from demflag import (
     DominantLWeight,
     Weight,
     affinize,
+    characters,
     check_w_invariance_per_grade,
     datum_from_label,
     demazure,
     demazure_character,
+    demazure_dim,
     errors,
     flags,
     forget_grading,
@@ -563,6 +565,82 @@ def test_bad_flag_and_tensor_requests_raise_on_every_call():
             with pytest.raises(error):
                 call()
     assert [memo.cache_info().currsize for memo in memos] == [1, 1]
+
+
+# Per entry point: its memo, a call with a list where a number belongs,
+# the miss's refusal of it, a good call, and a function the good call's
+# miss runs inside its computation.
+UNHASHABLE = {
+    "demazure_character": (
+        demazure._character,
+        lambda: demazure_character(A1_AFF, DemazureLabel(1, Weight(([1],)))),
+        r"^weight \(\[1\],\) at grade 0 is not integral$",
+        lambda: demazure_character(A1_AFF, DemazureLabel(1, A1.weight([3]))),
+        (demazure, "_expand")),
+    "demazure_dim": (
+        demazure._dim,
+        lambda: demazure_dim(A1_AFF, DemazureLabel([1], A1.weight([1]))),
+        r"^level \[1\] is not integral$",
+        lambda: demazure_dim(A1_AFF, DemazureLabel(1, A1.weight([3]))),
+        (demazure, "_piece")),
+    "weyl_character_finite": (
+        characters._weyl_character,
+        lambda: weyl_character_finite(A2, Weight((1, [0]))),
+        r"^weight \(1, \[0\]\) at grade 0 is not integral$",
+        lambda: weyl_character_finite(A2, A2.weight([1, 1])),
+        (characters, "_expand")),
+    "graded_weyl_character": (
+        flags._graded_weyl,
+        lambda: graded_weyl_character(A1, Weight(([1],), 0)),
+        r"^weight \(\[1\],\) at grade 0 is not integral$",
+        lambda: graded_weyl_character(A1, A1.weight([2])),
+        (flags, "_expand")),
+    "weyl_dim_product_check": (
+        flags._dim_check,
+        lambda: weyl_dim_product_check(A1, Weight((1,), [0])),
+        r"^weight \(1,\) at grade \[0\] is not integral$",
+        lambda: weyl_dim_product_check(A1, A1.weight([2])),
+        (flags, "graded_weyl_character")),
+    "level_flag": (
+        flags._level_flag,
+        lambda: level_flag(A1_AFF, [1], 2, A1.weight([1])),
+        r"^level \[1\] is not integral$",
+        lambda: level_flag(A1_AFF, 1, 2, A1.weight([2])),
+        (flags, "_peel")),
+    "local_weyl_character": (
+        flags._local_weyl,
+        lambda: local_weyl_character(A1, DominantLWeight((
+            (A1.weight([1]), "a"), (Weight(([1],), 0), "b")))),
+        r"^weight \(\[1\],\) at grade 0 is not integral$",
+        lambda: local_weyl_character(A1, DominantLWeight((
+            (A1.weight([1]), "a"), (A1.weight([2]), "b")))),
+        (flags, "forget_grading")),
+}
+
+
+@pytest.mark.parametrize("memo, bad, message, good, inner",
+                         UNHASHABLE.values(), ids=UNHASHABLE.keys())
+def test_an_unhashable_number_gets_the_miss_refusal(monkeypatch, memo, bad,
+                                                    message, good, inner):
+    """A list where a number belongs cannot be hashed into the memo's key;
+    the call raises the ``ValueError`` a miss gives for it, on every call,
+    and keeps no entry.  A ``TypeError`` raised inside the computation of
+    a good request is raised as it was."""
+    memo.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValueError, match=message):
+            bad()
+    assert memo.cache_info().currsize == 0
+    inside = TypeError("raised inside the computation")
+
+    def broken(*args):
+        raise inside
+
+    monkeypatch.setattr(*inner, broken)
+    with pytest.raises(TypeError) as got:
+        good()
+    assert got.value is inside
+    assert memo.cache_info().currsize == 0
 
 
 def test_flag_and_tensor_memos_stay_within_their_bound():

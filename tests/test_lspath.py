@@ -11,13 +11,23 @@ import itertools
 import os
 import random
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
+# Hypothesis caches the constants it reads from local source files in its
+# storage directory, by default ``.hypothesis/`` in the working directory.
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY",
+    os.path.join(tempfile.gettempdir(), "demflag-hypothesis"))
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from demflag import (
     Character,
@@ -272,6 +282,24 @@ def test_sets_match_the_tuple_direction_oracle():
                 == oracle_joseph(mu, ps.paths), req
 
 
+def test_eps_groups_partition_each_set_by_its_string_lengths():
+    """Every set the benchmark's ``paths`` family builds: its ``eps``
+    groups hold each member once, under the vector of its ``eps_i``, one
+    entry per node, from the oracle on the set's paths."""
+    clear_path_memos()
+    for req in workloads.family("paths"):
+        ad = affinize(datum_from_label(req[1]))
+        ps = generate_demazure_set(ad, ad.weight(*req[-3:-1]), req[-1])
+        grouped = []
+        for eps, group in ps._by_eps.items():
+            for pi in ps._table.paths(group, ps._grade):
+                assert eps == tuple(eps_phi(ad, i, pi)[0]
+                                    for i in ad.indices), req
+                grouped.append(pi)
+        assert len(grouped) == len(ps)
+        assert set(grouped) == set(ps.paths), req
+
+
 # ---- paths and operators ----
 
 
@@ -298,13 +326,104 @@ def test_lowering_examples():
     assert down0.weight() == A1_AFF.weight([-1, 2], -1)
 
 
+STEP_END_MERGE = LSPath(8, ((2, (1, -1, 0)), (4, (0, 2, 0)), (1, (4, -2, 0)),
+                            (1, (0, 2, 0))))
+
+
 def test_lowering_merges_a_cut_at_a_step_end_with_the_next_step():
     """The reflected stretch ends exactly where a step ends, and the
     reflected direction equals the next one, so the two merge."""
-    pi = LSPath(8, ((2, (1, -1, 0)), (4, (0, 2, 0)), (1, (4, -2, 0)),
-                    (1, (0, 2, 0))))
     want = LSPath(8, ((2, (1, -1, 0)), (5, (4, -2, 0)), (1, (0, 2, 0))))
+    assert root_op_f(A1_AFF, 1, STEP_END_MERGE) \
+        == _lower(A1_AFF, 1, STEP_END_MERGE) == want
+
+
+@cache
+def _orbit(ad, h):
+    """The Weyl orbit of the dominant ``h`` at grade 0 as flat directions,
+    breadth first, cut at 6."""
+    seen = [ad.weight(h)]
+    for w in seen:
+        for i in ad.indices:
+            u = reflect_weight(ad, i, w)
+            if u not in seen and len(seen) < 6:
+                seen.append(u)
+    return [w.h + (w.d,) for w in seen]
+
+
+@st.composite
+def hand_paths(draw):
+    """A datum, a node and a canonical path of up to six steps.  Each
+    direction is drawn from one Weyl orbit of a dominant weight of level
+    at most two, or is the reflection at the node of the one before, so
+    that reflected stretches often meet an equal neighbour.  Equal
+    neighbours are merged and durations put over their least
+    denominator."""
+    ad = draw(st.sampled_from((A1_AFF, A2_AFF, C2_AFF, G2_AFF)))
+    h = draw(st.tuples(*[st.integers(0, 2)] * len(ad.indices))
+             .filter(lambda h: 0 < ad.level(Weight(h)) <= 2))
+    i = draw(st.sampled_from(ad.indices))
+    drawn = draw(st.lists(st.tuples(st.integers(1, 2),
+                                    st.sampled_from(_orbit(ad, h)),
+                                    st.booleans()),
+                          min_size=1, max_size=6))
+    steps = []
+    for t, v, reflected in drawn:
+        if reflected and steps:
+            *u, d = steps[-1][1]
+            w = reflect_weight(ad, i, Weight(tuple(u), d))
+            v = w.h + (w.d,)
+        if steps and steps[-1][1] == v:
+            t += steps.pop()[0]
+        steps.append((t, v))
+    n = sum(t for t, _ in steps)
+    g = gcd(n, *[t for t, _ in steps])
+    return ad, i, LSPath(n // g, tuple((t // g, v) for t, v in steps))
+
+
+# One path for each branch of lowering, with its image, both at node 1 of
+# A1~, where the pairing with h_1 is the middle entry.
+LOWERING_CASES = {
+    # n h_1 at the step ends is 0, -2, 0, -2, 2: the minimum comes twice,
+    # and only the step after the later one is reflected.
+    "tie": (LSPath(4, ((1, (3, -2, -1)), (1, (-1, 2, -1)), (1, (3, -2, -1)),
+                       (1, (-3, 4, -4)))),
+            LSPath(4, ((1, (3, -2, -1)), (1, (-1, 2, -1)), (1, (3, -2, -1)),
+                       (1, (5, -4, -4))))),
+    # 0, -2, 2 over n = 2: h_1 reaches m + 1 halfway through the last
+    # step, which is cut in two, so every duration doubles.
+    "cut-denominator": (
+        LSPath(2, ((1, (3, -2, -1)), (1, (-3, 4, -4)))),
+        LSPath(4, ((2, (3, -2, -1)), (1, (5, -4, -4)), (1, (-3, 4, -4))))),
+    # The reflected stretch equals the step before it.  A merge with the
+    # step after it is ``STEP_END_MERGE``, above.
+    "merge-start": (LSPath(2, ((1, (3, -2, -1)), (1, (-1, 2, -1)))),
+                    LSPath(1, ((1, (3, -2, -1)),))),
+    # 0, -2, 0 over n = 3: h_1 ends less than 1 above its minimum.
+    "undefined": (LSPath(3, ((1, (3, -2, -1)), (2, (0, 1, 0)))), None),
+}
+
+
+@pytest.mark.parametrize("pi, want", LOWERING_CASES.values(),
+                         ids=LOWERING_CASES.keys())
+def test_lowering_cases(pi, want):
     assert root_op_f(A1_AFF, 1, pi) == _lower(A1_AFF, 1, pi) == want
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(hand_paths())
+@example((A1_AFF, 1, LOWERING_CASES["tie"][0]))
+@example((A1_AFF, 1, LOWERING_CASES["cut-denominator"][0]))
+@example((A1_AFF, 1, LOWERING_CASES["merge-start"][0]))
+@example((A1_AFF, 1, STEP_END_MERGE))
+@example((A1_AFF, 1, LOWERING_CASES["undefined"][0]))
+def test_lowering_a_drawn_path_matches_the_oracle(case):
+    """``root_op_f`` on a path given by hand is the oracle's ``f_i``,
+    defined or not, where the minimum comes more than once, where the cut
+    rescales the durations, and where the reflected stretch merges with
+    a neighbour at either end."""
+    ad, i, pi = case
+    assert root_op_f(ad, i, pi) == _lower(ad, ad.pos(i), pi)
 
 
 def test_raising_is_inverse_of_lowering():
