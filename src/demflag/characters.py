@@ -29,9 +29,26 @@ once before the first letter and unpacked once after the last, or
 straightened packed (``_irreducibles``, below), unpacking only what
 survives.
 
+A letter on fewer than ``_STRING_TERMS`` terms walks every term's rungs,
+adding into the keys it writes.  A longer one runs the string form, where
+most rungs would add into a key an earlier rung wrote.  With ``a`` the
+packed ``alpha_i``, a term ``e^mu`` with ``n = mu(h_i)`` is keyed by the
+middle of its ``i``-string, ``mid = mu - (n >> 1) a``, whose pairing
+``e`` is 0 or 1.  Its ladder is then the segment ``mid + t a``,
+``-(e + j) <= t <= j``, symmetric under ``s_i``: with ``j = n >> 1`` and
+its coefficient when ``n >= 0``, and when ``n <= -2`` with
+``j = (-n - 2) >> 1`` and minus its coefficient, since the interior ladder
+is the whole ladder of ``s_i mu - alpha_i``, of pairing ``-n - 2``, on the
+same string.  The coefficients of a string are summed per ``j``; a walk
+from its top ``j`` down keeps their running sum, which is the output at
+``mid + j a`` and at its mirror ``mid - (e + j) a``.  So each output key
+is written once, and a zero sum writes nothing.
+
 The width holds every coordinate the word can produce, and every one that
 straightening the result through ``D_w0`` can (``_straighten``),
-so the loops check nothing and there is no other path.
+so the loops check nothing and there is no fallback.  The string form
+writes only rung keys: every key of a string lies on the segment of its
+term with the largest ``j``, and ``mid``, at ``t = 0``, on every segment.
 
 * The ladder.  Let ``M`` bound the absolute coordinates of every key
   before a letter, and let ``A`` be the largest absolute entry of a flat
@@ -329,12 +346,22 @@ def _layout(datum: Datum, width: int, graded: bool) -> _Layout:
             (1 << width) - 1, bias, sum(bias << s for s in shifts))
 
 
+# Input terms from which a letter runs the string form.  Over the 386
+# ladders of one perfbench ``ladder`` pass, replayed in process (2-vCPU
+# Xeon, Python 3.11), rungs alone took 18.3 ms and strings on every letter
+# 16.3 ms, slower on short letters; from 64, 128, 256 and 512 terms,
+# 13.5, 13.4, 13.8 and 15.4 ms.
+_STRING_TERMS = 128
+
+
 def _ladder(datum: Datum, positions: Sequence[int], terms: Flat,
             graded: bool = True) -> tuple[dict[int, int], _Layout]:
     """The Demazure operators at ``positions``, first position first, on
     flat terms, as packed terms with their layout.  Zeros are dropped.
     Unless ``graded``, the grade of every term stays where it is (the
-    grade-free ladder of the module docstring)."""
+    grade-free ladder of the module docstring).  A letter on at least
+    ``_STRING_TERMS`` terms runs the string form of the module docstring,
+    one write per output key; a shorter one walks each term's rungs."""
     m0 = 0
     for k in terms:
         m0 = max(m0, max(k), -min(k))
@@ -346,20 +373,52 @@ def _ladder(datum: Datum, positions: Sequence[int], terms: Flat,
     for p in positions:
         s, a = shifts[p], roots[p]
         out: dict[int, int] = {}
-        get = out.get
-        for mu, c in packed.items():
-            n = ((mu >> s) & mask) - bias
-            if n >= 0:
-                out[mu] = get(mu, 0) + c
-                for _ in range(n):
-                    mu -= a
+        if len(packed) < _STRING_TERMS:
+            get = out.get
+            for mu, c in packed.items():
+                n = ((mu >> s) & mask) - bias
+                if n >= 0:
                     out[mu] = get(mu, 0) + c
-            elif n <= -2:
-                for _ in range(-1 - n):
-                    mu += a
-                    out[mu] = get(mu, 0) - c
-            # n == -1 contributes nothing.
-        packed = {k: c for k, c in out.items() if c}
+                    for _ in range(n):
+                        mu -= a
+                        out[mu] = get(mu, 0) + c
+                elif n <= -2:
+                    for _ in range(-1 - n):
+                        mu += a
+                        out[mu] = get(mu, 0) - c
+                # n == -1 contributes nothing.
+            if 0 in out.values():
+                out = {k: c for k, c in out.items() if c}
+        else:
+            # ``{mid: {j: c}}``: each term at its string's middle and half
+            # its ladder's length, the interior of ``n <= -2`` negated.
+            strings: dict[int, dict[int, int]] = {}
+            sget = strings.get
+            for mu, c in packed.items():
+                n = ((mu >> s) & mask) - bias
+                if n == -1:
+                    continue
+                half = n >> 1
+                if n >= 0:
+                    j = half
+                else:
+                    j, c = (-n - 2) >> 1, -c
+                if (row := sget(mid := mu - half * a)) is None:
+                    strings[mid] = {j: c}
+                else:
+                    row[j] = row.get(j, 0) + c
+            for mid, row in strings.items():
+                e = ((mid >> s) & mask) - bias
+                j = max(row)
+                up, down = mid + j * a, mid - (e + j) * a
+                rget = row.get
+                c = 0
+                for j in range(j, -1, -1):
+                    if c := c + rget(j, 0):
+                        out[up] = out[down] = c
+                    up -= a
+                    down += a
+        packed = out
     return packed, lay
 
 

@@ -436,11 +436,13 @@ def oracle_roots(datum):
             + (int(affine and p == 0),) for p in range(size)]
 
 
-def oracle_ladder(datum, word, terms):
+def oracle_ladder(datum, word, terms, graded=True):
     """The Demazure operators of ``word``, last letter first, on
     ``{flat key: c}`` as tuples, with the largest absolute coordinate of any
-    key written on the way."""
-    roots = oracle_roots(datum)
+    key written on the way.  Unless ``graded``, the roots leave the grade
+    alone."""
+    roots = [alpha if graded else (*alpha[:-1], 0)
+             for alpha in oracle_roots(datum)]
     peak = max((abs(x) for k in terms for x in k), default=0)
     for i in reversed(word):
         p = i - datum.indices[0]
@@ -497,21 +499,67 @@ def test_word_ladder_matches_the_tuple_oracle(case):
     assert fits(datum, m0, len(word), peak)
 
 
-@SETTINGS
-@given(st.sampled_from(WORD_DATUMS).flatmap(
-    lambda dt: st.tuples(st.just(dt), terms_on(dt),
-                         st.sampled_from(dt.indices), st.booleans())))
-def test_step_matches_the_tuple_oracle(case):
-    datum, terms, i, wide = case
-    if wide:
+@st.composite
+def long_terms(draw, datum, i):
+    """At least ``characters._STRING_TERMS`` terms, enough to be applied
+    string by string at node ``i``: per drawn base ``b``, the nine terms
+    ``b + k alpha_i``, ``|k| <= 4``, with nonzero coefficients.  Bases sit
+    100 grades apart, the last at ``10**30``, so no two share a key.  An
+    odd ``b(h_i)`` puts a term at ``n = -1``.  Some bases are mirrored: the
+    term at ``b + k alpha_i`` and its partner ``s_i(mu) - alpha_i`` at
+    ``b - (k + b(h_i) + 1) alpha_i`` take one coefficient, and their ladders
+    cancel."""
+    p = datum.pos(i)
+    alpha = oracle_roots(datum)[p]
+    count = -(-characters._STRING_TERMS // 9)
+    h = st.tuples(*[st.integers(-3, 3)] * len(datum.indices))
+    bases = draw(st.lists(st.tuples(h, st.booleans()),
+                          min_size=count, max_size=count + 2))
+    nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    terms = {}
+    for m, (b, mirrored) in enumerate(bases):
+        grade = 10**30 if m == len(bases) - 1 else 100 * m
+        for k in range(-4, 5):
+            c = draw(nonzero)
+            for step in (k, -k - b[p] - 1) if mirrored else (k,):
+                key = tuple(x + step * a for x, a in zip((*b, grade), alpha))
+                terms[key[:-1], key[-1]] = c
+    return terms
+
+
+@st.composite
+def steps(draw):
+    """A datum, a node, terms and their kind: a few small ones, perhaps
+    one far out, or a long character from ``long_terms``."""
+    datum = draw(st.sampled_from(WORD_DATUMS))
+    i = draw(st.sampled_from(datum.indices))
+    kind = draw(st.sampled_from(("small", "wide", "long")))
+    if kind == "long":
+        return datum, i, draw(long_terms(datum, i)), kind
+    terms = draw(terms_on(datum))
+    if kind == "wide":
         # One term far out: a huge grade, and ``2**80`` at another node.
         h = [2**80 if j != i else 1 for j in datum.indices]
         terms = {**terms, (tuple(h), 10**30): 2}
+    return datum, i, terms, kind
+
+
+@SETTINGS
+@given(steps())
+def test_step_matches_the_tuple_oracle(case):
+    """One letter, graded and grade-free, against the tuple ladder; a long
+    character runs the string form, the rest the rung loop."""
+    datum, i, terms, kind = case
     flat = {(*h, d): c for (h, d), c in terms.items() if c}
+    assert (len(flat) >= characters._STRING_TERMS) == (kind == "long")
     expected, peak = oracle_ladder(datum, [i], flat)
     assert dict(demazure_step(datum, i, Character(datum, terms)).terms()) \
         == as_pairs(expected)
     m0 = max((abs(x) for k in flat for x in k), default=0)
+    assert fits(datum, m0, 1, peak)
+    expected, peak = oracle_ladder(datum, [i], flat, graded=False)
+    assert characters._unpacked(datum, *characters._ladder(
+        datum, (datum.pos(i),), flat, graded=False))._terms == expected
     assert fits(datum, m0, 1, peak)
 
 

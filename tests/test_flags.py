@@ -1,6 +1,7 @@
 """Greedy flag decomposition, graded Weyl characters, and product laws."""
 
 import copy
+import functools
 import itertools
 import random
 import re
@@ -262,12 +263,15 @@ def test_weyl_character_short_lift_g2():
     assert check_w_invariance_per_grade(G2, g)
 
 
+@functools.cache
 def _gaussian_binomial(m, k):
-    """Coefficients of [m, k]_q, lowest degree first; [] outside 0..m."""
+    """Coefficients of [m, k]_q, lowest degree first; () outside 0..m.
+    Memoised, since the q-Pascal recursion reaches each [m', k'] many
+    times."""
     if k < 0 or k > m:
-        return []
+        return ()
     if k in (0, m):
-        return [1]
+        return (1,)
     # q-Pascal rule: [m, k] = [m-1, k-1] + q^k [m-1, k].
     low, high = _gaussian_binomial(m - 1, k - 1), _gaussian_binomial(m - 1, k)
     out = [0] * max(len(low), k + len(high))
@@ -275,14 +279,16 @@ def _gaussian_binomial(m, k):
         out[j] += c
     for j, c in enumerate(high):
         out[k + j] += c
-    return out
+    return tuple(out)
 
 
 def test_sl2_graded_weyl_characters_match_the_closed_form():
     """Grade j of W(m) holds V(m - 2k) with multiplicity the q^j
     coefficient of [m, k]_q - [m, k-1]_q: Chari-Loktev, Adv. Math. 207
-    (2006), for sl_2 also Chari-Pressley, Represent. Theory 5 (2001)."""
-    for m in range(13):
+    (2006), for sl_2 also Chari-Pressley, Represent. Theory 5 (2001).
+    From m = 11 on, some letters of the ladder are long enough for the
+    string form of ``characters._ladder``."""
+    for m in range(25):
         g, _ = graded_weyl_character(A1, A1.weight([m]))
         weights = {}
         for ((n,), j), c in g.terms():
@@ -293,7 +299,7 @@ def test_sl2_graded_weyl_characters_match_the_closed_form():
         expected = {}
         for k in range(m // 2 + 1):
             top, below = _gaussian_binomial(m, k), _gaussian_binomial(m, k - 1)
-            below += [0] * (len(top) - len(below))
+            below += (0,) * (len(top) - len(below))
             for j, (a, b) in enumerate(zip(top, below)):
                 expected[m - 2 * k, j] = a - b
         assert {key: c for key, c in got.items() if c} \
