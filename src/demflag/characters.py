@@ -169,7 +169,7 @@ hand the same object to every caller.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache, lru_cache, wraps
 from itertools import repeat
 from operator import add, le, lshift, mul, rshift, sub
 from typing import Iterable, Mapping, Sequence
@@ -191,6 +191,45 @@ Labels = dict[tuple[int, ...], dict[int, int]]      # {top: {grade: m}}
 # 48 gives ``flags`` the throughput of larger memos and ``ladder`` 96% of
 # 128's, for about 0.8 MB less.
 MEMO_SIZE = 48
+
+
+def memo(size: int):
+    """Keep the last ``size`` answers of ``miss(datum, *numbers)``.
+
+    Every answer here is exact arithmetic over no ground field, so it
+    depends only on its datum and numbers, and a repeated request returns
+    the same immutable object.  The key is every number as given, by value
+    and type (``lru_cache(size, typed=True)``), so a float or a bool never
+    reads the entry of an equal int, and only a miss checks the numbers: a
+    bad request raises on every call and keeps no entry.  A number that
+    cannot be hashed, such as a list, fails the key before any miss; that
+    call runs ``miss`` uncached, whose check refuses it with the miss's own
+    ``ValueError``.  A ``TypeError`` from a request whose key hashes is
+    raised once, as it was.  ``cache_info`` and ``cache_clear`` are the
+    memo's own.
+
+    ``demazure_word_char`` and the ``lspath`` entry points check first and
+    key by the checked values instead: their words are sequences, and a
+    typed key does not reach inside a sequence.
+    """
+    def build(miss):
+        cached = lru_cache(maxsize=size, typed=True)(miss)
+
+        @wraps(miss)
+        def lookup(*key):
+            try:
+                return cached(*key)
+            except TypeError:
+                try:
+                    hash(key)
+                except TypeError:
+                    return miss(*key)
+                raise
+
+        lookup.cache_info = cached.cache_info
+        lookup.cache_clear = cached.cache_clear
+        return lookup
+    return build
 
 
 class Character(Frozen):
@@ -514,19 +553,11 @@ def _word_char(datum: Datum, positions: tuple[int, ...],
 
 
 def weyl_character_finite(rd: RootDatum, lam: Weight) -> Character:
-    """Character of the simple finite-dimensional module of highest weight.
-
-    Memoised: one lookup keyed by every number of the weight, by value and
-    type, returning the same immutable object.  Only a miss checks them:
-    ``ValueError`` for a number that is not an integer, ``NotDominant``
-    for a weight that is not dominant.  A number that cannot be hashed
-    fails the key, so that call runs the miss's check itself.
-    """
-    try:
-        return _weyl_character(rd, lam.d, *lam.h)
-    except TypeError:
-        rd.dominant(rd.weight(lam.h, lam.d))
-        raise
+    """Character of the simple finite-dimensional module of highest weight,
+    memoised (``memo``); a miss checks the weight, refusing one that is
+    not integral with ``ValueError`` and one that is not dominant with
+    ``NotDominant``."""
+    return _weyl_character(rd, lam.d, *lam.h)
 
 
 @cache
@@ -679,7 +710,7 @@ def _expand(rd: RootDatum, labels: Labels) -> Character:
 
 # The characters ``weyl_character_finite`` hands out, ``MEMO_SIZE`` like the
 # other module memos: expansions read ``_dominant`` and ``_orbit``, not these.
-@lru_cache(maxsize=MEMO_SIZE, typed=True)
+@memo(MEMO_SIZE)
 def _weyl_character(rd: RootDatum, d: int, *h: int) -> Character:
     h, d = rd.dominant(rd.weight(h, d))
     return _expand(rd, {h: {d: 1}})

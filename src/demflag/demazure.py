@@ -68,12 +68,8 @@ over and over, and a nested map stores each top once, so they are small.
 Beneath the dimensions, the Weyl dimensions of the last ``4 * MEMO_SIZE``
 tops are kept per datum, since many labels share their tops, and the
 last ``MEMO_SIZE`` pieces of the factorization.
-Each entry point is one lookup in a memo keyed by every number of the
-label as given, by value and type, and only a miss checks them, in
-``_label``: a bad label raises on every call, and no error is kept.  A
-number that cannot be hashed fails the lookup's key before any miss, so
-that call runs ``_label`` itself, which refuses it as a miss would; a
-``TypeError`` from a label that passes is raised as it was.
+Each entry point is one lookup in a ``characters.memo``, and a miss checks
+the label in ``_label``.
 """
 
 from __future__ import annotations
@@ -84,7 +80,7 @@ from typing import NamedTuple
 
 from . import errors
 from .characters import (MEMO_SIZE, Character, Labels, _expand,
-                         _irreducibles, _weyl_dim)
+                         _irreducibles, _weyl_dim, memo)
 from .root_data import (AffineDatum, RootDatum, Weight, _make_dominant,
                         apply_word, integral)
 
@@ -157,7 +153,7 @@ def _ladder(ad: AffineDatum, level: int, lam: Weight, grade: int,
                          graded)
 
 
-@lru_cache(maxsize=4 * MEMO_SIZE, typed=True)
+@memo(4 * MEMO_SIZE)
 def _labels(ad: AffineDatum, level: int, grade: int, d: int,
             *h: int) -> Labels:
     """Irreducible multiplicities ``{top: {grade: m}}`` of a label checked
@@ -169,14 +165,10 @@ def _labels(ad: AffineDatum, level: int, grade: int, d: int,
 def demazure_character(ad: AffineDatum,
                        lab: DemazureLabel) -> Character:
     """Graded classical character of the labelled module, memoised."""
-    try:
-        return _character(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
-    except TypeError:
-        _label(ad.finite, lab.level, lab.grade, lab.lam.d, lab.lam.h)
-        raise
+    return _character(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
 
 
-@lru_cache(maxsize=MEMO_SIZE, typed=True)
+@memo(MEMO_SIZE)
 def _character(ad: AffineDatum, level: int, grade: int, d: int,
                *h: int) -> Character:
     return _expand(ad.finite, _labels(ad, level, grade, d, *h))
@@ -185,14 +177,10 @@ def _character(ad: AffineDatum, level: int, grade: int, d: int,
 def demazure_dim(ad: AffineDatum, lab: DemazureLabel) -> int:
     """Dimension, memoised: by the factorization in simply-laced type,
     else by the grade-free ladder (see the module docstring)."""
-    try:
-        return _dim(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
-    except TypeError:
-        _label(ad.finite, lab.level, lab.grade, lab.lam.d, lab.lam.h)
-        raise
+    return _dim(ad, lab.level, lab.grade, lab.lam.d, *lab.lam.h)
 
 
-@lru_cache(maxsize=MEMO_SIZE, typed=True)
+@memo(MEMO_SIZE)
 def _dim(ad: AffineDatum, level: int, grade: int, d: int, *h: int) -> int:
     rd = ad.finite
     level, lam, _ = _label(rd, level, grade, d, h)

@@ -41,29 +41,21 @@ modules of the summands, so its ungraded character is the product of
 theirs, which the dimension check against the fundamental product uses.
 
 ``level_flag``, ``graded_weyl_character``, ``weyl_dim_product_check`` and
-``local_weyl_character`` each keep their last ``MEMO_SIZE`` answers, as
-the ``demazure`` entry points do: each is one lookup in a memo keyed by
-every number of the request as given (both levels; every summand's
-length, grade and values in order), by value and type, and only a miss
-checks them.  A bad request raises on every call, no error is kept, and
-a repeated request returns the same immutable object.  A number that
-cannot be hashed fails the lookup's key before any miss, so that call
-runs the miss's checks itself, which refuse it; a ``TypeError`` from a
-request that passes them is raised as it was.
-``greedy_decompose`` takes a character, which is no key, and peels it on
-every call.
+``local_weyl_character`` are each one lookup in a ``characters.memo``,
+keyed by every number of the request (both levels; every summand's
+length, grade and values in order).  ``greedy_decompose`` takes a
+character, which is no key, and peels it on every call.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
 from . import errors
 from .characters import (MEMO_SIZE, Character, Labels, _expand,
                          _irreducibles, check_w_invariance_per_grade,
-                         forget_grading)
+                         forget_grading, memo)
 from .demazure import MAX_DIM_BITS, _label, _labels, _level
 from .root_data import (AffineDatum, Frozen, RootDatum, Weight, affinize,
                         eta_lambda, integral, short_subdatum)
@@ -77,14 +69,17 @@ class FlagDecomposition(NamedTuple):
 
 
 class DominantLWeight(Frozen):
-    """Dominant weight split as labelled summands; labels must differ.
-    Immutable, so the labels stay as checked."""
+    """Dominant weight split as labelled summands; labels are strings and
+    must differ.  Immutable, so the labels stay as checked."""
 
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[tuple[Weight, str], ...]) -> None:
         factors = tuple(factors)
         labels = [a for _, a in factors]
+        for a in labels:
+            if not isinstance(a, str):
+                raise ValueError(f"summand label {a!r} is not a string")
         if len(set(labels)) != len(labels):
             raise ValueError("summand labels must be pairwise distinct")
         object.__setattr__(self, "factors", factors)
@@ -163,51 +158,32 @@ def level_flag(ad: AffineDatum, level: int, to_level: int,
     """Flag of a level-``level`` character by level-``to_level`` pieces.
 
     Only available in simply-laced type, where such flags exist for every
-    higher target level.  Memoised like ``graded_weyl_character``: one
-    lookup keyed by both levels and the weight's numbers, which a miss
-    checks.
+    higher target level.  Memoised.
     """
-    try:
-        return _level_flag(ad, level, to_level, lam.d, *lam.h)
-    except TypeError:
-        _label(ad.finite, _levels(ad, level, to_level)[0], 0, lam.d, lam.h)
-        raise
+    return _level_flag(ad, level, to_level, lam.d, *lam.h)
 
 
-def _levels(ad: AffineDatum, level: int, to_level: int) -> tuple[int, int]:
-    """The checked levels of a flag, in simply-laced type only."""
+@memo(MEMO_SIZE)
+def _level_flag(ad: AffineDatum, level: int, to_level: int, d: int,
+                *h: int) -> FlagDecomposition:
     if ad.finite.short_nodes:
         raise errors.NotSimplyLaced(f"{ad.finite.label} is not simply laced")
     level = integral(level, "level")
     to_level = integral(to_level, "target level")
     if to_level <= level:
         raise ValueError("target level must exceed the source level")
-    return level, to_level
-
-
-@lru_cache(maxsize=MEMO_SIZE, typed=True)
-def _level_flag(ad: AffineDatum, level: int, to_level: int, d: int,
-                *h: int) -> FlagDecomposition:
-    level, to_level = _levels(ad, level, to_level)
     return _peel(ad, _labels(ad, level, 0, d, *h), to_level)
 
 
 def graded_weyl_character(
         rd: RootDatum,
         lam: Weight) -> tuple[Character, FlagDecomposition]:
-    """Graded character of the local Weyl module and its level-one flag.
-
-    Memoised like ``demazure_character``: one lookup keyed by the weight's
-    numbers, which a miss checks as those of a level-one label.
-    """
-    try:
-        return _graded_weyl(rd, lam.d, *lam.h)
-    except TypeError:
-        _label(rd, 1, 0, lam.d, lam.h)
-        raise
+    """Graded character of the local Weyl module and its level-one flag,
+    memoised; the weight is checked as that of a level-one label."""
+    return _graded_weyl(rd, lam.d, *lam.h)
 
 
-@lru_cache(maxsize=MEMO_SIZE, typed=True)
+@memo(MEMO_SIZE)
 def _graded_weyl(rd: RootDatum, d: int,
                  *h: int) -> tuple[Character, FlagDecomposition]:
     lam = _label(rd, 1, 0, d, h).lam
@@ -230,18 +206,14 @@ def weyl_dim_product_check(rd: RootDatum,
                            lam: Weight) -> tuple[bool, tuple[int, int]]:
     """Compare the Weyl-module dimension with the fundamental product.
 
-    Memoised like ``graded_weyl_character``.  The fundamental masses come
-    first: a product whose factors would pass ``MAX_DIM_BITS`` bits is
-    refused with ``TooLarge`` before the label's own character is built.
+    Memoised.  The fundamental masses come first: a product whose factors
+    would pass ``MAX_DIM_BITS`` bits is refused with ``TooLarge`` before
+    the label's own character is built.
     """
-    try:
-        return _dim_check(rd, lam.d, *lam.h)
-    except TypeError:
-        _label(rd, 1, 0, lam.d, lam.h)
-        raise
+    return _dim_check(rd, lam.d, *lam.h)
 
 
-@lru_cache(maxsize=MEMO_SIZE, typed=True)
+@memo(MEMO_SIZE)
 def _dim_check(rd: RootDatum, d: int,
                *h: int) -> tuple[bool, tuple[int, int]]:
     lam = _label(rd, 1, 0, d, h).lam
@@ -263,33 +235,22 @@ def local_weyl_character(rd: RootDatum,
                          varpi: DominantLWeight) -> Character:
     """Ungraded character of the tensor product over the labelled summands.
 
-    Memoised: one lookup keyed by every summand's numbers in order, each
-    weight's length, grade and values, by value and type; the labels do
-    not change the character.  A miss checks every summand as a level-one
-    label in ``graded_weyl_character``'s lookup, and summands of equal
-    weight share one factor character, computed once.
+    Memoised; the labels do not change the character.  A miss checks every
+    summand as a level-one label, and summands of equal weight share one
+    factor character, computed once.
     """
-    try:
-        return _local_weyl(rd, *[x for w, _ in varpi.factors
-                                 for x in (len(w.h), w.d, *w.h)])
-    except TypeError:
-        for w, _ in varpi.factors:
-            _label(rd, 1, 0, w.d, w.h)
-        raise
+    return _local_weyl(rd, *[x for w, _ in varpi.factors
+                             for x in (len(w.h), w.d, *w.h)])
 
 
-@lru_cache(maxsize=MEMO_SIZE, typed=True)
+@memo(MEMO_SIZE)
 def _local_weyl(rd: RootDatum, *numbers: int) -> Character:
-    factors: dict[tuple, Character] = {}
+    factors: dict[Weight, Character] = {}
     out = Character.monomial(rd, rd.zero_weight)
     rest = iter(numbers)
     for n in rest:
-        d, h = next(rest), tuple(islice(rest, n))
-        # Keyed by value and type, as the memos are, so a summand that
-        # differs in type alone meets its own check in the lookup below.
-        key = (d, *h, *map(type, (d, *h)))
-        if key not in factors:
-            factors[key] = forget_grading(
-                graded_weyl_character(rd, Weight(h, d))[0])
-        out = out * factors[key]
+        lam = _label(rd, 1, 0, next(rest), tuple(islice(rest, n))).lam
+        if lam not in factors:
+            factors[lam] = forget_grading(graded_weyl_character(rd, lam)[0])
+        out = out * factors[lam]
     return out

@@ -205,7 +205,7 @@ def test_factorized_dimensions_equal_the_ladder(label):
             == demazure._ladder_dim(ad, level, lam), (level, h)
 
 
-def test_large_labels_run_only_small_ladders(monkeypatch):
+def test_large_labels_run_only_small_ladders(monkeypatch, cold_memos):
     """A large simply-laced label runs the ladder only on labels whose
     coordinates are at most the level: A1 (1000) at level 1 is ``2^1000``
     with one ladder, on ``omega_1``, and D4 (6,6,6,6) at level 2 is the
@@ -222,8 +222,6 @@ def test_large_labels_run_only_small_ladders(monkeypatch):
         return ladder(ad, level, lam, grade, graded)
 
     monkeypatch.setattr(demazure, "_ladder", recorded)
-    demazure._dim.cache_clear()
-    demazure._piece.cache_clear()
     assert demazure_dim(A1_AFF, DemazureLabel(1, A1.weight([1000]))) \
         == 2 ** 1000
     assert ran == [(1, (1,))]
@@ -410,10 +408,7 @@ NON_INTEGRAL = [DemazureLabel(1, Weight((1.0,), 0)),
 
 @pytest.mark.parametrize("lab", NON_INTEGRAL,
                          ids=["weight", "level", "grade", "weight-grade"])
-def test_non_integral_labels_are_refused(lab):
-    demazure._character.cache_clear()
-    demazure._dim.cache_clear()
-    demazure._labels.cache_clear()
+def test_non_integral_labels_are_refused(lab, cold_memos):
     whole = DemazureLabel(1, Weight((1,), 0))
     demazure_character(A1_AFF, whole)
     demazure_dim(A1_AFF, whole)
@@ -428,14 +423,12 @@ def test_non_integral_labels_are_refused(lab):
 
 
 @pytest.mark.parametrize("d", [5, -1, 0.0, 0.5])
-def test_a_classical_weight_carries_no_grade(d):
+def test_a_classical_weight_carries_no_grade(d, cold_memos):
     """A module's grade is its label's: a classical highest weight whose
     ``d`` is not the integer 0 is refused on every call by every entry
     point, and keeps no memo entry."""
     memos = (demazure._labels, demazure._character, demazure._dim,
              flags._graded_weyl, flags._level_flag, flags._local_weyl)
-    for memo in memos:
-        memo.cache_clear()
     for rd in (A2, C2):
         ad = affinize(rd)
         graded = Weight((1, 1), d)
@@ -458,9 +451,7 @@ def test_a_classical_weight_carries_no_grade(d):
     assert all(w.d == 0 for w, _, _ in fd.pieces)
 
 
-def test_bad_labels_raise_on_every_call():
-    demazure._character.cache_clear()
-    demazure._labels.cache_clear()
+def test_bad_labels_raise_on_every_call(cold_memos):
     for _ in range(3):
         with pytest.raises(errors.ZeroLevel):
             demazure_character(A1_AFF, DemazureLabel(0, A1.weight([1])))

@@ -397,6 +397,18 @@ def test_labels_must_be_distinct():
         DominantLWeight(((om, "a"), (om, "a")))
 
 
+@pytest.mark.parametrize("label", [["a"], ("a", ["b"]), 1],
+                         ids=["list", "tuple-holding-a-list", "int"])
+def test_a_label_that_is_no_string_is_refused(label):
+    """Labels are strings, so they stay as checked: any other label, one
+    that holds a list among them, is refused with a ``ValueError`` naming
+    it."""
+    with pytest.raises(ValueError,
+                       match=rf"^summand label {re.escape(repr(label))} is "
+                             r"not a string$"):
+        DominantLWeight(((A1.weight([1]), "b"), (A1.weight([1]), label)))
+
+
 def test_labelled_weights_are_immutable():
     """The labels stay as checked: a split cannot be edited into one the
     constructor refuses."""
@@ -480,9 +492,7 @@ def test_weyl_memo_stays_within_its_bound():
             == min(k + 1, MEMO_SIZE)
 
 
-def test_flag_and_tensor_memo_hits_return_the_same_object():
-    flags._level_flag.cache_clear()
-    flags._local_weyl.cache_clear()
+def test_flag_and_tensor_memo_hits_return_the_same_object(cold_memos):
     fd = level_flag(A2_AFF, 1, 2, A2.weight([2, 1]))
     assert level_flag(A2_AFF, 1, 2, Weight([2, 1])) is fd
     assert flags._level_flag.cache_info().hits == 1
@@ -541,7 +551,7 @@ def test_one_float_and_true_never_share_an_entry(memo, values, call):
         assert memo.cache_info().currsize == len(answers)
 
 
-def test_bad_flag_and_tensor_requests_raise_on_every_call():
+def test_bad_flag_and_tensor_requests_raise_on_every_call(cold_memos):
     """A refused request is refused again on each repeat, after a good one
     is kept, and keeps no entry of its own."""
     om = A1.weight([1])
@@ -562,8 +572,6 @@ def test_bad_flag_and_tensor_requests_raise_on_every_call():
             A1, DominantLWeight(((om, "a"), (Weight((1,), 1), "b"))))),
     ]
     memos = (flags._level_flag, flags._local_weyl)
-    for memo in memos:
-        memo.cache_clear()
     level_flag(A1_AFF, 1, 2, om)
     local_weyl_character(A1, DominantLWeight(((om, "a"),)))
     for _ in range(3):
@@ -613,6 +621,12 @@ UNHASHABLE = {
         r"^level \[1\] is not integral$",
         lambda: level_flag(A1_AFF, 1, 2, A1.weight([2])),
         (flags, "_peel")),
+    "demazure._labels": (
+        demazure._labels,
+        lambda: demazure._labels(A1_AFF, 1, 0, 0, [1]),
+        r"^weight \(\[1\],\) at grade 0 is not integral$",
+        lambda: demazure._labels(A1_AFF, 1, 0, 0, 3),
+        (demazure, "_ladder")),
     "local_weyl_character": (
         flags._local_weyl,
         lambda: local_weyl_character(A1, DominantLWeight((
@@ -631,28 +645,29 @@ def test_an_unhashable_number_gets_the_miss_refusal(monkeypatch, memo, bad,
     """A list where a number belongs cannot be hashed into the memo's key;
     the call raises the ``ValueError`` a miss gives for it, on every call,
     and keeps no entry.  A ``TypeError`` raised inside the computation of
-    a good request is raised as it was."""
+    a good request is raised as it was, after one run of it."""
     memo.cache_clear()
     for _ in range(3):
         with pytest.raises(ValueError, match=message):
             bad()
     assert memo.cache_info().currsize == 0
     inside = TypeError("raised inside the computation")
+    calls = []
 
     def broken(*args):
+        calls.append(args)
         raise inside
 
     monkeypatch.setattr(*inner, broken)
     with pytest.raises(TypeError) as got:
         good()
     assert got.value is inside
+    assert len(calls) == 1
     assert memo.cache_info().currsize == 0
 
 
-def test_flag_and_tensor_memos_stay_within_their_bound():
+def test_flag_and_tensor_memos_stay_within_their_bound(cold_memos):
     memos = (flags._level_flag, flags._local_weyl)
-    for memo in memos:
-        memo.cache_clear()
     pairs = list(_small_weights())
     assert len(pairs) > MEMO_SIZE
     for k, (rd, lam) in enumerate(pairs):
@@ -662,7 +677,7 @@ def test_flag_and_tensor_memos_stay_within_their_bound():
             == [min(k + 1, MEMO_SIZE)] * 2
 
 
-def test_peeling_leaves_the_held_label_maps_alone(monkeypatch):
+def test_peeling_leaves_the_held_label_maps_alone(monkeypatch, cold_memos):
     """Every ``demazure._labels`` entry that ``level_flag`` and
     ``graded_weyl_character`` read still equals a fresh computation."""
     memo, held = demazure._labels, {}
@@ -673,9 +688,6 @@ def test_peeling_leaves_the_held_label_maps_alone(monkeypatch):
 
     monkeypatch.setattr(demazure, "_labels", record)
     monkeypatch.setattr(flags, "_labels", record)
-    memo.cache_clear()
-    flags._graded_weyl.cache_clear()
-    flags._level_flag.cache_clear()
     level_flag(A2_AFF, 1, 2, A2.weight([2, 2]))
     level_flag(A1_AFF, 1, 3, A1.weight([4]))
     for rd, h in ((A2, (1, 1)), (C2, (2, 0)), (G2, (2, 2))):

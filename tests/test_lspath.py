@@ -34,7 +34,6 @@ from demflag import (
     LSPath,
     Weight,
     affinize,
-    characters,
     crystal_character,
     datum_from_label,
     demazure_word_char,
@@ -74,15 +73,6 @@ def reduced_words(ad, max_len):
         for word in itertools.product(ad.indices, repeat=k):
             if is_reduced(ad, word):
                 yield word
-
-
-def clear_path_memos():
-    """Start cold: no path set, crystal table, word ladder or highest
-    terms kept."""
-    lspath._joseph.cache_clear()
-    lspath._path_set.cache_clear()
-    lspath._crystal.cache_clear()
-    characters._word_char.cache_clear()
 
 
 # ---- oracles on tuple directions ----
@@ -262,10 +252,9 @@ def oracle_joseph(mu, paths):
                    for p, v in enumerate(mu.h))]
 
 
-def test_sets_match_the_tuple_direction_oracle():
+def test_sets_match_the_tuple_direction_oracle(cold_memos):
     """Every request of the benchmark's ``paths`` family: size, members
     and order, character and highest terms."""
-    clear_path_memos()
     for req in workloads.family("paths"):
         ad = affinize(datum_from_label(req[1]))
         lam = ad.weight(*req[-3:-1])
@@ -282,11 +271,10 @@ def test_sets_match_the_tuple_direction_oracle():
                 == oracle_joseph(mu, ps.paths), req
 
 
-def test_eps_groups_partition_each_set_by_its_string_lengths():
+def test_eps_groups_partition_each_set_by_its_string_lengths(cold_memos):
     """Every set the benchmark's ``paths`` family builds: its ``eps``
     groups hold each member once, under the vector of its ``eps_i``, one
     entry per node, from the oracle on the set's paths."""
-    clear_path_memos()
     for req in workloads.family("paths"):
         ad = affinize(datum_from_label(req[1]))
         ps = generate_demazure_set(ad, ad.weight(*req[-3:-1]), req[-1])
@@ -682,8 +670,7 @@ def test_f_edge_lines_pin_set_order(ad, h, word, expected):
 # ---- memo and input checks ----
 
 
-def test_repeated_sets_and_characters_are_the_same_objects():
-    clear_path_memos()
+def test_repeated_sets_and_characters_are_the_same_objects(cold_memos):
     lam = A2_AFF.weight([0, 1, 1], 1)
     word = (2, 1, 0, 2, 1)
     ps = generate_demazure_set(A2_AFF, lam, list(word))
@@ -694,8 +681,7 @@ def test_repeated_sets_and_characters_are_the_same_objects():
     assert lspath._path_set.cache_info().hits == 1
 
 
-def test_repeated_highest_terms_are_fresh_lists_of_the_same_terms():
-    clear_path_memos()
+def test_repeated_highest_terms_are_fresh_lists_of_the_same_terms(cold_memos):
     mu, lam = A2_AFF.weight([1, 0, 0]), A2_AFF.weight([0, 1, 1], 1)
     word = (2, 1, 0, 2, 1)
     first = joseph_highest(A2_AFF, mu, lam, list(word))
@@ -712,13 +698,12 @@ def test_repeated_highest_terms_are_fresh_lists_of_the_same_terms():
     assert lspath._joseph.cache_info().currsize == 1
 
 
-def test_highest_terms_key_the_checked_numbers():
+def test_highest_terms_key_the_checked_numbers(cold_memos):
     """``joseph_highest`` checks its weights before the lookup, so a float
     is refused on every call, even after the integer request is kept, and a
     bool is read as the integer it equals: its terms are the integer
     request's, every number an exact ``int``."""
     lam, word = A1_AFF.weight([1, 0]), (1, 0)
-    clear_path_memos()
     pairs = joseph_highest(A1_AFF, A1_AFF.weight([1, 0]), lam, word)
     for _ in range(2):
         for mu in (Weight((1.0, 0), 0), Weight((1, 0), 0.0)):
@@ -733,8 +718,7 @@ def test_highest_terms_key_the_checked_numbers():
     assert lspath._joseph.cache_info().currsize == 1
 
 
-def test_bad_highest_term_requests_raise_on_every_call():
-    clear_path_memos()
+def test_bad_highest_term_requests_raise_on_every_call(cold_memos):
     mu, lam = A1_AFF.fundamental_weight(0), A1_AFF.weight([1, 1])
     joseph_highest(A1_AFF, mu, lam, (0, 1))
     bad = [(errors.NotDominant, A1_AFF.weight([2, -1]), lam, (0, 1)),
@@ -749,8 +733,7 @@ def test_bad_highest_term_requests_raise_on_every_call():
     assert lspath._joseph.cache_info().currsize == 1
 
 
-def test_paths_are_built_on_first_use():
-    clear_path_memos()
+def test_paths_are_built_on_first_use(cold_memos):
     lam = G2_AFF.fundamental_weight(2)
     ps = generate_demazure_set(G2_AFF, lam, (0, 2, 1, 2))
     assert len(ps) == crystal_character(ps).mass()
@@ -767,8 +750,7 @@ def test_bad_letters_raise_after_the_good_word_is_kept():
             generate_demazure_set(A1_AFF, lam, word)
 
 
-def test_non_dominant_weight_raises_on_every_call():
-    clear_path_memos()
+def test_non_dominant_weight_raises_on_every_call(cold_memos):
     for _ in range(3):
         with pytest.raises(errors.NotDominant):
             generate_demazure_set(A1_AFF, A1_AFF.weight([2, -1]), (1, 0))
@@ -823,8 +805,7 @@ def test_straight_path_refuses_a_malformed_weight(lam):
         straight_path(A1_AFF, lam)
 
 
-def test_bool_coordinates_give_integer_steps():
-    clear_path_memos()
+def test_bool_coordinates_give_integer_steps(cold_memos):
     ps = generate_demazure_set(A2_AFF, Weight((False, True, False)),
                                (True, 0, 2))
     assert all(type(x) is int for pi in ps
@@ -878,21 +859,22 @@ class _YieldingTable(lspath._Table):
         self.ids = _YieldingIds()
 
 
-def test_threads_growing_one_top_match_a_sequential_run(monkeypatch):
+def test_threads_growing_one_top_match_a_sequential_run(monkeypatch,
+                                                        cold_memos):
     """Threads grow different words of one top in its shared table, each
     word at grades 0 and 2, which walk the same edges, and export their
     edges; each result equals the set grown alone from cold."""
     cases = [(word, g) for word in SHARED_TOP_WORDS for g in (0, 2)]
     alone = {}
     for word, g in cases:
-        clear_path_memos()
+        cold_memos()
         alone[word, g] = _grown(C2_AFF, C2_AFF.weight([1, 0, 1], g), word)
     monkeypatch.setattr(lspath, "_Table", _YieldingTable)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            clear_path_memos()
+            cold_memos()
             results = []
 
             def grow(word, g):
@@ -911,16 +893,16 @@ def test_threads_growing_one_top_match_a_sequential_run(monkeypatch):
             assert lspath._crystal.cache_info().currsize == 1
     finally:
         sys.setswitchinterval(interval)
-        clear_path_memos()
+        cold_memos()
 
 
-def test_sets_of_one_top_do_not_depend_on_earlier_sets():
+def test_sets_of_one_top_do_not_depend_on_earlier_sets(cold_memos):
     lam = C2_AFF.weight([1, 0, 1])
     alone = {}
     for word in SHARED_TOP_WORDS:
-        clear_path_memos()
+        cold_memos()
         alone[word] = _grown(C2_AFF, lam, word)
-    clear_path_memos()
+    cold_memos()
     for word in reversed(SHARED_TOP_WORDS):
         assert _grown(C2_AFF, lam, word) == alone[word]
     assert lspath._crystal.cache_info().currsize == 1
@@ -932,13 +914,12 @@ def _graded(pi, g):
     return LSPath(pi.n, tuple((t, (*v[:-1], v[-1] + g)) for t, v in pi.steps))
 
 
-def test_sets_of_one_top_at_several_grades_share_one_table():
+def test_sets_of_one_top_at_several_grades_share_one_table(cold_memos):
     """The crystal of ``(lam, g)`` is that of ``(lam, 0)`` moved by
     ``g delta``: one table serves every grade, and each set's paths,
     character and highest terms are those at grade 0 moved by ``g``."""
     h, word = (0, 1, 0), (0, 1, 2, 1, 0)
     mu = C2_AFF.weight([1, 0, 0])
-    clear_path_memos()
     sets = {g: generate_demazure_set(C2_AFF, C2_AFF.weight(h, g), word)
             for g in (3, 0, 1)}
     assert lspath._crystal.cache_info().currsize == 1
@@ -962,7 +943,8 @@ def test_sets_of_one_top_at_several_grades_share_one_table():
 
 
 @pytest.mark.parametrize("bound", [None, 5], ids=["default", "small"])
-def test_every_kept_edge_is_the_lowering_operator(monkeypatch, bound):
+def test_every_kept_edge_is_the_lowering_operator(monkeypatch, bound,
+                                                  cold_memos):
     """After several sets of one top at several grades, every edge a node
     keeps, the string ends recorded from ``phi_i = 1`` included, is
     ``root_op_f`` of its source, which lowers in a table of its own, and
@@ -981,7 +963,6 @@ def test_every_kept_edge_is_the_lowering_operator(monkeypatch, bound):
         return lower(tab, p, b)
 
     monkeypatch.setattr(lspath, "_lower", counted)
-    clear_path_memos()
     h = (1, 0, 1)
     for g, word in zip((0, 2, 1, 0), SHARED_TOP_WORDS):
         lam = C2_AFF.weight(h, g)
@@ -999,7 +980,7 @@ def test_every_kept_edge_is_the_lowering_operator(monkeypatch, bound):
     assert ends
     if bound == 4096:
         assert lowered[tab] < kept
-    clear_path_memos()
+    cold_memos()
 
 
 def _members(ps):
@@ -1008,7 +989,8 @@ def _members(ps):
                     ps._weights.values()))
 
 
-def test_a_table_keeps_a_bounded_number_of_edges_a_node(monkeypatch):
+def test_a_table_keeps_a_bounded_number_of_edges_a_node(monkeypatch,
+                                                        cold_memos):
     """Three long words of one top fill a node of an unbounded cold table
     with 15,552, 23,328 and 38,880 edges.  Grown one after another in one
     table, each node keeps at most ``_DOWN_SIZE``, and every set is the
@@ -1020,11 +1002,11 @@ def test_a_table_keeps_a_bounded_number_of_edges_a_node(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(lspath, "_DOWN_SIZE", float("inf"))
         for word, most in words.items():
-            clear_path_memos()
+            cold_memos()
             ps = generate_demazure_set(A2_AFF, lam, word)
             assert max(map(len, ps._table.down)) == most
             cold[word] = _members(ps)
-    clear_path_memos()
+    cold_memos()
     for word in words:
         ps = generate_demazure_set(A2_AFF, lam, word)
         assert all(len(down) <= lspath._DOWN_SIZE

@@ -19,8 +19,7 @@ import sys
 
 import pytest
 
-from demflag import (characters, cli, demazure, flags, generate_demazure_set,
-                     lspath)
+from demflag import cli, generate_demazure_set
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -34,15 +33,9 @@ with open(os.path.join(PERFBENCH, "reference.json"), encoding="utf-8") as _fh:
 
 
 @pytest.mark.parametrize("workload", ["ladder", "flags", "paths"])
-def test_outputs_match_reference_digests(workload):
+def test_outputs_match_reference_digests(workload, cold_memos):
     # Each request twice, as the benchmark re-issues them: the second
     # answer comes from the memos, so a changed or stale entry shows.
-    demazure._character.cache_clear()
-    demazure._dim.cache_clear()
-    characters._weyl_character.cache_clear()
-    flags._graded_weyl.cache_clear()
-    lspath._path_set.cache_clear()
-    lspath._crystal.cache_clear()
     requests = workloads.family(workload)
     library = Library(workloads.labels(requests))
     library.build()
@@ -66,13 +59,11 @@ def test_path_sets_come_in_segment_order():
 
 
 @pytest.mark.parametrize("seed", [5, 23, 2718])
-def test_paths_digests_hold_in_any_request_order(seed):
+def test_paths_digests_hold_in_any_request_order(seed, cold_memos):
     """The sets of one top grow in one shared crystal table, so a set may
     be grown in a table that earlier sets of its top filled.  From cold,
     in a shuffled order, each request twice: every digest and every set's
     segment order must be those of the reference."""
-    lspath._path_set.cache_clear()
-    lspath._crystal.cache_clear()
     requests = workloads.family("paths")
     random.Random(seed).shuffle(requests)
     library = Library(workloads.labels(requests))
