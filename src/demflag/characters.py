@@ -169,10 +169,10 @@ hand the same object to every caller.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cache, lru_cache, wraps
 from itertools import repeat
 from operator import add, le, lshift, mul, rshift, sub
-from typing import Iterable, Mapping, Sequence
 
 from .root_data import (AffineDatum, Datum, Frozen, RootDatum, Weight,
                         integral)

@@ -22,8 +22,9 @@ digest of the package's source files and the command line as typed: any
 change to the code gets fresh entries, and two spellings of one request
 (``--lambda 2,0``, ``--lambda=2,0``) are two entries.  An entry is written
 only after its command line succeeds, so it is read before any value is
-checked: a hit builds no root datum and imports neither ``argparse``,
-``json`` nor ``tempfile``.  A help screen or a refused shape reads no
+checked: a hit builds no root datum and imports none of ``argparse``,
+``json``, ``tempfile``, ``typing`` and ``re``; the package itself imports
+neither of the last two.  A help screen or a refused shape reads no
 entry.  An entry is a plain-text file: the key's line, then the output
 bytes unchanged.  Its name is the 64-bit ``importlib.util.source_hash``
 of the key, and a read that finds any other first line under the name
@@ -42,12 +43,12 @@ from __future__ import annotations
 
 import io
 import os
-import re
 import sys
+from collections import namedtuple
+from collections.abc import Callable
 from functools import cache
 from importlib.util import source_hash
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import errors
 from .characters import Character, demazure_word_char, weyl_character_finite
@@ -57,11 +58,6 @@ from .flags import (DominantLWeight, FlagDecomposition, graded_weyl_character,
 from .lspath import crystal_character, generate_demazure_set, joseph_highest
 from .root_data import AffineDatum, RootDatum, affinize, datum_from_label
 
-if TYPE_CHECKING:
-    import argparse
-
-_LABEL_OK = re.compile(r"[A-Za-z0-9_.-]+")
-
 # CPython's default limit on the digits of an int turned into a string: on
 # every Python version, the most digits of a number read (``integer``) or
 # printed (``render``, which checks the JSON object, whatever the format).
@@ -69,10 +65,9 @@ MAX_DIGITS = 4300
 _PAST_DIGITS = 10 ** MAX_DIGITS
 
 
-class Table(NamedTuple):
-    name: str
-    columns: list[str]
-    rows: list[list]
+# A table: its ``name``, a ``str``, its ``columns``, a ``list[str]``, and
+# its ``rows``, a ``list[list]``.
+Table = namedtuple("Table", "name columns rows")
 
 
 # -- sections ----------------------------------------------------------------
@@ -183,7 +178,7 @@ def render(obj, tables: list[Table], fmt: str) -> str:
 # -- cache -------------------------------------------------------------------
 
 
-def resolve_cache_dir(explicit: Optional[str]) -> str:
+def resolve_cache_dir(explicit: str | None) -> str:
     """``explicit``, else ``DEMAZURE_CACHE_DIR``, else the per-user path;
     an empty value counts as unset.  The per-user path is under
     ``XDG_CACHE_HOME`` when that is an absolute path, else under
@@ -230,7 +225,7 @@ def _entry_path(cdir: str, key: str) -> str:
     return os.path.join(cdir, source_hash(key.encode("utf-8")).hex() + ".txt")
 
 
-def cache_read(cdir: str, key: str) -> Optional[str]:
+def cache_read(cdir: str, key: str) -> str | None:
     try:
         fh = open(_entry_path(cdir, key), encoding="utf-8", newline="")
     except FileNotFoundError:
@@ -268,14 +263,14 @@ def cache_write(cdir: str, key: str, output: str) -> None:
 #
 # Every number on the command line goes through ``integer``.
 
-_INTEGER = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}")
-
 
 def integer(text: str) -> int:
     """An ASCII decimal integer of at most ``MAX_DIGITS`` digits, or
     ``ValueError``.  ``int`` alone would also take other scripts' digits,
     ``_`` between digits, a ``+`` sign and surrounding blanks."""
-    if not _INTEGER.fullmatch(text):
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()
+            and len(digits) <= MAX_DIGITS):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 
@@ -304,6 +299,11 @@ def _word(rd: RootDatum, ad: AffineDatum, args) -> tuple[int, ...]:
     return word
 
 
+# The characters of a ``--factor`` label besides ASCII letters and digits,
+# each read as a letter.
+_LABEL_PUNCTUATION = str.maketrans("_.-", "aaa")
+
+
 def _factors(rd: RootDatum, ad: AffineDatum, args) -> DominantLWeight:
     if not args.factor:
         raise ValueError("at least one --factor is required")
@@ -312,18 +312,18 @@ def _factors(rd: RootDatum, ad: AffineDatum, args) -> DominantLWeight:
         if "@" not in text:
             raise ValueError(f"--factor needs the form H,..,H@label: {text!r}")
         coords, label = text.rsplit("@", 1)
-        if not _LABEL_OK.fullmatch(label):
+        if not (label.isascii()
+                and label.translate(_LABEL_PUNCTUATION).isalnum()):
             raise ValueError(f"bad factor label {label!r}")
         factors.append((rd.weight(_ints(coords, "--factor")), label))
     return DominantLWeight(tuple(factors))
 
 
-class _Option(NamedTuple):
-    flag: str
-    kwargs: dict
-    param: str
-    value: Callable                        # (rd, ad, args) -> value
-    plain: Callable = lambda value: value
+# An option kind: its ``flag``, ``kwargs`` and ``param``, then two
+# functions, ``value``, (rd, ad, args) -> value, and ``plain``, value ->
+# its plain JSON form, by default the value itself.
+_Option = namedtuple("_Option", "flag kwargs param value plain",
+                     defaults=(lambda value: value,))
 
 
 def _integer_option(flag: str, kwargs: dict) -> _Option:
@@ -361,10 +361,9 @@ _OPTIONS = {
 # sections from the option values, keyed by parameter name.
 
 
-class _Command(NamedTuple):
-    help: str
-    options: tuple             # (option kind, help text or None)
-    compute: Callable
+# A subcommand: its ``help`` line, its ``options``, each an (option
+# kind, help text or None), and its ``compute`` function.
+_Command = namedtuple("_Command", "help options compute")
 
 
 def _demazure_label(v: dict) -> DemazureLabel:
@@ -514,10 +513,10 @@ def _arguments(name: str) -> list[tuple[str, dict]]:
             for kind, text in _COMMANDS[name].options] + list(_SHARED)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser with only the subcommand ``command``, or with every
-    subcommand when it is None.  The top-level usage names every
-    subcommand either way."""
+def build_parser(command: str | None = None):
+    """The ``argparse.ArgumentParser`` with only the subcommand ``command``,
+    or with every subcommand when it is None.  The top-level usage names
+    every subcommand either way."""
     import argparse        # here, so that a cache hit does not load it
     # The usage line as argparse wraps it at 80 columns up to Python 3.12;
     # from 3.13 on it keeps ``...`` beside the choices.  Spelled out, it is
@@ -538,7 +537,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 _HELP = ["-h", "--help"]
 
 
-def _option(tok: str, names: list[str]) -> tuple[Optional[str], Optional[str]]:
+def _option(tok: str, names: list[str]) -> tuple[str | None, str | None]:
     """The option among ``names`` that ``tok`` names, as argparse reads
     it, and the value after its ``=`` (None without one); ``(None, None)``
     for a token that names none.  A ``--`` token names an option by the
@@ -559,7 +558,7 @@ def _option(tok: str, names: list[str]) -> tuple[Optional[str], Optional[str]]:
     return hits[0], value if eq else None
 
 
-def _read_args(argv: list[str]) -> Optional[SimpleNamespace]:
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
     """The namespace of the command line ``argv``, read from the command
     table as argparse reads it, every value kept as text; None for a help
     screen.  A line of the wrong shape raises ``ValueError`` with

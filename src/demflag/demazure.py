@@ -74,9 +74,9 @@ the label in ``_label``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
-from typing import NamedTuple
 
 from . import errors
 from .characters import (MEMO_SIZE, Character, Labels, _expand,
@@ -91,13 +91,13 @@ from .root_data import (AffineDatum, RootDatum, Weight, _make_dominant,
 MAX_DIM_BITS = 8192
 
 
-class DemazureLabel(NamedTuple):
-    """Label (level, classical highest weight, grade offset).  The weight
+class DemazureLabel(namedtuple("DemazureLabel", "level lam grade",
+                               defaults=(0,))):
+    """Label (level, classical highest weight, grade offset): the ``int``
+    fields ``level`` and ``grade``, and ``lam``, a ``Weight``.  The weight
     carries no grade of its own: its ``d`` is 0."""
 
-    level: int
-    lam: Weight
-    grade: int = 0
+    __slots__ = ()
 
 
 def _level(level: int) -> int:

@@ -49,8 +49,8 @@ character, which is no key, and peels it on every call.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import islice
-from typing import NamedTuple
 
 from . import errors
 from .characters import (MEMO_SIZE, Character, Labels, _expand,
@@ -61,11 +61,12 @@ from .root_data import (AffineDatum, Frozen, RootDatum, Weight, affinize,
                         eta_lambda, integral, short_subdatum)
 
 
-class FlagDecomposition(NamedTuple):
-    """Pieces ``(classical weight, grade, multiplicity)`` at one level."""
+class FlagDecomposition(namedtuple("FlagDecomposition", "level pieces")):
+    """Pieces ``(classical weight, grade, multiplicity)`` at one level: the
+    ``int`` field ``level``, and ``pieces``, a ``tuple[tuple[Weight, int,
+    int], ...]``."""
 
-    level: int
-    pieces: tuple[tuple[Weight, int, int], ...]
+    __slots__ = ()
 
 
 class DominantLWeight(Frozen):

@@ -126,29 +126,29 @@ caller's edits reach neither the memo nor the next answer.
 from __future__ import annotations
 
 from _thread import allocate_lock
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import le
-from typing import NamedTuple, Optional, Sequence
 
 from .characters import MEMO_SIZE, Character
 from .root_data import AffineDatum, Frozen, Weight, integral
 
 Step = tuple[int, tuple[int, ...]]            # (n t, v)
-Segment = "tuple[tuple[Fraction, ...], Fraction]"     # (direction, duration)
 Flat = tuple[int, ...]                        # (n, T0, id0, T1, id1, ...)
 
 
-class LSPath(NamedTuple):
-    """Canonical path: durations scaled by ``n``, integral directions."""
+class LSPath(namedtuple("LSPath", "n steps")):
+    """Canonical path: durations scaled by ``n``, integral directions.  The
+    ``int`` field ``n``, and ``steps``, a ``tuple[Step, ...]``."""
 
-    n: int
-    steps: tuple[Step, ...]
+    __slots__ = ()
 
     @property
-    def segments(self) -> tuple[Segment, ...]:
-        """The rational ``(direction, duration)`` segments, read-only."""
+    def segments(self) -> tuple:
+        """The rational ``(direction, duration)`` segments, read-only: a
+        ``tuple[tuple[Fraction, ...], Fraction]`` each."""
         from fractions import Fraction
         return tuple((tuple(map(Fraction, v)), Fraction(t, self.n))
                      for t, v in self.steps)
@@ -192,7 +192,7 @@ class _Table:
         self.ids: dict[tuple[int, ...], int] = {}
         self.pairs: list[list[int]] = [[] for _ in self.roots]
         self.refl: list[list[int]] = [[] for _ in self.roots]
-        self.down: list[dict[Flat, Optional[Flat]]] = [{} for _ in self.roots]
+        self.down: list[dict[Flat, Flat | None]] = [{} for _ in self.roots]
         self.lock = allocate_lock()
 
     def intern(self, v: tuple[int, ...]) -> int:
@@ -227,7 +227,7 @@ class _Table:
                 for b in flats]
 
 
-def _lower(tab: _Table, p: int, b: Flat) -> tuple[Optional[Flat], bool]:
+def _lower(tab: _Table, p: int, b: Flat) -> tuple[Flat | None, bool]:
     """``f_i`` for the node in position ``p``, None when undefined, and
     whether ``phi_i(b) = 1``, so that ``f_i`` of the result is undefined."""
     n = b[0]
@@ -292,7 +292,7 @@ def straight_path(ad: AffineDatum, lam: Weight) -> LSPath:
     return LSPath(1, ((1, h + (d,)),))
 
 
-def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> Optional[LSPath]:
+def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> LSPath | None:
     """Lowering operator for node ``i``; None when undefined.
 
     ``ValueError`` unless ``n >= 1``, every duration is a positive integer,
@@ -400,7 +400,7 @@ _UNSEEN = object()
 _DOWN_SIZE = 4096
 
 
-def _edge(tab: _Table, p: int, b: Flat) -> Optional[Flat]:
+def _edge(tab: _Table, p: int, b: Flat) -> Flat | None:
     """``f_i`` of ``b`` at position ``p``, an edge the caller did not find
     in the table: lowers it and adds it, and the undefined edge after it
     when ``phi_i(b) = 1``; the caller holds ``tab.lock``."""

@@ -62,11 +62,11 @@ data are immutable; assigning to a field raises ``AttributeError``, by
 
 from __future__ import annotations
 
-import re
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cache, cached_property
 from math import gcd
 from operator import index, mul
-from typing import Iterable, NamedTuple, Sequence
 
 from . import errors
 
@@ -106,11 +106,11 @@ def integral(x: int, what: str) -> int:
         raise ValueError(f"{what} {x!r} is not integral") from None
 
 
-class Weight(NamedTuple):
-    """Integer weight: coroot values ``h`` in node order plus grade ``d``."""
+class Weight(namedtuple("Weight", "h d", defaults=(0,))):
+    """Integer weight: coroot values ``h`` in node order, a ``tuple[int,
+    ...]``, plus the grade ``d``, an ``int``."""
 
-    h: tuple[int, ...]
-    d: int = 0
+    __slots__ = ()
 
     def __add__(self, other: "Weight") -> "Weight":
         if len(self.h) != len(other.h):
@@ -252,8 +252,9 @@ class Datum(Frozen):
     # -- weights -----------------------------------------------------------
 
     def weight(self, h: Iterable[int], d: int = 0) -> Weight:
-        ht = tuple(h)
+        ht = h
         try:
+            ht = tuple(h)
             ht, d = tuple(map(index, ht)), index(d)
         except TypeError:
             raise ValueError(f"weight {ht} at grade {d!r} is not integral") \
@@ -412,15 +413,14 @@ def _finite_datum(series: str, rank: int) -> RootDatum:
     )
 
 
-_LABEL_RE = re.compile(r"^([A-G])([0-9]+)$")
-
-
 def datum_from_label(label: str) -> RootDatum:
-    """Parse a label such as ``C2`` into a finite root datum."""
-    m = _LABEL_RE.match(label.strip())
-    if not m:
+    """Parse a label such as ``C2``, a series letter ``A``-``G`` and ASCII
+    digits, blanks around it ignored, into a finite root datum."""
+    text = label.strip()
+    series, rank = text[:1], text[1:]
+    if not (series in _SERIES and rank.isascii() and rank.isdigit()):
         raise errors.UnknownType(f"cannot parse type label {label!r}")
-    return build_finite_datum(m.group(1), int(m.group(2)))
+    return build_finite_datum(series, int(rank))
 
 
 @cache
@@ -496,8 +496,9 @@ def _make_dominant(datum: Datum,
 # -- short-root subsystem ---------------------------------------------------
 
 
-class ShortEmbedding(NamedTuple):
-    """Short-root subsystem of a non-simply-laced datum.
+class ShortEmbedding(namedtuple("ShortEmbedding", "parent subdatum nodes")):
+    """Short-root subsystem of a non-simply-laced datum: the ``RootDatum``
+    fields ``parent`` and ``subdatum``, and ``nodes``, a ``tuple[int, ...]``.
 
     ``nodes[k]`` is the parent node carried by subdatum node ``k + 1``.  The
     subdatum is an honest type-A datum in its own simply-laced normalization;
@@ -505,9 +506,7 @@ class ShortEmbedding(NamedTuple):
     only as a rescaled level, never inside this embedding.
     """
 
-    parent: RootDatum
-    subdatum: RootDatum
-    nodes: tuple[int, ...]
+    __slots__ = ()
 
     def restrict(self, mu: Weight) -> Weight:
         """Restriction of a parent weight to the short coroots."""

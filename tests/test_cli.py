@@ -7,15 +7,18 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from demflag import cli
+from demflag import cli, errors
+from demflag.root_data import build_finite_datum
 from test_character_properties import SETTINGS
 
 NC = ["--no-cache"]
@@ -549,6 +552,86 @@ def test_only_ascii_integers_are_numbers(capsys, bad):
         assert "Traceback" not in err, argv
 
 
+# The regular expressions that read numbers, ``--factor`` labels and type
+# labels before they became ``str`` checks.
+OLD_INTEGER = re.compile(rf"-?[0-9]{{1,{cli.MAX_DIGITS}}}")
+OLD_FACTOR_LABEL = re.compile(r"[A-Za-z0-9_.-]+")
+OLD_TYPE_LABEL = re.compile(r"^([A-G])([0-9]+)$")
+
+
+def _outcome(read, text):
+    """What ``read(text)`` gives: its value, or its error's type and
+    message."""
+    try:
+        return read(text)
+    except (ValueError, errors.InputError) as e:
+        return type(e), str(e)
+
+
+def _old_integer(text):
+    if not OLD_INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _old_datum_from_label(label):
+    m = OLD_TYPE_LABEL.match(label.strip())
+    if not m:
+        raise errors.UnknownType(f"cannot parse type label {label!r}")
+    return build_finite_datum(m.group(1), int(m.group(2)))
+
+
+def _factor_label_ok(label):
+    a1 = cli.datum_from_label("A1")
+    args = SimpleNamespace(factor=[f"1@{label}"])
+    try:
+        cli._factors(a1, cli.affinize(a1), args)
+    except ValueError as e:
+        assert str(e) == f"bad factor label {label!r}"
+        return False
+    return True
+
+
+PARSED_TEXT = st.one_of(
+    st.text(st.sampled_from("AGHaz019-+_. \n\u0661\u00b2\uff11@")),
+    st.text(),
+    st.from_regex(OLD_INTEGER, fullmatch=True),
+    st.from_regex(OLD_FACTOR_LABEL, fullmatch=True),
+    st.from_regex(r"\s*[A-H][0-9]{1,3}\s*", fullmatch=True))
+
+
+@SETTINGS
+@given(PARSED_TEXT)
+@example("\u0661\u0662")
+@example("\u00b2")
+@example("1_0")
+@example("+1")
+@example(" 1")
+@example("")
+@example("-")
+@example("--1")
+@example("9" * 4300)
+@example("9" * 4301)
+@example("-" + "9" * 4300)
+@example("A" + "9" * 4300)
+@example("A" + "9" * 4301)
+@example("a1")
+@example("A01")
+@example("A1\n")
+@example("H1")
+@example("A\u0661")
+def test_str_checks_accept_what_the_old_patterns_did(text):
+    """``integer``, the ``--factor`` label check and ``datum_from_label``
+    accept exactly the strings the old patterns did, with the same value
+    or the same refusal.  A ``--factor`` label is what follows the last
+    ``@``."""
+    assert _outcome(cli.integer, text) == _outcome(_old_integer, text)
+    label = text.rpartition("@")[2]
+    assert _factor_label_ok(label) == bool(OLD_FACTOR_LABEL.fullmatch(label))
+    assert _outcome(cli.datum_from_label, text) \
+        == _outcome(_old_datum_from_label, text)
+
+
 def test_a_dashed_value_gets_the_one_line_refusal(capsys):
     """A value starting with ``-`` that names no option is refused alike
     after a blank and after ``=``, after the option in full and
@@ -893,12 +976,15 @@ def test_import_loads_no_dataclasses_or_fractions():
 
 def test_a_cache_hit_loads_no_hashing_json_or_tempfile(tmp_path):
     """A hit answers without ``hashlib`` (whose ``_hashlib`` loads
-    OpenSSL), ``json`` or ``tempfile``, and a CSV miss without ``json``.
-    Every line is read from the command table, so neither a hit, a miss
-    nor a refused shape (a missing option, an unknown command) loads
-    ``argparse`` or the ``gettext`` and ``locale`` that it loads; a hit
-    builds no root datum.  Only a help screen loads it.  Run under
-    ``-S``, so that no site hook imports any of them first."""
+    OpenSSL), ``json``, ``tempfile``, ``typing`` or ``re``, and a CSV miss
+    without ``json``.  No miss or refusal loads ``typing``; a miss may load
+    ``re``, which ``json`` imports, and so does ``tempfile`` (through
+    ``shutil`` and ``fnmatch``).  Every line is read from the command
+    table, so neither a hit, a miss nor a refused shape (a missing option,
+    an unknown command) loads ``argparse`` or the ``gettext`` and
+    ``locale`` that it loads; a hit builds no root datum.  Only a help
+    screen loads it.  Run under ``-S``, so that no site hook imports any of
+    them first."""
     code = ("import sys, io, contextlib; from demflag import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()), \\\n"
             "        contextlib.redirect_stderr(io.StringIO()):\n"
@@ -908,7 +994,8 @@ def test_a_cache_hit_loads_no_hashing_json_or_tempfile(tmp_path):
     argv = ["demazure-dim", "--type", "A1", "--level", "1", "--lambda", "3",
             "--cache-dir", str(tmp_path)]
     parsing = {"argparse", "gettext", "locale"}
-    unwanted = {"hashlib", "_hashlib", "json", "tempfile", *parsing}
+    unwanted = {"hashlib", "_hashlib", "json", "tempfile", "typing", "re",
+                *parsing}
 
     def loaded(*args, status=0):
         """The exit code must be ``status``; the number of affine data
@@ -921,16 +1008,21 @@ def test_a_cache_hit_loads_no_hashing_json_or_tempfile(tmp_path):
         assert int(got) == status, args
         return int(datums), set(modules)
 
-    assert "json" not in loaded(*argv, "--format", "csv")[1]
-    loaded(*argv)
+    csv_miss = loaded(*argv, "--format", "csv")[1]
+    assert "json" not in csv_miss
+    json_miss = loaded(*argv)[1]
     assert len(list(tmp_path.iterdir())) == 2       # two misses, written
     datums, hit = loaded(*argv)
     assert "demflag.cli" in hit and not hit & unwanted
     assert datums == 0                              # no datum was built
-    assert not loaded(*argv, "--no-cache")[1] & parsing
+    uncached = loaded(*argv, "--no-cache")[1]
     assert "argparse" in loaded("demazure-dim", "--help")[1]
-    assert not loaded(*argv[:3], *argv[5:], status=2)[1] & parsing
-    assert not loaded("no-such-command", status=2)[1] & parsing
+    refused = [loaded(*argv[:3], *argv[5:], status=2)[1],
+               loaded("no-such-command", status=2)[1]]
+    assert not uncached & parsing
+    assert not any(modules & parsing for modules in refused)
+    for modules in (csv_miss, json_miss, uncached, *refused):
+        assert "typing" not in modules
 
 
 # Spellings of the two cache options, each as argparse takes it: in full,

@@ -796,13 +796,22 @@ def test_float_coordinates_raise_value_error():
 
 
 @pytest.mark.parametrize("lam", [Weight((1.5, 0.5), 0), Weight((1,), 0),
-                                 Weight((1, 1), 0.5)],
-                         ids=["fractional", "short", "fractional-grade"])
+                                 Weight((1, 1), 0.5), Weight(1, 0)],
+                         ids=["fractional", "short", "fractional-grade",
+                              "scalar"])
 def test_straight_path_refuses_a_malformed_weight(lam):
     # The first two used to give a path with a non-integral direction and
-    # one with a one-entry direction on a datum whose paths need three.
+    # one with a one-entry direction on a datum whose paths need three; the
+    # scalar used to raise a bare TypeError.  The path set and the highest
+    # terms refuse the same weight.
     with pytest.raises(ValueError):
         straight_path(A1_AFF, lam)
+    with pytest.raises(ValueError):
+        generate_demazure_set(A1_AFF, lam, (0, 1))
+    with pytest.raises(ValueError):
+        joseph_highest(A1_AFF, A1_AFF.fundamental_weight(0), lam, (0, 1))
+    with pytest.raises(ValueError):
+        joseph_highest(A1_AFF, lam, A1_AFF.weight([1, 1]), (0, 1))
 
 
 def test_bool_coordinates_give_integer_steps(cold_memos):

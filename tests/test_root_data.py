@@ -352,6 +352,10 @@ def test_weight_arity_checked():
         affinize(A1).weight([1])
     with pytest.raises(ValueError):
         A2.weight([1, 0]) + A1.weight([1])
+    # A scalar is no sequence of coroot values, on either kind of datum.
+    for datum in (A1, affinize(A1)):
+        with pytest.raises(ValueError):
+            datum.weight(1, 0)
 
 
 def test_weight_refuses_non_integer_coordinates():
