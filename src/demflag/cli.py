@@ -56,12 +56,11 @@ from .demazure import DemazureLabel, demazure_character, demazure_dim
 from .flags import (DominantLWeight, FlagDecomposition, graded_weyl_character,
                     level_flag, local_weyl_character, weyl_dim_product_check)
 from .lspath import crystal_character, generate_demazure_set, joseph_highest
-from .root_data import AffineDatum, RootDatum, affinize, datum_from_label
+from .root_data import (MAX_DIGITS, AffineDatum, RootDatum, affinize,
+                        datum_from_label)
 
-# CPython's default limit on the digits of an int turned into a string: on
-# every Python version, the most digits of a number read (``integer``) or
+# ``MAX_DIGITS`` is the most digits of a number read (``integer``) or
 # printed (``render``, which checks the JSON object, whatever the format).
-MAX_DIGITS = 4300
 _PAST_DIGITS = 10 ** MAX_DIGITS
 
 

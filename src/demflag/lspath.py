@@ -57,7 +57,13 @@ units; a cut there multiplies ``n`` and every ``T`` by the denominator of
 that quotient and leaves every direction as it is.  ``_lower`` reads a
 flat path once for ``h(1)``, ``m`` and the last endpoint at ``m``, then
 walks on from there to the cut; the ``eps`` groups keep one running
-minimum per path and node.  Neither builds a list of heights.
+minimum per path and node.  Neither builds a list of heights.  The
+result is one list, a copy of the flat path with every ``T`` scaled when
+the cut rescales, edited in place: the reflected stretch read through
+the ``refl`` cache, the cut step split in two, the junctions merged.  The
+gcd of ``n`` and every ``T`` is taken only after a merge: the input's is
+1, and a split or a rescale alone adds no common factor, since the cut's
+numerator is prime to its denominator.
 
 ``f_i`` is defined iff ``h(1) - m >= 1``.  It reflects the stretch between
 the last time ``h = m`` and the first later time ``h = m + 1`` and leaves
@@ -233,55 +239,58 @@ def _lower(tab: _Table, p: int, b: Flat) -> tuple[Flat | None, bool]:
     n = b[0]
     pairs = tab.pairs[p]
     # h is n h_i at the end of the step whose id sits at b[j]; the minimum
-    # m is last reached after k0 steps (at the start, k0 = 0).
-    h = m = k0 = 0
+    # m is last reached where the step whose duration sits at b[s] starts.
+    h = m = 0
+    s = 1
     for j in range(2, len(b), 2):
         h += b[j - 1] * pairs[b[j]]
         if h <= m:
-            m, k0 = h, j // 2
+            m, s = h, j + 1
     if h - m < n:
         return None, False
     last = h - m < 2 * n
-    ts, ds = b[1::2], b[2::2]
-    k, h = k0, m
-    while (x := h + ts[k] * pairs[ds[k]]) < m + n:
+    top = m + n
+    j, h = s, m
+    while (x := h + b[j] * pairs[b[j + 1]]) < top:
         h = x
-        k += 1
-    # Step k is cut where h reaches m + 1, after a / c of its duration.
-    num, den = m + n - h, pairs[ds[k]]
+        j += 2
+    # The step at b[j] is cut where h reaches m + 1, after a / c of its
+    # duration.  The output is a copy of b, its durations times c, edited
+    # in place.
+    num, den = top - h, pairs[b[j + 1]]
     g = gcd(num, den)
     a, c = num // g, den // g
-    ts = list(ts) if c == 1 else [t * c for t in ts]
-    rest = ts[k] - a
-    # Steps k0 .. k - 1 and the first part of step k are reflected.
-    out_t = ts[:k]
-    out_t.append(a)
-    out_d = list(ds[:k0])
+    out = list(b)
+    if c > 1:
+        out[1::2] = [t * c for t in out[1::2]]
+    # The steps from b[s] up to b[j], that last one cut to a, are reflected.
     refl = tab.refl[p]
-    out_d += [r if (r := refl[d]) >= 0 else tab.reflect(p, d)
-              for d in ds[k0:k + 1]]
+    for q in range(s + 1, j + 2, 2):
+        d = out[q]
+        out[q] = r if (r := refl[d]) >= 0 else tab.reflect(p, d)
+    # rest = 0 means a / c = T, an integer, so c = 1: only a cut that does
+    # not rescale can end at a step end and merge with the next step.
+    rest = out[j] - a
+    out[j] = a
+    merged = False
     if rest:
-        out_t.append(rest)
-        out_d.append(ds[k])
-        k += 1
-    elif k + 1 < len(ds) and ds[k + 1] == out_d[-1]:
-        out_t[-1] += ts[k + 1]
-        k += 2
-    else:
-        k += 1
-    out_t += ts[k:]
-    out_d += ds[k:]
-    if k0 and out_d[k0 - 1] == out_d[k0]:
-        out_t[k0 - 1] += out_t.pop(k0)
-        del out_d[k0]
+        out[j + 2:j + 2] = rest, b[j + 1]
+    elif j + 2 < len(out) and out[j + 3] == out[j + 1]:
+        out[j] += out[j + 2]
+        del out[j + 2:j + 4]
+        merged = True
+    if s > 1 and out[s - 1] == out[s + 1]:
+        out[s - 2] += out[s]
+        del out[s:s + 2]
+        merged = True
+    # n and the input's durations share no prime, and without a merge no
+    # prime divides the output's: a prime of c does not divide a, and any
+    # other would divide n, every other duration and a + rest = c T.
     n *= c
-    g = gcd(n, *out_t)
-    if g > 1:
+    if merged and (g := gcd(n, *out[1::2])) > 1:
         n //= g
-        out_t = [t // g for t in out_t]
-    out = [n] * (2 * len(out_t) + 1)
-    out[1::2] = out_t
-    out[2::2] = out_d
+        out[1::2] = [t // g for t in out[1::2]]
+    out[0] = n
     return tuple(out), last
 
 

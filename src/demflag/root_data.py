@@ -70,6 +70,10 @@ from operator import index, mul
 
 from . import errors
 
+# CPython's default limit on the digits of an int read from a string or
+# turned into one, on every Python version.
+MAX_DIGITS = 4300
+
 # Per series: the inclusive range of ranks supported here.
 _SERIES = {"A": (1, 8), "B": (2, 8), "C": (2, 8), "D": (4, 8), "E": (6, 8),
            "F": (4, 4), "G": (2, 2)}
@@ -415,11 +419,15 @@ def _finite_datum(series: str, rank: int) -> RootDatum:
 
 def datum_from_label(label: str) -> RootDatum:
     """Parse a label such as ``C2``, a series letter ``A``-``G`` and ASCII
-    digits, blanks around it ignored, into a finite root datum."""
+    digits, blanks around it ignored, into a finite root datum.  A rank of
+    more than ``MAX_DIGITS`` digits, which ``int`` would not read, is
+    refused like any other rank outside its series."""
     text = label.strip()
     series, rank = text[:1], text[1:]
     if not (series in _SERIES and rank.isascii() and rank.isdigit()):
         raise errors.UnknownType(f"cannot parse type label {label!r}")
+    if len(rank) > MAX_DIGITS:
+        raise errors.UnknownType(f"rank {rank} invalid for series {series}")
     return build_finite_datum(series, int(rank))
 
 

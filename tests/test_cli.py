@@ -557,6 +557,8 @@ def test_only_ascii_integers_are_numbers(capsys, bad):
 OLD_INTEGER = re.compile(rf"-?[0-9]{{1,{cli.MAX_DIGITS}}}")
 OLD_FACTOR_LABEL = re.compile(r"[A-Za-z0-9_.-]+")
 OLD_TYPE_LABEL = re.compile(r"^([A-G])([0-9]+)$")
+# A label whose rank has one digit more than ``int`` reads.
+LONG_RANK = "A" + "9" * (cli.MAX_DIGITS + 1)
 
 
 def _outcome(read, text):
@@ -614,7 +616,7 @@ PARSED_TEXT = st.one_of(
 @example("9" * 4301)
 @example("-" + "9" * 4300)
 @example("A" + "9" * 4300)
-@example("A" + "9" * 4301)
+@example(LONG_RANK)
 @example("a1")
 @example("A01")
 @example("A1\n")
@@ -624,12 +626,15 @@ def test_str_checks_accept_what_the_old_patterns_did(text):
     """``integer``, the ``--factor`` label check and ``datum_from_label``
     accept exactly the strings the old patterns did, with the same value
     or the same refusal.  A ``--factor`` label is what follows the last
-    ``@``."""
+    ``@``.  The one exception is a rank too long for ``int``, which the
+    old pattern left to ``int``'s own message and which is now refused
+    as a rank outside its series."""
     assert _outcome(cli.integer, text) == _outcome(_old_integer, text)
     label = text.rpartition("@")[2]
     assert _factor_label_ok(label) == bool(OLD_FACTOR_LABEL.fullmatch(label))
-    assert _outcome(cli.datum_from_label, text) \
-        == _outcome(_old_datum_from_label, text)
+    want = ((errors.UnknownType, f"rank {LONG_RANK[1:]} invalid for series A")
+            if text == LONG_RANK else _outcome(_old_datum_from_label, text))
+    assert _outcome(cli.datum_from_label, text) == want
 
 
 def test_a_dashed_value_gets_the_one_line_refusal(capsys):

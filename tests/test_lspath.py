@@ -389,6 +389,32 @@ LOWERING_CASES = {
                     LSPath(1, ((1, (3, -2, -1)),))),
     # 0, -2, 0 over n = 3: h_1 ends less than 1 above its minimum.
     "undefined": (LSPath(3, ((1, (3, -2, -1)), (2, (0, 1, 0)))), None),
+    # 0, -6, -3, 12 over n = 6: h_1 reaches m + 1 a fifth of the way into
+    # the last step, so every duration is multiplied by 5.  The reflected
+    # middle step equals the first, they merge, and the durations 15, 3, 12
+    # over 30 shrink by 3.  A rescaled cut never ends at a step end, so it
+    # cannot also merge with the step after it.
+    "rescale-merge": (
+        LSPath(6, ((2, (5, -3, -1)), (1, (-1, 3, -1)), (3, (-3, 5, -3)))),
+        LSPath(10, ((5, (5, -3, -1)), (1, (7, -5, -3)), (4, (-3, 5, -3))))),
+    # 0, 6, 4, 8 over n = 6: the first step is reflected whole and merges
+    # with the next one, and the durations 4, 2 over 6 shrink by 2.
+    "merge-end": (
+        LSPath(6, ((3, (-1, 2, -1)), (1, (3, -2, -1)), (2, (-1, 2, -1)))),
+        LSPath(3, ((2, (3, -2, -1)), (1, (-1, 2, -1))))),
+    # 0, -12, -4, -8, -4 over n = 8: the one reflected step ends at m + 1,
+    # its image equals both neighbours, the three merge, and the durations
+    # 6, 2 over 8 shrink by 2.
+    "merge-both-ends": (
+        LSPath(8, ((3, (5, -4, -4)), (2, (-3, 4, -4)), (1, (5, -4, -4)),
+                   (2, (-1, 2, -1)))),
+        LSPath(4, ((3, (5, -4, -4)), (1, (-1, 2, -1))))),
+    # 0, 2, 2, 4 over n = 4: the minimum is only at the start, and h_1
+    # reaches m + 1 at the end, so every step is reflected, the last one
+    # whole, and no step follows the stretch.
+    "reflect-all": (
+        LSPath(4, ((1, (-1, 2, -1)), (2, (1, 0, 0)), (1, (-1, 2, -1)))),
+        LSPath(4, ((1, (3, -2, -1)), (2, (1, 0, 0)), (1, (3, -2, -1))))),
 }
 
 
@@ -405,13 +431,25 @@ def test_lowering_cases(pi, want):
 @example((A1_AFF, 1, LOWERING_CASES["merge-start"][0]))
 @example((A1_AFF, 1, STEP_END_MERGE))
 @example((A1_AFF, 1, LOWERING_CASES["undefined"][0]))
+@example((A1_AFF, 1, LOWERING_CASES["rescale-merge"][0]))
+@example((A1_AFF, 1, LOWERING_CASES["merge-end"][0]))
+@example((A1_AFF, 1, LOWERING_CASES["merge-both-ends"][0]))
+@example((A1_AFF, 1, LOWERING_CASES["reflect-all"][0]))
 def test_lowering_a_drawn_path_matches_the_oracle(case):
     """``root_op_f`` on a path given by hand is the oracle's ``f_i``,
     defined or not, where the minimum comes more than once, where the cut
-    rescales the durations, and where the reflected stretch merges with
-    a neighbour at either end."""
+    rescales the durations, where the reflected stretch merges with a
+    neighbour at either end or both, and where it is the whole path.  A
+    defined image is canonical on its own terms too: its durations are
+    positive, share no factor with ``n`` and join no equal neighbours."""
     ad, i, pi = case
-    assert root_op_f(ad, i, pi) == _lower(ad, ad.pos(i), pi)
+    down = root_op_f(ad, i, pi)
+    assert down == _lower(ad, ad.pos(i), pi)
+    if down is not None:
+        ts = [t for t, _ in down.steps]
+        assert gcd(down.n, *ts) == 1 and min(ts) > 0
+        assert all(u != v for (_, u), (_, v) in zip(down.steps,
+                                                    down.steps[1:]))
 
 
 def test_raising_is_inverse_of_lowering():
