@@ -41,7 +41,6 @@ A standard error that cannot be written loses its line, not the code.
 
 from __future__ import annotations
 
-import io
 import os
 import sys
 from collections import namedtuple
@@ -57,11 +56,11 @@ from .flags import (DominantLWeight, FlagDecomposition, graded_weyl_character,
                     level_flag, local_weyl_character, weyl_dim_product_check)
 from .lspath import crystal_character, generate_demazure_set, joseph_highest
 from .root_data import (MAX_DIGITS, AffineDatum, RootDatum, affinize,
-                        datum_from_label)
+                        datum_from_label, printable)
 
 # ``MAX_DIGITS`` is the most digits of a number read (``integer``) or
-# printed (``render``, which checks the JSON object, whatever the format).
-_PAST_DIGITS = 10 ** MAX_DIGITS
+# printed (``render``, which checks the JSON object, whatever the format,
+# with ``root_data.printable``, the digit test that refusals use too).
 
 
 # A table: its ``name``, a ``str``, its ``columns``, a ``list[str]``, and
@@ -138,12 +137,9 @@ def render_json(obj) -> str:
 
 
 def render_csv_raw(cols: list[str], rows: list[list[str]]) -> str:
-    import csv             # here, so that only a CSV request loads it
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    writer.writerows(rows)
-    return buf.getvalue()
+    # Every cell is an int, a bool, ``-`` or a fixed name, so none needs
+    # quoting: ``csv.writer`` would write the same bytes.
+    return "".join(",".join(row) + "\n" for row in [cols, *rows])
 
 
 def render_table_raw(cols: list[str], rows: list[list[str]]) -> str:
@@ -159,7 +155,7 @@ def _fits(obj) -> bool:
     """Whether no integer in ``obj`` has more than ``MAX_DIGITS`` digits."""
     if isinstance(obj, (dict, list, tuple)):
         return all(map(_fits, obj.values() if isinstance(obj, dict) else obj))
-    return not isinstance(obj, int) or -_PAST_DIGITS < obj < _PAST_DIGITS
+    return not isinstance(obj, int) or printable(obj)
 
 
 def render(obj, tables: list[Table], fmt: str) -> str:

@@ -53,8 +53,9 @@ is the fusion product of ``m_i`` copies of each ``D(l, l omega_i)`` and one
 
 Each piece ``D(l, l omega_i)`` runs the ladder once and is kept, per
 datum, level and node, in a memo of its own; ``lam0`` runs it each time.
-A product whose factors would pass ``MAX_DIM_BITS`` bits is refused with
-``TooLarge`` before it is multiplied out.  Types B, C, F and G keep the
+``_fundamental_product``, the one owner of the size bound, for ``flags``
+too, refuses with ``TooLarge`` a product whose factors would pass
+``MAX_DIM_BITS`` bits before it multiplies.  Types B, C, F and G keep the
 ladder for every label: there the law needs the short nodes' factors at a
 higher level, which no theorem cited here states.
 
@@ -76,18 +77,19 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from math import prod
 from operator import mul
 
 from . import errors
 from .characters import (MEMO_SIZE, Character, Labels, _expand,
                          _irreducibles, _weyl_dim, memo)
 from .root_data import (AffineDatum, RootDatum, Weight, _make_dominant,
-                        apply_word, integral)
+                        apply_word, integral, shown)
 
-# The bound on ``sum_i m_i * bit_length(dim D(l, l omega_i))``, and so on
-# the size of a factorized dimension short of its ``lam0`` factor: 8192
-# bits, about 2,466 decimal digits, well inside the 4,300 digits that
-# CPython turns into a string by default.
+# The bound on ``sum m * bit_length(f)`` over the factors ``f ** m`` of a
+# fundamental product (``_fundamental_product``): 8192 bits, about 2,466
+# decimal digits, well inside the 4,300 digits that CPython turns into a
+# string by default.
 MAX_DIM_BITS = 8192
 
 
@@ -104,7 +106,7 @@ def _level(level: int) -> int:
     """The checked level: an integer, and at least 1 (else ``ZeroLevel``)."""
     level = integral(level, "level")
     if level < 1:
-        raise errors.ZeroLevel(f"level must be positive, got {level}")
+        raise errors.ZeroLevel(f"level must be positive, got {shown(level)}")
     return level
 
 
@@ -116,8 +118,8 @@ def _label(rd: RootDatum, level: int, grade: int, d: int,
     level = _level(level)
     lam = rd.weight(h, d)
     if lam.d:
-        raise ValueError(f"classical weight {lam.h} has grade {lam.d}, "
-                         f"not 0")
+        raise ValueError(f"classical weight {shown(lam.h)} has grade "
+                         f"{shown(lam.d)}, not 0")
     return DemazureLabel(level, rd.dominant(lam), grade)
 
 
@@ -186,23 +188,23 @@ def _dim(ad: AffineDatum, level: int, grade: int, d: int, *h: int) -> int:
     level, lam, _ = _label(rd, level, grade, d, h)
     if rd.short_nodes:
         return _ladder_dim(ad, level, lam)
-    powers = [(_piece(ad, level, i), x // level)
-              for i, x in zip(rd.indices, lam.h) if x >= level]
-    bits = sum(m * piece.bit_length() for piece, m in powers)
-    if bits > MAX_DIM_BITS:
-        try:
-            msg = (f"dimension of {lam.h} at level {level} would have about "
-                   f"{bits} bits, more than {MAX_DIM_BITS}")
-        except ValueError:    # a number past CPython's int-to-str limit
-            msg = (f"dimension at level {level} would have more than "
-                   f"{MAX_DIM_BITS} bits")
-        raise errors.TooLarge(msg)
+    product = _fundamental_product(lam.h, [
+        (_piece(ad, level, i), x // level)
+        for i, x in zip(rd.indices, lam.h) if x >= level])
     rest = Weight(tuple(x % level for x in lam.h))
     # ``D(level, 0)`` is the trivial module.
-    out = _ladder_dim(ad, level, rest) if any(rest.h) else 1
-    for piece, m in powers:
-        out *= piece ** m
-    return out
+    return product * (_ladder_dim(ad, level, rest) if any(rest.h) else 1)
+
+
+def _fundamental_product(h: tuple[int, ...],
+                         powers: list[tuple[int, int]]) -> int:
+    """``prod f ** m`` over the pairs ``(f, m)`` of ``powers``, the factors
+    of the weight with values ``h``; ``TooLarge`` before anything is
+    multiplied if ``sum m * bit_length(f)`` passes ``MAX_DIM_BITS``."""
+    if sum(m * f.bit_length() for f, m in powers) > MAX_DIM_BITS:
+        raise errors.TooLarge(f"the fundamental product of {shown(h)} would "
+                              f"pass {MAX_DIM_BITS} bits")
+    return prod(f ** m for f, m in powers)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

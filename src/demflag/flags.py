@@ -38,7 +38,8 @@ summed and expanded, the character.
 Characters of local Weyl modules multiply: the module for a sum of dominant
 weights attached to pairwise distinct labels is the tensor product of the
 modules of the summands, so its ungraded character is the product of
-theirs, which the dimension check against the fundamental product uses.
+theirs, which the dimension check compares with the fundamental product:
+``demazure._fundamental_product`` computes it, and alone bounds its size.
 
 ``level_flag``, ``graded_weyl_character``, ``weyl_dim_product_check`` and
 ``local_weyl_character`` are each one lookup in a ``characters.memo``,
@@ -56,9 +57,9 @@ from . import errors
 from .characters import (MEMO_SIZE, Character, Labels, _expand,
                          _irreducibles, check_w_invariance_per_grade,
                          forget_grading, memo)
-from .demazure import MAX_DIM_BITS, _label, _labels, _level
+from .demazure import _fundamental_product, _label, _labels, _level
 from .root_data import (AffineDatum, Frozen, RootDatum, Weight, affinize,
-                        eta_lambda, integral, short_subdatum)
+                        eta_lambda, integral, short_subdatum, shown)
 
 
 class FlagDecomposition(namedtuple("FlagDecomposition", "level pieces")):
@@ -80,7 +81,7 @@ class DominantLWeight(Frozen):
         labels = [a for _, a in factors]
         for a in labels:
             if not isinstance(a, str):
-                raise ValueError(f"summand label {a!r} is not a string")
+                raise ValueError(f"summand label {shown(a)!r} is not a string")
         if len(set(labels)) != len(labels):
             raise ValueError("summand labels must be pairwise distinct")
         object.__setattr__(self, "factors", factors)
@@ -133,7 +134,8 @@ def _peel(ad: AffineDatum, labels: Labels, level: int) -> FlagDecomposition:
             coeff = row[grade]
             if coeff < 0:
                 raise errors.NegativeMultiplicity(
-                    f"piece ({lead}, {grade}) has coefficient {coeff}")
+                    f"piece ({shown(lead)}, {shown(grade)}) has coefficient "
+                    f"{shown(coeff)}")
             _add(residue, piece, grade, -coeff)
             pieces.append((Weight(lead, 0), grade, coeff))
     return FlagDecomposition(level=level, pieces=tuple(pieces))
@@ -207,9 +209,9 @@ def weyl_dim_product_check(rd: RootDatum,
                            lam: Weight) -> tuple[bool, tuple[int, int]]:
     """Compare the Weyl-module dimension with the fundamental product.
 
-    Memoised.  The fundamental masses come first: a product whose factors
-    would pass ``MAX_DIM_BITS`` bits is refused with ``TooLarge`` before
-    the label's own character is built.
+    Memoised.  The fundamental product comes first, by
+    ``demazure._fundamental_product``, which refuses one too large with
+    ``TooLarge`` before the label's own character is built.
     """
     return _dim_check(rd, lam.d, *lam.h)
 
@@ -218,17 +220,10 @@ def weyl_dim_product_check(rd: RootDatum,
 def _dim_check(rd: RootDatum, d: int,
                *h: int) -> tuple[bool, tuple[int, int]]:
     lam = _label(rd, 1, 0, d, h).lam
-    powers = [(graded_weyl_character(rd, rd.fundamental_weight(i))[0].mass(),
-               m) for i, m in zip(rd.indices, lam.h) if m]
-    # The count itself is not printed: for a label of 4,300 digits it has
-    # more digits than CPython turns into a string.
-    if sum(m * mass.bit_length() for mass, m in powers) > MAX_DIM_BITS:
-        raise errors.TooLarge(f"the fundamental product of {lam.h} would "
-                              f"pass {MAX_DIM_BITS} bits")
+    product = _fundamental_product(lam.h, [
+        (graded_weyl_character(rd, rd.fundamental_weight(i))[0].mass(), m)
+        for i, m in zip(rd.indices, lam.h) if m])
     mass = graded_weyl_character(rd, lam)[0].mass()
-    product = 1
-    for factor, m in powers:
-        product *= factor ** m
     return mass == product, (mass, product)
 
 

@@ -139,7 +139,7 @@ from math import gcd, lcm
 from operator import le
 
 from .characters import MEMO_SIZE, Character
-from .root_data import AffineDatum, Frozen, Weight, integral
+from .root_data import AffineDatum, Frozen, Weight, integral, shown
 
 Step = tuple[int, tuple[int, ...]]            # (n t, v)
 Flat = tuple[int, ...]                        # (n, T0, id0, T1, id1, ...)
@@ -315,7 +315,7 @@ def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> LSPath | None:
                   for t, v in pi.steps)
     if n < 1 or any(t < 1 for t, _ in steps) or sum(t for t, _ in steps) != n:
         raise ValueError(f"path durations must be positive integers that "
-                         f"sum to n >= 1, with n = {n}")
+                         f"sum to n >= 1, with n = {shown(n)}")
     width = ad.rank + 2
     if any(len(v) != width for _, v in steps):
         raise ValueError(f"path directions on {ad.label} must have "

@@ -73,6 +73,7 @@ from . import errors
 # CPython's default limit on the digits of an int read from a string or
 # turned into one, on every Python version.
 MAX_DIGITS = 4300
+_PAST_DIGITS = 10 ** MAX_DIGITS
 
 # Per series: the inclusive range of ranks supported here.
 _SERIES = {"A": (1, 8), "B": (2, 8), "C": (2, 8), "D": (4, 8), "E": (6, 8),
@@ -102,12 +103,35 @@ def _diagram(series: str, rank: int) -> tuple[list[list[int]], list[int]]:
     return c, sym
 
 
+def printable(n: int) -> bool:
+    """Whether the int ``n`` has at most ``MAX_DIGITS`` digits, so that
+    CPython turns it into a string: the one digit test, of the results the
+    command line prints and of the values refusals show (``shown``)."""
+    return -_PAST_DIGITS < n < _PAST_DIGITS
+
+
+class _Size(str):
+    """The size ``shown`` gives for an int: text that ``repr`` leaves bare."""
+    __repr__ = str.__str__
+
+
+def shown(value):
+    """``value`` for a refusal to format: the value itself, but with every
+    int that is not ``printable``, alone or in a tuple or list, put as its
+    sign and bit length, since formatting it would raise ``ValueError``."""
+    if isinstance(value, int) and not printable(value):
+        return _Size(f"{'-' * (value < 0)}<int of {value.bit_length()} bits>")
+    if type(value) in (tuple, list):
+        return type(value)(map(shown, value))
+    return value
+
+
 def integral(x: int, what: str) -> int:
     """``x`` as an int, or ``ValueError`` naming ``what`` it is."""
     try:
         return index(x)
     except TypeError:
-        raise ValueError(f"{what} {x!r} is not integral") from None
+        raise ValueError(f"{what} {shown(x)!r} is not integral") from None
 
 
 class Weight(namedtuple("Weight", "h d", defaults=(0,))):
@@ -250,7 +274,8 @@ class Datum(Frozen):
         except TypeError:
             p = -1
         if not 0 <= p < len(self.cartan):
-            raise errors.IndexOutOfRange(f"node {i!r} not in {self.label}")
+            raise errors.IndexOutOfRange(f"node {shown(i)!r} not in "
+                                         f"{self.label}")
         return p
 
     # -- weights -----------------------------------------------------------
@@ -261,8 +286,8 @@ class Datum(Frozen):
             ht = tuple(h)
             ht, d = tuple(map(index, ht)), index(d)
         except TypeError:
-            raise ValueError(f"weight {ht} at grade {d!r} is not integral") \
-                from None
+            raise ValueError(f"weight {shown(ht)} at grade {shown(d)!r} "
+                             f"is not integral") from None
         if len(ht) != len(self.cartan):
             raise ValueError(f"expected {len(self.cartan)} coroot values")
         return Weight(ht, d)
@@ -290,7 +315,7 @@ class Datum(Frozen):
     def dominant(self, mu: Weight) -> Weight:
         """``mu`` itself, or ``NotDominant``: the one dominance refusal."""
         if not self.is_dominant(mu):
-            raise errors.NotDominant(f"{mu.h} is not dominant for "
+            raise errors.NotDominant(f"{shown(mu.h)} is not dominant for "
                                      f"{self.label}")
         return mu
 
@@ -387,10 +412,11 @@ class AffineDatum(Datum):
 def build_finite_datum(series: str, rank: int) -> RootDatum:
     """The finite root datum for a Cartan-Killing label, built once."""
     if series not in _SERIES:
-        raise errors.UnknownType(f"unknown series {series!r}")
+        raise errors.UnknownType(f"unknown series {shown(series)!r}")
     lo, hi = _SERIES[series]
     if not (isinstance(rank, int) and lo <= rank <= hi):
-        raise errors.UnknownType(f"rank {rank} invalid for series {series}")
+        raise errors.UnknownType(f"rank {shown(rank)} invalid for series "
+                                 f"{series}")
     return _finite_datum(series, int(rank))
 
 
@@ -476,7 +502,7 @@ def make_dominant(datum: Datum,
     mu = datum.weight(mu.h, mu.d)
     if isinstance(datum, AffineDatum) and datum.level(mu) <= 0:
         raise errors.ZeroLevel(
-            f"level {datum.level(mu)} weight cannot be reduced")
+            f"level {shown(datum.level(mu))} weight cannot be reduced")
     return _make_dominant(datum, mu)
 
 

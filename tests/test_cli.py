@@ -246,14 +246,15 @@ PINS = [
     ("demazure-dim --type A1 --level 0 --lambda 1", 3,
      "20496c111557d7e760bd2da5d39f1364e8377b6154d01227a81f94d3811f09b0"),
     # A dimension whose factors would pass the size bound: refused before
-    # the product is multiplied out.
+    # the product is multiplied out, in the words of the dimension check
+    # below: "error: the fundamental product of (100000000000000000000,)
+    # would pass 8192 bits".
     ("demazure-dim --type A1 --level 1 --lambda 100000000000000000000", 3,
-     "c5cdd1a32fb7bffbc874018b7b8969ff4c8571be47402b306b61478b246ec965"),
-    # The same with a label of 4,300 digits, whose bit count has more digits
-    # than CPython turns into a string: "error: dimension at level 1 would
-    # have more than 8192 bits".
+     "9bb7801c53961219764d41963416e8ca665453446c6995bbaf0fa5c749c98e0c"),
+    # The same with a label of 4,300 digits, which prints: the line shows
+    # 200 characters of the message, then "...".
     ("demazure-dim --type A1 --level 1 --lambda " + "9" * 4300, 3,
-     "35cc62086c1708f7a7f5647544837235f297adc1742e5e9ee2f5ce2b03822b9c"),
+     "6ef84c1f31afa26b773c8adadd9abe5659b7b352e8b20cfad0f68ebf329236b7"),
     # A dimension check whose fundamental product would pass the same
     # bound: refused before the label's own character is built.
     ("dim-check --type A1 --lambda 10000", 3,
@@ -449,6 +450,28 @@ def test_round_trips(capsys):
     _, as_table, _ = run(capsys, argv + ["--format", "table"] + NC)
     cols, rows = parse_table(as_table)
     assert cli.render_table_raw(cols, rows) == as_table
+
+
+# Cells as ``flatten`` writes them: ints, bools, ``-`` and the names of
+# sections and columns.
+CELLS = st.one_of(st.integers().map(str),
+                  st.sampled_from(["true", "false", "-"]),
+                  st.from_regex(r"[a-z][a-z0-9_]*", fullmatch=True))
+
+
+@SETTINGS
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(CELLS, min_size=n, max_size=n),
+    st.lists(st.lists(CELLS, min_size=n, max_size=n), max_size=6))))
+def test_csv_is_what_the_csv_writer_writes(table):
+    """No cell needs quoting, so joining each row with commas writes the
+    bytes of ``csv.writer``, the reference here."""
+    cols, rows = table
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cols)
+    writer.writerows(rows)
+    assert cli.render_csv_raw(cols, rows) == buf.getvalue()
 
 
 def test_formats_agree_on_cells(capsys):
@@ -984,7 +1007,8 @@ def test_a_cache_hit_loads_no_hashing_json_or_tempfile(tmp_path):
     OpenSSL), ``json``, ``tempfile``, ``typing`` or ``re``, and a CSV miss
     without ``json``.  No miss or refusal loads ``typing``; a miss may load
     ``re``, which ``json`` imports, and so does ``tempfile`` (through
-    ``shutil`` and ``fnmatch``).  Every line is read from the command
+    ``shutil`` and ``fnmatch``), but an uncached CSV or table miss loads
+    neither ``re`` nor ``csv``.  Every line is read from the command
     table, so neither a hit, a miss nor a refused shape (a missing option,
     an unknown command) loads ``argparse`` or the ``gettext`` and
     ``locale`` that it loads; a hit builds no root datum.  Only a help
@@ -1015,6 +1039,9 @@ def test_a_cache_hit_loads_no_hashing_json_or_tempfile(tmp_path):
 
     csv_miss = loaded(*argv, "--format", "csv")[1]
     assert "json" not in csv_miss
+    for fmt in ("csv", "table"):
+        assert not loaded(*argv, "--format", fmt, "--no-cache")[1] & {
+            "csv", "re"}, fmt
     json_miss = loaded(*argv)[1]
     assert len(list(tmp_path.iterdir())) == 2       # two misses, written
     datums, hit = loaded(*argv)

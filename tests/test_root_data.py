@@ -12,19 +12,32 @@ from operator import mul
 import pytest
 
 from demflag import (
+    Character,
+    DemazureLabel,
+    DominantLWeight,
+    LSPath,
     RootDatum,
     Weight,
     affinize,
     apply_word,
     build_finite_datum,
     datum_from_label,
+    demazure_character,
+    demazure_dim,
     errors,
     eta_lambda,
+    generate_demazure_set,
+    greedy_decompose,
+    joseph_highest,
+    level_flag,
     make_dominant,
     reflect_weight,
+    root_op_f,
     short_subdatum,
+    weyl_character_finite,
+    weyl_dim_product_check,
 )
-from demflag.root_data import _integer_inverse
+from demflag.root_data import _integer_inverse, printable, shown
 
 A1 = datum_from_label("A1")
 A2 = datum_from_label("A2")
@@ -751,3 +764,63 @@ def test_eta_lambda_not_below():
         eta_lambda(se, C2.zero_weight, se.subdatum.weight([1]))
     with pytest.raises(errors.NotBelow):
         eta_lambda(se, C2.weight([1, 0]), se.subdatum.weight([3]))
+
+
+# A number of 5,000 digits, past the 4,300 that CPython turns into a string.
+BIG = 10 ** 5000
+A1_AFF = affinize(A1)
+# Each library refusal that shows a caller's number, with that number
+# past the limit, and the error it documents.
+HUGE_REFUSALS = {
+    "dim-check product": (errors.TooLarge, lambda: weyl_dim_product_check(
+        A1, A1.weight([BIG]))),
+    "finite character": (errors.NotDominant, lambda: weyl_character_finite(
+        A1, Weight((-BIG,), 0))),
+    "ladder dimension": (errors.NotDominant, lambda: demazure_dim(
+        affinize(C2), DemazureLabel(1, Weight((-BIG, 0), 0)))),
+    "joseph weight": (errors.NotDominant, lambda: joseph_highest(
+        A1_AFF, Weight((-BIG, 0), 0), Weight((1, 0), 0), [1])),
+    "path-set letter": (errors.IndexOutOfRange, lambda: generate_demazure_set(
+        A1_AFF, Weight((1, 0), 0), [BIG])),
+    "node": (errors.IndexOutOfRange, lambda: A1.pos(BIG)),
+    "level": (errors.ZeroLevel, lambda: demazure_dim(
+        A1_AFF, DemazureLabel(-BIG, A1.weight([1])))),
+    "affine level": (errors.ZeroLevel, lambda: make_dominant(
+        A1_AFF, Weight((-BIG, 0), 0))),
+    "rank": (errors.UnknownType, lambda: build_finite_datum("A", BIG)),
+    "series": (errors.UnknownType, lambda: build_finite_datum(BIG, 1)),
+    "weight": (ValueError, lambda: A2.weight([BIG, 0.5])),
+    "label grade": (ValueError, lambda: demazure_character(
+        A1_AFF, DemazureLabel(1, Weight((1,), BIG)))),
+    "integral": (ValueError, lambda: level_flag(
+        A1_AFF, [BIG], 2, A1.weight([1]))),
+    "path length": (ValueError, lambda: root_op_f(
+        A1_AFF, 1, LSPath(-BIG, ((1, (1, 0, 0)),)))),
+    "summand label": (ValueError, lambda: DominantLWeight(
+        ((A1.weight([1]), BIG),))),
+    "flag piece": (errors.NegativeMultiplicity, lambda: greedy_decompose(
+        A1_AFF, Character(A1, {((0,), 0): -BIG}), 1)),
+}
+
+
+@pytest.mark.parametrize("kind, call", HUGE_REFUSALS.values(),
+                         ids=list(HUGE_REFUSALS))
+def test_a_refusal_of_a_huge_number_raises_the_documented_error(kind, call):
+    """The message names the number's size, in bits, where formatting the
+    number itself would raise CPython's own ``ValueError``."""
+    with pytest.raises(kind) as info:
+        call()
+    message = str(info.value)
+    assert "set_int_max_str_digits" not in message
+    assert " bits>" in message
+
+
+def test_a_refusal_shows_a_printable_value_as_before():
+    """``shown`` leaves a value that prints as it is, so its message keeps
+    its bytes; a number past the limit shows as its sign and bit length."""
+    value = (10 ** 4300 - 1, -2, "3", [1.5])
+    assert shown(value) == value
+    assert f"{shown(value)} {shown('3')!r}" == f"{value} {'3'!r}"
+    assert repr(shown((-BIG, BIG))) == "(-<int of 16610 bits>, " \
+                                        "<int of 16610 bits>)"
+    assert printable(10 ** 4300 - 1) and not printable(-10 ** 4300)
