@@ -175,7 +175,7 @@ from itertools import repeat
 from operator import add, le, lshift, mul, rshift, sub
 
 from .root_data import (AffineDatum, Datum, Frozen, RootDatum, Weight,
-                        integral)
+                        integral, shown)
 
 Flat = dict[tuple[int, ...], int]
 Labels = dict[tuple[int, ...], dict[int, int]]      # {top: {grade: m}}
@@ -337,7 +337,8 @@ class Character(Frozen):
         return Character._wrap(self.datum, _nonzero(out))
 
     def __repr__(self) -> str:
-        inner = " + ".join(f"{c}*e[{h},{d}]" for (h, d), c in self.terms())
+        inner = " + ".join(f"{shown(c)}*e[{shown(h)},{shown(d)}]"
+                           for (h, d), c in self.terms())
         return f"Character({self.datum.label}: {inner or '0'})"
 
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 import os
 import sys
 from collections import namedtuple
-from collections.abc import Callable
 from functools import cache
 from importlib.util import source_hash
 from types import SimpleNamespace
@@ -78,20 +77,14 @@ def _h_cols(datum) -> list[str]:
     return [f"h{i}" for i in datum.indices]
 
 
-def _graded_section(g: Character):
-    terms = g.terms()
-    return ({"character": [{"weight": {"h": list(h)}, "grade": d, "coeff": c}
-                           for (h, d), c in terms]},
-            Table("character", ["grade", *_h_cols(g.datum), "coeff"],
-                  [[d, *h, c] for (h, d), c in terms]))
-
-
-def _finite_section(f: Character):
-    terms = f.terms()
-    return ({"character": [{"weight": {"h": list(h)}, "coeff": c}
-                           for (h, _), c in terms]},
-            Table("character", [*_h_cols(f.datum), "coeff"],
-                  [[*h, c] for (h, _), c in terms]))
+def _character_section(c: Character, graded: bool):
+    """The terms of ``c``, each with its grade first if ``graded``."""
+    grade = ["grade"] if graded else []
+    rows = [([d] if graded else []) + [*h, n] for (h, d), n in c.terms()]
+    return ({"character": [{"weight": {"h": r[graded:-1]}, "coeff": r[-1],
+                            **({"grade": r[0]} if graded else {})}
+                           for r in rows]},
+            Table("character", [*grade, *_h_cols(c.datum), "coeff"], rows))
 
 
 def _flag_section(fd: FlagDecomposition, rd: RootDatum):
@@ -367,7 +360,7 @@ def _demazure_label(v: dict) -> DemazureLabel:
 
 def _weyl_char(rd, ad, v):
     g, fd = graded_weyl_character(rd, v["lambda"])
-    return [_graded_section(g), _flag_section(fd, rd)]
+    return [_character_section(g, graded=True), _flag_section(fd, rd)]
 
 
 def _crystal_check(rd, ad, v):
@@ -401,8 +394,8 @@ _COMMANDS = {
         (("level", None),
          ("lambda", "classical weight, comma-separated coroot values"),
          ("grade", None)),
-        lambda rd, ad, v: [_graded_section(
-            demazure_character(ad, _demazure_label(v)))]),
+        lambda rd, ad, v: [_character_section(
+            demazure_character(ad, _demazure_label(v)), graded=True)]),
     "demazure-dim": _Command(
         "Demazure module dimension",
         (("level", None), ("lambda", None), ("grade", None)),
@@ -422,12 +415,12 @@ _COMMANDS = {
     "local-weyl": _Command(
         "tensor character over labelled summands",
         (("factor", "summand as H,..,H@label; repeatable"),),
-        lambda rd, ad, v: [_finite_section(
-            local_weyl_character(rd, v["factors"]))]),
+        lambda rd, ad, v: [_character_section(
+            local_weyl_character(rd, v["factors"]), graded=False)]),
     "weyl-finite": _Command(
         "finite simple-module character", (("lambda", None),),
-        lambda rd, ad, v: [_finite_section(
-            weyl_character_finite(rd, v["lambda"]))]),
+        lambda rd, ad, v: [_character_section(
+            weyl_character_finite(rd, v["lambda"]), graded=False)]),
     "crystal-check": _Command(
         "path-crystal character versus operator ladders",
         (("affine_lambda", "affine weight, coroot values for nodes 0..n"),
@@ -454,11 +447,12 @@ def _invalid_choice(value: str, choices) -> str:
 _FORMATS = ("json", "csv", "table")
 
 
-def _handle(args):
-    """Validate a request; its canonical parameters, which the JSON body
-    holds, and a thunk computing (json object, tables).  The options
-    every subcommand shares come first, then ``--type`` and the
-    subcommand's own options in their order."""
+def _answer(args):
+    """The answer to the request ``args``: its JSON object, which holds
+    its canonical parameters, and its tables.  The request is checked
+    before anything is computed: the options every subcommand shares
+    first, then ``--type`` and the subcommand's own options in their
+    order."""
     if args.format not in _FORMATS:
         raise ValueError("argument --format: "
                          + _invalid_choice(args.format, _FORMATS))
@@ -468,25 +462,15 @@ def _handle(args):
     command = _COMMANDS[args.command]
     rd = datum_from_label(args.type)
     ad = affinize(rd)
-    params, values = {"type": rd.label}, {}
+    obj, values, tables = {"command": args.command, "type": rd.label}, {}, []
     for kind, _ in command.options:
         opt = _OPTIONS[kind]
         value = values[opt.param] = opt.value(rd, ad, args)
-        params[opt.param] = opt.plain(value)
-
-    def run():
-        obj, tables = {"command": args.command, **params}, []
-        for fields, table in command.compute(rd, ad, values):
-            obj.update(fields)
-            tables.append(table)
-        return obj, tables
-    return params, run
-
-
-# One handler serves every subcommand: it returns the canonical parameters
-# and the thunk, a pair that perfbench's tracer splits, so that validation
-# and computation can be timed apart.
-_HANDLERS: dict[str, Callable] = dict.fromkeys(_COMMANDS, _handle)
+        obj[opt.param] = opt.plain(value)
+    for fields, table in command.compute(rd, ad, values):
+        obj.update(fields)
+        tables.append(table)
+    return obj, tables
 
 
 # Options every subcommand takes after its own, with argparse's keywords.
@@ -508,10 +492,9 @@ def _arguments(name: str) -> list[tuple[str, dict]]:
             for kind, text in _COMMANDS[name].options] + list(_SHARED)
 
 
-def build_parser(command: str | None = None):
-    """The ``argparse.ArgumentParser`` with only the subcommand ``command``,
-    or with every subcommand when it is None.  The top-level usage names
-    every subcommand either way."""
+def build_parser():
+    """The ``argparse.ArgumentParser`` of every subcommand.  It only prints
+    help screens: ``_read_args`` reads every command line."""
     import argparse        # here, so that a cache hit does not load it
     # The usage line as argparse wraps it at 80 columns up to Python 3.12;
     # from 3.13 on it keeps ``...`` beside the choices.  Spelled out, it is
@@ -522,7 +505,7 @@ def build_parser(command: str | None = None):
         usage=f"%(prog)s [-h]{indent}{{{','.join(_COMMANDS)}}}{indent}...",
         description="Exact Demazure and graded Weyl module computations.")
     sub = parser.add_subparsers(dest="command", required=True, prog="demflag")
-    for name in _COMMANDS if command is None else (command,):
+    for name in _COMMANDS:
         p = sub.add_parser(name, help=_COMMANDS[name].help)
         for flag, kwargs in _arguments(name):
             p.add_argument(flag, **kwargs)
@@ -655,10 +638,9 @@ def main(argv=None) -> int:
 def _help(name: str) -> int:
     """Print, by argparse, the help screen of the subcommand ``name`` or
     else the top-level one; the exit code, 0."""
-    command = name if name in _COMMANDS else None
     try:
-        build_parser(command).parse_args([command, "-h"] if command
-                                         else ["-h"])
+        build_parser().parse_args([name, "-h"] if name in _COMMANDS
+                                  else ["-h"])
     except SystemExit:
         pass
     return 0
@@ -709,8 +691,7 @@ def _serve(args, argv: list[str]) -> int:
             cached, error = None, e
         if cached is not None:
             return _write(cached)
-    _, run = _HANDLERS[args.command](args)
-    text = render(*run(), args.format)
+    text = render(*_answer(args), args.format)
     if not cache:
         return _write(text)
     status = 0

@@ -106,7 +106,8 @@ def _diagram(series: str, rank: int) -> tuple[list[list[int]], list[int]]:
 def printable(n: int) -> bool:
     """Whether the int ``n`` has at most ``MAX_DIGITS`` digits, so that
     CPython turns it into a string: the one digit test, of the results the
-    command line prints and of the values refusals show (``shown``)."""
+    command line prints and of the values refusals and reprs show
+    (``shown``)."""
     return -_PAST_DIGITS < n < _PAST_DIGITS
 
 
@@ -116,9 +117,10 @@ class _Size(str):
 
 
 def shown(value):
-    """``value`` for a refusal to format: the value itself, but with every
-    int that is not ``printable``, alone or in a tuple or list, put as its
-    sign and bit length, since formatting it would raise ``ValueError``."""
+    """``value`` for a refusal or a repr to format: the value itself, but
+    with every int that is not ``printable``, alone or in a tuple or list,
+    put as its sign and bit length, since formatting it would raise
+    ``ValueError``."""
     if isinstance(value, int) and not printable(value):
         return _Size(f"{'-' * (value < 0)}<int of {value.bit_length()} bits>")
     if type(value) in (tuple, list):
@@ -411,7 +413,7 @@ class AffineDatum(Datum):
 
 def build_finite_datum(series: str, rank: int) -> RootDatum:
     """The finite root datum for a Cartan-Killing label, built once."""
-    if series not in _SERIES:
+    if not (isinstance(series, str) and series in _SERIES):
         raise errors.UnknownType(f"unknown series {shown(series)!r}")
     lo, hi = _SERIES[series]
     if not (isinstance(rank, int) and lo <= rank <= hi):
@@ -448,10 +450,10 @@ def datum_from_label(label: str) -> RootDatum:
     digits, blanks around it ignored, into a finite root datum.  A rank of
     more than ``MAX_DIGITS`` digits, which ``int`` would not read, is
     refused like any other rank outside its series."""
-    text = label.strip()
+    text = label.strip() if isinstance(label, str) else ""
     series, rank = text[:1], text[1:]
     if not (series in _SERIES and rank.isascii() and rank.isdigit()):
-        raise errors.UnknownType(f"cannot parse type label {label!r}")
+        raise errors.UnknownType(f"cannot parse type label {shown(label)!r}")
     if len(rank) > MAX_DIGITS:
         raise errors.UnknownType(f"rank {rank} invalid for series {series}")
     return build_finite_datum(series, int(rank))

@@ -61,6 +61,13 @@ def test_repr_lists_the_terms():
     assert repr(Character.zero(A1)) == "Character(A1: 0)"
     assert repr(weyl_character_finite(A1, A1.weight([1]))) \
         == "Character(A1: 1*e[(-1,),0] + 1*e[(1,),0])"
+    # A number past CPython's digit limit shows as its sign and bit length,
+    # as refusals show it, instead of raising ``ValueError``.
+    big = 10 ** 5000
+    assert repr(Character(A1, {((0,), 0): big})) \
+        == "Character(A1: <int of 16610 bits>*e[(0,),0])"
+    assert repr(Character(A1, {((big,), -big): 1})) == \
+        "Character(A1: 1*e[(<int of 16610 bits>,),-<int of 16610 bits>])"
 
 
 # ---- operator ladders ----

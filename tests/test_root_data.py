@@ -331,6 +331,10 @@ def test_unknown_type_rejected():
     for bad in ("H3", "A0", "A9", "F5", "G3", "D3", "a2", "X1", ""):
         with pytest.raises(errors.UnknownType):
             datum_from_label(bad)
+    # A label that is not a string is refused the same way, not by ``strip``.
+    with pytest.raises(errors.UnknownType,
+                       match="^cannot parse type label 5$"):
+        datum_from_label(5)
 
 
 def test_unknown_series_rejected_by_the_builder():
@@ -338,6 +342,10 @@ def test_unknown_series_rejected_by_the_builder():
     # the builder's own check is reached only directly.
     with pytest.raises(errors.UnknownType, match="^unknown series 'H'$"):
         build_finite_datum("H", 2)
+    # An unhashable series is refused as unknown, not by the table lookup.
+    with pytest.raises(errors.UnknownType,
+                       match=r"^unknown series \['A'\]$"):
+        build_finite_datum(["A"], 1)
 
 
 def test_a_datum_takes_exactly_its_fields():
