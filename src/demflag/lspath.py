@@ -304,15 +304,19 @@ def straight_path(ad: AffineDatum, lam: Weight) -> LSPath:
 def root_op_f(ad: AffineDatum, i: int, pi: LSPath) -> LSPath | None:
     """Lowering operator for node ``i``; None when undefined.
 
-    ``ValueError`` unless ``n >= 1``, every duration is a positive integer,
-    the durations sum to ``n``, and every direction is integral with one
-    value per node of ``ad`` and one on the scaling element, and differs
-    from its neighbours.
+    ``ValueError`` unless ``n >= 1``, every step is a (duration, direction)
+    pair, every duration is a positive integer, the durations sum to ``n``,
+    and every direction is integral with one value per node of ``ad`` and
+    one on the scaling element, and differs from its neighbours.
     """
     n = integral(pi.n, "path length")
-    steps = tuple((integral(t, "path duration"),
-                   tuple(integral(x, "path direction entry") for x in v))
-                  for t, v in pi.steps)
+    try:
+        steps = tuple((integral(t, "path duration"),
+                       tuple(integral(x, "path direction entry") for x in v))
+                      for t, v in pi.steps)
+    except TypeError:
+        raise ValueError("path steps must be (duration, direction "
+                         "sequence) pairs") from None
     if n < 1 or any(t < 1 for t, _ in steps) or sum(t for t, _ in steps) != n:
         raise ValueError(f"path durations must be positive integers that "
                          f"sum to n >= 1, with n = {shown(n)}")

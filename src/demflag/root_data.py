@@ -20,11 +20,10 @@ Conventions, fixed once and used everywhere downstream:
 * The Cartan matrix is stored as ``cartan[i][j] = alpha_j(h_i)``, so the
   column ``j`` is the coordinate vector of the simple root ``alpha_j`` on
   the basis of simple coroots ``h_i``.
-* The positive roots are made height by height from root strings:
-  ``beta + alpha_i`` is a root exactly when ``alpha_i`` can be subtracted
-  from ``beta`` more than ``beta(h_i)`` times (``_positive_roots``).
-  ``positive_roots`` lists them by height and then by coordinates, so the
-  highest root comes last.
+* The positive roots are the closure of the simple roots under the simple
+  reflections that raise a root, ``beta -> beta - beta(h_i) alpha_i`` when
+  ``beta(h_i) < 0`` (``_positive_roots``).  ``positive_roots`` lists them
+  by height and then by coordinates, so the highest root comes last.
 * A weight is the tuple of its integer values on the coroots ``h_i`` (in
   node order) plus the value ``d`` on the scaling element.  Finite-type
   weights simply keep ``d = 0``.
@@ -42,8 +41,8 @@ Conventions, fixed once and used everywhere downstream:
 
 Arithmetic is integer throughout, with no floats and no fractions.  The
 inverse of the Cartan matrix is kept as the integer matrix ``den * C^-1``
-with ``den`` its least common denominator, computed once per datum by
-fraction-free elimination; root coordinates and heights read off it.
+with ``den`` its least common denominator, computed once per datum as a
+sum over the positive roots; root coordinates and heights read off it.
 
 Each input check has one owner: ``Datum.weight`` for weights, those of
 the Weyl group action included; ``integral`` for integer scalars, such as
@@ -170,64 +169,29 @@ class Weight(namedtuple("Weight", "h d", defaults=(0,))):
 
 def _positive_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """All positive roots in simple-root coordinates, ordered by height and
-    then by coordinates, built one height at a time from root strings.
+    then by coordinates: the closure of the simple roots under the simple
+    reflections that raise a root.
 
-    The ``alpha_i``-string through a root ``beta`` runs from ``beta - q
-    alpha_i`` to ``beta + p alpha_i`` with ``q - p = beta(h_i)`` (Humphreys,
-    GTM 9, §9.4), so ``beta + alpha_i`` is a root exactly when ``q >
-    beta(h_i)``.  Each root carries its coroot values ``h`` and its ``q``
-    at every node.  A simple root has ``q = 0``; ``beta + alpha_i`` has
-    ``q_i`` one more than ``beta`` has.  A root is reached from every root
-    one simple root below it, all of one height, so one sweep over a
-    height fills in every ``q`` of the next.
+    ``s_i(beta) = beta - beta(h_i) alpha_i`` is a higher positive root when
+    ``beta(h_i) < 0``, and every positive root that is not simple is reached
+    so from one of smaller height: it has a node ``i`` with ``beta(h_i) >
+    0``, and then ``s_i(beta)`` is positive (Humphreys, GTM 9, §10.2-10.3).
+    Each root carries its coroot values ``h``.
     """
     n = len(cartan)
     cols = list(zip(*cartan))               # cols[i] = alpha_i(h_j) over j
-    level = {tuple(int(k == i) for k in range(n)): (cols[i], [0] * n)
-             for i in range(n)}
-    out = []
-    while level:
-        nxt: dict[tuple[int, ...], tuple] = {}
-        for beta in sorted(level):
-            h, q = level[beta]
-            out.append(beta)
-            for i in range(n):
-                if q[i] > h[i]:
-                    gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                    entry = nxt.get(gamma)
-                    if entry is None:
-                        entry = nxt[gamma] = (
-                            tuple(a + b for a, b in zip(h, cols[i])), [0] * n)
-                    entry[1][i] = q[i] + 1
-        level = nxt
-    return out
-
-
-def _integer_inverse(cartan: Sequence[Sequence[int]]) -> tuple[tuple, int]:
-    """``(den * C^-1, den)`` with ``den`` the least common denominator.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on ``[C | I]``:
-    every division is exact, and it ends at ``[det C * I | adj C]``.  No
-    row swaps are needed: a finite-type Cartan matrix has positive leading
-    principal minors, so no pivot is ever zero.  Dividing ``det C`` and
-    ``adj C`` by their joint gcd leaves the least common denominator.
-    """
-    n = len(cartan)
-    aug = [list(row) + [int(i == k) for k in range(n)]
-           for i, row in enumerate(cartan)]
-    prev = 1
-    for c in range(n):
-        piv = aug[c]
-        p = piv[c]
-        for k in range(n):
-            if k != c:
-                f = aug[k][c]
-                aug[k] = [(p * a - f * b) // prev
-                          for a, b in zip(aug[k], piv)]
-        prev = p
-    det = prev
-    g = gcd(det, *(x for row in aug for x in row[n:]))
-    return tuple(tuple(x // g for x in row[n:]) for row in aug), det // g
+    found = {tuple(int(k == i) for k in range(n)): cols[i] for i in range(n)}
+    todo = list(found)
+    while todo:
+        beta = todo.pop()
+        h = found[beta]
+        for i, v in enumerate(h):
+            if v < 0:
+                gamma = beta[:i] + (beta[i] - v,) + beta[i + 1:]
+                if gamma not in found:
+                    found[gamma] = tuple(a - v * b for a, b in zip(h, cols[i]))
+                    todo.append(gamma)
+    return sorted(found, key=lambda beta: (sum(beta), beta))
 
 
 class Frozen:
@@ -356,9 +320,23 @@ class RootDatum(Datum):
 
     @cached_property
     def _inverse(self) -> tuple[tuple, int]:
-        # On first use, not at build time: building data is on the start-up
-        # path, and most requests never ask for root coordinates.
-        return _integer_inverse(self.cartan)
+        """``(den * C^-1, den)`` with ``den`` the least common denominator.
+
+        ``sum_beta (mu, beta)(nu, beta)`` over the positive roots is
+        Weyl-invariant, so a multiple of ``( , )`` (Bourbaki, *Lie* ch. VI,
+        §1), and ``(omega_i, beta) = d_i beta_i``.  So ``m[j][i] = d_i
+        sum_beta beta_i beta_j`` is ``scale * C^-1`` with ``scale = (C
+        m)[0][0]``; dividing both by their joint gcd leaves ``den``.
+        Computed on first use, not at build time: building data is on the
+        start-up path, and most requests never ask for root coordinates.
+        """
+        roots = self.positive_roots
+        m = [[d * sum(beta[i] * beta[j] for beta in roots)
+              for i, d in enumerate(self.symmetrizer)]
+             for j in range(self.rank)]
+        scale = sum(c * row[0] for c, row in zip(self.cartan[0], m))
+        g = gcd(scale, *(x for row in m for x in row))
+        return tuple(tuple(x // g for x in row) for row in m), scale // g
 
     @cached_property
     def _height_vector(self) -> tuple[int, ...]:

@@ -1,5 +1,7 @@
-"""The demos print the same bytes as when their digests were recorded."""
+"""The demos print the same bytes as when their digests were recorded, and
+the README's quick tour gives the results written beside it."""
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -39,3 +41,30 @@ def test_demo_output_is_unchanged(name):
     assert run.returncode == 0, run.stderr.decode()
     assert run.stderr == b""
     assert hashlib.sha256(run.stdout).hexdigest() == DIGESTS[name]
+
+
+def test_the_readme_quick_tour_gives_its_commented_results():
+    """Each expression of the quick tour has its ``repr`` written as a
+    comment, at the end of its line or on the line below."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick tour\n\n```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = block.splitlines()
+    namespace = {}
+    checked = []
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"),
+                 namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md",
+                             "eval"), namespace)
+        comment = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+        if not comment:
+            comment = lines[stmt.end_lineno].strip()
+        assert comment.startswith("# "), ast.unparse(stmt)
+        assert repr(value) == comment[2:], ast.unparse(stmt)
+        checked.append(ast.unparse(stmt))
+    assert checked == ["demazure_dim(ad, lab)",
+                       "dict(demazure_character(ad, lab).terms())",
+                       "flag.pieces", "g.mass()"]

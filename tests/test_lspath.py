@@ -1072,6 +1072,8 @@ MALFORMED = {
     "float-duration": LSPath(1, ((1.0, (1, 1, 0)),)),
     "float-n": LSPath(1.0, ((1, (1, 1, 0)),)),
     "equal-neighbours": LSPath(2, ((1, (1, 1, 0)), (1, (1, 1, 0)))),
+    "scalar-direction": LSPath(1, ((1, 5),)),
+    "scalar-steps": LSPath(1, 5),
 }
 
 

@@ -37,7 +37,7 @@ from demflag import (
     weyl_character_finite,
     weyl_dim_product_check,
 )
-from demflag.root_data import _integer_inverse, printable, shown
+from demflag.root_data import printable, shown
 
 A1 = datum_from_label("A1")
 A2 = datum_from_label("A2")
@@ -141,6 +141,29 @@ def test_positive_roots_match_the_reflection_closure():
     assert count == 32
 
 
+def test_root_strings_obey_the_string_law():
+    # Humphreys, GTM 9, §9.4: the alpha_i-string through a positive root
+    # beta other than alpha_i is unbroken, beta - q alpha_i .. beta + p
+    # alpha_i, with q - p = beta(h_i) and p + q <= 3.  No reflection is
+    # taken, so the check shares nothing with either closure.
+    count = 0
+    for rd in all_datums():
+        roots = set(rd.positive_roots)
+        for beta in rd.positive_roots:
+            for i in range(rd.rank):
+                if beta == tuple(int(k == i) for k in range(rd.rank)):
+                    continue
+                ks = [k for k in range(-4, 5)
+                      if beta[:i] + (beta[i] + k,) + beta[i + 1:] in roots]
+                q, p = -ks[0], ks[-1]
+                where = (rd.label, beta, i + 1)
+                assert ks == list(range(-q, p + 1)), where
+                assert q - p == sum(map(mul, rd.cartan[i], beta)), where
+                assert p + q <= 3, where
+        count += 1
+    assert count == 32
+
+
 def test_symmetrizers():
     assert A2.symmetrizer == (1, 1)
     assert C2.symmetrizer == (1, 2)
@@ -194,7 +217,7 @@ def test_integer_symmetrizer_and_inverse_match_fractions():
         assert list(d) == _fraction_symmetrizer(c)
         assert all(d[i] * c[i][j] == d[j] * c[j][i]
                    for i in range(rd.rank) for j in range(rd.rank))
-        assert _integer_inverse(rd.cartan) == _fraction_inverse(rd.cartan)
+        assert rd._inverse == _fraction_inverse(rd.cartan)
         count += 1
     assert count == 32
 
